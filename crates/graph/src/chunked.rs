@@ -11,10 +11,24 @@
 //! caller's repair shard): each chunk owns a contiguous region of the
 //! arena holding its nodes' neighbour lists back to back, padded with
 //! slack so a chunk's edge count can drift without moving its neighbours.
-//! [`ChunkedCsr::splice`] takes the churned shards' old and new edge
-//! emissions as a delta, cancels the unchanged majority, and rewrites only
-//! the chunks whose adjacency actually changed — O(dirty emissions), not
-//! O(m).
+//! [`ChunkedCsr::splice`] takes a churn epoch's edge delta — emissions
+//! withdrawn and emissions added — and rewrites only the chunks whose
+//! adjacency actually changed: O(delta), not O(m).
+//!
+//! The delta the repair path hands in is already *net*. Every
+//! [`crate::ShardedEdgeStore`] shard list is kept sorted (a multiset: a
+//! k-NN shard may hold one key twice), so a repaired shard's old and new
+//! lists diff in one linear two-pointer merge
+//! ([`crate::diff_emissions`]), fanned out over the dirty shards; a
+//! deaths-only filter repair contributes exactly the entries it dropped.
+//! The unchanged majority of a dirty shard's emissions never reaches the
+//! splice, which therefore sorts only the true delta. `splice` still
+//! cancels entries that appear in both lists, so direct callers passing
+//! whole old/new emission sets get the same result.
+//!
+//! [`ChunkedCsr::build`] is sort-free too: a counting scatter of the
+//! directed half-edges into per-node buckets, each short bucket then
+//! sorted and folded into multiplicities.
 //!
 //! Two representation details make the splice exact for every topology:
 //!
@@ -22,8 +36,8 @@
 //!   canonical edge from *both* endpoints, possibly from different shards.
 //!   Each arena entry therefore carries the count of emissions backing it:
 //!   a dirty shard withdrawing its emission of `(u, v)` decrements the
-//!   count, and the edge survives while a clean shard still backs it. The
-//!   deduplicating global sort of `ShardedEdgeStore::to_csr` becomes a
+//!   count, and the edge survives while another emission still backs it.
+//!   The deduplicating global sort of `ShardedEdgeStore::to_csr` becomes a
 //!   per-chunk counting merge.
 //! * **Delta addressing by endpoint, not by emitter.** A dirty shard's
 //!   re-derivation can change lists of nodes owned by *clean* shards (the
@@ -138,36 +152,54 @@ impl ChunkedCsr {
             cursor[c as usize] += 1;
         }
 
-        // Expand to directed half-edges, fold duplicates into counts.
-        let mut half: Vec<(u32, u32)> = Vec::new();
-        for (a, b) in emissions {
+        // Counting scatter of the directed half-edges into per-node
+        // buckets, then sort and fold each short bucket into multiplicities
+        // — no global sort over the half-edges.
+        let emissions: Vec<(u32, u32)> = emissions.collect();
+        let mut b_off = vec![0usize; n + 1];
+        for &(a, b) in &emissions {
             assert!(
                 (a as usize) < n && (b as usize) < n,
                 "emission out of range"
             );
             assert_ne!(a, b, "self loop");
-            half.push((a, b));
-            half.push((b, a));
-        }
-        half.sort_unstable();
-        let mut e_off = vec![0usize; n + 1];
-        let mut e_v: Vec<u32> = Vec::with_capacity(half.len());
-        let mut e_mult: Vec<u8> = Vec::with_capacity(half.len());
-        let mut i = 0;
-        while i < half.len() {
-            let (u, v) = half[i];
-            let mut c = 1usize;
-            while i + c < half.len() && half[i + c] == (u, v) {
-                c += 1;
-            }
-            i += c;
-            e_off[u as usize + 1] += 1;
-            e_v.push(v);
-            e_mult.push(u8::try_from(c).expect("emission multiplicity fits u8"));
+            b_off[a as usize + 1] += 1;
+            b_off[b as usize + 1] += 1;
         }
         for u in 0..n {
-            e_off[u + 1] += e_off[u];
+            b_off[u + 1] += b_off[u];
         }
+        let mut cursor: Vec<usize> = b_off[..n].to_vec();
+        let mut e_v = vec![0u32; b_off[n]];
+        for (a, b) in emissions {
+            e_v[cursor[a as usize]] = b;
+            cursor[a as usize] += 1;
+            e_v[cursor[b as usize]] = a;
+            cursor[b as usize] += 1;
+        }
+        // Fold in place: the write cursor never passes the bucket being
+        // read, so `e_v` compacts into the per-node distinct neighbours.
+        let mut e_off = vec![0usize; n + 1];
+        let mut e_mult: Vec<u8> = Vec::with_capacity(e_v.len());
+        let mut w = 0usize;
+        for u in 0..n {
+            let (lo, hi) = (b_off[u], b_off[u + 1]);
+            e_v[lo..hi].sort_unstable();
+            let mut i = lo;
+            while i < hi {
+                let v = e_v[i];
+                let mut j = i + 1;
+                while j < hi && e_v[j] == v {
+                    j += 1;
+                }
+                e_v[w] = v;
+                e_mult.push(u8::try_from(j - i).expect("emission multiplicity fits u8"));
+                w += 1;
+                i = j;
+            }
+            e_off[u + 1] = w;
+        }
+        e_v.truncate(w);
 
         // Lay the chunks out with slack.
         let mut start = vec![0u32; n];
@@ -271,20 +303,19 @@ impl ChunkedCsr {
         self.targets.len()
     }
 
-    /// Apply a churn delta: `removed` are the old edge emissions of every
-    /// repaired shard (snapshotted before repair), `added` their new ones.
-    /// Emissions the repair kept appear in both and cancel; only chunks
-    /// with a surviving net change rewrite. Cost is O(delta), not O(m).
+    /// Apply a churn delta: `removed` are edge emissions withdrawn since the
+    /// last splice, `added` the new ones (the repair path passes its
+    /// per-shard net diff). An emission present in both lists cancels;
+    /// only chunks with a surviving net change rewrite. Cost is
+    /// O(delta), not O(m).
     ///
     /// Panics if the delta is inconsistent with the current structure
     /// (removing an emission that was never spliced in) — that means the
     /// caller's per-shard caches diverged from the CSR.
     pub fn splice(&mut self, removed: &[(u32, u32)], added: &[(u32, u32)]) -> SpliceStats {
         // Pre-cancel identical emissions across the two lists as packed
-        // u64 keys: a repaired shard re-emits the overwhelming share of
-        // its snapshot verbatim, so dropping the matches *before*
-        // half-edge expansion keeps the tuple sort below proportional to
-        // the true delta, not the dirty shards' whole emission volume.
+        // u64 keys, so a caller passing whole old/new emission sets pays
+        // the half-edge expansion only for the true delta.
         let pack = |(a, b): (u32, u32)| ((a as u64) << 32) | b as u64;
         let mut rem: Vec<u64> = removed.iter().map(|&e| pack(e)).collect();
         let mut add: Vec<u64> = added.iter().map(|&e| pack(e)).collect();
@@ -561,6 +592,7 @@ impl PartialEq<ChunkedCsr> for Csr {
 mod tests {
     use super::*;
     use crate::builder::EdgeList;
+    use proptest::prelude::*;
 
     fn dense(n: usize, edges: &[(u32, u32)]) -> Csr {
         let mut el = EdgeList::new(n);
@@ -704,6 +736,44 @@ mod tests {
     fn removing_a_never_spliced_emission_panics() {
         let mut g = ChunkedCsr::build(1, &[0, 0, 0], [(0u32, 1u32)].into_iter());
         g.splice(&[(1, 2)], &[]);
+    }
+
+    /// Build over `raw` projected onto `n` nodes (self loops dropped,
+    /// pairs canonicalised) and compare against the dense reference.
+    fn check_build_matches_dense(n: usize, chunks: usize, raw: &[(u32, u32)]) {
+        let chunk_of: Vec<u32> = (0..n as u32).map(|u| u % chunks as u32).collect();
+        let emissions: Vec<(u32, u32)> = raw
+            .iter()
+            .filter(|_| n >= 2)
+            .map(|&(a, b)| (a % n as u32, b % n as u32))
+            .filter(|&(a, b)| a != b)
+            .map(|(a, b)| (a.min(b), a.max(b)))
+            .collect();
+        let g = ChunkedCsr::build(chunks, &chunk_of, emissions.iter().copied());
+        let d = dense(n, &emissions);
+        assert_eq!(g, d, "n = {n}, chunks = {chunks}");
+        assert_eq!(g.to_dense(), d);
+        check_invariants(&g);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The counting-scatter build equals the dense reference on random
+        /// emissions with duplicate keys and isolated nodes, and on the
+        /// degenerate n ∈ {0, 1, 2} projections of the same draw.
+        #[test]
+        fn prop_build_matches_dense(
+            n in 3usize..40,
+            chunks in 1usize..5,
+            raw in proptest::collection::vec((0u32..40, 0u32..40), 0..60),
+        ) {
+            let mut raw = raw;
+            raw.extend_from_within(..raw.len() / 2);
+            for n in [0, 1, 2, n] {
+                check_build_matches_dense(n, chunks, &raw);
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`ShardedEdgeStore`] — the per-shard edge cache. Replacing one shard's
 //!   slice and re-splicing is the delta operation behind
 //!   `wsn_rgg::incremental`: shards untouched by churn keep their cached
-//!   emissions byte-for-byte.
+//!   emissions byte-for-byte. Every shard list is kept sorted (as a
+//!   multiset), so [`diff_emissions`] turns a repaired shard's old and new
+//!   lists into its net splice delta in one linear merge.
 //! * [`deactivate_vertices`] — pure vertex deactivation: drop every edge
 //!   incident to a dead node without re-deriving anything (exact for
 //!   topologies like the UDG whose edges never *appear* when a node dies).
@@ -71,12 +73,65 @@ pub fn check_monotone(ids: &[u32]) -> Result<(), MonotonicityError> {
     Ok(())
 }
 
+/// Sort one shard's emissions ascending — the [`ShardedEdgeStore`] cache
+/// invariant. Owner-grouped output (runs of one ascending first endpoint,
+/// as the UDG, Gabriel and RNG shard builders emit) only needs each short
+/// run sorted; anything else falls back to one sort.
+pub fn sort_emissions(edges: &mut [(u32, u32)]) {
+    if edges.is_sorted() {
+        return;
+    }
+    if edges.is_sorted_by_key(|e| e.0) {
+        for run in edges.chunk_by_mut(|a, b| a.0 == b.0) {
+            run.sort_unstable();
+        }
+    } else {
+        edges.sort_unstable();
+    }
+}
+
+/// `(removed, added)` emission lists.
+type EmissionDelta = (Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+/// Multiset difference of two ascending emission lists, as
+/// `(removed, added)`: the entries of `old` that `new` does not match
+/// one-for-one, and vice versa. Matching is per occurrence — a k-NN shard
+/// emits a mutual pair of owned nodes twice, and withdrawing one copy
+/// removes exactly one — so the result is the net splice delta that
+/// [`crate::ChunkedCsr::splice`] expects. One linear merge, no sort.
+pub fn diff_emissions(old: &[(u32, u32)], new: &[(u32, u32)]) -> EmissionDelta {
+    debug_assert!(old.is_sorted() && new.is_sorted(), "unsorted emissions");
+    let (mut removed, mut added) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < old.len() && j < new.len() {
+        match old[i].cmp(&new[j]) {
+            std::cmp::Ordering::Less => {
+                removed.push(old[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                added.push(new[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    removed.extend_from_slice(&old[i..]);
+    added.extend_from_slice(&new[j..]);
+    (removed, added)
+}
+
 /// Per-shard canonical edge cache with splice-to-CSR.
 ///
-/// Edges are stored exactly as the shard builders emit them (canonical
-/// `(min, max)` pairs; the k-NN and Yao builders may emit one edge from
-/// both endpoints — possibly in different shards — so [`Self::to_csr`]
-/// offers both the duplicate-free fast path and the deduplicating one).
+/// Edges are stored as the shard builders emit them (canonical `(min,
+/// max)` pairs; the k-NN and Yao builders may emit one edge from both
+/// endpoints — possibly in different shards — so [`Self::to_csr`] offers
+/// both the duplicate-free fast path and the deduplicating one), each
+/// shard's list sorted ascending ([`sort_emissions`]) so old and new lists
+/// diff linearly.
 #[derive(Clone, Debug)]
 pub struct ShardedEdgeStore {
     n: usize,
@@ -110,15 +165,32 @@ impl ShardedEdgeStore {
         &self.per_shard[s]
     }
 
-    /// Replace shard `s`'s cached emissions (the re-derivation path).
+    /// Replace shard `s`'s cached emissions (the re-derivation path). The
+    /// list must be sorted ascending ([`sort_emissions`]).
     pub fn replace(&mut self, s: usize, edges: Vec<(u32, u32)>) {
+        debug_assert!(edges.is_sorted(), "shard {s} emissions unsorted");
         self.per_shard[s] = edges;
     }
 
-    /// Drop cached edges of shard `s` that fail `keep` (the vertex
-    /// deactivation fast path: no geometry re-derivation, just a filter).
-    pub fn retain<F: FnMut(u32, u32) -> bool>(&mut self, s: usize, mut keep: F) {
-        self.per_shard[s].retain(|&(u, v)| keep(u, v));
+    /// Move shard `s`'s cached emissions out, leaving it empty (the repair
+    /// path diffs them against the re-derived list without a copy).
+    pub fn take(&mut self, s: usize) -> Vec<(u32, u32)> {
+        std::mem::take(&mut self.per_shard[s])
+    }
+
+    /// Drop cached edges of shard `s` that fail `keep` and return them in
+    /// order (the vertex deactivation fast path: no geometry re-derivation,
+    /// just a filter — and the dropped entries are the shard's whole
+    /// splice delta).
+    pub fn retain<F: FnMut(u32, u32) -> bool>(&mut self, s: usize, mut keep: F) -> Vec<(u32, u32)> {
+        let mut dropped = Vec::new();
+        self.per_shard[s].retain(|&(u, v)| {
+            keep(u, v) || {
+                dropped.push((u, v));
+                false
+            }
+        });
+        dropped
     }
 
     /// Total cached edge emissions (duplicates counted).
@@ -314,7 +386,7 @@ mod tests {
     #[test]
     fn store_splices_shards_in_any_partition() {
         // The same edge set split 1 shard vs 3 shards gives the same CSR.
-        let edges = [(0u32, 1u32), (1, 2), (2, 3), (0, 3)];
+        let edges = [(0u32, 1u32), (0, 3), (1, 2), (2, 3)];
         let mut one = ShardedEdgeStore::new(4, 1);
         one.replace(0, edges.to_vec());
         let mut three = ShardedEdgeStore::new(4, 3);
@@ -339,10 +411,70 @@ mod tests {
         let mut store = ShardedEdgeStore::new(4, 2);
         store.replace(0, vec![(0, 1), (1, 2)]);
         store.replace(1, vec![(2, 3)]);
-        store.retain(0, |u, v| u != 1 && v != 1);
+        let dropped = store.retain(0, |u, v| u != 1 && v != 1);
+        assert_eq!(dropped, vec![(0, 1), (1, 2)]);
         assert_eq!(store.shard(0), &[]);
         assert_eq!(store.shard(1), &[(2, 3)]);
         assert_eq!(store.to_csr(false).m(), 1);
+        assert_eq!(store.take(1), vec![(2, 3)]);
+        assert_eq!(store.emission_count(), 0);
+    }
+
+    #[test]
+    fn sort_emissions_sorts_owner_runs_and_arbitrary_lists() {
+        // Owner-grouped (UDG-style): only the runs are out of order.
+        let mut runs = vec![(1u32, 9u32), (1, 4), (3, 7), (5, 8), (5, 6)];
+        sort_emissions(&mut runs);
+        assert_eq!(runs, vec![(1, 4), (1, 9), (3, 7), (5, 6), (5, 8)]);
+        // Canonical pairs from both endpoints (Yao/k-NN-style), with a
+        // duplicate key that must survive as a multiset.
+        let mut mixed = vec![(4u32, 6u32), (2, 4), (4, 5), (2, 4), (0, 4)];
+        sort_emissions(&mut mixed);
+        assert_eq!(mixed, vec![(0, 4), (2, 4), (2, 4), (4, 5), (4, 6)]);
+    }
+
+    #[test]
+    fn diff_emissions_is_the_multiset_difference() {
+        let old = [(0u32, 1u32), (0, 2), (1, 2), (1, 2), (2, 3)];
+        let new = [(0u32, 2u32), (1, 2), (1, 3), (2, 3), (2, 3)];
+        let (removed, added) = diff_emissions(&old, &new);
+        assert_eq!(removed, vec![(0, 1), (1, 2)]);
+        assert_eq!(added, vec![(1, 3), (2, 3)]);
+        let (r, a) = diff_emissions(&old, &old);
+        assert!(r.is_empty() && a.is_empty());
+        assert_eq!(diff_emissions(&[], &new).1, new.to_vec());
+        assert_eq!(diff_emissions(&old, &[]).0, old.to_vec());
+    }
+
+    #[test]
+    fn withdrawing_one_copy_of_a_twice_emitted_key_keeps_the_edge() {
+        // A k-NN shard owning both endpoints of a mutual pair emits the
+        // canonical key twice; after repair only one endpoint still lists
+        // the other. The diff withdraws exactly one copy and the edge stays
+        // backed by the other.
+        let chunk_of = [0u32, 0, 0, 1];
+        let mut store = ShardedEdgeStore::new(4, 2);
+        store.replace(0, vec![(0, 1), (1, 2), (1, 2)]);
+        store.replace(1, vec![(2, 3)]);
+        let mut g = crate::ChunkedCsr::build(2, &chunk_of, store.emissions());
+        let old = store.take(0);
+        store.replace(0, vec![(0, 1), (1, 2)]);
+        let (removed, added) = diff_emissions(&old, store.shard(0));
+        assert_eq!(removed, vec![(1, 2)]);
+        assert!(added.is_empty());
+        g.splice(&removed, &added);
+        assert!(
+            g.has_edge(1, 2) && g.has_edge(2, 1),
+            "edge lost its backing"
+        );
+        assert_eq!(g, store.to_csr(true));
+        // Withdrawing the last copy removes it.
+        let old = store.take(0);
+        store.replace(0, vec![(0, 1)]);
+        let (removed, added) = diff_emissions(&old, store.shard(0));
+        g.splice(&removed, &added);
+        assert!(!g.has_edge(1, 2));
+        assert_eq!(g, store.to_csr(true));
     }
 
     #[test]

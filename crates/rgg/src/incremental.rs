@@ -51,7 +51,9 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use wsn_geom::{Aabb, ShardGrid};
-use wsn_graph::{relabel, ChunkedCsr, Csr, IdRemap, ShardedEdgeStore};
+use wsn_graph::{
+    diff_emissions, relabel, sort_emissions, ChunkedCsr, Csr, IdRemap, ShardedEdgeStore,
+};
 use wsn_pointproc::PointSet;
 use wsn_spatial::GridIndex;
 
@@ -67,6 +69,13 @@ use crate::{
 /// One dirty shard's re-derived emissions plus its k-NN straggler flag
 /// and (for HNG) its dependence record.
 type ShardEdges = (Vec<(u32, u32)>, bool, HngDeps);
+
+/// Establish the store's sorted-cache invariant on a freshly derived
+/// shard, inside the parallel derive closure that produced it.
+fn sorted((mut edges, strag, deps): ShardEdges) -> ShardEdges {
+    sort_emissions(&mut edges);
+    (edges, strag, deps)
+}
 
 /// The plain topologies the incremental engine can maintain (the SENS
 /// constructions repair by per-epoch rebuild instead — their tile-election
@@ -156,9 +165,10 @@ pub struct RepairStats {
     /// Whole-population index constructions this repair (0 unless a k-NN
     /// halo straggler fired a query its group extent could not certify).
     pub escalations: usize,
-    /// Wall-clock seconds spent splicing the repaired shards' edge delta
-    /// into the chunked CSR — the cost the monolithic `to_csr` path paid
-    /// as O(n + m) every churned epoch regardless of locality.
+    /// Wall-clock seconds spent turning the repaired shards' old and new
+    /// emissions into a net edge delta (the per-shard linear diff) and
+    /// splicing it into the chunked CSR — the cost the monolithic `to_csr`
+    /// path paid as O(n + m) every churned epoch regardless of locality.
     pub splice_secs: f64,
     /// Chunks the splice rewrote (owner chunks of the delta's endpoints).
     pub spliced_chunks: usize,
@@ -347,6 +357,13 @@ impl IncrementalGraph {
         &self.csr
     }
 
+    /// The per-shard emission caches the graph is spliced from (every
+    /// shard list sorted ascending).
+    #[inline]
+    pub fn edge_store(&self) -> &ShardedEdgeStore {
+        &self.store
+    }
+
     /// The universe point set (fixed; includes dead and reserve nodes).
     #[inline]
     pub fn points(&self) -> &PointSet {
@@ -431,16 +448,18 @@ impl IncrementalGraph {
             shard_count: self.grid.shard_count(),
             ..RepairStats::default()
         };
-        // Snapshot every dirty shard's cached emissions *before* repair
-        // mutates them: the splice consumes the repair as an edge delta
-        // (old emissions out, new emissions in), and whatever the repair
-        // kept cancels, so the CSR work tracks the delta — O(dirty) — not
-        // the graph. Clean shards contribute nothing, yet their nodes'
-        // lists still update when a dirty shard's cross-shard edge
-        // appears or disappears (the delta is routed by endpoint).
+        // The splice consumes the repair as a net edge delta, so the CSR
+        // work tracks what changed — O(delta) — not the graph. A filtered
+        // shard's delta is exactly the entries the filter dropped; a
+        // re-derived shard's old list moves out here (no copy) and is
+        // diffed against its new one after re-derivation. Clean shards
+        // contribute nothing, yet their nodes' lists still update when a
+        // dirty shard's cross-shard edge appears or disappears (the delta
+        // is routed by endpoint).
         let mut dirty_list = Vec::new();
         let mut removed: Vec<(u32, u32)> = Vec::new();
         let mut rederive = Vec::new();
+        let mut old_lists = Vec::new();
         for (s, &st) in state.iter().enumerate() {
             match st {
                 0 => {}
@@ -448,17 +467,19 @@ impl IncrementalGraph {
                     stats.dirty += 1;
                     stats.filtered += 1;
                     dirty_list.push(s);
-                    removed.extend_from_slice(self.store.shard(s));
                     let alive = &self.alive;
-                    self.store
-                        .retain(s, |u, v| alive[u as usize] && alive[v as usize]);
+                    removed.append(
+                        &mut self
+                            .store
+                            .retain(s, |u, v| alive[u as usize] && alive[v as usize]),
+                    );
                 }
                 _ => {
                     stats.dirty += 1;
                     stats.rederived += 1;
                     dirty_list.push(s);
-                    removed.extend_from_slice(self.store.shard(s));
                     rederive.push(s);
+                    old_lists.push(self.store.take(s));
                 }
             }
         }
@@ -478,9 +499,19 @@ impl IncrementalGraph {
         // therefore the spliced CSR — untouched.
         if stats.dirty > 0 {
             let splice_start = Instant::now();
+            // Both lists of every re-derived shard are sorted, so each
+            // shard's net delta is one linear merge, fanned out per shard.
+            let store = &self.store;
+            let diffs: Vec<_> = rederive
+                .iter()
+                .zip(old_lists)
+                .into_par_iter()
+                .map(|(&s, old)| diff_emissions(&old, store.shard(s)))
+                .collect();
             let mut added: Vec<(u32, u32)> = Vec::new();
-            for &s in &dirty_list {
-                added.extend_from_slice(self.store.shard(s));
+            for (mut r, mut a) in diffs {
+                removed.append(&mut r);
+                added.append(&mut a);
             }
             let splice = self.csr.splice(&removed, &added);
             stats.splice_secs = splice_start.elapsed().as_secs_f64();
@@ -757,6 +788,7 @@ impl IncrementalGraph {
                         Ok((edges, strag, deps))
                     }
                 }
+                .map(sorted)
             })
             .collect();
 
@@ -865,7 +897,7 @@ impl IncrementalGraph {
                 let covers_all = alive_bbox
                     .as_ref()
                     .is_some_and(|bb| padded.contains_aabb(bb));
-                derive_hng(
+                sorted(derive_hng(
                     &shard,
                     levels,
                     links,
@@ -893,7 +925,7 @@ impl IncrementalGraph {
                             .map(|(v, d)| (ids[v as usize], d))
                             .collect()
                     },
-                )
+                ))
             })
             .collect();
         for (&s, (edges, strag, deps)) in dirty.iter().zip(results) {
@@ -954,7 +986,7 @@ impl IncrementalGraph {
             .into_par_iter()
             .map(|s| {
                 let shard = Shard::gather_mapped(&sub, &to_universe, &index, grid, s, halo);
-                match kind {
+                sorted(match kind {
                     IncTopology::Udg { radius } => {
                         (derive_udg(&shard, radius), false, HngDeps::default())
                     }
@@ -1019,7 +1051,7 @@ impl IncrementalGraph {
                             },
                         )
                     }
-                }
+                })
             })
             .collect();
         let is_hng = matches!(self.kind, IncTopology::Hng { .. });

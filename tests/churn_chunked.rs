@@ -188,6 +188,43 @@ fn chunked_equals_monolithic_across_the_matrix() {
     }
 }
 
+/// Every shard's cached emissions are sorted ascending, as a multiset.
+fn assert_caches_sorted(g: &IncrementalGraph, ctx: &str) {
+    let store = g.edge_store();
+    for s in 0..store.shard_count() {
+        assert!(
+            store.shard(s).is_sorted(),
+            "{ctx}: shard {s} emission cache unsorted"
+        );
+    }
+}
+
+/// The sorted-cache invariant the per-shard splice diff rests on holds
+/// after the initial build and after every repair, for all six
+/// incremental kinds (HNG included) × deployment × footprint {1, 3, all}.
+#[test]
+fn shard_caches_stay_sorted_across_the_matrix() {
+    let _guard = env_guard();
+    let hng = IncTopology::Hng {
+        p: 0.5,
+        links: 1,
+        seed: 0x48_4E_47,
+    };
+    for (dname, points) in deployments(0x5027) {
+        for kind in KINDS.into_iter().chain([hng]) {
+            let mut g = build(&points, kind);
+            assert_caches_sorted(&g, &format!("{dname}/{kind:?}/build"));
+            for (fname, regions) in footprints(&g) {
+                let (deaths, joins) = churn_in_regions(&g, &regions, 0x50E7);
+                g.apply_churn(&deaths, &joins);
+                let ctx = format!("{dname}/{kind:?}/{fname}");
+                assert_caches_sorted(&g, &ctx);
+                assert!(g.verify_cold(), "{ctx}: diverged from cold rebuild");
+            }
+        }
+    }
+}
+
 /// Splice work tracks the churn footprint: a quiescent epoch touches zero
 /// chunks, and a 1-shard churn touches far fewer chunks than an
 /// all-shards churn. (Owner-chunk routing means a 1-shard churn may touch
