@@ -125,6 +125,19 @@ impl IncTopology {
         }
     }
 
+    /// Upper bound on every edge's Euclidean length — the radius for UDG
+    /// and its Gabriel/RNG/Yao subgraphs; `None` for k-NN and HNG, whose
+    /// edges are unbounded. Guides [`wsn_graph::bfs::BfsScratch::guided_path`].
+    pub fn max_edge_len(&self) -> Option<f64> {
+        match *self {
+            IncTopology::Udg { radius }
+            | IncTopology::Gabriel { radius }
+            | IncTopology::Rng { radius }
+            | IncTopology::Yao { radius, .. } => Some(radius),
+            IncTopology::Knn { .. } | IncTopology::Hng { .. } => None,
+        }
+    }
+
     /// Whether shard repair after *deaths only* can filter cached edges
     /// instead of re-deriving (exact iff node removal never creates edges).
     fn filter_repairs_deaths(&self) -> bool {

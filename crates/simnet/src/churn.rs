@@ -45,14 +45,20 @@
 //! the workspace seed-derivation hashes — never of iteration order, thread
 //! schedule, or floating-point accumulation order. The renewal policies
 //! add no draw at all except sink rotation's per-epoch sink pick (its own
-//! stream, so enabling it never shifts traffic or failure randomness), and
-//! the battery-aware route policies are sequential deterministic searches
-//! over state that is itself deterministic. Two runs with the same seed
-//! produce byte-identical reports at any `RAYON_NUM_THREADS`, which the
-//! golden suite pins at thread counts {1, 4, 8}.
+//! stream, so enabling it never shifts traffic or failure randomness).
+//! Only [`RoutePolicy::MaxMinResidual`] reads batteries, so only its packets
+//! route sequentially against live battery state. Hop-count and min-energy
+//! paths depend on the epoch-start topology alone: an epoch's `(src, dst)`
+//! pairs are drawn as before, their paths computed in one parallel fan-out
+//! (hop count through the guided search of [`wsn_graph::bfs`], which
+//! returns exactly the plain BFS path), and the batteries debited in packet
+//! order. Two runs with the same seed produce byte-identical reports at
+//! any `RAYON_NUM_THREADS`, which the golden suite pins at thread counts
+//! {1, 4, 8}.
 
 use std::time::Instant;
 
+use rayon::prelude::*;
 use serde::Serialize;
 
 use crate::energy::EnergyModel;
@@ -64,7 +70,8 @@ use wsn_core::udg::build_udg_sens;
 use wsn_geom::hash::{derive_seed, derive_seed2, mix64};
 use wsn_geom::{Aabb, Point};
 use wsn_graph::{
-    bfs, components::connected_components, fingerprint, relabel, Csr, CsrView, GraphView,
+    bfs::BfsScratch, components::connected_components, fingerprint, relabel, Csr, CsrView,
+    GraphView,
 };
 use wsn_pointproc::PointSet;
 use wsn_rgg::{
@@ -114,7 +121,8 @@ pub enum RepairMode {
 /// representatives; this knob does not apply there).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum RoutePolicy {
-    /// Fewest hops (BFS) — the established default.
+    /// Fewest hops (BFS, guided by the topology's edge-length bound when
+    /// it has one) — the established default.
     #[default]
     HopCount,
     /// Minimum total radio energy under the configured [`EnergyModel`]
@@ -788,34 +796,52 @@ pub fn simulate_lifetime_plain(
                 }
                 _ => None,
             };
-            for i in 0..cfg.traffic_per_epoch as u64 {
-                let src = alive_ids[pick(derive_seed2(tseed, i, 0), alive_ids.len())];
-                let dst = sink
-                    .unwrap_or_else(|| alive_ids[pick(derive_seed2(tseed, i, 1), alive_ids.len())]);
-                if src == dst {
-                    continue;
+            let pairs: Vec<(u32, u32)> = (0..cfg.traffic_per_epoch as u64)
+                .map(|i| {
+                    let src = alive_ids[pick(derive_seed2(tseed, i, 0), alive_ids.len())];
+                    let dst = sink.unwrap_or_else(|| {
+                        alive_ids[pick(derive_seed2(tseed, i, 1), alive_ids.len())]
+                    });
+                    (src, dst)
+                })
+                .filter(|&(src, dst)| src != dst)
+                .collect();
+            offered = pairs.len() as u64;
+            let graph = maint.graph();
+            if cfg.route == RoutePolicy::MaxMinResidual {
+                // Widest path over live residual charge: packets are routed
+                // one at a time against the batteries as the previous
+                // packet left them, so the search is exact and the whole
+                // epoch stays replayable.
+                for (src, dst) in pairs {
+                    let path = wsn_graph::dijkstra::widest_path(&graph, src, dst, |u| {
+                        pop.battery[u as usize]
+                    });
+                    if let Some(path) = path {
+                        delivered += 1;
+                        energy_spent += pop.debit_path(points, &path, &cfg.energy);
+                    }
                 }
-                offered += 1;
-                let path = match cfg.route {
-                    RoutePolicy::HopCount => bfs::path(&maint.graph(), src, dst),
-                    RoutePolicy::MinEnergy => {
-                        wsn_graph::dijkstra::path(&maint.graph(), src, dst, |u, v| {
-                            cfg.energy.hop(points.get(u).dist(points.get(v)))
-                        })
-                    }
-                    // Widest path over live residual charge: packets are
-                    // routed one at a time against the batteries as the
-                    // previous packet left them, so the search is exact
-                    // and the whole epoch stays replayable.
-                    RoutePolicy::MaxMinResidual => {
-                        wsn_graph::dijkstra::widest_path(&maint.graph(), src, dst, |u| {
-                            pop.battery[u as usize]
-                        })
-                    }
-                };
-                if let Some(path) = path {
+            } else {
+                // Battery-independent paths: one fan-out over the epoch's
+                // packets with a scratch per worker, then the debits in
+                // packet order.
+                let max_edge = kind.max_edge_len();
+                let paths: Vec<Option<Vec<u32>>> = pairs
+                    .into_par_iter()
+                    .map_init(BfsScratch::default, |scratch, (src, dst)| {
+                        if cfg.route == RoutePolicy::HopCount {
+                            scratch.guided_path(&graph, src, dst, max_edge, |u| points.get(u))
+                        } else {
+                            wsn_graph::dijkstra::path(&graph, src, dst, |u, v| {
+                                cfg.energy.hop(points.get(u).dist(points.get(v)))
+                            })
+                        }
+                    })
+                    .collect();
+                for path in paths.iter().flatten() {
                     delivered += 1;
-                    energy_spent += pop.debit_path(points, &path, &cfg.energy);
+                    energy_spent += pop.debit_path(points, path, &cfg.energy);
                 }
             }
         }

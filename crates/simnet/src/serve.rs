@@ -22,7 +22,8 @@
 //! ## Query engine
 //!
 //! Four query kinds run against a pinned snapshot: route between two
-//! nearby nodes (BFS over the snapshot CSR), k nearest *alive* sensors,
+//! nearby nodes (BFS over the snapshot CSR, guided by the topology's
+//! edge-length bound — see [`wsn_graph::bfs`]), k nearest *alive* sensors,
 //! coverage at a probe point, and component/giant membership. Routes go
 //! through a per-client LRU cache; at each epoch boundary the cache is
 //! swept by the repair's dirty extents — an entry survives promotion to
@@ -49,8 +50,9 @@ use serde::Serialize;
 use crate::churn::{cold_sharded_rebuild, pick, u01, ChurnConfig, Population};
 use wsn_geom::hash::{derive_seed, derive_seed2, mix64};
 use wsn_geom::{Aabb, Point};
+use wsn_graph::bfs::BfsScratch;
 use wsn_graph::components::connected_components;
-use wsn_graph::{fingerprint, ChunkedCsr, EpochPublisher, GraphView, SnapshotStats, UNREACHABLE};
+use wsn_graph::{fingerprint, ChunkedCsr, EpochPublisher, SnapshotStats};
 use wsn_pointproc::PointSet;
 use wsn_rgg::{IncTopology, IncrementalGraph};
 use wsn_spatial::GridIndex;
@@ -314,69 +316,6 @@ impl RouteCache {
     }
 }
 
-/// Reusable BFS workspace (stamped visited array: no O(n) clear per
-/// query). One per reader thread; results are independent of which
-/// scratch instance served a query.
-struct BfsScratch {
-    parent: Vec<u32>,
-    stamp: Vec<u64>,
-    mark: u64,
-    queue: Vec<u32>,
-}
-
-impl BfsScratch {
-    fn new(n: usize) -> Self {
-        BfsScratch {
-            parent: vec![UNREACHABLE; n],
-            stamp: vec![0; n],
-            mark: 0,
-            queue: Vec::new(),
-        }
-    }
-
-    /// Early-exit BFS path, identical order to [`wsn_graph::bfs::path`]
-    /// (FIFO over ascending adjacency): same path, amortised O(visited).
-    fn path<G: GraphView + ?Sized>(&mut self, g: &G, src: u32, dst: u32) -> Option<Vec<u32>> {
-        if src == dst {
-            return Some(vec![src]);
-        }
-        self.mark += 1;
-        let mark = self.mark;
-        self.queue.clear();
-        self.stamp[src as usize] = mark;
-        self.parent[src as usize] = src;
-        self.queue.push(src);
-        let mut head = 0;
-        let mut found = false;
-        'outer: while head < self.queue.len() {
-            let u = self.queue[head];
-            head += 1;
-            for &v in g.neighbors(u) {
-                if self.stamp[v as usize] != mark {
-                    self.stamp[v as usize] = mark;
-                    self.parent[v as usize] = u;
-                    if v == dst {
-                        found = true;
-                        break 'outer;
-                    }
-                    self.queue.push(v);
-                }
-            }
-        }
-        if !found {
-            return None;
-        }
-        let mut p = vec![dst];
-        let mut cur = dst;
-        while cur != src {
-            cur = self.parent[cur as usize];
-            p.push(cur);
-        }
-        p.reverse();
-        Some(p)
-    }
-}
-
 /// Per-client query state: the route cache plus the running answer digest.
 struct ClientState {
     cache: RouteCache,
@@ -473,6 +412,7 @@ fn run_client_epoch(
     client: usize,
     state: &mut ClientState,
     scratch: &mut BfsScratch,
+    max_edge: Option<f64>,
     latency_ns: &mut Vec<u64>,
 ) {
     // Promote / evict cached routes across the epoch boundary. Epoch 0
@@ -525,7 +465,8 @@ fn run_client_epoch(
                     state.cache_hits += 1;
                     path_word(Some(path))
                 } else {
-                    let path = scratch.path(&snap.csr, src, dst);
+                    let path =
+                        scratch.guided_path(&snap.csr, src, dst, max_edge, |u| points.get(u));
                     let w = path_word(path.as_deref());
                     if let Some(p) = path {
                         state.cache.insert(src, dst, p, snap.epoch);
@@ -679,6 +620,7 @@ fn run_service(
     let window = points.bounding_box().unwrap_or_else(|| Aabb::square(1.0));
     let cell = cfg.route_radius.max(cfg.coverage_radius).max(1e-9);
     let index = GridIndex::build(points, cell);
+    let max_edge = kind.max_edge_len();
 
     let mut g = IncrementalGraph::build(
         points.clone(),
@@ -705,7 +647,7 @@ fn run_service(
                 let index = &index;
                 let cfg_ref = cfg;
                 handles.push(scope.spawn(move || {
-                    let mut scratch = BfsScratch::new(points.len());
+                    let mut scratch = BfsScratch::default();
                     let mut clients: Vec<(usize, ClientState)> = (0..cfg_ref.clients)
                         .filter(|c| c % cfg_ref.readers == r)
                         .map(|c| (c, ClientState::new(cfg_ref.cache_capacity)))
@@ -728,6 +670,7 @@ fn run_service(
                                 *c,
                                 state,
                                 &mut scratch,
+                                max_edge,
                                 &mut latency_ns,
                             );
                         }
@@ -750,7 +693,7 @@ fn run_service(
                 .map(|_| ClientState::new(cfg.cache_capacity))
                 .collect()
         };
-        let mut replay_scratch = BfsScratch::new(if concurrent { 0 } else { points.len() });
+        let mut replay_scratch = BfsScratch::default();
         let mut replay_latency = Vec::new();
 
         for epoch in 0..epochs as u64 {
@@ -791,6 +734,7 @@ fn run_service(
                         c,
                         state,
                         &mut replay_scratch,
+                        max_edge,
                         &mut replay_latency,
                     );
                 }

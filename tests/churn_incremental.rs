@@ -281,7 +281,10 @@ fn clustered_blackout_is_thread_count_invariant() {
 /// sums, which fold every per-node battery mutation the policies make —
 /// at `RAYON_NUM_THREADS` ∈ {1, 4, 8}. The golden suite pins the two
 /// renewal presets the same way, but only for the policies they use;
-/// this covers the full cross product.
+/// this covers the full cross product. The 64-packet rows put more packets
+/// in an epoch than there are workers, so the hop-count and min-energy
+/// fan-out really splits an epoch's paths across threads before the
+/// in-order debits; max-min-residual routes sequentially at any count.
 #[test]
 fn renewal_and_route_policies_are_thread_count_invariant() {
     let _guard = env_guard();
@@ -305,42 +308,45 @@ fn renewal_and_route_policies_are_thread_count_invariant() {
         RoutePolicy::MinEnergy,
         RoutePolicy::MaxMinResidual,
     ];
-    for renewal in renewals {
-        for route in routes {
-            // Battery sized so the policies actually matter: drain kills
-            // part of the network inside the horizon without renewal.
-            let mut cfg = ChurnConfig::new(6, 3000.0, 25, 0.05, 1.0);
-            cfg.idle_cost = 350.0;
-            cfg.renewal = renewal;
-            cfg.route = route;
-            let mut digests: Vec<(String, String)> = Vec::new();
-            for threads in ["1", "4", "8"] {
-                std::env::set_var("RAYON_NUM_THREADS", threads);
-                let r = simulate_lifetime_plain(
-                    &points,
-                    &alive,
-                    IncTopology::Udg { radius: 1.0 },
-                    &cfg,
-                    0xE4E,
-                );
-                let energy: Vec<String> = r
-                    .epochs
-                    .iter()
-                    .map(|e| format!("{}/{}", e.energy_recharged, e.battery_residual))
-                    .collect();
-                digests.push((
-                    threads.to_string(),
-                    format!("{} {energy:?}", epoch_digest(&r)),
-                ));
-            }
-            std::env::remove_var("RAYON_NUM_THREADS");
-            let (ref t0, ref d0) = digests[0];
-            for (t, d) in &digests[1..] {
-                assert_eq!(
-                    d, d0,
-                    "{renewal:?}/{route:?}: trajectory at {t} threads diverged from {t0} threads"
-                );
-            }
+    for (renewal, route, traffic) in renewals
+        .into_iter()
+        .flat_map(|r| routes.map(|q| (r, q)))
+        .flat_map(|(r, q)| [25, 64].map(|t| (r, q, t)))
+    {
+        // Battery sized so the policies actually matter: drain kills
+        // part of the network inside the horizon without renewal.
+        let mut cfg = ChurnConfig::new(6, 3000.0, traffic, 0.05, 1.0);
+        cfg.idle_cost = 350.0;
+        cfg.renewal = renewal;
+        cfg.route = route;
+        let mut digests: Vec<(String, String)> = Vec::new();
+        for threads in ["1", "4", "8"] {
+            std::env::set_var("RAYON_NUM_THREADS", threads);
+            let r = simulate_lifetime_plain(
+                &points,
+                &alive,
+                IncTopology::Udg { radius: 1.0 },
+                &cfg,
+                0xE4E,
+            );
+            let energy: Vec<String> = r
+                .epochs
+                .iter()
+                .map(|e| format!("{}/{}", e.energy_recharged, e.battery_residual))
+                .collect();
+            digests.push((
+                threads.to_string(),
+                format!("{} {energy:?}", epoch_digest(&r)),
+            ));
+        }
+        std::env::remove_var("RAYON_NUM_THREADS");
+        let (ref t0, ref d0) = digests[0];
+        for (t, d) in &digests[1..] {
+            assert_eq!(
+                d, d0,
+                "{renewal:?}/{route:?}/{traffic} packets: trajectory at {t} threads \
+                 diverged from {t0} threads"
+            );
         }
     }
 }
