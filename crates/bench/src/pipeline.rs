@@ -23,19 +23,15 @@
 use std::time::Instant;
 
 use serde::Serialize;
-use wsn_core::nn::{build_nn_sens, build_nn_sens_ordered};
-use wsn_core::params::{NnSensParams, UdgSensParams};
+use wsn_core::params::UdgSensParams;
 use wsn_core::tilegrid::TileGrid;
-use wsn_core::udg::{build_udg_sens, build_udg_sens_ordered};
 use wsn_geom::hash::derive_seed2;
 use wsn_geom::{Aabb, ShardGrid};
 use wsn_graph::Csr;
-use wsn_pointproc::{rng_from_seed, sample_poisson_window, PointOrder, PointSet};
-use wsn_rgg::ordered::build_knn_on_order;
-use wsn_rgg::{
-    build_gabriel, build_gabriel_ordered, build_knn, build_knn_ordered, build_rng,
-    build_rng_ordered, build_udg, build_udg_ordered, build_yao, build_yao_ordered,
-};
+use wsn_pointproc::{rng_from_seed, sample_poisson_window, PointSet};
+use wsn_rgg::Exec;
+use wsn_scenario::build_topology;
+use wsn_scenario::spec::TopologySpec;
 use wsn_simnet::{distributed_build_udg, ShardAccounting};
 use wsn_spatial::GridIndex;
 
@@ -163,22 +159,9 @@ pub(crate) fn effective_threads() -> usize {
         })
 }
 
-/// The benchmarked construction kinds (a subset of `TopologySpec` with the
-/// bench's fixed parameters baked in).
-#[derive(Clone, Copy)]
-enum Kind {
-    Udg,
-    Knn { k: usize },
-    Gabriel,
-    Rng,
-    Yao { cones: usize },
-    UdgSens,
-    NnSens { a: f64, k: usize },
-}
-
+/// One benchmarked topology; its row label is [`TopologySpec::label`].
 struct Cell {
-    label: &'static str,
-    kind: Kind,
+    kind: TopologySpec,
     lambda: f64,
     /// Largest n this kind runs at (NN-SENS's k-NN base with the paper-scale
     /// k dominates everything else; capping it keeps the suite bounded).
@@ -187,81 +170,58 @@ struct Cell {
 
 const CELLS: &[Cell] = &[
     Cell {
-        label: "udg(r=1)",
-        kind: Kind::Udg,
+        kind: TopologySpec::Udg { radius: 1.0 },
         lambda: 10.0,
         max_n: u64::MAX,
     },
     Cell {
-        label: "knn(k=8)",
-        kind: Kind::Knn { k: 8 },
+        kind: TopologySpec::Knn { k: 8 },
         lambda: 10.0,
         max_n: u64::MAX,
     },
     Cell {
-        label: "gabriel(r=1)",
-        kind: Kind::Gabriel,
+        kind: TopologySpec::Gabriel { radius: 1.0 },
         lambda: 10.0,
         max_n: u64::MAX,
     },
     Cell {
-        label: "rng(r=1)",
-        kind: Kind::Rng,
+        kind: TopologySpec::Rng { radius: 1.0 },
         lambda: 10.0,
         max_n: u64::MAX,
     },
     Cell {
-        label: "yao(r=1,c=6)",
-        kind: Kind::Yao { cones: 6 },
+        kind: TopologySpec::Yao {
+            radius: 1.0,
+            cones: 6,
+        },
         lambda: 10.0,
         max_n: u64::MAX,
     },
     Cell {
-        label: "udg-sens",
-        kind: Kind::UdgSens,
+        kind: TopologySpec::UdgSens,
         lambda: 10.0,
         max_n: u64::MAX,
     },
     Cell {
-        label: "nn-sens(a=1.2,k=400)",
-        kind: Kind::NnSens { a: 1.2, k: 400 },
+        kind: TopologySpec::NnSens { a: 1.2, k: 400 },
         lambda: 1.0,
         max_n: 100_000,
     },
 ];
 
-/// Window for an expected `n` nodes at intensity `lambda`, fitted to whole
-/// SENS tiles when the construction needs a grid.
-fn window_for(kind: Kind, lambda: f64, n: u64) -> (f64, Option<TileGrid>) {
-    let side = ((n as f64) / lambda).sqrt();
-    match kind {
-        Kind::UdgSens => {
-            let grid = TileGrid::fit(side, UdgSensParams::strict_default().tile_side);
-            (side, Some(grid))
-        }
-        Kind::NnSens { a, k } => {
-            let grid = TileGrid::fit(side, NnSensParams { a, k }.tile_side());
-            (side, Some(grid))
-        }
-        _ => (side, None),
-    }
-}
-
-/// Edge count + node count of whichever representation a kind builds.
-fn graph_dims(g: &Csr) -> (u64, u64) {
-    (g.n() as u64, g.m() as u64)
-}
+/// The benchmarked sharded execution.
+const SHARDED: Exec = Exec::Sharded { tiles: SHARD_TILES };
 
 /// The plan tile side each kind actually shards with: the query radius for
 /// the radius-bounded graphs, the k-NN halo for `Knn`.
-fn plan_tile_for(kind: Kind, points: &PointSet) -> f64 {
+fn plan_tile_for(kind: TopologySpec, points: &PointSet) -> f64 {
     match kind {
-        Kind::Knn { k } => wsn_rgg::knn_halo(points, k),
+        TopologySpec::Knn { k } => wsn_rgg::knn_halo(points, k),
         _ => 1.0,
     }
 }
 
-fn shard_count_for(points: &PointSet, kind: Kind, grid: Option<&TileGrid>) -> usize {
+fn shard_count_for(points: &PointSet, kind: TopologySpec, grid: Option<&TileGrid>) -> usize {
     match grid {
         // SENS constructions shard by tile rows.
         Some(g) => g.rows(),
@@ -273,7 +233,10 @@ fn shard_count_for(points: &PointSet, kind: Kind, grid: Option<&TileGrid>) -> us
 }
 
 fn bench_cell(cell: &Cell, n: u64, seed: u64) -> BenchRow {
-    let (side, grid) = window_for(cell.kind, cell.lambda, n);
+    // A window for an expected `n` nodes, fitted to whole SENS tiles when
+    // the construction needs a grid.
+    let side = ((n as f64) / cell.lambda).sqrt();
+    let grid = cell.kind.tile_side().map(|tile| TileGrid::fit(side, tile));
     let window = grid
         .as_ref()
         .map(|g| g.covered_area())
@@ -289,7 +252,9 @@ fn bench_cell(cell: &Cell, n: u64, seed: u64) -> BenchRow {
     // what the kind's builder actually uses: the k-NN kinds index at their
     // expected k-point radius, everything else at the query radius.
     let gather_cell = match cell.kind {
-        Kind::Knn { k } | Kind::NnSens { k, .. } => wsn_rgg::knn_halo(&points, k) / 3.0,
+        TopologySpec::Knn { k } | TopologySpec::NnSens { k, .. } => {
+            wsn_rgg::knn_halo(&points, k) / 3.0
+        }
         _ => 1.0,
     };
     let t = Instant::now();
@@ -299,23 +264,25 @@ fn bench_cell(cell: &Cell, n: u64, seed: u64) -> BenchRow {
 
     // Sharded first (see module docs for the VmHWM rationale).
     let t = Instant::now();
-    let sharded: Box<dyn EdgeView> = build(cell.kind, &points, grid.clone(), true);
+    let sharded = build_topology(cell.kind, &points, grid.clone(), SHARDED, seed);
     let sharded_secs = t.elapsed().as_secs_f64();
     let rss_after_sharded_kb = proc_status_kb("VmRSS");
 
     let t = Instant::now();
-    let mono: Box<dyn EdgeView> = build(cell.kind, &points, grid.clone(), false);
+    let mono = build_topology(cell.kind, &points, grid.clone(), Exec::Serial, seed);
     let monolithic_secs = t.elapsed().as_secs_f64();
     let rss_after_monolithic_kb = proc_status_kb("VmRSS");
 
     let t = Instant::now();
     let edge_identical = sharded.graph() == mono.graph();
     let verify_secs = t.elapsed().as_secs_f64();
-    assert!(edge_identical, "{}: sharded != monolithic", cell.label);
+    let label = cell.kind.label();
+    assert!(edge_identical, "{label}: sharded != monolithic");
 
-    let (nodes, edges) = graph_dims(sharded.graph());
+    let g = sharded.graph();
+    let (nodes, edges) = (g.n() as u64, g.m() as u64);
     BenchRow {
-        topology: cell.label.to_string(),
+        topology: label,
         n_target: n,
         nodes,
         edges,
@@ -334,83 +301,6 @@ fn bench_cell(cell: &Cell, n: u64, seed: u64) -> BenchRow {
         edge_identical,
         rss_after_sharded_kb,
         rss_after_monolithic_kb,
-    }
-}
-
-/// Uniform view over `Csr` and `SensNetwork` results.
-trait EdgeView {
-    fn graph(&self) -> &Csr;
-}
-impl EdgeView for Csr {
-    fn graph(&self) -> &Csr {
-        self
-    }
-}
-impl EdgeView for wsn_core::subgraph::SensNetwork {
-    fn graph(&self) -> &Csr {
-        &self.graph
-    }
-}
-
-fn build(
-    kind: Kind,
-    points: &PointSet,
-    grid: Option<TileGrid>,
-    sharded: bool,
-) -> Box<dyn EdgeView> {
-    match kind {
-        Kind::Udg => Box::new(if sharded {
-            build_udg_ordered(points, 1.0, SHARD_TILES)
-        } else {
-            build_udg(points, 1.0)
-        }),
-        Kind::Knn { k } => Box::new(if sharded {
-            build_knn_ordered(points, k, SHARD_TILES)
-        } else {
-            build_knn(points, k)
-        }),
-        Kind::Gabriel => Box::new(if sharded {
-            build_gabriel_ordered(points, 1.0, SHARD_TILES)
-        } else {
-            build_gabriel(points, 1.0)
-        }),
-        Kind::Rng => Box::new(if sharded {
-            build_rng_ordered(points, 1.0, SHARD_TILES)
-        } else {
-            build_rng(points, 1.0)
-        }),
-        Kind::Yao { cones } => Box::new(if sharded {
-            build_yao_ordered(points, 1.0, cones, SHARD_TILES)
-        } else {
-            build_yao(points, 1.0, cones)
-        }),
-        Kind::UdgSens => {
-            let params = UdgSensParams::strict_default();
-            let grid = grid.expect("SENS grid");
-            Box::new(
-                if sharded {
-                    build_udg_sens_ordered(points, &PointOrder::morton(points), params, grid)
-                } else {
-                    build_udg_sens(points, params, grid)
-                }
-                .expect("strict defaults valid"),
-            )
-        }
-        Kind::NnSens { a, k } => {
-            let params = NnSensParams { a, k };
-            let grid = grid.expect("SENS grid");
-            Box::new(
-                if sharded {
-                    let order = PointOrder::morton(points);
-                    let base = build_knn_on_order(&order, k, SHARD_TILES);
-                    build_nn_sens_ordered(points, &order, &base, params, grid)
-                } else {
-                    let base = build_knn(points, k);
-                    build_nn_sens(points, &base, params, grid)
-                }
-                .expect("bench NN-SENS params valid"),
-            )
-        }
     }
 }
 
@@ -452,10 +342,10 @@ fn with_thread_count<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 /// The topology subset the scaling curve sweeps: one radius-bounded kind,
 /// one witness-checked proximity kind, and the k-NN kind — together they
 /// cover all three shard work profiles without rerunning the whole matrix.
-const SCALING_CELLS: &[(&str, Kind)] = &[
-    ("udg(r=1)", Kind::Udg),
-    ("rng(r=1)", Kind::Rng),
-    ("knn(k=8)", Kind::Knn { k: 8 }),
+const SCALING_CELLS: &[TopologySpec] = &[
+    TopologySpec::Udg { radius: 1.0 },
+    TopologySpec::Rng { radius: 1.0 },
+    TopologySpec::Knn { k: 8 },
 ];
 
 /// Record the thread-scaling curve: the Morton-ordered sharded build of
@@ -466,7 +356,8 @@ const SCALING_CELLS: &[(&str, Kind)] = &[
 pub fn run_thread_scaling(sizes: &[u64], seed: u64) -> Vec<ThreadScalingRow> {
     let lambda = 10.0;
     let mut out = Vec::new();
-    for (ci, &(label, kind)) in SCALING_CELLS.iter().enumerate() {
+    for (ci, &kind) in SCALING_CELLS.iter().enumerate() {
+        let label = kind.label();
         for (si, &n) in sizes.iter().enumerate() {
             let side = ((n as f64) / lambda).sqrt();
             let window = Aabb::square(side);
@@ -478,7 +369,7 @@ pub fn run_thread_scaling(sizes: &[u64], seed: u64) -> Vec<ThreadScalingRow> {
                 eprintln!("bench: thread-scaling {label} n={n} threads={threads} ...");
                 let (graph, secs) = with_thread_count(threads, || {
                     let t = Instant::now();
-                    let g = build(kind, &points, None, true);
+                    let g = build_topology(kind, &points, None, SHARDED, row_seed);
                     (g, t.elapsed().as_secs_f64())
                 });
                 let edge_identical = match &serial_graph {
@@ -495,7 +386,7 @@ pub fn run_thread_scaling(sizes: &[u64], seed: u64) -> Vec<ThreadScalingRow> {
                 );
                 let speedup = serial_secs / secs.max(1e-12);
                 out.push(ThreadScalingRow {
-                    topology: label.to_string(),
+                    topology: label.clone(),
                     n_target: n,
                     nodes: points.len() as u64,
                     threads,
@@ -525,19 +416,20 @@ pub fn run_pipeline_bench(quick: bool, seed: u64) -> BenchReport {
     let mut rows = Vec::new();
     for (ci, cell) in CELLS.iter().enumerate() {
         for (si, &n) in sizes.iter().enumerate() {
+            let label = cell.kind.label();
             if n > cell.max_n {
                 eprintln!(
-                    "bench: skipping {} at n={n} (capped at {})",
-                    cell.label, cell.max_n
+                    "bench: skipping {label} at n={n} (capped at {})",
+                    cell.max_n
                 );
                 continue;
             }
             let row_seed = derive_seed2(seed, ci as u64, si as u64);
-            eprintln!("bench: {} n={n} ...", cell.label);
+            eprintln!("bench: {label} n={n} ...");
             let row = bench_cell(cell, n, row_seed);
             eprintln!(
-                "bench: {} n={} sharded {:.3}s mono {:.3}s speedup {:.2}x",
-                cell.label, row.nodes, row.sharded_secs, row.monolithic_secs, row.speedup
+                "bench: {label} n={} sharded {:.3}s mono {:.3}s speedup {:.2}x",
+                row.nodes, row.sharded_secs, row.monolithic_secs, row.speedup
             );
             rows.push(row);
         }

@@ -300,39 +300,6 @@ pub fn build_nn_sens(
     Ok(assemble_nn_sens(points, base, grid, assignment, &elections))
 }
 
-/// Tile-sharded, rayon-parallel `NN-SENS`: elections (the expensive
-/// certified region tests) fan out by tile row, the link pass stitches the
-/// collected elections. Identical output to [`build_nn_sens`] at any
-/// thread count. The sharded base graph comes from
-/// [`wsn_rgg::build_knn_sharded`], which is edge-identical to the
-/// monolithic `build_knn`.
-pub fn build_nn_sens_parallel(
-    points: &PointSet,
-    base: &Csr,
-    params: NnSensParams,
-    grid: TileGrid,
-) -> Result<SensNetwork, ParamError> {
-    use rayon::prelude::*;
-    let geom = NnTileGeometry::new(params)?;
-    assert_eq!(base.n(), points.len(), "base graph / point set mismatch");
-    let assignment = TileAssignment::build(&grid, points);
-
-    let elections: Vec<NnElection> = (0..grid.rows())
-        .into_par_iter()
-        .flat_map_iter(|j| {
-            let row: Vec<NnElection> = (0..grid.cols())
-                .map(|i| {
-                    let lin = grid.linear((i, j));
-                    elect(&geom, points, &grid, (i, j), assignment.points_in(lin))
-                })
-                .collect();
-            row
-        })
-        .collect();
-
-    Ok(assemble_nn_sens(points, base, grid, assignment, &elections))
-}
-
 /// Morton-ordered `NN-SENS`: elections scan the spatially sorted copy held
 /// by `order` (cache-linear classify passes), candidates are remapped to
 /// original deployment ids before the lowest-id choice, and the network —
@@ -701,22 +668,6 @@ mod tests {
             }
         }
         assert!(checked > 0);
-    }
-
-    #[test]
-    fn parallel_builder_is_identical_to_serial() {
-        use wsn_pointproc::{rng_from_seed, sample_poisson_window};
-        let params = NnSensParams { a: 1.2, k: 400 };
-        let grid = TileGrid::new(params.tile_side(), 3, 2);
-        let pts = sample_poisson_window(&mut rng_from_seed(23), 1.0, &grid.covered_area());
-        let base = wsn_rgg::build_knn_sharded(&pts, params.k, 4);
-        assert_eq!(base, build_knn(&pts, params.k), "sharded base must match");
-        let serial = build_nn_sens(&pts, &base, params, grid.clone()).unwrap();
-        let par = build_nn_sens_parallel(&pts, &base, params, grid).unwrap();
-        assert_eq!(par.lattice, serial.lattice);
-        assert_eq!(par.reps, serial.reps);
-        assert_eq!(par.roles, serial.roles);
-        assert_eq!(par.graph, serial.graph);
     }
 
     #[test]

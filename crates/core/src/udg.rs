@@ -218,8 +218,8 @@ fn elect(
 ///
 /// This is the *centralised* builder used by experiments; the message-level
 /// distributed protocol (Fig. 7) lives in `wsn-simnet` and is tested to
-/// produce the same network. [`build_udg_sens_parallel`] is the
-/// tile-sharded variant producing the identical network.
+/// produce the same network. [`build_udg_sens_ordered`] is the
+/// Morton-ordered, tile-parallel variant producing the identical network.
 pub fn build_udg_sens(
     points: &PointSet,
     params: UdgSensParams,
@@ -234,40 +234,6 @@ pub fn build_udg_sens(
         let site = grid.site_of_linear(lin);
         elections.push(elect(&geom, points, &grid, site, assignment.points_in(lin)));
     }
-
-    Ok(assemble_udg_sens(
-        points, &params, grid, assignment, &elections,
-    ))
-}
-
-/// Tile-sharded, rayon-parallel `UDG-SENS`.
-///
-/// Tiles *are* the shards: an election reads only its own tile's points
-/// (P4 — no halo needed), so rows of tiles fan out over the worker pool
-/// and the cross-tile link pass stitches the globally collected elections.
-/// The result is identical (lattice, roles, reps, edges) to
-/// [`build_udg_sens`] at any `RAYON_NUM_THREADS`.
-pub fn build_udg_sens_parallel(
-    points: &PointSet,
-    params: UdgSensParams,
-    grid: TileGrid,
-) -> Result<SensNetwork, ParamError> {
-    use rayon::prelude::*;
-    let geom = UdgTileGeometry::new(params)?;
-    let assignment = TileAssignment::build(&grid, points);
-
-    let elections: Vec<TileElection> = (0..grid.rows())
-        .into_par_iter()
-        .flat_map_iter(|j| {
-            let row: Vec<TileElection> = (0..grid.cols())
-                .map(|i| {
-                    let lin = grid.linear((i, j));
-                    elect(&geom, points, &grid, (i, j), assignment.points_in(lin))
-                })
-                .collect();
-            row
-        })
-        .collect();
 
     Ok(assemble_udg_sens(
         points, &params, grid, assignment, &elections,
@@ -562,23 +528,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn parallel_builder_is_identical_to_serial() {
-        use wsn_pointproc::{rng_from_seed, sample_poisson_window};
-        let params = UdgSensParams::strict_default();
-        for seed in [1u64, 8, 21] {
-            let grid = TileGrid::fit(16.0, params.tile_side);
-            let pts = sample_poisson_window(&mut rng_from_seed(seed), 28.0, &grid.covered_area());
-            let serial = build_udg_sens(&pts, params, grid.clone()).unwrap();
-            let par = build_udg_sens_parallel(&pts, params, grid).unwrap();
-            assert_eq!(par.lattice, serial.lattice);
-            assert_eq!(par.reps, serial.reps);
-            assert_eq!(par.roles, serial.roles);
-            assert_eq!(par.graph, serial.graph);
-            assert_eq!(par.missing_links, serial.missing_links);
         }
     }
 

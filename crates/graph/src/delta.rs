@@ -11,9 +11,6 @@
 //!   emissions byte-for-byte. Every shard list is kept sorted (as a
 //!   multiset), so [`diff_emissions`] turns a repaired shard's old and new
 //!   lists into its net splice delta in one linear merge.
-//! * [`deactivate_vertices`] — pure vertex deactivation: drop every edge
-//!   incident to a dead node without re-deriving anything (exact for
-//!   topologies like the UDG whose edges never *appear* when a node dies).
 //! * [`relabel`] — monotone id relabelling, used to lift a graph built on a
 //!   compacted survivor set back into the stable universe id space so it
 //!   can be compared byte-for-byte against the incrementally maintained
@@ -299,23 +296,6 @@ impl IdRemap {
     }
 }
 
-/// Drop every edge incident to a node marked dead; ids are preserved and
-/// dead nodes become isolated.
-///
-/// This is the degenerate repair: exact whenever node removal can only
-/// *remove* edges (UDG), and the "before" picture for topologies where
-/// removal can also reveal new edges (Gabriel, RNG, k-NN).
-pub fn deactivate_vertices(g: &Csr, dead: &[bool]) -> Csr {
-    assert_eq!(dead.len(), g.n(), "mask length must match node count");
-    let mut keep = vec![true; g.n()];
-    for (u, &d) in dead.iter().enumerate() {
-        if d {
-            keep[u] = false;
-        }
-    }
-    g.filter_nodes(&keep)
-}
-
 /// Relabel a graph through a strictly monotone id map (`map[local] =
 /// universe`), producing a graph on `n_universe` nodes where unmapped ids
 /// are isolated.
@@ -493,16 +473,6 @@ mod tests {
         // Monotone by construction, so id comparisons survive the round
         // trip: local order == universe order.
         assert!(m.to_universe().windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn deactivation_matches_filter_nodes() {
-        let g = path_graph(5);
-        let dead = vec![false, false, true, false, false];
-        let d = deactivate_vertices(&g, &dead);
-        assert_eq!(d.n(), 5);
-        assert_eq!(d.m(), 2); // 0-1 and 3-4 survive
-        assert!(d.neighbors(2).is_empty());
     }
 
     #[test]

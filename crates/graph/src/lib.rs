@@ -17,8 +17,7 @@
 //!   dense and chunked representations for read-side consumers.
 //! * [`builder`] — edge-list accumulation and deduplication.
 //! * [`delta`] — incremental maintenance: sorted per-shard edge caches and
-//!   their linear old/new diff, vertex deactivation, monotone relabelling,
-//!   CSR fingerprints.
+//!   their linear old/new diff, monotone relabelling, CSR fingerprints.
 //! * [`perm`] — arbitrary-permutation relabelling, the emission boundary of
 //!   the Morton-ordered construction pipeline.
 //! * [`snapshot`] — epoch-versioned RCU-style snapshot publication: the
@@ -49,8 +48,8 @@ pub use builder::EdgeList;
 pub use chunked::{ChunkedCsr, SpliceStats};
 pub use csr::Csr;
 pub use delta::{
-    check_monotone, deactivate_vertices, diff_emissions, fingerprint, relabel, sort_emissions,
-    IdRemap, MonotonicityError, ShardedEdgeStore,
+    check_monotone, diff_emissions, fingerprint, relabel, sort_emissions, IdRemap,
+    MonotonicityError, ShardedEdgeStore,
 };
 pub use perm::{invert_permutation, remap_canonical_edges, remap_csr};
 pub use snapshot::{EpochGuard, EpochHandle, EpochPublisher, SnapshotStats};

@@ -8,10 +8,10 @@
 //!
 //! * Node ids live in a fixed **universe** id space (the initial deployment
 //!   plus any reserve pool); churn toggles an alive mask, never re-indexes.
-//!   This id space stays in *deployment order* even now that one-shot
-//!   construction runs Morton-ordered ([`crate::ordered`]): churn draws,
-//!   HNG level promotion and every golden are seeded per universe id, so
-//!   reordering here would change observable bytes. The locality win the
+//!   This id space stays in *deployment order* even though one-shot
+//!   sharded construction runs Morton-ordered ([`crate::ordered`]): churn
+//!   draws, HNG level promotion and every golden are seeded per universe
+//!   id, so reordering here would change observable bytes. The locality win the
 //!   Morton layout buys at construction time comes from cache-dense
 //!   *per-group* remaps ([`wsn_graph::IdRemap`]) on the repair path
 //!   instead.
@@ -24,9 +24,12 @@
 //! * Dirty shards re-run the exact shard derivation functions of
 //!   [`crate::sharded`] (shared code, not re-implementations) over the
 //!   alive survivors, so the spliced CSR is **byte-identical to a cold
-//!   rebuild** — asserted by [`IncrementalGraph::verify_cold`], the churn
-//!   engine's debug path, and `tests/churn_incremental.rs` /
-//!   `tests/churn_locality.rs`.
+//!   rebuild** — the survivors built through the one cold-build dispatch,
+//!   [`IncTopology::build_alive`] — asserted by
+//!   [`IncrementalGraph::verify_cold`] (the monolithic [`Exec::Serial`]
+//!   oracle), the churn engine's debug path, and
+//!   `tests/churn_incremental.rs` / `tests/churn_locality.rs` (which also
+//!   race the production [`Exec::Sharded`] path).
 //! * Repair cost is **proportional to the churned region**, not to network
 //!   size: the dirty shards' padded extents are merged into connected
 //!   [`wsn_geom::ExtentGroup`]s, alive points are gathered per group from
@@ -36,9 +39,7 @@
 //!   global index over the whole alive population is constructed **only**
 //!   when a k-NN halo straggler fires a query the group extent cannot
 //!   certify — counted by [`IncrementalGraph::escalations`], which the
-//!   differential suite asserts stays cold for every other topology. The
-//!   PR-4 whole-population gather survives as
-//!   [`GatherPolicy::Global`] so tests can pin the two paths byte-equal.
+//!   differential suite asserts stays cold for every other topology.
 //! * The UDG gets a *vertex-deactivation fast path*: node death can only
 //!   remove disk edges, so a shard whose padded extent saw deaths but no
 //!   joins is repaired by filtering its cache — no geometry at all.
@@ -51,20 +52,15 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use wsn_geom::{Aabb, ShardGrid};
-use wsn_graph::{
-    diff_emissions, relabel, sort_emissions, ChunkedCsr, Csr, IdRemap, ShardedEdgeStore,
-};
+use wsn_graph::{diff_emissions, sort_emissions, ChunkedCsr, Csr, IdRemap, ShardedEdgeStore};
 use wsn_pointproc::PointSet;
 use wsn_spatial::GridIndex;
 
-use crate::hng::{derive_hng, hng_levels, HngDeps, LevelSets};
+use crate::hng::{derive_hng, HngDeps};
 use crate::sharded::{
     derive_gabriel, derive_knn, derive_rng, derive_udg, derive_yao, knn_cell_size, Shard,
 };
-use crate::{
-    build_gabriel, build_hng_on_levels, build_knn, build_rng, build_udg, build_yao, hng_halo,
-    knn_halo, WHOLE_WINDOW,
-};
+use crate::{hng_halo, knn_halo, Exec, WHOLE_WINDOW};
 
 /// One dirty shard's re-derived emissions plus its k-NN straggler flag
 /// and (for HNG) its dependence record.
@@ -145,20 +141,6 @@ impl IncTopology {
     }
 }
 
-/// How re-derivation gathers its working set.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum GatherPolicy {
-    /// Gather alive points and build a spatial index only over the union
-    /// of the dirty shards' ghost-padded extents — repair work tracks the
-    /// locality of churn. The default.
-    #[default]
-    Local,
-    /// The PR-4 path: compact the full alive set and build a global index
-    /// every repair, Θ(n) regardless of locality. Kept so the differential
-    /// suite can pin both paths byte-identical.
-    Global,
-}
-
 /// What one [`IncrementalGraph::apply_churn`] call actually did.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RepairStats {
@@ -171,9 +153,9 @@ pub struct RepairStats {
     /// Dirty shards repaired by full re-derivation.
     pub rederived: usize,
     /// Points gathered into re-derivation working sets (0 for pure-filter
-    /// repairs; ≈ the alive population under [`GatherPolicy::Global`], ≈
-    /// the dirty extents' population under [`GatherPolicy::Local`] — the
-    /// locality regression tests pin exactly this proportionality).
+    /// repairs; ≈ the dirty extents' population otherwise, plus the alive
+    /// population on a k-NN escalation — the locality regression tests pin
+    /// exactly this proportionality).
     pub gathered: usize,
     /// Whole-population index constructions this repair (0 unless a k-NN
     /// halo straggler fired a query its group extent could not certify).
@@ -205,7 +187,6 @@ pub struct IncrementalGraph {
     /// The maintained adjacency: one chunk per shard, spliced in place —
     /// total epoch cost stays proportional to the dirty footprint.
     csr: ChunkedCsr,
-    policy: GatherPolicy,
     /// Universe ids grouped by owner shard (CSR layout, ascending within a
     /// shard) — the persistent shard-granular spatial index the localized
     /// gather scans instead of compacting the whole alive set. The
@@ -253,14 +234,7 @@ impl IncrementalGraph {
             assert!(cones >= 1, "need at least one cone");
         }
         let n_alive = alive.iter().filter(|&&a| a).count();
-        let levels = match kind {
-            IncTopology::Hng { p, seed, links } => {
-                assert!(p > 0.0 && p < 1.0, "promotion probability must be in (0,1)");
-                assert!(links >= 1, "need at least one uplink per level");
-                hng_levels(points.len(), p, seed)
-            }
-            _ => Vec::new(),
-        };
+        let levels = kind.levels(points.len());
         let halo = match kind {
             IncTopology::Udg { radius }
             | IncTopology::Gabriel { radius }
@@ -313,7 +287,6 @@ impl IncrementalGraph {
             alive,
             n_alive,
             csr: ChunkedCsr::empty(0),
-            policy: GatherPolicy::Local,
             resident_start,
             resident_ids,
             levels,
@@ -329,18 +302,6 @@ impl IncrementalGraph {
         let chunk_of: Vec<u32> = g.points.iter().map(|p| g.grid.owner_of(p) as u32).collect();
         g.csr = ChunkedCsr::build(g.grid.shard_count(), &chunk_of, g.store.emissions());
         g
-    }
-
-    /// Switch the re-derivation gather between the localized dirty-extent
-    /// path and the PR-4 whole-population one (differential-test knob; the
-    /// two are byte-identical by contract).
-    pub fn set_gather_policy(&mut self, policy: GatherPolicy) {
-        self.policy = policy;
-    }
-
-    #[inline]
-    pub fn gather_policy(&self) -> GatherPolicy {
-        self.policy
     }
 
     /// The shard plan (tests and benches use it to craft churn regions
@@ -608,24 +569,17 @@ impl IncrementalGraph {
     /// Re-derive the listed shards over the current alive population,
     /// replacing their caches (shared-code path: `crate::sharded`).
     /// Returns `(points gathered, global-index escalations)`.
+    ///
+    /// Locality-proportional: alive points are gathered and indexed only
+    /// over the union of the dirty shards' ghost-padded extents. The
+    /// working set of every dirty shard — `alive ∩ padded(s, halo)` — is
+    /// contained in its extent group, so the shard derivations see exactly
+    /// the point sets a whole-population gather would hand them, in the
+    /// same (universe-ascending) order, and emit bit-identical edges.
     fn rederive_shards(&mut self, dirty: &[usize]) -> (usize, usize) {
         if dirty.is_empty() {
             return (0, 0);
         }
-        match self.policy {
-            GatherPolicy::Local => self.rederive_local(dirty),
-            GatherPolicy::Global => (self.rederive_global(dirty), 0),
-        }
-    }
-
-    /// Locality-proportional re-derivation: gather alive points and build
-    /// a spatial index only over the union of the dirty shards'
-    /// ghost-padded extents. The working set of every dirty shard —
-    /// `alive ∩ padded(s, halo)` — is contained in its extent group, so
-    /// the shard derivations see exactly the point sets the global gather
-    /// would hand them, in the same (universe-ascending) order, and emit
-    /// bit-identical edges.
-    fn rederive_local(&mut self, dirty: &[usize]) -> (usize, usize) {
         let kind = self.kind;
         let (grid, halo) = (&self.grid, self.halo);
         let groups = grid.merge_padded_extents(dirty, halo);
@@ -949,159 +903,55 @@ impl IncrementalGraph {
         gathered
     }
 
-    /// The PR-4 whole-population re-derivation: compact the alive set,
-    /// build one global index, derive the listed shards against it.
-    /// Returns the number of points gathered (= the alive population).
+    /// The k-NN escalation: compact the alive set, build one global index,
+    /// and re-derive the listed shards against it — exact for every query
+    /// the dirty extents could not certify. Returns the number of points
+    /// gathered (= the alive population).
     fn rederive_global(&mut self, dirty: &[usize]) -> usize {
+        let IncTopology::Knn { k } = self.kind else {
+            unreachable!("k-NN-only escalation path");
+        };
         let (sub, to_universe, to_compact) = compact(&self.points, &self.alive);
-        if sub.is_empty() {
-            for &s in dirty {
-                self.store.replace(s, Vec::new());
-                self.straggler[s] = false;
-                self.hng_deps[s] = HngDeps::default();
-            }
-            return 0;
-        }
-        let cell = match self.kind {
-            IncTopology::Knn { k } => knn_cell_size(&sub, k.max(1)),
-            IncTopology::Hng { links, .. } => knn_cell_size(&sub, links.max(1)),
-            IncTopology::Udg { radius }
-            | IncTopology::Gabriel { radius }
-            | IncTopology::Rng { radius }
-            | IncTopology::Yao { radius, .. } => radius,
-        };
-        let index = GridIndex::build(&sub, cell);
-        let bbox = sub.bounding_box().expect("sub is non-empty");
-        let kind = self.kind;
+        let index = GridIndex::build(&sub, knn_cell_size(&sub, k.max(1)));
+        let bbox = sub
+            .bounding_box()
+            .expect("escalated shards gathered alive points");
         let (grid, halo) = (&self.grid, self.halo);
-        // HNG's exact fallback queries run against per-level indexes over
-        // the compacted alive population (sub id space; results lift back
-        // through the monotone `to_universe`).
-        let hng_ctx = match kind {
-            IncTopology::Hng { links, .. } => {
-                let levels_sub: Vec<u32> = to_universe
-                    .iter()
-                    .map(|&g| self.levels[g as usize])
-                    .collect();
-                let sets = LevelSets::build(&sub, &levels_sub);
-                let top_universe: Vec<u32> =
-                    sets.top.iter().map(|&v| to_universe[v as usize]).collect();
-                Some((sets, top_universe, links))
-            }
-            _ => None,
-        };
-        let hng_indexes = hng_ctx
-            .as_ref()
-            .map(|(sets, _, links)| sets.indexes(*links));
-        let levels = &self.levels;
         let results: Vec<ShardEdges> = dirty
             .to_vec()
             .into_par_iter()
             .map(|s| {
                 let shard = Shard::gather_mapped(&sub, &to_universe, &index, grid, s, halo);
-                sorted(match kind {
-                    IncTopology::Udg { radius } => {
-                        (derive_udg(&shard, radius), false, HngDeps::default())
+                let padded = grid.padded(s, halo);
+                let covers_all = padded.contains_aabb(&bbox);
+                let (lists, strag) = derive_knn(&shard, k, &padded, covers_all, |p, gu| {
+                    index
+                        .knn(p, k, Some(to_compact[gu as usize]))
+                        .into_iter()
+                        .map(|(v, _)| to_universe[v as usize])
+                        .collect()
+                });
+                let mut edges = Vec::new();
+                for (gu, list) in lists {
+                    for v in list {
+                        edges.push((gu.min(v), gu.max(v)));
                     }
-                    IncTopology::Gabriel { radius } => {
-                        (derive_gabriel(&shard, radius), false, HngDeps::default())
-                    }
-                    IncTopology::Rng { radius } => {
-                        (derive_rng(&shard, radius), false, HngDeps::default())
-                    }
-                    IncTopology::Yao { radius, cones } => {
-                        (derive_yao(&shard, radius, cones), false, HngDeps::default())
-                    }
-                    IncTopology::Knn { k } => {
-                        let padded = grid.padded(s, halo);
-                        let covers_all = padded.contains_aabb(&bbox);
-                        let (lists, strag) = derive_knn(&shard, k, &padded, covers_all, |p, gu| {
-                            index
-                                .knn(p, k, Some(to_compact[gu as usize]))
-                                .into_iter()
-                                .map(|(v, _)| to_universe[v as usize])
-                                .collect()
-                        });
-                        let mut edges = Vec::new();
-                        for (gu, list) in lists {
-                            for v in list {
-                                edges.push((gu.min(v), gu.max(v)));
-                            }
-                        }
-                        (edges, strag, HngDeps::default())
-                    }
-                    IncTopology::Hng { links, .. } => {
-                        let padded = grid.padded(s, halo);
-                        let covers_all = padded.contains_aabb(&bbox);
-                        let (sets, top_u, _) = hng_ctx.as_ref().expect("built for HNG");
-                        let indexes = hng_indexes.as_ref().expect("built for HNG");
-                        derive_hng(
-                            &shard,
-                            levels,
-                            links,
-                            top_u,
-                            sets.top_level,
-                            &padded,
-                            covers_all,
-                            |p, gu, j| {
-                                let (_, ids_j) = &sets.sets[(j - 2) as usize];
-                                let cu = to_compact[gu as usize];
-                                let skip = if levels[gu as usize] >= j {
-                                    Some(
-                                        ids_j
-                                            .binary_search(&cu)
-                                            .expect("member of its own level set")
-                                            as u32,
-                                    )
-                                } else {
-                                    None
-                                };
-                                indexes[(j - 2) as usize]
-                                    .knn(p, links, skip)
-                                    .into_iter()
-                                    .map(|(v, d)| (to_universe[ids_j[v as usize] as usize], d))
-                                    .collect()
-                            },
-                        )
-                    }
-                })
+                }
+                sorted((edges, strag, HngDeps::default()))
             })
             .collect();
-        let is_hng = matches!(self.kind, IncTopology::Hng { .. });
-        for (&s, (edges, strag, deps)) in dirty.iter().zip(results) {
+        for (&s, (edges, strag, _)) in dirty.iter().zip(results) {
             self.store.replace(s, edges);
             self.straggler[s] = strag;
-            if is_hng {
-                self.hng_deps[s] = deps;
-            }
         }
         sub.len()
     }
 
-    /// Build the same topology cold — monolithic reference builder on the
-    /// compacted alive survivors, lifted back to universe ids.
+    /// Build the same topology cold — the monolithic reference builder on
+    /// the alive survivors, in universe ids.
     pub fn cold_rebuild(&self) -> Csr {
-        let (sub, to_universe, _) = compact(&self.points, &self.alive);
-        if sub.is_empty() {
-            return Csr::empty(self.points.len());
-        }
-        let g = match self.kind {
-            IncTopology::Udg { radius } => build_udg(&sub, radius),
-            IncTopology::Knn { k } => build_knn(&sub, k),
-            IncTopology::Gabriel { radius } => build_gabriel(&sub, radius),
-            IncTopology::Rng { radius } => build_rng(&sub, radius),
-            IncTopology::Yao { radius, cones } => build_yao(&sub, radius, cones),
-            IncTopology::Hng { links, .. } => {
-                // Universe levels restricted through the alive mask — the
-                // hierarchy is never re-rolled over survivor ids.
-                let levels_sub: Vec<u32> = to_universe
-                    .iter()
-                    .map(|&g| self.levels[g as usize])
-                    .collect();
-                build_hng_on_levels(&sub, &levels_sub, links)
-            }
-        };
-        relabel(&g, &to_universe, self.points.len())
+        self.kind
+            .build_alive(&self.points, &self.alive, Exec::Serial)
     }
 
     /// Edge-identity witness: the incrementally maintained CSR equals a

@@ -24,10 +24,12 @@
 //! Every topology also has a tile-sharded, rayon-parallel builder in
 //! [`sharded`] that streams the deployment as ghost-padded shards and is
 //! proven edge-identical to the monolithic builder — the construction
-//! pipeline behind million-node experiments. The [`ordered`] entry points
-//! run those builders over a Morton-sorted copy of the deployment (cache
-//! -linear gathers) and remap the graph back to original ids at the
-//! emission boundary, byte-identically.
+//! pipeline behind million-node experiments. [`ordered`] holds the one
+//! cold-build dispatch, [`IncTopology::build`] / [`IncTopology::build_alive`]:
+//! [`Exec::Serial`] runs the monolithic oracle, [`Exec::Sharded`] runs the
+//! sharded builders over a Morton-sorted copy of the deployment
+//! (cache-linear gathers) and remaps the graph back to original ids at
+//! the emission boundary, byte-identically.
 //!
 //! Under node churn the same shard decomposition powers [`incremental`]:
 //! per-shard edge caches survive across epochs and only shards whose
@@ -50,12 +52,9 @@ pub use hng::{
     build_hng, build_hng_on_levels, build_hng_sharded, build_hng_sharded_on_levels, hng_halo,
     hng_levels, HngParams,
 };
-pub use incremental::{compact_alive, GatherPolicy, IncTopology, IncrementalGraph, RepairStats};
+pub use incremental::{compact_alive, IncTopology, IncrementalGraph, RepairStats};
 pub use knn::{build_knn, knn_lists};
-pub use ordered::{
-    build_gabriel_ordered, build_hng_ordered, build_knn_ordered, build_rng_ordered,
-    build_udg_ordered, build_yao_ordered,
-};
+pub use ordered::Exec;
 pub use rng_graph::build_rng;
 pub use sharded::{
     build_gabriel_sharded, build_knn_sharded, build_rng_sharded, build_udg_sharded,

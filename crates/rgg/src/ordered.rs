@@ -1,11 +1,20 @@
-//! Morton-ordered construction entry points.
+//! Cold construction: the one plain-topology build dispatch.
 //!
-//! Each `build_*_on_order` runs the sharded builder over the spatially
-//! sorted copy held by a [`PointOrder`] — grid buckets, ghost gathers and
-//! per-shard resident lists then walk the point SoA near-sequentially —
-//! and remaps the resulting graph back to original deployment ids at the
-//! emission boundary ([`wsn_graph::perm::remap_csr`]). The `build_*_ordered`
-//! wrappers construct the Morton order themselves.
+//! [`IncTopology::build`] and [`IncTopology::build_alive`] are the only
+//! places a plain kind is turned into a builder call. [`Exec`] picks the
+//! path:
+//!
+//! * [`Exec::Serial`] runs the monolithic reference builders — the oracle
+//!   every other path is pinned to.
+//! * [`Exec::Sharded`] is the production path: a Morton reorder, the
+//!   tile-sharded builder over the rank-space copy (grid buckets, ghost
+//!   gathers and per-shard resident lists then walk the point SoA
+//!   near-sequentially), and a remap back to original deployment ids at
+//!   the emission boundary ([`wsn_graph::perm::remap_csr`]).
+//!
+//! The `build_*_on_order` functions are the sharded path over a prepared
+//! [`PointOrder`]; they stay public so callers can drive them with any
+//! order (the permutation-invariance suite uses arbitrary bijections).
 //!
 //! ## Why the remapped graph is the deployment-order graph
 //!
@@ -25,14 +34,89 @@
 //! structure itself is layout-independent by construction.
 
 use wsn_graph::perm::remap_csr;
-use wsn_graph::Csr;
+use wsn_graph::{relabel, Csr};
 use wsn_pointproc::{PointOrder, PointSet};
 
 use crate::hng::{build_hng_sharded_on_levels, hng_levels, HngParams};
+use crate::incremental::{compact_alive, IncTopology};
 use crate::sharded::{
     build_gabriel_sharded, build_knn_sharded, build_rng_sharded, build_udg_sharded,
     build_yao_sharded,
 };
+use crate::{build_gabriel, build_hng_on_levels, build_knn, build_rng, build_udg, build_yao};
+
+/// How a cold build runs. Both paths produce the same graph byte for byte;
+/// only wall-clock and memory shape differ.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Exec {
+    /// The monolithic reference builders (the oracle).
+    Serial,
+    /// Morton reorder, tile-sharded rayon build with `tiles` topology
+    /// tiles per shard side ([`crate::WHOLE_WINDOW`] = one shard), remap
+    /// back to deployment ids.
+    Sharded { tiles: usize },
+}
+
+impl IncTopology {
+    /// Build this topology over every point of `points`.
+    pub fn build(&self, points: &PointSet, exec: Exec) -> Csr {
+        self.build_on_levels(points, &self.levels(points.len()), exec)
+    }
+
+    /// Build this topology over the survivors `alive` marks, in the
+    /// universe id space of `points` (dead nodes isolated): compact, build
+    /// through the same dispatch, relabel back. HNG levels are rolled over
+    /// the whole universe and restricted through the mask — never
+    /// re-rolled over survivor ids — so this is the cold rebuild that
+    /// incremental repair must match.
+    pub fn build_alive(&self, points: &PointSet, alive: &[bool], exec: Exec) -> Csr {
+        let (sub, to_universe) = compact_alive(points, alive);
+        // Empty for every kind but HNG, so the zip yields nothing.
+        let levels = self.levels(points.len());
+        let levels_sub: Vec<u32> = levels
+            .iter()
+            .zip(alive)
+            .filter(|(_, &a)| a)
+            .map(|(&l, _)| l)
+            .collect();
+        let g = self.build_on_levels(&sub, &levels_sub, exec);
+        relabel(&g, &to_universe, points.len())
+    }
+
+    /// HNG levels of an `n`-point universe (empty for every other kind).
+    pub(crate) fn levels(&self, n: usize) -> Vec<u32> {
+        match *self {
+            IncTopology::Hng { p, links, seed } => {
+                let params = HngParams::new(p, links); // validate
+                hng_levels(n, params.p, seed)
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// The dispatch proper; `levels` is read only by HNG.
+    fn build_on_levels(&self, points: &PointSet, levels: &[u32], exec: Exec) -> Csr {
+        let Exec::Sharded { tiles } = exec else {
+            return match *self {
+                IncTopology::Udg { radius } => build_udg(points, radius),
+                IncTopology::Knn { k } => build_knn(points, k),
+                IncTopology::Gabriel { radius } => build_gabriel(points, radius),
+                IncTopology::Rng { radius } => build_rng(points, radius),
+                IncTopology::Yao { radius, cones } => build_yao(points, radius, cones),
+                IncTopology::Hng { links, .. } => build_hng_on_levels(points, levels, links),
+            };
+        };
+        let order = PointOrder::morton(points);
+        match *self {
+            IncTopology::Udg { radius } => build_udg_on_order(&order, radius, tiles),
+            IncTopology::Knn { k } => build_knn_on_order(&order, k, tiles),
+            IncTopology::Gabriel { radius } => build_gabriel_on_order(&order, radius, tiles),
+            IncTopology::Rng { radius } => build_rng_on_order(&order, radius, tiles),
+            IncTopology::Yao { radius, cones } => build_yao_on_order(&order, radius, cones, tiles),
+            IncTopology::Hng { links, .. } => hng_on_order(&order, levels, links, tiles),
+        }
+    }
+}
 
 /// UDG over a prepared order — edge-identical to [`crate::build_udg`].
 pub fn build_udg_on_order(order: &PointOrder, radius: f64, tiles_per_shard: usize) -> Csr {
@@ -96,57 +180,22 @@ pub fn build_hng_on_order(
 ) -> Csr {
     let params = HngParams::new(params.p, params.links); // validate
     let levels = hng_levels(order.len(), params.p, seed);
-    let rank_levels = order.gather_values(&levels);
+    hng_on_order(order, &levels, params.links, tiles_per_shard)
+}
+
+/// HNG over a prepared order on explicit per-original-id `levels`.
+fn hng_on_order(order: &PointOrder, levels: &[u32], links: usize, tiles_per_shard: usize) -> Csr {
+    let rank_levels = order.gather_values(levels);
     remap_csr(
-        &build_hng_sharded_on_levels(order.points(), &rank_levels, params.links, tiles_per_shard),
+        &build_hng_sharded_on_levels(order.points(), &rank_levels, links, tiles_per_shard),
         order.to_orig(),
     )
-}
-
-/// Morton-ordered UDG: reorder, build sharded, remap.
-pub fn build_udg_ordered(points: &PointSet, radius: f64, tiles_per_shard: usize) -> Csr {
-    build_udg_on_order(&PointOrder::morton(points), radius, tiles_per_shard)
-}
-
-/// Morton-ordered Gabriel graph.
-pub fn build_gabriel_ordered(points: &PointSet, radius: f64, tiles_per_shard: usize) -> Csr {
-    build_gabriel_on_order(&PointOrder::morton(points), radius, tiles_per_shard)
-}
-
-/// Morton-ordered relative neighborhood graph.
-pub fn build_rng_ordered(points: &PointSet, radius: f64, tiles_per_shard: usize) -> Csr {
-    build_rng_on_order(&PointOrder::morton(points), radius, tiles_per_shard)
-}
-
-/// Morton-ordered Yao graph.
-pub fn build_yao_ordered(
-    points: &PointSet,
-    radius: f64,
-    cones: usize,
-    tiles_per_shard: usize,
-) -> Csr {
-    build_yao_on_order(&PointOrder::morton(points), radius, cones, tiles_per_shard)
-}
-
-/// Morton-ordered symmetrised k-NN.
-pub fn build_knn_ordered(points: &PointSet, k: usize, tiles_per_shard: usize) -> Csr {
-    build_knn_on_order(&PointOrder::morton(points), k, tiles_per_shard)
-}
-
-/// Morton-ordered HNG.
-pub fn build_hng_ordered(
-    points: &PointSet,
-    params: HngParams,
-    seed: u64,
-    tiles_per_shard: usize,
-) -> Csr {
-    build_hng_on_order(&PointOrder::morton(points), params, seed, tiles_per_shard)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_gabriel, build_hng, build_knn, build_rng, build_udg, build_yao};
+    use crate::build_hng;
     use wsn_geom::Aabb;
     use wsn_pointproc::{rng_from_seed, sample_binomial_window};
 
@@ -157,13 +206,28 @@ mod tests {
     #[test]
     fn ordered_builders_match_monolithic() {
         let p = pts(900, 41);
-        assert_eq!(build_udg_ordered(&p, 1.0, 4), build_udg(&p, 1.0));
-        assert_eq!(build_gabriel_ordered(&p, 1.2, 4), build_gabriel(&p, 1.2));
-        assert_eq!(build_rng_ordered(&p, 1.2, 4), build_rng(&p, 1.2));
-        assert_eq!(build_yao_ordered(&p, 1.0, 6, 4), build_yao(&p, 1.0, 6));
-        assert_eq!(build_knn_ordered(&p, 8, 4), build_knn(&p, 8));
-        let hp = HngParams::new(0.5, 2);
-        assert_eq!(build_hng_ordered(&p, hp, 7, 4), build_hng(&p, hp, 7));
+        let sharded = Exec::Sharded { tiles: 4 };
+        let build = |kind: IncTopology| kind.build(&p, sharded);
+        assert_eq!(build(IncTopology::Udg { radius: 1.0 }), build_udg(&p, 1.0));
+        assert_eq!(
+            build(IncTopology::Gabriel { radius: 1.2 }),
+            build_gabriel(&p, 1.2)
+        );
+        assert_eq!(build(IncTopology::Rng { radius: 1.2 }), build_rng(&p, 1.2));
+        assert_eq!(
+            build(IncTopology::Yao {
+                radius: 1.0,
+                cones: 6
+            }),
+            build_yao(&p, 1.0, 6)
+        );
+        assert_eq!(build(IncTopology::Knn { k: 8 }), build_knn(&p, 8));
+        let hng = IncTopology::Hng {
+            p: 0.5,
+            links: 2,
+            seed: 7,
+        };
+        assert_eq!(build(hng), build_hng(&p, HngParams::new(0.5, 2), 7));
     }
 
     #[test]

@@ -50,10 +50,11 @@ pub mod spec;
 pub mod substrate;
 
 pub use golden::GoldenOutcome;
+pub use metrics::{build_topology, Built};
 pub use presets::{all_presets, find_preset, run_preset, Preset};
 pub use report::Report;
 pub use runner::{run_matrix, Profile};
 pub use spec::{
-    ChurnSpec, DeploymentSpec, ExecSpec, FaultSpec, MetricSuite, ScenarioMatrix, ScenarioSpec,
+    ChurnSpec, DeploymentSpec, Exec, FaultSpec, MetricSuite, ScenarioMatrix, ScenarioSpec,
     TopologySpec,
 };

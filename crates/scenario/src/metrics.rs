@@ -14,11 +14,7 @@ use wsn_graph::Csr;
 use wsn_pointproc::matern::sample_matern_ii;
 use wsn_pointproc::{rng_from_seed, sample_poisson_window, PointOrder, PointSet};
 use wsn_rgg::ordered::build_knn_on_order;
-use wsn_rgg::{
-    build_gabriel, build_gabriel_ordered, build_hng, build_hng_ordered, build_knn,
-    build_knn_ordered, build_rng, build_rng_ordered, build_udg, build_udg_ordered, build_yao,
-    build_yao_ordered, HngParams,
-};
+use wsn_rgg::{build_knn, build_udg};
 use wsn_simnet::churn::{
     simulate_lifetime_plain, simulate_lifetime_sens, ChurnConfig, ChurnModel, LifetimeReport,
     RenewalPolicy, RoutePolicy, SensKind,
@@ -35,7 +31,7 @@ use wsn_core::subgraph::SensNetwork;
 use wsn_core::tilegrid::TileGrid;
 use wsn_core::udg::{build_udg_sens, build_udg_sens_ordered};
 
-use crate::spec::{DeploymentSpec, RenewalSpec, RouteSpec, ScenarioSpec, TopologySpec};
+use crate::spec::{DeploymentSpec, Exec, RenewalSpec, RouteSpec, ScenarioSpec, TopologySpec};
 
 /// Seed streams inside one replication (fixed so adding a metric never
 /// shifts the randomness of another).
@@ -54,13 +50,14 @@ mod stream {
 pub type Channels = Vec<(String, f64)>;
 
 /// The built topology of a replication.
-enum Built {
+pub enum Built {
     Sens(SensNetwork),
     Plain(Csr),
 }
 
 impl Built {
-    fn graph(&self) -> &Csr {
+    /// The built graph, whichever construction produced it.
+    pub fn graph(&self) -> &Csr {
         match self {
             Built::Sens(net) => &net.graph,
             Built::Plain(g) => g,
@@ -145,72 +142,7 @@ pub fn run_replication(spec: &ScenarioSpec, rep_seed: u64) -> Channels {
     }
 
     // ---- topology construction --------------------------------------
-    // The sharded pipeline is edge-identical to the monolithic builders,
-    // so `spec.exec` can never change a metric value — only how fast (and
-    // in how many parallel shards) the graph appears. Parallel runs go
-    // through the Morton-ordered entry points: the sharded builders walk a
-    // spatially sorted copy and emissions are remapped back to deployment
-    // ids, byte-identically (the permutation-invariance suite is the pin).
-    let udg_params = UdgSensParams::strict_default();
-    let shard_tiles = spec.exec.shard_tiles;
-    let parallel = spec.exec.parallel;
-    let built = match spec.topology {
-        TopologySpec::UdgSens => {
-            let g = grid.clone().expect("SENS grid");
-            let net = if parallel {
-                build_udg_sens_ordered(&points, &PointOrder::morton(&points), udg_params, g)
-            } else {
-                build_udg_sens(&points, udg_params, g)
-            };
-            Built::Sens(net.expect("strict default params are valid"))
-        }
-        TopologySpec::NnSens { a, k } => {
-            let params = NnSensParams { a, k };
-            let g = grid.clone().expect("SENS grid");
-            let net = if parallel {
-                let order = PointOrder::morton(&points);
-                let base = build_knn_on_order(&order, k, shard_tiles);
-                build_nn_sens_ordered(&points, &order, &base, params, g)
-            } else {
-                let base = build_knn(&points, k);
-                build_nn_sens(&points, &base, params, g)
-            };
-            Built::Sens(net.expect("NN-SENS params validated by preset"))
-        }
-        TopologySpec::Udg { radius } => Built::Plain(if parallel {
-            build_udg_ordered(&points, radius, shard_tiles)
-        } else {
-            build_udg(&points, radius)
-        }),
-        TopologySpec::Knn { k } => Built::Plain(if parallel {
-            build_knn_ordered(&points, k, shard_tiles)
-        } else {
-            build_knn(&points, k)
-        }),
-        TopologySpec::Gabriel { radius } => Built::Plain(if parallel {
-            build_gabriel_ordered(&points, radius, shard_tiles)
-        } else {
-            build_gabriel(&points, radius)
-        }),
-        TopologySpec::Rng { radius } => Built::Plain(if parallel {
-            build_rng_ordered(&points, radius, shard_tiles)
-        } else {
-            build_rng(&points, radius)
-        }),
-        TopologySpec::Yao { radius, cones } => Built::Plain(if parallel {
-            build_yao_ordered(&points, radius, cones, shard_tiles)
-        } else {
-            build_yao(&points, radius, cones)
-        }),
-        TopologySpec::Hng { p, links } => {
-            let hseed = derive_seed(rep_seed, stream::HNG);
-            Built::Plain(if parallel {
-                build_hng_ordered(&points, HngParams::new(p, links), hseed, shard_tiles)
-            } else {
-                build_hng(&points, HngParams::new(p, links), hseed)
-            })
-        }
-    };
+    let built = build_topology(spec.topology, &points, grid.clone(), spec.exec, rep_seed);
 
     // ---- metric: degree (P1) ----------------------------------------
     if spec.metrics.degree {
@@ -349,6 +281,7 @@ pub fn run_replication(spec: &ScenarioSpec, rep_seed: u64) -> Channels {
 
     // ---- metric: construction cost (P4 / Fig. 7) --------------------
     if spec.metrics.construction && matches!(spec.topology, TopologySpec::UdgSens) {
+        let udg_params = UdgSensParams::strict_default();
         let build = distributed_build_udg(&points, udg_params, grid.clone().expect("grid"))
             .expect("strict default params are valid");
         push(&mut ch, "construction.rounds", build.rounds as f64);
@@ -554,19 +487,49 @@ fn run_lifetime(
 /// HNG rolls its level hierarchy from a replication-derived seed, so the
 /// mapping needs `rep_seed` too.
 fn plain_kind(topology: TopologySpec, rep_seed: u64) -> Option<wsn_rgg::IncTopology> {
-    match topology {
-        TopologySpec::Udg { radius } => Some(wsn_rgg::IncTopology::Udg { radius }),
-        TopologySpec::Knn { k } => Some(wsn_rgg::IncTopology::Knn { k }),
-        TopologySpec::Gabriel { radius } => Some(wsn_rgg::IncTopology::Gabriel { radius }),
-        TopologySpec::Rng { radius } => Some(wsn_rgg::IncTopology::Rng { radius }),
-        TopologySpec::Yao { radius, cones } => Some(wsn_rgg::IncTopology::Yao { radius, cones }),
-        TopologySpec::Hng { p, links } => Some(wsn_rgg::IncTopology::Hng {
-            p,
-            links,
-            seed: derive_seed(rep_seed, stream::HNG),
-        }),
-        TopologySpec::UdgSens | TopologySpec::NnSens { .. } => None,
+    topology.plain(derive_seed(rep_seed, stream::HNG))
+}
+
+/// Build a cell's topology over `points`. Plain kinds go through the one
+/// cold-build dispatch ([`wsn_rgg::IncTopology::build`]); the SENS
+/// constructions need their tile `grid`. The sharded path is
+/// edge-identical to the serial one, so `exec` can never change a metric
+/// value — only how fast (and in how many parallel shards) the graph
+/// appears. Sharded SENS builds elect over a Morton-sorted copy and remap
+/// back to deployment ids, byte-identically (the permutation-invariance
+/// suite is the pin).
+pub fn build_topology(
+    topology: TopologySpec,
+    points: &PointSet,
+    grid: Option<TileGrid>,
+    exec: Exec,
+    rep_seed: u64,
+) -> Built {
+    if let Some(kind) = plain_kind(topology, rep_seed) {
+        return Built::Plain(kind.build(points, exec));
     }
+    let grid = grid.expect("SENS grid");
+    let net = match (topology, exec) {
+        (TopologySpec::UdgSens, Exec::Serial) => {
+            build_udg_sens(points, UdgSensParams::strict_default(), grid)
+        }
+        (TopologySpec::UdgSens, Exec::Sharded { .. }) => build_udg_sens_ordered(
+            points,
+            &PointOrder::morton(points),
+            UdgSensParams::strict_default(),
+            grid,
+        ),
+        (TopologySpec::NnSens { a, k }, Exec::Serial) => {
+            build_nn_sens(points, &build_knn(points, k), NnSensParams { a, k }, grid)
+        }
+        (TopologySpec::NnSens { a, k }, Exec::Sharded { tiles }) => {
+            let order = PointOrder::morton(points);
+            let base = build_knn_on_order(&order, k, tiles);
+            build_nn_sens_ordered(points, &order, &base, NnSensParams { a, k }, grid)
+        }
+        _ => unreachable!("plain kinds return above"),
+    };
+    Built::Sens(net.expect("SENS params are valid"))
 }
 
 /// Run the always-on serve workload of a cell and emit its channel family
@@ -802,7 +765,7 @@ fn run_claim_audit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ExecSpec, FaultSpec, MetricSuite, StretchSpec};
+    use crate::spec::{Exec, FaultSpec, MetricSuite, StretchSpec};
 
     fn base_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -815,7 +778,7 @@ mod tests {
                 sens_summary: true,
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 1,
@@ -903,10 +866,7 @@ mod tests {
             };
             let mono = run_replication(&spec, 31);
             for shard_tiles in [1usize, 4, usize::MAX] {
-                spec.exec = ExecSpec {
-                    parallel: true,
-                    shard_tiles,
-                };
+                spec.exec = Exec::Sharded { tiles: shard_tiles };
                 assert_eq!(
                     run_replication(&spec, 31),
                     mono,

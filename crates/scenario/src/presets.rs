@@ -10,8 +10,8 @@ use serde::Serialize;
 use crate::report::Report;
 use crate::runner::{run_matrix, Profile};
 use crate::spec::{
-    ChurnSpec, CoverageSpec, DeploymentSpec, ExecSpec, FaultSpec, MetricSuite, PowerSpec,
-    RenewalSpec, RouteSpec, RoutingSpec, ScenarioMatrix, ServeSpec, StretchSpec, TopologySpec,
+    ChurnSpec, CoverageSpec, DeploymentSpec, Exec, FaultSpec, MetricSuite, PowerSpec, RenewalSpec,
+    RouteSpec, RoutingSpec, ScenarioMatrix, ServeSpec, StretchSpec, TopologySpec,
 };
 use crate::substrate;
 
@@ -181,7 +181,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 sens_summary: true,
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 2,
@@ -198,7 +198,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 }),
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 2,
@@ -219,7 +219,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 }),
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 2,
@@ -238,7 +238,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 }),
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 2,
@@ -264,7 +264,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 }),
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 2,
@@ -295,7 +295,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 }),
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 2,
@@ -309,7 +309,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 claim_paths: true,
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: profile.pick(8, 3),
@@ -326,7 +326,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 claim_paths: true,
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: profile.pick(6, 2),
@@ -345,7 +345,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 }),
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 2,
@@ -359,7 +359,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 construction: true,
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: profile.pick(2, 1),
@@ -382,7 +382,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 }),
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 2,
@@ -396,7 +396,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
             topologies: vec![TopologySpec::UdgSens, TopologySpec::Udg { radius: 1.0 }],
             faults: vec![None],
             metrics: MetricSuite::default(),
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: Some(ChurnSpec {
                 epochs: profile.pick(20, 6),
                 battery: 4000.0,
@@ -427,7 +427,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
             ],
             faults: vec![None],
             metrics: MetricSuite::default(),
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: Some(ChurnSpec {
                 epochs: profile.pick(12, 5),
                 battery: 1e8,
@@ -461,7 +461,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
             ],
             faults: vec![None],
             metrics: MetricSuite::default(),
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: Some(ChurnSpec {
                 epochs: profile.pick(10, 4),
                 battery: 1e8,
@@ -492,7 +492,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
             ],
             faults: vec![None],
             metrics: MetricSuite::default(),
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: Some(ChurnSpec {
                 epochs: profile.pick(24, 14),
                 battery: 3200.0,
@@ -529,7 +529,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
             ],
             faults: vec![None],
             metrics: MetricSuite::default(),
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: Some(ChurnSpec {
                 epochs: profile.pick(20, 12),
                 battery: 2800.0,
@@ -560,7 +560,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
             ],
             faults: vec![None],
             metrics: MetricSuite::default(),
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: Some(ServeSpec {
                 churn: ChurnSpec {
@@ -612,7 +612,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                 }),
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 2,

@@ -164,7 +164,7 @@ pub fn run_matrix(matrix: &ScenarioMatrix, base_seed: u64) -> Vec<ScenarioResult
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{DeploymentSpec, ExecSpec, MetricSuite, TopologySpec};
+    use crate::spec::{DeploymentSpec, Exec, MetricSuite, TopologySpec};
 
     fn tiny_matrix() -> ScenarioMatrix {
         ScenarioMatrix {
@@ -176,7 +176,7 @@ mod tests {
                 degree: true,
                 ..MetricSuite::default()
             },
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 3,

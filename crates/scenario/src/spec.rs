@@ -4,6 +4,15 @@
 //! new experiment is a new value (usually a new preset), not a new binary.
 
 use wsn_core::params::{NnSensParams, UdgSensParams};
+use wsn_rgg::IncTopology;
+
+/// How the topology is constructed: the monolithic reference builders
+/// ([`Exec::Serial`]) or the Morton-ordered, tile-sharded parallel
+/// pipeline ([`Exec::Sharded`]). The pipeline is proven edge-identical to
+/// the reference (`tests/sharded_vs_monolithic.rs`), so this changes
+/// wall-clock and memory shape, **never** a single metric byte — which is
+/// why it is not part of the cell label and not a matrix axis.
+pub use wsn_rgg::Exec;
 
 /// How sensors are deployed in the window.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -54,17 +63,32 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// Human-readable label used in reports (stable: goldens pin it).
+    /// Human-readable label used in reports (stable: goldens pin it). A
+    /// plain kind's label is its [`IncTopology::label`].
     pub fn label(&self) -> String {
         match *self {
             TopologySpec::UdgSens => "udg-sens".into(),
             TopologySpec::NnSens { a, k } => format!("nn-sens(a={a},k={k})"),
-            TopologySpec::Udg { radius } => format!("udg(r={radius})"),
-            TopologySpec::Knn { k } => format!("knn(k={k})"),
-            TopologySpec::Gabriel { radius } => format!("gabriel(r={radius})"),
-            TopologySpec::Rng { radius } => format!("rng(r={radius})"),
-            TopologySpec::Yao { radius, cones } => format!("yao(r={radius},c={cones})"),
-            TopologySpec::Hng { p, links } => format!("hng(p={p},m={links})"),
+            plain => plain.plain(0).expect("plain kind").label(),
+        }
+    }
+
+    /// The plain (non-SENS) kind as the topology the builders and the
+    /// incremental engine take, or `None` for the SENS constructions. HNG
+    /// rolls its level hierarchy from `hng_seed`; other kinds ignore it.
+    pub fn plain(&self, hng_seed: u64) -> Option<IncTopology> {
+        match *self {
+            TopologySpec::Udg { radius } => Some(IncTopology::Udg { radius }),
+            TopologySpec::Knn { k } => Some(IncTopology::Knn { k }),
+            TopologySpec::Gabriel { radius } => Some(IncTopology::Gabriel { radius }),
+            TopologySpec::Rng { radius } => Some(IncTopology::Rng { radius }),
+            TopologySpec::Yao { radius, cones } => Some(IncTopology::Yao { radius, cones }),
+            TopologySpec::Hng { p, links } => Some(IncTopology::Hng {
+                p,
+                links,
+                seed: hng_seed,
+            }),
+            TopologySpec::UdgSens | TopologySpec::NnSens { .. } => None,
         }
     }
 
@@ -80,47 +104,6 @@ impl TopologySpec {
             TopologySpec::NnSens { a, k } => Some(NnSensParams { a, k }.tile_side()),
             _ => None,
         }
-    }
-}
-
-/// How the topology is constructed: monolithically (the reference
-/// builders) or through the tile-sharded parallel pipeline.
-///
-/// The pipeline is proven edge-identical to the monolithic builders
-/// (`tests/sharded_vs_monolithic.rs`), so this knob changes wall-clock and
-/// memory shape, **never** a single metric byte — which is why it is not
-/// part of the cell label and not a matrix axis.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ExecSpec {
-    /// Use the sharded rayon-parallel pipeline.
-    pub parallel: bool,
-    /// Shard side in topology tiles (query radius for the plain graphs,
-    /// the k-NN halo for `Knn`; SENS constructions shard by their own
-    /// tiles). `usize::MAX` means one whole-window shard.
-    pub shard_tiles: usize,
-}
-
-impl ExecSpec {
-    /// The reference single-shard execution (the default).
-    pub const fn monolithic() -> Self {
-        ExecSpec {
-            parallel: false,
-            shard_tiles: 16,
-        }
-    }
-
-    /// The sharded pipeline with the default shard size.
-    pub const fn sharded() -> Self {
-        ExecSpec {
-            parallel: true,
-            shard_tiles: 16,
-        }
-    }
-}
-
-impl Default for ExecSpec {
-    fn default() -> Self {
-        ExecSpec::monolithic()
     }
 }
 
@@ -209,7 +192,7 @@ impl RouteSpec {
 /// static metric suite: the deployment is split into an initially-alive
 /// population plus a reserve pool (`reserve_frac` of the nodes, taken from
 /// the highest ids), then simulated for `epochs` rounds of traffic, battery
-/// drain, failures, joins and in-place topology repair. Like [`ExecSpec`]
+/// drain, failures, joins and in-place topology repair. Like [`Exec`]
 /// this is not a matrix axis and not part of the cell label — a lifetime
 /// preset is a different *workload*, not a different cell of the same one.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -340,8 +323,8 @@ pub struct ScenarioSpec {
     pub topology: TopologySpec,
     pub fault: Option<FaultSpec>,
     pub metrics: MetricSuite,
-    /// Construction execution mode (not an axis; see [`ExecSpec`]).
-    pub exec: ExecSpec,
+    /// Construction execution mode (not an axis; see [`Exec`]).
+    pub exec: Exec,
     /// Lifetime workload (not an axis; replaces the static metric suite
     /// when present — see [`ChurnSpec`]).
     pub churn: Option<ChurnSpec>,
@@ -383,7 +366,7 @@ pub struct ScenarioMatrix {
     pub faults: Vec<Option<FaultSpec>>,
     pub metrics: MetricSuite,
     /// Construction execution mode shared by every cell (not an axis).
-    pub exec: ExecSpec,
+    pub exec: Exec,
     /// Lifetime workload shared by every cell (not an axis).
     pub churn: Option<ChurnSpec>,
     /// Serve workload shared by every cell (not an axis).
@@ -432,7 +415,7 @@ mod tests {
             topologies: vec![TopologySpec::UdgSens, TopologySpec::Udg { radius: 1.0 }],
             faults: vec![None, Some(FaultSpec { p_fail: 0.2 })],
             metrics: MetricSuite::default(),
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 2,
@@ -461,7 +444,7 @@ mod tests {
             },
             fault: Some(FaultSpec { p_fail: 0.25 }),
             metrics: MetricSuite::default(),
-            exec: ExecSpec::monolithic(),
+            exec: Exec::Serial,
             churn: None,
             serve: None,
             replications: 1,

@@ -74,11 +74,7 @@ use wsn_graph::{
     GraphView,
 };
 use wsn_pointproc::PointSet;
-use wsn_rgg::{
-    build_gabriel_sharded, build_hng_sharded_on_levels, build_knn_sharded, build_rng_sharded,
-    build_udg_sharded, build_yao_sharded, compact_alive, hng_levels, IncTopology, IncrementalGraph,
-    RepairStats,
-};
+use wsn_rgg::{compact_alive, Exec, IncTopology, IncrementalGraph, RepairStats};
 
 /// Seed streams of the epoch loop (fixed so adding a draw never shifts
 /// another's randomness).
@@ -91,7 +87,7 @@ mod stream {
 }
 
 /// Shard size (in topology tiles) of the per-epoch *rebuild* baseline —
-/// the PR-3 pipeline default, so "rebuild" means the best cold path.
+/// the pipeline default, so "rebuild" means the production cold path.
 const REBUILD_SHARD_TILES: usize = 16;
 
 /// How per-epoch random failures are placed.
@@ -112,7 +108,8 @@ pub enum ChurnModel {
 pub enum RepairMode {
     /// Incremental shard repair ([`IncrementalGraph`]).
     Incremental,
-    /// Cold sharded rebuild every epoch (the bench baseline).
+    /// Cold Morton-ordered sharded rebuild every epoch (the bench
+    /// baseline; see [`cold_sharded_rebuild`]).
     Rebuild,
 }
 
@@ -414,32 +411,18 @@ impl CoverageProbe {
     }
 }
 
-/// Cold sharded rebuild of a plain topology on the alive survivors, lifted
-/// to universe ids — the per-epoch baseline the incremental path races
-/// (public so the lifetime bench's churn-locality sweep races the *same*
-/// baseline instead of re-implementing it).
+/// Cold rebuild of a plain topology on the alive survivors, in universe
+/// ids, through the production sharded path — the per-epoch baseline the
+/// incremental path races (public so the lifetime bench's churn-locality
+/// sweep races the *same* baseline instead of re-implementing it).
 pub fn cold_sharded_rebuild(points: &PointSet, alive: &[bool], kind: IncTopology) -> Csr {
-    let (sub, to_universe) = compact_alive(points, alive);
-    if sub.is_empty() {
-        return Csr::empty(points.len());
-    }
-    let g = match kind {
-        IncTopology::Udg { radius } => build_udg_sharded(&sub, radius, REBUILD_SHARD_TILES),
-        IncTopology::Knn { k } => build_knn_sharded(&sub, k, REBUILD_SHARD_TILES),
-        IncTopology::Gabriel { radius } => build_gabriel_sharded(&sub, radius, REBUILD_SHARD_TILES),
-        IncTopology::Rng { radius } => build_rng_sharded(&sub, radius, REBUILD_SHARD_TILES),
-        IncTopology::Yao { radius, cones } => {
-            build_yao_sharded(&sub, radius, cones, REBUILD_SHARD_TILES)
-        }
-        IncTopology::Hng { p, links, seed } => {
-            // Levels roll over the universe once, then restrict through the
-            // alive mask — matching the incremental path's hierarchy exactly.
-            let levels = hng_levels(points.len(), p, seed);
-            let levels_sub: Vec<u32> = to_universe.iter().map(|&g| levels[g as usize]).collect();
-            build_hng_sharded_on_levels(&sub, &levels_sub, links, REBUILD_SHARD_TILES)
-        }
-    };
-    relabel(&g, &to_universe, points.len())
+    kind.build_alive(
+        points,
+        alive,
+        Exec::Sharded {
+            tiles: REBUILD_SHARD_TILES,
+        },
+    )
 }
 
 /// The maintained plain topology: incremental or rebuild-per-epoch.

@@ -25,7 +25,7 @@ use wsn::geom::Aabb;
 use wsn::graph::fingerprint;
 use wsn::pointproc::matern::sample_matern_ii;
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
-use wsn::rgg::{GatherPolicy, IncTopology, IncrementalGraph};
+use wsn::rgg::{IncTopology, IncrementalGraph};
 
 /// Serialises every test in this binary: the thread-matrix test mutates
 /// `RAYON_NUM_THREADS` while the others trigger reads of it inside the
@@ -336,33 +336,6 @@ fn extinction_and_resurrection_stay_identical() {
         g.apply_churn(&[], &evens);
         assert_representations_agree(&g, &format!("{kind:?} resurrected"));
         assert!(g.graph().m() > 0, "{kind:?}: resurrection spliced no edges");
-    }
-}
-
-/// The retained PR-4/PR-5 gather policies and the chunked splice compose:
-/// `GatherPolicy::Global` re-derivation feeds the same splice path and
-/// lands on the same bytes as the localized gather.
-#[test]
-fn global_gather_policy_splices_to_the_same_bytes() {
-    let _guard = env_guard();
-    let points = sample_poisson_window(&mut rng_from_seed(0x61B), 12.0, &Aabb::square(SIDE));
-    for kind in KINDS {
-        let alive: Vec<bool> = (0..points.len()).map(|i| i % 5 != 4).collect();
-        let mut local =
-            IncrementalGraph::build(points.clone(), alive.clone(), kind, TILES_PER_SHARD);
-        let mut global = IncrementalGraph::build(points.clone(), alive, kind, TILES_PER_SHARD);
-        global.set_gather_policy(GatherPolicy::Global);
-        for (_, regions) in footprints(&local) {
-            let (deaths, joins) = churn_in_regions(&local, &regions, 0xFEE);
-            if deaths.is_empty() && joins.is_empty() {
-                continue;
-            }
-            local.apply_churn(&deaths, &joins);
-            global.apply_churn(&deaths, &joins);
-            assert_eq!(local.graph(), global.graph(), "{kind:?}: local != global");
-            assert_eq!(fingerprint(local.graph()), fingerprint(global.graph()));
-        }
-        assert!(local.verify_cold(), "{kind:?}");
     }
 }
 

@@ -17,14 +17,10 @@ use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 use wsn::geom::hash::derive_seed2;
 use wsn::geom::Aabb;
-use wsn::graph::relabel;
 use wsn::pointproc::matern::sample_matern_ii;
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
 use wsn::rgg::sharded::WHOLE_WINDOW;
-use wsn::rgg::{
-    build_gabriel_sharded, build_hng_sharded_on_levels, build_knn_sharded, build_rng_sharded,
-    build_udg_sharded, build_yao_sharded, hng_levels, IncTopology, IncrementalGraph,
-};
+use wsn::rgg::{Exec, IncTopology, IncrementalGraph};
 use wsn::simnet::churn::{
     simulate_lifetime_plain, ChurnConfig, ChurnModel, LifetimeReport, RenewalPolicy, RoutePolicy,
 };
@@ -61,30 +57,6 @@ fn deployments(seed: u64) -> Vec<(&'static str, PointSet)> {
     let poisson = sample_poisson_window(&mut rng_from_seed(seed), 18.0, &window);
     let matern = sample_matern_ii(&mut rng_from_seed(seed ^ 0xA5), 30.0, 0.12, &window);
     vec![("poisson", poisson), ("matern2", matern)]
-}
-
-/// Cold *sharded* rebuild on the surviving points, lifted back into the
-/// universe id space (monotone relabelling preserves every byte).
-fn cold_sharded_universe(g: &IncrementalGraph, tiles: usize) -> wsn::graph::Csr {
-    let (sub, to_universe) = wsn::rgg::compact_alive(g.points(), g.alive());
-    if sub.is_empty() {
-        return wsn::graph::Csr::empty(g.points().len());
-    }
-    let cold = match g.kind() {
-        IncTopology::Udg { radius } => build_udg_sharded(&sub, radius, tiles),
-        IncTopology::Knn { k } => build_knn_sharded(&sub, k, tiles),
-        IncTopology::Gabriel { radius } => build_gabriel_sharded(&sub, radius, tiles),
-        IncTopology::Rng { radius } => build_rng_sharded(&sub, radius, tiles),
-        IncTopology::Yao { radius, cones } => build_yao_sharded(&sub, radius, cones, tiles),
-        IncTopology::Hng { p, links, seed } => {
-            // Levels are universe-keyed: roll over the whole universe, then
-            // restrict through the alive mask — exactly what the engine does.
-            let levels = hng_levels(g.points().len(), p, seed);
-            let levels_sub: Vec<u32> = to_universe.iter().map(|&gu| levels[gu as usize]).collect();
-            build_hng_sharded_on_levels(&sub, &levels_sub, links, tiles)
-        }
-    };
-    relabel(&cold, &to_universe, g.points().len())
 }
 
 /// Hash-scheduled churn for epoch `e`: kill alive nodes at `p_fail`, admit
@@ -132,7 +104,8 @@ fn incremental_equals_cold_rebuild_across_the_matrix() {
                     for tiles in [4, WHOLE_WINDOW] {
                         assert_eq!(
                             *g.graph(),
-                            cold_sharded_universe(&g, tiles),
+                            g.kind()
+                                .build_alive(g.points(), g.alive(), Exec::Sharded { tiles }),
                             "{ctx}: diverged from sharded rebuild (tiles={tiles})"
                         );
                     }

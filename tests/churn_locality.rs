@@ -1,16 +1,15 @@
 //! Churn-locality differential suite.
 //!
-//! PR-5 reworked `IncrementalGraph`'s re-derivation from a
-//! whole-population gather (compact every alive point, build a global
-//! index — Θ(n) per churned epoch) to a dirty-extent gather (merge the
-//! dirty shards' padded extents, gather and index only their alive
-//! population). The contract is double:
+//! `IncrementalGraph` re-derives dirty shards through a dirty-extent
+//! gather (merge the dirty shards' padded extents, gather and index only
+//! their alive population) instead of a whole-population gather (compact
+//! every alive point, build a global index — Θ(n) per churned epoch). The
+//! contract is double:
 //!
-//! 1. **Byte identity.** The localized path, the retained PR-4 global
-//!    path ([`GatherPolicy::Global`]), and a cold rebuild must produce
-//!    identical CSRs — same bytes, same fingerprint — after any churn, for
-//!    every topology kind, deployment model, and churn footprint. There is
-//!    no bless step: a divergence is a halo/extent bug, never intentional.
+//! 1. **Byte identity.** The localized repair and a cold rebuild must
+//!    produce identical CSRs after any churn, for every topology kind,
+//!    deployment model, and churn footprint. There is no bless step: a
+//!    divergence is a halo/extent bug, never intentional.
 //! 2. **Locality proportionality.** The work counters must scale with the
 //!    churned region: gather size tracks the dirty extents, the deaths-only
 //!    UDG filter path gathers nothing at all, and the whole-population
@@ -21,10 +20,9 @@
 
 use wsn::geom::hash::derive_seed2;
 use wsn::geom::{Aabb, Point};
-use wsn::graph::fingerprint;
 use wsn::pointproc::matern::sample_matern_ii;
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
-use wsn::rgg::{GatherPolicy, IncTopology, IncrementalGraph, RepairStats};
+use wsn::rgg::{IncTopology, IncrementalGraph, RepairStats};
 
 const KINDS: [IncTopology; 6] = [
     IncTopology::Udg { radius: 1.0 },
@@ -116,31 +114,20 @@ fn churn_in_regions(g: &IncrementalGraph, regions: &[Aabb], seed: u64) -> (Vec<u
     (deaths, joins)
 }
 
-fn build_pair(
-    points: &PointSet,
-    kind: IncTopology,
-) -> (IncrementalGraph, IncrementalGraph, Vec<bool>) {
+fn build(points: &PointSet, kind: IncTopology) -> IncrementalGraph {
     // A fifth of the universe starts dead as the join reserve.
     let alive: Vec<bool> = (0..points.len()).map(|i| i % 5 != 4).collect();
-    let local = IncrementalGraph::build(points.clone(), alive.clone(), kind, TILES_PER_SHARD);
-    let mut global = IncrementalGraph::build(points.clone(), alive.clone(), kind, TILES_PER_SHARD);
-    global.set_gather_policy(GatherPolicy::Global);
-    (local, global, alive)
+    IncrementalGraph::build(points.clone(), alive, kind, TILES_PER_SHARD)
 }
 
 /// The headline matrix: every kind × deployment × dirty-shard footprint
-/// {1, 3, all}, byte-compared between the localized repair, the PR-4
-/// global-gather repair, and a cold rebuild after every epoch.
+/// {1, 3, all}, byte-compared between the localized repair and a cold
+/// rebuild after every epoch, with exact dirty-shard and escalation counts.
 #[test]
 fn localized_global_and_cold_agree_across_the_matrix() {
     for (dname, points) in deployments(0x10CA1) {
         for kind in KINDS {
-            let (mut local, mut global, _) = build_pair(&points, kind);
-            assert_eq!(local.gather_policy(), GatherPolicy::Local);
-            assert_eq!(global.gather_policy(), GatherPolicy::Global);
-            // Identical starting points before any churn.
-            assert_eq!(local.graph(), global.graph());
-
+            let mut local = build(&points, kind);
             for (fname, regions, expect_dirty) in footprints(&local) {
                 let (deaths, joins) = churn_in_regions(&local, &regions, 0xFEE);
                 if deaths.is_empty() && joins.is_empty() {
@@ -152,25 +139,8 @@ fn localized_global_and_cold_agree_across_the_matrix() {
                     joins.len()
                 );
                 let ls: RepairStats = local.apply_churn(&deaths, &joins);
-                let gs: RepairStats = global.apply_churn(&deaths, &joins);
-
-                // Byte-identical CSR + fingerprint across all three paths.
-                assert_eq!(local.graph(), global.graph(), "{ctx}: local != global");
-                assert_eq!(
-                    fingerprint(local.graph()),
-                    fingerprint(global.graph()),
-                    "{ctx}"
-                );
                 assert!(local.verify_cold(), "{ctx}: local != cold rebuild");
-
-                // Identical dirty bookkeeping: the gather policy changes
-                // *how* shards re-derive, never *which* (that is what keeps
-                // the lifetime goldens' shards_rederived byte-stable).
-                assert_eq!(
-                    (ls.dirty, ls.filtered, ls.rederived),
-                    (gs.dirty, gs.filtered, gs.rederived),
-                    "{ctx}: dirty bookkeeping diverged"
-                );
+                assert_eq!(ls.dirty, ls.filtered + ls.rederived, "{ctx}");
                 // Exact dirty counts for the crafted footprints (k-NN and
                 // HNG may exceed them: straggler shards re-derive every
                 // epoch).
@@ -191,8 +161,7 @@ fn localized_global_and_cold_agree_across_the_matrix() {
 }
 
 /// Localized gather work must track the churn footprint: a 1-shard churn
-/// gathers a small fraction of what an all-shards churn gathers, and both
-/// policies agree on everything except how much they gathered.
+/// gathers a small fraction of what an all-shards churn gathers.
 #[test]
 fn gather_work_scales_with_the_churned_region() {
     let points = sample_poisson_window(&mut rng_from_seed(0x5CA1E), 12.0, &Aabb::square(SIDE));
@@ -204,7 +173,7 @@ fn gather_work_scales_with_the_churned_region() {
             cones: 6,
         },
     ] {
-        let (mut local, _, _) = build_pair(&points, kind);
+        let mut local = build(&points, kind);
         let fps = footprints(&local);
         let (_, one_region, _) = &fps[0];
         let (_, all_region, _) = fps.last().unwrap();
@@ -235,7 +204,7 @@ fn gather_work_scales_with_the_churned_region() {
 fn udg_deaths_only_filter_gathers_nothing_and_scales() {
     let points = sample_poisson_window(&mut rng_from_seed(0xDEAD), 12.0, &Aabb::square(SIDE));
     let kind = IncTopology::Udg { radius: 1.0 };
-    let (mut g, _, _) = build_pair(&points, kind);
+    let mut g = build(&points, kind);
     let fps = footprints(&g);
     let (_, one_region, _) = &fps[0];
 
@@ -287,7 +256,7 @@ fn udg_deaths_only_filter_gathers_nothing_and_scales() {
 fn escalation_counter_stays_cold_for_non_knn_across_epochs() {
     let points = sample_poisson_window(&mut rng_from_seed(7), 12.0, &Aabb::square(SIDE));
     for kind in KINDS {
-        let (mut g, _, _) = build_pair(&points, kind);
+        let mut g = build(&points, kind);
         for e in 0..4u64 {
             let mut deaths = Vec::new();
             let mut joins = Vec::new();
@@ -382,7 +351,7 @@ fn extent_merging_edge_cases_stay_identical() {
         points.push(Point::new(q.x + off, q.y + off));
     }
     for kind in [IncTopology::Rng { radius: 1.0 }, IncTopology::Knn { k: 4 }] {
-        let (mut local, mut global, _) = build_pair(&points, kind);
+        let mut local = build(&points, kind);
         // Kill in both clusters' hearts simultaneously.
         let regions = [
             Aabb::from_coords(0.5, 0.5, 3.5, 3.5),
@@ -391,16 +360,14 @@ fn extent_merging_edge_cases_stay_identical() {
         let (deaths, joins) = churn_in_regions(&local, &regions, 0x2C);
         assert!(!deaths.is_empty());
         local.apply_churn(&deaths, &joins);
-        global.apply_churn(&deaths, &joins);
-        assert_eq!(local.graph(), global.graph(), "{kind:?} disjoint clusters");
-        assert!(local.verify_cold(), "{kind:?}");
+        assert!(local.verify_cold(), "{kind:?} disjoint clusters");
     }
 
     // Churn hugging the window edge: edge shards' padded extents are
     // unbounded outward, and the gather must still be exact.
     let points = sample_poisson_window(&mut rng_from_seed(13), 12.0, &Aabb::square(SIDE));
     for kind in KINDS {
-        let (mut local, mut global, _) = build_pair(&points, kind);
+        let mut local = build(&points, kind);
         let edge = [Aabb::from_coords(
             f64::NEG_INFINITY,
             f64::NEG_INFINITY,
@@ -410,8 +377,6 @@ fn extent_merging_edge_cases_stay_identical() {
         let (deaths, joins) = churn_in_regions(&local, &edge, 0xED6E);
         assert!(!deaths.is_empty());
         local.apply_churn(&deaths, &joins);
-        global.apply_churn(&deaths, &joins);
-        assert_eq!(local.graph(), global.graph(), "{kind:?} edge churn");
-        assert!(local.verify_cold(), "{kind:?}");
+        assert!(local.verify_cold(), "{kind:?} edge churn");
     }
 }

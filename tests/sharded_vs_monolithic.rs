@@ -2,10 +2,12 @@
 //! **edge-identical** to the monolithic builders — for every topology kind,
 //! both deployment models, every shard size, and every thread count.
 //!
-//! This is the contract that makes `ExecSpec { parallel: true }` safe to
-//! flip anywhere: the pipeline may only change wall-clock and memory shape,
-//! never a single edge or metric byte. The golden-report half of the suite
-//! checks exactly that at the scenario level: a parallel run of a spec
+//! This is the contract that makes `Exec::Sharded` safe to flip anywhere:
+//! the pipeline may only change wall-clock and memory shape, never a
+//! single edge or metric byte. The plain-topology matrix pins it at the
+//! one cold-build dispatch (`IncTopology::build` / `build_alive`) as well
+//! as at the sharded builders beneath it; the golden-report half of the
+//! suite checks it at the scenario level: a parallel run of a spec
 //! serialises to the same bytes as the monolithic run.
 //!
 //! Thread counts are exercised the same way `scenarios_golden.rs` does it:
@@ -14,20 +16,21 @@
 
 use std::sync::Mutex;
 
-use wsn::core::nn::{build_nn_sens, build_nn_sens_parallel};
+use wsn::core::nn::{build_nn_sens, build_nn_sens_ordered};
 use wsn::core::params::{NnSensParams, UdgSensParams};
 use wsn::core::tilegrid::TileGrid;
-use wsn::core::udg::{build_udg_sens, build_udg_sens_parallel};
-use wsn::geom::Aabb;
-use wsn::graph::Csr;
-use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
+use wsn::core::udg::{build_udg_sens, build_udg_sens_ordered};
+use wsn::geom::{Aabb, Point};
+use wsn::graph::{relabel, Csr};
+use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointOrder, PointSet};
 use wsn::rgg::{
-    build_gabriel, build_gabriel_sharded, build_hng, build_hng_sharded, build_knn,
-    build_knn_sharded, build_rng, build_rng_sharded, build_udg, build_udg_sharded, build_yao,
-    build_yao_sharded, HngParams, WHOLE_WINDOW,
+    build_gabriel, build_gabriel_sharded, build_hng, build_hng_on_levels, build_hng_sharded,
+    build_knn, build_knn_sharded, build_rng, build_rng_sharded, build_udg, build_udg_sharded,
+    build_yao, build_yao_sharded, compact_alive, hng_levels, Exec, HngParams, IncTopology,
+    WHOLE_WINDOW,
 };
 use wsn::scenario::runner::run_specs;
-use wsn::scenario::spec::{DeploymentSpec, ExecSpec, MetricSuite, ScenarioSpec, TopologySpec};
+use wsn::scenario::spec::{DeploymentSpec, MetricSuite, ScenarioSpec, TopologySpec};
 
 /// `RAYON_NUM_THREADS` is process-global; serialise every test body.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -44,6 +47,39 @@ fn with_threads<F: FnMut(&str)>(mut f: F) {
         f(threads);
     }
     std::env::remove_var("RAYON_NUM_THREADS");
+}
+
+/// The six plain kinds, in the order of the monolithic references below.
+const KINDS: [IncTopology; 6] = [
+    IncTopology::Udg { radius: 1.0 },
+    IncTopology::Knn { k: 5 },
+    IncTopology::Gabriel { radius: 1.0 },
+    IncTopology::Rng { radius: 1.0 },
+    IncTopology::Yao {
+        radius: 1.0,
+        cones: 6,
+    },
+    IncTopology::Hng {
+        p: 0.5,
+        links: 1,
+        seed: 0xD1FF,
+    },
+];
+
+/// The cold rebuild `build_alive` must reproduce: the serial build over
+/// the compacted survivors, relabelled to universe ids. HNG restricts the
+/// universe-rolled levels instead of re-rolling them over survivor ids.
+fn compacted_reference(kind: IncTopology, pts: &PointSet, alive: &[bool]) -> Csr {
+    let (sub, to_universe) = compact_alive(pts, alive);
+    let g = match kind {
+        IncTopology::Hng { p, links, seed } => {
+            let levels = hng_levels(pts.len(), p, seed);
+            let levels_sub: Vec<u32> = to_universe.iter().map(|&u| levels[u as usize]).collect();
+            build_hng_on_levels(&sub, &levels_sub, links)
+        }
+        _ => kind.build(&sub, Exec::Serial),
+    };
+    relabel(&g, &to_universe, pts.len())
 }
 
 /// Sorted canonical edge list — the byte-comparable fingerprint.
@@ -81,8 +117,34 @@ fn plain_topologies_are_edge_identical_across_shard_sizes_and_threads() {
             ("yao", build_yao(&pts, 1.0, 6)),
             ("hng", build_hng(&pts, HngParams::new(0.5, 1), 0xD1FF)),
         ];
+        // The dispatch's serial path is the monolithic builders, and
+        // `build_alive` under a 1-in-5-dead mask is the compacted build.
+        let alive: Vec<bool> = (0..pts.len()).map(|i| i % 5 != 0).collect();
+        let alive_refs: Vec<Csr> = KINDS
+            .iter()
+            .map(|&kind| compacted_reference(kind, &pts, &alive))
+            .collect();
+        for ((kind, (name, mono)), alive_ref) in KINDS.iter().zip(&monos).zip(&alive_refs) {
+            assert_eq!(kind.build(&pts, Exec::Serial), *mono, "{name} ({dep_name})");
+            assert_eq!(
+                kind.build_alive(&pts, &alive, Exec::Serial),
+                *alive_ref,
+                "{name} build_alive ({dep_name})"
+            );
+        }
         with_threads(|threads| {
             for shard_tiles in SHARD_SIZES {
+                let exec = Exec::Sharded { tiles: shard_tiles };
+                for ((kind, (name, mono)), alive_ref) in KINDS.iter().zip(&monos).zip(&alive_refs) {
+                    let ctx =
+                        format!("{dep_name}, shard_tiles = {shard_tiles}, threads = {threads}");
+                    assert_eq!(kind.build(&pts, exec), *mono, "{name} dispatch ({ctx})");
+                    assert_eq!(
+                        kind.build_alive(&pts, &alive, exec),
+                        *alive_ref,
+                        "{name} build_alive ({ctx})"
+                    );
+                }
                 let shardeds: Vec<(&str, Csr)> = vec![
                     ("udg", build_udg_sharded(&pts, 1.0, shard_tiles)),
                     ("knn", build_knn_sharded(&pts, 5, shard_tiles)),
@@ -120,7 +182,8 @@ fn sens_topologies_are_identical_across_threads() {
     for (dep_name, pts) in deployments(0x5E45, &grid.covered_area()) {
         let mono = build_udg_sens(&pts, udg_params, grid.clone()).unwrap();
         with_threads(|threads| {
-            let par = build_udg_sens_parallel(&pts, udg_params, grid.clone()).unwrap();
+            let identity = PointOrder::identity(&pts);
+            let par = build_udg_sens_ordered(&pts, &identity, udg_params, grid.clone()).unwrap();
             assert_eq!(par.lattice, mono.lattice, "{dep_name} threads={threads}");
             assert_eq!(par.reps, mono.reps);
             assert_eq!(par.roles, mono.roles);
@@ -138,11 +201,13 @@ fn sens_topologies_are_identical_across_threads() {
     let pts = sample_poisson_window(&mut rng_from_seed(0x4E4E), 1.0, &nn_grid.covered_area());
     let base_mono = build_knn(&pts, nn_params.k);
     let mono = build_nn_sens(&pts, &base_mono, nn_params, nn_grid.clone()).unwrap();
+    let identity = PointOrder::identity(&pts);
     with_threads(|threads| {
         for shard_tiles in SHARD_SIZES {
             let base = build_knn_sharded(&pts, nn_params.k, shard_tiles);
             assert_eq!(base, base_mono, "NN base (shard_tiles = {shard_tiles})");
-            let par = build_nn_sens_parallel(&pts, &base, nn_params, nn_grid.clone()).unwrap();
+            let par =
+                build_nn_sens_ordered(&pts, &identity, &base, nn_params, nn_grid.clone()).unwrap();
             assert_eq!(par.lattice, mono.lattice);
             assert_eq!(par.reps, mono.reps);
             assert_eq!(
@@ -154,7 +219,7 @@ fn sens_topologies_are_identical_across_threads() {
     });
 }
 
-/// The scenario-level contract: flipping `ExecSpec` to the pipeline leaves
+/// The scenario-level contract: flipping `Exec` to the pipeline leaves
 /// every aggregated metric report byte-identical (the golden files pin the
 /// monolithic bytes, so this transitively pins the pipeline too).
 #[test]
@@ -189,22 +254,14 @@ fn parallel_scenario_reports_match_monolithic_bytes() {
     ];
     let mono_specs: Vec<ScenarioSpec> = topologies
         .iter()
-        .map(|&t| mk_spec(t, ExecSpec::monolithic()))
+        .map(|&t| mk_spec(t, Exec::Serial))
         .collect();
     let mono = format!("{:?}", run_specs(&mono_specs, 0xBEEF));
     with_threads(|threads| {
         for shard_tiles in SHARD_SIZES {
             let par_specs: Vec<ScenarioSpec> = topologies
                 .iter()
-                .map(|&t| {
-                    mk_spec(
-                        t,
-                        ExecSpec {
-                            parallel: true,
-                            shard_tiles,
-                        },
-                    )
-                })
+                .map(|&t| mk_spec(t, Exec::Sharded { tiles: shard_tiles }))
                 .collect();
             let par = format!("{:?}", run_specs(&par_specs, 0xBEEF));
             assert_eq!(
@@ -213,6 +270,47 @@ fn parallel_scenario_reports_match_monolithic_bytes() {
             );
         }
     });
+}
+
+/// The cases the Morton path on a compacted survivor set newly reaches:
+/// universes of 0, 1 and 2 points, and an all-dead mask, where every kind
+/// builds `Csr::empty(n)`.
+#[test]
+fn dispatch_handles_tiny_and_all_dead_universes() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let all = [Point::new(0.5, 0.5), Point::new(0.9, 0.6)];
+    for n in 0..=2 {
+        let mut pts = PointSet::new();
+        for &q in &all[..n] {
+            pts.push(q);
+        }
+        for kind in KINDS {
+            let serial = kind.build(&pts, Exec::Serial);
+            assert_eq!(serial.n(), n, "{kind:?} n={n}");
+            for tiles in SHARD_SIZES {
+                let exec = Exec::Sharded { tiles };
+                assert_eq!(
+                    kind.build(&pts, exec),
+                    serial,
+                    "{kind:?} n={n} tiles={tiles}"
+                );
+                assert_eq!(
+                    kind.build_alive(&pts, &vec![true; n], exec),
+                    serial,
+                    "{kind:?} n={n} tiles={tiles} all alive"
+                );
+                assert_eq!(
+                    kind.build_alive(&pts, &vec![false; n], exec),
+                    Csr::empty(n),
+                    "{kind:?} n={n} tiles={tiles} all dead"
+                );
+            }
+            assert_eq!(
+                kind.build_alive(&pts, &vec![false; n], Exec::Serial),
+                Csr::empty(n)
+            );
+        }
+    }
 }
 
 /// CI smoke (release, `--ignored`): a 10⁵-node sharded construction
