@@ -27,8 +27,6 @@ pub mod pipeline;
 pub mod serve;
 pub mod table;
 
-use serde::Serialize;
-
 /// True when quick (smoke-test) mode is requested.
 pub fn quick_mode() -> bool {
     std::env::var("WSN_QUICK")
@@ -42,18 +40,6 @@ pub fn scaled(full: usize) -> usize {
         (full / 10).max(8)
     } else {
         full
-    }
-}
-
-/// Write a JSON result file if `WSN_JSON_DIR` is set.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    if let Ok(dir) = std::env::var("WSN_JSON_DIR") {
-        let path = std::path::Path::new(&dir).join(format!("{name}.json"));
-        if let Err(e) = std::fs::create_dir_all(&dir)
-            .and_then(|_| std::fs::write(&path, serde_json::to_string_pretty(value).unwrap()))
-        {
-            eprintln!("warning: could not write {path:?}: {e}");
-        }
     }
 }
 

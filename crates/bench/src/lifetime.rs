@@ -125,8 +125,9 @@ pub struct LocalitySweepRow {
     /// repeats; k-NN straggler shards can push this past the target).
     pub mean_dirty_shards: f64,
     pub mean_rederived_shards: f64,
-    /// Points gathered into the localized working sets per repair (mean) —
-    /// the direct witness that gather work tracks the region, not n.
+    /// Points the repair scanned per repair (mean; the UDG's join disks,
+    /// every other kind's localized working sets) — the direct witness
+    /// that gather work tracks the region, not n.
     pub mean_gathered: f64,
     /// Deaths + joins applied per cycle.
     pub churned_nodes: u64,
@@ -322,8 +323,8 @@ fn bench_row(kind: IncTopology, n: u64, seed: u64, verify_pass: bool) -> Lifetim
 }
 
 /// Reserve stream: ids hashing to 0 (mod this) start dead and re-join when
-/// their region churns, so the UDG sweep exercises the localized
-/// re-derivation path, not just the deaths-only filter.
+/// their region churns, so the UDG sweep exercises the joins' disk scans,
+/// not just the deaths' row withdrawals.
 const SWEEP_RESERVE_MOD: u64 = 8;
 
 /// Kill percentage among alive nodes inside the churn region.

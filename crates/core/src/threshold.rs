@@ -8,9 +8,7 @@
 //! parameter estimate is the smallest λ (resp. k) whose good-tile
 //! probability exceeds the paper's target 0.593.
 
-use rand::Rng;
 use rayon::prelude::*;
-use serde::Serialize;
 use wsn_geom::hash::{derive_seed, derive_seed2};
 use wsn_geom::tile::Dir;
 use wsn_geom::{Aabb, Point};
@@ -108,29 +106,6 @@ pub fn p_good_udg_analytic(params: UdgSensParams, lambda: f64) -> Option<f64> {
     Some((1.0 - (-lambda * a0).exp()) * (1.0 - (-lambda * ae).exp()).powi(4))
 }
 
-/// One point of a λ sweep.
-#[derive(Clone, Debug, Serialize)]
-pub struct ThresholdPoint {
-    pub param: f64,
-    pub p_good: f64,
-}
-
-/// Sweep `P[tile good]` over densities.
-pub fn udg_threshold_sweep(
-    params: UdgSensParams,
-    lambdas: &[f64],
-    reps: usize,
-    seed: u64,
-) -> Vec<ThresholdPoint> {
-    lambdas
-        .iter()
-        .map(|&l| ThresholdPoint {
-            param: l,
-            p_good: p_good_udg(params, l, reps, seed),
-        })
-        .collect()
-}
-
 /// Estimate `λ_s = inf { λ : P[good](λ) ≥ target }` by bisection.
 /// `P[good]` is monotone in λ for strict mode (more points can only help)
 /// and empirically monotone in paper mode.
@@ -207,36 +182,6 @@ pub fn k_s_for_scale(a: f64, target: f64, reps: usize, seed: u64) -> Option<usiz
         }
     }
     Some(lo)
-}
-
-/// Sweep scales and report the best (smallest) achievable k_s —
-/// reproducing the paper's joint choice of (a, k) = (0.893, 188).
-pub fn optimize_nn_scale(
-    scales: &[f64],
-    target: f64,
-    reps: usize,
-    seed: u64,
-) -> Vec<(f64, Option<usize>)> {
-    scales
-        .iter()
-        .map(|&a| {
-            (
-                a,
-                k_s_for_scale(a, target, reps, derive_seed(seed, a.to_bits())),
-            )
-        })
-        .collect()
-}
-
-/// Draw one Bernoulli goodness sample for a UDG tile (used by simulations
-/// needing per-tile goodness without a full deployment).
-pub fn sample_udg_tile<R: Rng>(geom: &UdgTileGeometry, lambda: f64, rng: &mut R) -> bool {
-    let a = geom.params().tile_side;
-    let tile = Aabb::centered_square(Point::ORIGIN, a);
-    let pts = sample_poisson_window(rng, lambda, &tile);
-    let locals: Vec<Point> = pts.iter().collect();
-    let _ = rng.random::<u64>(); // decorrelate subsequent tiles cheaply
-    udg_tile_is_good(geom, &locals)
 }
 
 #[cfg(test)]

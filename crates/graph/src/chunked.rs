@@ -15,14 +15,15 @@
 //! withdrawn and emissions added — and rewrites only the chunks whose
 //! adjacency actually changed: O(delta), not O(m).
 //!
-//! The delta the repair path hands in is already *net*. Every
+//! The delta the repair path hands in tracks the change, not the graph. Every
 //! [`crate::ShardedEdgeStore`] shard list is kept sorted (a multiset: a
-//! k-NN shard may hold one key twice), so a repaired shard's old and new
+//! k-NN shard may hold one key twice), so a re-derived shard's old and new
 //! lists diff in one linear two-pointer merge
-//! ([`crate::diff_emissions`]), fanned out over the dirty shards; a
-//! deaths-only filter repair contributes exactly the entries it dropped.
-//! The unchanged majority of a dirty shard's emissions never reaches the
-//! splice, which therefore sorts only the true delta. `splice` still
+//! ([`crate::diff_emissions`]), fanned out over the dirty shards; an
+//! event-local UDG repair hands in its deaths' rows and its joins' disks.
+//! The splice scatters the delta's half-edges into per-chunk buckets with
+//! one counting pass — no global sort — and each touched chunk sorts,
+//! coalesces and merges its own bucket on the worker pool. Coalescing
 //! cancels entries that appear in both lists, so direct callers passing
 //! whole old/new emission sets get the same result.
 //!
@@ -37,8 +38,7 @@
 //!   Each arena entry therefore carries the count of emissions backing it:
 //!   a dirty shard withdrawing its emission of `(u, v)` decrements the
 //!   count, and the edge survives while another emission still backs it.
-//!   The deduplicating global sort of `ShardedEdgeStore::to_csr` becomes a
-//!   per-chunk counting merge.
+//!   Deduplication is a per-chunk counting merge, never a global sort.
 //! * **Delta addressing by endpoint, not by emitter.** A dirty shard's
 //!   re-derivation can change lists of nodes owned by *clean* shards (the
 //!   far endpoint of a cross-shard edge). The delta is expanded into
@@ -79,7 +79,14 @@ pub struct SpliceStats {
     pub compactions: usize,
     /// Coalesced non-zero half-edge delta entries applied.
     pub delta_halfedges: usize,
+    /// Nodes whose neighbour list the delta changed (distinct endpoints of
+    /// the net delta).
+    pub nodes_touched: usize,
 }
+
+/// One directed half-edge of a splice delta: `(node, neighbour, change in
+/// emission count)`.
+type HalfEdge = (u32, u32, i32);
 
 /// One chunk's merged region, computed read-only by `merge_chunk` (possibly
 /// on a worker thread) and written back serially by `apply_chunk`.
@@ -89,6 +96,10 @@ struct ChunkRewrite {
     mult: Vec<u8>,
     /// `(node, offset-into-targets)` in chunk node order.
     node_starts: Vec<(u32, u32)>,
+    /// Coalesced non-zero half-edge delta entries merged in.
+    delta_halfedges: usize,
+    /// Nodes of the chunk whose list the delta changed.
+    nodes_touched: usize,
 }
 
 /// An undirected graph in chunked CSR form: per-node sorted neighbour
@@ -297,102 +308,65 @@ impl ChunkedCsr {
         self.dead
     }
 
-    /// Total arena entries (live + slack + dead).
-    #[inline]
-    pub fn arena_len(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Apply a churn delta: `removed` are edge emissions withdrawn since the
-    /// last splice, `added` the new ones (the repair path passes its
-    /// per-shard net diff). An emission present in both lists cancels;
-    /// only chunks with a surviving net change rewrite. Cost is
-    /// O(delta), not O(m).
+    /// last splice, `added` the new ones (the repair path passes its net
+    /// edge delta). An emission present in both lists cancels; only chunks
+    /// with a surviving net change rewrite. Cost is O(delta), not O(m).
     ///
     /// Panics if the delta is inconsistent with the current structure
     /// (removing an emission that was never spliced in) — that means the
-    /// caller's per-shard caches diverged from the CSR.
+    /// caller's view of the graph diverged from the CSR.
     pub fn splice(&mut self, removed: &[(u32, u32)], added: &[(u32, u32)]) -> SpliceStats {
-        // Pre-cancel identical emissions across the two lists as packed
-        // u64 keys, so a caller passing whole old/new emission sets pays
-        // the half-edge expansion only for the true delta.
-        let pack = |(a, b): (u32, u32)| ((a as u64) << 32) | b as u64;
-        let mut rem: Vec<u64> = removed.iter().map(|&e| pack(e)).collect();
-        let mut add: Vec<u64> = added.iter().map(|&e| pack(e)).collect();
-        rem.sort_unstable();
-        add.sort_unstable();
-        // Merge the sorted key streams into net per-emission counts,
-        // routing each surviving emission's two half-edges to the
-        // endpoints' chunks.
-        let mut delta: Vec<(u32, u32, u32, i32)> = Vec::new();
-        let (mut ri, mut ai) = (0usize, 0usize);
-        while ri < rem.len() || ai < add.len() {
-            let key = match (rem.get(ri), add.get(ai)) {
-                (Some(&r), Some(&a)) => r.min(a),
-                (Some(&r), None) => r,
-                (None, Some(&a)) => a,
-                (None, None) => unreachable!(),
-            };
-            let mut net = 0i32;
-            while ri < rem.len() && rem[ri] == key {
-                net -= 1;
-                ri += 1;
-            }
-            while ai < add.len() && add[ai] == key {
-                net += 1;
-                ai += 1;
-            }
-            if net != 0 {
-                let (a, b) = ((key >> 32) as u32, key as u32);
-                delta.push((self.chunk_of[a as usize], a, b, net));
-                delta.push((self.chunk_of[b as usize], b, a, net));
+        // Counting scatter of every emission's two directed half-edges into
+        // its endpoints' chunk buckets — no global sort. Each bucket is
+        // sorted, coalesced and merged inside the parallel pass below.
+        let n_chunks = self.chunk_count();
+        let mut off = vec![0usize; n_chunks + 1];
+        for &(a, b) in removed.iter().chain(added) {
+            off[self.chunk_of[a as usize] as usize + 1] += 1;
+            off[self.chunk_of[b as usize] as usize + 1] += 1;
+        }
+        for c in 0..n_chunks {
+            off[c + 1] += off[c];
+        }
+        let mut cursor: Vec<usize> = off[..n_chunks].to_vec();
+        let mut half = vec![(0u32, 0u32, 0i32); off[n_chunks]];
+        for (list, d) in [(removed, -1), (added, 1)] {
+            for &(a, b) in list {
+                for (u, v) in [(a, b), (b, a)] {
+                    let c = self.chunk_of[u as usize] as usize;
+                    half[cursor[c]] = (u, v, d);
+                    cursor[c] += 1;
+                }
             }
         }
-        delta.sort_unstable_by_key(|&(c, u, v, _)| (c, u, v));
-        // Half-edges of distinct emissions (u, v) and (v, u) land on the
-        // same slot — coalesce them too.
-        let mut co: Vec<(u32, u32, u32, i32)> = Vec::with_capacity(delta.len());
-        for &(c, u, v, d) in &delta {
-            match co.last_mut() {
-                Some(last) if last.0 == c && last.1 == u && last.2 == v => last.3 += d,
-                _ => co.push((c, u, v, d)),
+        let mut runs: Vec<(usize, &mut [HalfEdge])> = Vec::new();
+        let mut rest: &mut [HalfEdge] = &mut half;
+        for c in 0..n_chunks {
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(off[c + 1] - off[c]);
+            rest = tail;
+            if !run.is_empty() {
+                runs.push((c, run));
             }
-        }
-        co.retain(|e| e.3 != 0);
-        let mut stats = SpliceStats {
-            delta_halfedges: co.len(),
-            ..SpliceStats::default()
-        };
-        if co.is_empty() {
-            return stats;
         }
 
-        // Per-chunk delta runs.
-        let mut runs: Vec<&[(u32, u32, u32, i32)]> = Vec::new();
-        let mut i = 0usize;
-        while i < co.len() {
-            let chunk = co[i].0;
-            let mut j = i;
-            while j < co.len() && co[j].0 == chunk {
-                j += 1;
-            }
-            runs.push(&co[i..j]);
-            i = j;
-        }
-        stats.chunks_touched = runs.len();
-
-        // Merge pass: the two-pointer list merges (the compute) read only
-        // shared state, so the touched chunks fan out over the worker pool;
-        // the writes back into the arena — in-place copies, tail
-        // relocations, region bookkeeping — happen serially below, in chunk
-        // order, so relocation layout stays deterministic.
-        let rewrites: Vec<ChunkRewrite> = {
+        // Merge pass: sorting and coalescing each bucket and the
+        // two-pointer list merges (the compute) read only shared state, so
+        // the touched chunks fan out over the worker pool; the writes back
+        // into the arena — in-place copies, tail relocations, region
+        // bookkeeping — happen serially below, in chunk order, so
+        // relocation layout stays deterministic.
+        let rewrites: Vec<Option<ChunkRewrite>> = {
             use rayon::prelude::*;
             runs.into_par_iter()
-                .map(|drun| self.merge_chunk(drun))
+                .map(|(c, run)| self.merge_chunk(c, run))
                 .collect()
         };
-        for rw in rewrites {
+        let mut stats = SpliceStats::default();
+        for rw in rewrites.into_iter().flatten() {
+            stats.chunks_touched += 1;
+            stats.delta_halfedges += rw.delta_halfedges;
+            stats.nodes_touched += rw.nodes_touched;
             self.apply_chunk(rw, &mut stats);
         }
 
@@ -405,22 +379,47 @@ impl ChunkedCsr {
         stats
     }
 
-    /// Compute one chunk's rewritten region by merging its current lists
-    /// with its (node, nbr)-sorted delta run. Read-only — safe to fan out
-    /// across touched chunks; [`Self::apply_chunk`] writes the result back.
-    fn merge_chunk(&self, delta: &[(u32, u32, u32, i32)]) -> ChunkRewrite {
-        let c = delta[0].0 as usize;
-        let mut s_targets: Vec<u32> = Vec::new();
-        let mut s_mult: Vec<u8> = Vec::new();
-        let mut s_node: Vec<(u32, u32)> = Vec::new();
+    /// Compute chunk `c`'s rewritten region: sort its half-edge bucket by
+    /// `(node, nbr)`, coalesce it into net per-slot counts (an emission
+    /// withdrawn and re-added cancels; so do the half-edges of distinct
+    /// emissions `(u, v)` and `(v, u)`), and merge the survivors into the
+    /// chunk's current lists. `None` when the bucket cancelled entirely.
+    /// Read-only on `self` — safe to fan out across touched chunks;
+    /// [`Self::apply_chunk`] writes the result back.
+    fn merge_chunk(&self, c: usize, run: &mut [HalfEdge]) -> Option<ChunkRewrite> {
+        run.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        let mut w = 0usize;
+        let mut i = 0usize;
+        while i < run.len() {
+            let (u, v, mut d) = run[i];
+            let mut j = i + 1;
+            while j < run.len() && run[j].0 == u && run[j].1 == v {
+                d += run[j].2;
+                j += 1;
+            }
+            if d != 0 {
+                run[w] = (u, v, d);
+                w += 1;
+            }
+            i = j;
+        }
+        let delta = &run[..w];
+        if delta.is_empty() {
+            return None;
+        }
+        let cap = self.region_len[c] as usize + delta.len();
+        let mut s_targets: Vec<u32> = Vec::with_capacity(cap);
+        let mut s_mult: Vec<u8> = Vec::with_capacity(cap);
+        let nodes = self.chunk_nodes_off[c] as usize..self.chunk_nodes_off[c + 1] as usize;
+        let mut s_node: Vec<(u32, u32)> = Vec::with_capacity(nodes.len());
+        let mut nodes_touched = 0usize;
         let mut di = 0usize;
-        for idx in self.chunk_nodes_off[c] as usize..self.chunk_nodes_off[c + 1] as usize {
-            let u = self.chunk_nodes[idx];
+        for &u in &self.chunk_nodes[nodes] {
             let s_start = s_targets.len() as u32;
             let old_s = self.start[u as usize] as usize;
             let old_e = old_s + self.deg[u as usize] as usize;
             let d0 = di;
-            while di < delta.len() && delta[di].1 == u {
+            while di < delta.len() && delta[di].0 == u {
                 di += 1;
             }
             let drun = &delta[d0..di];
@@ -428,6 +427,7 @@ impl ChunkedCsr {
                 s_targets.extend_from_slice(&self.targets[old_s..old_e]);
                 s_mult.extend_from_slice(&self.mult[old_s..old_e]);
             } else {
+                nodes_touched += 1;
                 // Two-pointer merge of the sorted list with the sorted run.
                 let (mut a, mut b) = (old_s, 0usize);
                 let push_new = |v: u32, d: i32, t: &mut Vec<u32>, m: &mut Vec<u8>| {
@@ -436,7 +436,7 @@ impl ChunkedCsr {
                     m.push(u8::try_from(d).expect("emission multiplicity fits u8"));
                 };
                 while a < old_e && b < drun.len() {
-                    let (va, vb) = (self.targets[a], drun[b].2);
+                    let (va, vb) = (self.targets[a], drun[b].1);
                     match va.cmp(&vb) {
                         std::cmp::Ordering::Less => {
                             s_targets.push(va);
@@ -444,11 +444,11 @@ impl ChunkedCsr {
                             a += 1;
                         }
                         std::cmp::Ordering::Greater => {
-                            push_new(vb, drun[b].3, &mut s_targets, &mut s_mult);
+                            push_new(vb, drun[b].2, &mut s_targets, &mut s_mult);
                             b += 1;
                         }
                         std::cmp::Ordering::Equal => {
-                            let m = self.mult[a] as i32 + drun[b].3;
+                            let m = self.mult[a] as i32 + drun[b].2;
                             assert!(m >= 0, "splice multiplicity of ({u}, {va}) went negative");
                             if m > 0 {
                                 s_targets.push(va);
@@ -464,19 +464,21 @@ impl ChunkedCsr {
                     s_targets.push(self.targets[a]);
                     s_mult.push(self.mult[a]);
                 }
-                for &(_, _, v, d) in &drun[b..] {
+                for &(_, v, d) in &drun[b..] {
                     push_new(v, d, &mut s_targets, &mut s_mult);
                 }
             }
             s_node.push((u, s_start));
         }
         debug_assert_eq!(di, delta.len(), "delta run references a foreign node");
-        ChunkRewrite {
+        Some(ChunkRewrite {
             chunk: c,
             targets: s_targets,
             mult: s_mult,
             node_starts: s_node,
-        }
+            delta_halfedges: delta.len(),
+            nodes_touched,
+        })
     }
 
     /// Write one merged chunk back into the arena: in place when the slack
@@ -487,6 +489,7 @@ impl ChunkedCsr {
             targets: s_targets,
             mult: s_mult,
             node_starts: s_node,
+            ..
         } = rw;
         let new_len = s_targets.len();
         let old_len = self.region_len[c] as usize;
@@ -637,6 +640,7 @@ mod tests {
         let stats = g.splice(&emissions, &emissions);
         assert_eq!(stats.chunks_touched, 0);
         assert_eq!(stats.delta_halfedges, 0);
+        assert_eq!(stats.nodes_touched, 0);
         assert_eq!(g, dense(3, &emissions));
     }
 
@@ -648,7 +652,9 @@ mod tests {
         let mut g = ChunkedCsr::build(3, &chunk_of, initial.iter().copied());
         // Remove chunk-crossing (1,4), add (2,6) and (0,8).
         let stats = g.splice(&[(1, 4)], &[(2, 6), (0, 8)]);
-        assert!(stats.chunks_touched >= 2);
+        assert_eq!(stats.chunks_touched, 3);
+        assert_eq!(stats.delta_halfedges, 6);
+        assert_eq!(stats.nodes_touched, 6, "nodes 0, 1, 2, 4, 6, 8");
         let want = dense(9, &[(0, 1), (3, 4), (4, 7), (6, 8), (2, 6), (0, 8)]);
         assert_eq!(g, want);
         assert_eq!(g.to_dense(), want);
@@ -773,6 +779,64 @@ mod tests {
             for n in [0, 1, 2, n] {
                 check_build_matches_dense(n, chunks, &raw);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The scatter-by-chunk splice equals the dense reference on random
+        /// deltas: withdraw a random subset of the current edges, add fresh
+        /// ones, and re-add some withdrawn ones in the same call (those
+        /// must cancel), with both orientations of a pair in the lists.
+        #[test]
+        fn prop_splice_matches_dense(
+            n in 2usize..40,
+            chunks in 1usize..6,
+            initial in proptest::collection::vec((0u32..40, 0u32..40), 0..80),
+            fresh in proptest::collection::vec((0u32..40, 0u32..40), 0..40),
+            drop_mask in proptest::collection::vec(0u8..4, 80..81),
+        ) {
+            let canon = |raw: &[(u32, u32)]| -> Vec<(u32, u32)> {
+                let mut out: Vec<(u32, u32)> = raw
+                    .iter()
+                    .map(|&(a, b)| (a % n as u32, b % n as u32))
+                    .filter(|&(a, b)| a != b)
+                    .map(|(a, b)| (a.min(b), a.max(b)))
+                    .collect();
+                out.sort_unstable();
+                out.dedup();
+                out
+            };
+            let edges = canon(&initial);
+            let chunk_of: Vec<u32> = (0..n as u32).map(|u| u % chunks as u32).collect();
+            let mut g = ChunkedCsr::build(chunks, &chunk_of, edges.iter().copied());
+            // Mask 0 withdraws, 1 withdraws and re-adds, else keeps.
+            let (mut removed, mut added, mut kept) = (Vec::new(), Vec::new(), Vec::new());
+            for (i, &(a, b)) in edges.iter().enumerate() {
+                match drop_mask[i % drop_mask.len()] {
+                    0 => removed.push((b, a)),
+                    1 => {
+                        removed.push((a, b));
+                        added.push((a, b));
+                        kept.push((a, b));
+                    }
+                    _ => kept.push((a, b)),
+                }
+            }
+            for e in canon(&fresh) {
+                if edges.binary_search(&e).is_err() {
+                    added.push(e);
+                    kept.push(e);
+                }
+            }
+            let stats = g.splice(&removed, &added);
+            check_invariants(&g);
+            prop_assert_eq!(&g, &dense(n, &kept));
+            let changed = (0..n as u32)
+                .filter(|&u| dense(n, &edges).neighbors(u) != g.neighbors(u))
+                .count();
+            prop_assert_eq!(stats.nodes_touched, changed);
         }
     }
 

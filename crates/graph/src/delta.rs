@@ -19,7 +19,6 @@
 //!   cheap cross-run witness that two maintenance strategies walked through
 //!   identical topologies.
 
-use crate::builder::EdgeList;
 use crate::csr::Csr;
 use crate::view::GraphView;
 use std::fmt;
@@ -125,10 +124,10 @@ pub fn diff_emissions(old: &[(u32, u32)], new: &[(u32, u32)]) -> EmissionDelta {
 ///
 /// Edges are stored as the shard builders emit them (canonical `(min,
 /// max)` pairs; the k-NN and Yao builders may emit one edge from both
-/// endpoints — possibly in different shards — so [`Self::to_csr`] offers
-/// both the duplicate-free fast path and the deduplicating one), each
-/// shard's list sorted ascending ([`sort_emissions`]) so old and new lists
-/// diff linearly.
+/// endpoints — possibly in different shards — which
+/// [`crate::ChunkedCsr::build`] folds into multiplicities), each shard's
+/// list sorted ascending ([`sort_emissions`]) so old and new lists diff
+/// linearly.
 #[derive(Clone, Debug)]
 pub struct ShardedEdgeStore {
     n: usize,
@@ -175,21 +174,6 @@ impl ShardedEdgeStore {
         std::mem::take(&mut self.per_shard[s])
     }
 
-    /// Drop cached edges of shard `s` that fail `keep` and return them in
-    /// order (the vertex deactivation fast path: no geometry re-derivation,
-    /// just a filter — and the dropped entries are the shard's whole
-    /// splice delta).
-    pub fn retain<F: FnMut(u32, u32) -> bool>(&mut self, s: usize, mut keep: F) -> Vec<(u32, u32)> {
-        let mut dropped = Vec::new();
-        self.per_shard[s].retain(|&(u, v)| {
-            keep(u, v) || {
-                dropped.push((u, v));
-                false
-            }
-        });
-        dropped
-    }
-
     /// Total cached edge emissions (duplicates counted).
     pub fn emission_count(&self) -> usize {
         self.per_shard.iter().map(Vec::len).sum()
@@ -199,30 +183,6 @@ impl ShardedEdgeStore {
     /// the chunked-CSR build folds them into multiplicities).
     pub fn emissions(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.per_shard.iter().flat_map(|s| s.iter().copied())
-    }
-
-    /// Splice every shard's cache into one CSR.
-    ///
-    /// `dedup` selects the symmetrising edge-list path (needed when a
-    /// topology emits an edge from both endpoints, as k-NN and Yao do);
-    /// without it each canonical edge must already be unique across shards
-    /// and the CSR builds without a global sort.
-    pub fn to_csr(&self, dedup: bool) -> Csr {
-        if dedup {
-            let mut el = EdgeList::with_capacity(self.n, self.emission_count());
-            for shard in &self.per_shard {
-                for &(u, v) in shard {
-                    el.add(u, v);
-                }
-            }
-            Csr::from_edge_list(el)
-        } else {
-            let mut all = Vec::with_capacity(self.emission_count());
-            for shard in &self.per_shard {
-                all.extend_from_slice(shard);
-            }
-            Csr::from_canonical_edges(self.n, &all)
-        }
     }
 }
 
@@ -354,6 +314,7 @@ pub fn fingerprint<G: GraphView + ?Sized>(g: &G) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::EdgeList;
 
     fn path_graph(n: usize) -> Csr {
         let mut el = EdgeList::new(n);
@@ -361,6 +322,11 @@ mod tests {
             el.add(i - 1, i);
         }
         Csr::from_edge_list(el)
+    }
+
+    /// The graph a store's emissions splice into (one chunk).
+    fn spliced(store: &ShardedEdgeStore) -> crate::ChunkedCsr {
+        crate::ChunkedCsr::build(1, &vec![0u32; store.n()], store.emissions())
     }
 
     #[test]
@@ -373,8 +339,12 @@ mod tests {
         three.replace(0, vec![edges[0]]);
         three.replace(1, vec![edges[1], edges[2]]);
         three.replace(2, vec![edges[3]]);
-        assert_eq!(one.to_csr(false), three.to_csr(false));
-        assert_eq!(one.to_csr(false).m(), 4);
+        assert_eq!(spliced(&one), spliced(&three));
+        assert_eq!(spliced(&one).m(), 4);
+        // Taking one shard empties only that shard.
+        assert_eq!(three.take(1), vec![edges[1], edges[2]]);
+        assert_eq!(three.shard(1), &[]);
+        assert_eq!(three.emission_count(), 2);
     }
 
     #[test]
@@ -382,22 +352,8 @@ mod tests {
         let mut store = ShardedEdgeStore::new(3, 2);
         store.replace(0, vec![(0, 1), (1, 2)]);
         store.replace(1, vec![(1, 2)]); // emitted again from the other side
-        assert_eq!(store.to_csr(true).m(), 2);
+        assert_eq!(spliced(&store).m(), 2);
         assert_eq!(store.emission_count(), 3);
-    }
-
-    #[test]
-    fn retain_filters_one_shard_only() {
-        let mut store = ShardedEdgeStore::new(4, 2);
-        store.replace(0, vec![(0, 1), (1, 2)]);
-        store.replace(1, vec![(2, 3)]);
-        let dropped = store.retain(0, |u, v| u != 1 && v != 1);
-        assert_eq!(dropped, vec![(0, 1), (1, 2)]);
-        assert_eq!(store.shard(0), &[]);
-        assert_eq!(store.shard(1), &[(2, 3)]);
-        assert_eq!(store.to_csr(false).m(), 1);
-        assert_eq!(store.take(1), vec![(2, 3)]);
-        assert_eq!(store.emission_count(), 0);
     }
 
     #[test]
@@ -447,14 +403,14 @@ mod tests {
             g.has_edge(1, 2) && g.has_edge(2, 1),
             "edge lost its backing"
         );
-        assert_eq!(g, store.to_csr(true));
+        assert_eq!(g, spliced(&store));
         // Withdrawing the last copy removes it.
         let old = store.take(0);
         store.replace(0, vec![(0, 1)]);
         let (removed, added) = diff_emissions(&old, store.shard(0));
         g.splice(&removed, &added);
         assert!(!g.has_edge(1, 2));
-        assert_eq!(g, store.to_csr(true));
+        assert_eq!(g, spliced(&store));
     }
 
     #[test]

@@ -115,12 +115,6 @@ impl PointOrder {
     }
 }
 
-/// The Morton permutation of `points` alone (rank → original id), without
-/// materialising the reordered copy.
-pub fn morton_permutation(points: &PointSet) -> Vec<u32> {
-    PointOrder::morton(points).to_orig
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

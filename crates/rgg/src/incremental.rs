@@ -2,9 +2,11 @@
 //!
 //! A lifetime simulation kills and admits nodes every epoch; rebuilding a
 //! million-node topology from scratch per epoch would dominate wall-clock.
-//! [`IncrementalGraph`] instead keeps the tile-sharded construction's
-//! *per-shard edge caches* ([`wsn_graph::ShardedEdgeStore`]) alive across
-//! epochs and repairs only what churn touched:
+//! [`IncrementalGraph`] instead keeps the graph as a chunked CSR
+//! ([`wsn_graph::ChunkedCsr`]) across epochs — plus, for every kind but
+//! the UDG, the tile-sharded construction's *per-shard edge caches*
+//! ([`wsn_graph::ShardedEdgeStore`]) — and repairs only what churn
+//! touched:
 //!
 //! * Node ids live in a fixed **universe** id space (the initial deployment
 //!   plus any reserve pool); churn toggles an alive mask, never re-indexes.
@@ -20,29 +22,39 @@
 //!   membership, Gabriel blockers, RNG lune witnesses, Yao cone minima,
 //!   in-halo k-NN) only consults points within the halo, so a clean
 //!   shard's cached emissions are *provably identical* to what a cold
-//!   rebuild would emit.
-//! * Dirty shards re-run the exact shard derivation functions of
-//!   [`crate::sharded`] (shared code, not re-implementations) over the
-//!   alive survivors, so the spliced CSR is **byte-identical to a cold
-//!   rebuild** — the survivors built through the one cold-build dispatch,
+//!   rebuild would emit. The merged dirty extents are also the serve
+//!   path's route-cache eviction footprint
+//!   ([`IncrementalGraph::dirty_extents`]).
+//! * Every repair is **byte-identical to a cold rebuild** — the survivors
+//!   built through the one cold-build dispatch,
 //!   [`IncTopology::build_alive`] — asserted by
 //!   [`IncrementalGraph::verify_cold`] (the monolithic [`Exec::Serial`]
 //!   oracle), the churn engine's debug path, and
 //!   `tests/churn_incremental.rs` / `tests/churn_locality.rs` (which also
 //!   race the production [`Exec::Sharded`] path).
-//! * Repair cost is **proportional to the churned region**, not to network
-//!   size: the dirty shards' padded extents are merged into connected
-//!   [`wsn_geom::ExtentGroup`]s, alive points are gathered per group from
-//!   precomputed per-shard resident lists, remapped into a dense local id
-//!   space ([`wsn_graph::IdRemap`]), and shard derivation runs against a
-//!   localized [`wsn_spatial::SubIndex`] built over just that group. A
-//!   global index over the whole alive population is constructed **only**
-//!   when a k-NN halo straggler fires a query the group extent cannot
-//!   certify — counted by [`IncrementalGraph::escalations`], which the
-//!   differential suite asserts stays cold for every other topology.
-//! * The UDG gets a *vertex-deactivation fast path*: node death can only
-//!   remove disk edges, so a shard whose padded extent saw deaths but no
-//!   joins is repaired by filtering its cache — no geometry at all.
+//! * The UDG repairs **per event**, not per shard: a death withdraws its
+//!   current CSR row, and a join adds the alive nodes inside its disk,
+//!   found by scanning the resident lists of the shards whose padded
+//!   extent holds it with the same `dist² ≤ r²` predicate the shard
+//!   derivation uses. Disk membership depends on the two endpoints alone,
+//!   so no other node is re-examined and the UDG keeps no per-shard
+//!   emission cache at all — the chunked CSR is its only copy of the
+//!   graph.
+//! * Every other kind re-runs the exact shard derivation functions of
+//!   [`crate::sharded`] (shared code, not re-implementations) over the
+//!   alive survivors of each dirty shard and diffs the new emissions
+//!   against the shard's cache.
+//! * Re-derivation cost is **proportional to the churned region**, not to
+//!   network size: the dirty shards' padded extents are merged into
+//!   connected [`wsn_geom::ExtentGroup`]s, alive points are gathered per
+//!   group from precomputed per-shard resident lists, remapped into a
+//!   dense local id space ([`wsn_graph::IdRemap`]), and shard derivation
+//!   runs against a localized [`wsn_spatial::SubIndex`] built over just
+//!   that group. A global index over the whole alive population is
+//!   constructed **only** when a k-NN halo straggler fires a query the
+//!   group extent cannot certify — counted by
+//!   [`IncrementalGraph::escalations`], which the differential suite
+//!   asserts stays cold for every other topology.
 //! * k-NN shards that needed the exact whole-population fallback for any
 //!   owned node (*stragglers*) are re-derived every epoch: their lists
 //!   depend on points beyond the halo, so they can never be trusted clean.
@@ -75,7 +87,9 @@ fn sorted((mut edges, strag, deps): ShardEdges) -> ShardEdges {
 
 /// The plain topologies the incremental engine can maintain (the SENS
 /// constructions repair by per-epoch rebuild instead — their tile-election
-/// stitch is global).
+/// stitch is global). [`IncTopology::Udg`] repairs per churn event; every
+/// other kind re-derives its dirty shards and diffs them against their
+/// caches (see [`IncrementalGraph::apply_churn`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum IncTopology {
     Udg {
@@ -133,37 +147,43 @@ impl IncTopology {
             IncTopology::Knn { .. } | IncTopology::Hng { .. } => None,
         }
     }
-
-    /// Whether shard repair after *deaths only* can filter cached edges
-    /// instead of re-deriving (exact iff node removal never creates edges).
-    fn filter_repairs_deaths(&self) -> bool {
-        matches!(self, IncTopology::Udg { .. })
-    }
 }
 
 /// What one [`IncrementalGraph::apply_churn`] call actually did.
+///
+/// Shard counters partition the dirty set: `dirty == event_local +
+/// rederived`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RepairStats {
     /// Total shards in the plan.
     pub shard_count: usize,
+    /// Churn events handed in: `deaths.len() + joins.len()` (an id passed
+    /// as both a death and a join counts twice).
+    pub events: usize,
     /// Shards whose padded extent saw churn (or held k-NN stragglers).
     pub dirty: usize,
-    /// Dirty shards repaired by the vertex-deactivation filter.
-    pub filtered: usize,
+    /// Dirty shards repaired by the per-event rule (every dirty UDG shard;
+    /// 0 for every other kind).
+    pub event_local: usize,
     /// Dirty shards repaired by full re-derivation.
     pub rederived: usize,
-    /// Points gathered into re-derivation working sets (0 for pure-filter
-    /// repairs; ≈ the dirty extents' population otherwise, plus the alive
-    /// population on a k-NN escalation — the locality regression tests pin
-    /// exactly this proportionality).
+    /// Points the repair scanned: for UDG, the residents the joins' disk
+    /// queries scanned (0 for a deaths-only repair); for every other kind,
+    /// the points gathered into re-derivation working sets (≈ the dirty
+    /// extents' population, plus the alive population on a k-NN
+    /// escalation). The locality regression tests pin exactly this
+    /// proportionality.
     pub gathered: usize,
     /// Whole-population index constructions this repair (0 unless a k-NN
     /// halo straggler fired a query its group extent could not certify).
     pub escalations: usize,
-    /// Wall-clock seconds spent turning the repaired shards' old and new
-    /// emissions into a net edge delta (the per-shard linear diff) and
-    /// splicing it into the chunked CSR — the cost the monolithic `to_csr`
-    /// path paid as O(n + m) every churned epoch regardless of locality.
+    /// Nodes whose neighbour list the repair changed — the distinct
+    /// endpoints of the net edge delta.
+    pub affected_owners: usize,
+    /// Wall-clock seconds spent turning the repair into a net edge delta
+    /// (the re-derived shards' per-shard linear diff; the UDG's event
+    /// delta is built before this clock starts) and splicing it into the
+    /// chunked CSR.
     pub splice_secs: f64,
     /// Chunks the splice rewrote (owner chunks of the delta's endpoints).
     pub spliced_chunks: usize,
@@ -181,6 +201,7 @@ pub struct IncrementalGraph {
     points: PointSet,
     alive: Vec<bool>,
     n_alive: usize,
+    /// Per-shard emission caches (empty for the UDG after build).
     store: ShardedEdgeStore,
     /// Per-shard k-NN straggler flags (always false for other kinds).
     straggler: Vec<bool>,
@@ -189,8 +210,9 @@ pub struct IncrementalGraph {
     csr: ChunkedCsr,
     /// Universe ids grouped by owner shard (CSR layout, ascending within a
     /// shard) — the persistent shard-granular spatial index the localized
-    /// gather scans instead of compacting the whole alive set. The
-    /// universe is fixed, so this is built exactly once.
+    /// gather and the UDG's join disks scan instead of compacting the
+    /// whole alive set. The universe is fixed, so this is built exactly
+    /// once.
     resident_start: Vec<u32>,
     resident_ids: Vec<u32>,
     /// HNG level per universe id, rolled once at build from the kind's
@@ -301,6 +323,11 @@ impl IncrementalGraph {
         // per-entry multiplicities — no global dedup sort, here or later.
         let chunk_of: Vec<u32> = g.points.iter().map(|p| g.grid.owner_of(p) as u32).collect();
         g.csr = ChunkedCsr::build(g.grid.shard_count(), &chunk_of, g.store.emissions());
+        // The UDG repairs from the CSR rows and the resident lists alone;
+        // its shard caches would only duplicate the CSR's upper triangle.
+        if let IncTopology::Udg { .. } = kind {
+            g.store = ShardedEdgeStore::new(g.points.len(), g.grid.shard_count());
+        }
         g
     }
 
@@ -331,8 +358,9 @@ impl IncrementalGraph {
         &self.csr
     }
 
-    /// The per-shard emission caches the graph is spliced from (every
-    /// shard list sorted ascending).
+    /// The per-shard emission caches re-derived shards are diffed against
+    /// (every shard list sorted ascending; every list empty for the UDG,
+    /// which repairs per event and keeps no cache).
     #[inline]
     pub fn edge_store(&self) -> &ShardedEdgeStore {
         &self.store
@@ -369,11 +397,19 @@ impl IncrementalGraph {
         &self.last_dirty_extents
     }
 
-    /// Kill `deaths` and admit `joins`, then repair only the shards whose
-    /// padded extent the churn touched. Returns what the repair did.
+    /// Kill `deaths` and admit `joins`, then repair what the churn touched.
+    /// Returns what the repair did.
     ///
-    /// Panics if a death is already dead or a join already alive — the
-    /// caller (the churn engine) owns liveness bookkeeping.
+    /// The UDG builds its net edge delta from the events themselves: each
+    /// death withdraws its current row, each join adds its disk. Every
+    /// other kind re-derives the shards whose padded extent the churn
+    /// touched and diffs them against their caches. Either way the delta
+    /// is spliced into the chunked CSR.
+    ///
+    /// An id may appear as both a death and a join (it dies, then rejoins
+    /// in the same call). Panics if a death is already dead or a join
+    /// already alive — the caller (the churn engine) owns liveness
+    /// bookkeeping.
     pub fn apply_churn(&mut self, deaths: &[u32], joins: &[u32]) -> RepairStats {
         for &d in deaths {
             assert!(self.alive[d as usize], "death of already-dead node {d}");
@@ -385,18 +421,12 @@ impl IncrementalGraph {
         }
         self.n_alive = self.n_alive + joins.len() - deaths.len();
 
-        // Dirty marking: 0 = clean, 1 = deaths only, 2 = needs re-derive.
-        let mut state = vec![0u8; self.grid.shard_count()];
-        for &d in deaths {
-            let p = self.points.get(d);
-            for s in self.grid.shards_near(p, self.halo) {
-                state[s] = state[s].max(1);
-            }
-        }
-        for &j in joins {
-            let p = self.points.get(j);
-            for s in self.grid.shards_near(p, self.halo) {
-                state[s] = 2;
+        // Dirty marking stays shard-granular for every kind: it is the
+        // re-derivation set and the serve path's eviction footprint.
+        let mut dirty = vec![false; self.grid.shard_count()];
+        for &c in deaths.iter().chain(joins) {
+            for s in self.grid.shards_near(self.points.get(c), self.halo) {
+                dirty[s] = true;
             }
         }
         match self.kind {
@@ -405,58 +435,22 @@ impl IncrementalGraph {
             // uplink rung through its recorded dependence box. Straggler
             // flags stay advisory — forcing them dirty would re-derive
             // the whole population every churned epoch.
-            IncTopology::Hng { .. } => self.mark_hng_dependents(deaths, joins, &mut state),
+            IncTopology::Hng { .. } => self.mark_hng_dependents(deaths, joins, &mut dirty),
             // k-NN straggler shards consulted the whole population; never
             // clean.
             _ => {
                 for (s, &strag) in self.straggler.iter().enumerate() {
-                    if strag {
-                        state[s] = 2;
-                    }
+                    dirty[s] |= strag;
                 }
             }
         }
-
-        let filter_ok = self.kind.filter_repairs_deaths();
+        let dirty_list: Vec<usize> = (0..dirty.len()).filter(|&s| dirty[s]).collect();
         let mut stats = RepairStats {
             shard_count: self.grid.shard_count(),
+            events: deaths.len() + joins.len(),
+            dirty: dirty_list.len(),
             ..RepairStats::default()
         };
-        // The splice consumes the repair as a net edge delta, so the CSR
-        // work tracks what changed — O(delta) — not the graph. A filtered
-        // shard's delta is exactly the entries the filter dropped; a
-        // re-derived shard's old list moves out here (no copy) and is
-        // diffed against its new one after re-derivation. Clean shards
-        // contribute nothing, yet their nodes' lists still update when a
-        // dirty shard's cross-shard edge appears or disappears (the delta
-        // is routed by endpoint).
-        let mut dirty_list = Vec::new();
-        let mut removed: Vec<(u32, u32)> = Vec::new();
-        let mut rederive = Vec::new();
-        let mut old_lists = Vec::new();
-        for (s, &st) in state.iter().enumerate() {
-            match st {
-                0 => {}
-                1 if filter_ok => {
-                    stats.dirty += 1;
-                    stats.filtered += 1;
-                    dirty_list.push(s);
-                    let alive = &self.alive;
-                    removed.append(
-                        &mut self
-                            .store
-                            .retain(s, |u, v| alive[u as usize] && alive[v as usize]),
-                    );
-                }
-                _ => {
-                    stats.dirty += 1;
-                    stats.rederived += 1;
-                    dirty_list.push(s);
-                    rederive.push(s);
-                    old_lists.push(self.store.take(s));
-                }
-            }
-        }
         // Publish hook for the serve path: the merged padded extents of
         // every dirty shard bound the region this repair may have touched.
         // Anything wholly outside them is provably identical to last epoch.
@@ -466,33 +460,128 @@ impl IncrementalGraph {
             .into_iter()
             .map(|g| g.extent)
             .collect();
-        let (gathered, escalations) = self.rederive_shards(&rederive);
-        stats.gathered = gathered;
-        stats.escalations = escalations;
-        // A quiescent epoch (no dirty shards) leaves every cache — and
-        // therefore the spliced CSR — untouched.
-        if stats.dirty > 0 {
+        // A quiescent epoch (no dirty shards) leaves the CSR untouched.
+        if dirty_list.is_empty() {
+            return stats;
+        }
+
+        // The splice consumes the repair as a net edge delta, so the CSR
+        // work tracks what changed — O(delta) — not the graph. Clean
+        // shards contribute nothing, yet their nodes' lists still update
+        // when a cross-shard edge appears or disappears (the delta is
+        // routed by endpoint).
+        let (removed, added, splice_start) = if let IncTopology::Udg { radius } = self.kind {
+            stats.event_local = stats.dirty;
+            let (removed, added, scanned) = self.udg_event_delta(deaths, joins, radius);
+            stats.gathered = scanned;
+            (removed, added, Instant::now())
+        } else {
+            // A re-derived shard's old list moves out here (no copy) and
+            // is diffed against its new one after re-derivation.
+            stats.rederived = stats.dirty;
+            let old_lists: Vec<_> = dirty_list.iter().map(|&s| self.store.take(s)).collect();
+            let (gathered, escalations) = self.rederive_shards(&dirty_list);
+            stats.gathered = gathered;
+            stats.escalations = escalations;
             let splice_start = Instant::now();
             // Both lists of every re-derived shard are sorted, so each
             // shard's net delta is one linear merge, fanned out per shard.
             let store = &self.store;
-            let diffs: Vec<_> = rederive
+            let diffs: Vec<_> = dirty_list
                 .iter()
                 .zip(old_lists)
                 .into_par_iter()
                 .map(|(&s, old)| diff_emissions(&old, store.shard(s)))
                 .collect();
-            let mut added: Vec<(u32, u32)> = Vec::new();
+            let (mut removed, mut added) = (Vec::new(), Vec::new());
             for (mut r, mut a) in diffs {
                 removed.append(&mut r);
                 added.append(&mut a);
             }
-            let splice = self.csr.splice(&removed, &added);
-            stats.splice_secs = splice_start.elapsed().as_secs_f64();
-            stats.spliced_chunks = splice.chunks_touched;
-            stats.splice_relocations = splice.relocations;
-        }
+            (removed, added, splice_start)
+        };
+        let splice = self.csr.splice(&removed, &added);
+        stats.splice_secs = splice_start.elapsed().as_secs_f64();
+        stats.affected_owners = splice.nodes_touched;
+        stats.spliced_chunks = splice.chunks_touched;
+        stats.splice_relocations = splice.relocations;
         stats
+    }
+
+    /// The UDG's net edge delta straight from the churn events, after the
+    /// alive toggles. Returns `(removed, added, residents scanned)`.
+    ///
+    /// * A death withdraws its current CSR row; an edge between two deaths
+    ///   is withdrawn once, by its smaller endpoint.
+    /// * A join adds every alive node inside its disk; a pair of joins is
+    ///   added once, by its smaller endpoint.
+    ///
+    /// Every edge of the old graph that touches no death survives into
+    /// the new one (disk membership depends on the two endpoints alone),
+    /// and every new edge that touches no join was an old edge between
+    /// survivors — so old − removed + added is the new graph exactly. An
+    /// id that both died and rejoined withdraws its old row and adds its
+    /// new disk; the splice cancels what the two share.
+    ///
+    /// The disk query scans the resident lists of the shards whose padded
+    /// extent holds the join — the same closed-box rule under which the
+    /// shard derivation of each neighbour's owner would gather the join —
+    /// with the derivation's `dist² ≤ r²` predicate, so the emitted pairs
+    /// are exactly the cold build's.
+    #[allow(clippy::type_complexity)]
+    fn udg_event_delta(
+        &self,
+        deaths: &[u32],
+        joins: &[u32],
+        radius: f64,
+    ) -> (Vec<(u32, u32)>, Vec<(u32, u32)>, usize) {
+        const DIED: u8 = 1;
+        const JOINED: u8 = 2;
+        let mut event = vec![0u8; self.points.len()];
+        for &d in deaths {
+            event[d as usize] |= DIED;
+        }
+        for &j in joins {
+            event[j as usize] |= JOINED;
+        }
+        let (csr, event) = (&self.csr, &event);
+        let removed: Vec<(u32, u32)> = deaths
+            .into_par_iter()
+            .flat_map_iter(|&d| {
+                csr.neighbors(d)
+                    .iter()
+                    .filter(move |&&v| !(event[v as usize] & DIED != 0 && v < d))
+                    .map(move |&v| (d.min(v), d.max(v)))
+            })
+            .collect();
+        let r2 = radius * radius;
+        let (grid, points, alive) = (&self.grid, &self.points, &self.alive);
+        let (start, ids) = (&self.resident_start, &self.resident_ids);
+        let disks: Vec<(Vec<(u32, u32)>, usize)> = joins
+            .into_par_iter()
+            .map(|&j| {
+                let p = points.get(j);
+                let mut out = Vec::new();
+                let mut scanned = 0usize;
+                for s in grid.shards_near(p, radius) {
+                    let residents = &ids[start[s] as usize..start[s + 1] as usize];
+                    scanned += residents.len();
+                    for &v in residents {
+                        if v != j
+                            && alive[v as usize]
+                            && !(event[v as usize] & JOINED != 0 && v < j)
+                            && points.get(v).dist_sq(p) <= r2
+                        {
+                            out.push((j.min(v), j.max(v)));
+                        }
+                    }
+                }
+                (out, scanned)
+            })
+            .collect();
+        let scanned = disks.iter().map(|(_, s)| s).sum();
+        let added = disks.into_iter().flat_map(|(out, _)| out).collect();
+        (removed, added, scanned)
     }
 
     /// HNG dirty marking beyond the geometric rule, called *after* the
@@ -511,14 +600,14 @@ impl IncrementalGraph {
     ///   that rung's exact answer. Certified rungs need no check — their
     ///   answer disks fit the shard's padded geometry, which the
     ///   geometric rule already watches.
-    fn mark_hng_dependents(&mut self, deaths: &[u32], joins: &[u32], state: &mut [u8]) {
+    fn mark_hng_dependents(&mut self, deaths: &[u32], joins: &[u32], dirty: &mut [bool]) {
         let (t_new, top_new) = alive_top(&self.levels, &self.alive);
         if (t_new, top_new.as_slice()) != (self.hng_top.0, self.hng_top.1.as_slice()) {
             let t_min = t_new.min(self.hng_top.0);
             for (u, &lvl) in self.levels.iter().enumerate() {
                 if lvl >= t_min && self.alive[u] {
                     let s = self.grid.owner_of(self.points.get(u as u32));
-                    state[s] = 2;
+                    dirty[s] = true;
                 }
             }
         }
@@ -545,7 +634,7 @@ impl IncrementalGraph {
         // churned[..count_at_least(j)] are the nodes of level ≥ j.
         let count_at_least = |j: u32| churned.partition_point(|&(_, lvl)| lvl >= j);
         for (s, deps) in self.hng_deps.iter().enumerate() {
-            if state[s] > 0 {
+            if dirty[s] {
                 continue;
             }
             // Boxes ascend by target level, so once the churned prefix
@@ -559,7 +648,7 @@ impl IncrementalGraph {
                     continue;
                 }
                 if churned[..cnt].iter().any(|&(p, _)| bb.contains(p)) {
-                    state[s] = 2;
+                    dirty[s] = true;
                     break;
                 }
             }
@@ -1115,7 +1204,8 @@ mod tests {
             for e in 0..4u64 {
                 let (deaths, joins) = churn_sets(&g, 99, e);
                 let stats = g.apply_churn(&deaths, &joins);
-                assert_eq!(stats.dirty, stats.filtered + stats.rederived);
+                assert_eq!(stats.dirty, stats.event_local + stats.rederived);
+                assert_eq!(stats.events, deaths.len() + joins.len());
                 assert!(
                     g.verify_cold(),
                     "{kind:?} diverged from cold rebuild at epoch {e}"
@@ -1125,14 +1215,21 @@ mod tests {
     }
 
     #[test]
-    fn udg_death_only_churn_uses_the_filter_path() {
+    fn udg_death_only_churn_is_event_local() {
         let p = pts(400, 3, 10.0);
         let mut g =
             IncrementalGraph::build(p, vec![true; 400], IncTopology::Udg { radius: 1.0 }, 2);
+        assert_eq!(g.edge_store().emission_count(), 0, "UDG keeps no cache");
         let deaths: Vec<u32> = (0..400u32).filter(|u| u % 7 == 0).collect();
         let stats = g.apply_churn(&deaths, &[]);
-        assert!(stats.filtered > 0, "deaths-only UDG churn must filter");
-        assert_eq!(stats.rederived, 0);
+        assert!(stats.dirty > 0);
+        assert_eq!(stats.event_local, stats.dirty);
+        assert_eq!(
+            stats.rederived, 0,
+            "deaths-only UDG churn re-derives nothing"
+        );
+        assert_eq!(stats.gathered, 0, "deaths-only UDG churn scans nothing");
+        assert_eq!(stats.events, deaths.len());
         assert!(g.verify_cold());
     }
 

@@ -92,11 +92,6 @@ impl TopologySpec {
         }
     }
 
-    /// The SENS constructions need a tile grid; baselines only a window.
-    pub fn is_sens(&self) -> bool {
-        matches!(self, TopologySpec::UdgSens | TopologySpec::NnSens { .. })
-    }
-
     /// Tile side of the SENS grid for this topology, if any.
     pub fn tile_side(&self) -> Option<f64> {
         match *self {

@@ -281,15 +281,15 @@ pub struct EpochReport {
     pub coverage: f64,
     /// [`wsn_graph::fingerprint`] of the repaired universe-id CSR.
     pub graph_hash: u64,
-    /// Shards the repair touched / filtered / re-derived (zeros in rebuild
-    /// mode and for SENS).
+    /// Shards the repair touched / repaired per event (UDG) / re-derived
+    /// (zeros in rebuild mode and for SENS).
     pub shards_dirty: u64,
-    pub shards_filtered: u64,
+    pub shards_event_local: u64,
     pub shards_rederived: u64,
-    /// Points gathered into the repair's re-derivation working sets —
-    /// under the localized gather this tracks the churned region's
-    /// population, not the network size (zeros in rebuild mode and for
-    /// SENS).
+    /// Points the repair scanned ([`RepairStats::gathered`]: the UDG's
+    /// join disks, or the re-derivation working sets of every other kind)
+    /// — this tracks the churned region's population, not the network
+    /// size (zeros in rebuild mode and for SENS).
     pub repair_gathered: u64,
     /// Whole-population index constructions the repair needed (k-NN
     /// straggler escalations; 0 for every other topology).
@@ -871,7 +871,7 @@ pub fn simulate_lifetime_plain(
             coverage: probe.fraction(points, maint.alive()),
             graph_hash: fingerprint(&maint.graph()),
             shards_dirty: stats.dirty as u64,
-            shards_filtered: stats.filtered as u64,
+            shards_event_local: stats.event_local as u64,
             shards_rederived: stats.rederived as u64,
             repair_gathered: stats.gathered as u64,
             repair_escalations: stats.escalations as u64,
@@ -1019,7 +1019,7 @@ pub fn simulate_lifetime_sens(
             coverage: probe.fraction(points, &alive),
             graph_hash: fingerprint(&universe_graph),
             shards_dirty: 0,
-            shards_filtered: 0,
+            shards_event_local: 0,
             shards_rederived: 0,
             repair_gathered: 0,
             repair_escalations: 0,

@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use crate::churn::{cold_sharded_rebuild, pick, u01, ChurnConfig, Population};
+use crate::churn::{pick, u01, ChurnConfig, Population};
 use wsn_geom::hash::{derive_seed, derive_seed2, mix64};
 use wsn_geom::{Aabb, Point};
 use wsn_graph::bfs::BfsScratch;
@@ -832,12 +832,6 @@ pub fn fingerprints_match_batch(
             .iter()
             .zip(&batch.epochs)
             .all(|(fp, e)| *fp == e.graph_hash)
-}
-
-/// Cold reference for the snapshot capture (tests): the captured CSR must
-/// fingerprint-match a cold sharded rebuild of the same alive set.
-pub fn cold_fingerprint(points: &PointSet, alive: &[bool], kind: IncTopology) -> u64 {
-    fingerprint(&cold_sharded_rebuild(points, alive, kind))
 }
 
 #[cfg(test)]

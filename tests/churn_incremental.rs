@@ -198,7 +198,7 @@ fn epoch_digest(r: &LifetimeReport) -> String {
                 e.delivered,
                 e.energy_spent,
                 e.shards_dirty,
-                e.shards_filtered,
+                e.shards_event_local,
                 e.shards_rederived,
                 e.repair_gathered,
                 e.repair_escalations,
@@ -210,7 +210,7 @@ fn epoch_digest(r: &LifetimeReport) -> String {
 
 /// Thread-count invariance of the localized repair path under a clustered
 /// sector-blackout schedule: the whole epoch trajectory — CSR fingerprints,
-/// dirty/filtered/re-derived shard counts, gather sizes, escalations —
+/// dirty/event-local/re-derived shard counts, gather sizes, escalations —
 /// must be byte-identical at `RAYON_NUM_THREADS` ∈ {1, 4, 8}. This is the
 /// same contract the golden suite pins for the preset catalogue
 /// (goldens stay byte-identical), applied directly to the dirty-extent

@@ -1,22 +1,24 @@
 //! Churn-locality differential suite.
 //!
-//! `IncrementalGraph` re-derives dirty shards through a dirty-extent
-//! gather (merge the dirty shards' padded extents, gather and index only
-//! their alive population) instead of a whole-population gather (compact
-//! every alive point, build a global index — Θ(n) per churned epoch). The
-//! contract is double:
+//! `IncrementalGraph` repairs the UDG per churn event (a death withdraws
+//! its row, a join adds its disk) and re-derives every other kind's dirty
+//! shards through a dirty-extent gather (merge the dirty shards' padded
+//! extents, gather and index only their alive population) instead of a
+//! whole-population gather (compact every alive point, build a global
+//! index — Θ(n) per churned epoch). The contract is double:
 //!
-//! 1. **Byte identity.** The localized repair and a cold rebuild must
-//!    produce identical CSRs after any churn, for every topology kind,
-//!    deployment model, and churn footprint. There is no bless step: a
-//!    divergence is a halo/extent bug, never intentional.
+//! 1. **Byte identity.** The repaired graph and a cold rebuild must be
+//!    identical CSRs after any churn, for every topology kind, deployment
+//!    model, churn footprint and event density — including adversarial
+//!    layouts full of distance ties and coincident points. There is no
+//!    bless step: a divergence is a halo/extent bug, never intentional.
 //! 2. **Locality proportionality.** The work counters must scale with the
-//!    churned region: gather size tracks the dirty extents, the deaths-only
-//!    UDG filter path gathers nothing at all, and the whole-population
-//!    escalation counter stays at zero for every topology except k-NN and
-//!    HNG (whose halos are probabilistic, so a straggler may legitimately
-//!    fire — and HNG's top-level clique shards re-dirty every epoch by
-//!    design).
+//!    churned region: gather size tracks the dirty extents (for the UDG,
+//!    the joins' disks — a deaths-only UDG repair scans nothing at all),
+//!    and the whole-population escalation counter stays at zero for every
+//!    topology except k-NN and HNG (whose halos are probabilistic, so a
+//!    straggler may legitimately fire — and HNG's top-level clique shards
+//!    re-dirty every epoch by design).
 
 use wsn::geom::hash::derive_seed2;
 use wsn::geom::{Aabb, Point};
@@ -114,6 +116,22 @@ fn churn_in_regions(g: &IncrementalGraph, regions: &[Aabb], seed: u64) -> (Vec<u
     (deaths, joins)
 }
 
+/// The counters every repair must report exactly: its event count, and a
+/// dirty set split between the UDG's event rule and re-derivation.
+fn assert_repair_counters(stats: &RepairStats, kind: IncTopology, events: usize, ctx: &str) {
+    assert_eq!(stats.events, events, "{ctx}: event count");
+    assert_eq!(stats.dirty, stats.event_local + stats.rederived, "{ctx}");
+    if let IncTopology::Udg { .. } = kind {
+        assert_eq!(stats.rederived, 0, "{ctx}: UDG re-derived a shard");
+        assert_eq!(stats.escalations, 0, "{ctx}");
+    } else {
+        assert_eq!(
+            stats.event_local, 0,
+            "{ctx}: only the UDG repairs per event"
+        );
+    }
+}
+
 fn build(points: &PointSet, kind: IncTopology) -> IncrementalGraph {
     // A fifth of the universe starts dead as the join reserve.
     let alive: Vec<bool> = (0..points.len()).map(|i| i % 5 != 4).collect();
@@ -140,7 +158,7 @@ fn localized_global_and_cold_agree_across_the_matrix() {
                 );
                 let ls: RepairStats = local.apply_churn(&deaths, &joins);
                 assert!(local.verify_cold(), "{ctx}: local != cold rebuild");
-                assert_eq!(ls.dirty, ls.filtered + ls.rederived, "{ctx}");
+                assert_repair_counters(&ls, kind, deaths.len() + joins.len(), &ctx);
                 // Exact dirty counts for the crafted footprints (k-NN and
                 // HNG may exceed them: straggler shards re-derive every
                 // epoch).
@@ -196,31 +214,34 @@ fn gather_work_scales_with_the_churned_region() {
     }
 }
 
-/// Regression for the deaths-only UDG fast path: it must stay pure cache
-/// filtering — zero points gathered, zero escalations, work proportional
-/// to the dirty shards — and a mixed deaths+joins epoch must route the
-/// join shards through the dirty-extent gather, not a global compaction.
+/// Regression for the deaths-only UDG repair: it must stay pure row
+/// withdrawal — zero points scanned, zero shards re-derived, zero
+/// escalations, work proportional to the churn — and a join must scan
+/// only its disk's shards, not a global compaction.
 #[test]
-fn udg_deaths_only_filter_gathers_nothing_and_scales() {
+fn udg_deaths_only_repair_gathers_nothing_and_scales() {
     let points = sample_poisson_window(&mut rng_from_seed(0xDEAD), 12.0, &Aabb::square(SIDE));
     let kind = IncTopology::Udg { radius: 1.0 };
     let mut g = build(&points, kind);
     let fps = footprints(&g);
     let (_, one_region, _) = &fps[0];
 
-    // Deaths-only churn in one shard: filter path, no geometry at all.
+    // Deaths-only churn in one shard: row withdrawal, no geometry at all.
     let (deaths, _) = churn_in_regions(&g, one_region, 0xF1);
     assert!(!deaths.is_empty());
     let stats = g.apply_churn(&deaths, &[]);
     assert_eq!(stats.gathered, 0, "deaths-only UDG must not gather");
     assert_eq!(stats.escalations, 0);
     assert_eq!(stats.dirty, 1);
-    assert_eq!(stats.filtered, stats.dirty, "every dirty shard filters");
+    assert_eq!(
+        stats.event_local, stats.dirty,
+        "every dirty shard is event-local"
+    );
     assert_eq!(stats.rederived, 0);
     assert!(g.verify_cold());
 
     // Deaths-only churn everywhere still gathers nothing; its work is the
-    // per-shard cache filter, which scales with the dirty count.
+    // dying rows, which scale with the churn.
     let everywhere = [Aabb::from_coords(
         f64::NEG_INFINITY,
         f64::NEG_INFINITY,
@@ -230,21 +251,24 @@ fn udg_deaths_only_filter_gathers_nothing_and_scales() {
     let (deaths_all, _) = churn_in_regions(&g, &everywhere, 0xF2);
     let stats_all = g.apply_churn(&deaths_all, &[]);
     assert_eq!(stats_all.gathered, 0);
-    assert_eq!(stats_all.filtered, stats_all.dirty);
+    assert_eq!(stats_all.rederived, 0);
+    assert_eq!(stats_all.event_local, stats_all.dirty);
     assert!(stats_all.dirty > stats.dirty);
+    assert!(stats_all.affected_owners > stats.affected_owners);
     assert!(g.verify_cold());
 
-    // A join flips its shard to the dirty-extent gather — localized, far
-    // smaller than the alive population the PR-4 path would compact.
+    // A join scans its disk's shards — localized, far smaller than the
+    // alive population a global compaction would touch.
     let join_id = deaths[0];
     let stats_join = g.apply_churn(&[], &[join_id]);
-    assert!(stats_join.gathered > 0, "a join must re-derive its shard");
+    assert!(stats_join.gathered > 0, "a join must scan its disk");
     assert!(
         stats_join.gathered * 3 < g.n_alive(),
         "join repair gathered {} of {} alive — not localized",
         stats_join.gathered,
         g.n_alive()
     );
+    assert_eq!(stats_join.rederived, 0);
     assert_eq!(stats_join.escalations, 0);
     assert!(g.verify_cold());
 }
@@ -378,5 +402,207 @@ fn extent_merging_edge_cases_stay_identical() {
         assert!(!deaths.is_empty());
         local.apply_churn(&deaths, &joins);
         assert!(local.verify_cold(), "{kind:?} edge churn");
+    }
+}
+
+/// Apply one churn call, then hold the repair to a cold rebuild and to
+/// its exact counters.
+fn churn_and_check(
+    g: &mut IncrementalGraph,
+    deaths: &[u32],
+    joins: &[u32],
+    ctx: &str,
+) -> RepairStats {
+    let stats = g.apply_churn(deaths, joins);
+    assert!(g.verify_cold(), "{ctx}: repair != cold rebuild");
+    assert_repair_counters(&stats, g.kind(), deaths.len() + joins.len(), ctx);
+    stats
+}
+
+/// Split `ids` into the alive ones (deaths) and the dead ones (joins).
+fn toggle(g: &IncrementalGraph, ids: impl IntoIterator<Item = u32>) -> (Vec<u32>, Vec<u32>) {
+    ids.into_iter().partition(|&u| g.alive()[u as usize])
+}
+
+/// The event-density axis: one event per shard, then hashed fractions of
+/// the universe, up to every node being an event in one call (every alive
+/// node dies and every dead one joins). Each rung must repair to the cold
+/// rebuild and report exactly its event count.
+#[test]
+fn repair_stays_exact_from_one_event_per_shard_to_every_node() {
+    for (dname, points) in deployments(0xDE45) {
+        let n = points.len() as u32;
+        for kind in KINDS {
+            let mut g = build(&points, kind);
+            // One event per non-empty shard: its lowest resident.
+            let mut first: Vec<Option<u32>> = vec![None; g.grid().shard_count()];
+            for (u, p) in points.iter_enumerated() {
+                first[g.grid().owner_of(p)].get_or_insert(u);
+            }
+            let mut rungs: Vec<(String, Vec<u32>)> =
+                vec![("1/shard".into(), first.into_iter().flatten().collect())];
+            for den in [16u64, 4, 2] {
+                let ids = (0..n)
+                    .filter(|&u| derive_seed2(0xD0, den, u as u64).is_multiple_of(den))
+                    .collect();
+                rungs.push((format!("1/{den}"), ids));
+            }
+            rungs.push(("all".into(), (0..n).collect()));
+            for (rung, ids) in rungs {
+                let (deaths, joins) = toggle(&g, ids.iter().copied());
+                let ctx = format!("{dname}/{kind:?}/{rung}");
+                let stats = churn_and_check(&mut g, &deaths, &joins, &ctx);
+                assert_eq!(stats.events, ids.len(), "{ctx}");
+            }
+        }
+    }
+}
+
+/// Hashed churn epochs over `points` for every kind.
+fn churn_epochs_stay_exact(points: &PointSet, name: &str) {
+    let n = points.len() as u32;
+    for kind in KINDS {
+        let mut g = build(points, kind);
+        assert!(g.verify_cold(), "{name}/{kind:?}: initial build");
+        for e in 0..4u64 {
+            let ids = (0..n).filter(|&u| derive_seed2(0xAD7, e, u as u64).is_multiple_of(3));
+            let (deaths, joins) = toggle(&g, ids);
+            churn_and_check(
+                &mut g,
+                &deaths,
+                &joins,
+                &format!("{name}/{kind:?}/epoch {e}"),
+            );
+        }
+    }
+}
+
+/// A unit lattice at r = 1: every lattice neighbour sits exactly on the
+/// disk boundary, and the 4-tile shard boundaries and padded extents run
+/// through lattice points, so every closed-box and `dist² ≤ r²` test
+/// meets its tie.
+#[test]
+fn unit_lattice_at_the_boundary_radius_stays_exact() {
+    let points: PointSet = (0..16)
+        .flat_map(|j| (0..16).map(move |i| Point::new(i as f64, j as f64)))
+        .collect();
+    let udg = IncrementalGraph::build(
+        points.clone(),
+        vec![true; points.len()],
+        IncTopology::Udg { radius: 1.0 },
+        TILES_PER_SHARD,
+    );
+    assert_eq!(
+        udg.graph().m(),
+        2 * 16 * 15,
+        "every lattice step is an edge"
+    );
+    churn_epochs_stay_exact(&points, "lattice");
+}
+
+/// Coincident points: stacks of three at every site of a sparse layout,
+/// plus one stack on a shard corner — zero distances and exact ties for
+/// every predicate.
+#[test]
+fn coincident_points_stay_exact() {
+    let base = sample_poisson_window(&mut rng_from_seed(0xC0), 3.0, &Aabb::square(SIDE));
+    let mut points = PointSet::new();
+    for q in base.iter().chain([Point::new(4.0, 4.0)]) {
+        for _ in 0..3 {
+            points.push(q);
+        }
+    }
+    churn_epochs_stay_exact(&points, "coincident");
+}
+
+/// Events that meet inside one call: both endpoints of an edge die
+/// together, then rejoin together, and one id passed as both a death and
+/// a join dies and rejoins — leaving the graph exactly as it was.
+#[test]
+fn paired_and_repeated_events_in_one_call_stay_exact() {
+    let points = sample_poisson_window(&mut rng_from_seed(0x9A1), 12.0, &Aabb::square(SIDE));
+    for kind in KINDS {
+        let mut g = build(&points, kind);
+        // Disjoint edges (u, v), both endpoints alive.
+        let mut used = vec![false; points.len()];
+        let mut pair_ids = Vec::new();
+        for u in 0..points.len() as u32 {
+            if used[u as usize] || pair_ids.len() >= 40 {
+                continue;
+            }
+            if let Some(&v) = g.graph().neighbors(u).iter().find(|&&v| !used[v as usize]) {
+                used[u as usize] = true;
+                used[v as usize] = true;
+                pair_ids.extend([u, v]);
+            }
+        }
+        assert!(!pair_ids.is_empty(), "{kind:?}: no edges to pair");
+        pair_ids.sort_unstable();
+        churn_and_check(&mut g, &pair_ids, &[], &format!("{kind:?}/death-death"));
+        churn_and_check(&mut g, &[], &pair_ids, &format!("{kind:?}/join-join"));
+
+        let before = g.graph().clone();
+        let twice: Vec<u32> = (0..points.len() as u32)
+            .filter(|&u| g.alive()[u as usize] && u % 5 == 0)
+            .collect();
+        churn_and_check(&mut g, &twice, &twice, &format!("{kind:?}/die-and-rejoin"));
+        assert!(
+            *g.graph() == before,
+            "{kind:?}: die-and-rejoin changed the graph"
+        );
+
+        // Mixed: the same ids die and rejoin while their neighbours die
+        // and reserve nodes join.
+        let others = (0..points.len() as u32).filter(|u| u % 7 == 3 && u % 5 != 0);
+        let (deaths, joins) = toggle(&g, others);
+        let deaths: Vec<u32> = deaths.into_iter().chain(twice.iter().copied()).collect();
+        let joins: Vec<u32> = joins.into_iter().chain(twice.iter().copied()).collect();
+        churn_and_check(&mut g, &deaths, &joins, &format!("{kind:?}/mixed"));
+    }
+}
+
+/// Tiny universes, n ∈ {0, 1, 2}: extinction, resurrection, die-and-rejoin
+/// in one call, and a quiescent call.
+#[test]
+fn tiny_universes_stay_exact() {
+    for n in 0..=2u32 {
+        let points: PointSet = (0..n).map(|i| Point::new(0.5 * i as f64, 0.0)).collect();
+        for kind in KINDS {
+            let mut g = IncrementalGraph::build(
+                points.clone(),
+                vec![true; n as usize],
+                kind,
+                TILES_PER_SHARD,
+            );
+            assert!(g.verify_cold(), "n = {n}/{kind:?}: initial build");
+            let all: Vec<u32> = (0..n).collect();
+            for (step, deaths, joins) in [
+                ("extinction", &all[..], &[][..]),
+                ("resurrection", &[][..], &all[..]),
+                ("die-and-rejoin", &all[..], &all[..]),
+                ("quiescent", &[][..], &[][..]),
+            ] {
+                churn_and_check(&mut g, deaths, joins, &format!("n = {n}/{kind:?}/{step}"));
+            }
+            assert_eq!(g.n_alive(), n as usize);
+        }
+    }
+}
+
+/// A universe that starts all dead and joins every node in one call.
+#[test]
+fn all_dead_universe_joins_all_at_once() {
+    let points = sample_poisson_window(&mut rng_from_seed(0xA11), 12.0, &Aabb::square(SIDE));
+    let n = points.len();
+    for kind in KINDS {
+        let mut g = IncrementalGraph::build(points.clone(), vec![false; n], kind, TILES_PER_SHARD);
+        assert_eq!(g.graph().m(), 0);
+        let all: Vec<u32> = (0..n as u32).collect();
+        let stats = churn_and_check(&mut g, &[], &all, &format!("{kind:?}/all-join"));
+        assert_eq!(stats.events, n);
+        assert!(
+            g.graph().m() > 0,
+            "{kind:?}: joining everyone built no edges"
+        );
     }
 }
