@@ -21,15 +21,17 @@
 //! lists diff in one linear two-pointer merge
 //! ([`crate::diff_emissions`]), fanned out over the dirty shards; an
 //! event-local UDG repair hands in its deaths' rows and its joins' disks.
-//! The splice scatters the delta's half-edges into per-chunk buckets with
-//! one counting pass — no global sort — and each touched chunk sorts,
-//! coalesces and merges its own bucket on the worker pool. Coalescing
-//! cancels entries that appear in both lists, so direct callers passing
-//! whole old/new emission sets get the same result.
+//! The splice routes the delta's half-edges into per-chunk buckets — no
+//! global sort — and each touched chunk sorts, coalesces and merges its own
+//! bucket on the worker pool. Coalescing cancels entries that appear in
+//! both lists, so direct callers passing whole old/new emission sets get
+//! the same result.
 //!
-//! [`ChunkedCsr::build`] is sort-free too: a counting scatter of the
-//! directed half-edges into per-node buckets, each short bucket then
-//! sorted and folded into multiplicities.
+//! [`ChunkedCsr::build`] is sort-free too. It hands the per-shard emission
+//! runs to the crate's assembler ([`crate::assemble`]) with the chunks as
+//! its blocks: each chunk's rows scatter straight into the chunk's arena
+//! region on the worker pool, each short row then sorted and folded into
+//! multiplicities.
 //!
 //! Two representation details make the splice exact for every topology:
 //!
@@ -49,12 +51,14 @@
 //!
 //! Regions are sized in [`SLACK_PAGE`]-entry pages: a chunk of `len` live
 //! entries gets `len + max(len/8, SLACK_PAGE)` rounded up to a page
-//! multiple. A splice that outgrows its region relocates the chunk to the
-//! arena tail with fresh slack (the old region becomes dead space); when
-//! dead space exceeds half the arena, one O(arena) compaction rebuilds it
-//! densely. Both paths are semantically invisible — equality and
+//! multiple (a fresh build counts the emitted half-edges, before
+//! duplicates fold). A splice that outgrows its region relocates the chunk
+//! to the arena tail with fresh slack (the old region becomes dead
+//! space); when dead space exceeds half the arena, one O(arena) compaction
+//! rebuilds it densely. Both paths are semantically invisible — equality and
 //! fingerprints read per-node neighbour slices, never the layout.
 
+use crate::assemble::{assemble, Assembly, Blocks, Emitted};
 use crate::csr::Csr;
 
 /// Arena slack granularity, in half-edge entries.
@@ -133,116 +137,72 @@ pub struct ChunkedCsr {
 }
 
 impl ChunkedCsr {
-    /// Build from canonical `(min, max)` edge emissions; `chunk_of[u]` is
-    /// node `u`'s owning chunk. An edge emitted from both endpoints (k-NN,
-    /// Yao) may appear twice — multiplicities absorb the duplicate.
-    pub fn build(
-        n_chunks: usize,
-        chunk_of: &[u32],
-        emissions: impl Iterator<Item = (u32, u32)>,
-    ) -> Self {
+    /// Build from per-shard edge emission runs; `chunk_of[u]` is node
+    /// `u`'s owning chunk. An edge emitted from both endpoints (k-NN, Yao)
+    /// may appear twice — multiplicities absorb the duplicate.
+    ///
+    /// The chunks are the assembler's blocks: each chunk's rows scatter
+    /// straight into its own arena region, sized by the slack policy (see
+    /// the module docs) from the half-edges emitted into it — before
+    /// duplicates fold, so a folding chunk starts with extra slack. Owned
+    /// runs are freed as they are bucketed.
+    pub fn build<R>(n_chunks: usize, chunk_of: &[u32], runs: impl IntoIterator<Item = R>) -> Self
+    where
+        R: AsRef<[(u32, u32)]> + Send,
+    {
         let n = chunk_of.len();
         assert!(n_chunks >= 1, "need at least one chunk");
-        assert!(
-            chunk_of.iter().all(|&c| (c as usize) < n_chunks),
-            "chunk id out of range"
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); n_chunks];
+        for (u, &c) in chunk_of.iter().enumerate() {
+            assert!((c as usize) < n_chunks, "chunk id {c} out of range");
+            members[c as usize].push(u as u32);
+        }
+        let mut chunk_nodes_off = Vec::with_capacity(n_chunks + 1);
+        chunk_nodes_off.push(0u32);
+        let mut chunk_nodes = Vec::with_capacity(n);
+        let mut slot_of = vec![0u32; n];
+        for nodes in members {
+            for (s, &u) in nodes.iter().enumerate() {
+                slot_of[u as usize] = s as u32;
+            }
+            chunk_nodes.extend_from_slice(&nodes);
+            chunk_nodes_off.push(chunk_nodes.len() as u32);
+        }
+
+        let blocks = Blocks::Chunks {
+            chunk_of,
+            slot_of: &slot_of,
+            nodes_off: &chunk_nodes_off,
+            nodes: &chunk_nodes,
+        };
+        let Assembly {
+            targets,
+            mult,
+            deg: deg_by_pos,
+            base: region_start,
+            cap: region_cap,
+            len: region_len,
+        } = assemble(
+            runs.into_iter().collect(),
+            None,
+            &blocks,
+            Emitted::Repeated,
+            cap_for,
+            true,
         );
 
-        // Chunk membership lists (counting sort keeps ids ascending).
-        let mut chunk_nodes_off = vec![0u32; n_chunks + 1];
-        for &c in chunk_of {
-            chunk_nodes_off[c as usize + 1] += 1;
-        }
-        for c in 0..n_chunks {
-            chunk_nodes_off[c + 1] += chunk_nodes_off[c];
-        }
-        let mut cursor: Vec<u32> = chunk_nodes_off[..n_chunks].to_vec();
-        let mut chunk_nodes = vec![0u32; n];
-        for (u, &c) in chunk_of.iter().enumerate() {
-            chunk_nodes[cursor[c as usize] as usize] = u as u32;
-            cursor[c as usize] += 1;
-        }
-
-        // Counting scatter of the directed half-edges into per-node
-        // buckets, then sort and fold each short bucket into multiplicities
-        // — no global sort over the half-edges.
-        let emissions: Vec<(u32, u32)> = emissions.collect();
-        let mut b_off = vec![0usize; n + 1];
-        for &(a, b) in &emissions {
-            assert!(
-                (a as usize) < n && (b as usize) < n,
-                "emission out of range"
-            );
-            assert_ne!(a, b, "self loop");
-            b_off[a as usize + 1] += 1;
-            b_off[b as usize + 1] += 1;
-        }
-        for u in 0..n {
-            b_off[u + 1] += b_off[u];
-        }
-        let mut cursor: Vec<usize> = b_off[..n].to_vec();
-        let mut e_v = vec![0u32; b_off[n]];
-        for (a, b) in emissions {
-            e_v[cursor[a as usize]] = b;
-            cursor[a as usize] += 1;
-            e_v[cursor[b as usize]] = a;
-            cursor[b as usize] += 1;
-        }
-        // Fold in place: the write cursor never passes the bucket being
-        // read, so `e_v` compacts into the per-node distinct neighbours.
-        let mut e_off = vec![0usize; n + 1];
-        let mut e_mult: Vec<u8> = Vec::with_capacity(e_v.len());
-        let mut w = 0usize;
-        for u in 0..n {
-            let (lo, hi) = (b_off[u], b_off[u + 1]);
-            e_v[lo..hi].sort_unstable();
-            let mut i = lo;
-            while i < hi {
-                let v = e_v[i];
-                let mut j = i + 1;
-                while j < hi && e_v[j] == v {
-                    j += 1;
-                }
-                e_v[w] = v;
-                e_mult.push(u8::try_from(j - i).expect("emission multiplicity fits u8"));
-                w += 1;
-                i = j;
-            }
-            e_off[u + 1] = w;
-        }
-        e_v.truncate(w);
-
-        // Lay the chunks out with slack.
         let mut start = vec![0u32; n];
         let mut deg = vec![0u32; n];
-        let mut region_start = vec![0u32; n_chunks];
-        let mut region_cap = vec![0u32; n_chunks];
-        let mut region_len = vec![0u32; n_chunks];
-        let mut targets: Vec<u32> = Vec::new();
-        let mut mult: Vec<u8> = Vec::new();
         for c in 0..n_chunks {
-            let nodes = &chunk_nodes[chunk_nodes_off[c] as usize..chunk_nodes_off[c + 1] as usize];
-            let len: usize = nodes
-                .iter()
-                .map(|&u| e_off[u as usize + 1] - e_off[u as usize])
-                .sum();
-            let cap = cap_for(u32::try_from(len).expect("chunk length fits u32")) as usize;
-            let base = targets.len();
-            region_start[c] = u32::try_from(base).expect("arena offset fits u32");
-            region_len[c] = len as u32;
-            region_cap[c] = cap as u32;
-            targets.resize(base + cap, 0);
-            mult.resize(base + cap, 0);
-            let mut cur = base;
-            for &u in nodes {
-                let (a, b) = (e_off[u as usize], e_off[u as usize + 1]);
-                start[u as usize] = cur as u32;
-                deg[u as usize] = (b - a) as u32;
-                targets[cur..cur + (b - a)].copy_from_slice(&e_v[a..b]);
-                mult[cur..cur + (b - a)].copy_from_slice(&e_mult[a..b]);
-                cur += b - a;
+            let mut cur = region_start[c];
+            for p in chunk_nodes_off[c] as usize..chunk_nodes_off[c + 1] as usize {
+                let u = chunk_nodes[p] as usize;
+                start[u] = cur;
+                deg[u] = deg_by_pos[p];
+                cur += deg_by_pos[p];
             }
         }
+        let live = region_len.iter().map(|&l| l as usize).sum();
 
         ChunkedCsr {
             chunk_of: chunk_of.to_vec(),
@@ -256,13 +216,13 @@ impl ChunkedCsr {
             targets,
             mult,
             dead: 0,
-            live: e_v.len(),
+            live,
         }
     }
 
     /// An edgeless graph on `n` nodes in a single chunk.
     pub fn empty(n: usize) -> Self {
-        Self::build(1, &vec![0u32; n], std::iter::empty())
+        Self::build::<&[(u32, u32)]>(1, &vec![0u32; n], [])
     }
 
     /// Number of nodes.
@@ -317,38 +277,22 @@ impl ChunkedCsr {
     /// (removing an emission that was never spliced in) — that means the
     /// caller's view of the graph diverged from the CSR.
     pub fn splice(&mut self, removed: &[(u32, u32)], added: &[(u32, u32)]) -> SpliceStats {
-        // Counting scatter of every emission's two directed half-edges into
-        // its endpoints' chunk buckets — no global sort. Each bucket is
-        // sorted, coalesced and merged inside the parallel pass below.
-        let n_chunks = self.chunk_count();
-        let mut off = vec![0usize; n_chunks + 1];
-        for &(a, b) in removed.iter().chain(added) {
-            off[self.chunk_of[a as usize] as usize + 1] += 1;
-            off[self.chunk_of[b as usize] as usize + 1] += 1;
-        }
-        for c in 0..n_chunks {
-            off[c + 1] += off[c];
-        }
-        let mut cursor: Vec<usize> = off[..n_chunks].to_vec();
-        let mut half = vec![(0u32, 0u32, 0i32); off[n_chunks]];
+        // Route every emission's two directed half-edges to their
+        // endpoints' chunk buckets — no global sort. Each bucket is sorted,
+        // coalesced and merged inside the parallel pass below.
+        let mut buckets: Vec<Vec<HalfEdge>> = vec![Vec::new(); self.chunk_count()];
         for (list, d) in [(removed, -1), (added, 1)] {
             for &(a, b) in list {
                 for (u, v) in [(a, b), (b, a)] {
-                    let c = self.chunk_of[u as usize] as usize;
-                    half[cursor[c]] = (u, v, d);
-                    cursor[c] += 1;
+                    buckets[self.chunk_of[u as usize] as usize].push((u, v, d));
                 }
             }
         }
-        let mut runs: Vec<(usize, &mut [HalfEdge])> = Vec::new();
-        let mut rest: &mut [HalfEdge] = &mut half;
-        for c in 0..n_chunks {
-            let (run, tail) = std::mem::take(&mut rest).split_at_mut(off[c + 1] - off[c]);
-            rest = tail;
-            if !run.is_empty() {
-                runs.push((c, run));
-            }
-        }
+        let runs: Vec<(usize, Vec<HalfEdge>)> = buckets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, run)| !run.is_empty())
+            .collect();
 
         // Merge pass: sorting and coalescing each bucket and the
         // two-pointer list merges (the compute) read only shared state, so
@@ -359,7 +303,7 @@ impl ChunkedCsr {
         let rewrites: Vec<Option<ChunkRewrite>> = {
             use rayon::prelude::*;
             runs.into_par_iter()
-                .map(|(c, run)| self.merge_chunk(c, run))
+                .map(|(c, mut run)| self.merge_chunk(c, &mut run))
                 .collect()
         };
         let mut stats = SpliceStats::default();
@@ -624,7 +568,7 @@ mod tests {
         let edges = [(0u32, 1u32), (1, 2), (2, 3), (0, 3), (1, 3)];
         // Emit (1, 2) and (0, 3) twice, as a two-sided builder would.
         let emissions = [(0, 1), (1, 2), (2, 3), (1, 2), (0, 3), (1, 3), (0, 3)];
-        let g = ChunkedCsr::build(2, &[0, 0, 1, 1], emissions.into_iter());
+        let g = ChunkedCsr::build(2, &[0, 0, 1, 1], [emissions]);
         let d = dense(4, &edges);
         assert_eq!(g, d);
         assert_eq!(d, g);
@@ -636,7 +580,7 @@ mod tests {
     #[test]
     fn cancelled_delta_touches_nothing() {
         let emissions = [(0u32, 1u32), (1, 2)];
-        let mut g = ChunkedCsr::build(2, &[0, 1, 1], emissions.into_iter());
+        let mut g = ChunkedCsr::build(2, &[0, 1, 1], [emissions]);
         let stats = g.splice(&emissions, &emissions);
         assert_eq!(stats.chunks_touched, 0);
         assert_eq!(stats.delta_halfedges, 0);
@@ -649,7 +593,7 @@ mod tests {
         // 3 chunks over 9 nodes; splice across chunk boundaries.
         let chunk_of = [0u32, 0, 0, 1, 1, 1, 2, 2, 2];
         let initial = [(0u32, 1u32), (1, 4), (3, 4), (4, 7), (6, 8)];
-        let mut g = ChunkedCsr::build(3, &chunk_of, initial.iter().copied());
+        let mut g = ChunkedCsr::build(3, &chunk_of, [&initial]);
         // Remove chunk-crossing (1,4), add (2,6) and (0,8).
         let stats = g.splice(&[(1, 4)], &[(2, 6), (0, 8)]);
         assert_eq!(stats.chunks_touched, 3);
@@ -668,7 +612,7 @@ mod tests {
     #[test]
     fn multiplicity_keeps_edges_backed_by_a_clean_shard() {
         // Edge (1, 2) emitted from both endpoints' chunks (k-NN style).
-        let mut g = ChunkedCsr::build(2, &[0, 0, 1], [(1u32, 2u32), (1, 2)].into_iter());
+        let mut g = ChunkedCsr::build(2, &[0, 0, 1], [[(1u32, 2u32), (1, 2)]]);
         assert_eq!(g.m(), 1);
         // One side withdraws its emission: the edge must survive.
         g.splice(&[(1, 2)], &[]);
@@ -688,7 +632,7 @@ mod tests {
         let n = 400usize;
         let chunk_of: Vec<u32> = (0..n).map(|u| if u < 4 { 0 } else { 1 }).collect();
         let stable: Vec<(u32, u32)> = (4..n as u32 - 1).map(|u| (u, u + 1)).collect();
-        let mut g = ChunkedCsr::build(2, &chunk_of, stable.iter().copied());
+        let mut g = ChunkedCsr::build(2, &chunk_of, [&stable]);
         let mut reference: Vec<(u32, u32)> = stable.clone();
         let mut relocations = 0usize;
         let mut compactions = 0usize;
@@ -717,7 +661,7 @@ mod tests {
     #[test]
     fn extinction_and_resurrection() {
         let edges = [(0u32, 1u32), (1, 2), (0, 2)];
-        let mut g = ChunkedCsr::build(2, &[0, 1, 1], edges.iter().copied());
+        let mut g = ChunkedCsr::build(2, &[0, 1, 1], [&edges]);
         g.splice(&edges, &[]);
         assert_eq!(g.m(), 0);
         assert_eq!(g, Csr::empty(3));
@@ -740,7 +684,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not present")]
     fn removing_a_never_spliced_emission_panics() {
-        let mut g = ChunkedCsr::build(1, &[0, 0, 0], [(0u32, 1u32)].into_iter());
+        let mut g = ChunkedCsr::build(1, &[0, 0, 0], [[(0u32, 1u32)]]);
         g.splice(&[(1, 2)], &[]);
     }
 
@@ -755,7 +699,7 @@ mod tests {
             .filter(|&(a, b)| a != b)
             .map(|(a, b)| (a.min(b), a.max(b)))
             .collect();
-        let g = ChunkedCsr::build(chunks, &chunk_of, emissions.iter().copied());
+        let g = ChunkedCsr::build(chunks, &chunk_of, [&emissions]);
         let d = dense(n, &emissions);
         assert_eq!(g, d, "n = {n}, chunks = {chunks}");
         assert_eq!(g.to_dense(), d);
@@ -810,7 +754,7 @@ mod tests {
             };
             let edges = canon(&initial);
             let chunk_of: Vec<u32> = (0..n as u32).map(|u| u % chunks as u32).collect();
-            let mut g = ChunkedCsr::build(chunks, &chunk_of, edges.iter().copied());
+            let mut g = ChunkedCsr::build(chunks, &chunk_of, [&edges]);
             // Mask 0 withdraws, 1 withdraws and re-adds, else keeps.
             let (mut removed, mut added, mut kept) = (Vec::new(), Vec::new(), Vec::new());
             for (i, &(a, b)) in edges.iter().enumerate() {
@@ -844,8 +788,8 @@ mod tests {
     fn equality_is_layout_independent() {
         // Same graph, different chunking and different splice history.
         let edges = [(0u32, 1u32), (1, 2), (2, 3)];
-        let a = ChunkedCsr::build(2, &[0, 0, 1, 1], edges.iter().copied());
-        let mut b = ChunkedCsr::build(4, &[0, 1, 2, 3], [(0u32, 1u32)].into_iter());
+        let a = ChunkedCsr::build(2, &[0, 0, 1, 1], [&edges]);
+        let mut b = ChunkedCsr::build(4, &[0, 1, 2, 3], [[(0u32, 1u32)]]);
         b.splice(&[], &[(1, 2), (2, 3)]);
         assert_eq!(a, b);
         assert_eq!(a, dense(4, &edges));

@@ -1,5 +1,6 @@
 //! CSR (compressed sparse row) adjacency.
 
+use crate::assemble::{assemble, split_runs, Assembly, Blocks, Emitted};
 use crate::builder::EdgeList;
 
 /// An undirected graph in CSR form: `targets[offsets[u]..offsets[u + 1]]`
@@ -11,41 +12,61 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build from an edge list; duplicates are removed.
-    pub fn from_edge_list(edges: EdgeList) -> Self {
-        let (n, edges) = edges.dedup_edges();
-        Self::from_canonical_edges(n, &edges)
+    /// Assemble from edge runs (typically one per construction shard),
+    /// pushing both endpoints of every edge through `map` when given — the
+    /// Morton-ordered builders pass `to_orig` and so emit straight into
+    /// deployment ids. Rows come out sorted with repeats folded; `emitted`
+    /// says whether repeats are expected (see [`Emitted`]). Panics on an
+    /// endpoint out of range or a self-loop.
+    pub fn from_runs<R>(n: usize, runs: Vec<R>, map: Option<&[u32]>, emitted: Emitted) -> Self
+    where
+        R: AsRef<[(u32, u32)]> + Send,
+    {
+        let Assembly {
+            mut targets,
+            deg,
+            base,
+            len,
+            ..
+        } = assemble(runs, map, &Blocks::dense(n), emitted, |l| l, false);
+        // Close the gaps folding left between blocks.
+        let mut w = 0usize;
+        for (&b, &l) in base.iter().zip(&len) {
+            let (b, l) = (b as usize, l as usize);
+            if b != w {
+                targets.copy_within(b..b + l, w);
+            }
+            w += l;
+        }
+        if w < targets.len() {
+            targets.truncate(w);
+            targets.shrink_to_fit();
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut acc = 0u32;
+        for d in deg {
+            acc += d;
+            offsets.push(acc);
+        }
+        Csr { offsets, targets }
     }
 
-    /// Build from canonical `(min, max)` unique edges.
+    /// Build from an edge list; duplicates are removed.
+    pub fn from_edge_list(edges: EdgeList) -> Self {
+        Self::from_runs(
+            edges.n(),
+            split_runs(&[edges.edges()]),
+            None,
+            Emitted::Repeated,
+        )
+    }
+
+    /// Build from unique undirected edges, in either orientation. A
+    /// repeated pair is a caller bug: debug builds panic on it, release
+    /// builds fold it.
     pub fn from_canonical_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut deg = vec![0u32; n + 1];
-        for &(u, v) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "edge out of range");
-            deg[u as usize + 1] += 1;
-            deg[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            deg[i + 1] += deg[i];
-        }
-        let offsets = deg.clone();
-        let mut cursor = deg;
-        let mut targets = vec![0u32; edges.len() * 2];
-        for &(u, v) in edges {
-            targets[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
-        }
-        // Neighbour lists come out sorted because edges are sorted
-        // canonically... only per source of the first endpoint; sort each
-        // list to guarantee the invariant cheaply.
-        let mut csr = Csr { offsets, targets };
-        for u in 0..n {
-            let (s, e) = (csr.offsets[u] as usize, csr.offsets[u + 1] as usize);
-            csr.targets[s..e].sort_unstable();
-        }
-        csr
+        Self::from_runs(n, split_runs(&[edges]), None, Emitted::Once)
     }
 
     /// Assemble from already-valid CSR arrays: `offsets` of length `n + 1`
@@ -191,6 +212,51 @@ mod tests {
         assert!(f.has_edge(3, 4));
         assert!(!f.has_edge(1, 2));
         assert!(f.neighbors(2).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop (2, 2)")]
+    fn canonical_edges_reject_self_loops() {
+        Csr::from_canonical_edges(4, &[(0, 1), (2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop (3, 0)")]
+    fn a_map_that_merges_endpoints_is_a_self_loop() {
+        Csr::from_runs(
+            4,
+            vec![vec![(3u32, 0u32)]],
+            Some(&[1, 2, 3, 1]),
+            Emitted::Once,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn canonical_edges_reject_out_of_range_ids() {
+        Csr::from_canonical_edges(3, &[(0, 3)]);
+    }
+
+    /// A repeated pair in an emit-once build is a builder bug, caught in
+    /// debug builds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "emitted 2 times")]
+    fn canonical_edges_reject_repeated_pairs() {
+        Csr::from_canonical_edges(3, &[(0, 1), (1, 2), (0, 1)]);
+    }
+
+    #[test]
+    fn repeated_emissions_fold_into_one_edge() {
+        let runs = vec![
+            vec![(0u32, 1u32), (1, 2)],
+            vec![],
+            vec![(1, 0), (2, 1), (0, 1)],
+        ];
+        let g = Csr::from_runs(3, runs, None, Emitted::Repeated);
+        assert_eq!(g.m(), 2);
+        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert_eq!(g.degree(0), 1);
     }
 
     #[test]

@@ -179,10 +179,15 @@ impl ShardedEdgeStore {
         self.per_shard.iter().map(Vec::len).sum()
     }
 
-    /// Iterate every cached emission in shard order (duplicates included —
+    /// Every shard's cached emissions, in shard order (duplicates included —
     /// the chunked-CSR build folds them into multiplicities).
-    pub fn emissions(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.per_shard.iter().flat_map(|s| s.iter().copied())
+    pub fn runs(&self) -> &[Vec<(u32, u32)>] {
+        &self.per_shard
+    }
+
+    /// The shards' cached emissions, moved out.
+    pub fn into_runs(self) -> Vec<Vec<(u32, u32)>> {
+        self.per_shard
     }
 }
 
@@ -326,7 +331,7 @@ mod tests {
 
     /// The graph a store's emissions splice into (one chunk).
     fn spliced(store: &ShardedEdgeStore) -> crate::ChunkedCsr {
-        crate::ChunkedCsr::build(1, &vec![0u32; store.n()], store.emissions())
+        crate::ChunkedCsr::build(1, &vec![0u32; store.n()], store.runs())
     }
 
     #[test]
@@ -392,7 +397,7 @@ mod tests {
         let mut store = ShardedEdgeStore::new(4, 2);
         store.replace(0, vec![(0, 1), (1, 2), (1, 2)]);
         store.replace(1, vec![(2, 3)]);
-        let mut g = crate::ChunkedCsr::build(2, &chunk_of, store.emissions());
+        let mut g = crate::ChunkedCsr::build(2, &chunk_of, store.runs());
         let old = store.take(0);
         store.replace(0, vec![(0, 1), (1, 2)]);
         let (removed, added) = diff_emissions(&old, store.shard(0));
@@ -500,7 +505,7 @@ mod tests {
         let mut store = ShardedEdgeStore::new(3, 2);
         store.replace(0, vec![(0, 1), (1, 2)]);
         store.replace(1, vec![(1, 2)]);
-        let all: Vec<(u32, u32)> = store.emissions().collect();
+        let all: Vec<(u32, u32)> = store.runs().concat();
         assert_eq!(all, vec![(0, 1), (1, 2), (1, 2)]);
         assert_eq!(all.len(), store.emission_count());
     }
@@ -511,7 +516,7 @@ mod tests {
         let chunked = crate::chunked::ChunkedCsr::build(
             3,
             &[0, 0, 1, 1, 2, 2],
-            g.edges().collect::<Vec<_>>().into_iter(),
+            &[g.edges().collect::<Vec<_>>()],
         );
         assert_eq!(fingerprint(&g), fingerprint(&chunked));
         assert_eq!(

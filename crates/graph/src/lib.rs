@@ -10,6 +10,9 @@
 //!
 //! Modules:
 //!
+//! * [`assemble`] — the CSR assembler every constructor calls: per-shard
+//!   edge runs, optionally id-mapped, bucketed and scattered into sorted
+//!   rows on the worker pool.
 //! * [`csr`] — the [`Csr`] structure and its [`builder::EdgeList`] builder.
 //! * [`chunked`] — the [`ChunkedCsr`]: per-shard adjacency chunks with
 //!   slack pages, spliced in place in O(dirty) per churned epoch.
@@ -18,8 +21,7 @@
 //! * [`builder`] — edge-list accumulation and deduplication.
 //! * [`delta`] — incremental maintenance: sorted per-shard edge caches and
 //!   their linear old/new diff, monotone relabelling, CSR fingerprints.
-//! * [`perm`] — arbitrary-permutation relabelling, the emission boundary of
-//!   the Morton-ordered construction pipeline.
+//! * [`perm`] — arbitrary-permutation relabelling of a built graph.
 //! * [`snapshot`] — epoch-versioned RCU-style snapshot publication: the
 //!   serve path's pin/publish/retire structure.
 //! * [`unionfind`] — disjoint sets with union by size + path halving.
@@ -30,6 +32,7 @@
 //! * [`stats`] — degree statistics (sparsity property P1).
 //! * [`stretch`] — hop/Euclidean stretch sampling (stretch property P2).
 
+pub mod assemble;
 pub mod bfs;
 pub mod builder;
 pub mod chunked;
@@ -44,6 +47,7 @@ pub mod stretch;
 pub mod unionfind;
 pub mod view;
 
+pub use assemble::Emitted;
 pub use builder::EdgeList;
 pub use chunked::{ChunkedCsr, SpliceStats};
 pub use csr::Csr;
@@ -51,7 +55,7 @@ pub use delta::{
     check_monotone, diff_emissions, fingerprint, relabel, sort_emissions, IdRemap,
     MonotonicityError, ShardedEdgeStore,
 };
-pub use perm::{invert_permutation, remap_canonical_edges, remap_csr};
+pub use perm::remap_csr;
 pub use snapshot::{EpochGuard, EpochHandle, EpochPublisher, SnapshotStats};
 pub use unionfind::UnionFind;
 pub use view::{CsrView, GraphView};

@@ -1,70 +1,48 @@
-//! Arbitrary-permutation relabelling.
+//! Arbitrary-permutation relabelling of a built graph.
 //!
 //! [`crate::delta::IdRemap`] deliberately accepts only *monotone* maps —
 //! the shard-gather case, where relative order is preserved. The ordered
-//! construction pipeline needs the general case: builders run in a
-//! spatially sorted *rank* space (`wsn_pointproc::order::PointOrder`) and
-//! their emissions must be relabelled back to original deployment ids at
-//! the emission boundary, through a permutation that is anything but
-//! monotone. These helpers are that boundary.
+//! construction pipeline runs its builders in a spatially sorted *rank*
+//! space (`wsn_pointproc::order::PointOrder`) through a permutation that is
+//! anything but monotone; those builders hand the map to the assembler
+//! ([`crate::Csr::from_runs`]), which emits straight into deployment ids.
 //!
-//! Everything here is pure index bookkeeping: relabelling then
-//! re-canonicalising through [`Csr::from_canonical_edges`]'s counting sort
-//! reproduces the deployment-order graph byte-for-byte, which is what lets
-//! the permutation-invariance suite demand identical fingerprints.
+//! [`remap_csr`] is the same assembler call over an already-built graph:
+//! its edges, read row range by row range on the worker pool, are the
+//! runs. It is the tool for relabelling a finished graph (and for timing
+//! that relabel on its own);
+//! the result is in canonical form, so two graphs equal up to relabelling
+//! compare equal — including under [`crate::delta::fingerprint`].
 
+use rayon::prelude::*;
+
+use crate::assemble::Emitted;
 use crate::csr::Csr;
 use crate::view::GraphView;
 
-/// Invert a permutation: `inv[perm[i]] = i`. Panics (via indexing /
-/// debug assertions) unless `perm` is a bijection on `0..len`.
-pub fn invert_permutation(perm: &[u32]) -> Vec<u32> {
-    let mut inv = vec![u32::MAX; perm.len()];
-    for (i, &p) in perm.iter().enumerate() {
-        debug_assert!(
-            inv[p as usize] == u32::MAX,
-            "id {p} appears twice in the permutation"
-        );
-        inv[p as usize] = i as u32;
-    }
-    debug_assert!(inv.iter().all(|&v| v != u32::MAX));
-    inv
-}
-
-/// Relabel canonical `(u, v)` edges through `map` and re-canonicalise so
-/// `small < large` again. Order of the output edge vector is unspecified —
-/// feed it to [`Csr::from_canonical_edges`], which sorts per node.
-pub fn remap_canonical_edges(edges: &[(u32, u32)], map: &[u32]) -> Vec<(u32, u32)> {
-    edges
-        .iter()
-        .map(|&(u, v)| {
-            let (a, b) = (map[u as usize], map[v as usize]);
-            if a < b {
-                (a, b)
-            } else {
-                (b, a)
-            }
-        })
-        .collect()
-}
+/// Rows of `g` per assembler run.
+const ROWS_PER_RUN: usize = 1 << 12;
 
 /// Rebuild `g` with every node id pushed through `map` (an arbitrary
-/// bijection on `0..g.n()`). The result is in canonical CSR form (sorted
-/// neighbor lists), so two graphs equal up to relabelling compare equal —
-/// including under [`crate::delta::fingerprint`].
-pub fn remap_csr<G: GraphView + ?Sized>(g: &G, map: &[u32]) -> Csr {
+/// bijection on `0..g.n()`).
+pub fn remap_csr<G: GraphView + Sync + ?Sized>(g: &G, map: &[u32]) -> Csr {
     assert_eq!(map.len(), g.n(), "map must cover every node");
-    let mut edges = Vec::with_capacity(g.m());
-    for u in 0..g.n() as u32 {
-        let mu = map[u as usize];
-        for &v in g.neighbors(u) {
-            if u < v {
-                let mv = map[v as usize];
-                edges.push(if mu < mv { (mu, mv) } else { (mv, mu) });
-            }
-        }
-    }
-    Csr::from_canonical_edges(g.n(), &edges)
+    let n = g.n();
+    let starts: Vec<usize> = (0..n).step_by(ROWS_PER_RUN).collect();
+    let runs: Vec<Vec<(u32, u32)>> = starts
+        .into_par_iter()
+        .map(|lo| {
+            let rows = lo as u32..(lo + ROWS_PER_RUN).min(n) as u32;
+            rows.flat_map(|u| {
+                g.neighbors(u)
+                    .iter()
+                    .filter(move |&&v| u < v)
+                    .map(move |&v| (u, v))
+            })
+            .collect()
+        })
+        .collect();
+    Csr::from_runs(n, runs, Some(map), Emitted::Once)
 }
 
 #[cfg(test)]
@@ -74,17 +52,6 @@ mod tests {
 
     fn sample() -> Csr {
         Csr::from_canonical_edges(5, &[(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
-    }
-
-    #[test]
-    fn invert_roundtrips() {
-        let perm = vec![3u32, 0, 4, 1, 2];
-        let inv = invert_permutation(&perm);
-        assert_eq!(inv, vec![1, 3, 4, 0, 2]);
-        for (i, &p) in perm.iter().enumerate() {
-            assert_eq!(inv[p as usize], i as u32);
-        }
-        assert_eq!(invert_permutation(&inv), perm);
     }
 
     #[test]
@@ -100,9 +67,13 @@ mod tests {
     fn remap_then_inverse_restores_the_graph() {
         let g = sample();
         let perm = vec![4u32, 2, 0, 3, 1];
+        let mut inverse = vec![0u32; perm.len()];
+        for (i, &p) in perm.iter().enumerate() {
+            inverse[p as usize] = i as u32;
+        }
         let scrambled = remap_csr(&g, &perm);
         assert_ne!(fingerprint(&g), fingerprint(&scrambled));
-        let restored = remap_csr(&scrambled, &invert_permutation(&perm));
+        let restored = remap_csr(&scrambled, &inverse);
         assert_eq!(g, restored);
         assert_eq!(fingerprint(&g), fingerprint(&restored));
     }
@@ -122,13 +93,11 @@ mod tests {
     }
 
     #[test]
-    fn remap_canonical_edges_matches_csr_remap() {
+    fn remap_equals_assembling_the_mapped_edges() {
         let g = sample();
         let edges: Vec<(u32, u32)> = g.edges().collect();
         let perm = vec![2u32, 4, 1, 0, 3];
-        let remapped = remap_canonical_edges(&edges, &perm);
-        assert!(remapped.iter().all(|&(u, v)| u < v));
-        let h = Csr::from_canonical_edges(5, &remapped);
+        let h = Csr::from_runs(5, vec![edges], Some(&perm), Emitted::Once);
         assert_eq!(h, remap_csr(&g, &perm));
     }
 }

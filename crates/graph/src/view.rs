@@ -130,11 +130,7 @@ mod tests {
     #[test]
     fn csr_view_delegates_to_both_representations() {
         let dense = path_graph(5);
-        let chunked = ChunkedCsr::build(
-            2,
-            &[0, 0, 1, 1, 1],
-            dense.edges().collect::<Vec<_>>().into_iter(),
-        );
+        let chunked = ChunkedCsr::build(2, &[0, 0, 1, 1, 1], &[dense.edges().collect::<Vec<_>>()]);
         for view in [CsrView::Dense(&dense), CsrView::Chunked(&chunked)] {
             assert_eq!(view.n(), 5);
             assert_eq!(view.m(), 4);

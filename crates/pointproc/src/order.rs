@@ -9,9 +9,10 @@
 //!
 //! The *logical* id space of every graph, golden, and seeded draw stays
 //! the original deployment order: builders run over `points()` in rank
-//! space and remap their emissions through [`PointOrder::to_orig`] at the
-//! emission boundary (`wsn_rgg::ordered`, `wsn_core`'s `*_ordered`
-//! builders). Churn, HNG level promotion, and every other per-node seeded
+//! space and name their emissions through [`PointOrder::to_orig`]
+//! (`wsn_rgg::ordered` hands it to the CSR assembler, which writes every
+//! half-edge straight into its deployment-id row; `wsn_core`'s
+//! `*_ordered` builders map their candidates). Churn, HNG level promotion, and every other per-node seeded
 //! stream key on original ids, so reordering can never change an observable
 //! byte — the permutation-invariance suite pins this for all eight
 //! topology kinds.

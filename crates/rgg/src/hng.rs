@@ -32,7 +32,7 @@
 
 use wsn_geom::hash::{derive_seed2, mix64};
 use wsn_geom::{Aabb, Point};
-use wsn_graph::{Csr, EdgeList};
+use wsn_graph::{Csr, EdgeList, Emitted};
 use wsn_pointproc::PointSet;
 use wsn_spatial::GridIndex;
 
@@ -380,6 +380,18 @@ pub fn build_hng_sharded_on_levels(
     links: usize,
     tiles_per_shard: usize,
 ) -> Csr {
+    hng_sharded_on_levels(points, levels, links, tiles_per_shard, None)
+}
+
+/// [`build_hng_sharded_on_levels`] with the assembler mapping every
+/// endpoint through `map` (the ordered pipeline passes `to_orig`).
+pub(crate) fn hng_sharded_on_levels(
+    points: &PointSet,
+    levels: &[u32],
+    links: usize,
+    tiles_per_shard: usize,
+    map: Option<&[u32]>,
+) -> Csr {
     assert!(links >= 1, "need at least one uplink per level");
     assert_eq!(levels.len(), points.len(), "level per point");
     if points.is_empty() {
@@ -391,7 +403,7 @@ pub fn build_hng_sharded_on_levels(
     let bbox = points.bounding_box().unwrap();
     let sets = LevelSets::build(points, levels);
     let indexes = sets.indexes(links);
-    let edges = fan_out(&grid, |s| {
+    let runs = fan_out(&grid, |s| {
         let shard = Shard::gather(points, &gather, &grid, s, halo);
         let padded = grid.padded(s, halo);
         let covers_all = padded.contains_aabb(&bbox);
@@ -425,11 +437,9 @@ pub fn build_hng_sharded_on_levels(
         )
         .0
     });
-    let mut el = EdgeList::with_capacity(points.len(), edges.len());
-    for (u, v) in edges {
-        el.add(u, v);
-    }
-    Csr::from_edge_list(el)
+    // An uplink may be selected from both endpoints; the assembler folds
+    // the repeat.
+    Csr::from_runs(points.len(), runs, map, Emitted::Repeated)
 }
 
 /// Sharded `HNG(points, params, seed)` — edge-identical to [`build_hng`].

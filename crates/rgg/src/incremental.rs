@@ -322,12 +322,17 @@ impl IncrementalGraph {
         // build folds cross-shard duplicate emissions (k-NN, Yao) into
         // per-entry multiplicities — no global dedup sort, here or later.
         let chunk_of: Vec<u32> = g.points.iter().map(|p| g.grid.owner_of(p) as u32).collect();
-        g.csr = ChunkedCsr::build(g.grid.shard_count(), &chunk_of, g.store.emissions());
-        // The UDG repairs from the CSR rows and the resident lists alone;
-        // its shard caches would only duplicate the CSR's upper triangle.
-        if let IncTopology::Udg { .. } = kind {
-            g.store = ShardedEdgeStore::new(g.points.len(), g.grid.shard_count());
-        }
+        let shards = g.grid.shard_count();
+        g.csr = if let IncTopology::Udg { .. } = kind {
+            // The UDG repairs from the CSR rows and the resident lists
+            // alone; its shard caches would only duplicate the CSR's upper
+            // triangle, so the build consumes them.
+            let store =
+                std::mem::replace(&mut g.store, ShardedEdgeStore::new(g.points.len(), shards));
+            ChunkedCsr::build(shards, &chunk_of, store.into_runs())
+        } else {
+            ChunkedCsr::build(shards, &chunk_of, g.store.runs())
+        };
         g
     }
 

@@ -28,8 +28,8 @@
 //! cold-build dispatch, [`IncTopology::build`] / [`IncTopology::build_alive`]:
 //! [`Exec::Serial`] runs the monolithic oracle, [`Exec::Sharded`] runs the
 //! sharded builders over a Morton-sorted copy of the deployment
-//! (cache-linear gathers) and remaps the graph back to original ids at
-//! the emission boundary, byte-identically.
+//! (cache-linear gathers), whose shard runs the CSR assembler writes
+//! straight into original-id rows, byte-identically.
 //!
 //! Under node churn the same shard decomposition powers [`incremental`]:
 //! per-shard edge caches survive across epochs and only shards whose

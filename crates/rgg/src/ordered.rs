@@ -6,42 +6,45 @@
 //!
 //! * [`Exec::Serial`] runs the monolithic reference builders — the oracle
 //!   every other path is pinned to.
-//! * [`Exec::Sharded`] is the production path: a Morton reorder, the
+//! * [`Exec::Sharded`] is the production path: a Morton reorder, then the
 //!   tile-sharded builder over the rank-space copy (grid buckets, ghost
 //!   gathers and per-shard resident lists then walk the point SoA
-//!   near-sequentially), and a remap back to original deployment ids at
-//!   the emission boundary ([`wsn_graph::perm::remap_csr`]).
+//!   near-sequentially). Its shard runs go to the CSR assembler
+//!   ([`Csr::from_runs`]) together with the order's `to_orig` map, so every
+//!   half-edge is written straight into its deployment-id row: no CSR is
+//!   ever built in rank space, and there is no remap pass.
 //!
 //! The `build_*_on_order` functions are the sharded path over a prepared
 //! [`PointOrder`]; they stay public so callers can drive them with any
 //! order (the permutation-invariance suite uses arbitrary bijections).
 //!
-//! ## Why the remapped graph is the deployment-order graph
+//! ## Why emitting through `to_orig` yields the deployment-order graph
 //!
 //! The reordered copy carries bit-identical coordinates, and every
 //! predicate these builders evaluate is symmetric in its operands
 //! (`dist_sq`, `midpoint`) or canonicalised through `min`/`max`, so the
 //! *edge set* a builder derives is a pure function of the point multiset —
-//! ids only name the endpoints. Remapping endpoint names through
-//! `to_orig` and re-canonicalising via `Csr::from_canonical_edges`'s
-//! per-node sort therefore reproduces the deployment-order graph
-//! byte-for-byte. Selection tie-breaks (k-NN, Yao cones, HNG uplinks) do
-//! key on ids as a *last* resort, but only after exact distance equality —
-//! a measure-zero event for the continuous deployments this pipeline
-//! generates; the permutation-invariance suite and the golden matrix pin
+//! ids only name the endpoints. The assembler renames each endpoint
+//! through `to_orig` as it buckets the half-edge, and then sorts every
+//! deployment-id row, so the rows are byte-for-byte those of the
+//! deployment-order build whatever order the shards emitted in. Selection
+//! tie-breaks (k-NN, Yao cones, HNG uplinks) do key on ids as a *last*
+//! resort, but only after exact distance equality — a measure-zero event
+//! for the continuous deployments this pipeline generates; the
+//! permutation-invariance suite (including a lattice with tied distances
+//! for the threshold kinds, which break no ties) and the golden matrix pin
 //! the equality in practice. HNG level draws are seeded per *original* id
 //! ([`crate::hng::hng_levels`]) and gathered into rank space, so the level
 //! structure itself is layout-independent by construction.
 
-use wsn_graph::perm::remap_csr;
 use wsn_graph::{relabel, Csr};
 use wsn_pointproc::{PointOrder, PointSet};
 
-use crate::hng::{build_hng_sharded_on_levels, hng_levels, HngParams};
+use crate::hng::{hng_levels, hng_sharded_on_levels, HngParams};
 use crate::incremental::{compact_alive, IncTopology};
 use crate::sharded::{
-    build_gabriel_sharded, build_knn_sharded, build_rng_sharded, build_udg_sharded,
-    build_yao_sharded,
+    derive_gabriel, derive_rng, derive_udg, knn_sharded, threshold_sharded, yao_sharded,
+    DeriveThreshold,
 };
 use crate::{build_gabriel, build_hng_on_levels, build_knn, build_rng, build_udg, build_yao};
 
@@ -52,8 +55,8 @@ pub enum Exec {
     /// The monolithic reference builders (the oracle).
     Serial,
     /// Morton reorder, tile-sharded rayon build with `tiles` topology
-    /// tiles per shard side ([`crate::WHOLE_WINDOW`] = one shard), remap
-    /// back to deployment ids.
+    /// tiles per shard side ([`crate::WHOLE_WINDOW`] = one shard), emitted
+    /// straight into deployment ids.
     Sharded { tiles: usize },
 }
 
@@ -118,30 +121,32 @@ impl IncTopology {
     }
 }
 
+/// A threshold kind over a prepared order, emitted through `to_orig`.
+fn threshold_on_order(
+    order: &PointOrder,
+    radius: f64,
+    tiles_per_shard: usize,
+    derive: DeriveThreshold,
+) -> Csr {
+    let to_orig = Some(order.to_orig());
+    threshold_sharded(order.points(), radius, tiles_per_shard, to_orig, derive)
+}
+
 /// UDG over a prepared order — edge-identical to [`crate::build_udg`].
 pub fn build_udg_on_order(order: &PointOrder, radius: f64, tiles_per_shard: usize) -> Csr {
-    remap_csr(
-        &build_udg_sharded(order.points(), radius, tiles_per_shard),
-        order.to_orig(),
-    )
+    threshold_on_order(order, radius, tiles_per_shard, derive_udg)
 }
 
 /// Gabriel graph over a prepared order — edge-identical to
 /// [`crate::build_gabriel`].
 pub fn build_gabriel_on_order(order: &PointOrder, radius: f64, tiles_per_shard: usize) -> Csr {
-    remap_csr(
-        &build_gabriel_sharded(order.points(), radius, tiles_per_shard),
-        order.to_orig(),
-    )
+    threshold_on_order(order, radius, tiles_per_shard, derive_gabriel)
 }
 
 /// Relative neighborhood graph over a prepared order — edge-identical to
 /// [`crate::build_rng`].
 pub fn build_rng_on_order(order: &PointOrder, radius: f64, tiles_per_shard: usize) -> Csr {
-    remap_csr(
-        &build_rng_sharded(order.points(), radius, tiles_per_shard),
-        order.to_orig(),
-    )
+    threshold_on_order(order, radius, tiles_per_shard, derive_rng)
 }
 
 /// Yao graph over a prepared order — edge-identical to [`crate::build_yao`].
@@ -151,19 +156,19 @@ pub fn build_yao_on_order(
     cones: usize,
     tiles_per_shard: usize,
 ) -> Csr {
-    remap_csr(
-        &build_yao_sharded(order.points(), radius, cones, tiles_per_shard),
-        order.to_orig(),
+    yao_sharded(
+        order.points(),
+        radius,
+        cones,
+        tiles_per_shard,
+        Some(order.to_orig()),
     )
 }
 
 /// Symmetrised k-NN over a prepared order — edge-identical to
 /// [`crate::build_knn`].
 pub fn build_knn_on_order(order: &PointOrder, k: usize, tiles_per_shard: usize) -> Csr {
-    remap_csr(
-        &build_knn_sharded(order.points(), k, tiles_per_shard),
-        order.to_orig(),
-    )
+    knn_sharded(order.points(), k, tiles_per_shard, Some(order.to_orig()))
 }
 
 /// HNG over a prepared order — edge-identical to [`crate::build_hng`].
@@ -186,9 +191,12 @@ pub fn build_hng_on_order(
 /// HNG over a prepared order on explicit per-original-id `levels`.
 fn hng_on_order(order: &PointOrder, levels: &[u32], links: usize, tiles_per_shard: usize) -> Csr {
     let rank_levels = order.gather_values(levels);
-    remap_csr(
-        &build_hng_sharded_on_levels(order.points(), &rank_levels, links, tiles_per_shard),
-        order.to_orig(),
+    hng_sharded_on_levels(
+        order.points(),
+        &rank_levels,
+        links,
+        tiles_per_shard,
+        Some(order.to_orig()),
     )
 }
 
@@ -232,7 +240,7 @@ mod tests {
 
     #[test]
     fn arbitrary_orders_also_match() {
-        // Not just Morton: any bijection must remap back to the same graph.
+        // Not just Morton: any bijection must map back to the same graph.
         let p = pts(400, 42);
         let n = p.len() as u32;
         // A fixed "shuffle": reverse, which is maximally non-monotone.

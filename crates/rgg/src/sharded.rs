@@ -10,14 +10,16 @@
 //!    halo exchange,
 //! 2. **constructs** its owned nodes' edges against a shard-local index
 //!    whose coordinates all fit in cache, and
-//! 3. hands its edge slice back for the **stitch** into the global CSR.
+//! 3. hands its edge run back to the CSR assembler
+//!    ([`Csr::from_runs`]), which buckets and scatters the runs straight
+//!    into rows on the same pool — there is no concatenated edge list.
 //!
 //! Shards fan out over the rayon pool and are collected in shard order, so
 //! the result is bit-identical at any `RAYON_NUM_THREADS` — and, more
 //! importantly, *edge-identical to the monolithic builders* in this crate
 //! (`tests/sharded_vs_monolithic.rs` pins all seven topology kinds).
 //!
-//! ## Why the stitched CSR is exactly the monolithic one
+//! ## Why the assembled CSR is exactly the monolithic one
 //!
 //! * Every point has exactly one owner shard, and `ball(p, halo)` is
 //!   contained in the owner's padded extent, so an owned node sees exactly
@@ -37,7 +39,7 @@
 
 use rayon::prelude::*;
 use wsn_geom::{Aabb, Point, ShardGrid};
-use wsn_graph::{Csr, EdgeList};
+use wsn_graph::{Csr, Emitted};
 use wsn_pointproc::PointSet;
 use wsn_spatial::{GridIndex, SubIndex};
 
@@ -368,38 +370,22 @@ pub(crate) fn plan(points: &PointSet, tile: f64, tiles_per_shard: usize) -> Shar
     }
 }
 
-/// Fan `build_shard` out over all shards and concatenate in shard order.
-pub(crate) fn fan_out<F>(grid: &ShardGrid, build_shard: F) -> Vec<(u32, u32)>
+/// Fan `build_shard` out over all shards: one edge run per shard, in shard
+/// order, handed to the assembler as they are — no concatenation.
+pub(crate) fn fan_out<F>(grid: &ShardGrid, build_shard: F) -> Vec<Vec<(u32, u32)>>
 where
     F: Fn(usize) -> Vec<(u32, u32)> + Sync,
 {
-    let per_shard: Vec<Vec<(u32, u32)>> = (0..grid.shard_count())
+    (0..grid.shard_count())
         .into_par_iter()
         .map(build_shard)
-        .collect();
-    let total = per_shard.iter().map(Vec::len).sum();
-    let mut all = Vec::with_capacity(total);
-    for mut chunk in per_shard {
-        all.append(&mut chunk);
-    }
-    all
+        .collect()
 }
 
 /// Sharded `UDG(points, radius)` — edge-identical to
 /// [`crate::udg::build_udg`].
 pub fn build_udg_sharded(points: &PointSet, radius: f64, tiles_per_shard: usize) -> Csr {
-    assert!(radius > 0.0, "radius must be positive");
-    if points.is_empty() {
-        return Csr::empty(0);
-    }
-    let gather = GridIndex::build(points, radius);
-    let grid = plan(points, radius, tiles_per_shard);
-    let edges = fan_out(&grid, |s| {
-        derive_udg(&Shard::gather(points, &gather, &grid, s, radius), radius)
-    });
-    // Each canonical edge is emitted exactly once (by the owner of its
-    // smaller endpoint), so the CSR builds without a global sort.
-    Csr::from_canonical_edges(points.len(), &edges)
+    threshold_sharded(points, radius, tiles_per_shard, None, derive_udg)
 }
 
 /// Sharded Gabriel subgraph of `UDG(points, radius)` — edge-identical to
@@ -409,31 +395,39 @@ pub fn build_udg_sharded(points: &PointSet, radius: f64, tiles_per_shard: usize)
 /// UDG, and the diameter-disk emptiness test short-circuits on the first
 /// blocker instead of scanning the whole disk.
 pub fn build_gabriel_sharded(points: &PointSet, radius: f64, tiles_per_shard: usize) -> Csr {
-    assert!(radius > 0.0, "radius must be positive");
-    if points.is_empty() {
-        return Csr::empty(0);
-    }
-    let gather = GridIndex::build(points, radius);
-    let grid = plan(points, radius, tiles_per_shard);
-    let edges = fan_out(&grid, |s| {
-        derive_gabriel(&Shard::gather(points, &gather, &grid, s, radius), radius)
-    });
-    Csr::from_canonical_edges(points.len(), &edges)
+    threshold_sharded(points, radius, tiles_per_shard, None, derive_gabriel)
 }
 
 /// Sharded relative neighbourhood subgraph of `UDG(points, radius)` —
 /// edge-identical to [`crate::rng_graph::build_rng`].
 pub fn build_rng_sharded(points: &PointSet, radius: f64, tiles_per_shard: usize) -> Csr {
+    threshold_sharded(points, radius, tiles_per_shard, None, derive_rng)
+}
+
+/// One shard's emissions of a threshold kind (UDG, Gabriel, RNG).
+pub(crate) type DeriveThreshold = fn(&Shard, f64) -> Vec<(u32, u32)>;
+
+/// The sharded build of a threshold kind: `derive` runs on every shard
+/// with halo `radius`, and the assembler maps every endpoint through `map`
+/// (the ordered pipeline passes `to_orig`). Each canonical edge is emitted
+/// exactly once, by the owner of its smaller endpoint.
+pub(crate) fn threshold_sharded(
+    points: &PointSet,
+    radius: f64,
+    tiles_per_shard: usize,
+    map: Option<&[u32]>,
+    derive: DeriveThreshold,
+) -> Csr {
     assert!(radius > 0.0, "radius must be positive");
     if points.is_empty() {
         return Csr::empty(0);
     }
     let gather = GridIndex::build(points, radius);
     let grid = plan(points, radius, tiles_per_shard);
-    let edges = fan_out(&grid, |s| {
-        derive_rng(&Shard::gather(points, &gather, &grid, s, radius), radius)
+    let runs = fan_out(&grid, |s| {
+        derive(&Shard::gather(points, &gather, &grid, s, radius), radius)
     });
-    Csr::from_canonical_edges(points.len(), &edges)
+    Csr::from_runs(points.len(), runs, map, Emitted::Once)
 }
 
 /// Sharded Yao subgraph of `UDG(points, radius)` with `cones` sectors —
@@ -444,13 +438,24 @@ pub fn build_yao_sharded(
     cones: usize,
     tiles_per_shard: usize,
 ) -> Csr {
+    yao_sharded(points, radius, cones, tiles_per_shard, None)
+}
+
+/// [`build_yao_sharded`] through the id map `map`.
+pub(crate) fn yao_sharded(
+    points: &PointSet,
+    radius: f64,
+    cones: usize,
+    tiles_per_shard: usize,
+    map: Option<&[u32]>,
+) -> Csr {
     assert!(cones >= 1, "need at least one cone");
     if points.is_empty() {
         return Csr::empty(0);
     }
     let gather = GridIndex::build(points, radius);
     let grid = plan(points, radius, tiles_per_shard);
-    let edges = fan_out(&grid, |s| {
+    let runs = fan_out(&grid, |s| {
         derive_yao(
             &Shard::gather(points, &gather, &grid, s, radius),
             radius,
@@ -458,13 +463,8 @@ pub fn build_yao_sharded(
         )
     });
     // Directed selections can coincide from both endpoints (possibly in
-    // different shards); symmetrise through the deduplicating edge-list
-    // path like the monolithic builder does.
-    let mut el = EdgeList::with_capacity(points.len(), edges.len());
-    for (u, v) in edges {
-        el.add(u, v);
-    }
-    Csr::from_edge_list(el)
+    // different shards); the assembler folds the repeat.
+    Csr::from_runs(points.len(), runs, map, Emitted::Repeated)
 }
 
 /// Grid cell size for k-NN searches (same heuristic as the monolithic
@@ -486,22 +486,14 @@ pub fn knn_halo(points: &PointSet, k: usize) -> f64 {
     3.0 * knn_cell_size(points, k)
 }
 
-/// The sharded directed k-NN lists — identical to
-/// [`crate::knn::knn_lists`].
-///
-/// The halo is sized so that a node's k nearest almost surely fit inside
-/// it (3× the expected k-point radius); each node *verifies* that bound
-/// (`k` results, all within the halo) and the rare stragglers fall back to
-/// an exact query on the shared global index.
-pub fn knn_lists_sharded(points: &PointSet, k: usize, tiles_per_shard: usize) -> Vec<Vec<u32>> {
-    if points.is_empty() || k == 0 {
-        return vec![Vec::new(); points.len()];
-    }
+/// Each shard's owned nodes with their directed k-NN lists (global ids),
+/// in shard order.
+fn knn_shards(points: &PointSet, k: usize, tiles_per_shard: usize) -> Vec<Vec<(u32, Vec<u32>)>> {
     let halo = knn_halo(points, k);
     let gather = GridIndex::build(points, knn_cell_size(points, k));
     let grid = plan(points, halo, tiles_per_shard);
     let bbox = points.bounding_box().unwrap();
-    let per_shard: Vec<Vec<(u32, Vec<u32>)>> = (0..grid.shard_count())
+    (0..grid.shard_count())
         .into_par_iter()
         .map(|s| {
             let shard = Shard::gather(points, &gather, &grid, s, halo);
@@ -516,10 +508,23 @@ pub fn knn_lists_sharded(points: &PointSet, k: usize, tiles_per_shard: usize) ->
             })
             .0
         })
-        .collect();
+        .collect()
+}
+
+/// The sharded directed k-NN lists — identical to
+/// [`crate::knn::knn_lists`].
+///
+/// The halo is sized so that a node's k nearest almost surely fit inside
+/// it (3× the expected k-point radius); each node *verifies* that bound
+/// (`k` results, all within the halo) and the rare stragglers fall back to
+/// an exact query on the shared global index.
+pub fn knn_lists_sharded(points: &PointSet, k: usize, tiles_per_shard: usize) -> Vec<Vec<u32>> {
+    if points.is_empty() || k == 0 {
+        return vec![Vec::new(); points.len()];
+    }
     let mut lists = vec![Vec::new(); points.len()];
-    for chunk in per_shard {
-        for (gu, list) in chunk {
+    for shard in knn_shards(points, k, tiles_per_shard) {
+        for (gu, list) in shard {
             lists[gu as usize] = list;
         }
     }
@@ -529,14 +534,30 @@ pub fn knn_lists_sharded(points: &PointSet, k: usize, tiles_per_shard: usize) ->
 /// Sharded undirected `NN(points, k)` — edge-identical to
 /// [`crate::knn::build_knn`].
 pub fn build_knn_sharded(points: &PointSet, k: usize, tiles_per_shard: usize) -> Csr {
-    let lists = knn_lists_sharded(points, k, tiles_per_shard);
-    let mut el = EdgeList::with_capacity(points.len(), points.len() * k);
-    for (u, nbrs) in lists.iter().enumerate() {
-        for &v in nbrs {
-            el.add(u as u32, v);
-        }
+    knn_sharded(points, k, tiles_per_shard, None)
+}
+
+/// [`build_knn_sharded`] through the id map `map`. Each shard's lists are
+/// one run; a mutual pair arrives from both endpoints and folds.
+pub(crate) fn knn_sharded(
+    points: &PointSet,
+    k: usize,
+    tiles_per_shard: usize,
+    map: Option<&[u32]>,
+) -> Csr {
+    if points.is_empty() || k == 0 {
+        return Csr::empty(points.len());
     }
-    Csr::from_edge_list(el)
+    let runs: Vec<Vec<(u32, u32)>> = knn_shards(points, k, tiles_per_shard)
+        .into_par_iter()
+        .map(|shard| {
+            shard
+                .into_iter()
+                .flat_map(|(gu, list)| list.into_iter().map(move |v| (gu, v)))
+                .collect()
+        })
+        .collect();
+    Csr::from_runs(points.len(), runs, map, Emitted::Repeated)
 }
 
 #[cfg(test)]

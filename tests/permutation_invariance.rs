@@ -1,7 +1,7 @@
 //! Permutation-invariance suite: construction-time point reorderings must
 //! be **unobservable**. A builder that runs over a Morton-sorted (or
-//! arbitrarily shuffled) copy of a deployment and remaps its emissions back
-//! through the order's inverse permutation must reproduce the
+//! arbitrarily shuffled) copy of a deployment and emits through the order's
+//! rank → deployment-id map must reproduce the
 //! deployment-order graph byte-for-byte — same canonical edge list, same
 //! CSR fingerprint — for all eight topology kinds, at every thread count.
 //!
@@ -23,14 +23,16 @@ use wsn::core::params::{NnSensParams, UdgSensParams};
 use wsn::core::tilegrid::TileGrid;
 use wsn::core::udg::{build_udg_sens, build_udg_sens_ordered};
 use wsn::geom::hash::derive_seed2;
-use wsn::geom::Aabb;
+use wsn::geom::{Aabb, Point};
 use wsn::graph::{fingerprint, Csr};
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointOrder, PointSet};
 use wsn::rgg::ordered::{
     build_gabriel_on_order, build_hng_on_order, build_knn_on_order, build_rng_on_order,
     build_udg_on_order, build_yao_on_order,
 };
-use wsn::rgg::{build_gabriel, build_hng, build_knn, build_rng, build_udg, build_yao, HngParams};
+use wsn::rgg::{
+    build_gabriel, build_hng, build_knn, build_rng, build_udg, build_yao, HngParams, WHOLE_WINDOW,
+};
 
 /// `RAYON_NUM_THREADS` is process-global; serialise every test body.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -56,8 +58,8 @@ fn edges_of(g: &Csr) -> Vec<(u32, u32)> {
 
 /// A deterministic adversarial layout: ranks sorted by a per-id hash, so
 /// consecutive ranks are spatially *uncorrelated* — the opposite of the
-/// Morton order's whole purpose, and exactly what the inverse remap must
-/// erase.
+/// Morton order's whole purpose, and exactly what emitting through the
+/// rank → deployment-id map must erase.
 fn shuffled(points: &PointSet, seed: u64) -> PointOrder {
     let mut ids: Vec<u32> = (0..points.len() as u32).collect();
     ids.sort_by_key(|&i| derive_seed2(seed, i as u64, 0));
@@ -125,6 +127,49 @@ fn plain_topologies_are_layout_invariant_across_thread_counts() {
                     fingerprint(reference),
                     "{kind} fingerprint over {layout_name} layout at {threads} thread(s)"
                 );
+            }
+        }
+    });
+}
+
+/// A unit lattice at r = 1 is the worst case for tie-breaking: every
+/// lattice edge sits exactly at the radius and every node has four
+/// neighbours at one identical distance. UDG, Gabriel and RNG decide each
+/// pair by thresholds alone (no id tie-break), so each must come out as the
+/// 4-neighbour grid under every layout, shard size and thread count.
+#[test]
+fn threshold_kinds_are_layout_invariant_on_a_tied_lattice() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    const SIDE: u32 = 24;
+    let pts: PointSet = (0..SIDE * SIDE)
+        .map(|i| Point::new((i % SIDE) as f64, (i / SIDE) as f64))
+        .collect();
+    let grid_edges = 2 * SIDE as usize * (SIDE as usize - 1);
+    type Builder = fn(&PointOrder, usize) -> Csr;
+    let kinds: [(&str, Csr, Builder); 3] = [
+        ("udg", build_udg(&pts, 1.0), |o, t| {
+            build_udg_on_order(o, 1.0, t)
+        }),
+        ("gabriel", build_gabriel(&pts, 1.0), |o, t| {
+            build_gabriel_on_order(o, 1.0, t)
+        }),
+        ("rng", build_rng(&pts, 1.0), |o, t| {
+            build_rng_on_order(o, 1.0, t)
+        }),
+    ];
+    for (kind, reference, _) in &kinds {
+        assert_eq!(reference.m(), grid_edges, "{kind} reference on the lattice");
+    }
+    with_threads(|threads| {
+        for (layout_name, order) in layouts(&pts) {
+            for (kind, reference, build_on) in &kinds {
+                for tiles in [1, 4, WHOLE_WINDOW] {
+                    let got = build_on(&order, tiles);
+                    assert_eq!(
+                        &got, reference,
+                        "{kind} over {layout_name} layout, {tiles} tiles, {threads} thread(s)"
+                    );
+                }
             }
         }
     });
@@ -208,8 +253,8 @@ fn sens_constructions_are_layout_invariant_across_thread_counts() {
 fn identity_layout_is_structurally_transparent() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Under the identity order, the ordered path must match the plain
-    // sharded build *structurally* (no remap effects at all), pinning that
-    // the remap boundary is a true no-op when the permutation is trivial.
+    // sharded build *structurally*, pinning that the id map the assembler
+    // applies is a true no-op when the permutation is trivial.
     let pts = sample_poisson_window(&mut rng_from_seed(0x1D), 30.0, &Aabb::square(8.0));
     let order = PointOrder::identity(&pts);
     assert_eq!(build_udg_on_order(&order, 1.0, 4), build_udg(&pts, 1.0));
