@@ -395,6 +395,15 @@ fn cmd_serve(args: &Args) -> ExitCode {
         }
     };
     let seed = args.seed.unwrap_or(DEFAULT_SEED);
+    let mut churn = ChurnConfig::new(s.epochs, 1e12, 0, s.churn, s.join);
+    churn.churn_model = ChurnModel::Clustered { radius: s.blast };
+    churn.verify = false;
+    let mut cfg = ServeConfig::new(churn, s.readers, s.clients, s.queries);
+    cfg.seed = seed;
+    if let Err(e) = cfg.validate() {
+        eprintln!("serve: invalid configuration: {e}");
+        return ExitCode::from(2);
+    }
     // The universe: a Poisson deployment at the benches' density, with a
     // reserve pool (dead at start) for churn joins to admit.
     let lambda = 10.0;
@@ -403,12 +412,6 @@ fn cmd_serve(args: &Args) -> ExitCode {
         sample_poisson_window(&mut rng_from_seed(seed), lambda, &Aabb::square(side));
     let deployed = points.len() - (0.125 * points.len() as f64).round() as usize;
     let alive: Vec<bool> = (0..points.len()).map(|i| i < deployed).collect();
-
-    let mut churn = ChurnConfig::new(s.epochs, 1e12, 0, s.churn, s.join);
-    churn.churn_model = ChurnModel::Clustered { radius: s.blast };
-    churn.verify = false;
-    let mut cfg = ServeConfig::new(churn, s.readers, s.clients, s.queries);
-    cfg.seed = seed;
 
     let report = run_serve(&points, &alive, kind, &cfg);
     let mut t = Table::new(

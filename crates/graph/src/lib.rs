@@ -22,8 +22,9 @@
 //! * [`delta`] — incremental maintenance: sorted per-shard edge caches and
 //!   their linear old/new diff, monotone relabelling, CSR fingerprints.
 //! * [`perm`] — arbitrary-permutation relabelling of a built graph.
-//! * [`snapshot`] — epoch-versioned RCU-style snapshot publication: the
-//!   serve path's pin/publish/retire structure.
+//! * [`snapshot`] — the serve path's per-epoch snapshot broadcast: one
+//!   lockstep writer, reader links that release each epoch, fail-fast
+//!   hang-up.
 //! * [`unionfind`] — disjoint sets with union by size + path halving.
 //! * [`bfs`] — unweighted shortest paths (hop distance).
 //! * [`dijkstra`] — weighted shortest paths with a caller-supplied weight
@@ -56,7 +57,7 @@ pub use delta::{
     MonotonicityError, ShardedEdgeStore,
 };
 pub use perm::remap_csr;
-pub use snapshot::{EpochGuard, EpochHandle, EpochPublisher, SnapshotStats};
+pub use snapshot::{run_lockstep, EpochPublisher, Subscriber};
 pub use unionfind::UnionFind;
 pub use view::{CsrView, GraphView};
 

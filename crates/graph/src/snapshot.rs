@@ -1,177 +1,178 @@
-//! Epoch-versioned snapshot publication (RCU-style) for the serve path.
+//! Per-epoch snapshot broadcast for the serve path.
 //!
 //! The always-on topology service repairs the graph once per churn epoch
-//! and must keep *reads* running while the splice is in flight. The classic
-//! answer is read-copy-update: the writer builds the next epoch's snapshot
-//! off to the side and publishes it by swapping a pointer; readers *pin* an
-//! epoch guard and keep reading the version they pinned, untouched, until
-//! they drop the guard. A superseded snapshot retires (its storage is
-//! freed) exactly when the last guard on it drops.
+//! and keeps reads running while the splice is in flight. It runs in
+//! lockstep: the writer captures epoch *e*'s immutable snapshot and sends
+//! one `Arc<T>` of it to every reader; the readers serve *e* while the
+//! writer splices *e+1* into the live graph; and the writer publishes *e+1*
+//! only once every reader has released *e*. Every reader therefore sees
+//! every epoch exactly once and in order, and a released snapshot is freed
+//! before its successor goes out.
 //!
-//! This module is deliberately generic over the snapshot payload `T` so the
-//! accounting invariants can be property-tested on tiny payloads while the
-//! serve loop publishes full `ChunkedCsr` + alive-state captures:
+//! * [`EpochPublisher`] — the single writer. [`EpochPublisher::subscribe`]
+//!   opens one reader's link before the first publish (a one-slot channel
+//!   of `Arc<T>` plus a release signal back); [`EpochPublisher::publish`]
+//!   waits until every link has released the previous epoch, retires it
+//!   and sends the new one; [`EpochPublisher::finish`] waits for and
+//!   retires the last one.
+//! * [`Subscriber`] — one reader's end: [`Subscriber::recv`] blocks for the
+//!   next epoch, [`Subscriber::release`] hands it back.
+//! * [`run_lockstep`] — the whole loop: the writer on the calling thread,
+//!   the readers on scoped threads.
 //!
-//! * [`EpochPublisher`] — the single writer. [`EpochPublisher::publish`]
-//!   installs a new `(epoch, T)` pair; epochs must be strictly increasing.
-//! * [`EpochHandle`] — a cloneable read-side handle. [`EpochHandle::pin`]
-//!   returns a guard on the latest published snapshot without blocking;
-//!   [`EpochHandle::wait_for`] parks until a target epoch (or later) is
-//!   published, which the serve loop uses as its epoch barrier.
-//! * [`EpochGuard`] — derefs to `T`. While any guard on an epoch is alive,
-//!   that epoch's payload is immutable and will not be freed.
+//! **Fail fast.** Nothing waits on a party that has died. A reader whose
+//! thread panics drops its link, so the writer's next wait panics with the
+//! reader's index and the epoch. A writer that dies drops the publisher,
+//! which hangs up every link, so each reader's `recv` returns `None`.
+//! Dropping a publisher only hangs up; it never blocks.
 //!
-//! Accounting is exposed through [`SnapshotStats`]: `published` counts
-//! `publish` calls, `retired` counts payloads actually dropped, and
-//! `live_pins` counts outstanding guards. The structural invariants —
-//! checked by the property tests in `tests/serve_concurrency.rs` — are
-//!
-//! * `retired <= published` always (nothing retires twice, nothing retires
-//!   before it was published);
-//! * while the publisher is alive, the current snapshot is not retired, so
-//!   `published - retired >= 1` after the first publish;
-//! * at full quiescence (publisher dropped, all guards dropped)
-//!   `retired == published`: no snapshot leaks.
+//! **Accounting.** `published` counts publishes. `retired` counts
+//! snapshots that [`Arc::try_unwrap`] freed at the next publish or at
+//! `finish`, which succeeds only if no reader kept a reference past its
+//! release. `max_live` is the peak count of published-but-unretired
+//! snapshots, read after each publish. Under the lockstep it is 1, and
+//! `retired == published` after `finish`.
 
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::cell::RefCell;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::Arc;
 
-/// Publish/retire/pin counters shared by one publisher and its handles.
-#[derive(Debug, Default)]
-struct Counters {
-    published: AtomicU64,
-    retired: AtomicU64,
-    pins: AtomicU64,
-}
-
-/// A point-in-time view of the snapshot accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotStats {
-    /// Number of successful [`EpochPublisher::publish`] calls.
-    pub published: u64,
-    /// Number of snapshot payloads whose storage has been freed.
-    pub retired: u64,
-    /// Number of [`EpochGuard`]s currently alive.
-    pub live_pins: u64,
-}
-
-impl SnapshotStats {
-    /// Snapshots still resident in memory (current + pinned history).
-    pub fn live_snapshots(&self) -> u64 {
-        self.published - self.retired
-    }
-}
-
-/// One published snapshot: the payload plus retire bookkeeping.
-///
-/// The `Drop` impl is the retirement event: it fires when the last `Arc`
-/// (publisher's current slot or a reader guard) goes away.
-struct Slot<T> {
-    epoch: u64,
-    value: T,
-    counters: Arc<Counters>,
-}
-
-impl<T> Drop for Slot<T> {
-    fn drop(&mut self) {
-        self.counters.retired.fetch_add(1, Ordering::SeqCst);
-    }
+/// The writer's end of one reader's link.
+struct Link<T> {
+    snapshots: SyncSender<Arc<T>>,
+    released: Receiver<()>,
 }
 
 struct State<T> {
-    current: Option<Arc<Slot<T>>>,
-    closed: bool,
+    /// Every link was sent the current snapshot: readers subscribe before
+    /// the first publish.
+    links: Vec<Link<T>>,
+    /// The last published epoch and snapshot, until it retires.
+    current: Option<(u64, Arc<T>)>,
+    published: u64,
+    retired: u64,
+    max_live: u64,
 }
 
-struct Shared<T> {
-    state: Mutex<State<T>>,
-    cond: Condvar,
-    counters: Arc<Counters>,
-}
-
-/// Write side of the epoch-snapshot structure. Dropping the publisher
-/// closes the channel: waiting readers wake with `None` and the final
-/// snapshot retires once its last guard drops.
-pub struct EpochPublisher<T> {
-    shared: Arc<Shared<T>>,
-}
-
-/// Cloneable read side; see module docs.
-pub struct EpochHandle<T> {
-    shared: Arc<Shared<T>>,
-}
-
-impl<T> Clone for EpochHandle<T> {
-    fn clone(&self) -> Self {
-        EpochHandle {
-            shared: Arc::clone(&self.shared),
+impl<T> State<T> {
+    /// Wait until every reader has released the current snapshot, then
+    /// free it unless somebody kept a reference.
+    ///
+    /// # Panics
+    /// If a reader hung up instead of releasing it.
+    fn retire_current(&mut self) {
+        let Some((epoch, snap)) = self.current.take() else {
+            return;
+        };
+        for (reader, link) in self.links.iter().enumerate() {
+            if link.released.recv().is_err() {
+                panic!("reader {reader} hung up before releasing epoch {epoch}");
+            }
+        }
+        if Arc::try_unwrap(snap).is_ok() {
+            self.retired += 1;
         }
     }
 }
 
-/// A pinned snapshot. Derefs to the payload; the payload outlives the
-/// guard's lifetime no matter how many newer epochs are published.
-pub struct EpochGuard<T> {
-    slot: Arc<Slot<T>>,
+/// Write side of the per-epoch broadcast; see the module docs.
+pub struct EpochPublisher<T> {
+    state: RefCell<State<T>>,
+}
+
+/// One reader's end of the broadcast.
+pub struct Subscriber<T> {
+    snapshots: Receiver<Arc<T>>,
+    released: Sender<()>,
 }
 
 impl<T> EpochPublisher<T> {
-    /// Create a publisher with nothing published yet.
+    /// A publisher with no subscribers and nothing published.
     pub fn new() -> Self {
         EpochPublisher {
-            shared: Arc::new(Shared {
-                state: Mutex::new(State {
-                    current: None,
-                    closed: false,
-                }),
-                cond: Condvar::new(),
-                counters: Arc::new(Counters::default()),
+            state: RefCell::new(State {
+                links: Vec::new(),
+                current: None,
+                published: 0,
+                retired: 0,
+                max_live: 0,
             }),
         }
     }
 
-    /// A new read-side handle on this publisher.
-    pub fn handle(&self) -> EpochHandle<T> {
-        EpochHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Install `(epoch, value)` as the current snapshot and wake every
-    /// reader parked in [`EpochHandle::wait_for`]. The superseded snapshot
-    /// retires as soon as its last guard drops (immediately, if none).
+    /// Open the next reader's link. Readers are numbered in subscription
+    /// order (the index a hang-up panic names).
     ///
     /// # Panics
-    /// If `epoch` is not strictly greater than the last published epoch —
-    /// the serve loop's monotone-epoch contract.
-    pub fn publish(&self, epoch: u64, value: T) {
-        let slot = Arc::new(Slot {
-            epoch,
-            value,
-            counters: Arc::clone(&self.shared.counters),
+    /// After the first publish: every reader receives every epoch.
+    pub fn subscribe(&self) -> Subscriber<T> {
+        let mut st = self.state.borrow_mut();
+        assert_eq!(
+            st.published, 0,
+            "readers subscribe before the first publish"
+        );
+        let (snapshots, snapshots_rx) = sync_channel(1);
+        let (released_tx, released) = channel();
+        st.links.push(Link {
+            snapshots,
+            released,
         });
-        let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(cur) = &st.current {
-            assert!(
-                epoch > cur.epoch,
-                "epoch snapshots must be published in strictly increasing \
-                 order (got {epoch} after {})",
-                cur.epoch
-            );
+        Subscriber {
+            snapshots: snapshots_rx,
+            released: released_tx,
         }
-        self.shared
-            .counters
-            .published
-            .fetch_add(1, Ordering::SeqCst);
-        st.current = Some(slot);
-        drop(st);
-        self.shared.cond.notify_all();
     }
 
-    /// Current accounting; see [`SnapshotStats`].
-    pub fn stats(&self) -> SnapshotStats {
-        stats_of(&self.shared.counters)
+    /// Wait until every subscriber has released the previous epoch, retire
+    /// it, and send `(epoch, value)` to every subscriber.
+    ///
+    /// # Panics
+    /// If `epoch` is not strictly greater than the last published epoch,
+    /// or if a subscriber has hung up (the message names the reader and
+    /// the epoch).
+    pub fn publish(&self, epoch: u64, value: T) {
+        let mut st = self.state.borrow_mut();
+        if let Some((last, _)) = st.current {
+            assert!(
+                epoch > last,
+                "epoch snapshots must be published in strictly increasing \
+                 order (got {epoch} after {last})"
+            );
+        }
+        st.retire_current();
+        let snap = Arc::new(value);
+        for (reader, link) in st.links.iter().enumerate() {
+            if link.snapshots.send(Arc::clone(&snap)).is_err() {
+                panic!("reader {reader} hung up before receiving epoch {epoch}");
+            }
+        }
+        st.current = Some((epoch, snap));
+        st.published += 1;
+        st.max_live = st.max_live.max(st.published - st.retired);
+    }
+
+    /// Wait until every subscriber has released the last epoch and retire
+    /// it.
+    ///
+    /// # Panics
+    /// If a subscriber hung up instead of releasing it.
+    pub fn finish(&self) {
+        self.state.borrow_mut().retire_current();
+    }
+
+    /// Number of [`EpochPublisher::publish`] calls.
+    pub fn published(&self) -> u64 {
+        self.state.borrow().published
+    }
+
+    /// Number of snapshots freed at the next publish or at `finish`.
+    pub fn retired(&self) -> u64 {
+        self.state.borrow().retired
+    }
+
+    /// Peak count of published-but-unretired snapshots.
+    pub fn max_live(&self) -> u64 {
+        self.state.borrow().max_live
     }
 }
 
@@ -181,85 +182,70 @@ impl<T> Default for EpochPublisher<T> {
     }
 }
 
-impl<T> Drop for EpochPublisher<T> {
-    fn drop(&mut self) {
-        let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.closed = true;
-        // Release the publisher's reference to the final snapshot so it can
-        // retire; readers holding guards keep it alive until they finish.
-        st.current = None;
-        drop(st);
-        self.shared.cond.notify_all();
+impl<T> Subscriber<T> {
+    /// Block until the next epoch's snapshot arrives. `None` once the
+    /// publisher has hung up.
+    pub fn recv(&self) -> Option<Arc<T>> {
+        self.snapshots.recv().ok()
+    }
+
+    /// Hand a received snapshot back: drop this reader's reference, then
+    /// signal the writer. A writer that has hung up is waiting for nobody,
+    /// so the signal is then dropped.
+    pub fn release(&self, snap: Arc<T>) {
+        drop(snap);
+        let _ = self.released.send(());
     }
 }
 
-impl<T> EpochHandle<T> {
-    /// Pin the latest published snapshot without blocking. `None` when
-    /// nothing has been published yet or the publisher has shut down.
-    pub fn pin(&self) -> Option<EpochGuard<T>> {
-        let st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.current.as_ref().map(|slot| self.guard(Arc::clone(slot)))
-    }
-
-    /// Block until a snapshot with epoch `>= epoch` is published, then pin
-    /// it. Returns `None` if the publisher shuts down first.
-    pub fn wait_for(&self, epoch: u64) -> Option<EpochGuard<T>> {
-        let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match &st.current {
-                Some(slot) if slot.epoch >= epoch => {
-                    let slot = Arc::clone(slot);
-                    return Some(self.guard(slot));
-                }
-                _ if st.closed => return None,
-                _ => st = self.shared.cond.wait(st).unwrap_or_else(|e| e.into_inner()),
-            }
+/// Run `epochs` lockstep epochs. `write(e)` produces epoch `e`'s snapshot on
+/// the calling thread while `readers` scoped threads serve epoch `e − 1`.
+/// Reader `r` starts from `init(r)` and calls `read(&mut state, &snapshot)`
+/// on every epoch in order. Returns the reader states in reader order and
+/// the finished publisher, whose counters record the broadcast.
+///
+/// The publisher and its links live inside the scope, so a panic on
+/// either side ends the run promptly: a writer panic hangs up the readers
+/// and is re-raised by the scope; a reader panic hangs up its link, which
+/// makes the writer's next wait panic.
+pub fn run_lockstep<T, S>(
+    epochs: u64,
+    readers: usize,
+    mut write: impl FnMut(u64) -> T,
+    init: impl Fn(usize) -> S + Sync,
+    read: impl Fn(&mut S, &T) + Sync,
+) -> (Vec<S>, EpochPublisher<T>)
+where
+    T: Send + Sync,
+    S: Send,
+{
+    std::thread::scope(|scope| {
+        let publisher = EpochPublisher::new();
+        let workers: Vec<_> = (0..readers)
+            .map(|r| {
+                let link = publisher.subscribe();
+                let (init, read) = (&init, &read);
+                scope.spawn(move || {
+                    let mut state = init(r);
+                    for _ in 0..epochs {
+                        let Some(snap) = link.recv() else { break };
+                        read(&mut state, &snap);
+                        link.release(snap);
+                    }
+                    state
+                })
+            })
+            .collect();
+        for epoch in 0..epochs {
+            publisher.publish(epoch, write(epoch));
         }
-    }
-
-    /// Epoch of the current snapshot, if any.
-    pub fn latest_epoch(&self) -> Option<u64> {
-        let st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.current.as_ref().map(|slot| slot.epoch)
-    }
-
-    /// Current accounting; see [`SnapshotStats`].
-    pub fn stats(&self) -> SnapshotStats {
-        stats_of(&self.shared.counters)
-    }
-
-    fn guard(&self, slot: Arc<Slot<T>>) -> EpochGuard<T> {
-        self.shared.counters.pins.fetch_add(1, Ordering::SeqCst);
-        EpochGuard { slot }
-    }
-}
-
-impl<T> EpochGuard<T> {
-    /// The epoch this guard pinned.
-    pub fn epoch(&self) -> u64 {
-        self.slot.epoch
-    }
-}
-
-impl<T> Deref for EpochGuard<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.slot.value
-    }
-}
-
-impl<T> Drop for EpochGuard<T> {
-    fn drop(&mut self) {
-        self.slot.counters.pins.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn stats_of(counters: &Counters) -> SnapshotStats {
-    SnapshotStats {
-        published: counters.published.load(Ordering::SeqCst),
-        retired: counters.retired.load(Ordering::SeqCst),
-        live_pins: counters.pins.load(Ordering::SeqCst),
-    }
+        publisher.finish();
+        let states = workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect();
+        (states, publisher)
+    })
 }
 
 #[cfg(test)]
@@ -267,43 +253,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pin_before_publish_is_none() {
+    fn hang_up_before_publish_is_none() {
         let pb: EpochPublisher<u32> = EpochPublisher::new();
-        let h = pb.handle();
-        assert!(h.pin().is_none());
-        assert_eq!(h.latest_epoch(), None);
-        assert_eq!(
-            pb.stats(),
-            SnapshotStats {
-                published: 0,
-                retired: 0,
-                live_pins: 0
-            }
-        );
+        let sub = pb.subscribe();
+        drop(pb);
+        assert!(sub.recv().is_none());
     }
 
     #[test]
     fn guard_keeps_superseded_snapshot_alive() {
+        // A reader that keeps a reference past its release keeps that
+        // snapshot alive and unchanged; the publisher cannot retire it.
         let pb = EpochPublisher::new();
-        let h = pb.handle();
+        let sub = pb.subscribe();
         pb.publish(1, "one".to_string());
-        let g1 = h.pin().unwrap();
-        assert_eq!(g1.epoch(), 1);
-        assert_eq!(&*g1, "one");
+        let kept = sub.recv().unwrap();
+        sub.release(Arc::clone(&kept));
 
         pb.publish(2, "two".to_string());
-        // g1 still reads epoch 1, byte-for-byte.
-        assert_eq!(&*g1, "one");
-        let s = pb.stats();
-        assert_eq!(s.published, 2);
-        assert_eq!(s.retired, 0, "pinned epoch 1 must not retire");
-        assert_eq!(s.live_pins, 1);
-
-        drop(g1);
-        let s = pb.stats();
-        assert_eq!(s.retired, 1, "epoch 1 retires once its last guard drops");
-        assert_eq!(s.live_pins, 0);
-        assert_eq!(h.pin().unwrap().epoch(), 2);
+        assert_eq!(&*kept, "one");
+        assert_eq!(&*sub.recv().unwrap(), "two");
+        assert_eq!((pb.published(), pb.retired()), (2, 0));
+        assert_eq!(pb.max_live(), 2, "the kept epoch 1 stays live");
     }
 
     #[test]
@@ -311,49 +282,54 @@ mod tests {
         let pb = EpochPublisher::new();
         pb.publish(1, vec![1u8; 16]);
         pb.publish(2, vec![2u8; 16]);
-        let s = pb.stats();
-        assert_eq!((s.published, s.retired), (2, 1));
+        assert_eq!((pb.published(), pb.retired(), pb.max_live()), (2, 1, 1));
     }
 
     #[test]
     fn quiescence_retires_everything() {
         let pb = EpochPublisher::new();
-        let h = pb.handle();
+        let sub = pb.subscribe();
         for e in 1..=5u64 {
             pb.publish(e, e);
+            let snap = sub.recv().unwrap();
+            assert_eq!(*snap, e);
+            sub.release(snap);
         }
-        let g = h.pin().unwrap();
-        drop(pb); // close: current slot released
-        assert_eq!(g.epoch(), 5);
-        assert_eq!(*g, 5);
-        drop(g);
-        let s = h.stats();
-        assert_eq!(s.published, 5);
-        assert_eq!(s.retired, 5, "no snapshot may leak at quiescence");
-        assert_eq!(s.live_pins, 0);
+        assert_eq!(pb.retired(), 4, "the last epoch is live until finish");
+        pb.finish();
+        assert_eq!((pb.published(), pb.retired()), (5, 5));
+        assert_eq!(pb.max_live(), 1);
     }
 
     #[test]
-    fn wait_for_blocks_until_epoch_arrives() {
+    fn recv_blocks_until_epoch_arrives() {
         let pb = EpochPublisher::new();
-        let h = pb.handle();
-        pb.publish(1, 10u32);
-        let waiter = std::thread::spawn({
-            let h = h.clone();
-            move || h.wait_for(3).map(|g| (g.epoch(), *g))
-        });
-        pb.publish(2, 20);
-        pb.publish(3, 30);
-        assert_eq!(waiter.join().unwrap(), Some((3, 30)));
+        let sub = pb.subscribe();
+        let waiter = std::thread::spawn(move || sub.recv().map(|s| *s));
+        pb.publish(3, 30u32);
+        assert_eq!(waiter.join().unwrap(), Some(30));
     }
 
     #[test]
-    fn wait_for_returns_none_on_shutdown() {
+    fn recv_returns_none_on_hang_up() {
         let pb: EpochPublisher<u32> = EpochPublisher::new();
-        let h = pb.handle();
-        let waiter = std::thread::spawn(move || h.wait_for(1).is_none());
+        let sub = pb.subscribe();
+        let waiter = std::thread::spawn(move || sub.recv().is_none());
         drop(pb);
         assert!(waiter.join().unwrap());
+    }
+
+    #[test]
+    fn dropping_the_publisher_never_blocks() {
+        // The reader holds epoch 0 and never releases it: `finish` would
+        // wait, but a plain drop only hangs up.
+        let pb = EpochPublisher::new();
+        let sub = pb.subscribe();
+        pb.publish(0, 7u8);
+        let held = sub.recv().unwrap();
+        drop(pb);
+        assert_eq!(*held, 7);
+        assert!(sub.recv().is_none());
     }
 
     #[test]
@@ -365,34 +341,49 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_pin_publish_sees_whole_snapshots() {
-        // Readers hammering pin() while the writer publishes must only ever
-        // observe internally consistent (epoch, payload) pairs.
+    #[should_panic(expected = "subscribe before the first publish")]
+    fn subscribing_after_the_first_publish_panics() {
         let pb = EpochPublisher::new();
-        pb.publish(1, (1u64, 1u64));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let h = pb.handle();
-                std::thread::spawn(move || {
-                    for _ in 0..2_000 {
-                        if let Some(g) = h.pin() {
-                            let (a, b) = *g;
-                            assert_eq!(a, b, "torn snapshot: {a} != {b}");
-                            assert_eq!(a, g.epoch());
-                        }
-                    }
-                })
-            })
-            .collect();
-        for e in 2..=50u64 {
-            pb.publish(e, (e, e));
-        }
-        for t in handles {
-            t.join().unwrap();
-        }
-        let s = pb.stats();
-        assert_eq!(s.published, 50);
-        assert_eq!(s.live_pins, 0);
-        assert_eq!(s.retired, 49, "only the current snapshot stays live");
+        pb.publish(0, ());
+        pb.subscribe();
+    }
+
+    #[test]
+    #[should_panic(expected = "reader 1 hung up before receiving epoch 0")]
+    fn publish_to_a_hung_up_reader_panics() {
+        let pb = EpochPublisher::new();
+        let _live = pb.subscribe();
+        drop(pb.subscribe());
+        pb.publish(0, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "reader 0 hung up before releasing epoch 4")]
+    fn finish_without_release_panics() {
+        let pb = EpochPublisher::new();
+        let sub = pb.subscribe();
+        pb.publish(4, ());
+        drop(sub.recv());
+        drop(sub);
+        pb.finish();
+    }
+
+    #[test]
+    fn concurrent_lockstep_sees_whole_snapshots() {
+        // Four readers under the lockstep only ever observe internally
+        // consistent payloads, every epoch once and in order.
+        let (seen, pb) = run_lockstep(
+            50,
+            4,
+            |e| (e, e),
+            |_| Vec::new(),
+            |seen: &mut Vec<u64>, &(a, b): &(u64, u64)| {
+                assert_eq!(a, b, "torn snapshot: {a} != {b}");
+                seen.push(a);
+            },
+        );
+        let all: Vec<u64> = (0..50).collect();
+        assert!(seen.iter().all(|s| *s == all));
+        assert_eq!((pb.published(), pb.retired(), pb.max_live()), (50, 50, 1));
     }
 }

@@ -224,7 +224,7 @@ pub struct ChurnSpec {
 /// When present, the replication runs `wsn_simnet::serve` instead of the
 /// static metric suite: the deployment churns under the cell's
 /// [`ChurnSpec`]-shaped schedule while reader threads answer route / k-NN
-/// / coverage / membership queries against epoch-pinned snapshots. Like
+/// / coverage / membership queries against per-epoch snapshots. Like
 /// [`ChurnSpec`] this is a *workload*, not a matrix axis. Reader-thread
 /// count is deliberately **not** part of the spec: serve answers are
 /// byte-identical at any thread count (the concurrency suite pins this),

@@ -56,6 +56,7 @@
 //! any `RAYON_NUM_THREADS`, which the golden suite pins at thread counts
 //! {1, 4, 8}.
 
+use std::fmt;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -211,7 +212,8 @@ pub struct ChurnConfig {
 
 impl ChurnConfig {
     /// A lifetime run with the headline knobs set and every other field at
-    /// its documented default.
+    /// its documented default. Checked by [`ChurnConfig::validate`], not
+    /// here.
     pub fn new(
         epochs: usize,
         battery: f64,
@@ -219,8 +221,6 @@ impl ChurnConfig {
         p_fail: f64,
         join_rate: f64,
     ) -> Self {
-        assert!((0.0..1.0).contains(&p_fail), "p_fail must be in [0, 1)");
-        assert!(join_rate >= 0.0, "join rate must be non-negative");
         ChurnConfig {
             epochs,
             battery,
@@ -240,7 +240,37 @@ impl ChurnConfig {
             verify: cfg!(debug_assertions),
         }
     }
+
+    /// Whether the schedule is well-formed: `p_fail` in `[0, 1)` and a
+    /// non-negative `join_rate`.
+    pub fn validate(&self) -> Result<(), ChurnConfigError> {
+        if !(0.0..1.0).contains(&self.p_fail) {
+            return Err(ChurnConfigError::PFail(self.p_fail));
+        }
+        if self.join_rate.is_nan() || self.join_rate < 0.0 {
+            return Err(ChurnConfigError::JoinRate(self.join_rate));
+        }
+        Ok(())
+    }
 }
+
+/// Why a [`ChurnConfig`] cannot run; each variant carries the bad value.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ChurnConfigError {
+    PFail(f64),
+    JoinRate(f64),
+}
+
+impl fmt::Display for ChurnConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ChurnConfigError::PFail(p) => write!(f, "p_fail must be in [0, 1), got {p}"),
+            ChurnConfigError::JoinRate(r) => write!(f, "join_rate must be non-negative, got {r}"),
+        }
+    }
+}
+
+impl std::error::Error for ChurnConfigError {}
 
 /// One epoch's outcome.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -741,6 +771,8 @@ pub fn simulate_lifetime_plain(
     seed: u64,
 ) -> LifetimeReport {
     assert_eq!(points.len(), initial_alive.len());
+    cfg.validate()
+        .unwrap_or_else(|e| panic!("invalid churn configuration: {e}"));
     let window = points.bounding_box().unwrap_or_else(|| Aabb::square(1.0));
     let probe = CoverageProbe::new(points, initial_alive, &window, cfg.coverage_cell);
     let mut pop = Population::new(points.len(), initial_alive, cfg.battery);
@@ -915,6 +947,8 @@ pub fn simulate_lifetime_sens(
     seed: u64,
 ) -> LifetimeReport {
     assert_eq!(points.len(), initial_alive.len());
+    cfg.validate()
+        .unwrap_or_else(|e| panic!("invalid churn configuration: {e}"));
     let n = points.len();
     let window = grid.covered_area();
     let probe = CoverageProbe::new(points, initial_alive, &window, cfg.coverage_cell);

@@ -21,9 +21,9 @@
 //! * [`churn`] — the epoch-driven lifetime simulation: traffic drains
 //!   batteries, nodes die and join, and the topology is repaired in place
 //!   (incrementally for the plain graphs, by rebuild for SENS).
-//! * [`serve`] — the always-on topology service: epoch-versioned snapshot
-//!   publication (RCU-style) so many reader threads query the graph while
-//!   the churn repair splices the next epoch in place.
+//! * [`serve`] — the always-on topology service: a per-epoch snapshot
+//!   broadcast so many reader threads query the graph while the churn
+//!   repair splices the next epoch in place.
 //!
 //! The headline test (`construct::tests` and the cross-crate integration
 //! tests) is that the distributed protocol reconstructs *exactly* the same
@@ -39,10 +39,12 @@ pub mod route;
 pub mod serve;
 
 pub use churn::{
-    simulate_lifetime_plain, simulate_lifetime_sens, ChurnConfig, ChurnModel, EpochReport,
-    LifetimeReport, RenewalPolicy, RepairMode, RoutePolicy, SensKind,
+    simulate_lifetime_plain, simulate_lifetime_sens, ChurnConfig, ChurnConfigError, ChurnModel,
+    EpochReport, LifetimeReport, RenewalPolicy, RepairMode, RoutePolicy, SensKind,
 };
 pub use construct::{distributed_build_udg, DistributedBuild, ShardAccounting};
 pub use engine::{Engine, MsgStats};
 pub use route::{route_packet, route_packet_with_path, SimRouteOutcome};
-pub use serve::{run_replay, run_serve, RouteCache, ServeConfig, ServeReport, Snapshot};
+pub use serve::{
+    run_replay, run_serve, RouteCache, ServeConfig, ServeConfigError, ServeReport, Snapshot,
+};

@@ -6,22 +6,28 @@
 //! long-running loop that keeps an [`IncrementalGraph`] live under a churn
 //! schedule while many client threads query it concurrently.
 //!
-//! ## Snapshot model (RCU)
+//! ## Snapshot model (per-epoch broadcast)
 //!
 //! The writer owns the graph. Each epoch it selects deaths and joins with
 //! the *same* `Population` schedule the batch engine uses, splices the
 //! repair in place, then captures an immutable [`Snapshot`] — chunked CSR,
 //! alive state, component labels, fingerprint, and the repair's dirty
-//! extents — and publishes it through a [`wsn_graph::EpochPublisher`].
-//! Readers pin an epoch guard and never block on the splice: while the
-//! writer mutates the live graph for epoch *e+1*, readers keep serving
-//! epoch *e* from the pinned capture. A superseded snapshot retires when
-//! its last guard drops, so resident snapshots stay bounded (the soak test
-//! pins this).
+//! extents — and broadcasts it to every reader thread through
+//! [`wsn_graph::run_lockstep`]. The loop runs in lockstep: while the writer
+//! splices epoch *e+1* into the live graph, the readers serve epoch *e*
+//! from their `Arc` of its capture, and *e+1* goes out only once every
+//! reader has released *e*. Each reader therefore sees every epoch once,
+//! in order, and the released snapshot is freed at the next publish, so
+//! one snapshot is resident between publishes (the soak test pins this).
+//!
+//! The loop fails fast: a reader that panics hangs up its link, so the
+//! writer's next wait panics naming it; a writer that panics hangs up all
+//! links, so the readers stop. Either way the panic reaches the caller of
+//! [`run_serve`] promptly instead of leaving threads waiting.
 //!
 //! ## Query engine
 //!
-//! Four query kinds run against a pinned snapshot: route between two
+//! Four query kinds run against an epoch's snapshot: route between two
 //! nearby nodes (BFS over the snapshot CSR, guided by the topology's
 //! edge-length bound — see [`wsn_graph::bfs`]), k nearest *alive* sensors,
 //! coverage at a probe point, and component/giant membership. Routes go
@@ -30,8 +36,8 @@
 //! the new epoch only if no node of its path lies inside any dirty extent
 //! *and* every hop still exists in the new snapshot (k-NN straggler edges
 //! can move without local churn, so the extent test alone is not a proof).
-//! A served route is therefore always *valid* on the pinned snapshot,
-//! though a promoted one may be stale-optimal.
+//! A served route is therefore always *valid* on the snapshot it is
+//! served from, though a promoted one may be stale-optimal.
 //!
 //! ## Determinism contract
 //!
@@ -43,16 +49,17 @@
 //! drives the same engine code serially — the differential suite in
 //! `tests/serve_concurrency.rs` pins exactly this.
 
+use std::fmt;
 use std::time::Instant;
 
 use serde::Serialize;
 
-use crate::churn::{pick, u01, ChurnConfig, Population};
+use crate::churn::{pick, u01, ChurnConfig, ChurnConfigError, Population};
 use wsn_geom::hash::{derive_seed, derive_seed2, mix64};
 use wsn_geom::{Aabb, Point};
 use wsn_graph::bfs::BfsScratch;
 use wsn_graph::components::connected_components;
-use wsn_graph::{fingerprint, ChunkedCsr, EpochPublisher, SnapshotStats};
+use wsn_graph::{fingerprint, run_lockstep, ChunkedCsr};
 use wsn_pointproc::PointSet;
 use wsn_rgg::{IncTopology, IncrementalGraph};
 use wsn_spatial::GridIndex;
@@ -75,7 +82,7 @@ pub struct ServeConfig {
     /// run of the same schedule.
     pub churn: ChurnConfig,
     /// Reader threads. 0 is rejected; 1 still exercises the full
-    /// publish/pin machinery.
+    /// broadcast.
     pub readers: usize,
     /// Query clients, partitioned over readers by `client % readers`.
     pub clients: usize,
@@ -101,9 +108,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A serve run with the headline knobs set and query-shape defaults.
+    /// Checked by [`ServeConfig::validate`], not here.
     pub fn new(churn: ChurnConfig, readers: usize, clients: usize, queries: usize) -> Self {
-        assert!(readers >= 1, "need at least one reader thread");
-        assert!(clients >= 1, "need at least one client");
         ServeConfig {
             churn,
             readers,
@@ -117,7 +123,44 @@ impl ServeConfig {
             seed: 0,
         }
     }
+
+    /// Whether the service can run this configuration: at least one
+    /// reader, one client and one epoch, and a valid churn schedule.
+    pub fn validate(&self) -> Result<(), ServeConfigError> {
+        if self.readers == 0 {
+            return Err(ServeConfigError::Readers(self.readers));
+        }
+        if self.clients == 0 {
+            return Err(ServeConfigError::Clients(self.clients));
+        }
+        if self.churn.epochs == 0 {
+            return Err(ServeConfigError::Epochs(self.churn.epochs));
+        }
+        self.churn.validate().map_err(ServeConfigError::Churn)
+    }
 }
+
+/// Why a [`ServeConfig`] cannot run; each variant carries the bad value.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ServeConfigError {
+    Readers(usize),
+    Clients(usize),
+    Epochs(usize),
+    Churn(ChurnConfigError),
+}
+
+impl fmt::Display for ServeConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeConfigError::Readers(n) => write!(f, "readers must be at least 1, got {n}"),
+            ServeConfigError::Clients(n) => write!(f, "clients must be at least 1, got {n}"),
+            ServeConfigError::Epochs(n) => write!(f, "epochs must be at least 1, got {n}"),
+            ServeConfigError::Churn(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ServeConfigError {}
 
 /// One epoch's immutable published state: everything a reader needs to
 /// answer queries without touching the live graph.
@@ -384,130 +427,168 @@ pub struct ServeReport {
     pub deaths_total: u64,
     pub joins_total: u64,
     pub final_alive: u64,
-    /// Snapshot accounting at quiescence (publisher dropped, guards gone).
+    /// Snapshot accounting after the last release: snapshots broadcast,
+    /// and snapshots freed once every reader released them (the replay
+    /// broadcasts nothing and reports 0 / 0).
     pub snapshots_published: u64,
     pub snapshots_retired: u64,
-    /// Peak resident snapshots observed at any publish point — the soak
-    /// test's no-leak bound.
+    /// Peak published-but-unretired snapshots, read after each publish —
+    /// the soak test's no-leak bound (1 for the replay).
     pub max_live_snapshots: u64,
 }
 
-/// Output of one reader thread: the states of its clients plus latencies.
-struct ReaderOutput {
-    /// `(client id, final state)` for every client this reader owned.
+/// The read-only query context every reader shares.
+struct Engine<'a> {
+    index: GridIndex<'a>,
+    points: &'a PointSet,
+    window: Aabb,
+    cfg: &'a ServeConfig,
+    max_edge: Option<f64>,
+}
+
+/// One reader: the clients it owns, its BFS scratch and its latencies.
+struct Reader {
+    /// `(client id, state)` for every client this reader owns.
     clients: Vec<(usize, ClientState)>,
+    scratch: BfsScratch,
     latency_ns: Vec<u64>,
 }
 
-/// Run one client's queries for one epoch against a pinned snapshot.
-/// Shared verbatim by the concurrent serve loop and the replay oracle —
-/// byte-identity between them is identity of *inputs*, not luck.
-#[allow(clippy::too_many_arguments)]
-fn run_client_epoch(
-    snap: &Snapshot,
-    index: &GridIndex,
-    points: &PointSet,
-    window: &Aabb,
-    cfg: &ServeConfig,
-    client: usize,
-    state: &mut ClientState,
-    scratch: &mut BfsScratch,
-    max_edge: Option<f64>,
-    latency_ns: &mut Vec<u64>,
-) {
-    // Promote / evict cached routes across the epoch boundary. Epoch 0
-    // starts with an empty cache, so `advance_epoch` is vacuous there.
-    // Quiescent epochs (no dirty extents, unchanged fingerprint) skip the
-    // per-entry path replay entirely.
-    state.cache.advance_epoch(
-        snap.epoch,
-        snap.fingerprint,
-        &snap.dirty_extents,
-        points,
-        |p| snap.path_valid(p),
-    );
-    let cseed = derive_seed2(
-        derive_seed(cfg.seed, stream::QUERY),
-        snap.epoch,
-        client as u64,
-    );
-    let mut in_disk = Vec::new();
-    for qi in 0..cfg.queries_per_client as u64 {
-        let h = derive_seed2(cseed, qi, 0);
-        let t0 = Instant::now();
-        if snap.alive_ids.is_empty() {
-            state.errors += 1;
-            state.absorb(0xdead);
-            latency_ns.push(t0.elapsed().as_nanos() as u64);
-            continue;
+impl Reader {
+    /// Reader `r` of `readers` owns the clients `c` with `c % readers == r`.
+    fn new(r: usize, readers: usize, cfg: &ServeConfig) -> Self {
+        Reader {
+            clients: (0..cfg.clients)
+                .filter(|c| c % readers == r)
+                .map(|c| (c, ClientState::new(cfg.cache_capacity)))
+                .collect(),
+            scratch: BfsScratch::default(),
+            latency_ns: Vec::new(),
         }
-        // Kind mix: routes dominate (they are what the cache serves).
-        match h % 6 {
-            0..=2 => {
-                // Route between a node and a nearby alive node.
-                let pool = if cfg.hot_routes > 0 {
-                    cfg.hot_routes.min(snap.alive_ids.len())
-                } else {
-                    snap.alive_ids.len()
-                };
-                let src = snap.alive_ids[pick(derive_seed2(cseed, qi, 1), pool)];
-                in_disk.clear();
-                index.in_disk(points.get(src), cfg.route_radius, &mut in_disk);
-                in_disk.retain(|&u| snap.alive[u as usize] && u != src);
-                in_disk.sort_unstable();
-                let dst = if in_disk.is_empty() {
-                    src
-                } else {
-                    in_disk[pick(derive_seed2(cseed, qi, 2), in_disk.len())]
-                };
-                state.cache_lookups += 1;
-                let word = if let Some(path) = state.cache.get(src, dst) {
-                    state.cache_hits += 1;
-                    path_word(Some(path))
-                } else {
-                    let path =
-                        scratch.guided_path(&snap.csr, src, dst, max_edge, |u| points.get(u));
-                    let w = path_word(path.as_deref());
-                    if let Some(p) = path {
-                        state.cache.insert(src, dst, p, snap.epoch);
-                    }
-                    w
-                };
-                state.absorb(word);
+    }
+
+    /// Serve one epoch to every owned client, in client-id order.
+    fn serve(&mut self, engine: &Engine, snap: &Snapshot) {
+        for (c, state) in &mut self.clients {
+            engine.run_client_epoch(snap, *c, state, &mut self.scratch, &mut self.latency_ns);
+        }
+    }
+}
+
+impl Engine<'_> {
+    /// Run one client's queries for one epoch against a snapshot. Shared
+    /// verbatim by the concurrent serve loop and the replay oracle —
+    /// byte-identity between them is identity of *inputs*, not luck.
+    fn run_client_epoch(
+        &self,
+        snap: &Snapshot,
+        client: usize,
+        state: &mut ClientState,
+        scratch: &mut BfsScratch,
+        latency_ns: &mut Vec<u64>,
+    ) {
+        let Engine {
+            index,
+            points,
+            window,
+            cfg,
+            max_edge,
+        } = self;
+        // Promote / evict cached routes across the epoch boundary. Epoch 0
+        // starts with an empty cache, so `advance_epoch` is vacuous there.
+        // Quiescent epochs (no dirty extents, unchanged fingerprint) skip the
+        // per-entry path replay entirely.
+        state.cache.advance_epoch(
+            snap.epoch,
+            snap.fingerprint,
+            &snap.dirty_extents,
+            points,
+            |p| snap.path_valid(p),
+        );
+        let cseed = derive_seed2(
+            derive_seed(cfg.seed, stream::QUERY),
+            snap.epoch,
+            client as u64,
+        );
+        let mut in_disk = Vec::new();
+        for qi in 0..cfg.queries_per_client as u64 {
+            let h = derive_seed2(cseed, qi, 0);
+            let t0 = Instant::now();
+            if snap.alive_ids.is_empty() {
+                state.errors += 1;
+                state.absorb(0xdead);
+                latency_ns.push(t0.elapsed().as_nanos() as u64);
+                continue;
             }
-            3 => {
-                // k nearest alive sensors to a probe point.
-                let q = sample_point(window, derive_seed2(cseed, qi, 3));
-                let k = 1 + (derive_seed2(cseed, qi, 4) % cfg.knn_max.max(1) as u64) as usize;
-                let ids = k_nearest_alive(index, points, &snap.alive, q, k, cfg.coverage_radius);
-                let mut d = DIGEST_SEED ^ ids.len() as u64;
-                for &u in &ids {
-                    d = mix64(d ^ u as u64);
+            // Kind mix: routes dominate (they are what the cache serves).
+            match h % 6 {
+                0..=2 => {
+                    // Route between a node and a nearby alive node.
+                    let pool = if cfg.hot_routes > 0 {
+                        cfg.hot_routes.min(snap.alive_ids.len())
+                    } else {
+                        snap.alive_ids.len()
+                    };
+                    let src = snap.alive_ids[pick(derive_seed2(cseed, qi, 1), pool)];
+                    in_disk.clear();
+                    index.in_disk(points.get(src), cfg.route_radius, &mut in_disk);
+                    in_disk.retain(|&u| snap.alive[u as usize] && u != src);
+                    in_disk.sort_unstable();
+                    let dst = if in_disk.is_empty() {
+                        src
+                    } else {
+                        in_disk[pick(derive_seed2(cseed, qi, 2), in_disk.len())]
+                    };
+                    state.cache_lookups += 1;
+                    let word = if let Some(path) = state.cache.get(src, dst) {
+                        state.cache_hits += 1;
+                        path_word(Some(path))
+                    } else {
+                        let path =
+                            scratch.guided_path(&snap.csr, src, dst, *max_edge, |u| points.get(u));
+                        let w = path_word(path.as_deref());
+                        if let Some(p) = path {
+                            state.cache.insert(src, dst, p, snap.epoch);
+                        }
+                        w
+                    };
+                    state.absorb(word);
                 }
-                state.absorb(d);
-            }
-            4 => {
-                // Coverage: alive sensors within the sensing radius of a
-                // probe point.
-                let q = sample_point(window, derive_seed2(cseed, qi, 5));
-                let mut covered = 0u64;
-                index.for_each_in_disk(q, cfg.coverage_radius, |u, _| {
-                    if snap.alive[u as usize] {
-                        covered += 1;
+                3 => {
+                    // k nearest alive sensors to a probe point.
+                    let q = sample_point(window, derive_seed2(cseed, qi, 3));
+                    let k = 1 + (derive_seed2(cseed, qi, 4) % cfg.knn_max.max(1) as u64) as usize;
+                    let ids =
+                        k_nearest_alive(index, points, &snap.alive, q, k, cfg.coverage_radius);
+                    let mut d = DIGEST_SEED ^ ids.len() as u64;
+                    for &u in &ids {
+                        d = mix64(d ^ u as u64);
                     }
-                });
-                state.absorb(mix64(0xc0_0e1a ^ covered));
+                    state.absorb(d);
+                }
+                4 => {
+                    // Coverage: alive sensors within the sensing radius of a
+                    // probe point.
+                    let q = sample_point(window, derive_seed2(cseed, qi, 5));
+                    let mut covered = 0u64;
+                    index.for_each_in_disk(q, cfg.coverage_radius, |u, _| {
+                        if snap.alive[u as usize] {
+                            covered += 1;
+                        }
+                    });
+                    state.absorb(mix64(0xc0_0e1a ^ covered));
+                }
+                _ => {
+                    // Component / giant membership of a random alive pair.
+                    let u = snap.alive_ids[pick(derive_seed2(cseed, qi, 6), snap.alive_ids.len())];
+                    let v = snap.alive_ids[pick(derive_seed2(cseed, qi, 7), snap.alive_ids.len())];
+                    let same = (snap.comp_label[u as usize] == snap.comp_label[v as usize]) as u64;
+                    let giant = (snap.comp_label[u as usize] == snap.giant_label) as u64;
+                    state.absorb(mix64(0x91a27 ^ (same << 1) ^ giant));
+                }
             }
-            _ => {
-                // Component / giant membership of a random alive pair.
-                let u = snap.alive_ids[pick(derive_seed2(cseed, qi, 6), snap.alive_ids.len())];
-                let v = snap.alive_ids[pick(derive_seed2(cseed, qi, 7), snap.alive_ids.len())];
-                let same = (snap.comp_label[u as usize] == snap.comp_label[v as usize]) as u64;
-                let giant = (snap.comp_label[u as usize] == snap.giant_label) as u64;
-                state.absorb(mix64(0x91a27 ^ (same << 1) ^ giant));
-            }
+            latency_ns.push(t0.elapsed().as_nanos() as u64);
         }
-        latency_ns.push(t0.elapsed().as_nanos() as u64);
     }
 }
 
@@ -553,35 +634,6 @@ fn k_nearest_alive(
     with_d.into_iter().map(|(_, u)| u).collect()
 }
 
-/// All-readers-done-with-epoch barrier (writer side of the lockstep).
-struct EpochBarrier {
-    done: std::sync::Mutex<Vec<usize>>,
-    cond: std::sync::Condvar,
-}
-
-impl EpochBarrier {
-    fn new(epochs: usize) -> Self {
-        EpochBarrier {
-            done: std::sync::Mutex::new(vec![0; epochs]),
-            cond: std::sync::Condvar::new(),
-        }
-    }
-
-    fn reader_done(&self, epoch: u64) {
-        let mut done = self.done.lock().unwrap();
-        done[epoch as usize] += 1;
-        drop(done);
-        self.cond.notify_all();
-    }
-
-    fn wait_all_done(&self, epoch: u64, readers: usize) {
-        let mut done = self.done.lock().unwrap();
-        while done[epoch as usize] < readers {
-            done = self.cond.wait(done).unwrap();
-        }
-    }
-}
-
 /// Run the service: writer repairs and publishes, `cfg.readers` threads
 /// serve the query workload. See module docs for the concurrency model.
 pub fn run_serve(
@@ -613,14 +665,18 @@ fn run_service(
     concurrent: bool,
 ) -> ServeReport {
     assert_eq!(points.len(), initial_alive.len());
-    assert!(cfg.readers >= 1, "need at least one reader thread");
-    assert!(cfg.clients >= 1, "need at least one client");
-    assert!(cfg.churn.epochs >= 1, "need at least one epoch");
+    cfg.validate()
+        .unwrap_or_else(|e| panic!("invalid serve configuration: {e}"));
     let epochs = cfg.churn.epochs;
     let window = points.bounding_box().unwrap_or_else(|| Aabb::square(1.0));
     let cell = cfg.route_radius.max(cfg.coverage_radius).max(1e-9);
-    let index = GridIndex::build(points, cell);
-    let max_edge = kind.max_edge_len();
+    let engine = Engine {
+        index: GridIndex::build(points, cell),
+        points,
+        window,
+        cfg,
+        max_edge: kind.max_edge_len(),
+    };
 
     let mut g = IncrementalGraph::build(
         points.clone(),
@@ -629,151 +685,66 @@ fn run_service(
         cfg.churn.repair_tiles,
     );
     let mut pop = Population::new(points.len(), initial_alive, cfg.churn.battery);
-    let publisher: EpochPublisher<Snapshot> = EpochPublisher::new();
-    let barrier = EpochBarrier::new(epochs);
-
     let mut epoch_fingerprints = Vec::with_capacity(epochs);
     let (mut deaths_total, mut joins_total) = (0u64, 0u64);
-    let mut max_live = 0u64;
+    // The writer's epoch: churn, splice, capture. In the concurrent run the
+    // splice overlaps the readers serving the previous epoch's snapshot.
+    let mut write = |epoch: u64| {
+        let (deaths, _, _) =
+            pop.select_deaths(points, g.alive(), &window, &cfg.churn, cfg.seed, epoch);
+        let (joins, _) = pop.admit_joins(deaths.len(), &cfg.churn);
+        deaths_total += deaths.len() as u64;
+        joins_total += joins.len() as u64;
+        g.apply_churn(&deaths, &joins);
+        if cfg.churn.verify {
+            assert!(
+                g.verify_cold(),
+                "incremental repair diverged from cold rebuild at epoch {epoch}"
+            );
+        }
+        let snap = Snapshot::capture(epoch, &g);
+        epoch_fingerprints.push(snap.fingerprint);
+        snap
+    };
+
     let started = Instant::now();
-
-    let mut reader_outputs: Vec<ReaderOutput> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        if concurrent {
-            for r in 0..cfg.readers {
-                let handle = publisher.handle();
-                let barrier = &barrier;
-                let index = &index;
-                let cfg_ref = cfg;
-                handles.push(scope.spawn(move || {
-                    let mut scratch = BfsScratch::default();
-                    let mut clients: Vec<(usize, ClientState)> = (0..cfg_ref.clients)
-                        .filter(|c| c % cfg_ref.readers == r)
-                        .map(|c| (c, ClientState::new(cfg_ref.cache_capacity)))
-                        .collect();
-                    let mut latency_ns = Vec::new();
-                    for epoch in 0..epochs as u64 {
-                        let guard = handle
-                            .wait_for(epoch)
-                            .expect("publisher outlives the reader loop");
-                        // The barrier guarantees the writer cannot have
-                        // published past the epoch we are waiting on.
-                        assert_eq!(guard.epoch(), epoch, "reader skipped an epoch");
-                        for (c, state) in clients.iter_mut() {
-                            run_client_epoch(
-                                &guard,
-                                index,
-                                points,
-                                &window,
-                                cfg_ref,
-                                *c,
-                                state,
-                                &mut scratch,
-                                max_edge,
-                                &mut latency_ns,
-                            );
-                        }
-                        drop(guard);
-                        barrier.reader_done(epoch);
-                    }
-                    ReaderOutput {
-                        clients,
-                        latency_ns,
-                    }
-                }));
-            }
-        }
-
-        // Replay-mode client states, driven inline on the writer thread.
-        let mut replay_clients: Vec<ClientState> = if concurrent {
-            Vec::new()
-        } else {
-            (0..cfg.clients)
-                .map(|_| ClientState::new(cfg.cache_capacity))
-                .collect()
-        };
-        let mut replay_scratch = BfsScratch::default();
-        let mut replay_latency = Vec::new();
-
+    let (mut readers, published, retired, max_live) = if concurrent {
+        let (readers, publisher) = run_lockstep(
+            epochs as u64,
+            cfg.readers,
+            &mut write,
+            |r| Reader::new(r, cfg.readers, cfg),
+            |reader, snap| reader.serve(&engine, snap),
+        );
+        (
+            readers,
+            publisher.published(),
+            publisher.retired(),
+            publisher.max_live(),
+        )
+    } else {
+        // Replay: every client, in id order, on the writer thread.
+        let mut reader = Reader::new(0, 1, cfg);
         for epoch in 0..epochs as u64 {
-            let (deaths, _, _) =
-                pop.select_deaths(points, g.alive(), &window, &cfg.churn, cfg.seed, epoch);
-            let (joins, _) = pop.admit_joins(deaths.len(), &cfg.churn);
-            deaths_total += deaths.len() as u64;
-            joins_total += joins.len() as u64;
-            // The splice below runs while readers are still serving the
-            // previous epoch from their pinned guards — reads never block
-            // on repair.
-            g.apply_churn(&deaths, &joins);
-            if cfg.churn.verify {
-                assert!(
-                    g.verify_cold(),
-                    "incremental repair diverged from cold rebuild at epoch {epoch}"
-                );
-            }
-            let snap = Snapshot::capture(epoch, &g);
-            epoch_fingerprints.push(snap.fingerprint);
-            if concurrent {
-                if epoch > 0 {
-                    // Lockstep: nobody may still be reading epoch-1 when
-                    // its successor is published, so every reader sees
-                    // every epoch exactly once.
-                    barrier.wait_all_done(epoch - 1, cfg.readers);
-                }
-                publisher.publish(epoch, snap);
-                max_live = max_live.max(publisher.stats().live_snapshots());
-            } else {
-                for (c, state) in replay_clients.iter_mut().enumerate() {
-                    run_client_epoch(
-                        &snap,
-                        &index,
-                        points,
-                        &window,
-                        cfg,
-                        c,
-                        state,
-                        &mut replay_scratch,
-                        max_edge,
-                        &mut replay_latency,
-                    );
-                }
-                max_live = 1;
-            }
+            reader.serve(&engine, &write(epoch));
         }
-        if concurrent {
-            barrier.wait_all_done(epochs as u64 - 1, cfg.readers);
-            for h in handles {
-                reader_outputs.push(h.join().expect("reader thread panicked"));
-            }
-        } else {
-            reader_outputs.push(ReaderOutput {
-                clients: replay_clients.into_iter().enumerate().collect(),
-                latency_ns: replay_latency,
-            });
-        }
-    });
+        (vec![reader], 0, 0, 1)
+    };
     let wall_secs = started.elapsed().as_secs_f64();
-
-    // Quiesce: drop the publisher so the final snapshot retires, then read
-    // the accounting (guards are gone — the readers joined).
-    let handle = publisher.handle();
-    drop(publisher);
-    let stats: SnapshotStats = handle.stats();
 
     // Merge per-client results in client-id order (digest order must not
     // depend on the reader partition).
     let mut client_digests = vec![0u64; cfg.clients];
     let (mut cache_hits, mut cache_lookups, mut errors) = (0u64, 0u64, 0u64);
     let mut latency_ns: Vec<u64> = Vec::new();
-    for out in &mut reader_outputs {
-        for (c, state) in &out.clients {
+    for reader in &mut readers {
+        for (c, state) in &reader.clients {
             client_digests[*c] = state.digest;
             cache_hits += state.cache_hits;
             cache_lookups += state.cache_lookups;
             errors += state.errors;
         }
-        latency_ns.append(&mut out.latency_ns);
+        latency_ns.append(&mut reader.latency_ns);
     }
     let mut answer_digest = DIGEST_SEED;
     for &d in &client_digests {
@@ -812,8 +783,8 @@ fn run_service(
         deaths_total,
         joins_total,
         final_alive,
-        snapshots_published: stats.published,
-        snapshots_retired: stats.retired,
+        snapshots_published: published,
+        snapshots_retired: retired,
         max_live_snapshots: max_live,
     }
 }

@@ -1,36 +1,45 @@
 //! Concurrency suite of the always-on topology service.
 //!
-//! The serve loop (PR 7) publishes epoch-versioned RCU snapshots of the
-//! incremental graph while reader threads answer route / k-NN / coverage /
-//! membership queries against pinned epochs. Its whole correctness story
-//! is *determinism under concurrency*: answers are a pure function of
-//! `(seed, epoch, client, query)`, never of thread interleaving. This
-//! suite pins that story from four sides:
+//! The serve loop broadcasts one immutable snapshot of the incremental
+//! graph per epoch to reader threads that answer route / k-NN / coverage /
+//! membership queries against it, in lockstep: the writer splices epoch
+//! *e+1* while the readers serve *e*, and publishes *e+1* once every reader
+//! has released *e*. Its correctness story is *determinism under
+//! concurrency*: answers are a pure function of `(seed, epoch, client,
+//! query)`, never of thread interleaving. This suite pins that story from
+//! five sides:
 //!
 //! 1. **Differential**: concurrent [`run_serve`] must be byte-identical —
 //!    per-client digests, per-epoch fingerprints, folded answer digest —
 //!    to the single-threaded [`run_replay`] oracle, across topology kinds
 //!    × reader counts × churn regimes (quiescent and 10% clustered).
-//! 2. **Snapshot pinning**: a reader holding an epoch guard keeps that
-//!    snapshot alive and unchanged while the writer splices the next
-//!    epoch; the snapshot retires exactly when the last guard drops.
-//! 3. **Properties**: random publish/pin/drop interleavings never tear a
-//!    snapshot and always balance the retire accounting
-//!    (`retired == published − live` at every step, all retired at
-//!    quiescence); the route cache never serves a path that crosses an
-//!    invalidated dirty extent after an epoch advance.
+//! 2. **Held snapshots**: a reader's `Arc` of epoch *e* stays readable and
+//!    byte-unchanged while the writer splices epoch *e+1*.
+//! 3. **Properties**: for any reader and epoch count, every reader
+//!    receives every epoch exactly once, in order, untorn, and every
+//!    snapshot retires with at most one live at a time; the route cache
+//!    never serves a path that crosses an invalidated dirty extent after
+//!    an epoch advance.
 //! 4. **Channel sharing**: the published fingerprint walk equals the batch
 //!    churn engine's `graph_hash` channel for the same schedule — serve
 //!    mode and batch mode cannot drift apart silently.
+//! 5. **Fail fast**: a panic in the writer or in any reader ends the
+//!    lockstep loop with that panic, under a 60 s watchdog, instead of
+//!    leaving the other side waiting.
 //!
 //! The `--ignored` soak scales the same invariants to a 10⁵-node universe
 //! over 50 clustered-blackout epochs (run with
 //! `cargo test --release --test serve_concurrency -- --ignored`).
 
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
+
 use proptest::prelude::*;
 use wsn::geom::hash::derive_seed2;
 use wsn::geom::Aabb;
-use wsn::graph::{EpochGuard, EpochPublisher};
+use wsn::graph::{fingerprint, run_lockstep, EpochPublisher};
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
 use wsn::rgg::{IncTopology, IncrementalGraph};
 use wsn::simnet::churn::{simulate_lifetime_plain, ChurnConfig, ChurnModel};
@@ -131,29 +140,26 @@ fn concurrent_answers_match_single_threaded_replay() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Snapshot pinning across a live splice.
+// 2. A held snapshot across a live splice.
 // ---------------------------------------------------------------------
 
-/// A guard pinned on epoch N keeps that snapshot alive, unchanged and
-/// readable while the writer churns and splices epoch N+1 into the live
-/// graph; it retires exactly when the last guard drops.
+/// A reader's `Arc` of epoch 0 stays readable and byte-unchanged while the
+/// writer churns and splices epoch 1 into the live graph; epoch 0 retires
+/// once it is released.
 #[test]
 fn pinned_snapshot_survives_the_next_splice_unchanged() {
     let (pts, alive) = universe(0x919, 8.0, 16.0, 0.2);
     let mut g = IncrementalGraph::build(pts, alive, IncTopology::Udg { radius: 1.0 }, 4);
 
     let publisher: EpochPublisher<Snapshot> = EpochPublisher::new();
-    let handle = publisher.handle();
+    let link = publisher.subscribe();
     publisher.publish(0, Snapshot::capture(0, &g));
+    let held = link.recv().expect("epoch 0 is published");
+    let held_bytes = format!("{held:?}");
+    let held_fp = held.fingerprint;
 
-    let guard = handle.pin().expect("epoch 0 is published");
-    assert_eq!(guard.epoch(), 0);
-    let pinned_fp = guard.fingerprint;
-    let pinned_alive = guard.alive.clone();
-    let pinned_labels = guard.comp_label.clone();
-
-    // The writer splices epoch 1 while the guard is held: kill a block of
-    // the pinned snapshot's alive population and admit some reserve.
+    // The writer splices epoch 1 while the snapshot is held: kill a block
+    // of its alive population and admit some reserve.
     let deaths: Vec<u32> = (0..g.points().len() as u32)
         .filter(|&u| g.alive()[u as usize] && u % 7 == 0)
         .collect();
@@ -163,104 +169,70 @@ fn pinned_snapshot_survives_the_next_splice_unchanged() {
         .collect();
     assert!(!deaths.is_empty() && !joins.is_empty());
     g.apply_churn(&deaths, &joins);
-    publisher.publish(1, Snapshot::capture(1, &g));
 
-    // Readers see the new epoch; the pinned guard still reads epoch 0's
-    // bytes, untouched by the splice.
-    assert_eq!(handle.latest_epoch(), Some(1));
-    assert_eq!(guard.epoch(), 0);
-    assert_eq!(guard.fingerprint, pinned_fp);
-    assert_eq!(guard.alive, pinned_alive);
-    assert_eq!(guard.comp_label, pinned_labels);
+    assert_eq!(
+        format!("{held:?}"),
+        held_bytes,
+        "the splice reached a held snapshot"
+    );
+    assert_eq!(fingerprint(&held.csr), held_fp);
+    link.release(held);
+
+    publisher.publish(1, Snapshot::capture(1, &g));
+    let next = link.recv().expect("epoch 1 is published");
+    assert_eq!(next.epoch, 1);
     assert_ne!(
-        handle.pin().expect("epoch 1 is published").fingerprint,
-        pinned_fp,
+        next.fingerprint, held_fp,
         "the splice must have changed the published topology"
     );
-
-    // Retire accounting: epoch 0 is retained exactly as long as the guard.
-    let stats = handle.stats();
-    assert_eq!(stats.published, 2);
-    assert_eq!(stats.retired, 0, "pinned epoch 0 must not retire");
-    assert_eq!(stats.live_pins, 1);
-    drop(guard);
-    let stats = handle.stats();
-    assert_eq!(stats.retired, 1, "dropping the last guard retires epoch 0");
-    assert_eq!(stats.live_pins, 0);
-    drop(publisher);
-    assert_eq!(handle.stats().retired, 2);
+    assert_eq!(
+        (publisher.published(), publisher.retired()),
+        (2, 1),
+        "released epoch 0 retires at the next publish"
+    );
 }
 
 // ---------------------------------------------------------------------
-// 3a. Property: publish/pin/drop interleavings balance the accounting.
+// 3a. Property: the lockstep broadcast delivers every epoch once, in order.
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random interleavings of publish / pin / drop-a-random-guard: at
-    /// every step `published − retired` equals the number of distinct
-    /// epochs actually held live (guards ∪ current), no guard ever reads
-    /// a torn payload, and at quiescence every snapshot has retired.
+    /// Any reader count and epoch count: every reader receives every epoch
+    /// exactly once and in order, each payload untorn; after `finish` every
+    /// snapshot has retired, and no more than one was ever live.
     #[test]
-    fn publish_pin_drop_accounting_balances(seed in 0u64..10_000) {
+    fn lockstep_broadcast_delivers_every_epoch_once_in_order(
+        readers in 1usize..=8,
+        epochs in 1u64..=12,
+        seed in 0u64..10_000,
+    ) {
         /// A payload whose words are all derived from its epoch — a torn
         /// or reused buffer cannot keep them consistent.
-        fn payload(epoch: u64) -> Vec<u64> {
-            (0..8).map(|i| derive_seed2(0xF00D, epoch, i)).collect()
-        }
-        /// Plain assert: helpers cannot early-return `TestCaseError`, and
-        /// a torn payload is a hard bug either way.
-        fn check_payload(guard: &EpochGuard<Vec<u64>>) {
-            assert_eq!(**guard, payload(guard.epoch()), "torn snapshot payload");
+        fn payload(seed: u64, epoch: u64) -> (u64, Vec<u64>) {
+            (epoch, (0..8).map(|i| derive_seed2(seed, epoch, i)).collect())
         }
 
-        let publisher: EpochPublisher<Vec<u64>> = EpochPublisher::new();
-        let handle = publisher.handle();
-        let mut guards: Vec<EpochGuard<Vec<u64>>> = Vec::new();
-        let mut next_epoch = 0u64;
-        for step in 0..60u64 {
-            match derive_seed2(seed, step, 0) % 3 {
-                0 => {
-                    publisher.publish(next_epoch, payload(next_epoch));
-                    next_epoch += 1;
-                }
-                1 => {
-                    if let Some(g) = handle.pin() {
-                        check_payload(&g);
-                        guards.push(g);
-                    }
-                }
-                _ => {
-                    if !guards.is_empty() {
-                        let at = (derive_seed2(seed, step, 1) % guards.len() as u64) as usize;
-                        guards.swap_remove(at);
-                    }
-                }
-            }
-            // The live set: distinct pinned epochs plus the current slot.
-            let mut live: Vec<u64> = guards.iter().map(|g| g.epoch()).collect();
-            if let Some(e) = handle.latest_epoch() {
-                live.push(e);
-            }
-            live.sort_unstable();
-            live.dedup();
-            let stats = handle.stats();
-            prop_assert_eq!(stats.published, next_epoch);
-            prop_assert_eq!(stats.live_snapshots(), live.len() as u64);
-            prop_assert_eq!(stats.live_pins, guards.len() as u64);
-            for g in &guards {
-                check_payload(g);
-            }
+        let (seen, publisher) = run_lockstep(
+            epochs,
+            readers,
+            |e| payload(seed, e),
+            |_| Vec::new(),
+            |seen: &mut Vec<u64>, snap: &(u64, Vec<u64>)| {
+                // Plain assert: a torn payload is a hard bug either way.
+                assert_eq!(*snap, payload(seed, snap.0), "torn snapshot payload");
+                seen.push(snap.0);
+            },
+        );
+        prop_assert_eq!(seen.len(), readers);
+        let all: Vec<u64> = (0..epochs).collect();
+        for s in &seen {
+            prop_assert_eq!(s, &all);
         }
-        // Quiescence: all guards and the publisher gone → everything
-        // published has retired and no pin remains.
-        drop(guards);
-        drop(publisher);
-        let stats = handle.stats();
-        prop_assert_eq!(stats.retired, stats.published);
-        prop_assert_eq!(stats.live_pins, 0);
-        prop_assert_eq!(stats.live_snapshots(), 0);
+        prop_assert_eq!(publisher.published(), epochs);
+        prop_assert_eq!(publisher.retired(), publisher.published());
+        prop_assert_eq!(publisher.max_live(), 1);
     }
 
     /// The route-cache invalidation rule: after `advance_epoch` with a set
@@ -414,7 +386,107 @@ fn published_fingerprints_equal_batch_graph_hash_channel() {
 }
 
 // ---------------------------------------------------------------------
-// 5. The release soak (--ignored).
+// 5. Fail fast: a panic on either side ends the loop promptly.
+// ---------------------------------------------------------------------
+
+/// Run `f` on its own thread under `catch_unwind` and return its panic
+/// message. The test fails if `f` returns normally, or if no result has
+/// arrived within 60 s — so a reintroduced hang fails here instead of
+/// stalling the suite.
+fn panic_within_watchdog<R>(f: impl FnOnce() -> R + Send + 'static) -> String {
+    let (tx, rx) = mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let _ = tx.send(
+            catch_unwind(AssertUnwindSafe(f))
+                .err()
+                .map(|p| panic_message(&*p)),
+        );
+    });
+    let message = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the lockstep loop hung instead of failing");
+    run.join()
+        .expect("the panic was caught on the run's thread");
+    message.expect("the lockstep loop must re-raise the panic")
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+        .unwrap_or_default()
+}
+
+/// The serve writer's shape: churn a few nodes, splice, capture. Panics
+/// instead of capturing epoch `fail_at`.
+fn churning_writer(fail_at: Option<u64>) -> impl FnMut(u64) -> Snapshot {
+    let (pts, alive) = universe(0xFA17, 8.0, 14.0, 0.2);
+    let mut g = IncrementalGraph::build(pts, alive, IncTopology::Udg { radius: 1.0 }, 4);
+    move |epoch| {
+        let deaths: Vec<u32> = (0..g.points().len() as u32)
+            .filter(|&u| g.alive()[u as usize] && u % 13 == epoch as u32)
+            .collect();
+        g.apply_churn(&deaths, &[]);
+        assert_ne!(
+            Some(epoch),
+            fail_at,
+            "writer dies before capturing epoch {epoch}"
+        );
+        Snapshot::capture(epoch, &g)
+    }
+}
+
+/// Four readers; reader `who` panics while serving epoch `at`.
+fn lockstep_with_failing_reader(epochs: u64, who: usize, at: u64) -> String {
+    panic_within_watchdog(move || {
+        run_lockstep(
+            epochs,
+            4,
+            churning_writer(None),
+            |r| (r, 0usize),
+            |(r, served): &mut (usize, usize), snap: &Snapshot| {
+                *served += snap.alive_ids.len();
+                assert!(
+                    !(*r == who && snap.epoch == at),
+                    "reader {who} dies mid-epoch {at}"
+                );
+            },
+        )
+    })
+}
+
+#[test]
+fn writer_panic_before_publish_fails_fast() {
+    let message = panic_within_watchdog(|| {
+        run_lockstep(4, 2, churning_writer(Some(1)), |_| (), |_, _: &Snapshot| ())
+    });
+    assert!(
+        message.contains("writer dies before capturing epoch 1"),
+        "unexpected panic: {message}"
+    );
+}
+
+#[test]
+fn reader_panic_mid_epoch_fails_fast() {
+    let message = lockstep_with_failing_reader(4, 2, 1);
+    assert!(
+        message.contains("reader 2 hung up before releasing epoch 1"),
+        "unexpected panic: {message}"
+    );
+}
+
+#[test]
+fn reader_panic_on_the_last_epoch_fails_fast() {
+    let message = lockstep_with_failing_reader(4, 0, 3);
+    assert!(
+        message.contains("reader 0 hung up before releasing epoch 3"),
+        "unexpected panic: {message}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// 6. The release soak (--ignored).
 // ---------------------------------------------------------------------
 
 /// 10⁵-node universe, 50 epochs of clustered blackouts with reserve
