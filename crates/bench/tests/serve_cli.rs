@@ -47,6 +47,14 @@ fn churn_of_one_exits_2() {
 }
 
 #[test]
+fn non_positive_or_nan_blast_exits_2() {
+    for (value, shown) in [("0", "0"), ("-1", "-1"), ("nan", "NaN")] {
+        let message = format!("blast radius must be finite and positive, got {shown}");
+        assert_rejected("--blast", value, &message);
+    }
+}
+
+#[test]
 fn a_valid_configuration_still_serves() {
     let (code, stderr) = serve_with("--readers", "2");
     assert_eq!(code, Some(0), "stderr was {stderr}");

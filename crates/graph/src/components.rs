@@ -1,10 +1,30 @@
 //! Connected components.
+//!
+//! [`connected_components`] is a serial two-phase sampled union-find (the
+//! Afforest scheme of Sutton, Ben-Nun and Barak, IPDPS 2018):
+//!
+//! 1. every node is joined with its first two neighbours, which on a
+//!    geometric graph already merges most of the giant component;
+//! 2. the largest set after phase 1 is taken as the provisional giant, and
+//!    only nodes whose set is *not* that giant join their remaining
+//!    neighbours.
+//!
+//! Phase 2 is exact because adjacency is symmetric: for any edge `{u, v}`
+//! outside both endpoints' first two neighbours, either one endpoint was
+//! outside the giant when it was visited, and it joined the other, or both
+//! endpoints were already in the giant's set, and so already joined. Sets
+//! only grow, so an endpoint seen in the giant stays in it.
+//!
+//! Sets are linked larger root under smaller root, so `parent[u] <= u`
+//! always holds and every root is its set's smallest id. Labels are
+//! therefore **canonical**: the smallest node id of the component, however
+//! the unions were ordered.
 
-use crate::unionfind::UnionFind;
 use crate::view::GraphView;
 
-/// Component labelling of every node. Labels are arbitrary but stable for a
-/// given graph; `count` is the number of components (isolated nodes count).
+/// Component labelling of every node. `label[u]` is the smallest node id
+/// in `u`'s component; `count` is the number of components (isolated
+/// nodes count).
 #[derive(Clone, Debug)]
 pub struct Components {
     pub label: Vec<u32>,
@@ -12,34 +32,36 @@ pub struct Components {
 }
 
 impl Components {
-    /// Ids of nodes in the largest component (ties broken toward the
-    /// smallest root id). Empty for the empty graph.
-    pub fn largest(&self) -> Vec<u32> {
-        if self.label.is_empty() {
-            return Vec::new();
-        }
-        let mut sizes = std::collections::HashMap::new();
+    /// Label and size of the largest component, ties broken toward the
+    /// smallest label (that is, the component holding the smallest id).
+    /// `None` for the empty graph.
+    pub fn giant(&self) -> Option<(u32, usize)> {
+        let mut sizes = vec![0u32; self.label.len()];
         for &l in &self.label {
-            *sizes.entry(l).or_insert(0usize) += 1;
+            sizes[l as usize] += 1;
         }
-        let best = sizes
+        sizes
             .iter()
-            .max_by_key(|&(l, s)| (*s, std::cmp::Reverse(*l)))
-            .map(|(&l, _)| l)
-            .unwrap();
-        (0..self.label.len() as u32)
-            .filter(|&u| self.label[u as usize] == best)
-            .collect()
+            .enumerate()
+            .max_by_key(|&(l, &s)| (s, std::cmp::Reverse(l)))
+            .map(|(l, &s)| (l as u32, s as usize))
+    }
+
+    /// Ids of nodes in the largest component ([`Components::giant`]'s tie
+    /// rule), ascending. Empty for the empty graph.
+    pub fn largest(&self) -> Vec<u32> {
+        let Some((giant, size)) = self.giant() else {
+            return Vec::new();
+        };
+        let mut ids = Vec::with_capacity(size);
+        ids.extend((0..self.label.len() as u32).filter(|&u| self.label[u as usize] == giant));
+        ids
     }
 
     /// Membership mask of the largest component.
     pub fn largest_mask(&self) -> Vec<bool> {
-        let ids = self.largest();
-        let mut mask = vec![false; self.label.len()];
-        for u in ids {
-            mask[u as usize] = true;
-        }
-        mask
+        let giant = self.giant().map_or(u32::MAX, |(l, _)| l);
+        self.label.iter().map(|&l| l == giant).collect()
     }
 
     #[inline]
@@ -48,20 +70,69 @@ impl Components {
     }
 }
 
-/// Compute components via union–find (O(m α(n))).
+/// Root of `x`'s set, with path halving (keeps `parent[x] <= x`).
+#[inline]
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let grand = parent[parent[x as usize] as usize];
+        parent[x as usize] = grand;
+        x = grand;
+    }
+    x
+}
+
+/// Join the sets of `a` and `b`, the larger root under the smaller.
+#[inline]
+fn link(parent: &mut [u32], a: u32, b: u32) {
+    let (ra, rb) = (find(parent, a), find(parent, b));
+    if ra != rb {
+        parent[ra.max(rb) as usize] = ra.min(rb);
+    }
+}
+
+/// Point every node straight at its root. One ascending pass suffices:
+/// `parent[u] < u` for a non-root, and that parent is already flat.
+fn flatten(parent: &mut [u32]) {
+    for u in 0..parent.len() {
+        parent[u] = parent[parent[u] as usize];
+    }
+}
+
+/// Canonically labelled components (see the module docs), in
+/// near-linear time, with phase 2 skipping the giant's edges.
 pub fn connected_components<G: GraphView + ?Sized>(g: &G) -> Components {
-    let mut uf = UnionFind::new(g.n());
-    for u in 0..g.n() as u32 {
-        for &v in g.neighbors(u) {
-            if u < v {
-                uf.union(u, v);
+    /// Neighbours each node joins in phase 1.
+    const SAMPLED: usize = 2;
+    let n = g.n();
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    for u in 0..n as u32 {
+        for &v in g.neighbors(u).iter().take(SAMPLED) {
+            link(&mut parent, u, v);
+        }
+    }
+    // Provisional giant: the most common root after phase 1.
+    flatten(&mut parent);
+    let mut sizes = vec![0u32; n];
+    for &r in &parent {
+        sizes[r as usize] += 1;
+    }
+    let giant = (0..n as u32).max_by_key(|&r| sizes[r as usize]);
+    if let Some(giant) = giant {
+        for u in 0..n as u32 {
+            let nbrs = g.neighbors(u);
+            if nbrs.len() <= SAMPLED || find(&mut parent, u) == find(&mut parent, giant) {
+                continue;
+            }
+            for &v in &nbrs[SAMPLED..] {
+                link(&mut parent, u, v);
             }
         }
     }
-    let label: Vec<u32> = (0..g.n() as u32).map(|u| uf.find(u)).collect();
+    flatten(&mut parent);
+    let count = (0..n).filter(|&u| parent[u] == u as u32).count();
     Components {
-        count: uf.component_count(),
-        label,
+        label: parent,
+        count,
     }
 }
 
@@ -96,6 +167,7 @@ mod tests {
     fn largest_component_is_the_triangle() {
         let c = connected_components(&two_cliques());
         assert_eq!(c.largest(), vec![0, 1, 2]);
+        assert_eq!(c.giant(), Some((0, 3)));
         let mask = c.largest_mask();
         assert_eq!(mask, vec![true, true, true, false, false, false]);
     }
@@ -117,8 +189,9 @@ mod tests {
         let c = connected_components(&Csr::empty(0));
         assert_eq!(c.count, 0);
         assert!(c.largest().is_empty());
+        assert_eq!(c.giant(), None);
         let c1 = connected_components(&Csr::empty(4));
         assert_eq!(c1.count, 4);
-        assert_eq!(c1.largest().len(), 1); // any singleton
+        assert_eq!(c1.largest(), vec![0]); // the smallest singleton
     }
 }

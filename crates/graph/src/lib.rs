@@ -29,7 +29,8 @@
 //! * [`bfs`] — unweighted shortest paths (hop distance).
 //! * [`dijkstra`] — weighted shortest paths with a caller-supplied weight
 //!   function (Euclidean edge lengths in the stretch experiments).
-//! * [`components`] — connected components and the giant component.
+//! * [`components`] — connected components (canonical smallest-id labels)
+//!   and the giant component.
 //! * [`stats`] — degree statistics (sparsity property P1).
 //! * [`stretch`] — hop/Euclidean stretch sampling (stretch property P2).
 

@@ -1,7 +1,8 @@
 //! Disjoint-set forest (union by size, path halving).
 //!
-//! Used for percolation cluster labelling and connected components; both are
-//! hot paths in the threshold experiments, hence the flat `u32` layout.
+//! Used for percolation cluster labelling and crossing tests, hot paths in
+//! the threshold experiments, hence the flat `u32` layout. Graph components
+//! have their own giant-skipping pass in [`crate::components`].
 
 /// Disjoint sets over `0..n`.
 #[derive(Clone, Debug)]

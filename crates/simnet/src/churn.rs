@@ -241,14 +241,24 @@ impl ChurnConfig {
         }
     }
 
-    /// Whether the schedule is well-formed: `p_fail` in `[0, 1)` and a
-    /// non-negative `join_rate`.
+    /// Whether the schedule is well-formed: `p_fail` in `[0, 1)`, a
+    /// non-negative `join_rate`, and a finite positive blast radius and
+    /// coverage cell.
     pub fn validate(&self) -> Result<(), ChurnConfigError> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
         if !(0.0..1.0).contains(&self.p_fail) {
             return Err(ChurnConfigError::PFail(self.p_fail));
         }
         if self.join_rate.is_nan() || self.join_rate < 0.0 {
             return Err(ChurnConfigError::JoinRate(self.join_rate));
+        }
+        if let ChurnModel::Clustered { radius } = self.churn_model {
+            if !positive(radius) {
+                return Err(ChurnConfigError::BlastRadius(radius));
+            }
+        }
+        if !positive(self.coverage_cell) {
+            return Err(ChurnConfigError::CoverageCell(self.coverage_cell));
         }
         Ok(())
     }
@@ -259,6 +269,8 @@ impl ChurnConfig {
 pub enum ChurnConfigError {
     PFail(f64),
     JoinRate(f64),
+    BlastRadius(f64),
+    CoverageCell(f64),
 }
 
 impl fmt::Display for ChurnConfigError {
@@ -266,6 +278,12 @@ impl fmt::Display for ChurnConfigError {
         match self {
             ChurnConfigError::PFail(p) => write!(f, "p_fail must be in [0, 1), got {p}"),
             ChurnConfigError::JoinRate(r) => write!(f, "join_rate must be non-negative, got {r}"),
+            ChurnConfigError::BlastRadius(r) => {
+                write!(f, "blast radius must be finite and positive, got {r}")
+            }
+            ChurnConfigError::CoverageCell(c) => {
+                write!(f, "coverage cell must be finite and positive, got {c}")
+            }
         }
     }
 }
@@ -403,8 +421,8 @@ struct CoverageProbe {
 }
 
 impl CoverageProbe {
+    /// `cell` is finite and positive ([`ChurnConfig::validate`]).
     fn new(points: &PointSet, alive: &[bool], window: &Aabb, cell: f64) -> Self {
-        assert!(cell > 0.0, "coverage cell must be positive");
         let cols = ((window.width() / cell).ceil() as usize).max(1);
         let rows = ((window.height() / cell).ceil() as usize).max(1);
         let mut probe = CoverageProbe {
@@ -735,6 +753,11 @@ impl Population {
     }
 }
 
+/// Size of the largest component (0 for the empty graph).
+fn giant_size<G: GraphView + ?Sized>(g: &G) -> usize {
+    connected_components(g).giant().map_or(0, |(_, size)| size)
+}
+
 /// Giant-component fraction of the alive population (dead nodes are
 /// isolated singletons and never the largest component of a non-empty
 /// alive graph unless everything is isolated).
@@ -742,7 +765,7 @@ fn giant_fraction<G: GraphView + ?Sized>(g: &G, n_alive: usize) -> f64 {
     if n_alive == 0 {
         return 0.0;
     }
-    connected_components(g).largest().len() as f64 / n_alive as f64
+    giant_size(g) as f64 / n_alive as f64
 }
 
 /// Giant-component fraction among the graph's *participating* nodes
@@ -755,7 +778,7 @@ fn giant_fraction_participants(g: &Csr) -> f64 {
     if participants == 0 {
         return 0.0;
     }
-    connected_components(g).largest().len() as f64 / participants as f64
+    giant_size(g) as f64 / participants as f64
 }
 
 /// Simulate the lifetime of a plain (non-SENS) topology.
@@ -882,7 +905,13 @@ pub fn simulate_lifetime_plain(
         }
 
         // ---- 5. epoch metrics on the repaired graph -------------------
+        // The components pass runs beside the fingerprint walk (serial by
+        // definition, and the longer of the two), so the metrics cost
+        // about one fingerprint instead of their sum.
         let n_alive = maint.alive().iter().filter(|&&a| a).count();
+        let graph = maint.graph();
+        let (giant, graph_hash) =
+            rayon::join(|| giant_fraction(&graph, n_alive), || fingerprint(&graph));
         let (battery_residual, battery_variance, battery_universe) =
             pop.battery_stats(maint.alive());
         epochs.push(EpochReport {
@@ -899,9 +928,9 @@ pub fn simulate_lifetime_plain(
             battery_added,
             battery_variance,
             battery_universe,
-            giant_fraction: giant_fraction(&maint.graph(), n_alive),
+            giant_fraction: giant,
             coverage: probe.fraction(points, maint.alive()),
-            graph_hash: fingerprint(&maint.graph()),
+            graph_hash,
             shards_dirty: stats.dirty as u64,
             shards_event_local: stats.event_local as u64,
             shards_rederived: stats.rederived as u64,
@@ -1034,6 +1063,10 @@ pub fn simulate_lifetime_sens(
             Some(net) => relabel(&net.graph, &to_universe, n),
             None => Csr::empty(n),
         };
+        let (giant, graph_hash) = rayon::join(
+            || giant_fraction_participants(&universe_graph),
+            || fingerprint(&universe_graph),
+        );
         let (battery_residual, battery_variance, battery_universe) = pop.battery_stats(&alive);
         epochs.push(EpochReport {
             epoch,
@@ -1049,9 +1082,9 @@ pub fn simulate_lifetime_sens(
             battery_added,
             battery_variance,
             battery_universe,
-            giant_fraction: giant_fraction_participants(&universe_graph),
+            giant_fraction: giant,
             coverage: probe.fraction(points, &alive),
-            graph_hash: fingerprint(&universe_graph),
+            graph_hash,
             shards_dirty: 0,
             shards_event_local: 0,
             shards_rederived: 0,
@@ -1112,6 +1145,29 @@ mod tests {
             r.energy_total,
             r.final_graph_hash,
         )
+    }
+
+    #[test]
+    fn bad_blast_radius_and_coverage_cell_are_typed_errors() {
+        let mut cfg = ChurnConfig::new(2, 1e6, 0, 0.1, 1.0);
+        for r in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            cfg.churn_model = ChurnModel::Clustered { radius: r };
+            let err = cfg.validate().unwrap_err();
+            assert!(matches!(err, ChurnConfigError::BlastRadius(x) if x.to_bits() == r.to_bits()));
+        }
+        cfg.churn_model = ChurnModel::Clustered { radius: 1.5 };
+        assert_eq!(cfg.validate(), Ok(()));
+        for c in [0.0, -2.0, f64::NAN] {
+            cfg.coverage_cell = c;
+            assert!(matches!(
+                cfg.validate(),
+                Err(ChurnConfigError::CoverageCell(_))
+            ));
+        }
+        assert_eq!(
+            ChurnConfigError::BlastRadius(0.0).to_string(),
+            "blast radius must be finite and positive, got 0"
+        );
     }
 
     #[test]

@@ -172,9 +172,12 @@ pub struct Snapshot {
     pub alive: Vec<bool>,
     /// Alive universe ids, ascending.
     pub alive_ids: Vec<u32>,
-    /// Component label per universe node on `csr`.
+    /// Component label per universe node on `csr`: the smallest universe
+    /// id in the node's component, so labels do not depend on how the
+    /// components pass ordered its unions.
     pub comp_label: Vec<u32>,
-    /// Label of the giant (largest) component; `u32::MAX` when empty.
+    /// Label of the giant (largest) component, ties going to the smaller
+    /// label; `u32::MAX` when empty.
     pub giant_label: u32,
     /// Semantic fingerprint of `csr`, the live graph's post-splice
     /// fingerprint (the batch `graph_hash` channel).
@@ -188,13 +191,12 @@ impl Snapshot {
     /// Capture the published view of `g` after its epoch repair. The
     /// capture is a clone of the live post-splice graph, so one
     /// fingerprint walk serves both; that it equals the batch engine's
-    /// `graph_hash` channel is pinned by [`fingerprints_match_batch`].
+    /// `graph_hash` channel is pinned by [`fingerprints_match_batch`]. The
+    /// components pass runs beside the fingerprint walk.
     pub fn capture(epoch: u64, g: &IncrementalGraph) -> Snapshot {
         let csr = g.graph().clone();
-        let fp = fingerprint(&csr);
-        let comps = connected_components(&csr);
-        let giant = comps.largest();
-        let giant_label = giant.first().map_or(u32::MAX, |&u| comps.label[u as usize]);
+        let (comps, fp) = rayon::join(|| connected_components(&csr), || fingerprint(&csr));
+        let giant_label = comps.giant().map_or(u32::MAX, |(label, _)| label);
         let alive = g.alive().to_vec();
         let alive_ids: Vec<u32> = (0..alive.len() as u32)
             .filter(|&u| alive[u as usize])
