@@ -21,7 +21,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use wsn_bench::gate::{self, BenchDoc};
+use wsn_bench::lifetime::LifetimeBenchReport;
 use wsn_bench::paths::default_output_path;
+use wsn_bench::pipeline::BenchReport;
+use wsn_bench::serve::ServeBenchReport;
 use wsn_bench::table::{f, Table};
 use wsn_scenario::{all_presets, find_preset, golden, run_preset, Profile, Report};
 
@@ -101,10 +105,10 @@ fn usage() -> ! {
          \x20                 every row digest-checked against the replay oracle)\n\
          \x20 gate            CI perf gate: compare a fresh pipeline bench JSON\n\
          \x20                 against the committed baseline (--baseline/--fresh)\n\
-         \x20 gate-lifetime   CI perf gate over lifetime bench JSONs: locality\n\
-         \x20                 fingerprints + most-local sweep speedup\n\
-         \x20 gate-serve      CI perf gate over serve bench JSONs: replay identity,\n\
-         \x20                 zero errors, qps per (topology, n, readers)\n\
+         \x20 gate-lifetime   CI perf gate over lifetime bench JSONs: exact counts,\n\
+         \x20                 fingerprints, repair cost vs churn locality\n\
+         \x20 gate-serve      CI perf gate over serve bench JSONs: exact counts,\n\
+         \x20                 replay identity, zero errors, qps per reader count\n\
          \n\
          options:\n\
          \x20 --all           select every preset\n\
@@ -483,36 +487,22 @@ fn cmd_serve(args: &Args) -> ExitCode {
     }
 }
 
-/// Which bench document a gate invocation compares.
-#[derive(Clone, Copy, PartialEq)]
-enum GateKind {
-    Pipeline,
-    Lifetime,
-    Serve,
-}
-
 /// `gate` / `gate-lifetime` / `gate-serve`: the CI perf-regression gates
-/// over bench documents.
-fn cmd_gate(args: &Args, kind: GateKind) -> ExitCode {
-    let cmd = match kind {
-        GateKind::Pipeline => "gate",
-        GateKind::Lifetime => "gate-lifetime",
-        GateKind::Serve => "gate-serve",
-    };
+/// over bench documents of type `T`.
+fn cmd_gate<T: BenchDoc>(args: &Args, cmd: &str) -> ExitCode {
     let (Some(baseline_path), Some(fresh_path)) = (&args.baseline, &args.fresh) else {
         eprintln!("`{cmd}` needs --baseline and --fresh bench JSON paths");
         return ExitCode::from(2);
     };
-    // A missing or mangled bench document is an environment problem, not a
-    // perf regression: name the file and exit cleanly so CI logs show the
-    // cause instead of a panic backtrace.
-    let load = |path: &PathBuf| -> Result<serde::value::Value, String> {
+    // A missing file or a document that does not deserialize is an
+    // environment problem, not a perf regression: name the file and the
+    // field and exit 2, so CI logs show the cause.
+    let load = |side: &str, path: &PathBuf| -> Result<T, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("{cmd}: cannot read {}: {e}", path.display()))?;
-        serde_json::from_str(&text)
-            .map_err(|e| format!("{cmd}: cannot parse {} as JSON: {e:?}", path.display()))
+        gate::parse(side, &text).map_err(|e| format!("{cmd}: {}: {e}", path.display()))
     };
-    let (baseline, fresh) = match (load(baseline_path), load(fresh_path)) {
+    let (baseline, fresh) = match (load("baseline", baseline_path), load("fresh", fresh_path)) {
         (Ok(b), Ok(f)) => (b, f),
         (b, f) => {
             for err in [b.err(), f.err()].into_iter().flatten() {
@@ -521,30 +511,12 @@ fn cmd_gate(args: &Args, kind: GateKind) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let report = match kind {
-        GateKind::Pipeline => wsn_bench::gate::gate_pipeline(&baseline, &fresh),
-        GateKind::Lifetime => wsn_bench::gate::gate_lifetime(&baseline, &fresh),
-        GateKind::Serve => wsn_bench::gate::gate_serve(&baseline, &fresh),
-    };
+    let report = T::gate(&baseline, &fresh);
     for s in &report.skipped {
         println!("SKIP  {s} (no baseline row)");
     }
-    match kind {
-        GateKind::Lifetime => println!(
-            "{cmd}: {} most-local sweep row(s) within {:.0}% of baseline speedup",
-            report.checked,
-            (1.0 - wsn_bench::gate::LIFETIME_SPEEDUP_DROP_TOLERANCE) * 100.0
-        ),
-        GateKind::Serve => println!(
-            "{cmd}: {} serve row(s) within {:.0}% of baseline qps",
-            report.checked,
-            (1.0 - wsn_bench::gate::SERVE_QPS_DROP_TOLERANCE) * 100.0
-        ),
-        GateKind::Pipeline => println!(
-            "{cmd}: {} row(s) within {:.0}% of baseline throughput",
-            report.checked,
-            (1.0 - wsn_bench::gate::NODES_PER_SEC_DROP_TOLERANCE) * 100.0
-        ),
+    for (check, n) in &report.checks {
+        println!("{cmd}: held {n}x  {check}");
     }
     if report.passed() {
         println!("{cmd}: PASS");
@@ -568,9 +540,9 @@ fn main() -> ExitCode {
         "bench" => cmd_bench(&args),
         "bench-lifetime" => cmd_bench_lifetime(&args),
         "bench-serve" => cmd_bench_serve(&args),
-        "gate" => cmd_gate(&args, GateKind::Pipeline),
-        "gate-lifetime" => cmd_gate(&args, GateKind::Lifetime),
-        "gate-serve" => cmd_gate(&args, GateKind::Serve),
+        "gate" => cmd_gate::<BenchReport>(&args, "gate"),
+        "gate-lifetime" => cmd_gate::<LifetimeBenchReport>(&args, "gate-lifetime"),
+        "gate-serve" => cmd_gate::<ServeBenchReport>(&args, "gate-serve"),
         _ => usage(),
     }
 }

@@ -1,104 +1,92 @@
-//! The CI performance-regression gate.
+//! The CI performance-regression gates.
 //!
-//! `wsn-scenarios gate` compares a freshly measured `BENCH_pipeline.json`
-//! (the `bench --quick` artifact CI just produced) against the committed
-//! baseline and fails the job when either
+//! `wsn-scenarios gate`, `gate-lifetime` and `gate-serve` compare a freshly
+//! measured bench document against the committed baseline of the same kind
+//! (`BENCH_pipeline.json`, `BENCH_lifetime.json`, `BENCH_serve.json`). Both
+//! sides are read as the typed reports the emitters write
+//! ([`BenchReport`], [`LifetimeBenchReport`], [`ServeBenchReport`]) by
+//! [`parse`], which first checks the `schema` tag against the version this
+//! gate was built for and names that version on a mismatch. A document
+//! that does not deserialize (a partial run missing a section, a row
+//! missing a field, a value of the wrong type) is rejected with the side
+//! and the path of the field, before any comparison runs.
 //!
-//! * any fresh row reports `edge_identical: false` — a pipeline that got
-//!   faster by building a different graph is a bug, not a win — or
-//! * a topology's sharded throughput (`sharded_nodes_per_sec`) fell more
-//!   than [`NODES_PER_SEC_DROP_TOLERANCE`] below the baseline row of the
-//!   same `(topology, n_target)`.
+//! Every row field is one of two kinds, and each kind is gated one way.
 //!
-//! `wsn-scenarios gate-lifetime` does the same for `BENCH_lifetime.json`:
-//! it fails when any fresh locality-sweep row lost fingerprint identity
-//! against the cold rebuild, when any plain row lost edge identity, or
-//! when the incremental-vs-rebuild speedup at the **most-local sweep
-//! point** (`target_dirty_shards == 1`) fell more than
-//! [`LIFETIME_SPEEDUP_DROP_TOLERANCE`] below the committed baseline — the
-//! regression that would mean repair cost stopped tracking churn locality.
+//! **Schedule-deterministic fields are gated exactly.** Node and edge
+//! counts, dirty / re-derived / gathered / escalation / churned counts,
+//! deaths, joins and survivors, queries, errors and the cache-hit rate,
+//! snapshot counts, the identity flags and the whole renewal section are a
+//! pure function of the seed. A fresh row must equal the baseline row of
+//! the same key on each of them, on any host and at any thread count.
+//! Rows present on only one side are skipped (the committed baselines
+//! carry the full size grid, CI measures the quick one), but a fresh
+//! document that matches no baseline row at all fails: that is a wrong
+//! baseline file, not a pass. The identity flags (`edge_identical`,
+//! `fingerprint_identical`, `identical`, zero query errors) bind on every
+//! fresh row, matched or not.
 //!
-//! `gate-lifetime` additionally holds three self-checks on a full
-//! (non-quick) committed baseline — CI's quick fresh runs never reach the
-//! sizes involved, so each is a property of the committed document that a
-//! careless re-bless would otherwise erase:
+//! **Timing fields are gated only by ratios inside the fresh run.** Each
+//! timing is the median of [`REPEATS`](crate::REPEATS) runs; no timing is
+//! ever compared with the committed document, whose host may differ.
 //!
-//! * the **splice-floor rung**: a UDG most-local sweep row at
-//!   [`SPLICE_FLOOR_N_TARGET`] nodes with speedup ≥
-//!   [`SPLICE_FLOOR_MIN_SPEEDUP`] — re-recording a baseline whose
-//!   10⁶-node one-dirty-shard epoch cost regressed back toward the old
-//!   O(n + m) splice behaviour fails CI instead of quietly re-blessing
-//!   the regression;
+//! * lifetime: per topology × size, the all-dirty rung's median repair
+//!   over the most-local rung's is at least [`LOCALITY_MIN_RATIO`] (repair
+//!   cost tracks the churned region), and the most-local repair beats the
+//!   cold rebuild;
+//! * pipeline: each row's sharded build runs at least
+//!   [`MIN_SHARDED_SPEEDUP`] times the monolithic oracle's speed, and each
+//!   thread-scaling point at least [`MIN_SCALING_RATIO`] times its own
+//!   `threads = 1` point's;
+//! * serve: each reader count's qps is at least [`MIN_SCALING_RATIO`] times
+//!   the `readers = 1` row's.
+//!
+//! **Self-checks** bind each document on its own ([`BenchDoc::self_check`]):
+//! every lifetime document must carry the complete renewal policy set with
+//! renewal out-living the drain-only baseline. A *full* (`quick: false`)
+//! document — in practice the committed baseline, since CI's runs are
+//! quick-sized — must also hold the rungs no quick run reaches:
+//!
+//! * the **splice floor**: the UDG most-local sweep row at
+//!   [`SPLICE_FLOOR_N_TARGET`] nodes has speedup ≥
+//!   [`SPLICE_FLOOR_MIN_SPEEDUP`];
 //! * the **k-NN certificate rung**: the k-NN most-local row at the same
-//!   size must hold speedup ≥ [`KNN_LOCAL_MIN_SPEEDUP`] — the whole-group
-//!   `covers_all` certificate over-escalated stragglers and floored this
-//!   rung at ~342× while every other topology reached 2500–4800×; the
-//!   per-group kth-distance margin certificate lifted it to ~369× (and
-//!   ~111× → ~142× at 10⁵), and this rung keeps the certificate from
-//!   silently decaying into the always-escalate regime (~0.5×);
-//! * **HNG sweep presence**: the baseline must carry locality-sweep rows
-//!   for the hierarchical-neighbor-graph topology, so the third
-//!   SENS-class construction can never drop out of the recorded repair
-//!   economics unnoticed.
-//!
-//! `wsn-scenarios gate-serve` guards `BENCH_serve.json`: every fresh row
-//! must be answer-identical to its single-threaded replay oracle with zero
-//! query errors, and a matched `(topology, n_target, readers)` row's qps
-//! must stay within [`SERVE_QPS_DROP_TOLERANCE`] of the committed
-//! baseline.
-//!
-//! `gate` additionally guards the `thread_scaling` section of
-//! `BENCH_pipeline.json`: every fresh scaling row must be edge-identical
-//! to its `threads = 1` build, every fresh `(topology, n_target)` curve
-//! must record the complete thread ladder, matched rows hold the same
-//! throughput band as the plain rows, and a full committed baseline
-//! recorded on a multi-core host must show `speedup_vs_serial > 1` with at
-//! least [`MIN_PARALLEL_EFFICIENCY`] on every in-core multi-thread point
-//! (`1 < threads ≤ host_cpus`). On a 1-core recording host the
-//! speedup/efficiency checks are vacuous by design — the curve records an
-//! honest flat line, and the identity + ladder checks still bind.
-//!
-//! Every gate first checks the document's `schema` tag on both sides and
-//! fails with a diagnostic *naming the expected version* on a mismatch or
-//! a missing tag — "wrong baseline file" and "stale baseline recorded by
-//! an older emitter" are the two classic silent-comparison bugs.
-//!
-//! Rows present on only one side (e.g. the committed baseline carries the
-//! full 10⁴–10⁶ grid while CI measures the quick 10⁴ one) are reported as
-//! skipped, never failed. A document *missing the gated section entirely*
-//! (a partial or crashed bench run) is a loud failure with a named side
-//! and section, not a silent empty comparison. The tolerances live in
-//! exactly one place so retuning a band is a one-line diff.
+//!   size has speedup ≥ [`KNN_LOCAL_MIN_SPEEDUP`];
+//! * **HNG presence**: the sweep records hierarchical-neighbor-graph rows;
+//! * **parallel efficiency**: the pipeline's thread-scaling curve shows
+//!   `speedup_vs_serial > 1` and efficiency ≥ [`MIN_PARALLEL_EFFICIENCY`]
+//!   on every point with `1 < threads ≤ host_cpus` (vacuous on a 1-core
+//!   recording host, whose honest curve is flat).
 
-use serde::value::Value;
+use serde::Deserialize;
 
-use crate::lifetime::{LIFETIME_SCHEMA, RENEWAL_POLICIES};
-use crate::pipeline::{PIPELINE_SCHEMA, THREAD_LADDER};
-use crate::serve::SERVE_SCHEMA;
+use crate::lifetime::{
+    LifetimeBenchReport, LifetimeBenchRow, LocalitySweepRow, RenewalBenchRow, LIFETIME_SCHEMA,
+    RENEWAL_POLICIES,
+};
+use crate::pipeline::{BenchReport, BenchRow, ThreadScalingRow, PIPELINE_SCHEMA, THREAD_LADDER};
+use crate::serve::{ServeBenchReport, ServeBenchRow, SERVE_SCHEMA};
 
-/// Allowed fractional drop of a serve row's `qps` against the committed
-/// baseline (0.50 = "at least half of baseline throughput"). The widest
-/// band of the three gates: a serve row's wall clock folds repair,
-/// publication *and* reader scheduling together, and on an oversubscribed
-/// CI core the reader-count rows jitter hardest — the gate exists to catch
-/// an algorithmic collapse (a reader blocking on the splice, a cache gone
-/// quadratic), not scheduler noise.
-pub const SERVE_QPS_DROP_TOLERANCE: f64 = 0.50;
+/// Minimum ratio of the all-dirty rung's median repair time to the
+/// most-local rung's, per topology × size of a fresh locality sweep. The
+/// all-dirty rung churns 25–64× more shards than the most-local one at
+/// the quick size; with medians of five the ratio sat at 10–90× on a
+/// 2-vCPU host at 1 and 2 threads, while a repair that gathers globally
+/// costs nearly the same at every rung.
+pub const LOCALITY_MIN_RATIO: f64 = 4.0;
 
-/// Allowed fractional drop of `sharded_nodes_per_sec` against the
-/// committed baseline before the gate fails (0.40 = "at least 60% of
-/// baseline throughput"). Deliberately wide: CI runners are slower and
-/// noisier than the machine that recorded the baseline — this band
-/// catches algorithmic regressions, not scheduler jitter.
-pub const NODES_PER_SEC_DROP_TOLERANCE: f64 = 0.40;
+/// Minimum `monolithic_secs / sharded_secs` of a fresh pipeline row. The
+/// sharded path is the production build; at the quick size it runs from
+/// about half the oracle's speed (UDG-SENS, whose build is a millisecond)
+/// to several times it (RNG). A quarter catches a sharded path that
+/// collapsed, not the fixed cost of sharding a tiny deployment.
+pub const MIN_SHARDED_SPEEDUP: f64 = 0.25;
 
-/// Allowed fractional drop of the locality sweep's most-local speedup
-/// against the committed baseline (0.60 = "at least 40% of baseline
-/// speedup"). Wider than the throughput band: a speedup is a ratio of two
-/// sub-millisecond measurements at the quick size, so scheduler jitter
-/// cuts both ways — but losing more than half of a ≥5× speedup still
-/// means the localized gather degraded to a global one.
-pub const LIFETIME_SPEEDUP_DROP_TOLERANCE: f64 = 0.60;
+/// Minimum throughput of a thread-scaling point relative to its own
+/// `threads = 1` point, and of a serve row relative to its `readers = 1`
+/// row. Oversubscribed points (more workers than cores) measure about
+/// 1×; adding workers must never halve throughput.
+pub const MIN_SCALING_RATIO: f64 = 0.5;
 
 /// The deployment size of the splice-floor acceptance rung.
 pub const SPLICE_FLOOR_N_TARGET: u64 = 1_000_000;
@@ -140,11 +128,11 @@ pub const MIN_PARALLEL_EFFICIENCY: f64 = 0.35;
 /// Outcome of one gate evaluation.
 #[derive(Clone, Debug, Default)]
 pub struct GateReport {
-    /// Rows compared against a matching baseline row.
-    pub checked: usize,
+    /// Each check that held, with how many times, in first-seen order.
+    pub checks: Vec<(String, usize)>,
     /// Human-readable failures; empty = gate passes.
     pub failures: Vec<String>,
-    /// Rows without a baseline counterpart (informational).
+    /// Fresh rows without a baseline counterpart (informational).
     pub skipped: Vec<String>,
 }
 
@@ -152,328 +140,379 @@ impl GateReport {
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
-}
 
-fn row_key(row: &Value) -> Option<(String, u64)> {
-    Some((
-        row.get("topology")?.as_str()?.to_string(),
-        row.get("n_target")?.as_u64()?,
-    ))
-}
-
-/// A named top-level array section of a bench document, or a loud failure
-/// naming the side and section — a partial `bench`/`bench-lifetime` run
-/// must wedge the gate with a diagnostic, not slide through as an empty
-/// comparison.
-fn section<'a>(doc: &'a Value, name: &str, side: &str, report: &mut GateReport) -> &'a [Value] {
-    match doc.get(name).and_then(|r| r.as_array()) {
-        Some(rows) => rows,
-        None => {
-            report.failures.push(format!(
-                "{side} document is missing its \"{name}\" section — partial bench run?"
-            ));
-            &[]
-        }
-    }
-}
-
-/// Check a document's `schema` tag against the version this gate was built
-/// for, naming the expected version in the diagnostic. A missing tag fails
-/// too: an untagged document is a foreign or truncated file, and silently
-/// comparing it hides exactly the drift the tag exists to catch.
-fn check_schema(doc: &Value, expected: &str, side: &str, report: &mut GateReport) {
-    match doc.get("schema").and_then(|v| v.as_str()) {
-        Some(s) if s == expected => {}
-        Some(s) => report.failures.push(format!(
-            "{side} document schema is \"{s}\" but this gate expects \"{expected}\" — \
-             stale baseline or mismatched emitter?"
-        )),
-        None => report.failures.push(format!(
-            "{side} document has no \"schema\" tag — this gate expects \"{expected}\""
-        )),
-    }
-}
-
-/// Evaluate the gate: `fresh` is the CI measurement, `baseline` the
-/// committed `BENCH_pipeline.json`.
-pub fn gate_pipeline(baseline: &Value, fresh: &Value) -> GateReport {
-    let mut report = GateReport::default();
-    check_schema(baseline, PIPELINE_SCHEMA, "baseline", &mut report);
-    check_schema(fresh, PIPELINE_SCHEMA, "fresh", &mut report);
-    let baseline_rows: Vec<((String, u64), &Value)> =
-        section(baseline, "rows", "baseline", &mut report)
+    /// How many times `check` held.
+    pub fn held(&self, check: &str) -> usize {
+        self.checks
             .iter()
-            .filter_map(|r| row_key(r).map(|k| (k, r)))
-            .collect();
-    for row in section(fresh, "rows", "fresh", &mut report) {
-        let Some(key) = row_key(row) else {
-            report
-                .failures
-                .push("fresh row missing topology/n_target".into());
-            continue;
-        };
-        let label = format!("{} @ n={}", key.0, key.1);
-        // Correctness gate: never optional, even for unmatched rows.
-        match row.get("edge_identical").and_then(|v| v.as_bool()) {
-            Some(true) => {}
-            _ => report
-                .failures
-                .push(format!("{label}: edge_identical is not true")),
-        }
-        let Some((_, base)) = baseline_rows.iter().find(|(k, _)| *k == key) else {
-            report.skipped.push(label);
-            continue;
-        };
-        // A missing or non-positive throughput on either side is a broken
-        // document, not a pass — a zero baseline would make the floor 0
-        // and green-light any regression.
-        let mut nps = |doc: &Value, side: &str| -> Option<f64> {
-            match doc.get("sharded_nodes_per_sec").and_then(|v| v.as_f64()) {
-                Some(v) if v > 0.0 => Some(v),
-                _ => {
-                    report.failures.push(format!(
-                        "{label}: {side} sharded_nodes_per_sec missing or ≤ 0"
-                    ));
-                    None
-                }
-            }
-        };
-        let (Some(fresh_nps), Some(base_nps)) = (nps(row, "fresh"), nps(base, "baseline")) else {
-            continue;
-        };
-        report.checked += 1;
-        let floor = base_nps * (1.0 - NODES_PER_SEC_DROP_TOLERANCE);
-        if fresh_nps < floor {
-            report.failures.push(format!(
-                "{label}: sharded throughput {fresh_nps:.0} nodes/s fell below \
-                 {:.0}% of baseline {base_nps:.0} (floor {floor:.0})",
-                (1.0 - NODES_PER_SEC_DROP_TOLERANCE) * 100.0
-            ));
+            .find(|(c, _)| c == check)
+            .map_or(0, |(_, n)| *n)
+    }
+
+    fn hold(&mut self, check: &str) {
+        match self.checks.iter_mut().find(|(c, _)| c == check) {
+            Some((_, n)) => *n += 1,
+            None => self.checks.push((check.to_string(), 1)),
         }
     }
-    gate_thread_scaling(baseline, fresh, &mut report);
-    if report.checked == 0 && report.failures.is_empty() {
-        report
-            .failures
-            .push("no fresh row matched any baseline row — wrong baseline file?".into());
+
+    /// Record one evaluation of `check`: a hold, or `failure()`.
+    fn check(&mut self, ok: bool, check: &str, failure: impl FnOnce() -> String) {
+        if ok {
+            self.hold(check);
+        } else {
+            self.failures.push(failure());
+        }
     }
-    report
 }
 
-fn scaling_key(row: &Value) -> Option<(String, u64, u64)> {
-    Some((
-        row.get("topology")?.as_str()?.to_string(),
-        row.get("n_target")?.as_u64()?,
-        row.get("threads")?.as_u64()?,
-    ))
+/// A bench document the gates read.
+pub trait BenchDoc: Deserialize {
+    /// The `schema` tag this gate expects.
+    const SCHEMA: &'static str;
+
+    /// Compare a fresh document against the committed baseline.
+    fn gate(baseline: &Self, fresh: &Self) -> GateReport;
+
+    /// The checks this document must pass on its own (see module docs).
+    fn self_check(&self, _side: &str, _report: &mut GateReport) {}
 }
 
-/// The `thread_scaling` half of the pipeline gate (see module docs).
-fn gate_thread_scaling(baseline: &Value, fresh: &Value, report: &mut GateReport) {
-    let baseline_scaling: Vec<((String, u64, u64), &Value)> =
-        section(baseline, "thread_scaling", "baseline", report)
-            .iter()
-            .filter_map(|r| scaling_key(r).map(|k| (k, r)))
-            .collect();
-    let mut ladders: std::collections::BTreeMap<(String, u64), Vec<u64>> = Default::default();
-    for row in section(fresh, "thread_scaling", "fresh", report) {
-        let Some(key) = scaling_key(row) else {
-            report
-                .failures
-                .push("fresh thread_scaling row missing topology/n_target/threads".into());
-            continue;
-        };
-        let label = format!("{} @ n={} threads={}", key.0, key.1, key.2);
-        // Correctness gate: a thread count that changes the graph is a
-        // scheduling leak, never a throughput trade-off.
-        if row.get("edge_identical").and_then(|v| v.as_bool()) != Some(true) {
-            report
-                .failures
-                .push(format!("{label}: edge_identical is not true"));
+/// Just the tag, read before the whole document so a foreign or stale file
+/// is named as such instead of failing on its first missing field.
+#[derive(Deserialize)]
+struct SchemaTag {
+    schema: String,
+}
+
+/// Read one side (`"baseline"` or `"fresh"`) of a gate as a `T`.
+pub fn parse<T: BenchDoc>(side: &str, json: &str) -> Result<T, String> {
+    let expects = T::SCHEMA;
+    let tag: SchemaTag = serde_json::from_str(json).map_err(|e| {
+        format!(
+            "{side} document has no readable \"schema\" tag ({e}); this gate expects \"{expects}\""
+        )
+    })?;
+    if tag.schema != expects {
+        return Err(format!(
+            "{side} document schema is \"{}\" but this gate expects \"{expects}\" — stale \
+             baseline or mismatched emitter?",
+            tag.schema
+        ));
+    }
+    serde_json::from_str(json).map_err(|e| format!("{side} document: {e}"))
+}
+
+/// A row's key: the fields that name it, which also label its diagnostics.
+trait Keyed {
+    fn key(&self) -> String;
+}
+
+impl Keyed for BenchRow {
+    fn key(&self) -> String {
+        format!("{} @ n={}", self.topology, self.n_target)
+    }
+}
+
+impl Keyed for ThreadScalingRow {
+    fn key(&self) -> String {
+        format!(
+            "{} @ n={} threads={}",
+            self.topology, self.n_target, self.threads
+        )
+    }
+}
+
+impl Keyed for LifetimeBenchRow {
+    fn key(&self) -> String {
+        format!("{} @ n={}", self.topology, self.n_target)
+    }
+}
+
+impl Keyed for LocalitySweepRow {
+    fn key(&self) -> String {
+        format!(
+            "{} @ n={} locality={}",
+            self.topology, self.n_target, self.target_dirty_shards
+        )
+    }
+}
+
+impl Keyed for RenewalBenchRow {
+    fn key(&self) -> String {
+        self.policy.clone()
+    }
+}
+
+impl Keyed for ServeBenchRow {
+    fn key(&self) -> String {
+        format!(
+            "{} @ n={} readers={}",
+            self.topology, self.n_target, self.readers
+        )
+    }
+}
+
+/// Pair each fresh row of `section` with the baseline row of the same key,
+/// labelled `"{section} {key}"`. Fresh rows without a counterpart are
+/// skipped; if none has one, the gate fails: the documents share nothing
+/// to compare.
+fn pairs<'a, R: Keyed>(
+    report: &mut GateReport,
+    section: &str,
+    baseline: &'a [R],
+    fresh: &'a [R],
+) -> Vec<(&'a R, &'a R, String)> {
+    let mut out = Vec::new();
+    for row in fresh {
+        let (key, label) = (row.key(), format!("{section} {}", row.key()));
+        match baseline.iter().find(|b| b.key() == key) {
+            Some(base) => out.push((base, row, label)),
+            None => report.skipped.push(label),
         }
-        ladders
-            .entry((key.0.clone(), key.1))
-            .or_default()
-            .push(key.2);
-        let Some((_, base)) = baseline_scaling.iter().find(|(k, _)| *k == key) else {
-            report.skipped.push(label);
-            continue;
-        };
-        let mut nps = |doc: &Value, side: &str| -> Option<f64> {
-            match doc.get("nodes_per_sec").and_then(|v| v.as_f64()) {
-                Some(v) if v > 0.0 => Some(v),
-                _ => {
-                    report
-                        .failures
-                        .push(format!("{label}: {side} nodes_per_sec missing or ≤ 0"));
-                    None
-                }
+    }
+    if out.is_empty() {
+        report.failures.push(format!(
+            "no fresh {section} row matched any baseline row — wrong baseline file?"
+        ));
+    }
+    out
+}
+
+/// Gate the named schedule-deterministic fields of each matched row pair of
+/// `section` exactly; a mismatch names the row, the side and the field.
+macro_rules! exact {
+    ($report:expr, $section:ident, $baseline:expr, $fresh:expr; $($field:ident),+ $(,)?) => {
+        for (base, fresh, label) in pairs(
+            &mut $report, stringify!($section), &$baseline.$section, &$fresh.$section,
+        ) {
+            let mut same = true;
+            $(if fresh.$field != base.$field {
+                same = false;
+                $report.failures.push(format!(
+                    "{label}: fresh {} {:?} != baseline {:?}",
+                    stringify!($field), fresh.$field, base.$field
+                ));
+            })+
+            if same {
+                $report.hold(concat!("exact counts: ", stringify!($section)));
             }
-        };
-        let (Some(fresh_nps), Some(base_nps)) = (nps(row, "fresh"), nps(base, "baseline")) else {
-            continue;
-        };
-        report.checked += 1;
-        let floor = base_nps * (1.0 - NODES_PER_SEC_DROP_TOLERANCE);
-        if fresh_nps < floor {
-            report.failures.push(format!(
-                "{label}: scaling throughput {fresh_nps:.0} nodes/s fell below \
-                 {:.0}% of baseline {base_nps:.0} (floor {floor:.0})",
-                (1.0 - NODES_PER_SEC_DROP_TOLERANCE) * 100.0
-            ));
         }
-    }
-    // Every fresh curve must record the complete thread ladder — a sweep
-    // that silently dropped a thread count would thin the curve without
-    // failing any per-row check.
-    let expected: Vec<u64> = THREAD_LADDER.iter().map(|&t| t as u64).collect();
-    for ((topology, n), mut threads) in ladders {
-        threads.sort_unstable();
-        threads.dedup();
-        if threads != expected {
-            report.failures.push(format!(
-                "{topology} @ n={n}: thread ladder {threads:?} is incomplete — \
-                 expected {expected:?}"
-            ));
-        }
-    }
-    // Full-baseline self-checks: a full committed baseline recorded on a
-    // multi-core host must actually show parallel speedup on every
-    // in-core multi-thread point. A 1-core recording host is exempt (its
-    // honest curve is flat); points beyond the host's cores measure
-    // oversubscription and are exempt too.
-    if baseline.get("quick").and_then(|v| v.as_bool()) == Some(false) {
-        if baseline_scaling.is_empty() {
-            report.failures.push(
-                "full baseline records no thread_scaling rows — the scaling curve \
-                 dropped out of the committed baseline"
-                    .into(),
+    };
+}
+
+/// The rows of `rows` grouped into runs of one topology × size.
+fn curves<R>(rows: &[R], curve: impl Fn(&R) -> (&str, u64)) -> impl Iterator<Item = &[R]> {
+    rows.chunk_by(move |a, b| curve(a) == curve(b))
+}
+
+impl BenchDoc for BenchReport {
+    const SCHEMA: &'static str = PIPELINE_SCHEMA;
+
+    fn gate(baseline: &Self, fresh: &Self) -> GateReport {
+        let mut report = GateReport::default();
+        for row in &fresh.rows {
+            let label = format!("rows {}", row.key());
+            report.check(
+                row.edge_identical,
+                "sharded build equals the oracle",
+                || format!("{label}: fresh edge_identical is false"),
+            );
+            report.check(
+                row.speedup >= MIN_SHARDED_SPEEDUP,
+                &format!("sharded median build ≥ {MIN_SHARDED_SPEEDUP}× the oracle's speed"),
+                || {
+                    format!(
+                        "{label}: fresh speedup {:.2}x is below {MIN_SHARDED_SPEEDUP}x",
+                        row.speedup
+                    )
+                },
             );
         }
-        let host_cpus = baseline
-            .get("host_cpus")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(1);
-        for ((topology, n, threads), row) in &baseline_scaling {
-            if *threads <= 1 || *threads > host_cpus {
+        exact!(report, rows, baseline, fresh; nodes, edges, shards, shard_tiles, lambda, side);
+
+        for row in &fresh.thread_scaling {
+            let label = format!("thread_scaling {}", row.key());
+            report.check(
+                row.edge_identical,
+                "scaling point equals threads = 1",
+                || format!("{label}: fresh edge_identical is false"),
+            );
+            report.check(
+                row.threads == 1 || row.speedup_vs_serial >= MIN_SCALING_RATIO,
+                &format!("scaling point ≥ {MIN_SCALING_RATIO}× its threads = 1 speed"),
+                || {
+                    let s = row.speedup_vs_serial;
+                    format!(
+                        "{label}: fresh speedup_vs_serial {s:.2}x is below {MIN_SCALING_RATIO}x"
+                    )
+                },
+            );
+        }
+        // A sweep that silently dropped a thread count would thin the curve
+        // without failing any per-row check.
+        for curve in curves(&fresh.thread_scaling, |r| (&r.topology, r.n_target)) {
+            let threads: Vec<usize> = curve.iter().map(|r| r.threads).collect();
+            report.check(threads == THREAD_LADDER, "thread ladder complete", || {
+                format!(
+                    "thread_scaling {} @ n={}: fresh thread ladder {threads:?} is incomplete — \
+                     expected {THREAD_LADDER:?}",
+                    curve[0].topology, curve[0].n_target
+                )
+            });
+        }
+        exact!(report, thread_scaling, baseline, fresh; nodes, edge_identical);
+        baseline.self_check("baseline", &mut report);
+        fresh.self_check("fresh", &mut report);
+        report
+    }
+
+    fn self_check(&self, side: &str, report: &mut GateReport) {
+        if self.quick {
+            return;
+        }
+        report.check(
+            !self.thread_scaling.is_empty(),
+            "full document records a thread-scaling curve",
+            || format!("{side}: full document records no thread_scaling rows"),
+        );
+        let host_cpus = self.host_cpus;
+        for row in &self.thread_scaling {
+            if row.threads <= 1 || row.threads > host_cpus {
                 continue;
             }
-            let label = format!("baseline {topology} @ n={n} threads={threads}");
-            let speedup = row
-                .get("speedup_vs_serial")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0);
-            let efficiency = row
-                .get("efficiency")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0);
-            if speedup <= 1.0 {
-                report.failures.push(format!(
-                    "{label}: speedup_vs_serial {speedup:.2}x on a {host_cpus}-core \
-                     recording host — the fan-out stopped scaling"
-                ));
-            } else if efficiency < MIN_PARALLEL_EFFICIENCY {
-                report.failures.push(format!(
-                    "{label}: parallel efficiency {efficiency:.2} is below the \
-                     {MIN_PARALLEL_EFFICIENCY} floor"
-                ));
-            } else {
-                report.checked += 1;
-            }
+            report.check(
+                row.speedup_vs_serial > 1.0 && row.efficiency >= MIN_PARALLEL_EFFICIENCY,
+                &format!("full-document parallel efficiency ≥ {MIN_PARALLEL_EFFICIENCY}"),
+                || {
+                    format!(
+                        "{side} thread_scaling {}: speedup_vs_serial {:.2}x, efficiency {:.2} \
+                         on a {host_cpus}-core recording host — the fan-out stopped scaling \
+                         (needs speedup > 1 and efficiency ≥ {MIN_PARALLEL_EFFICIENCY})",
+                        row.key(),
+                        row.speedup_vs_serial,
+                        row.efficiency
+                    )
+                },
+            );
         }
     }
 }
 
-fn sweep_key(row: &Value) -> Option<(String, u64, u64)> {
-    Some((
-        row.get("topology")?.as_str()?.to_string(),
-        row.get("n_target")?.as_u64()?,
-        row.get("target_dirty_shards")?.as_u64()?,
-    ))
-}
+impl BenchDoc for LifetimeBenchReport {
+    const SCHEMA: &'static str = LIFETIME_SCHEMA;
 
-/// Evaluate the lifetime gate: `fresh` is the CI `bench-lifetime`
-/// measurement, `baseline` the committed `BENCH_lifetime.json`.
-pub fn gate_lifetime(baseline: &Value, fresh: &Value) -> GateReport {
-    let mut report = GateReport::default();
-    check_schema(baseline, LIFETIME_SCHEMA, "baseline", &mut report);
-    check_schema(fresh, LIFETIME_SCHEMA, "fresh", &mut report);
-    // Correctness gates first — never optional, even for unmatched rows:
-    // a faster repair that walks a different topology is a bug.
-    for row in section(fresh, "rows", "fresh", &mut report) {
-        let label = row_key(row)
-            .map(|(t, n)| format!("{t} @ n={n}"))
-            .unwrap_or_else(|| "unkeyed row".into());
-        if row.get("edge_identical").and_then(|v| v.as_bool()) != Some(true) {
-            report
-                .failures
-                .push(format!("{label}: edge_identical is not true"));
+    fn gate(baseline: &Self, fresh: &Self) -> GateReport {
+        let mut report = GateReport::default();
+        // Identity on every fresh row: a faster repair that walks a
+        // different topology is a bug.
+        for row in &fresh.rows {
+            report.check(
+                row.edge_identical,
+                "lifetime run equals the rebuild run",
+                || format!("rows {}: fresh edge_identical is false", row.key()),
+            );
         }
-    }
-    let baseline_sweep: Vec<((String, u64, u64), &Value)> =
-        section(baseline, "locality_sweep", "baseline", &mut report)
-            .iter()
-            .filter_map(|r| sweep_key(r).map(|k| (k, r)))
-            .collect();
-    // Sweep comparisons tracked separately from the renewal checks: "no
-    // sweep row matched anything" must stay a loud wrong-baseline failure
-    // even when the renewal sections hold on their own.
-    let mut sweep_checked = 0usize;
-    for row in section(fresh, "locality_sweep", "fresh", &mut report) {
-        let Some(key) = sweep_key(row) else {
-            report
-                .failures
-                .push("fresh sweep row missing topology/n_target/target_dirty_shards".into());
-            continue;
-        };
-        let label = format!("{} @ n={} locality={}", key.0, key.1, key.2);
-        if row.get("fingerprint_identical").and_then(|v| v.as_bool()) != Some(true) {
-            report
-                .failures
-                .push(format!("{label}: fingerprint_identical is not true"));
+        for row in &fresh.locality_sweep {
+            report.check(
+                row.fingerprint_identical,
+                "sweep rung equals the cold rebuild",
+                || {
+                    format!(
+                        "locality_sweep {}: fresh fingerprint_identical is false",
+                        row.key()
+                    )
+                },
+            );
         }
-        // The speedup band is pinned only at the most-local rung — that is
-        // the point the locality refactor exists for; coarser rungs
-        // converge to speedup ≈ 1 by design.
-        if key.2 != 1 {
-            continue;
-        }
-        let Some((_, base)) = baseline_sweep.iter().find(|(k, _)| *k == key) else {
-            report.skipped.push(label);
-            continue;
-        };
-        let mut speedup = |doc: &Value, side: &str| -> Option<f64> {
-            match doc.get("speedup").and_then(|v| v.as_f64()) {
-                Some(v) if v > 0.0 => Some(v),
-                _ => {
-                    report
-                        .failures
-                        .push(format!("{label}: {side} speedup missing or ≤ 0"));
-                    None
-                }
+        exact!(report, rows, baseline, fresh;
+            nodes, epochs, edge_identical, verified_cold, mean_dirty_shards,
+            mean_rederived_shards, final_alive, deaths_total, delivered_total);
+        exact!(report, locality_sweep, baseline, fresh;
+            nodes, shard_count, mean_dirty_shards, mean_rederived_shards, mean_gathered,
+            churned_nodes, repeats, escalations, fingerprint_identical);
+        exact!(report, renewal, baseline, fresh;
+            topology, nodes, epochs, lifetime_rounds, partitioned, recharged_total,
+            final_alive, deaths_battery, final_battery_variance, delivered_fraction);
+
+        for curve in curves(&fresh.locality_sweep, |r| (&r.topology, r.n_target)) {
+            let (local, all) = (&curve[0], &curve[curve.len() - 1]);
+            let label = format!("locality_sweep {} @ n={}", local.topology, local.n_target);
+            if local.target_dirty_shards != 1 || all.target_dirty_shards != all.shard_count {
+                report.failures.push(format!(
+                    "{label}: fresh curve lacks its most-local (1) or all-dirty ({}) rung",
+                    all.shard_count
+                ));
+                continue;
             }
-        };
-        let (Some(fresh_s), Some(base_s)) = (speedup(row, "fresh"), speedup(base, "baseline"))
-        else {
-            continue;
-        };
-        report.checked += 1;
-        sweep_checked += 1;
-        let floor = base_s * (1.0 - LIFETIME_SPEEDUP_DROP_TOLERANCE);
-        if fresh_s < floor {
+            let (repair, rebuild) = (local.median_repair_secs, local.median_rebuild_secs);
+            let ratio = all.median_repair_secs / repair;
+            report.check(
+                ratio >= LOCALITY_MIN_RATIO,
+                &format!("all-dirty ÷ most-local median repair ≥ {LOCALITY_MIN_RATIO}×"),
+                || {
+                    format!(
+                        "{label}: fresh all-dirty median repair is only {ratio:.2}x the \
+                         most-local one (floor {LOCALITY_MIN_RATIO}x) — repair cost stopped \
+                         tracking the churned region"
+                    )
+                },
+            );
+            report.check(
+                repair < rebuild,
+                "most-local median repair beats the cold rebuild",
+                || {
+                    format!(
+                    "{label}: fresh most-local median repair {repair:.5}s does not beat the cold \
+                     rebuild {rebuild:.5}s"
+                )
+                },
+            );
+        }
+        baseline.self_check("baseline", &mut report);
+        fresh.self_check("fresh", &mut report);
+        report
+    }
+
+    fn self_check(&self, side: &str, report: &mut GateReport) {
+        // The renewal invariants: the complete policy set, a drain-only row
+        // that actually partitioned (otherwise every comparison is censored
+        // at the horizon), and the two energy-adding policies strictly
+        // out-living it. Sink rotation adds no energy and is exempt.
+        let found: Vec<&str> = self.renewal.iter().map(|r| r.policy.as_str()).collect();
+        if found != RENEWAL_POLICIES {
             report.failures.push(format!(
-                "{label}: most-local speedup {fresh_s:.2}x fell below {:.0}% of \
-                 baseline {base_s:.2}x (floor {floor:.2}x)",
-                (1.0 - LIFETIME_SPEEDUP_DROP_TOLERANCE) * 100.0
+                "{side} renewal section: expected policies {RENEWAL_POLICIES:?}, found {found:?}"
             ));
+        } else {
+            let (none, adding) = (&self.renewal[0], &self.renewal[1..3]);
+            report.check(
+                none.partitioned,
+                "drain-only renewal row partitions",
+                || {
+                    format!(
+                    "{side} renewal section: the drain-only row never partitioned — the renewal \
+                     comparison is censored at the horizon"
+                )
+                },
+            );
+            for row in adding {
+                report.check(
+                    row.lifetime_rounds > none.lifetime_rounds,
+                    "renewal out-lives the drain-only row",
+                    || {
+                        format!(
+                            "{side} renewal section: {} lifetime {} rounds does not strictly \
+                             exceed the drain-only baseline's {}",
+                            row.policy, row.lifetime_rounds, none.lifetime_rounds
+                        )
+                    },
+                );
+            }
         }
-    }
-    // Full-baseline self-checks: a *full* committed baseline must carry
-    // the 10⁶-node UDG and k-NN most-local rows above their floors, and
-    // must record HNG sweep rows at all. Quick documents (and the
-    // miniature fixtures in tests) never reach those sizes, so the
-    // self-checks key on the baseline's own `quick: false` marker.
-    if baseline.get("quick").and_then(|v| v.as_bool()) == Some(false) {
+        if self.quick {
+            return;
+        }
         for (prefix, floor, what) in [
             (
                 "udg",
@@ -483,926 +522,787 @@ pub fn gate_lifetime(baseline: &Value, fresh: &Value) -> GateReport {
             (
                 "knn",
                 KNN_LOCAL_MIN_SPEEDUP,
-                "the margin certificate regressed toward whole-group over-escalation",
+                "the margin certificate regressed toward over-escalation",
             ),
         ] {
-            let rung = baseline_sweep.iter().find(|((t, n, d), _)| {
-                t.starts_with(prefix) && *n == SPLICE_FLOOR_N_TARGET && *d == 1
+            let rung = self.locality_sweep.iter().find(|r| {
+                r.topology.starts_with(prefix)
+                    && r.n_target == SPLICE_FLOOR_N_TARGET
+                    && r.target_dirty_shards == 1
             });
-            match rung {
-                None => report.failures.push(format!(
-                    "baseline has no {prefix} most-local sweep row at \
-                     n={SPLICE_FLOOR_N_TARGET} — the {prefix} floor rung is not recorded"
-                )),
-                Some((_, row)) => match row.get("speedup").and_then(|v| v.as_f64()) {
-                    Some(s) if s >= floor => report.checked += 1,
-                    Some(s) => report.failures.push(format!(
-                        "baseline {prefix} @ n={SPLICE_FLOOR_N_TARGET} locality=1: speedup \
-                         {s:.2}x is below the {prefix} floor {floor:.1}x — {what}"
-                    )),
-                    None => report.failures.push(format!(
-                        "baseline {prefix} @ n={SPLICE_FLOOR_N_TARGET} locality=1: \
-                         speedup missing"
-                    )),
+            let Some(rung) = rung else {
+                report.failures.push(format!(
+                    "{side} has no {prefix} most-local sweep row at n={SPLICE_FLOOR_N_TARGET} — \
+                     the {prefix} floor rung is not recorded"
+                ));
+                continue;
+            };
+            report.check(
+                rung.speedup >= floor,
+                "full-document floor rung holds",
+                || {
+                    format!(
+                    "{side} {prefix} @ n={SPLICE_FLOOR_N_TARGET} locality=1: speedup {:.2}x is \
+                     below the {prefix} floor {floor:.1}x — {what}",
+                    rung.speedup
+                )
                 },
-            }
-        }
-        if baseline_sweep
-            .iter()
-            .any(|((t, _, _), _)| t.starts_with("hng"))
-        {
-            report.checked += 1;
-        } else {
-            report.failures.push(
-                "baseline records no hng locality-sweep rows — the HNG topology dropped \
-                 out of the repair economics"
-                    .into(),
             );
         }
-    }
-    // The renewal section is schedule-deterministic, so the same
-    // invariants bind on both sides: a fresh run that lost them is a code
-    // regression, a baseline that lost them is a careless re-bless.
-    gate_renewal(baseline, "baseline", &mut report);
-    gate_renewal(fresh, "fresh", &mut report);
-    if sweep_checked == 0 && report.failures.is_empty() {
-        report
-            .failures
-            .push("no fresh sweep row matched any baseline row — wrong baseline file?".into());
-    }
-    report
-}
-
-/// The renewal-section invariants of one `BENCH_lifetime.json` document:
-/// every policy of [`RENEWAL_POLICIES`] present (named expected/found
-/// diagnostics on a mismatch), the drain-only row actually partitioned
-/// (otherwise every comparison is censored at the horizon), and the
-/// energy-adding policies' lifetime-to-first-partition strictly exceeding
-/// the drain-only baseline. Sink rotation adds no energy and is exempt
-/// from the strict-exceed check.
-fn gate_renewal(doc: &Value, side: &str, report: &mut GateReport) {
-    let rows = section(doc, "renewal", side, report);
-    if rows.is_empty() {
-        return;
-    }
-    let found: Vec<&str> = rows
-        .iter()
-        .filter_map(|r| r.get("policy").and_then(|p| p.as_str()))
-        .collect();
-    if found != RENEWAL_POLICIES {
-        report.failures.push(format!(
-            "{side} renewal section: expected policies {RENEWAL_POLICIES:?}, found {found:?}"
-        ));
-        return;
-    }
-    let rounds = |policy: &str| -> Option<u64> {
-        let row = rows
+        let hng = self
+            .locality_sweep
             .iter()
-            .find(|r| r.get("policy").and_then(|p| p.as_str()) == Some(policy))?;
-        row.get("lifetime_rounds").and_then(|v| v.as_u64())
-    };
-    let Some(none_rounds) = rounds("none") else {
-        report.failures.push(format!(
-            "{side} renewal section: \"none\" row has no lifetime_rounds"
-        ));
-        return;
-    };
-    let none_partitioned = rows
-        .iter()
-        .find(|r| r.get("policy").and_then(|p| p.as_str()) == Some("none"))
-        .and_then(|r| r.get("partitioned"))
-        .and_then(|v| v.as_bool());
-    if none_partitioned != Some(true) {
-        report.failures.push(format!(
-            "{side} renewal section: the drain-only row never partitioned — the renewal \
-             comparison is censored at the horizon"
-        ));
-        return;
-    }
-    for policy in ["mobile-charger", "solar"] {
-        match rounds(policy) {
-            Some(r) if r > none_rounds => report.checked += 1,
-            Some(r) => report.failures.push(format!(
-                "{side} renewal section: {policy} lifetime {r} rounds does not strictly \
-                 exceed the drain-only baseline's {none_rounds}"
-            )),
-            None => report.failures.push(format!(
-                "{side} renewal section: {policy} row has no lifetime_rounds"
-            )),
-        }
+            .any(|r| r.topology.starts_with("hng"));
+        report.check(hng, "full document records hng sweep rows", || {
+            format!(
+                "{side} records no hng locality-sweep rows — the HNG topology dropped out of \
+                 the repair economics"
+            )
+        });
     }
 }
 
-fn serve_key(row: &Value) -> Option<(String, u64, u64)> {
-    Some((
-        row.get("topology")?.as_str()?.to_string(),
-        row.get("n_target")?.as_u64()?,
-        row.get("readers")?.as_u64()?,
-    ))
-}
+impl BenchDoc for ServeBenchReport {
+    const SCHEMA: &'static str = SERVE_SCHEMA;
 
-/// Evaluate the serve gate: `fresh` is the CI `bench-serve` measurement,
-/// `baseline` the committed `BENCH_serve.json`. Every fresh row must be
-/// answer-identical to its replay oracle (`identical: true`) with zero
-/// errors — matched or not — and a matched `(topology, n_target, readers)`
-/// row's qps must stay within [`SERVE_QPS_DROP_TOLERANCE`] of baseline.
-pub fn gate_serve(baseline: &Value, fresh: &Value) -> GateReport {
-    let mut report = GateReport::default();
-    check_schema(baseline, SERVE_SCHEMA, "baseline", &mut report);
-    check_schema(fresh, SERVE_SCHEMA, "fresh", &mut report);
-    let baseline_rows: Vec<((String, u64, u64), &Value)> =
-        section(baseline, "rows", "baseline", &mut report)
-            .iter()
-            .filter_map(|r| serve_key(r).map(|k| (k, r)))
-            .collect();
-    for row in section(fresh, "rows", "fresh", &mut report) {
-        let Some(key) = serve_key(row) else {
-            report
-                .failures
-                .push("fresh serve row missing topology/n_target/readers".into());
-            continue;
-        };
-        let label = format!("{} @ n={} readers={}", key.0, key.1, key.2);
-        // Correctness gates: never optional, even for unmatched rows. A
-        // service that got faster by answering differently (or by failing
-        // queries) is a bug, not a win.
-        if row.get("identical").and_then(|v| v.as_bool()) != Some(true) {
-            report
-                .failures
-                .push(format!("{label}: identical is not true"));
+    fn gate(baseline: &Self, fresh: &Self) -> GateReport {
+        let mut report = GateReport::default();
+        // Identity on every fresh row: a service that got faster by
+        // answering differently (or by failing queries) is a bug.
+        for row in &fresh.rows {
+            let label = format!("rows {}", row.key());
+            report.check(row.identical, "answers equal the replay oracle's", || {
+                format!("{label}: fresh identical is false")
+            });
+            report.check(row.errors == 0, "zero query errors", || {
+                format!("{label}: fresh errors {} (query errors)", row.errors)
+            });
         }
-        match row.get("errors").and_then(|v| v.as_u64()) {
-            Some(0) => {}
-            Some(e) => report.failures.push(format!("{label}: {e} query error(s)")),
-            None => report.failures.push(format!("{label}: errors missing")),
-        }
-        let Some((_, base)) = baseline_rows.iter().find(|(k, _)| *k == key) else {
-            report.skipped.push(label);
-            continue;
-        };
-        let mut qps = |doc: &Value, side: &str| -> Option<f64> {
-            match doc.get("qps").and_then(|v| v.as_f64()) {
-                Some(v) if v > 0.0 => Some(v),
-                _ => {
-                    report
-                        .failures
-                        .push(format!("{label}: {side} qps missing or ≤ 0"));
-                    None
-                }
+        exact!(report, rows, baseline, fresh;
+            nodes, epochs, clients, queries_per_client, queries, errors, cache_hit_rate,
+            identical, deaths_total, joins_total, final_alive, snapshots_published,
+            snapshots_retired, max_live_snapshots);
+        for curve in curves(&fresh.rows, |r| (&r.topology, r.n_target)) {
+            let label = format!("rows {} @ n={}", curve[0].topology, curve[0].n_target);
+            let Some(one) = curve.iter().find(|r| r.readers == 1) else {
+                report
+                    .failures
+                    .push(format!("{label}: fresh reader sweep has no readers=1 row"));
+                continue;
+            };
+            for row in curve.iter().filter(|r| r.readers > 1) {
+                let ratio = row.qps / one.qps;
+                report.check(
+                    ratio >= MIN_SCALING_RATIO,
+                    &format!("reader row ≥ {MIN_SCALING_RATIO}× the readers = 1 qps"),
+                    || {
+                        format!(
+                            "{label} readers={}: fresh median qps is {ratio:.2}x the readers=1 \
+                             row's (floor {MIN_SCALING_RATIO}x)",
+                            row.readers
+                        )
+                    },
+                );
             }
-        };
-        let (Some(fresh_qps), Some(base_qps)) = (qps(row, "fresh"), qps(base, "baseline")) else {
-            continue;
-        };
-        report.checked += 1;
-        let floor = base_qps * (1.0 - SERVE_QPS_DROP_TOLERANCE);
-        if fresh_qps < floor {
-            report.failures.push(format!(
-                "{label}: qps {fresh_qps:.0} fell below {:.0}% of baseline \
-                 {base_qps:.0} (floor {floor:.0})",
-                (1.0 - SERVE_QPS_DROP_TOLERANCE) * 100.0
-            ));
         }
-    }
-    if report.checked == 0 && report.failures.is_empty() {
         report
-            .failures
-            .push("no fresh serve row matched any baseline row — wrong baseline file?".into());
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A pipeline document with the current schema tag and an explicit
-    /// `thread_scaling` section.
-    fn pipeline_doc(rows_json: &str, scaling_json: &str) -> Value {
-        serde_json::from_str(&format!(
-            r#"{{"schema": "{PIPELINE_SCHEMA}", "rows": {rows_json},
-                 "thread_scaling": {scaling_json}}}"#
-        ))
-        .unwrap()
+    /// Assert some failure mentions every needle.
+    fn fails_with(report: &GateReport, needles: &[&str]) {
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| needles.iter().all(|n| f.contains(n))),
+            "no failure mentions {needles:?}: {:?}",
+            report.failures
+        );
     }
 
-    fn doc(rows_json: &str) -> Value {
-        pipeline_doc(rows_json, "[]")
+    /// The parse error of `doc` serialised with its first `field` key
+    /// renamed away, read as the fresh side.
+    fn parse_without<T: BenchDoc + serde::Serialize>(doc: &T, field: &str) -> String {
+        let json = serde_json::to_string(doc).unwrap().replacen(
+            &format!("\"{field}\":"),
+            "\"renamed\":",
+            1,
+        );
+        match parse::<T>("fresh", &json) {
+            Ok(_) => panic!("a document without {field} parsed"),
+            Err(e) => e,
+        }
     }
 
-    /// A serve document with the current schema tag.
-    fn sdoc(rows_json: &str) -> Value {
-        serde_json::from_str(&format!(
-            r#"{{"schema": "{SERVE_SCHEMA}", "rows": {rows_json}}}"#
-        ))
-        .unwrap()
+    fn pipeline_row(topology: &str, n: u64) -> BenchRow {
+        BenchRow {
+            topology: topology.into(),
+            n_target: n,
+            nodes: n - 50,
+            edges: 5 * n,
+            shards: 4,
+            sharded_secs: 0.02,
+            monolithic_secs: 0.03,
+            speedup: 1.5,
+            edge_identical: true,
+            ..Default::default()
+        }
     }
 
-    fn row(topology: &str, n: u64, nps: f64, identical: bool) -> String {
-        format!(
-            r#"{{"topology": "{topology}", "n_target": {n},
-                 "sharded_nodes_per_sec": {nps}, "edge_identical": {identical}}}"#
-        )
+    /// A thread ladder whose every multi-thread point runs `speedup` times
+    /// the `threads = 1` point.
+    fn ladder(topology: &str, n: u64, speedup: f64) -> Vec<ThreadScalingRow> {
+        THREAD_LADDER
+            .iter()
+            .map(|&threads| {
+                let s = if threads == 1 { 1.0 } else { speedup };
+                ThreadScalingRow {
+                    topology: topology.into(),
+                    n_target: n,
+                    nodes: n - 50,
+                    threads,
+                    build_secs: 0.02 / s,
+                    speedup_vs_serial: s,
+                    efficiency: s / threads as f64,
+                    edge_identical: true,
+                    ..Default::default()
+                }
+            })
+            .collect()
+    }
+
+    fn pipeline() -> BenchReport {
+        BenchReport {
+            schema: PIPELINE_SCHEMA.into(),
+            quick: true,
+            seed: 1,
+            threads: 2,
+            vm_hwm_kb: 0,
+            host_cpus: 2,
+            rows: vec![pipeline_row("udg(r=1)", 10000)],
+            thread_scaling: ladder("udg(r=1)", 10000, 1.0),
+            distributed: vec![],
+        }
     }
 
     #[test]
     fn passes_within_the_band() {
-        let base = doc(&format!("[{}]", row("udg(r=1)", 10000, 100_000.0, true)));
-        // 40% drop exactly is still allowed (strict-below fails).
-        let fresh = doc(&format!("[{}]", row("udg(r=1)", 10000, 60_000.0, true)));
-        let g = gate_pipeline(&base, &fresh);
+        let base = pipeline();
+        let g = BenchDoc::gate(&base, &base);
         assert!(g.passed(), "{:?}", g.failures);
-        assert_eq!(g.checked, 1);
+        assert_eq!(g.held("exact counts: rows"), 1);
+        assert_eq!(g.held("exact counts: thread_scaling"), 4);
+        assert_eq!(g.held("thread ladder complete"), 1);
+        // Timings are never compared across documents: a host ten times
+        // slower passes, and within-run ratios exactly at their floors pass.
+        let mut slow = base.clone();
+        slow.rows[0].sharded_secs *= 40.0;
+        slow.rows[0].monolithic_secs *= 10.0;
+        slow.rows[0].speedup = MIN_SHARDED_SPEEDUP;
+        slow.thread_scaling = ladder("udg(r=1)", 10000, MIN_SCALING_RATIO);
+        let g2 = BenchDoc::gate(&base, &slow);
+        assert!(g2.passed(), "{:?}", g2.failures);
     }
 
     #[test]
     fn fails_below_the_band() {
-        let base = doc(&format!("[{}]", row("udg(r=1)", 10000, 100_000.0, true)));
-        let fresh = doc(&format!("[{}]", row("udg(r=1)", 10000, 59_000.0, true)));
-        let g = gate_pipeline(&base, &fresh);
-        assert!(!g.passed());
-        assert!(g.failures[0].contains("fell below"));
+        let base = pipeline();
+        let mut fresh = base.clone();
+        fresh.rows[0].speedup = MIN_SHARDED_SPEEDUP * 0.9;
+        let g = BenchDoc::gate(&base, &fresh);
+        fails_with(
+            &g,
+            &["rows udg(r=1) @ n=10000", "fresh speedup", "below 0.25x"],
+        );
+        fresh.thread_scaling[2].speedup_vs_serial = MIN_SCALING_RATIO * 0.9;
+        let g2 = BenchDoc::gate(&base, &fresh);
+        fails_with(&g2, &["threads=4", "fresh speedup_vs_serial", "below 0.5x"]);
+    }
+
+    #[test]
+    fn pipeline_gate_fails_on_one_edge_off() {
+        let base = pipeline();
+        let mut fresh = base.clone();
+        fresh.rows[0].edges += 1;
+        fails_with(
+            &BenchDoc::gate(&base, &fresh),
+            &[
+                "rows udg(r=1) @ n=10000",
+                "fresh edges 50001",
+                "baseline 50000",
+            ],
+        );
     }
 
     #[test]
     fn fails_on_non_identical_edges_even_without_baseline_match() {
-        let base = doc("[]");
-        let fresh = doc(&format!("[{}]", row("rng(r=1)", 10000, 1e9, false)));
-        let g = gate_pipeline(&base, &fresh);
-        assert!(!g.passed());
-        assert!(g.failures.iter().any(|f| f.contains("edge_identical")));
+        let base = pipeline();
+        let mut fresh = base.clone();
+        fresh.rows.push(BenchRow {
+            edge_identical: false,
+            ..pipeline_row("rng(r=1)", 10000)
+        });
+        let g = BenchDoc::gate(&base, &fresh);
+        fails_with(&g, &["rows rng(r=1) @ n=10000", "edge_identical is false"]);
+        assert_eq!(g.skipped, vec!["rows rng(r=1) @ n=10000".to_string()]);
     }
 
     #[test]
     fn unmatched_rows_are_skipped_not_failed() {
-        let base = doc(&format!("[{}]", row("udg(r=1)", 10000, 100_000.0, true)));
-        let fresh = doc(&format!(
-            "[{}, {}]",
-            row("udg(r=1)", 10000, 90_000.0, true),
-            row("udg(r=1)", 1000000, 1.0, true) // only in the fresh run
-        ));
-        let g = gate_pipeline(&base, &fresh);
+        let base = pipeline();
+        let mut fresh = base.clone();
+        fresh.rows.push(pipeline_row("udg(r=1)", 1_000_000));
+        let g = BenchDoc::gate(&base, &fresh);
         assert!(g.passed(), "{:?}", g.failures);
-        assert_eq!(g.checked, 1);
-        assert_eq!(g.skipped, vec!["udg(r=1) @ n=1000000".to_string()]);
+        assert_eq!(g.held("exact counts: rows"), 1);
+        assert_eq!(g.skipped, vec!["rows udg(r=1) @ n=1000000".to_string()]);
+    }
+
+    #[test]
+    fn disjoint_documents_fail_loudly() {
+        // A fresh document sharing no row with the baseline compared
+        // nothing: fail rather than green-light a wrong baseline file.
+        let base = pipeline();
+        let mut disjoint = base.clone();
+        disjoint.rows = vec![pipeline_row("yao(r=1,c=6)", 10000)];
+        disjoint.thread_scaling = ladder("yao(r=1,c=6)", 10000, 1.0);
+        let g = BenchDoc::gate(&base, &disjoint);
+        fails_with(&g, &["no fresh rows row matched", "wrong baseline"]);
+        fails_with(&g, &["no fresh thread_scaling row matched"]);
+        assert_eq!(g.held("exact counts: rows"), 0);
+        let mut empty = base.clone();
+        empty.rows.clear();
+        fails_with(
+            &BenchDoc::gate(&base, &empty),
+            &["no fresh rows row matched"],
+        );
     }
 
     #[test]
     fn missing_throughput_fields_fail_not_pass() {
-        // A baseline row without (or with a zeroed) sharded_nodes_per_sec
-        // must fail the gate: a 0 baseline would set the floor to 0 and
-        // wave any regression through.
-        let base: Value = serde_json::from_str(
-            r#"{"rows": [{"topology": "udg(r=1)", "n_target": 10000,
-                 "edge_identical": true}]}"#,
-        )
-        .unwrap();
-        let fresh = doc(&format!("[{}]", row("udg(r=1)", 10000, 1.0, true)));
-        let g = gate_pipeline(&base, &fresh);
-        assert!(!g.passed());
-        assert!(g.failures.iter().any(|f| f.contains("missing or ≤ 0")));
-        let zeroed = doc(&format!("[{}]", row("udg(r=1)", 10000, 0.0, true)));
-        let g2 = gate_pipeline(
-            &doc(&format!("[{}]", row("udg(r=1)", 10000, 100.0, true))),
-            &zeroed,
+        // A document missing a field no longer reads as 0 or 1: it does not
+        // parse, and the error names the field and where it is.
+        let e = parse_without(&pipeline(), "host_cpus");
+        assert!(
+            e.contains("fresh document: missing field `host_cpus` in BenchReport"),
+            "{e}"
         );
-        assert!(!g2.passed());
-    }
-
-    fn renewal_row_json(policy: &str, rounds: u64, partitioned: bool) -> String {
-        format!(
-            r#"{{"policy": "{policy}", "lifetime_rounds": {rounds},
-                 "partitioned": {partitioned}}}"#
-        )
-    }
-
-    /// A renewal section that satisfies every invariant: the drain-only
-    /// row partitions at 7, both energy-adding policies out-live it.
-    fn good_renewal() -> String {
-        format!(
-            "[{}, {}, {}, {}]",
-            renewal_row_json("none", 7, true),
-            renewal_row_json("mobile-charger", 18, false),
-            renewal_row_json("solar", 18, false),
-            renewal_row_json("sink-rotation", 7, true),
-        )
-    }
-
-    fn lifetime_doc_with_renewal(rows_json: &str, sweep_json: &str, renewal_json: &str) -> Value {
-        serde_json::from_str(&format!(
-            r#"{{"schema": "{LIFETIME_SCHEMA}", "rows": {rows_json},
-                 "locality_sweep": {sweep_json}, "renewal": {renewal_json}}}"#
-        ))
-        .unwrap()
-    }
-
-    fn lifetime_doc(rows_json: &str, sweep_json: &str) -> Value {
-        lifetime_doc_with_renewal(rows_json, sweep_json, &good_renewal())
-    }
-
-    fn sweep_row(topology: &str, n: u64, target: u64, speedup: f64, identical: bool) -> String {
-        format!(
-            r#"{{"topology": "{topology}", "n_target": {n},
-                 "target_dirty_shards": {target}, "speedup": {speedup},
-                 "fingerprint_identical": {identical}}}"#
-        )
-    }
-
-    #[test]
-    fn lifetime_gate_passes_within_the_band_and_pins_only_the_local_rung() {
-        let base = lifetime_doc(
-            "[]",
-            &format!(
-                "[{}, {}]",
-                sweep_row("udg(r=1)", 10000, 1, 10.0, true),
-                sweep_row("udg(r=1)", 10000, 64, 1.1, true)
-            ),
+        let e = parse_without(&pipeline(), "sharded_secs");
+        assert!(
+            e.contains("rows[0]: missing field `sharded_secs` in BenchRow"),
+            "{e}"
         );
-        // 40% of baseline at the local rung passes (floor is exactly 4.0);
-        // the coarse rung may collapse to ~1x without tripping anything.
-        let fresh = lifetime_doc(
-            "[]",
-            &format!(
-                "[{}, {}]",
-                sweep_row("udg(r=1)", 10000, 1, 4.0, true),
-                sweep_row("udg(r=1)", 10000, 64, 0.9, true)
-            ),
+        let e = parse_without(&pipeline(), "speedup_vs_serial");
+        assert!(
+            e.contains("thread_scaling[0]: missing field `speedup_vs_serial`"),
+            "{e}"
         );
-        let g = gate_lifetime(&base, &fresh);
-        assert!(g.passed(), "{:?}", g.failures);
-        // 1 sweep comparison + 2 renewal strict-exceed checks per side.
-        assert_eq!(g.checked, 5);
-        let too_slow = lifetime_doc(
-            "[]",
-            &format!("[{}]", sweep_row("udg(r=1)", 10000, 1, 3.9, true)),
+        let e = parse_without(&serve(), "qps");
+        assert!(
+            e.contains("rows[0]: missing field `qps` in ServeBenchRow"),
+            "{e}"
         );
-        let g2 = gate_lifetime(&base, &too_slow);
-        assert!(!g2.passed());
-        assert!(g2.failures[0].contains("most-local speedup"));
-    }
-
-    #[test]
-    fn lifetime_gate_fails_on_lost_identity_anywhere() {
-        let base = lifetime_doc(
-            "[]",
-            &format!("[{}]", sweep_row("rng(r=1)", 10000, 1, 8.0, true)),
-        );
-        // A non-identical fingerprint fails even on an unmatched rung.
-        let fresh = lifetime_doc(
-            "[]",
-            &format!(
-                "[{}, {}]",
-                sweep_row("rng(r=1)", 10000, 1, 9.0, true),
-                sweep_row("rng(r=1)", 10000, 16, 2.0, false)
-            ),
-        );
-        let g = gate_lifetime(&base, &fresh);
-        assert!(!g.passed());
-        assert!(g
-            .failures
-            .iter()
-            .any(|f| f.contains("fingerprint_identical")));
-        // And a plain row that lost edge identity fails too.
-        let bad_rows = lifetime_doc(
-            &format!("[{}]", row("rng(r=1)", 10000, 1e5, false)),
-            &format!("[{}]", sweep_row("rng(r=1)", 10000, 1, 9.0, true)),
-        );
-        let g2 = gate_lifetime(&base, &bad_rows);
-        assert!(!g2.passed());
-        assert!(g2.failures.iter().any(|f| f.contains("edge_identical")));
-    }
-
-    #[test]
-    fn lifetime_gate_skips_unmatched_and_fails_on_disjoint_docs() {
-        let base = lifetime_doc(
-            "[]",
-            &format!("[{}]", sweep_row("udg(r=1)", 10000, 1, 10.0, true)),
-        );
-        // A fresh full-size rung without a baseline counterpart is skipped.
-        let fresh = lifetime_doc(
-            "[]",
-            &format!(
-                "[{}, {}]",
-                sweep_row("udg(r=1)", 10000, 1, 9.0, true),
-                sweep_row("udg(r=1)", 1000000, 1, 2.0, true)
-            ),
-        );
-        let g = gate_lifetime(&base, &fresh);
-        assert!(g.passed(), "{:?}", g.failures);
-        assert_eq!(g.checked, 5);
-        assert_eq!(g.skipped.len(), 1);
-        // Nothing matched at all → loud failure, not a silent pass, even
-        // though both renewal sections hold on their own.
-        let g2 = gate_lifetime(&base, &lifetime_doc("[]", "[]"));
-        assert!(!g2.passed());
-        assert!(g2.failures.iter().any(|f| f.contains("wrong baseline")));
-    }
-
-    #[test]
-    fn renewal_gate_requires_the_full_policy_set_with_named_diagnostics() {
-        let base = lifetime_doc(
-            "[]",
-            &format!("[{}]", sweep_row("udg(r=1)", 10000, 1, 10.0, true)),
-        );
-        // Drop the solar row from the fresh document: the failure must
-        // name both the expected set and what was actually found.
-        let missing = lifetime_doc_with_renewal(
-            "[]",
-            &format!("[{}]", sweep_row("udg(r=1)", 10000, 1, 9.0, true)),
-            &format!(
-                "[{}, {}, {}]",
-                renewal_row_json("none", 7, true),
-                renewal_row_json("mobile-charger", 18, false),
-                renewal_row_json("sink-rotation", 7, true),
-            ),
-        );
-        let g = gate_lifetime(&base, &missing);
-        assert!(!g.passed());
-        let f = g
-            .failures
-            .iter()
-            .find(|f| f.contains("expected policies"))
-            .expect("completeness diagnostic");
-        assert!(f.contains("fresh") && f.contains("solar") && f.contains("mobile-charger"));
-    }
-
-    #[test]
-    fn renewal_gate_pins_strict_exceed_and_an_uncensored_baseline() {
-        let base = lifetime_doc(
-            "[]",
-            &format!("[{}]", sweep_row("udg(r=1)", 10000, 1, 10.0, true)),
-        );
-        // A charger that merely ties the drain-only lifetime fails.
-        let tied = lifetime_doc_with_renewal(
-            "[]",
-            &format!("[{}]", sweep_row("udg(r=1)", 10000, 1, 9.0, true)),
-            &format!(
-                "[{}, {}, {}, {}]",
-                renewal_row_json("none", 7, true),
-                renewal_row_json("mobile-charger", 7, true),
-                renewal_row_json("solar", 18, false),
-                renewal_row_json("sink-rotation", 7, true),
-            ),
-        );
-        let g = gate_lifetime(&base, &tied);
-        assert!(!g.passed());
-        assert!(g
-            .failures
-            .iter()
-            .any(|f| f.contains("mobile-charger") && f.contains("strictly")));
-        // A drain-only row that never partitioned censors everything.
-        let censored = lifetime_doc_with_renewal(
-            "[]",
-            &format!("[{}]", sweep_row("udg(r=1)", 10000, 1, 9.0, true)),
-            &format!(
-                "[{}, {}, {}, {}]",
-                renewal_row_json("none", 18, false),
-                renewal_row_json("mobile-charger", 18, false),
-                renewal_row_json("solar", 18, false),
-                renewal_row_json("sink-rotation", 18, false),
-            ),
-        );
-        let g2 = gate_lifetime(&base, &censored);
-        assert!(!g2.passed());
-        assert!(g2.failures.iter().any(|f| f.contains("censored")));
-        // And a document without the section at all fails loudly.
-        let no_renewal: Value = serde_json::from_str(&format!(
-            r#"{{"schema": "{LIFETIME_SCHEMA}", "rows": [],
-                 "locality_sweep": [{}]}}"#,
-            sweep_row("udg(r=1)", 10000, 1, 9.0, true)
-        ))
-        .unwrap();
-        let g3 = gate_lifetime(&base, &no_renewal);
-        assert!(!g3.passed());
-        assert!(g3
-            .failures
-            .iter()
-            .any(|f| f.contains("fresh") && f.contains("\"renewal\"")));
     }
 
     #[test]
     fn missing_sections_fail_with_a_named_diagnostic() {
-        // A fresh pipeline document without a "rows" section (a partial
-        // bench run) must name the side and section, not pass vacuously.
-        let base = doc(&format!("[{}]", row("udg(r=1)", 10000, 1.0, true)));
-        let partial: Value = serde_json::from_str(r#"{"schema": "x"}"#).unwrap();
-        let g = gate_pipeline(&base, &partial);
-        assert!(!g.passed());
+        for section in ["rows", "thread_scaling"] {
+            let e = parse_without(&pipeline(), section);
+            assert!(e.starts_with("fresh document: missing field"), "{e}");
+            assert!(e.contains(&format!("`{section}` in BenchReport")), "{e}");
+        }
+        for section in ["rows", "locality_sweep", "renewal"] {
+            let e = parse_without(&lifetime(), section);
+            assert!(
+                e.contains(&format!("fresh document: missing field `{section}`")),
+                "{e}"
+            );
+        }
+        let e = parse_without(&serve(), "rows");
         assert!(
-            g.failures
-                .iter()
-                .any(|f| f.contains("fresh") && f.contains("\"rows\"")),
-            "{:?}",
-            g.failures
+            e.contains("fresh document: missing field `rows` in ServeBenchReport"),
+            "{e}"
         );
-        let g2 = gate_pipeline(&partial, &base);
-        assert!(!g2.passed());
-        assert!(g2
-            .failures
-            .iter()
-            .any(|f| f.contains("baseline") && f.contains("\"rows\"")));
-        // Same for the lifetime gate's locality_sweep section.
-        let sweep_only = lifetime_doc(
-            "[]",
-            &format!("[{}]", sweep_row("udg(r=1)", 10000, 1, 9.0, true)),
-        );
-        let no_sweep: Value = serde_json::from_str(r#"{"rows": []}"#).unwrap();
-        let g3 = gate_lifetime(&sweep_only, &no_sweep);
-        assert!(!g3.passed());
-        assert!(g3
-            .failures
-            .iter()
-            .any(|f| f.contains("fresh") && f.contains("\"locality_sweep\"")));
     }
 
-    /// A full (quick: false) baseline document, as committed by a full
-    /// `bench-lifetime` run.
-    fn full_lifetime_doc(sweep_json: &str) -> Value {
-        serde_json::from_str(&format!(
-            r#"{{"schema": "{LIFETIME_SCHEMA}", "quick": false, "rows": [],
-                 "locality_sweep": {sweep_json}, "renewal": {}}}"#,
-            good_renewal()
-        ))
-        .unwrap()
+    #[test]
+    fn thread_scaling_rows_hold_identity_band_and_ladder() {
+        let base = pipeline();
+        // A non-identical scaling point fails even without a baseline match.
+        let mut leaky = base.clone();
+        let mut curve = ladder("rng(r=1)", 10000, 1.0);
+        curve[2].edge_identical = false;
+        leaky.thread_scaling.extend(curve);
+        fails_with(
+            &BenchDoc::gate(&base, &leaky),
+            &[
+                "thread_scaling rng(r=1) @ n=10000 threads=4",
+                "edge_identical is false",
+            ],
+        );
+        // A point below its own threads = 1 speed fails, naming its threads.
+        let slow = BenchReport {
+            thread_scaling: ladder("udg(r=1)", 10000, 0.4),
+            ..base.clone()
+        };
+        fails_with(&BenchDoc::gate(&base, &slow), &["threads=8", "below 0.5x"]);
+        // A curve that dropped a ladder point fails the completeness check.
+        let mut thin = base.clone();
+        thin.thread_scaling.remove(1);
+        fails_with(
+            &BenchDoc::gate(&base, &thin),
+            &["fresh thread ladder [1, 4, 8] is incomplete"],
+        );
+        // A doctored count on a matched point fails too.
+        let mut off = base.clone();
+        off.thread_scaling[3].nodes += 1;
+        fails_with(&BenchDoc::gate(&base, &off), &["threads=8: fresh nodes"]);
     }
 
-    /// A complete full-baseline sweep fixture: healthy UDG and k-NN floor
-    /// rungs plus an HNG row, minus whatever `drop` names.
-    fn full_sweep(drop: &str) -> Value {
-        let rows = [
-            ("small", sweep_row("udg(r=1)", 10000, 1, 10.0, true)),
-            (
-                "udg",
-                sweep_row("udg(r=1)", 1000000, 1, SPLICE_FLOOR_MIN_SPEEDUP + 2.0, true),
-            ),
-            (
-                "knn",
-                sweep_row("knn(k=8)", 1000000, 1, KNN_LOCAL_MIN_SPEEDUP + 2.0, true),
-            ),
-            ("hng", sweep_row("hng(p=0.5,m=1)", 10000, 1, 5.0, true)),
-        ];
-        let kept: Vec<String> = rows
-            .into_iter()
-            .filter(|(name, _)| *name != drop)
-            .map(|(_, r)| r)
-            .collect();
-        full_lifetime_doc(&format!("[{}]", kept.join(", ")))
+    #[test]
+    fn full_baseline_scaling_self_checks_bind_only_in_core_points() {
+        let fresh = pipeline();
+        let full = |host_cpus: usize, speedup: f64| BenchReport {
+            quick: false,
+            host_cpus,
+            thread_scaling: ladder("udg(r=1)", 10000, speedup),
+            ..pipeline()
+        };
+        // 1.8x at every point holds the efficiency floor at 2 and 4 threads.
+        let g = BenchDoc::gate(&full(4, 1.8), &fresh);
+        assert!(g.passed(), "{:?}", g.failures);
+        assert_eq!(g.held("full-document parallel efficiency ≥ 0.35"), 2);
+        // A flat curve on a multi-core host: the fan-out stopped scaling.
+        fails_with(
+            &BenchDoc::gate(&full(8, 1.0), &fresh),
+            &[
+                "baseline thread_scaling udg(r=1) @ n=10000 threads=2",
+                "stopped scaling",
+            ],
+        );
+        // Positive but inefficient speedup fails the efficiency floor.
+        fails_with(
+            &BenchDoc::gate(&full(8, 1.8), &fresh),
+            &["threads=8", "efficiency 0.23"],
+        );
+        // The same flat curve recorded on one core is exempt.
+        assert!(BenchDoc::gate(&full(1, 1.0), &fresh).passed());
+        // A full baseline with no curve at all fails.
+        let mut bare = full(8, 1.8);
+        bare.thread_scaling.clear();
+        fails_with(&BenchDoc::gate(&bare, &fresh), &["no thread_scaling rows"]);
+    }
+
+    /// A locality curve with the given median repair seconds per rung,
+    /// most local first; the last rung dirties every shard.
+    fn curve(topology: &str, n: u64, repair: &[f64]) -> Vec<LocalitySweepRow> {
+        let shard_count = 64;
+        repair
+            .iter()
+            .enumerate()
+            .map(|(i, &secs)| {
+                let target = if i + 1 == repair.len() {
+                    shard_count
+                } else {
+                    1 + 8 * i as u64
+                };
+                LocalitySweepRow {
+                    topology: topology.into(),
+                    n_target: n,
+                    nodes: n - 100,
+                    shard_count,
+                    target_dirty_shards: target,
+                    mean_dirty_shards: target as f64,
+                    mean_gathered: 300.0 * target as f64,
+                    churned_nodes: 40 * target,
+                    repeats: 5,
+                    median_repair_secs: secs,
+                    median_splice_secs: secs / 2.0,
+                    median_rebuild_secs: 0.05,
+                    speedup: 0.05 / secs,
+                    fingerprint_identical: true,
+                    ..Default::default()
+                }
+            })
+            .collect()
+    }
+
+    fn renewal_row(policy: &str, lifetime_rounds: u64, partitioned: bool) -> RenewalBenchRow {
+        RenewalBenchRow {
+            policy: policy.into(),
+            topology: "udg(r=1)".into(),
+            nodes: 322,
+            epochs: 18,
+            lifetime_rounds,
+            partitioned,
+            ..Default::default()
+        }
+    }
+
+    fn lifetime() -> LifetimeBenchReport {
+        LifetimeBenchReport {
+            schema: LIFETIME_SCHEMA.into(),
+            quick: true,
+            seed: 1,
+            threads: 2,
+            host_cpus: 2,
+            rows: vec![LifetimeBenchRow {
+                topology: "udg(r=1)".into(),
+                n_target: 10000,
+                nodes: 9933,
+                epochs: 5,
+                edge_identical: true,
+                verified_cold: true,
+                mean_dirty_shards: 12.4,
+                final_alive: 6000,
+                ..Default::default()
+            }],
+            locality_sweep: curve("udg(r=1)", 10000, &[0.001, 0.01, 0.1]),
+            renewal: vec![
+                renewal_row("none", 7, true),
+                renewal_row("mobile-charger", 18, false),
+                renewal_row("solar", 18, false),
+                renewal_row("sink-rotation", 7, true),
+            ],
+        }
+    }
+
+    #[test]
+    fn lifetime_gate_passes_within_the_band_and_pins_only_the_local_rung() {
+        let base = lifetime();
+        let g = BenchDoc::gate(&base, &base);
+        assert!(g.passed(), "{:?}", g.failures);
+        assert_eq!(g.held("exact counts: locality_sweep"), 3);
+        assert_eq!(g.held("all-dirty ÷ most-local median repair ≥ 4×"), 1);
+        assert_eq!(g.held("most-local median repair beats the cold rebuild"), 1);
+        // Three times slower everywhere, with a middle rung that costs as
+        // much as the all-dirty one: the ratios bind only the most-local
+        // and all-dirty rungs of the fresh run, so this passes.
+        let mut slow = base.clone();
+        slow.locality_sweep = curve("udg(r=1)", 10000, &[0.003, 0.3, 0.3]);
+        for row in &mut slow.locality_sweep {
+            row.median_rebuild_secs *= 3.0;
+        }
+        let g2 = BenchDoc::gate(&base, &slow);
+        assert!(g2.passed(), "{:?}", g2.failures);
+    }
+
+    #[test]
+    fn lifetime_gate_fails_on_within_run_ratios_below_their_floors() {
+        let base = lifetime();
+        // Repair that costs about the same at every rung: global, not local.
+        let mut flat = base.clone();
+        flat.locality_sweep = curve("udg(r=1)", 10000, &[0.02, 0.03, 0.06]);
+        fails_with(
+            &BenchDoc::gate(&base, &flat),
+            &[
+                "locality_sweep udg(r=1) @ n=10000",
+                "only 3.00x",
+                "stopped tracking",
+            ],
+        );
+        // A most-local repair slower than the cold rebuild.
+        let mut slow = base.clone();
+        slow.locality_sweep = curve("udg(r=1)", 10000, &[0.06, 0.6, 6.0]);
+        fails_with(
+            &BenchDoc::gate(&base, &slow),
+            &["does not beat the cold rebuild"],
+        );
+        // A curve without its all-dirty rung cannot be judged.
+        let mut cut = base.clone();
+        cut.locality_sweep.pop();
+        fails_with(
+            &BenchDoc::gate(&base, &cut),
+            &["lacks its most-local (1) or all-dirty (64) rung"],
+        );
+    }
+
+    #[test]
+    fn lifetime_gate_fails_on_one_rederived_shard_off() {
+        let base = lifetime();
+        let mut fresh = base.clone();
+        fresh.locality_sweep[0].mean_rederived_shards = 1.0;
+        fails_with(
+            &BenchDoc::gate(&base, &fresh),
+            &[
+                "locality_sweep udg(r=1) @ n=10000 locality=1",
+                "fresh mean_rederived_shards 1.0",
+                "baseline 0.0",
+            ],
+        );
+        let mut fresh = base.clone();
+        fresh.rows[0].deaths_total += 1;
+        fails_with(
+            &BenchDoc::gate(&base, &fresh),
+            &["rows udg(r=1) @ n=10000", "fresh deaths_total 1"],
+        );
+        let mut fresh = base.clone();
+        fresh.renewal[2].final_alive = 316;
+        fails_with(
+            &BenchDoc::gate(&base, &fresh),
+            &["renewal solar", "fresh final_alive 316"],
+        );
+    }
+
+    #[test]
+    fn lifetime_gate_fails_on_lost_identity_anywhere() {
+        let base = lifetime();
+        let mut fresh = base.clone();
+        let mut other = curve("rng(r=1)", 10000, &[0.001, 0.1]);
+        other[1].fingerprint_identical = false;
+        fresh.locality_sweep.extend(other);
+        fresh.rows[0].edge_identical = false;
+        let g = BenchDoc::gate(&base, &fresh);
+        fails_with(
+            &g,
+            &[
+                "locality_sweep rng(r=1) @ n=10000 locality=64",
+                "fingerprint_identical is false",
+            ],
+        );
+        fails_with(&g, &["rows udg(r=1) @ n=10000", "edge_identical is false"]);
+    }
+
+    #[test]
+    fn lifetime_gate_skips_unmatched_and_fails_on_disjoint_docs() {
+        let base = lifetime();
+        let mut fresh = base.clone();
+        fresh
+            .locality_sweep
+            .extend(curve("udg(r=1)", 1_000_000, &[0.001, 0.1]));
+        let g = BenchDoc::gate(&base, &fresh);
+        assert!(g.passed(), "{:?}", g.failures);
+        assert_eq!(g.skipped.len(), 2, "{:?}", g.skipped);
+        let mut disjoint = base.clone();
+        disjoint.locality_sweep = curve("yao(r=1,c=6)", 10000, &[0.001, 0.1]);
+        fails_with(
+            &BenchDoc::gate(&base, &disjoint),
+            &["no fresh locality_sweep row matched"],
+        );
+    }
+
+    #[test]
+    fn renewal_gate_requires_the_full_policy_set_with_named_diagnostics() {
+        let base = lifetime();
+        let mut missing = base.clone();
+        missing.renewal.remove(2);
+        fails_with(
+            &BenchDoc::gate(&base, &missing),
+            &[
+                "fresh renewal section",
+                "expected policies",
+                "solar",
+                "found",
+            ],
+        );
+    }
+
+    #[test]
+    fn renewal_gate_pins_strict_exceed_and_an_uncensored_baseline() {
+        let base = lifetime();
+        let mut tied = base.clone();
+        tied.renewal[1] = renewal_row("mobile-charger", 7, true);
+        fails_with(
+            &BenchDoc::gate(&tied, &base),
+            &["baseline renewal section", "mobile-charger", "strictly"],
+        );
+        let mut censored = base.clone();
+        censored.renewal[0] = renewal_row("none", 18, false);
+        fails_with(
+            &BenchDoc::gate(&base, &censored),
+            &["fresh renewal section", "censored"],
+        );
+    }
+
+    /// A full lifetime document with the given most-local speedups on the
+    /// UDG and k-NN floor rungs and an HNG curve, minus the curve `drop`.
+    fn full_lifetime(drop: &str, udg: f64, knn: f64) -> LifetimeBenchReport {
+        let mut doc = LifetimeBenchReport {
+            quick: false,
+            ..lifetime()
+        };
+        for (name, topology, n, local) in [
+            ("udg", "udg(r=1)", SPLICE_FLOOR_N_TARGET, 0.1 / udg),
+            ("knn", "knn(k=8)", SPLICE_FLOOR_N_TARGET, 0.1 / knn),
+            ("hng", "hng(p=0.5,m=1)", 10000, 0.001),
+        ] {
+            if name != drop {
+                let mut rows = curve(topology, n, &[local, 0.1]);
+                rows[0].median_rebuild_secs = 0.1;
+                rows[0].speedup = 0.1 / local;
+                doc.locality_sweep.extend(rows);
+            }
+        }
+        doc
     }
 
     #[test]
     fn full_baseline_self_checks_hold_all_three_rungs() {
-        let fresh = lifetime_doc(
-            "[]",
-            &format!("[{}]", sweep_row("udg(r=1)", 10000, 1, 9.0, true)),
-        );
-        // Complete full baseline: passes.
-        let g = gate_lifetime(&full_sweep(""), &fresh);
+        let fresh = lifetime();
+        let (udg, knn) = (SPLICE_FLOOR_MIN_SPEEDUP + 2.0, KNN_LOCAL_MIN_SPEEDUP + 2.0);
+        let g = BenchDoc::gate(&full_lifetime("", udg, knn), &fresh);
         assert!(g.passed(), "{:?}", g.failures);
-        // A rung below its floor fails with a named diagnostic.
-        let regressed = full_lifetime_doc(&format!(
-            "[{}, {}, {}]",
-            sweep_row("udg(r=1)", 1000000, 1, SPLICE_FLOOR_MIN_SPEEDUP - 1.0, true),
-            sweep_row("knn(k=8)", 1000000, 1, KNN_LOCAL_MIN_SPEEDUP - 1.0, true),
-            sweep_row("hng(p=0.5,m=1)", 10000, 1, 5.0, true)
-        ));
-        let g2 = gate_lifetime(&regressed, &fresh);
-        assert!(!g2.passed());
-        assert!(g2.failures.iter().any(|f| f.contains("udg floor")));
-        assert!(g2.failures.iter().any(|f| f.contains("knn floor")));
-        // Each missing ingredient fails on its own.
+        assert_eq!(g.held("full-document floor rung holds"), 2);
+        let low = full_lifetime(
+            "",
+            SPLICE_FLOOR_MIN_SPEEDUP - 1.0,
+            KNN_LOCAL_MIN_SPEEDUP - 1.0,
+        );
+        let g2 = BenchDoc::gate(&low, &fresh);
+        fails_with(&g2, &["baseline udg", "below the udg floor"]);
+        fails_with(&g2, &["baseline knn", "below the knn floor"]);
         for (drop, diagnostic) in [
             ("udg", "udg floor rung is not recorded"),
             ("knn", "knn floor rung is not recorded"),
             ("hng", "no hng locality-sweep rows"),
         ] {
-            let g3 = gate_lifetime(&full_sweep(drop), &fresh);
-            assert!(!g3.passed(), "dropping {drop} must fail");
-            assert!(
-                g3.failures.iter().any(|f| f.contains(diagnostic)),
-                "dropping {drop}: {:?}",
-                g3.failures
-            );
+            let g3 = BenchDoc::gate(&full_lifetime(drop, udg, knn), &fresh);
+            fails_with(&g3, &[diagnostic]);
         }
-        // Quick baselines (and fixtures without the marker) skip the
-        // self-checks — they never record the 10⁶ size.
-        let quick = lifetime_doc(
-            "[]",
-            &format!("[{}]", sweep_row("udg(r=1)", 10000, 1, 10.0, true)),
-        );
-        let g4 = gate_lifetime(&quick, &fresh);
-        assert!(g4.passed(), "{:?}", g4.failures);
+        // Quick documents never reach the 10⁶ size: no floor rungs asked.
+        assert!(BenchDoc::gate(&fresh, &fresh).passed());
     }
 
-    fn serve_row(
-        topology: &str,
-        n: u64,
-        readers: u64,
-        qps: f64,
-        identical: bool,
-        errors: u64,
-    ) -> String {
-        format!(
-            r#"{{"topology": "{topology}", "n_target": {n}, "readers": {readers},
-                 "qps": {qps}, "identical": {identical}, "errors": {errors}}}"#
-        )
+    fn serve_rows(topology: &str, qps: [f64; 4]) -> Vec<ServeBenchRow> {
+        [1, 2, 4, 8]
+            .into_iter()
+            .zip(qps)
+            .map(|(readers, qps)| ServeBenchRow {
+                topology: topology.into(),
+                n_target: 100000,
+                nodes: 100289,
+                readers,
+                epochs: 5,
+                queries: 2560,
+                qps,
+                cache_hit_rate: 0.022,
+                identical: true,
+                snapshots_published: 5,
+                snapshots_retired: 5,
+                max_live_snapshots: 2,
+                ..Default::default()
+            })
+            .collect()
+    }
+
+    fn serve() -> ServeBenchReport {
+        ServeBenchReport {
+            schema: SERVE_SCHEMA.into(),
+            quick: true,
+            seed: 1,
+            threads: 2,
+            host_cpus: 2,
+            rows: serve_rows("udg(r=1)", [5000.0, 5400.0, 5300.0, 5100.0]),
+        }
     }
 
     #[test]
     fn serve_gate_passes_within_the_band_and_fails_below() {
-        let base = sdoc(&format!(
-            "[{}, {}]",
-            serve_row("udg(r=1)", 100000, 1, 50_000.0, true, 0),
-            serve_row("udg(r=1)", 100000, 4, 40_000.0, true, 0)
-        ));
-        // Exactly half of baseline still passes (strict-below fails).
-        let fresh = sdoc(&format!(
-            "[{}, {}]",
-            serve_row("udg(r=1)", 100000, 1, 25_000.0, true, 0),
-            serve_row("udg(r=1)", 100000, 4, 20_000.0, true, 0)
-        ));
-        let g = gate_serve(&base, &fresh);
+        let base = serve();
+        let g = BenchDoc::gate(&base, &base);
         assert!(g.passed(), "{:?}", g.failures);
-        assert_eq!(g.checked, 2);
-        let slow = sdoc(&format!(
-            "[{}]",
-            serve_row("udg(r=1)", 100000, 1, 24_000.0, true, 0)
-        ));
-        let g2 = gate_serve(&base, &slow);
-        assert!(!g2.passed());
-        assert!(g2.failures[0].contains("fell below"));
+        assert_eq!(g.held("exact counts: rows"), 4);
+        assert_eq!(g.held("reader row ≥ 0.5× the readers = 1 qps"), 3);
+        // A tenth of the baseline's qps, with exactly half the readers = 1
+        // rate at 8 readers, still passes: no qps crosses documents.
+        let slow = ServeBenchReport {
+            rows: serve_rows("udg(r=1)", [500.0, 540.0, 530.0, 250.0]),
+            ..base.clone()
+        };
+        assert!(BenchDoc::gate(&base, &slow).passed());
+        let collapsed = ServeBenchReport {
+            rows: serve_rows("udg(r=1)", [5000.0, 5400.0, 5300.0, 2250.0]),
+            ..base.clone()
+        };
+        fails_with(
+            &BenchDoc::gate(&base, &collapsed),
+            &["readers=8", "0.45x the readers=1 row's"],
+        );
+        let mut no_single = base.clone();
+        no_single.rows.remove(0);
+        fails_with(&BenchDoc::gate(&base, &no_single), &["no readers=1 row"]);
+    }
+
+    #[test]
+    fn serve_gate_fails_on_a_doctored_count() {
+        let base = serve();
+        let mut fresh = base.clone();
+        fresh.rows[1].queries += 1;
+        fails_with(
+            &BenchDoc::gate(&base, &fresh),
+            &["rows udg(r=1) @ n=100000 readers=2", "fresh queries 2561"],
+        );
+        let mut fresh = base.clone();
+        fresh.rows[2].cache_hit_rate = 0.021;
+        fails_with(
+            &BenchDoc::gate(&base, &fresh),
+            &["fresh cache_hit_rate 0.021"],
+        );
     }
 
     #[test]
     fn serve_gate_fails_on_divergence_or_errors_even_unmatched() {
-        let base = sdoc("[]");
-        let fresh = sdoc(&format!(
-            "[{}, {}]",
-            serve_row("rng(r=1)", 100000, 8, 1e9, false, 0),
-            serve_row("rng(r=1)", 100000, 2, 1e9, true, 3)
-        ));
-        let g = gate_serve(&base, &fresh);
-        assert!(!g.passed());
-        assert!(g.failures.iter().any(|f| f.contains("identical")));
-        assert!(g.failures.iter().any(|f| f.contains("query error")));
+        let base = serve();
+        let mut fresh = base.clone();
+        let mut other = serve_rows("rng(r=1)", [3000.0; 4]);
+        other[3].identical = false;
+        other[1].errors = 3;
+        fresh.rows.extend(other);
+        let g = BenchDoc::gate(&base, &fresh);
+        fails_with(&g, &["rng(r=1) @ n=100000 readers=8", "identical is false"]);
+        fails_with(&g, &["rng(r=1) @ n=100000 readers=2", "query errors"]);
     }
 
     #[test]
     fn serve_gate_skips_unmatched_and_fails_disjoint_or_partial_docs() {
-        let base = sdoc(&format!(
-            "[{}]",
-            serve_row("udg(r=1)", 100000, 1, 50_000.0, true, 0)
-        ));
-        let fresh = sdoc(&format!(
-            "[{}, {}]",
-            serve_row("udg(r=1)", 100000, 1, 45_000.0, true, 0),
-            serve_row("udg(r=1)", 1000000, 1, 2_000.0, true, 0) // fresh-only
-        ));
-        let g = gate_serve(&base, &fresh);
+        let base = serve();
+        let mut fresh = base.clone();
+        fresh.rows.extend(serve_rows("rng(r=1)", [3000.0; 4]));
+        let g = BenchDoc::gate(&base, &fresh);
         assert!(g.passed(), "{:?}", g.failures);
-        assert_eq!(g.checked, 1);
-        assert_eq!(g.skipped.len(), 1);
-        // Nothing matched → loud failure; missing rows section → named.
-        assert!(!gate_serve(&base, &sdoc("[]")).passed());
-        let partial: Value = serde_json::from_str(r#"{"schema": "x"}"#).unwrap();
-        let g2 = gate_serve(&base, &partial);
-        assert!(g2
-            .failures
-            .iter()
-            .any(|f| f.contains("fresh") && f.contains("\"rows\"")));
-        // A zeroed qps on either side is a broken document, not a pass.
-        let zeroed = sdoc(&format!(
-            "[{}]",
-            serve_row("udg(r=1)", 100000, 1, 0.0, true, 0)
-        ));
-        assert!(!gate_serve(&base, &zeroed).passed());
+        assert_eq!(g.skipped.len(), 4);
+        let disjoint = ServeBenchReport {
+            rows: serve_rows("knn(k=8)", [3000.0; 4]),
+            ..base.clone()
+        };
+        fails_with(
+            &BenchDoc::gate(&base, &disjoint),
+            &["no fresh rows row matched"],
+        );
+        let e = parse_without(&serve(), "host_cpus");
+        assert!(
+            e.contains("missing field `host_cpus` in ServeBenchReport"),
+            "{e}"
+        );
     }
 
     #[test]
     fn schema_mismatch_fails_naming_the_expected_version() {
-        // Each gate names its expected schema version on a mismatched or
-        // missing tag — on either side.
-        let stale: Value =
-            serde_json::from_str(r#"{"schema": "wsn-bench-pipeline/1", "rows": []}"#).unwrap();
-        let good = doc(&format!("[{}]", row("udg(r=1)", 10000, 1.0, true)));
-        let g = gate_pipeline(&stale, &good);
-        assert!(!g.passed());
+        let stale = serde_json::to_string(&pipeline())
+            .unwrap()
+            .replace(PIPELINE_SCHEMA, "wsn-bench-pipeline/1");
+        let e = parse::<BenchReport>("baseline", &stale).unwrap_err();
         assert!(
-            g.failures.iter().any(|f| f.contains("baseline")
-                && f.contains("wsn-bench-pipeline/1")
-                && f.contains(PIPELINE_SCHEMA)),
-            "{:?}",
-            g.failures
+            e.contains("baseline")
+                && e.contains("\"wsn-bench-pipeline/1\"")
+                && e.contains(PIPELINE_SCHEMA),
+            "{e}"
         );
-        let untagged: Value = serde_json::from_str(r#"{"rows": []}"#).unwrap();
-        let g2 = gate_pipeline(&good, &untagged);
-        assert!(g2
-            .failures
-            .iter()
-            .any(|f| f.contains("fresh") && f.contains("no \"schema\" tag")));
-        // Lifetime and serve gates name their own versions.
-        let g3 = gate_lifetime(&untagged, &untagged);
-        assert!(g3.failures.iter().any(|f| f.contains(LIFETIME_SCHEMA)));
-        let g4 = gate_serve(&untagged, &untagged);
-        assert!(g4.failures.iter().any(|f| f.contains(SERVE_SCHEMA)));
-        // Matching tags on both sides add no schema failure.
-        let g5 = gate_pipeline(&good, &good);
+        let e = parse::<LifetimeBenchReport>("fresh", r#"{"rows": []}"#).unwrap_err();
         assert!(
-            !g5.failures.iter().any(|f| f.contains("schema")),
-            "{:?}",
-            g5.failures
+            e.contains("fresh") && e.contains("\"schema\" tag") && e.contains(LIFETIME_SCHEMA),
+            "{e}"
         );
-    }
-
-    fn scaling_row(
-        topology: &str,
-        n: u64,
-        threads: u64,
-        nps: f64,
-        speedup: f64,
-        identical: bool,
-    ) -> String {
-        format!(
-            r#"{{"topology": "{topology}", "n_target": {n}, "threads": {threads},
-                 "nodes_per_sec": {nps}, "speedup_vs_serial": {speedup},
-                 "efficiency": {:.6}, "edge_identical": {identical}}}"#,
-            speedup / threads as f64
-        )
-    }
-
-    /// A full curve for one topology × size over the whole thread ladder.
-    fn full_ladder(topology: &str, n: u64, base_nps: f64, identical: bool) -> String {
-        THREAD_LADDER
-            .iter()
-            .map(|&t| {
-                scaling_row(
-                    topology,
-                    n,
-                    t as u64,
-                    base_nps * (t as f64).sqrt(),
-                    (t as f64).sqrt(),
-                    identical,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-
-    #[test]
-    fn thread_scaling_rows_hold_identity_band_and_ladder() {
-        let matched_rows = format!("[{}]", row("udg(r=1)", 10000, 100_000.0, true));
-        let base = pipeline_doc(
-            &matched_rows,
-            &format!("[{}]", full_ladder("udg(r=1)", 10000, 50_000.0, true)),
-        );
-        // Same curve: passes, and every ladder point is checked.
-        let g = gate_pipeline(&base, &base);
-        assert!(g.passed(), "{:?}", g.failures);
-        assert_eq!(g.checked, 1 + THREAD_LADDER.len());
-        // A non-identical scaling row fails even without a baseline match.
-        let leaky = pipeline_doc(
-            &matched_rows,
-            &format!("[{}]", full_ladder("rng(r=1)", 10000, 50_000.0, false)),
-        );
-        let g2 = gate_pipeline(&base, &leaky);
-        assert!(!g2.passed());
-        assert!(g2
-            .failures
-            .iter()
-            .any(|f| f.contains("threads=4") && f.contains("edge_identical")));
-        // A matched point below the throughput band fails with its thread
-        // count named.
-        let tail: Vec<String> = THREAD_LADDER
-            .iter()
-            .skip(1)
-            .map(|&t| {
-                scaling_row(
-                    "udg(r=1)",
-                    10000,
-                    t as u64,
-                    50_000.0 * (t as f64).sqrt(),
-                    (t as f64).sqrt(),
-                    true,
-                )
-            })
-            .collect();
-        let slow = pipeline_doc(
-            &matched_rows,
-            &format!(
-                "[{}, {}]",
-                scaling_row("udg(r=1)", 10000, 1, 29_000.0, 1.0, true),
-                tail.join(", ")
-            ),
-        );
-        let g3 = gate_pipeline(&base, &slow);
-        assert!(!g3.passed());
-        assert!(
-            g3.failures
-                .iter()
-                .any(|f| f.contains("threads=1") && f.contains("scaling throughput")),
-            "{:?}",
-            g3.failures
-        );
-        // A curve that dropped a ladder point fails the completeness check.
-        let thin = pipeline_doc(
-            &matched_rows,
-            &format!(
-                "[{}, {}]",
-                scaling_row("udg(r=1)", 10000, 1, 50_000.0, 1.0, true),
-                scaling_row("udg(r=1)", 10000, 4, 90_000.0, 1.8, true)
-            ),
-        );
-        let g4 = gate_pipeline(&base, &thin);
-        assert!(!g4.passed());
-        assert!(
-            g4.failures
-                .iter()
-                .any(|f| f.contains("thread ladder") && f.contains("incomplete")),
-            "{:?}",
-            g4.failures
-        );
-    }
-
-    /// A full (quick: false) pipeline baseline with a given host core count
-    /// and scaling curve.
-    fn full_pipeline_doc(host_cpus: u64, scaling_json: &str) -> Value {
-        serde_json::from_str(&format!(
-            r#"{{"schema": "{PIPELINE_SCHEMA}", "quick": false,
-                 "host_cpus": {host_cpus},
-                 "rows": [{}], "thread_scaling": {scaling_json}}}"#,
-            row("udg(r=1)", 10000, 100_000.0, true)
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn full_baseline_scaling_self_checks_bind_only_in_core_points() {
-        let fresh = doc(&format!("[{}]", row("udg(r=1)", 10000, 90_000.0, true)));
-        // Multi-core recording host, healthy curve (speedup √t ≥ efficiency
-        // floor at every in-core point): passes.
-        let healthy = full_pipeline_doc(
-            8,
-            &format!("[{}]", full_ladder("udg(r=1)", 10000, 5e4, true)),
-        );
-        let g = gate_pipeline(&healthy, &fresh);
-        assert!(g.passed(), "{:?}", g.failures);
-        // A flat curve on an 8-core recording host fails: the fan-out
-        // stopped scaling.
-        let flat = full_pipeline_doc(
-            8,
-            &format!(
-                "[{}, {}]",
-                scaling_row("udg(r=1)", 10000, 1, 5e4, 1.0, true),
-                scaling_row("udg(r=1)", 10000, 4, 5e4, 1.0, true)
-            ),
-        );
-        let g2 = gate_pipeline(&flat, &fresh);
-        assert!(!g2.passed());
-        assert!(
-            g2.failures.iter().any(|f| f.contains("stopped scaling")),
-            "{:?}",
-            g2.failures
-        );
-        // Positive but inefficient speedup fails the efficiency floor.
-        let weak = full_pipeline_doc(
-            8,
-            &format!("[{}]", scaling_row("udg(r=1)", 10000, 8, 6e4, 1.2, true)),
-        );
-        let g3 = gate_pipeline(&weak, &fresh);
-        assert!(g3.failures.iter().any(|f| f.contains("efficiency")));
-        // The same flat curve recorded on a 1-core host is exempt — the
-        // honest curve *is* flat there (threads > host_cpus measure
-        // oversubscription).
-        let one_core = full_pipeline_doc(
-            1,
-            &format!(
-                "[{}, {}]",
-                scaling_row("udg(r=1)", 10000, 1, 5e4, 1.0, true),
-                scaling_row("udg(r=1)", 10000, 4, 5e4, 0.9, true)
-            ),
-        );
-        let g4 = gate_pipeline(&one_core, &fresh);
-        assert!(g4.passed(), "{:?}", g4.failures);
-        // A full baseline with no curve at all fails loudly.
-        let missing = full_pipeline_doc(8, "[]");
-        let g5 = gate_pipeline(&missing, &fresh);
-        assert!(g5
-            .failures
-            .iter()
-            .any(|f| f.contains("no thread_scaling rows")));
-    }
-
-    #[test]
-    fn disjoint_documents_fail_loudly() {
-        // An empty fresh document, or one sharing no row with the
-        // baseline, means the gate compared nothing — fail rather than
-        // green-light a misconfigured baseline path.
-        let base = doc(&format!("[{}]", row("udg(r=1)", 10000, 1.0, true)));
-        let g = gate_pipeline(&base, &doc("[]"));
-        assert!(!g.passed());
-        let fresh = doc(&format!("[{}]", row("yao(r=1,c=6)", 10000, 1.0, true)));
-        let g2 = gate_pipeline(&base, &fresh);
-        assert!(!g2.passed(), "zero matched rows must not pass");
-        assert_eq!(g2.checked, 0);
-        assert_eq!(g2.skipped.len(), 1);
+        let e = parse::<ServeBenchReport>("fresh", "{} trailing").unwrap_err();
+        assert!(e.contains(SERVE_SCHEMA), "{e}");
+        // The three kinds never read each other's documents.
+        let serve_json = serde_json::to_string(&serve()).unwrap();
+        assert!(parse::<LifetimeBenchReport>("fresh", &serve_json).is_err());
+        assert!(parse::<ServeBenchReport>("fresh", &serve_json).is_ok());
     }
 }

@@ -27,6 +27,32 @@ pub mod pipeline;
 pub mod serve;
 pub mod table;
 
+/// Timed repeats behind every timing a bench document records: each is the
+/// median of this many runs, and the gates compare only ratios of medians
+/// taken within one run.
+pub const REPEATS: usize = 5;
+
+/// The middle sample by `key` (the upper middle for an even count).
+pub fn median_by<T>(mut samples: Vec<T>, key: impl Fn(&T) -> f64) -> T {
+    assert!(!samples.is_empty(), "median of no samples");
+    samples.sort_by(|a, b| key(a).total_cmp(&key(b)));
+    samples.swap_remove(samples.len() / 2)
+}
+
+/// Run `f` [`REPEATS`] times; return its last result and the median
+/// wall-clock seconds of one run.
+pub fn median_timed<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut secs = Vec::with_capacity(REPEATS);
+    let mut last = None;
+    for _ in 0..REPEATS {
+        let t = std::time::Instant::now();
+        let out = f();
+        secs.push(t.elapsed().as_secs_f64());
+        last = Some(out);
+    }
+    (last.expect("REPEATS > 0"), median_by(secs, |s| *s))
+}
+
 /// True when quick (smoke-test) mode is requested.
 pub fn quick_mode() -> bool {
     std::env::var("WSN_QUICK")
@@ -64,5 +90,14 @@ mod tests {
         assert_eq!(scale(20), 8);
         let _ = quick_mode();
         assert!(seed() > 0);
+    }
+
+    #[test]
+    fn median_picks_the_middle_sample() {
+        assert_eq!(median_by(vec![3.0, 1.0, 9.0, 2.0, 5.0], |s| *s), 3.0);
+        assert_eq!(median_by(vec![4.0, 1.0], |s| *s), 4.0);
+        let (last, secs) = median_timed(|| 7);
+        assert_eq!(last, 7);
+        assert!(secs >= 0.0);
     }
 }

@@ -29,14 +29,16 @@
 //! the whole window, races [`IncrementalGraph::apply_churn`] against the
 //! same cold sharded rebuild the engine's rebuild mode uses, and records
 //! the speedup ladder — which must *rise* as churn gets more local, where
-//! the PR-4 whole-population gather plateaued at ~2–3× regardless of
-//! locality. Every sweep point asserts fingerprint identity against the
-//! rebuild, and the k-NN escalation counter rides along so a sweep that
-//! quietly fell back to global indexing is visible in the recorded JSON.
+//! a whole-population gather plateaus at ~2–3× regardless of locality.
+//! Each rung's timings are medians over [`REPEATS`] identical cycles, so
+//! the gate can compare rungs of one run. Every sweep point asserts
+//! fingerprint identity against the rebuild, and the k-NN escalation
+//! counter rides along so a sweep that quietly fell back to global
+//! indexing is visible in the recorded JSON.
 
 use std::time::Instant;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use wsn_geom::hash::derive_seed2;
 use wsn_geom::Aabb;
 use wsn_graph::fingerprint;
@@ -47,10 +49,13 @@ use wsn_simnet::churn::{
     RenewalPolicy, RepairMode,
 };
 
+use crate::{median_by, REPEATS};
+
 /// Schema tag of `BENCH_lifetime.json`; the gate names this version in its
 /// diagnostics. `/4` added the `renewal` section (energy-renewal lifetime
-/// economics alongside the repair economics).
-pub const LIFETIME_SCHEMA: &str = "wsn-bench-lifetime/4";
+/// economics alongside the repair economics); `/5` made the sweep timings
+/// medians of [`REPEATS`] cycles and added `host_cpus`.
+pub const LIFETIME_SCHEMA: &str = "wsn-bench-lifetime/5";
 
 /// Per-epoch expected kill fraction of the bench churn (the acceptance
 /// regime: 10% per-epoch churn).
@@ -70,7 +75,7 @@ const TRAFFIC: usize = 8;
 const REPAIR_TILES: usize = 4;
 
 /// One topology × size measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct LifetimeBenchRow {
     pub topology: String,
     /// Expected node count (Poisson intensity × window area).
@@ -110,7 +115,7 @@ pub struct LifetimeBenchRow {
 /// One point of the churn-locality sweep: a block-aligned churn region
 /// targeting `target_dirty_shards`, measured over `repeats` identical
 /// kill → repair → restore cycles.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct LocalitySweepRow {
     pub topology: String,
     pub n_target: u64,
@@ -132,13 +137,14 @@ pub struct LocalitySweepRow {
     /// Deaths + joins applied per cycle.
     pub churned_nodes: u64,
     pub repeats: u64,
-    /// Total wall-clock across repeats of each mode, seconds.
-    pub incremental_repair_secs: f64,
-    /// Portion of the incremental total spent in the chunked-CSR splice
-    /// (the O(dirty) replacement of the old O(n + m) `to_csr` floor).
-    pub incremental_splice_secs: f64,
-    pub rebuild_secs: f64,
-    /// `rebuild_secs / incremental_repair_secs`.
+    /// Median wall-clock of one incremental repair, seconds.
+    pub median_repair_secs: f64,
+    /// Median time one repair spent in the chunked-CSR splice (the
+    /// O(dirty) replacement of the old O(n + m) `to_csr` floor).
+    pub median_splice_secs: f64,
+    /// Median wall-clock of one cold sharded rebuild, seconds.
+    pub median_rebuild_secs: f64,
+    /// `median_rebuild_secs / median_repair_secs`.
     pub speedup: f64,
     /// Every repeat's repaired CSR fingerprint equals the cold sharded
     /// rebuild's.
@@ -157,7 +163,7 @@ pub const RENEWAL_POLICIES: [&str; 4] = ["none", "mobile-charger", "solar", "sin
 /// gate can assert that adding energy actually buys rounds. Everything in
 /// a row is schedule-deterministic (no wall-clock), so fresh CI rows equal
 /// the committed baseline byte-for-byte at any thread count.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RenewalBenchRow {
     /// One of [`RENEWAL_POLICIES`].
     pub policy: String,
@@ -180,13 +186,15 @@ pub struct RenewalBenchRow {
 }
 
 /// The whole `BENCH_lifetime.json` document.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LifetimeBenchReport {
-    pub schema: &'static str,
+    pub schema: String,
     pub quick: bool,
     pub seed: u64,
     /// Effective rayon worker count.
     pub threads: usize,
+    /// Physical parallelism of the recording host.
+    pub host_cpus: usize,
     pub rows: Vec<LifetimeBenchRow>,
     /// The churn-locality sweep (dirty-shard ladder per topology × size).
     pub locality_sweep: Vec<LocalitySweepRow>,
@@ -381,9 +389,6 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
     let mut g = IncrementalGraph::build(points, alive, kind, REPAIR_TILES);
     let base_fp = fingerprint(g.graph());
     let shard_count = g.grid().shard_count();
-    // More repeats at small sizes where a single repair is microseconds —
-    // the CI gate compares speedups, so the ratio must be stable.
-    let repeats: u64 = if n > 50_000 { 3 } else { 5 };
 
     // Whole-window pre-warm: one untimed churn-everything cycle grows the
     // allocator arena to its steady state before any rung is timed.
@@ -438,7 +443,7 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
             continue;
         }
 
-        let (mut inc_secs, mut reb_secs, mut splice_secs) = (0.0f64, 0.0f64, 0.0f64);
+        let (mut inc_secs, mut reb_secs, mut splice_secs) = (Vec::new(), Vec::new(), Vec::new());
         let (mut dirty, mut rederived, mut gathered, mut escalations) = (0u64, 0u64, 0u64, 0u64);
         let mut identical = true;
         // One untimed warmup cycle: the first repair after a build pays
@@ -450,11 +455,11 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
             == fingerprint(&cold_sharded_rebuild(g.points(), g.alive(), kind));
         g.apply_churn(&joins, &deaths);
         identical &= fingerprint(g.graph()) == base_fp;
-        for _ in 0..repeats {
+        for _ in 0..REPEATS {
             let t0 = Instant::now();
             let stats = g.apply_churn(&deaths, &joins);
-            inc_secs += t0.elapsed().as_secs_f64();
-            splice_secs += stats.splice_secs;
+            inc_secs.push(t0.elapsed().as_secs_f64());
+            splice_secs.push(stats.splice_secs);
             dirty += stats.dirty as u64;
             rederived += stats.rederived as u64;
             gathered += stats.gathered as u64;
@@ -462,7 +467,7 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
 
             let t1 = Instant::now();
             let rebuilt = cold_sharded_rebuild(g.points(), g.alive(), kind);
-            reb_secs += t1.elapsed().as_secs_f64();
+            reb_secs.push(t1.elapsed().as_secs_f64());
             identical &= fingerprint(g.graph()) == fingerprint(&rebuilt);
 
             // Restore (untimed): re-admit the dead, re-kill the joined.
@@ -474,15 +479,16 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
             "{}: locality sweep diverged from the cold rebuild at {realized} target shards",
             kind.label()
         );
-        let reps = repeats as f64;
+        let reps = REPEATS as f64;
+        let repair = median_by(inc_secs, |s| *s);
+        let splice = median_by(splice_secs, |s| *s);
+        let rebuild = median_by(reb_secs, |s| *s);
         eprintln!(
             "bench-lifetime: {} n={nodes} locality {realized}/{shard_count} shards \
-             inc {:.4}s (splice {:.4}s) reb {:.4}s speedup {:.2}x (gathered {:.0}/repair)",
+             median inc {repair:.5}s (splice {splice:.5}s) reb {rebuild:.4}s speedup {:.2}x \
+             (gathered {:.0}/repair)",
             kind.label(),
-            inc_secs,
-            splice_secs,
-            reb_secs,
-            reb_secs / inc_secs.max(1e-12),
+            rebuild / repair.max(1e-12),
             gathered as f64 / reps,
         );
         rows.push(LocalitySweepRow {
@@ -496,11 +502,11 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
             mean_rederived_shards: rederived as f64 / reps,
             mean_gathered: gathered as f64 / reps,
             churned_nodes: (deaths.len() + joins.len()) as u64,
-            repeats,
-            incremental_repair_secs: inc_secs,
-            incremental_splice_secs: splice_secs,
-            rebuild_secs: reb_secs,
-            speedup: reb_secs / inc_secs.max(1e-12),
+            repeats: REPEATS as u64,
+            median_repair_secs: repair,
+            median_splice_secs: splice,
+            median_rebuild_secs: rebuild,
+            speedup: rebuild / repair.max(1e-12),
             fingerprint_identical: identical,
             escalations,
         });
@@ -635,10 +641,11 @@ pub fn run_lifetime_bench(quick: bool, seed: u64) -> LifetimeBenchReport {
         }
     }
     LifetimeBenchReport {
-        schema: LIFETIME_SCHEMA,
+        schema: LIFETIME_SCHEMA.into(),
         quick,
         seed,
         threads: crate::pipeline::effective_threads(),
+        host_cpus: crate::pipeline::host_cpus(),
         rows,
         locality_sweep,
         renewal: renewal_rows(derive_seed2(seed, 0xEE, 0)),
@@ -695,14 +702,15 @@ mod tests {
             for row in &rows {
                 assert!(row.fingerprint_identical, "{kind:?}");
                 assert!(row.churned_nodes > 0);
-                assert!(row.incremental_repair_secs > 0.0 && row.rebuild_secs > 0.0);
-                // The splice is a timed sub-step of the repair total.
+                assert!(row.median_repair_secs > 0.0 && row.median_rebuild_secs > 0.0);
+                // The splice is a timed sub-step of every repair, so its
+                // median cannot exceed the repair's.
                 assert!(
-                    row.incremental_splice_secs > 0.0
-                        && row.incremental_splice_secs <= row.incremental_repair_secs,
-                    "{kind:?}: splice time {} outside repair total {}",
-                    row.incremental_splice_secs,
-                    row.incremental_repair_secs
+                    row.median_splice_secs > 0.0
+                        && row.median_splice_secs <= row.median_repair_secs,
+                    "{kind:?}: median splice {} outside median repair {}",
+                    row.median_splice_secs,
+                    row.median_repair_secs
                 );
                 if !matches!(kind, IncTopology::Knn { .. } | IncTopology::Hng { .. }) {
                     assert_eq!(row.escalations, 0, "{kind:?} must never escalate");

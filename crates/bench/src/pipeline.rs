@@ -14,15 +14,19 @@
 //! * The sharded build runs *first*, then the monolithic one — `VmHWM` is a
 //!   high-water mark, so this order lets the sharded peak be observed
 //!   before the (larger) monolithic allocations raise the mark.
-//! * `threads` records the effective rayon worker count; on a single-core
-//!   host any speedup is purely algorithmic (no global edge sort,
-//!   early-exit emptiness probes, cache-dense shard-local indexes).
+//! * `threads` records the effective rayon worker count and `host_cpus`
+//!   the host's; on a single-core host any speedup is purely algorithmic
+//!   (no global edge sort, early-exit emptiness probes, cache-dense
+//!   shard-local indexes).
+//! * Every build timing (`sharded_secs`, `monolithic_secs`, a scaling
+//!   point's `build_secs`) is the median of [`REPEATS`](crate::REPEATS)
+//!   builds, so the speedups the gate reads are ratios of medians.
 //! * Every row re-samples its deployment from `(seed, topology, n)`, so
 //!   rows are independent and reproducible.
 
 use std::time::Instant;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use wsn_core::params::UdgSensParams;
 use wsn_core::tilegrid::TileGrid;
 use wsn_geom::hash::derive_seed2;
@@ -35,9 +39,13 @@ use wsn_scenario::spec::TopologySpec;
 use wsn_simnet::{distributed_build_udg, ShardAccounting};
 use wsn_spatial::GridIndex;
 
+use crate::median_timed;
+
 /// Schema tag of `BENCH_pipeline.json`. `/2` added the `thread_scaling`
-/// section and `host_cpus`; the gate names this version in its diagnostics.
-pub const PIPELINE_SCHEMA: &str = "wsn-bench-pipeline/2";
+/// section and `host_cpus`; `/3` made every build timing a median of
+/// [`REPEATS`](crate::REPEATS) builds. The gate names this version in its
+/// diagnostics.
+pub const PIPELINE_SCHEMA: &str = "wsn-bench-pipeline/3";
 
 /// Shard side (in topology tiles) used by every benchmarked sharded build.
 const SHARD_TILES: usize = 16;
@@ -46,7 +54,7 @@ const SHARD_TILES: usize = 16;
 pub const THREAD_LADDER: &[usize] = &[1, 2, 4, 8];
 
 /// One topology × size measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct BenchRow {
     pub topology: String,
     /// Expected node count (the Poisson intensity × window area).
@@ -58,14 +66,16 @@ pub struct BenchRow {
     pub side: f64,
     pub shard_tiles: usize,
     pub shards: usize,
-    /// Phase timings of the benchmarked path, seconds.
+    /// Phase timings of the benchmarked path, seconds (single runs).
     pub deploy_secs: f64,
     /// Building the shared gather index (the halo-exchange substrate).
     pub gather_index_secs: f64,
+    /// Median build seconds of the sharded path and the monolithic oracle.
     pub sharded_secs: f64,
     pub monolithic_secs: f64,
     /// Verifying the stitched CSR equals the monolithic one.
     pub verify_secs: f64,
+    /// `monolithic_secs / sharded_secs`.
     pub speedup: f64,
     pub sharded_nodes_per_sec: f64,
     pub monolithic_nodes_per_sec: f64,
@@ -77,7 +87,7 @@ pub struct BenchRow {
 }
 
 /// Per-shard message accounting of one distributed Fig. 7 build.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DistributedRow {
     pub nodes: u64,
     pub rounds: u64,
@@ -88,13 +98,14 @@ pub struct DistributedRow {
 
 /// One point of the thread-scaling curve: the Morton-ordered sharded build
 /// of one topology × size, run with `RAYON_NUM_THREADS` pinned to `threads`.
-#[derive(Clone, Debug, Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ThreadScalingRow {
     pub topology: String,
     pub n_target: u64,
     pub nodes: u64,
     /// The pinned worker count for this point (not the host's).
     pub threads: usize,
+    /// Median build seconds at this thread count.
     pub build_secs: f64,
     pub nodes_per_sec: f64,
     /// `threads = 1` wall-clock over this point's wall-clock.
@@ -107,9 +118,9 @@ pub struct ThreadScalingRow {
 }
 
 /// The whole `BENCH_pipeline.json` document.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BenchReport {
-    pub schema: &'static str,
+    pub schema: String,
     pub quick: bool,
     pub seed: u64,
     /// Effective rayon worker count (`RAYON_NUM_THREADS` or the host's
@@ -263,14 +274,12 @@ fn bench_cell(cell: &Cell, n: u64, seed: u64) -> BenchRow {
     drop(gather);
 
     // Sharded first (see module docs for the VmHWM rationale).
-    let t = Instant::now();
-    let sharded = build_topology(cell.kind, &points, grid.clone(), SHARDED, seed);
-    let sharded_secs = t.elapsed().as_secs_f64();
+    let (sharded, sharded_secs) =
+        median_timed(|| build_topology(cell.kind, &points, grid.clone(), SHARDED, seed));
     let rss_after_sharded_kb = proc_status_kb("VmRSS");
 
-    let t = Instant::now();
-    let mono = build_topology(cell.kind, &points, grid.clone(), Exec::Serial, seed);
-    let monolithic_secs = t.elapsed().as_secs_f64();
+    let (mono, monolithic_secs) =
+        median_timed(|| build_topology(cell.kind, &points, grid.clone(), Exec::Serial, seed));
     let rss_after_monolithic_kb = proc_status_kb("VmRSS");
 
     let t = Instant::now();
@@ -368,9 +377,7 @@ pub fn run_thread_scaling(sizes: &[u64], seed: u64) -> Vec<ThreadScalingRow> {
             for &threads in THREAD_LADDER {
                 eprintln!("bench: thread-scaling {label} n={n} threads={threads} ...");
                 let (graph, secs) = with_thread_count(threads, || {
-                    let t = Instant::now();
-                    let g = build_topology(kind, &points, None, SHARDED, row_seed);
-                    (g, t.elapsed().as_secs_f64())
+                    median_timed(|| build_topology(kind, &points, None, SHARDED, row_seed))
                 });
                 let edge_identical = match &serial_graph {
                     None => {
@@ -444,7 +451,7 @@ pub fn run_pipeline_bench(quick: bool, seed: u64) -> BenchReport {
     let scaling_sizes: &[u64] = if quick { &[10_000] } else { &[10_000, 100_000] };
     let thread_scaling = run_thread_scaling(scaling_sizes, seed);
     BenchReport {
-        schema: PIPELINE_SCHEMA,
+        schema: PIPELINE_SCHEMA.into(),
         quick,
         seed,
         threads: effective_threads(),
@@ -469,7 +476,7 @@ mod tests {
             rows.push(bench_cell(cell, 2_000, derive_seed2(7, ci as u64, 0)));
         }
         let report = BenchReport {
-            schema: PIPELINE_SCHEMA,
+            schema: PIPELINE_SCHEMA.into(),
             quick: true,
             seed: 7,
             threads: effective_threads(),
@@ -500,7 +507,7 @@ mod tests {
             }
         }
         let json = serde_json::to_string_pretty(&report).unwrap();
-        assert!(json.contains("\"schema\": \"wsn-bench-pipeline/2\""));
+        assert!(json.contains("\"schema\": \"wsn-bench-pipeline/3\""));
         assert!(json.contains("thread_scaling"));
         assert!(json.contains("msgs_per_shard"));
     }

@@ -5,7 +5,9 @@
 //! serve schedule — 10% per-epoch clustered churn with reserve joins,
 //! queries mixing routes, k-NN, coverage and membership — once per reader
 //! count in [`READER_COUNTS`], and records sustained qps, latency
-//! percentiles (p50/p99) and the route-cache hit rate of each row.
+//! percentiles (p50/p99) and the route-cache hit rate of each row. Each row
+//! runs the schedule [`REPEATS`] times and records the median-wall-clock
+//! run, so the gate can compare reader counts of one bench run.
 //!
 //! Two correctness witnesses ride along with every row:
 //!
@@ -18,12 +20,10 @@
 //!
 //! On a single-core host the reader rows measure oversubscription, not
 //! parallel speedup — the value of the sweep is the identity column (more
-//! threads must change *nothing* but the wall clock) plus the qps floor
-//! the CI gate holds.
+//! threads must change *nothing* but the wall clock) plus the reader-ratio
+//! floor the CI gate holds.
 
-use std::time::Instant;
-
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use wsn_geom::hash::derive_seed2;
 use wsn_geom::Aabb;
 use wsn_pointproc::{rng_from_seed, sample_poisson_window, PointSet};
@@ -31,9 +31,12 @@ use wsn_rgg::IncTopology;
 use wsn_simnet::churn::{ChurnConfig, ChurnModel};
 use wsn_simnet::{run_replay, run_serve, ServeConfig, ServeReport};
 
+use crate::{median_by, REPEATS};
+
 /// Schema tag of `BENCH_serve.json`; the gate names this version in its
-/// diagnostics.
-pub const SERVE_SCHEMA: &str = "wsn-bench-serve/1";
+/// diagnostics. `/2` made each row the median of [`REPEATS`] runs and added
+/// `threads` and `host_cpus`.
+pub const SERVE_SCHEMA: &str = "wsn-bench-serve/2";
 
 /// Per-epoch expected kill fraction (the acceptance regime: 10% clustered
 /// churn, matching `bench-lifetime`).
@@ -70,7 +73,7 @@ const HOT_ROUTES: usize = 4;
 const CACHE_CAPACITY: usize = 512;
 
 /// One topology × size × reader-count measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ServeBenchRow {
     pub topology: String,
     /// Expected node count (Poisson intensity × window area).
@@ -87,7 +90,7 @@ pub struct ServeBenchRow {
     pub queries: u64,
     /// Queries that saw an empty alive population (must be 0).
     pub errors: u64,
-    /// Wall-clock of the run (epoch repairs + concurrent readers).
+    /// Wall-clock of the median run (epoch repairs + concurrent readers).
     pub wall_secs: f64,
     /// Sustained queries per second over that wall clock.
     pub qps: f64,
@@ -108,11 +111,15 @@ pub struct ServeBenchRow {
 }
 
 /// The whole `BENCH_serve.json` document.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServeBenchReport {
-    pub schema: &'static str,
+    pub schema: String,
     pub quick: bool,
     pub seed: u64,
+    /// Effective rayon worker count.
+    pub threads: usize,
+    /// Physical parallelism of the recording host.
+    pub host_cpus: usize,
     pub rows: Vec<ServeBenchRow>,
 }
 
@@ -203,18 +210,19 @@ fn sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<ServeBenchRow> {
     let mut rows = Vec::new();
     for readers in READER_COUNTS {
         let cfg = serve_config(readers, seed);
-        let t0 = Instant::now();
-        let report = run_serve(&points, &alive, kind, &cfg);
-        let total = t0.elapsed().as_secs_f64();
-        let row = row_from(kind, n, &report, &oracle, nodes);
+        let runs: Vec<ServeReport> = (0..REPEATS)
+            .map(|_| run_serve(&points, &alive, kind, &cfg))
+            .collect();
         assert!(
-            row.identical,
+            runs.iter().all(|r| answers_identical(r, &oracle)),
             "{}: serve with {readers} reader(s) diverged from the replay oracle",
             kind.label()
         );
+        let report = median_by(runs, |r| r.wall_secs);
+        let row = row_from(kind, n, &report, &oracle, nodes);
         eprintln!(
-            "bench-serve: {} n={nodes} readers={readers} qps {:.0} \
-             p50 {:.1}us p99 {:.1}us cache {:.1}% (run total {total:.3}s)",
+            "bench-serve: {} n={nodes} readers={readers} median qps {:.0} \
+             p50 {:.1}us p99 {:.1}us cache {:.1}%",
             kind.label(),
             row.qps,
             row.p50_us,
@@ -242,9 +250,11 @@ pub fn run_serve_bench(quick: bool, seed: u64) -> ServeBenchReport {
         }
     }
     ServeBenchReport {
-        schema: SERVE_SCHEMA,
+        schema: SERVE_SCHEMA.into(),
         quick,
         seed,
+        threads: crate::pipeline::effective_threads(),
+        host_cpus: crate::pipeline::host_cpus(),
         rows,
     }
 }

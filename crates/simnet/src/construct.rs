@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use wsn_core::params::{UdgGeometryMode, UdgSensParams};
 use wsn_core::subgraph::{relay_bit, SensNetwork, ROLE_REP};
 use wsn_core::tilegrid::{TileAssignment, TileGrid};
@@ -239,7 +239,7 @@ pub fn distributed_build_udg(
 /// neighbour in a different shard — are counted separately: their messages
 /// are the ones a sharded deployment would exchange across the halo. A
 /// single whole-grid shard therefore has zero border messages.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ShardAccounting {
     /// Shard grid dimensions (cols × rows).
     pub shards: usize,
