@@ -3,9 +3,9 @@
 //! Every adjacency structure in this crate is assembled here. The dense
 //! [`Csr`](crate::Csr) constructors ([`Csr::from_runs`](crate::Csr::from_runs),
 //! `from_canonical_edges`, `from_edge_list`, [`crate::perm::remap_csr`]) and
-//! the slack-padded [`ChunkedCsr::build`](crate::ChunkedCsr::build) arena
-//! differ only in how rows are grouped into *blocks* and how much arena each
-//! block reserves.
+//! [`ChunkedCsr::build`](crate::ChunkedCsr::build) differ only in how rows
+//! are grouped into *blocks* and where a block's rows live: dense blocks
+//! are consecutive ids sharing one arena, chunks own one buffer each.
 //!
 //! The input is a list of edge *runs*, typically one per construction
 //! shard, each holding the edges that shard derived from its local view. An
@@ -17,21 +17,25 @@
 //!
 //! Two passes, both on the worker pool:
 //!
-//! 1. **Bucket**, one worker per group of runs: each edge is mapped and
-//!    checked, and its two directed half-edges are appended to the buckets
-//!    of the blocks owning their rows. A first walk over the group sizes
-//!    every bucket exactly, so none reallocates, and owned runs are freed
-//!    as soon as their group is done.
-//! 2. **Scatter**, one worker per block: count each row's half-edges,
-//!    prefix-sum, scatter into the block's disjoint slice of the arena,
-//!    then sort each row and fold equal neighbours into one entry with a
-//!    multiplicity.
+//! 1. **Bucket** ([`bucket`]), one worker per group of runs: each edge is
+//!    mapped and checked, and its two directed half-edges are counting-
+//!    sorted into one array per group, ordered by the block owning their
+//!    row. A first walk sizes the array exactly, and owned runs are freed
+//!    as soon as their group is done. [`ChunkedCsr::splice`] buckets its
+//!    delta with the same pass.
+//! 2. **Scatter** ([`scatter_block`]), one worker per block: count each
+//!    row's half-edges, prefix-sum, scatter into the block's rows (a slice
+//!    of the dense arena, or the chunk's own buffer), then sort each row
+//!    and fold equal neighbours into one entry with a multiplicity.
 //!
-//! This is the crate's only counting scatter. Rows come out strictly
-//! ascending whatever order the runs arrive in, so the result is the same
-//! at any thread count.
+//! Rows come out strictly ascending whatever order the runs arrive in, so
+//! the result is the same at any thread count.
+//!
+//! [`ChunkedCsr::splice`]: crate::ChunkedCsr::splice
 
 use rayon::prelude::*;
+
+use crate::chunked::Row;
 
 /// How often a builder may emit one undirected edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,27 +50,25 @@ pub enum Emitted {
 }
 
 /// Runs are grouped so the bucket pass allocates at most this many bucket
-/// sets, however many (small) runs a caller hands in.
+/// arrays, however many (small) runs a caller hands in.
 const GROUPS: usize = 64;
 
 /// Long slices are cut into sub-runs of this many edges, so a single big
 /// run still spreads over the pool.
 const RUN_SPLIT: usize = 1 << 15;
 
-/// How rows are grouped into blocks. A block's rows occupy a contiguous
-/// range of *positions*; the arena holds the blocks' rows in position
-/// order.
+/// How rows are grouped into blocks.
 pub(crate) enum Blocks<'a> {
     /// Rows `0..n` in consecutive-id blocks of `1 << shift` rows; a row's
-    /// position is its id.
+    /// position is its id. The blocks' rows share one arena.
     Dense { n: usize, shift: u32 },
-    /// Rows grouped by chunk. `nodes[nodes_off[c]..nodes_off[c + 1]]` are
-    /// chunk `c`'s rows ascending, and `slot_of[u]` is `u`'s index there.
+    /// Rows grouped by chunk. `rows[u]` names `u`'s chunk and `slot[u]`
+    /// its index there, and `nodes[c]` are chunk `c`'s rows ascending.
+    /// Each chunk keeps its own buffers.
     Chunks {
-        chunk_of: &'a [u32],
-        slot_of: &'a [u32],
-        nodes_off: &'a [u32],
-        nodes: &'a [u32],
+        rows: &'a [Row],
+        slot: &'a [u32],
+        nodes: &'a [Vec<u32>],
     },
 }
 
@@ -84,14 +86,14 @@ impl Blocks<'_> {
     fn n(&self) -> usize {
         match *self {
             Blocks::Dense { n, .. } => n,
-            Blocks::Chunks { chunk_of, .. } => chunk_of.len(),
+            Blocks::Chunks { rows, .. } => rows.len(),
         }
     }
 
     fn count(&self) -> usize {
         match *self {
             Blocks::Dense { n, shift } => n.div_ceil(1 << shift),
-            Blocks::Chunks { nodes_off, .. } => nodes_off.len() - 1,
+            Blocks::Chunks { nodes, .. } => nodes.len(),
         }
     }
 
@@ -100,9 +102,9 @@ impl Blocks<'_> {
     fn locate(&self, u: u32) -> (usize, u32) {
         match *self {
             Blocks::Dense { shift, .. } => ((u >> shift) as usize, u & ((1 << shift) - 1)),
-            Blocks::Chunks {
-                chunk_of, slot_of, ..
-            } => (chunk_of[u as usize] as usize, slot_of[u as usize]),
+            Blocks::Chunks { rows, slot, .. } => {
+                (rows[u as usize].chunk as usize, slot[u as usize])
+            }
         }
     }
 
@@ -110,7 +112,7 @@ impl Blocks<'_> {
     fn rows(&self, b: usize) -> usize {
         match *self {
             Blocks::Dense { n, shift } => ((b + 1) << shift).min(n) - (b << shift),
-            Blocks::Chunks { nodes_off, .. } => (nodes_off[b + 1] - nodes_off[b]) as usize,
+            Blocks::Chunks { nodes, .. } => nodes[b].len(),
         }
     }
 
@@ -118,125 +120,123 @@ impl Blocks<'_> {
     fn row_id(&self, b: usize, slot: usize) -> usize {
         match *self {
             Blocks::Dense { shift, .. } => (b << shift) + slot,
-            Blocks::Chunks {
-                nodes_off, nodes, ..
-            } => nodes[nodes_off[b] as usize + slot] as usize,
+            Blocks::Chunks { nodes, .. } => nodes[b][slot] as usize,
         }
     }
 }
 
-/// An assembled arena. Block `b` reserves `cap[b]` entries from `base[b]`
-/// and holds its folded rows, in position order, in the first `len[b]`.
-pub(crate) struct Assembly {
-    pub(crate) targets: Vec<u32>,
-    /// Per-entry multiplicities (empty unless requested).
-    pub(crate) mult: Vec<u8>,
-    /// Distinct neighbours per row, by position.
-    pub(crate) deg: Vec<u32>,
-    pub(crate) base: Vec<u32>,
-    pub(crate) cap: Vec<u32>,
-    pub(crate) len: Vec<u32>,
+/// One run group's per-block offsets and its half-edges ordered by block.
+type Group = (Vec<u32>, Vec<(u32, u32)>);
+
+/// Half-edges `(slot, neighbour)` bucketed by block, one [`Group`] per run
+/// group.
+pub(crate) struct Buckets {
+    groups: Vec<Group>,
 }
 
-/// One block's bucketed half-edges: `(slot, neighbour)`, one list per run
-/// group that reached the block.
-type Bucket = Vec<Vec<(u32, u32)>>;
+impl Buckets {
+    /// Block `b`'s half-edges, one slice per run group.
+    pub(crate) fn block(&self, b: usize) -> impl Iterator<Item = &[(u32, u32)]> + Clone {
+        self.groups
+            .iter()
+            .map(move |(off, halves)| &halves[off[b] as usize..off[b + 1] as usize])
+    }
 
-/// Assemble `runs` into rows grouped by `blocks`.
-///
-/// Every edge `(u, v)` of every run becomes the half-edges `map[u] → map[v]`
-/// and `map[v] → map[u]` (no map: the ids themselves). `region_cap` sizes a
-/// block's arena region from its half-edge count before folding;
-/// `keep_mult` keeps the per-entry multiplicities.
+    /// Number of half-edges in block `b`.
+    pub(crate) fn len(&self, b: usize) -> usize {
+        self.block(b).map(<[_]>::len).sum()
+    }
+}
+
+/// Bucket pass: every edge `(u, v)` of every run becomes the half-edges
+/// `map[u] → map[v]` and `map[v] → map[u]` (no map: the ids themselves),
+/// bucketed by the block owning each half-edge's row. Contiguous groups of
+/// runs run on the worker pool; each group counts its half-edges per block
+/// first, so its array is sized exactly, and owned runs are freed as soon
+/// as their group is done.
 ///
 /// Panics, in release builds too, on an endpoint out of range or a
 /// self-loop, naming the pair as the run gave it.
-pub(crate) fn assemble<R>(
-    runs: Vec<R>,
-    map: Option<&[u32]>,
-    blocks: &Blocks,
-    emitted: Emitted,
-    region_cap: impl Fn(u32) -> u32,
-    keep_mult: bool,
-) -> Assembly
+pub(crate) fn bucket<R>(runs: Vec<R>, map: Option<&[u32]>, blocks: &Blocks) -> Buckets
 where
     R: AsRef<[(u32, u32)]> + Send,
 {
-    let n = blocks.n();
     if let Some(map) = map {
-        assert_eq!(map.len(), n, "map must cover every node");
+        assert_eq!(map.len(), blocks.n(), "map must cover every node");
     }
     let n_blocks = blocks.count();
-    // Bucket pass: contiguous groups of runs, one bucket set per group,
-    // each bucket sized exactly by a first walk (growing them by doubling
-    // would leave the outgrown copies resident).
     let per_group = runs.len().div_ceil(GROUPS).max(1);
     let mut groups: Vec<Vec<R>> = Vec::new();
     let mut runs = runs.into_iter().peekable();
     while runs.peek().is_some() {
         groups.push(runs.by_ref().take(per_group).collect());
     }
-    let bucketed: Vec<Vec<Vec<(u32, u32)>>> = groups
+    let groups = groups
         .into_par_iter()
         .map(|group| {
-            let mut count = vec![0usize; n_blocks];
-            for_each_half_edge(&group, map, blocks, |b, _| count[b] += 1);
-            let mut buckets: Vec<Vec<(u32, u32)>> =
-                count.into_iter().map(Vec::with_capacity).collect();
-            for_each_half_edge(&group, map, blocks, |b, h| buckets[b].push(h));
-            buckets
+            let mut off = vec![0u32; n_blocks + 1];
+            for_each_half_edge(&group, map, blocks, |b, _| off[b + 1] += 1);
+            for b in 0..n_blocks {
+                off[b + 1] += off[b];
+            }
+            let mut halves = vec![(0u32, 0u32); off[n_blocks] as usize];
+            let mut cursor = off[..n_blocks].to_vec();
+            for_each_half_edge(&group, map, blocks, |b, h| {
+                halves[cursor[b] as usize] = h;
+                cursor[b] += 1;
+            });
+            (off, halves)
         })
         .collect();
-    let mut by_block: Vec<Bucket> = (0..n_blocks).map(|_| Vec::new()).collect();
-    for buckets in bucketed {
-        for (b, bucket) in buckets.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                by_block[b].push(bucket);
-            }
-        }
-    }
+    Buckets { groups }
+}
 
-    // Arena layout from the pre-fold half-edge counts.
-    let mut base = Vec::with_capacity(n_blocks);
-    let mut cap = Vec::with_capacity(n_blocks);
-    let mut total = 0u32;
-    for lists in &by_block {
-        let len: usize = lists.iter().map(Vec::len).sum();
-        let c = region_cap(u32::try_from(len).expect("half-edge count fits u32"));
-        base.push(total);
-        cap.push(c);
-        total = total.checked_add(c).expect("arena offset fits u32");
-    }
-    let mut targets = vec![0u32; total as usize];
-    let mut mult = vec![0u8; if keep_mult { total as usize } else { 0 }];
+/// Assemble `runs` into dense rows `0..n`: the bucket pass, then one
+/// counting scatter per block into the block's slice of one arena. Returns
+/// the arena, its rows back to back in id order, and each row's length.
+pub(crate) fn dense<R>(
+    n: usize,
+    runs: Vec<R>,
+    map: Option<&[u32]>,
+    emitted: Emitted,
+) -> (Vec<u32>, Vec<u32>)
+where
+    R: AsRef<[(u32, u32)]> + Send,
+{
+    let blocks = Blocks::dense(n);
+    let buckets = bucket(runs, map, &blocks);
+    let cap: Vec<usize> = (0..blocks.count()).map(|b| buckets.len(b)).collect();
+    let mut targets = vec![0u32; cap.iter().sum()];
     let mut deg = vec![0u32; n];
-
-    // Scatter pass: each block owns disjoint slices of the arena and of the
-    // per-position degrees.
-    let mut work = Vec::with_capacity(n_blocks);
-    let (mut t_rest, mut m_rest, mut d_rest) = (&mut targets[..], &mut mult[..], &mut deg[..]);
-    for (b, lists) in by_block.into_iter().enumerate() {
-        let c = cap[b] as usize;
+    // Each block owns disjoint slices of the arena and of the degrees.
+    let mut work = Vec::with_capacity(cap.len());
+    let (mut t_rest, mut d_rest) = (&mut targets[..], &mut deg[..]);
+    for (b, &c) in cap.iter().enumerate() {
         let (t, tail) = std::mem::take(&mut t_rest).split_at_mut(c);
         t_rest = tail;
-        let (m, tail) = std::mem::take(&mut m_rest).split_at_mut(if keep_mult { c } else { 0 });
-        m_rest = tail;
         let (d, tail) = std::mem::take(&mut d_rest).split_at_mut(blocks.rows(b));
         d_rest = tail;
-        work.push((b, lists, t, m, d));
+        work.push((b, t, d));
     }
-    let len: Vec<u32> = work
+    let len: Vec<usize> = work
         .into_par_iter()
-        .map(|(b, lists, t, m, d)| scatter_block(blocks, b, lists, t, m, d, emitted))
+        .map(|(b, t, d)| scatter_block(&blocks, b, buckets.block(b), t, &mut [], d, emitted))
         .collect();
-    Assembly {
-        targets,
-        mult,
-        deg,
-        base,
-        cap,
-        len,
+    drop(buckets);
+    // Close the gaps folding left between blocks.
+    let (mut base, mut w) = (0usize, 0usize);
+    for (&c, &l) in cap.iter().zip(&len) {
+        if base != w {
+            targets.copy_within(base..base + l, w);
+        }
+        base += c;
+        w += l;
     }
+    if w < targets.len() {
+        targets.truncate(w);
+        targets.shrink_to_fit();
+    }
+    (targets, deg)
 }
 
 /// Visit both half-edges of every edge in `group` as `(block, (slot,
@@ -262,44 +262,48 @@ fn for_each_half_edge<R: AsRef<[(u32, u32)]>>(
     }
 }
 
-/// Count, prefix-sum and scatter block `b`'s half-edges into `targets`,
-/// then sort each row and fold repeats in place. Writes each row's distinct
-/// neighbour count to `deg` (and multiplicities to `mult` unless it is
-/// empty); returns the block's folded length.
-fn scatter_block(
+/// Count, prefix-sum and scatter block `b`'s half-edges `lists` into
+/// `targets`, then sort each row and fold repeats in place. Writes each
+/// row's distinct neighbour count to `deg` (and multiplicities to `mult`
+/// unless it is empty); returns the block's folded length.
+///
+/// A chunk's row starts with a header entry holding its length (see
+/// [`crate::chunked`]), so chunk `targets` hold the half-edges plus one
+/// entry per row; dense rows have no header.
+pub(crate) fn scatter_block<'l>(
     blocks: &Blocks,
     b: usize,
-    lists: Bucket,
+    lists: impl Iterator<Item = &'l [(u32, u32)]> + Clone,
     targets: &mut [u32],
     mult: &mut [u8],
     deg: &mut [u32],
     emitted: Emitted,
-) -> u32 {
+) -> usize {
+    let head = usize::from(matches!(blocks, Blocks::Chunks { .. }));
     let rows = deg.len();
     let mut off = vec![0u32; rows + 1];
-    for list in &lists {
-        for &(s, _) in list {
-            off[s as usize + 1] += 1;
-        }
+    for &(s, _) in lists.clone().flatten() {
+        off[s as usize + 1] += 1;
     }
     for s in 0..rows {
-        off[s + 1] += off[s];
+        off[s + 1] += off[s] + head as u32;
     }
     // `deg` doubles as the scatter cursor until the fold overwrites it.
-    deg.copy_from_slice(&off[..rows]);
-    for list in lists {
-        for (s, v) in list {
-            targets[deg[s as usize] as usize] = v;
-            deg[s as usize] += 1;
-        }
+    for s in 0..rows {
+        deg[s] = off[s] + head as u32;
+    }
+    for &(s, v) in lists.flatten() {
+        targets[deg[s as usize] as usize] = v;
+        deg[s as usize] += 1;
     }
     // The write cursor never passes the row being read, so the fold
     // compacts the block in place.
     let mut w = 0usize;
     for s in 0..rows {
-        let (lo, hi) = (off[s] as usize, off[s + 1] as usize);
+        let (lo, hi) = (off[s] as usize + head, off[s + 1] as usize);
         targets[lo..hi].sort_unstable();
         let row_start = w;
+        w += head;
         let mut i = lo;
         while i < hi {
             let v = targets[i];
@@ -320,9 +324,12 @@ fn scatter_block(
             w += 1;
             i = j;
         }
-        deg[s] = (w - row_start) as u32;
+        deg[s] = (w - row_start - head) as u32;
+        if head == 1 {
+            targets[row_start] = deg[s];
+        }
     }
-    w as u32
+    w
 }
 
 /// Slice runs into sub-runs of at most [`RUN_SPLIT`] edges.

@@ -119,11 +119,12 @@ pub fn connected_components<G: GraphView + ?Sized>(g: &G) -> Components {
     let giant = (0..n as u32).max_by_key(|&r| sizes[r as usize]);
     if let Some(giant) = giant {
         for u in 0..n as u32 {
-            let nbrs = g.neighbors(u);
-            if nbrs.len() <= SAMPLED || find(&mut parent, u) == find(&mut parent, giant) {
+            // Membership first: it reads `parent` only, while a chunked
+            // graph keeps each row's length in the row itself.
+            if find(&mut parent, u) == find(&mut parent, giant) {
                 continue;
             }
-            for &v in &nbrs[SAMPLED..] {
+            for &v in g.neighbors(u).iter().skip(SAMPLED) {
                 link(&mut parent, u, v);
             }
         }

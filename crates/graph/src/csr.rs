@@ -1,6 +1,6 @@
 //! CSR (compressed sparse row) adjacency.
 
-use crate::assemble::{assemble, split_runs, Assembly, Blocks, Emitted};
+use crate::assemble::{self, split_runs, Emitted};
 use crate::builder::EdgeList;
 
 /// An undirected graph in CSR form: `targets[offsets[u]..offsets[u + 1]]`
@@ -22,26 +22,7 @@ impl Csr {
     where
         R: AsRef<[(u32, u32)]> + Send,
     {
-        let Assembly {
-            mut targets,
-            deg,
-            base,
-            len,
-            ..
-        } = assemble(runs, map, &Blocks::dense(n), emitted, |l| l, false);
-        // Close the gaps folding left between blocks.
-        let mut w = 0usize;
-        for (&b, &l) in base.iter().zip(&len) {
-            let (b, l) = (b as usize, l as usize);
-            if b != w {
-                targets.copy_within(b..b + l, w);
-            }
-            w += l;
-        }
-        if w < targets.len() {
-            targets.truncate(w);
-            targets.shrink_to_fit();
-        }
+        let (targets, deg) = assemble::dense(n, runs, map, emitted);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         let mut acc = 0u32;

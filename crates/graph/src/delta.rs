@@ -15,13 +15,16 @@
 //!   compacted survivor set back into the stable universe id space so it
 //!   can be compared byte-for-byte against the incrementally maintained
 //!   CSR.
-//! * [`fingerprint`] — an order-sensitive 64-bit hash of the CSR arrays; a
-//!   cheap cross-run witness that two maintenance strategies walked through
+//! * [`fingerprint`] — a layout-blind 64-bit hash of the per-node
+//!   neighbour lists, summed over nodes on the worker pool; a cheap
+//!   cross-run witness that two maintenance strategies walked through
 //!   identical topologies.
 
 use crate::csr::Csr;
 use crate::view::GraphView;
+use rayon::prelude::*;
 use std::fmt;
+use std::num::Wrapping;
 use wsn_geom::hash::mix64;
 
 /// A strict-monotonicity violation in an id map: `prev` at `index - 1` is
@@ -297,23 +300,44 @@ pub fn relabel(g: &Csr, map: &[u32], n_universe: usize) -> Csr {
     Csr::from_sorted_parts(offsets, targets)
 }
 
-/// Order-sensitive 64-bit fingerprint of the adjacency structure.
+/// Nodes per block of [`fingerprint`]'s fan-out.
+const FINGERPRINT_BLOCK: usize = 1 << 12;
+
+/// Layout-blind 64-bit fingerprint of the adjacency structure.
 ///
 /// Two graphs have equal fingerprints iff (up to hash collision) they have
-/// identical per-node neighbour lists — the same property `Csr::eq` checks,
-/// but transportable across processes (the lifetime bench uses it to prove
-/// the incremental and rebuild-per-epoch runs traversed identical
-/// topologies). Generic over [`GraphView`], and deliberately blind to
-/// layout: a chunked CSR and the dense CSR of the same graph hash equal.
-pub fn fingerprint<G: GraphView + ?Sized>(g: &G) -> u64 {
-    let mut h = 0xA076_1D64_78BD_642Fu64 ^ (g.n() as u64);
-    for u in 0..g.n() as u32 {
-        h = mix64(h ^ (g.degree(u) as u64).wrapping_add(0x9E37_79B9_7F4A_7C15));
-        for &v in g.neighbors(u) {
-            h = mix64(h ^ v as u64);
+/// the same node count and identical per-node neighbour lists — the
+/// property `Csr::eq` checks, but transportable across processes (the
+/// lifetime bench uses it to prove the incremental and rebuild-per-epoch
+/// runs traversed identical topologies).
+///
+/// Each node hashes its id, degree and sorted neighbour list: one
+/// multiply-rotate step per neighbour, then one full [`mix64`]. The
+/// fingerprint is the wrapping sum of the node hashes, mixed with `n`.
+/// Addition commutes, so node blocks hash on the worker pool and the value
+/// is the same at any thread count. Generic over [`GraphView`], so a
+/// chunked CSR and the dense CSR of the same graph hash equal.
+pub fn fingerprint<G: GraphView + Sync + ?Sized>(g: &G) -> u64 {
+    let n = g.n();
+    let node = |u: u32| {
+        let ns = g.neighbors(u);
+        let mut h = ((u64::from(u) << 32) | ns.len() as u64) ^ 0xE703_7ED1_A0B4_28DB;
+        for &v in ns {
+            h = (h ^ u64::from(v))
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(27);
         }
-    }
-    h
+        Wrapping(mix64(h))
+    };
+    let sum: Wrapping<u64> = (0..n)
+        .step_by(FINGERPRINT_BLOCK)
+        .into_par_iter()
+        .map(|lo| {
+            let block = lo as u32..(lo + FINGERPRINT_BLOCK).min(n) as u32;
+            block.map(&node).sum::<Wrapping<u64>>()
+        })
+        .sum();
+    mix64(sum.0 ^ mix64(n as u64 ^ 0xA076_1D64_78BD_642F))
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //!   edge runs, optionally id-mapped, bucketed and scattered into sorted
 //!   rows on the worker pool.
 //! * [`csr`] — the [`Csr`] structure and its [`builder::EdgeList`] builder.
-//! * [`chunked`] — the [`ChunkedCsr`]: per-shard adjacency chunks with
-//!   slack pages, spliced in place in O(dirty) per churned epoch.
+//! * [`chunked`] — the [`ChunkedCsr`]: per-shard adjacency chunks, each
+//!   owning its rows' buffer, spliced on the worker pool in O(dirty) per
+//!   churned epoch.
 //! * [`view`] — the [`GraphView`] trait and [`CsrView`] enum unifying the
 //!   dense and chunked representations for read-side consumers.
 //! * [`builder`] — edge-list accumulation and deduplication.

@@ -1,11 +1,12 @@
 //! Read-only graph views: one trait over every CSR representation.
 //!
 //! The incremental churn engine maintains a [`ChunkedCsr`] (per-shard
-//! chunks with slack, spliced in place), while cold builders and the
-//! rebuild baseline produce a dense [`Csr`]. Every read-side consumer —
-//! BFS routing, connected components, fingerprints, the metric suites —
-//! only needs `n`, `degree` and sorted `neighbors`, so they are written
-//! against [`GraphView`] and accept either representation unchanged.
+//! chunks, each owning its rows' buffer, spliced on the worker pool),
+//! while cold builders and the rebuild baseline produce a dense [`Csr`].
+//! Every read-side consumer — BFS routing, connected components,
+//! fingerprints, the metric suites — only needs `n`, `degree` and sorted
+//! `neighbors`, so they are written against [`GraphView`] and accept
+//! either representation unchanged.
 
 use crate::chunked::ChunkedCsr;
 use crate::csr::Csr;

@@ -187,8 +187,6 @@ pub struct RepairStats {
     pub splice_secs: f64,
     /// Chunks the splice rewrote (owner chunks of the delta's endpoints).
     pub spliced_chunks: usize,
-    /// Chunks the splice relocated after outgrowing their slack.
-    pub splice_relocations: usize,
 }
 
 /// A churn-maintained topology over a fixed universe of points.
@@ -318,7 +316,7 @@ impl IncrementalGraph {
         let all: Vec<usize> = (0..g.grid.shard_count()).collect();
         g.rederive_shards(&all);
         // One chunk per shard: each node's adjacency lives in its owner
-        // shard's arena region, so a shard repair splices one chunk. The
+        // shard's chunk, so a shard repair splices one chunk. The
         // build folds cross-shard duplicate emissions (k-NN, Yao) into
         // per-entry multiplicities — no global dedup sort, here or later.
         let chunk_of: Vec<u32> = g.points.iter().map(|p| g.grid.owner_of(p) as u32).collect();
@@ -509,7 +507,6 @@ impl IncrementalGraph {
         stats.splice_secs = splice_start.elapsed().as_secs_f64();
         stats.affected_owners = splice.nodes_touched;
         stats.spliced_chunks = splice.chunks_touched;
-        stats.splice_relocations = splice.relocations;
         stats
     }
 

@@ -905,9 +905,9 @@ pub fn simulate_lifetime_plain(
         }
 
         // ---- 5. epoch metrics on the repaired graph -------------------
-        // The components pass runs beside the fingerprint walk (serial by
-        // definition, and the longer of the two), so the metrics cost
-        // about one fingerprint instead of their sum.
+        // The components pass runs beside the fingerprint (a sum over
+        // node blocks on the pool, and the shorter of the two), so the
+        // metrics cost about one components pass instead of their sum.
         let n_alive = maint.alive().iter().filter(|&&a| a).count();
         let graph = maint.graph();
         let (giant, graph_hash) =

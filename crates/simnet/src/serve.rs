@@ -190,9 +190,9 @@ pub struct Snapshot {
 impl Snapshot {
     /// Capture the published view of `g` after its epoch repair. The
     /// capture is a clone of the live post-splice graph, so one
-    /// fingerprint walk serves both; that it equals the batch engine's
+    /// fingerprint serves both; that it equals the batch engine's
     /// `graph_hash` channel is pinned by [`fingerprints_match_batch`]. The
-    /// components pass runs beside the fingerprint walk.
+    /// components pass runs beside the fingerprint.
     pub fn capture(epoch: u64, g: &IncrementalGraph) -> Snapshot {
         let csr = g.graph().clone();
         let (comps, fp) = rayon::join(|| connected_components(&csr), || fingerprint(&csr));
