@@ -14,7 +14,8 @@
 //! Every row field is one of two kinds, and each kind is gated one way.
 //!
 //! **Schedule-deterministic fields are gated exactly.** Node and edge
-//! counts, dirty / re-derived / gathered / escalation / churned counts,
+//! counts, the distributed construction's rounds and per-shard message
+//! accounting, dirty / re-derived / gathered / escalation / churned counts,
 //! deaths, joins and survivors, queries, errors and the cache-hit rate,
 //! snapshot counts, the identity flags and the whole renewal section are a
 //! pure function of the seed. A fresh row must equal the baseline row of
@@ -64,7 +65,9 @@ use crate::lifetime::{
     LifetimeBenchReport, LifetimeBenchRow, LocalitySweepRow, RenewalBenchRow, LIFETIME_SCHEMA,
     RENEWAL_POLICIES,
 };
-use crate::pipeline::{BenchReport, BenchRow, ThreadScalingRow, PIPELINE_SCHEMA, THREAD_LADDER};
+use crate::pipeline::{
+    BenchReport, BenchRow, DistributedRow, ThreadScalingRow, PIPELINE_SCHEMA, THREAD_LADDER,
+};
 use crate::serve::{ServeBenchReport, ServeBenchRow, SERVE_SCHEMA};
 
 /// Minimum ratio of the all-dirty rung's median repair time to the
@@ -223,6 +226,12 @@ impl Keyed for ThreadScalingRow {
     }
 }
 
+impl Keyed for DistributedRow {
+    fn key(&self) -> String {
+        format!("n={}", self.n_target)
+    }
+}
+
 impl Keyed for LifetimeBenchRow {
     fn key(&self) -> String {
         format!("{} @ n={}", self.topology, self.n_target)
@@ -362,6 +371,7 @@ impl BenchDoc for BenchReport {
             });
         }
         exact!(report, thread_scaling, baseline, fresh; nodes, edge_identical);
+        exact!(report, distributed, baseline, fresh; nodes, rounds, msgs_total, accounting);
         baseline.self_check("baseline", &mut report);
         fresh.self_check("fresh", &mut report);
         report
@@ -612,6 +622,7 @@ impl BenchDoc for ServeBenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsn_simnet::ShardAccounting;
 
     /// Assert some failure mentions every needle.
     fn fails_with(report: &GateReport, needles: &[&str]) {
@@ -686,7 +697,21 @@ mod tests {
             host_cpus: 2,
             rows: vec![pipeline_row("udg(r=1)", 10000)],
             thread_scaling: ladder("udg(r=1)", 10000, 1.0),
-            distributed: vec![],
+            distributed: vec![DistributedRow {
+                n_target: 5000,
+                nodes: 4980,
+                rounds: 4,
+                msgs_total: 13000,
+                build_secs: 0.01,
+                accounting: ShardAccounting {
+                    shards: 2,
+                    tiles_per_shard: 16,
+                    msgs_per_shard: vec![7000, 6000],
+                    msgs_outside: 0,
+                    msgs_border: 2500,
+                    msgs_max_shard: 7000,
+                },
+            }],
         }
     }
 
@@ -697,6 +722,7 @@ mod tests {
         assert!(g.passed(), "{:?}", g.failures);
         assert_eq!(g.held("exact counts: rows"), 1);
         assert_eq!(g.held("exact counts: thread_scaling"), 4);
+        assert_eq!(g.held("exact counts: distributed"), 1);
         assert_eq!(g.held("thread ladder complete"), 1);
         // Timings are never compared across documents: a host ten times
         // slower passes, and within-run ratios exactly at their floors pass.
@@ -736,6 +762,32 @@ mod tests {
                 "fresh edges 50001",
                 "baseline 50000",
             ],
+        );
+    }
+
+    #[test]
+    fn pipeline_gate_fails_on_a_doctored_message_count() {
+        let base = pipeline();
+        let mut fresh = base.clone();
+        fresh.distributed[0].build_secs *= 10.0;
+        assert!(
+            BenchDoc::gate(&base, &fresh).passed(),
+            "timings are not counts"
+        );
+        fresh.distributed[0].msgs_total += 1;
+        fails_with(
+            &BenchDoc::gate(&base, &fresh),
+            &[
+                "distributed n=5000",
+                "fresh msgs_total 13001",
+                "baseline 13000",
+            ],
+        );
+        let mut fresh = base.clone();
+        fresh.distributed[0].accounting.msgs_per_shard[1] -= 1;
+        fails_with(
+            &BenchDoc::gate(&base, &fresh),
+            &["distributed n=5000", "fresh accounting"],
         );
     }
 

@@ -45,7 +45,7 @@ use crate::median_timed;
 /// section and `host_cpus`; `/3` made every build timing a median of
 /// [`REPEATS`](crate::REPEATS) builds. The gate names this version in its
 /// diagnostics.
-pub const PIPELINE_SCHEMA: &str = "wsn-bench-pipeline/3";
+pub const PIPELINE_SCHEMA: &str = "wsn-bench-pipeline/4";
 
 /// Shard side (in topology tiles) used by every benchmarked sharded build.
 const SHARD_TILES: usize = 16;
@@ -89,6 +89,9 @@ pub struct BenchRow {
 /// Per-shard message accounting of one distributed Fig. 7 build.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DistributedRow {
+    /// Requested deployment size (the row's key; `nodes` is the Poisson
+    /// draw).
+    pub n_target: u64,
     pub nodes: u64,
     pub rounds: u64,
     pub msgs_total: u64,
@@ -326,6 +329,7 @@ fn bench_distributed(n: u64, seed: u64) -> DistributedRow {
     let build = distributed_build_udg(&points, params, grid).expect("strict defaults valid");
     let build_secs = t.elapsed().as_secs_f64();
     DistributedRow {
+        n_target: n,
         nodes: points.len() as u64,
         rounds: build.rounds,
         msgs_total: build.stats.sent,
@@ -441,10 +445,13 @@ pub fn run_pipeline_bench(quick: bool, seed: u64) -> BenchReport {
             rows.push(row);
         }
     }
-    let distributed = vec![bench_distributed(
-        if quick { 5_000 } else { 20_000 },
-        derive_seed2(seed, 0xD15C0, 0),
-    )];
+    // The full profile also records the quick size, with the same seed,
+    // so the gate has a row to match a quick run against.
+    let distributed_sizes: &[u64] = if quick { &[5_000] } else { &[5_000, 20_000] };
+    let distributed = distributed_sizes
+        .iter()
+        .map(|&n| bench_distributed(n, derive_seed2(seed, 0xD15C0, 0)))
+        .collect();
     // The scaling curve stays at moderate sizes even in the full profile:
     // relative scaling saturates well before 10⁶ nodes, and the curve runs
     // every point four times over the thread ladder.
@@ -507,7 +514,7 @@ mod tests {
             }
         }
         let json = serde_json::to_string_pretty(&report).unwrap();
-        assert!(json.contains("\"schema\": \"wsn-bench-pipeline/3\""));
+        assert!(json.contains("\"schema\": \"wsn-bench-pipeline/4\""));
         assert!(json.contains("thread_scaling"));
         assert!(json.contains("msgs_per_shard"));
     }

@@ -31,7 +31,9 @@ use wsn_core::subgraph::SensNetwork;
 use wsn_core::tilegrid::TileGrid;
 use wsn_core::udg::{build_udg_sens, build_udg_sens_ordered};
 
-use crate::spec::{DeploymentSpec, Exec, RenewalSpec, RouteSpec, ScenarioSpec, TopologySpec};
+use crate::spec::{
+    ChurnSpec, DeploymentSpec, Exec, RenewalSpec, RouteSpec, ScenarioSpec, TopologySpec,
+};
 
 /// Seed streams inside one replication (fixed so adding a metric never
 /// shifts the randomness of another).
@@ -327,46 +329,12 @@ fn lifetime_rounds(report: &LifetimeReport) -> f64 {
 fn run_lifetime(
     ch: &mut Channels,
     spec: &ScenarioSpec,
-    churn: &crate::spec::ChurnSpec,
+    churn: &ChurnSpec,
     points: &PointSet,
     grid: Option<TileGrid>,
     rep_seed: u64,
 ) {
-    let n = points.len();
-    let reserve = (churn.reserve_frac * n as f64).round() as usize;
-    let deployed = n.saturating_sub(reserve);
-    let alive: Vec<bool> = (0..n).map(|i| i < deployed).collect();
-
-    let mut cfg = ChurnConfig::new(
-        churn.epochs,
-        churn.battery,
-        churn.traffic,
-        churn.p_fail,
-        churn.join_rate,
-    );
-    cfg.idle_cost = churn.idle_cost;
-    if let Some(radius) = churn.blast_radius {
-        cfg.churn_model = ChurnModel::Clustered { radius };
-    }
-    cfg.renewal = match churn.renewal {
-        RenewalSpec::None => RenewalPolicy::None,
-        RenewalSpec::MobileCharger {
-            travel_budget,
-            min_charge,
-            max_charge,
-        } => RenewalPolicy::MobileCharger {
-            travel_budget,
-            min_charge,
-            max_charge,
-        },
-        RenewalSpec::Solar { rate, max_charge } => RenewalPolicy::Solar { rate, max_charge },
-        RenewalSpec::SinkRotation => RenewalPolicy::SinkRotation,
-    };
-    cfg.route = match churn.route {
-        RouteSpec::HopCount => RoutePolicy::HopCount,
-        RouteSpec::MinEnergy => RoutePolicy::MinEnergy,
-        RouteSpec::MaxMinResidual => RoutePolicy::MaxMinResidual,
-    };
+    let (cfg, deployed, alive) = churn_setup(churn, points.len());
     let seed = derive_seed(rep_seed, stream::CHURN);
 
     let simulate = |cfg: &ChurnConfig| -> LifetimeReport {
@@ -483,6 +451,48 @@ fn run_lifetime(
     }
 }
 
+/// A churn workload's engine configuration and its initial alive mask over
+/// an `n`-node universe (also returning the deployed count): the
+/// deployment's highest-id `reserve_frac` fraction forms the join reserve,
+/// and everything else starts alive. The lifetime and serve workloads share
+/// this one conversion, so both run the whole spec.
+fn churn_setup(churn: &ChurnSpec, n: usize) -> (ChurnConfig, usize, Vec<bool>) {
+    let reserve = (churn.reserve_frac * n as f64).round() as usize;
+    let deployed = n.saturating_sub(reserve);
+    let alive: Vec<bool> = (0..n).map(|i| i < deployed).collect();
+    let mut cfg = ChurnConfig::new(
+        churn.epochs,
+        churn.battery,
+        churn.traffic,
+        churn.p_fail,
+        churn.join_rate,
+    );
+    cfg.idle_cost = churn.idle_cost;
+    if let Some(radius) = churn.blast_radius {
+        cfg.churn_model = ChurnModel::Clustered { radius };
+    }
+    cfg.renewal = match churn.renewal {
+        RenewalSpec::None => RenewalPolicy::None,
+        RenewalSpec::MobileCharger {
+            travel_budget,
+            min_charge,
+            max_charge,
+        } => RenewalPolicy::MobileCharger {
+            travel_budget,
+            min_charge,
+            max_charge,
+        },
+        RenewalSpec::Solar { rate, max_charge } => RenewalPolicy::Solar { rate, max_charge },
+        RenewalSpec::SinkRotation => RenewalPolicy::SinkRotation,
+    };
+    cfg.route = match churn.route {
+        RouteSpec::HopCount => RoutePolicy::HopCount,
+        RouteSpec::MinEnergy => RoutePolicy::MinEnergy,
+        RouteSpec::MaxMinResidual => RoutePolicy::MaxMinResidual,
+    };
+    (cfg, deployed, alive)
+}
+
 /// The incremental-engine topology of a plain (non-SENS) cell, if any.
 /// HNG rolls its level hierarchy from a replication-derived seed, so the
 /// mapping needs `rep_seed` too.
@@ -548,22 +558,7 @@ fn run_serve_workload(
 ) {
     let kind = plain_kind(spec.topology, rep_seed)
         .expect("serve workload requires a plain topology (SENS repairs are global rebuilds)");
-    let n = points.len();
-    let reserve = (serve.churn.reserve_frac * n as f64).round() as usize;
-    let deployed = n.saturating_sub(reserve);
-    let alive: Vec<bool> = (0..n).map(|i| i < deployed).collect();
-
-    let mut churn_cfg = ChurnConfig::new(
-        serve.churn.epochs,
-        serve.churn.battery,
-        0, // serve reads never debit batteries
-        serve.churn.p_fail,
-        serve.churn.join_rate,
-    );
-    churn_cfg.idle_cost = serve.churn.idle_cost;
-    if let Some(radius) = serve.churn.blast_radius {
-        churn_cfg.churn_model = ChurnModel::Clustered { radius };
-    }
+    let (churn_cfg, deployed, alive) = churn_setup(&serve.churn, points.len());
     let readers = std::env::var("RAYON_NUM_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

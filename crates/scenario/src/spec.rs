@@ -231,8 +231,9 @@ pub struct ChurnSpec {
 /// so the runner picks threads freely without touching golden bytes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServeSpec {
-    /// Churn schedule the writer drives (traffic is always 0 in serve
-    /// mode: reads never debit batteries).
+    /// Churn schedule the writer drives, run exactly as a lifetime cell
+    /// runs it (traffic, idle drain and renewal included); served queries
+    /// never debit batteries.
     pub churn: ChurnSpec,
     /// Query clients (each with its own route cache and digest).
     pub clients: usize,

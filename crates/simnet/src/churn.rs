@@ -2,27 +2,33 @@
 //!
 //! The paper's claim is not just that SENS topologies are sparse at birth,
 //! but that they stay power-efficient *over the network's lifetime*. This
-//! module makes that measurable: an epoch loop in which each round
+//! module makes that measurable with one private epoch stepper, which every
+//! loop that churns a network calls: [`simulate_lifetime_plain`],
+//! [`simulate_lifetime_sens`] and the serve writer in [`crate::serve`]. The
+//! stepper owns the battery population, the coverage probe and the
+//! maintained topology, and each epoch it
 //!
 //! 1. routes a seeded traffic workload over the current topology — fewest
 //!    hops, minimum radio energy, or max-min residual battery, per
-//!    [`RoutePolicy`] — and debits per-node batteries through the radio
-//!    [`EnergyModel`],
-//! 2. applies the configured [`RenewalPolicy`] (mobile charger route,
+//!    [`RoutePolicy`], or Fig. 9 between SENS tile representatives — and
+//!    debits per-node batteries through the radio [`EnergyModel`],
+//! 2. debits the per-node idle drain,
+//! 3. applies the configured [`RenewalPolicy`] (mobile charger route,
 //!    solar trickle, or nothing),
-//! 3. kills battery-depleted nodes and injects random failures (uniform or
+//! 4. kills battery-depleted nodes and injects random failures (uniform or
 //!    spatially clustered — sector blackouts),
-//! 4. admits replacement nodes from a reserve pool at a configurable join
+//! 5. admits replacement nodes from a reserve pool at a configurable join
 //!    rate, and
-//! 5. repairs the topology — **incrementally** through
+//! 6. repairs the topology — **incrementally** through
 //!    [`wsn_rgg::IncrementalGraph`] for the plain graphs (only shards
 //!    touched by churn re-derive), or by per-epoch rebuild for the SENS
-//!    constructions and for the bench's rebuild baseline —
+//!    constructions and for the bench's rebuild baseline.
 //!
-//! emitting a per-epoch [`EpochReport`] (alive population, delivered /
-//! offered traffic, energy, giant-component fraction, coverage, a CSR
-//! fingerprint) and a final [`LifetimeReport`] with
-//! rounds-to-first-partition and rounds-to-coverage-loss.
+//! The lifetime loops then measure the repaired graph into a per-epoch
+//! [`EpochReport`] (alive population, delivered / offered traffic, energy,
+//! giant-component fraction, coverage, a CSR fingerprint) and a final
+//! [`LifetimeReport`] with rounds-to-first-partition and
+//! rounds-to-coverage-loss; the serve writer captures a snapshot instead.
 //!
 //! ## Epoch-granular death
 //!
@@ -241,11 +247,18 @@ impl ChurnConfig {
         }
     }
 
-    /// Whether the schedule is well-formed: `p_fail` in `[0, 1)`, a
-    /// non-negative `join_rate`, and a finite positive blast radius and
-    /// coverage cell.
+    /// Whether the schedule is well-formed: a finite battery, a finite
+    /// non-negative idle cost, `p_fail` in `[0, 1)`, a non-negative
+    /// `join_rate`, a finite positive blast radius and coverage cell, and
+    /// at least one repair tile per shard.
     pub fn validate(&self) -> Result<(), ChurnConfigError> {
         let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !self.battery.is_finite() {
+            return Err(ChurnConfigError::Battery(self.battery));
+        }
+        if !(self.idle_cost.is_finite() && self.idle_cost >= 0.0) {
+            return Err(ChurnConfigError::IdleCost(self.idle_cost));
+        }
         if !(0.0..1.0).contains(&self.p_fail) {
             return Err(ChurnConfigError::PFail(self.p_fail));
         }
@@ -260,6 +273,9 @@ impl ChurnConfig {
         if !positive(self.coverage_cell) {
             return Err(ChurnConfigError::CoverageCell(self.coverage_cell));
         }
+        if self.repair_tiles == 0 {
+            return Err(ChurnConfigError::RepairTiles(self.repair_tiles));
+        }
         Ok(())
     }
 }
@@ -267,15 +283,20 @@ impl ChurnConfig {
 /// Why a [`ChurnConfig`] cannot run; each variant carries the bad value.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ChurnConfigError {
+    Battery(f64),
+    IdleCost(f64),
     PFail(f64),
     JoinRate(f64),
     BlastRadius(f64),
     CoverageCell(f64),
+    RepairTiles(usize),
 }
 
 impl fmt::Display for ChurnConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ChurnConfigError::Battery(b) => write!(f, "battery must be finite, got {b}"),
+            ChurnConfigError::IdleCost(c) => write!(f, "idle cost must be finite and ≥ 0, got {c}"),
             ChurnConfigError::PFail(p) => write!(f, "p_fail must be in [0, 1), got {p}"),
             ChurnConfigError::JoinRate(r) => write!(f, "join_rate must be non-negative, got {r}"),
             ChurnConfigError::BlastRadius(r) => {
@@ -284,6 +305,7 @@ impl fmt::Display for ChurnConfigError {
             ChurnConfigError::CoverageCell(c) => {
                 write!(f, "coverage cell must be finite and positive, got {c}")
             }
+            ChurnConfigError::RepairTiles(t) => write!(f, "repair tiles must be ≥ 1, got {t}"),
         }
     }
 }
@@ -291,7 +313,7 @@ impl fmt::Display for ChurnConfigError {
 impl std::error::Error for ChurnConfigError {}
 
 /// One epoch's outcome.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct EpochReport {
     pub epoch: u64,
     /// Nodes that depleted their battery this epoch.
@@ -438,20 +460,14 @@ impl CoverageProbe {
 
     fn occupied(&self, points: &PointSet, alive: &[bool]) -> usize {
         let mut seen = vec![false; self.cols * self.rows];
-        let mut count = 0usize;
         for (u, p) in points.iter_enumerated() {
-            if !alive[u as usize] {
-                continue;
-            }
-            let i = (((p.x - self.origin.x) / self.cell) as usize).min(self.cols - 1);
-            let j = (((p.y - self.origin.y) / self.cell) as usize).min(self.rows - 1);
-            let c = j * self.cols + i;
-            if !seen[c] {
-                seen[c] = true;
-                count += 1;
+            if alive[u as usize] {
+                let i = (((p.x - self.origin.x) / self.cell) as usize).min(self.cols - 1);
+                let j = (((p.y - self.origin.y) / self.cell) as usize).min(self.rows - 1);
+                seen[j * self.cols + i] = true;
             }
         }
-        count
+        seen.iter().filter(|&&s| s).count()
     }
 
     fn fraction(&self, points: &PointSet, alive: &[bool]) -> f64 {
@@ -473,97 +489,154 @@ pub fn cold_sharded_rebuild(points: &PointSet, alive: &[bool], kind: IncTopology
     )
 }
 
-/// The maintained plain topology: incremental or rebuild-per-epoch.
-enum Maintained {
+/// The maintained topology, one arm per repair strategy. The arms differ
+/// only in their repair, their traffic pool and routing, and the
+/// giant-fraction denominator.
+pub(crate) enum Maintained {
+    /// Incremental shard repair of a plain topology.
     Inc(Box<IncrementalGraph>),
+    /// Cold sharded rebuild of a plain topology every epoch.
     Rebuild {
-        points: PointSet,
-        alive: Vec<bool>,
         kind: IncTopology,
+        alive: Vec<bool>,
+        csr: Csr,
+    },
+    /// Rebuild of a SENS construction on the compacted survivors every
+    /// epoch: `net` with its compact → universe id map, `csr` relabelled.
+    Sens {
+        kind: SensKind,
+        grid: TileGrid,
+        alive: Vec<bool>,
+        net: Option<(Box<SensNetwork>, Vec<u32>)>,
         csr: Csr,
     },
 }
 
 impl Maintained {
+    pub(crate) fn plain(
+        points: &PointSet,
+        alive: &[bool],
+        kind: IncTopology,
+        mode: RepairMode,
+        tiles: usize,
+    ) -> Self {
+        match mode {
+            RepairMode::Incremental => {
+                let g = IncrementalGraph::build(points.clone(), alive.to_vec(), kind, tiles);
+                Maintained::Inc(Box::new(g))
+            }
+            RepairMode::Rebuild => Maintained::Rebuild {
+                kind,
+                alive: alive.to_vec(),
+                csr: cold_sharded_rebuild(points, alive, kind),
+            },
+        }
+    }
+
     fn graph(&self) -> CsrView<'_> {
         match self {
             Maintained::Inc(g) => CsrView::Chunked(g.graph()),
-            Maintained::Rebuild { csr, .. } => CsrView::Dense(csr),
+            Maintained::Rebuild { csr, .. } | Maintained::Sens { csr, .. } => CsrView::Dense(csr),
         }
     }
 
     fn alive(&self) -> &[bool] {
         match self {
             Maintained::Inc(g) => g.alive(),
-            Maintained::Rebuild { alive, .. } => alive,
+            Maintained::Rebuild { alive, .. } | Maintained::Sens { alive, .. } => alive,
         }
     }
 
-    fn apply_churn(&mut self, deaths: &[u32], joins: &[u32]) -> RepairStats {
+    fn apply_churn(&mut self, points: &PointSet, deaths: &[u32], joins: &[u32]) -> RepairStats {
+        let toggle = |alive: &mut [bool]| {
+            for (ids, now) in [(deaths, false), (joins, true)] {
+                for &u in ids {
+                    assert_ne!(alive[u as usize], now, "node {u} already has alive = {now}");
+                    alive[u as usize] = now;
+                }
+            }
+        };
         match self {
-            Maintained::Inc(g) => g.apply_churn(deaths, joins),
-            Maintained::Rebuild {
-                points,
-                alive,
+            Maintained::Inc(g) => return g.apply_churn(deaths, joins),
+            Maintained::Rebuild { kind, alive, csr } => {
+                toggle(alive);
+                *csr = cold_sharded_rebuild(points, alive, *kind);
+            }
+            Maintained::Sens {
                 kind,
+                grid,
+                alive,
+                net,
                 csr,
             } => {
-                for &d in deaths {
-                    assert!(alive[d as usize], "death of already-dead node {d}");
-                    alive[d as usize] = false;
-                }
-                for &j in joins {
-                    assert!(!alive[j as usize], "join of already-alive node {j}");
-                    alive[j as usize] = true;
-                }
-                *csr = cold_sharded_rebuild(points, alive, *kind);
-                RepairStats::default()
+                toggle(alive);
+                let (sub, ids) = compact_alive(points, alive);
+                *net = (!sub.is_empty()).then(|| {
+                    let grid = grid.clone();
+                    let built = match *kind {
+                        SensKind::Udg(params) => build_udg_sens(&sub, params, grid),
+                        SensKind::Nn(params) => {
+                            let base = wsn_rgg::build_knn(&sub, params.k);
+                            build_nn_sens(&sub, &base, params, grid)
+                        }
+                    };
+                    (Box::new(built.expect("params validated by caller")), ids)
+                });
+                *csr = match net {
+                    Some((net, ids)) => relabel(&net.graph, ids, points.len()),
+                    None => Csr::empty(points.len()),
+                };
             }
         }
+        RepairStats::default()
     }
 }
 
-/// Battery/death/join bookkeeping shared by the plain and SENS loops —
-/// and by [`crate::serve`], which replays the *same* death/join schedule
-/// so serve-mode per-epoch fingerprints line up with batch-mode goldens.
-pub(crate) struct Population {
-    pub(crate) battery: Vec<f64>,
-    /// Reserve ids (initially dead), admitted in ascending-id order.
-    reserve: Vec<u32>,
-    reserve_next: usize,
+/// The stepper's battery/death/join bookkeeping over one run's universe,
+/// churn window, schedule and seed.
+struct Population<'a> {
+    points: &'a PointSet,
+    window: Aabb,
+    cfg: &'a ChurnConfig,
+    seed: u64,
+    battery: Vec<f64>,
+    /// Reserve ids not yet admitted (initially dead), in ascending order.
+    reserve: std::vec::IntoIter<u32>,
 }
 
-impl Population {
-    pub(crate) fn new(n: usize, initial_alive: &[bool], battery: f64) -> Self {
+impl<'a> Population<'a> {
+    fn new(
+        points: &'a PointSet,
+        initial_alive: &[bool],
+        window: Aabb,
+        cfg: &'a ChurnConfig,
+        seed: u64,
+    ) -> Self {
         Population {
+            points,
+            window,
+            cfg,
+            seed,
             battery: initial_alive
                 .iter()
-                .map(|&a| if a { battery } else { 0.0 })
+                .map(|&a| if a { cfg.battery } else { 0.0 })
                 .collect(),
-            reserve: (0..n as u32)
+            reserve: (0..points.len() as u32)
                 .filter(|&u| !initial_alive[u as usize])
-                .collect(),
-            reserve_next: 0,
+                .collect::<Vec<_>>()
+                .into_iter(),
         }
     }
 
     /// Battery-depleted + random deaths for this epoch, ascending ids.
     /// Every draw is a pure function of `(seed, epoch, node)` or
     /// `(seed, epoch, blast centre)`.
-    pub(crate) fn select_deaths(
-        &self,
-        points: &PointSet,
-        alive: &[bool],
-        window: &Aabb,
-        cfg: &ChurnConfig,
-        seed: u64,
-        epoch: u64,
-    ) -> (Vec<u32>, u64, u64) {
+    fn select_deaths(&self, alive: &[bool], epoch: u64) -> (Vec<u32>, u64, u64) {
+        let (points, window, cfg, seed) = (self.points, &self.window, self.cfg, self.seed);
         let mut deaths = Vec::new();
         let (mut by_battery, mut by_random) = (0u64, 0u64);
         let fail_seed = derive_seed2(derive_seed(seed, stream::FAIL), epoch, 0);
         let blasts: Vec<(Point, f64)> = match cfg.churn_model {
-            ChurnModel::Uniform => Vec::new(),
             ChurnModel::Clustered { radius } if cfg.p_fail > 0.0 => {
                 let per_blast = std::f64::consts::PI * radius * radius;
                 let count = (((-(1.0 - cfg.p_fail).ln()) * window.area() / per_blast).round()
@@ -579,7 +652,7 @@ impl Population {
                     })
                     .collect()
             }
-            ChurnModel::Clustered { .. } => Vec::new(),
+            _ => Vec::new(),
         };
         for (u, p) in points.iter_enumerated() {
             if !alive[u as usize] {
@@ -606,15 +679,15 @@ impl Population {
 
     /// Admit `round(join_rate × deaths)` reserve nodes (ascending ids),
     /// charging each a fresh battery. Returns ids and battery mass added.
-    pub(crate) fn admit_joins(&mut self, deaths: usize, cfg: &ChurnConfig) -> (Vec<u32>, f64) {
+    fn admit_joins(&mut self, deaths: usize) -> (Vec<u32>, f64) {
+        let cfg = self.cfg;
         let want = (cfg.join_rate * deaths as f64).round() as usize;
-        let take = want.min(self.reserve.len() - self.reserve_next);
-        let joins = self.reserve[self.reserve_next..self.reserve_next + take].to_vec();
-        self.reserve_next += take;
+        let joins: Vec<u32> = self.reserve.by_ref().take(want).collect();
         for &j in &joins {
             self.battery[j as usize] = cfg.battery;
         }
-        (joins, take as f64 * cfg.battery)
+        let added = joins.len() as f64 * cfg.battery;
+        (joins, added)
     }
 
     /// Debit one delivered path: transmit at each hop's sender, receive at
@@ -625,7 +698,8 @@ impl Population {
     /// packet keeps forwarding for the rest of the epoch, its battery
     /// going further negative, and is collected by the next death sweep.
     /// Zero-length and single-node paths have no window and debit nothing.
-    fn debit_path(&mut self, points: &PointSet, path: &[u32], model: &EnergyModel) -> f64 {
+    fn debit_path(&mut self, path: &[u32]) -> f64 {
+        let (points, model) = (self.points, &self.cfg.energy);
         let mut spent = 0.0;
         for w in path.windows(2) {
             let d = points.get(w[0]).dist(points.get(w[1]));
@@ -639,15 +713,8 @@ impl Population {
     /// Apply the epoch's renewal policy over the alive population (after
     /// traffic and idle drain, before the death sweep — a node recharged
     /// above zero escapes the sweep). Returns the energy mass added.
-    /// Shared by the plain and SENS loops so both charge identically.
-    pub(crate) fn apply_renewal(
-        &mut self,
-        points: &PointSet,
-        alive: &[bool],
-        window: &Aabb,
-        cfg: &ChurnConfig,
-    ) -> f64 {
-        match cfg.renewal {
+    fn apply_renewal(&mut self, alive: &[bool]) -> f64 {
+        match self.cfg.renewal {
             RenewalPolicy::None | RenewalPolicy::SinkRotation => 0.0,
             RenewalPolicy::Solar { rate, max_charge } => {
                 let mut gained = 0.0;
@@ -683,11 +750,11 @@ impl Population {
                         .total_cmp(&self.battery[b as usize])
                         .then(a.cmp(&b))
                 });
-                let mut cur = window.center();
+                let mut cur = self.window.center();
                 let mut budget = travel_budget;
                 let mut gained = 0.0;
                 for &u in &cands {
-                    let p = points.get(u);
+                    let p = self.points.get(u);
                     let leg = cur.dist(p);
                     if leg > budget {
                         // Unaffordable from here; keep scanning — a nearer
@@ -712,7 +779,7 @@ impl Population {
     /// the universe sum includes dead nodes' leftovers (and negative
     /// overshoot), which is exactly what makes it the conservation
     /// witness recorded as [`EpochReport::battery_universe`].
-    pub(crate) fn battery_stats(&self, alive: &[bool]) -> (f64, f64, f64) {
+    fn battery_stats(&self, alive: &[bool]) -> (f64, f64, f64) {
         let mut residual = 0.0;
         let mut universe = 0.0;
         let mut count = 0usize;
@@ -738,47 +805,274 @@ impl Population {
     }
 
     /// Per-epoch idle drain over the alive population.
-    fn debit_idle(&mut self, alive: &[bool], cfg: &ChurnConfig) -> f64 {
-        if cfg.idle_cost <= 0.0 {
+    fn debit_idle(&mut self, alive: &[bool]) -> f64 {
+        let cost = self.cfg.idle_cost;
+        if cost <= 0.0 {
             return 0.0;
         }
         let mut spent = 0.0;
         for (u, a) in alive.iter().enumerate() {
             if *a {
-                self.battery[u] -= cfg.idle_cost;
-                spent += cfg.idle_cost;
+                self.battery[u] -= cost;
+                spent += cost;
             }
         }
         spent
     }
 }
 
-/// Size of the largest component (0 for the empty graph).
-fn giant_size<G: GraphView + ?Sized>(g: &G) -> usize {
-    connected_components(g).giant().map_or(0, |(_, size)| size)
+/// An epoch's traffic `(src, dst)` pairs drawn from `pool`, `src == dst`
+/// skipped. Under sink rotation every packet goes to one per-epoch sink
+/// drawn from its own seed stream, so no other draw shifts.
+fn draw_pairs<T: Copy + PartialEq>(
+    pool: &[T],
+    cfg: &ChurnConfig,
+    seed: u64,
+    epoch: u64,
+) -> Vec<(T, T)> {
+    if pool.len() < 2 {
+        return Vec::new();
+    }
+    let tseed = derive_seed2(derive_seed(seed, stream::TRAFFIC), epoch, 0);
+    let sink = match cfg.renewal {
+        RenewalPolicy::SinkRotation => {
+            let s = derive_seed2(derive_seed(seed, stream::SINK), epoch, 0);
+            Some(pool[pick(s, pool.len())])
+        }
+        _ => None,
+    };
+    (0..cfg.traffic_per_epoch as u64)
+        .map(|i| {
+            let src = pool[pick(derive_seed2(tseed, i, 0), pool.len())];
+            let dst = sink.unwrap_or_else(|| pool[pick(derive_seed2(tseed, i, 1), pool.len())]);
+            (src, dst)
+        })
+        .filter(|&(src, dst)| src != dst)
+        .collect()
 }
 
-/// Giant-component fraction of the alive population (dead nodes are
-/// isolated singletons and never the largest component of a non-empty
-/// alive graph unless everything is isolated).
-fn giant_fraction<G: GraphView + ?Sized>(g: &G, n_alive: usize) -> f64 {
-    if n_alive == 0 {
-        return 0.0;
-    }
-    giant_size(g) as f64 / n_alive as f64
+/// The one epoch stepper: the population, the coverage probe and the
+/// maintained topology of a churning network.
+pub(crate) struct Stepper<'a> {
+    pop: Population<'a>,
+    probe: CoverageProbe,
+    maint: Maintained,
 }
 
-/// Giant-component fraction among the graph's *participating* nodes
-/// (degree ≥ 1). The SENS constructions elect only a subset of the alive
-/// population into the topology, so measuring their connectivity against
-/// every alive sensor would read "partitioned" on a perfectly healthy
-/// core.
-fn giant_fraction_participants(g: &Csr) -> f64 {
-    let participants = (0..g.n() as u32).filter(|&u| g.degree(u) > 0).count();
-    if participants == 0 {
-        return 0.0;
+impl<'a> Stepper<'a> {
+    /// Check the universe and `cfg` (panicking on an invalid one), then
+    /// build the maintained topology over the initially alive nodes.
+    pub(crate) fn new(
+        points: &'a PointSet,
+        initial_alive: &[bool],
+        cfg: &'a ChurnConfig,
+        seed: u64,
+        build: impl FnOnce() -> Maintained,
+    ) -> Self {
+        assert_eq!(points.len(), initial_alive.len());
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("invalid churn configuration: {e}"));
+        let maint = build();
+        // Blasts and the charger live in the SENS tile grid's area, or in
+        // the universe's bounding box.
+        let window = match &maint {
+            Maintained::Sens { grid, .. } => grid.covered_area(),
+            _ => points.bounding_box().unwrap_or_else(|| Aabb::square(1.0)),
+        };
+        Stepper {
+            probe: CoverageProbe::new(points, initial_alive, &window, cfg.coverage_cell),
+            pop: Population::new(points, initial_alive, window, cfg, seed),
+            maint,
+        }
     }
-    giant_size(g) as f64 / participants as f64
+
+    /// The maintained incremental graph, which the serve writer captures.
+    pub(crate) fn incremental(&self) -> &IncrementalGraph {
+        match &self.maint {
+            Maintained::Inc(g) => g,
+            _ => unreachable!("only the incremental arm keeps an IncrementalGraph"),
+        }
+    }
+
+    /// Route the epoch's packets over the epoch-start topology and debit
+    /// their paths. Returns `(offered, delivered, radio energy)`.
+    fn traffic(&mut self, epoch: u64) -> (u64, u64, f64) {
+        let pop = &mut self.pop;
+        let (points, cfg, seed) = (pop.points, pop.cfg, pop.seed);
+        if cfg.traffic_per_epoch == 0 {
+            return (0, 0, 0.0);
+        }
+        let (offered, paths): (usize, Vec<Option<Vec<u32>>>) = match &self.maint {
+            Maintained::Sens { net, .. } => {
+                let Some((net, to_universe)) = net else {
+                    return (0, 0, 0.0);
+                };
+                // Fig. 9 between core tile representatives; sink rotation
+                // elects a core *site* per epoch.
+                let cores: Vec<wsn_perc::Site> = net
+                    .lattice
+                    .sites()
+                    .filter(|&s| {
+                        net.lattice.is_open(s) && net.rep_of(s).is_some_and(|r| net.is_member(r))
+                    })
+                    .collect();
+                let pairs = draw_pairs(&cores, cfg, seed, epoch);
+                let paths = pairs
+                    .iter()
+                    .map(|&(a, b)| {
+                        let (_, path) = crate::route::route_packet_with_path(net, a, b);
+                        path.map(|p| p.iter().map(|&c| to_universe[c as usize]).collect())
+                    })
+                    .collect();
+                (pairs.len(), paths)
+            }
+            plain => {
+                let alive = plain.alive();
+                let alive_ids: Vec<u32> = (0..points.len() as u32)
+                    .filter(|&u| alive[u as usize])
+                    .collect();
+                let pairs = draw_pairs(&alive_ids, cfg, seed, epoch);
+                let graph = plain.graph();
+                if cfg.route == RoutePolicy::MaxMinResidual {
+                    // Widest path over live residual charge: packets are
+                    // routed one at a time against the batteries as the
+                    // previous packet left them, so the search is exact and
+                    // the whole epoch stays replayable.
+                    let (mut delivered, mut spent) = (0u64, 0.0);
+                    for &(src, dst) in &pairs {
+                        let path = wsn_graph::dijkstra::widest_path(&graph, src, dst, |u| {
+                            pop.battery[u as usize]
+                        });
+                        if let Some(path) = path {
+                            delivered += 1;
+                            spent += pop.debit_path(&path);
+                        }
+                    }
+                    return (pairs.len() as u64, delivered, spent);
+                }
+                // Battery-independent paths: one fan-out over the epoch's
+                // packets with a scratch per worker, then the debits in
+                // packet order.
+                let max_edge = match plain {
+                    Maintained::Inc(g) => g.kind().max_edge_len(),
+                    Maintained::Rebuild { kind, .. } => kind.max_edge_len(),
+                    Maintained::Sens { .. } => None,
+                };
+                let offered = pairs.len();
+                let paths = pairs
+                    .into_par_iter()
+                    .map_init(BfsScratch::default, |scratch, (src, dst)| {
+                        if cfg.route == RoutePolicy::HopCount {
+                            scratch.guided_path(&graph, src, dst, max_edge, |u| points.get(u))
+                        } else {
+                            wsn_graph::dijkstra::path(&graph, src, dst, |u, v| {
+                                cfg.energy.hop(points.get(u).dist(points.get(v)))
+                            })
+                        }
+                    })
+                    .collect();
+                (offered, paths)
+            }
+        };
+        let (mut delivered, mut spent) = (0u64, 0.0);
+        for path in paths.iter().flatten() {
+            delivered += 1;
+            spent += pop.debit_path(path);
+        }
+        (offered as u64, delivered, spent)
+    }
+
+    /// Advance one epoch: traffic, idle drain, renewal, deaths, joins, then
+    /// repair (checked against a cold rebuild when `cfg.verify`). The
+    /// measured fields stay zero until [`Stepper::report`].
+    pub(crate) fn step(&mut self, epoch: u64) -> EpochReport {
+        let (offered, delivered, radio) = self.traffic(epoch);
+        let (pop, maint) = (&mut self.pop, &mut self.maint);
+        let energy_spent = radio + pop.debit_idle(maint.alive());
+        let energy_recharged = pop.apply_renewal(maint.alive());
+        let (deaths, deaths_battery, deaths_random) = pop.select_deaths(maint.alive(), epoch);
+        let (joins, battery_added) = pop.admit_joins(deaths.len());
+
+        let t = Instant::now();
+        let repair = maint.apply_churn(pop.points, &deaths, &joins);
+        let repair_secs = t.elapsed().as_secs_f64();
+        if pop.cfg.verify {
+            if let Maintained::Inc(g) = maint {
+                assert!(
+                    g.verify_cold(),
+                    "incremental repair diverged from cold rebuild at epoch {epoch}"
+                );
+            }
+        }
+        EpochReport {
+            epoch,
+            deaths_battery,
+            deaths_random,
+            joins: joins.len() as u64,
+            offered,
+            delivered,
+            energy_spent,
+            energy_recharged,
+            battery_added,
+            shards_dirty: repair.dirty as u64,
+            shards_event_local: repair.event_local as u64,
+            shards_rederived: repair.rederived as u64,
+            repair_gathered: repair.gathered as u64,
+            repair_escalations: repair.escalations as u64,
+            repair_secs,
+            repair_splice_secs: repair.splice_secs,
+            ..EpochReport::default()
+        }
+    }
+
+    /// Fill in the measured fields of `stepped` from the repaired graph.
+    fn report(&self, stepped: EpochReport) -> EpochReport {
+        let alive = self.maint.alive();
+        let n_alive = alive.iter().filter(|&&a| a).count();
+        let graph = self.maint.graph();
+        // SENS elects only some alive sensors into the topology, so its
+        // giant fraction is over the nodes of degree ≥ 1 (over all alive
+        // nodes a healthy core would read "partitioned"). The components
+        // pass runs beside the fingerprint (a sum over node blocks).
+        let (giant_fraction, graph_hash) = rayon::join(
+            || {
+                let of = match self.maint {
+                    Maintained::Sens { .. } => (0..graph.n() as u32)
+                        .filter(|&u| graph.degree(u) > 0)
+                        .count(),
+                    _ => n_alive,
+                };
+                if of == 0 {
+                    return 0.0;
+                }
+                let giant = connected_components(&graph).giant();
+                giant.map_or(0.0, |(_, size)| size as f64 / of as f64)
+            },
+            || fingerprint(&graph),
+        );
+        let (battery_residual, battery_variance, battery_universe) = self.pop.battery_stats(alive);
+        EpochReport {
+            alive: n_alive as u64,
+            battery_residual,
+            battery_variance,
+            battery_universe,
+            giant_fraction,
+            coverage: self.probe.fraction(self.pop.points, alive),
+            graph_hash,
+            ..stepped
+        }
+    }
+
+    /// Step and report every epoch of `cfg`.
+    fn run(mut self) -> LifetimeReport {
+        let epochs = (0..self.pop.cfg.epochs as u64)
+            .map(|epoch| {
+                let stepped = self.step(epoch);
+                self.report(stepped)
+            })
+            .collect();
+        LifetimeReport::from_epochs(epochs, self.pop.cfg)
+    }
 }
 
 /// Simulate the lifetime of a plain (non-SENS) topology.
@@ -793,154 +1087,10 @@ pub fn simulate_lifetime_plain(
     cfg: &ChurnConfig,
     seed: u64,
 ) -> LifetimeReport {
-    assert_eq!(points.len(), initial_alive.len());
-    cfg.validate()
-        .unwrap_or_else(|e| panic!("invalid churn configuration: {e}"));
-    let window = points.bounding_box().unwrap_or_else(|| Aabb::square(1.0));
-    let probe = CoverageProbe::new(points, initial_alive, &window, cfg.coverage_cell);
-    let mut pop = Population::new(points.len(), initial_alive, cfg.battery);
-    let mut maint = match cfg.repair {
-        RepairMode::Incremental => Maintained::Inc(Box::new(IncrementalGraph::build(
-            points.clone(),
-            initial_alive.to_vec(),
-            kind,
-            cfg.repair_tiles,
-        ))),
-        RepairMode::Rebuild => Maintained::Rebuild {
-            csr: cold_sharded_rebuild(points, initial_alive, kind),
-            points: points.clone(),
-            alive: initial_alive.to_vec(),
-            kind,
-        },
-    };
-
-    let mut epochs = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs as u64 {
-        // ---- 1. traffic over the current topology ---------------------
-        let alive_ids: Vec<u32> = (0..points.len() as u32)
-            .filter(|&u| maint.alive()[u as usize])
-            .collect();
-        let mut energy_spent = 0.0;
-        let (mut offered, mut delivered) = (0u64, 0u64);
-        if alive_ids.len() >= 2 {
-            let tseed = derive_seed2(derive_seed(seed, stream::TRAFFIC), epoch, 0);
-            // Sink rotation: one sink per epoch from its own seed stream
-            // (keyed draws — skipping the per-packet dst draw below never
-            // shifts any other stream).
-            let sink: Option<u32> = match cfg.renewal {
-                RenewalPolicy::SinkRotation => {
-                    let s = derive_seed2(derive_seed(seed, stream::SINK), epoch, 0);
-                    Some(alive_ids[pick(s, alive_ids.len())])
-                }
-                _ => None,
-            };
-            let pairs: Vec<(u32, u32)> = (0..cfg.traffic_per_epoch as u64)
-                .map(|i| {
-                    let src = alive_ids[pick(derive_seed2(tseed, i, 0), alive_ids.len())];
-                    let dst = sink.unwrap_or_else(|| {
-                        alive_ids[pick(derive_seed2(tseed, i, 1), alive_ids.len())]
-                    });
-                    (src, dst)
-                })
-                .filter(|&(src, dst)| src != dst)
-                .collect();
-            offered = pairs.len() as u64;
-            let graph = maint.graph();
-            if cfg.route == RoutePolicy::MaxMinResidual {
-                // Widest path over live residual charge: packets are routed
-                // one at a time against the batteries as the previous
-                // packet left them, so the search is exact and the whole
-                // epoch stays replayable.
-                for (src, dst) in pairs {
-                    let path = wsn_graph::dijkstra::widest_path(&graph, src, dst, |u| {
-                        pop.battery[u as usize]
-                    });
-                    if let Some(path) = path {
-                        delivered += 1;
-                        energy_spent += pop.debit_path(points, &path, &cfg.energy);
-                    }
-                }
-            } else {
-                // Battery-independent paths: one fan-out over the epoch's
-                // packets with a scratch per worker, then the debits in
-                // packet order.
-                let max_edge = kind.max_edge_len();
-                let paths: Vec<Option<Vec<u32>>> = pairs
-                    .into_par_iter()
-                    .map_init(BfsScratch::default, |scratch, (src, dst)| {
-                        if cfg.route == RoutePolicy::HopCount {
-                            scratch.guided_path(&graph, src, dst, max_edge, |u| points.get(u))
-                        } else {
-                            wsn_graph::dijkstra::path(&graph, src, dst, |u, v| {
-                                cfg.energy.hop(points.get(u).dist(points.get(v)))
-                            })
-                        }
-                    })
-                    .collect();
-                for path in paths.iter().flatten() {
-                    delivered += 1;
-                    energy_spent += pop.debit_path(points, path, &cfg.energy);
-                }
-            }
-        }
-        energy_spent += pop.debit_idle(maint.alive(), cfg);
-        let energy_recharged = pop.apply_renewal(points, maint.alive(), &window, cfg);
-
-        // ---- 2. deaths, 3. joins --------------------------------------
-        let (deaths, by_battery, by_random) =
-            pop.select_deaths(points, maint.alive(), &window, cfg, seed, epoch);
-        let (joins, battery_added) = pop.admit_joins(deaths.len(), cfg);
-
-        // ---- 4. repair ------------------------------------------------
-        let t = Instant::now();
-        let stats = maint.apply_churn(&deaths, &joins);
-        let repair_secs = t.elapsed().as_secs_f64();
-        if cfg.verify {
-            if let Maintained::Inc(g) = &maint {
-                assert!(
-                    g.verify_cold(),
-                    "incremental repair diverged from cold rebuild at epoch {epoch}"
-                );
-            }
-        }
-
-        // ---- 5. epoch metrics on the repaired graph -------------------
-        // The components pass runs beside the fingerprint (a sum over
-        // node blocks on the pool, and the shorter of the two), so the
-        // metrics cost about one components pass instead of their sum.
-        let n_alive = maint.alive().iter().filter(|&&a| a).count();
-        let graph = maint.graph();
-        let (giant, graph_hash) =
-            rayon::join(|| giant_fraction(&graph, n_alive), || fingerprint(&graph));
-        let (battery_residual, battery_variance, battery_universe) =
-            pop.battery_stats(maint.alive());
-        epochs.push(EpochReport {
-            epoch,
-            deaths_battery: by_battery,
-            deaths_random: by_random,
-            joins: joins.len() as u64,
-            alive: n_alive as u64,
-            offered,
-            delivered,
-            energy_spent,
-            energy_recharged,
-            battery_residual,
-            battery_added,
-            battery_variance,
-            battery_universe,
-            giant_fraction: giant,
-            coverage: probe.fraction(points, maint.alive()),
-            graph_hash,
-            shards_dirty: stats.dirty as u64,
-            shards_event_local: stats.event_local as u64,
-            shards_rederived: stats.rederived as u64,
-            repair_gathered: stats.gathered as u64,
-            repair_escalations: stats.escalations as u64,
-            repair_secs,
-            repair_splice_secs: stats.splice_secs,
-        });
-    }
-    LifetimeReport::from_epochs(epochs, cfg)
+    Stepper::new(points, initial_alive, cfg, seed, || {
+        Maintained::plain(points, initial_alive, kind, cfg.repair, cfg.repair_tiles)
+    })
+    .run()
 }
 
 /// Which SENS construction a lifetime run maintains (always by per-epoch
@@ -949,20 +1099,6 @@ pub fn simulate_lifetime_plain(
 pub enum SensKind {
     Udg(UdgSensParams),
     Nn(NnSensParams),
-}
-
-impl SensKind {
-    fn build(&self, sub: &PointSet, grid: TileGrid) -> SensNetwork {
-        match *self {
-            SensKind::Udg(params) => {
-                build_udg_sens(sub, params, grid).expect("params validated by caller")
-            }
-            SensKind::Nn(params) => {
-                let base = wsn_rgg::build_knn(sub, params.k);
-                build_nn_sens(sub, &base, params, grid).expect("params validated by caller")
-            }
-        }
-    }
 }
 
 /// Simulate the lifetime of a SENS construction (Fig. 9 routing between
@@ -975,126 +1111,21 @@ pub fn simulate_lifetime_sens(
     cfg: &ChurnConfig,
     seed: u64,
 ) -> LifetimeReport {
-    assert_eq!(points.len(), initial_alive.len());
-    cfg.validate()
-        .unwrap_or_else(|e| panic!("invalid churn configuration: {e}"));
-    let n = points.len();
-    let window = grid.covered_area();
-    let probe = CoverageProbe::new(points, initial_alive, &window, cfg.coverage_cell);
-    let mut pop = Population::new(n, initial_alive, cfg.battery);
-    let mut alive = initial_alive.to_vec();
-
-    let rebuild = |alive: &[bool]| -> (Option<SensNetwork>, Vec<u32>) {
-        let (sub, to_universe) = compact_alive(points, alive);
-        if sub.is_empty() {
-            return (None, to_universe);
-        }
-        (Some(kind.build(&sub, grid.clone())), to_universe)
-    };
-    let (mut net, mut to_universe) = rebuild(&alive);
-
-    let mut epochs = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs as u64 {
-        // ---- 1. Fig. 9 traffic between tile representatives -----------
-        let mut energy_spent = 0.0;
-        let (mut offered, mut delivered) = (0u64, 0u64);
-        if let Some(net) = &net {
-            let cores: Vec<wsn_perc::Site> = net
-                .lattice
-                .sites()
-                .filter(|&s| {
-                    net.lattice.is_open(s)
-                        && net.rep_of(s).map(|r| net.is_member(r)).unwrap_or(false)
-                })
-                .collect();
-            if cores.len() >= 2 {
-                let tseed = derive_seed2(derive_seed(seed, stream::TRAFFIC), epoch, 0);
-                // Sink rotation in SENS mode elects a core *site* per
-                // epoch; routing itself stays Fig.-9.
-                let sink: Option<wsn_perc::Site> = match cfg.renewal {
-                    RenewalPolicy::SinkRotation => {
-                        let s = derive_seed2(derive_seed(seed, stream::SINK), epoch, 0);
-                        Some(cores[pick(s, cores.len())])
-                    }
-                    _ => None,
-                };
-                for i in 0..cfg.traffic_per_epoch as u64 {
-                    let a = cores[pick(derive_seed2(tseed, i, 0), cores.len())];
-                    let b =
-                        sink.unwrap_or_else(|| cores[pick(derive_seed2(tseed, i, 1), cores.len())]);
-                    if a == b {
-                        continue;
-                    }
-                    offered += 1;
-                    let (_, path) = crate::route::route_packet_with_path(net, a, b);
-                    if let Some(path) = path {
-                        delivered += 1;
-                        let universe_path: Vec<u32> =
-                            path.iter().map(|&c| to_universe[c as usize]).collect();
-                        energy_spent += pop.debit_path(points, &universe_path, &cfg.energy);
-                    }
-                }
-            }
-        }
-        energy_spent += pop.debit_idle(&alive, cfg);
-        let energy_recharged = pop.apply_renewal(points, &alive, &window, cfg);
-
-        // ---- 2. deaths, 3. joins --------------------------------------
-        let (deaths, by_battery, by_random) =
-            pop.select_deaths(points, &alive, &window, cfg, seed, epoch);
-        let (joins, battery_added) = pop.admit_joins(deaths.len(), cfg);
-        for &d in &deaths {
-            alive[d as usize] = false;
-        }
-        for &j in &joins {
-            alive[j as usize] = true;
-        }
-
-        // ---- 4. repair = rebuild on the survivors ---------------------
-        let t = Instant::now();
-        let rebuilt = rebuild(&alive);
-        let repair_secs = t.elapsed().as_secs_f64();
-        net = rebuilt.0;
-        to_universe = rebuilt.1;
-
-        // ---- 5. epoch metrics -----------------------------------------
-        let n_alive = alive.iter().filter(|&&a| a).count();
-        let universe_graph = match &net {
-            Some(net) => relabel(&net.graph, &to_universe, n),
-            None => Csr::empty(n),
+    Stepper::new(points, initial_alive, cfg, seed, || {
+        // No events: the empty churn builds the initial construction.
+        let alive = initial_alive.to_vec();
+        let csr = Csr::empty(points.len());
+        let mut maint = Maintained::Sens {
+            kind,
+            grid,
+            alive,
+            net: None,
+            csr,
         };
-        let (giant, graph_hash) = rayon::join(
-            || giant_fraction_participants(&universe_graph),
-            || fingerprint(&universe_graph),
-        );
-        let (battery_residual, battery_variance, battery_universe) = pop.battery_stats(&alive);
-        epochs.push(EpochReport {
-            epoch,
-            deaths_battery: by_battery,
-            deaths_random: by_random,
-            joins: joins.len() as u64,
-            alive: n_alive as u64,
-            offered,
-            delivered,
-            energy_spent,
-            energy_recharged,
-            battery_residual,
-            battery_added,
-            battery_variance,
-            battery_universe,
-            giant_fraction: giant,
-            coverage: probe.fraction(points, &alive),
-            graph_hash,
-            shards_dirty: 0,
-            shards_event_local: 0,
-            shards_rederived: 0,
-            repair_gathered: 0,
-            repair_escalations: 0,
-            repair_secs,
-            repair_splice_secs: 0.0,
-        });
-    }
-    LifetimeReport::from_epochs(epochs, cfg)
+        maint.apply_churn(points, &[], &[]);
+        maint
+    })
+    .run()
 }
 
 #[cfg(test)]
@@ -1167,6 +1198,49 @@ mod tests {
         assert_eq!(
             ChurnConfigError::BlastRadius(0.0).to_string(),
             "blast radius must be finite and positive, got 0"
+        );
+    }
+
+    #[test]
+    fn zero_repair_tiles_is_a_typed_error() {
+        let mut cfg = ChurnConfig::new(2, 1e6, 0, 0.1, 1.0);
+        cfg.repair_tiles = 0;
+        assert_eq!(cfg.validate(), Err(ChurnConfigError::RepairTiles(0)));
+        assert_eq!(
+            ChurnConfigError::RepairTiles(0).to_string(),
+            "repair tiles must be ≥ 1, got 0"
+        );
+        cfg.repair_tiles = 1;
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn negative_or_non_finite_idle_cost_is_a_typed_error() {
+        let mut cfg = ChurnConfig::new(2, 1e6, 0, 0.1, 1.0);
+        for c in [-1.0, -1e-300, f64::NAN, f64::INFINITY] {
+            cfg.idle_cost = c;
+            let err = cfg.validate().unwrap_err();
+            assert!(matches!(err, ChurnConfigError::IdleCost(x) if x.to_bits() == c.to_bits()));
+        }
+        cfg.idle_cost = 0.0;
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(
+            ChurnConfigError::IdleCost(-1.0).to_string(),
+            "idle cost must be finite and ≥ 0, got -1"
+        );
+    }
+
+    #[test]
+    fn non_finite_battery_is_a_typed_error() {
+        let mut cfg = ChurnConfig::new(2, 1e6, 0, 0.1, 1.0);
+        for b in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            cfg.battery = b;
+            let err = cfg.validate().unwrap_err();
+            assert!(matches!(err, ChurnConfigError::Battery(x) if x.to_bits() == b.to_bits()));
+        }
+        assert_eq!(
+            ChurnConfigError::Battery(f64::INFINITY).to_string(),
+            "battery must be finite, got inf"
         );
     }
 
@@ -1307,11 +1381,12 @@ mod tests {
         // tx(1) + rx = 200, the source 150×(packets) — 350 survives one
         // relayed packet at every position but not two at the relay.
         let cfg = ChurnConfig::new(1, 350.0, 0, 0.0, 0.0);
-        let mut pop = Population::new(3, &alive, cfg.battery);
-        let first = pop.debit_path(&pts, &[0, 1, 2], &cfg.energy);
+        let window = pts.bounding_box().unwrap();
+        let mut pop = Population::new(&pts, &alive, window, &cfg, 1);
+        let first = pop.debit_path(&[0, 1, 2]);
         assert_eq!(first, 2.0 * cfg.energy.hop(1.0));
         assert!(pop.battery[1] > 0.0);
-        let second = pop.debit_path(&pts, &[0, 1, 2], &cfg.energy);
+        let second = pop.debit_path(&[0, 1, 2]);
         assert_eq!(
             first, second,
             "a depleted relay still forwards at full cost"
@@ -1322,11 +1397,10 @@ mod tests {
             pop.battery[1]
         );
         // Degenerate paths debit nothing even when depleted.
-        assert_eq!(pop.debit_path(&pts, &[1], &cfg.energy), 0.0);
-        assert_eq!(pop.debit_path(&pts, &[], &cfg.energy), 0.0);
+        assert_eq!(pop.debit_path(&[1]), 0.0);
+        assert_eq!(pop.debit_path(&[]), 0.0);
         // The sweep — and only the sweep — collects the relay.
-        let window = pts.bounding_box().unwrap();
-        let (deaths, by_battery, by_random) = pop.select_deaths(&pts, &alive, &window, &cfg, 1, 0);
+        let (deaths, by_battery, by_random) = pop.select_deaths(&alive, 0);
         assert_eq!(deaths, vec![1]);
         assert_eq!((by_battery, by_random), (1, 0));
     }
@@ -1336,16 +1410,16 @@ mod tests {
         let pts: PointSet = (0..4).map(|i| Point::new(i as f64, 0.0)).collect();
         let alive = vec![true, true, true, false];
         let mut cfg = ChurnConfig::new(1, 100.0, 0, 0.0, 0.0);
-        let mut pop = Population::new(4, &alive, cfg.battery);
-        pop.battery[0] = 20.0;
-        pop.battery[1] = 95.0;
-        // Node 2 already sits at the ceiling; node 3 is dead.
         cfg.renewal = RenewalPolicy::Solar {
             rate: 30.0,
             max_charge: 100.0,
         };
         let window = pts.bounding_box().unwrap();
-        let gained = pop.apply_renewal(&pts, &alive, &window, &cfg);
+        let mut pop = Population::new(&pts, &alive, window, &cfg, 1);
+        pop.battery[0] = 20.0;
+        pop.battery[1] = 95.0;
+        // Node 2 already sits at the ceiling; node 3 is dead.
+        let gained = pop.apply_renewal(&alive);
         assert_eq!(pop.battery[0], 50.0, "full rate below the band");
         assert_eq!(pop.battery[1], 100.0, "clamped to the ceiling");
         assert_eq!(pop.battery[2], 100.0, "no gain at the ceiling");
@@ -1364,10 +1438,10 @@ mod tests {
             min_charge: 50.0,
             max_charge: 100.0,
         };
-        let mut pop = Population::new(5, &alive, cfg.battery);
-        pop.battery = vec![10.0, 80.0, 95.0, 30.0, -5.0];
         let window = pts.bounding_box().unwrap();
-        let gained = pop.apply_renewal(&pts, &alive, &window, &cfg);
+        let mut pop = Population::new(&pts, &alive, window, &cfg, 1);
+        pop.battery = vec![10.0, 80.0, 95.0, 30.0, -5.0];
+        let gained = pop.apply_renewal(&alive);
         // Neediest first: node 4 (−5, leg 2 from the centre), then node 0
         // (leg 4 from node 4 — unaffordable on the remaining 1.0), then
         // node 3 (leg 1 from node 4 — affordable). Nodes 1 and 2 sit above

@@ -239,7 +239,7 @@ pub fn distributed_build_udg(
 /// neighbour in a different shard — are counted separately: their messages
 /// are the ones a sharded deployment would exchange across the halo. A
 /// single whole-grid shard therefore has zero border messages.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ShardAccounting {
     /// Shard grid dimensions (cols × rows).
     pub shards: usize,

@@ -8,17 +8,18 @@
 //!
 //! ## Snapshot model (per-epoch broadcast)
 //!
-//! The writer owns the graph. Each epoch it selects deaths and joins with
-//! the *same* `Population` schedule the batch engine uses, splices the
-//! repair in place, then captures an immutable [`Snapshot`] — chunked CSR,
-//! alive state, component labels, fingerprint, and the repair's dirty
-//! extents — and broadcasts it to every reader thread through
-//! [`wsn_graph::run_lockstep`]. The loop runs in lockstep: while the writer
-//! splices epoch *e+1* into the live graph, the readers serve epoch *e*
-//! from their `Arc` of its capture, and *e+1* goes out only once every
-//! reader has released *e*. Each reader therefore sees every epoch once,
-//! in order, and the released snapshot is freed at the next publish, so
-//! one snapshot is resident between publishes (the soak test pins this).
+//! The writer owns the graph. Each epoch it runs the batch engine's epoch
+//! step on it (traffic, idle drain, renewal, deaths, joins and the in-place
+//! repair, for any [`ChurnConfig`]), then captures an immutable
+//! [`Snapshot`] — chunked CSR, alive state, component labels, fingerprint,
+//! and the repair's dirty extents — and broadcasts it to every reader
+//! thread through [`wsn_graph::run_lockstep`]. The loop runs in lockstep:
+//! while the writer splices epoch *e+1* into the live graph, the readers
+//! serve epoch *e* from their `Arc` of its capture, and *e+1* goes out only
+//! once every reader has released *e*. Each reader therefore sees every
+//! epoch once, in order, and the released snapshot is freed at the next
+//! publish, so one snapshot is resident between publishes (the soak test
+//! pins this).
 //!
 //! The loop fails fast: a reader that panics hangs up its link, so the
 //! writer's next wait panics naming it; a writer that panics hangs up all
@@ -54,7 +55,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use crate::churn::{pick, u01, ChurnConfig, ChurnConfigError, Population};
+use crate::churn::{pick, u01, ChurnConfig, ChurnConfigError, Maintained, RepairMode, Stepper};
 use wsn_geom::hash::{derive_seed, derive_seed2, mix64};
 use wsn_geom::{Aabb, Point};
 use wsn_graph::bfs::BfsScratch;
@@ -76,10 +77,10 @@ const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// Configuration of one serve run.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Churn schedule (epochs, failure model, join rate, battery).
-    /// `traffic_per_epoch` is ignored: serve reads never debit batteries,
-    /// which is what lets serve fingerprints match a zero-traffic batch
-    /// run of the same schedule.
+    /// Churn schedule, run exactly as the batch engine runs it: traffic
+    /// debits, idle drain, renewal, deaths, joins and repair, so serve
+    /// fingerprints match a batch run of the same schedule. Served queries
+    /// never debit batteries.
     pub churn: ChurnConfig,
     /// Reader threads. 0 is rejected; 1 still exercises the full
     /// broadcast.
@@ -191,7 +192,7 @@ impl Snapshot {
     /// Capture the published view of `g` after its epoch repair. The
     /// capture is a clone of the live post-splice graph, so one
     /// fingerprint serves both; that it equals the batch engine's
-    /// `graph_hash` channel is pinned by [`fingerprints_match_batch`]. The
+    /// `graph_hash` channel is pinned by `tests/serve_concurrency.rs`. The
     /// components pass runs beside the fingerprint.
     pub fn capture(epoch: u64, g: &IncrementalGraph) -> Snapshot {
         let csr = g.graph().clone();
@@ -386,7 +387,7 @@ impl ClientState {
     }
 }
 
-/// Fold a path into one digest word (length + node sequence).
+/// Fold a path, or any id list, into one digest word (length + ids).
 fn path_word(path: Option<&[u32]>) -> u64 {
     match path {
         None => 0x6e6f_726f_7574_6500, // "no route"
@@ -562,11 +563,7 @@ impl Engine<'_> {
                     let k = 1 + (derive_seed2(cseed, qi, 4) % cfg.knn_max.max(1) as u64) as usize;
                     let ids =
                         k_nearest_alive(index, points, &snap.alive, q, k, cfg.coverage_radius);
-                    let mut d = DIGEST_SEED ^ ids.len() as u64;
-                    for &u in &ids {
-                        d = mix64(d ^ u as u64);
-                    }
-                    state.absorb(d);
+                    state.absorb(path_word(Some(&ids)));
                 }
                 4 => {
                     // Coverage: alive sensors within the sensing radius of a
@@ -666,7 +663,6 @@ fn run_service(
     cfg: &ServeConfig,
     concurrent: bool,
 ) -> ServeReport {
-    assert_eq!(points.len(), initial_alive.len());
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid serve configuration: {e}"));
     let epochs = cfg.churn.epochs;
@@ -680,31 +676,19 @@ fn run_service(
         max_edge: kind.max_edge_len(),
     };
 
-    let mut g = IncrementalGraph::build(
-        points.clone(),
-        initial_alive.to_vec(),
-        kind,
-        cfg.churn.repair_tiles,
-    );
-    let mut pop = Population::new(points.len(), initial_alive, cfg.churn.battery);
+    let tiles = cfg.churn.repair_tiles;
+    let mut stepper = Stepper::new(points, initial_alive, &cfg.churn, cfg.seed, || {
+        Maintained::plain(points, initial_alive, kind, RepairMode::Incremental, tiles)
+    });
     let mut epoch_fingerprints = Vec::with_capacity(epochs);
     let (mut deaths_total, mut joins_total) = (0u64, 0u64);
-    // The writer's epoch: churn, splice, capture. In the concurrent run the
-    // splice overlaps the readers serving the previous epoch's snapshot.
+    // The writer's epoch: the batch engine's step, then the capture (in the
+    // concurrent run, beside the readers serving the previous epoch).
     let mut write = |epoch: u64| {
-        let (deaths, _, _) =
-            pop.select_deaths(points, g.alive(), &window, &cfg.churn, cfg.seed, epoch);
-        let (joins, _) = pop.admit_joins(deaths.len(), &cfg.churn);
-        deaths_total += deaths.len() as u64;
-        joins_total += joins.len() as u64;
-        g.apply_churn(&deaths, &joins);
-        if cfg.churn.verify {
-            assert!(
-                g.verify_cold(),
-                "incremental repair diverged from cold rebuild at epoch {epoch}"
-            );
-        }
-        let snap = Snapshot::capture(epoch, &g);
+        let stepped = stepper.step(epoch);
+        deaths_total += stepped.deaths_battery + stepped.deaths_random;
+        joins_total += stepped.joins;
+        let snap = Snapshot::capture(epoch, stepper.incremental());
         epoch_fingerprints.push(snap.fingerprint);
         snap
     };
@@ -761,7 +745,7 @@ fn run_service(
         latency_ns[i] as f64 / 1_000.0
     };
     let queries = (cfg.clients * cfg.queries_per_client * epochs) as u64;
-    let final_alive = g.n_alive() as u64;
+    let final_alive = stepper.incremental().n_alive() as u64;
 
     ServeReport {
         epochs: epochs as u64,
@@ -789,22 +773,6 @@ fn run_service(
         snapshots_retired: retired,
         max_live_snapshots: max_live,
     }
-}
-
-/// Compare a serve run's per-epoch fingerprints against a batch lifetime
-/// run's `graph_hash` channel (convenience for the regression test and
-/// the `serve --verify` CLI path): both must walk identical topologies
-/// when given the same `(universe, kind, churn, seed)`.
-pub fn fingerprints_match_batch(
-    report: &ServeReport,
-    batch: &crate::churn::LifetimeReport,
-) -> bool {
-    report.epoch_fingerprints.len() == batch.epochs.len()
-        && report
-            .epoch_fingerprints
-            .iter()
-            .zip(&batch.epochs)
-            .all(|(fp, e)| *fp == e.graph_hash)
 }
 
 #[cfg(test)]
@@ -867,10 +835,9 @@ mod tests {
         let cfg = small_cfg(3, 2);
         let kind = IncTopology::Udg { radius: 1.0 };
         let serve = run_serve(&pts, &alive, kind, &cfg);
-        let mut batch_cfg = cfg.churn;
-        batch_cfg.traffic_per_epoch = 0;
-        let batch = crate::churn::simulate_lifetime_plain(&pts, &alive, kind, &batch_cfg, cfg.seed);
-        assert!(fingerprints_match_batch(&serve, &batch));
+        let batch = crate::churn::simulate_lifetime_plain(&pts, &alive, kind, &cfg.churn, cfg.seed);
+        let walk: Vec<u64> = batch.epochs.iter().map(|e| e.graph_hash).collect();
+        assert_eq!(serve.epoch_fingerprints, walk);
     }
 
     #[test]

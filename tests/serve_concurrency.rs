@@ -20,9 +20,10 @@
 //!    snapshot retires with at most one live at a time; the route cache
 //!    never serves a path that crosses an invalidated dirty extent after
 //!    an epoch advance.
-//! 4. **Channel sharing**: the published fingerprint walk equals the batch
-//!    churn engine's `graph_hash` channel for the same schedule — serve
-//!    mode and batch mode cannot drift apart silently.
+//! 4. **Channel sharing**: the published fingerprint walk and death count
+//!    equal the batch churn engine's for the same schedule, traffic, idle
+//!    drain and renewal included — serve mode and batch mode cannot drift
+//!    apart silently.
 //! 5. **Fail fast**: a panic in the writer or in any reader ends the
 //!    lockstep loop with that panic, under a 60 s watchdog, instead of
 //!    leaving the other side waiting.
@@ -42,8 +43,7 @@ use wsn::geom::Aabb;
 use wsn::graph::{fingerprint, run_lockstep, EpochPublisher};
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
 use wsn::rgg::{IncTopology, IncrementalGraph};
-use wsn::simnet::churn::{simulate_lifetime_plain, ChurnConfig, ChurnModel};
-use wsn::simnet::serve::fingerprints_match_batch;
+use wsn::simnet::churn::{simulate_lifetime_plain, ChurnConfig, ChurnModel, RenewalPolicy};
 use wsn::simnet::{run_replay, run_serve, RouteCache, ServeConfig, ServeReport, Snapshot};
 
 /// The serve-capable (plain incremental) topology kinds the differential
@@ -364,24 +364,45 @@ fn u01(h: u64) -> f64 {
 
 /// The published fingerprint walk equals the batch churn engine's
 /// `graph_hash` channel for the same `(universe, kind, schedule, seed)` —
-/// the regression fence for serve/batch divergence. (Capture itself
-/// asserts snapshot fingerprint == live post-splice fingerprint on every
-/// publish, so this test also transitively pins that equality.)
+/// the regression fence for serve/batch divergence — and the two runs
+/// agree on every death. The second schedule drains batteries by traffic
+/// and idle cost and recharges them by solar trickle, so it fails if the
+/// serve writer skips any phase of the batch epoch.
 #[test]
 fn published_fingerprints_equal_batch_graph_hash_channel() {
+    let draining = |mut cfg: ServeConfig| {
+        cfg.churn.battery = 800.0;
+        cfg.churn.idle_cost = 250.0;
+        cfg.churn.renewal = RenewalPolicy::Solar {
+            rate: 100.0,
+            max_charge: 800.0,
+        };
+        cfg.churn.traffic_per_epoch = 30;
+        cfg
+    };
     for (ki, kind) in KINDS.into_iter().enumerate() {
         let seed = derive_seed2(0xF1F0, ki as u64, 0);
         let (pts, alive) = universe(seed, 9.0, 14.0, 0.25);
-        let cfg = serve_cfg(4, 2, 0.10, seed);
-        let serve = run_serve(&pts, &alive, kind, &cfg);
-        let mut batch_cfg = cfg.churn;
-        batch_cfg.traffic_per_epoch = 0;
-        let batch = simulate_lifetime_plain(&pts, &alive, kind, &batch_cfg, cfg.seed);
-        assert!(
-            fingerprints_match_batch(&serve, &batch),
-            "{}: serve fingerprints diverged from the batch graph_hash walk",
-            kind.label()
-        );
+        for cfg in [
+            serve_cfg(4, 2, 0.10, seed),
+            draining(serve_cfg(5, 2, 0.10, seed)),
+        ] {
+            let serve = run_serve(&pts, &alive, kind, &cfg);
+            let batch = simulate_lifetime_plain(&pts, &alive, kind, &cfg.churn, cfg.seed);
+            let walk: Vec<u64> = batch.epochs.iter().map(|e| e.graph_hash).collect();
+            assert_eq!(
+                serve.epoch_fingerprints,
+                walk,
+                "{}: serve fingerprints diverged from the batch graph_hash walk",
+                kind.label()
+            );
+            assert_eq!(
+                serve.deaths_total,
+                batch.deaths_battery_total + batch.deaths_random_total,
+                "{}: serve and batch killed different nodes",
+                kind.label()
+            );
+        }
     }
 }
 
