@@ -313,8 +313,8 @@ impl ShardGrid {
     }
 
     /// Row-major index range `(i0..=i1, j0..=j1)` of the shards that can
-    /// *own* a point inside `b` — the resident-list scan window of the
-    /// dirty-extent gather. Exact, not padded: `owner_of` floors and clamps
+    /// *own* a point inside `b` — the resident-list scan window of a box
+    /// query. Exact, not padded: `owner_of` floors and clamps
     /// with the same arithmetic, and `floor` is monotone, so the owner of
     /// any `p ∈ b` falls inside the range. Infinite box sides clamp to the
     /// grid edge (edge shards own the unbounded outside anyway).
@@ -334,10 +334,9 @@ impl ShardGrid {
     /// pairwise disjoint — so a point lies in at most one group, and every
     /// member shard's padded extent is contained in its group's extent.
     ///
-    /// This is the unit the locality-proportional repair gathers over:
-    /// clustered churn yields a few small groups instead of one global
-    /// working set, and the group extent doubles as the coverage
-    /// certificate of the localized spatial index built over it.
+    /// The incremental repair publishes these group extents as its
+    /// footprint: clustered churn yields a few small boxes instead of one
+    /// covering the window.
     pub fn merge_padded_extents(&self, shards: &[usize], halo: f64) -> Vec<ExtentGroup> {
         let mut groups: Vec<ExtentGroup> = Vec::new();
         for &s in shards {

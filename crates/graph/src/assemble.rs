@@ -17,13 +17,13 @@
 //!
 //! Two passes, both on the worker pool:
 //!
-//! 1. **Bucket** ([`bucket`]), one worker per group of runs: each edge is
+//! 1. **Bucket** (`bucket`), one worker per group of runs: each edge is
 //!    mapped and checked, and its two directed half-edges are counting-
 //!    sorted into one array per group, ordered by the block owning their
 //!    row. A first walk sizes the array exactly, and owned runs are freed
 //!    as soon as their group is done. [`ChunkedCsr::splice`] buckets its
 //!    delta with the same pass.
-//! 2. **Scatter** ([`scatter_block`]), one worker per block: count each
+//! 2. **Scatter** (`scatter_block`), one worker per block: count each
 //!    row's half-edges, prefix-sum, scatter into the block's rows (a slice
 //!    of the dense arena, or the chunk's own buffer), then sort each row
 //!    and fold equal neighbours into one entry with a multiplicity.

@@ -20,8 +20,8 @@
 //! * [`view`] — the [`GraphView`] trait and [`CsrView`] enum unifying the
 //!   dense and chunked representations for read-side consumers.
 //! * [`builder`] — edge-list accumulation and deduplication.
-//! * [`delta`] — incremental maintenance: sorted per-shard edge caches and
-//!   their linear old/new diff, monotone relabelling, CSR fingerprints.
+//! * [`delta`] — universe id-space helpers: monotone relabelling and
+//!   layout-blind CSR fingerprints.
 //! * [`perm`] — arbitrary-permutation relabelling of a built graph.
 //! * [`snapshot`] — the serve path's per-epoch snapshot broadcast: one
 //!   lockstep writer, reader links that release each epoch, fail-fast
@@ -54,10 +54,7 @@ pub use assemble::Emitted;
 pub use builder::EdgeList;
 pub use chunked::{ChunkedCsr, SpliceStats};
 pub use csr::Csr;
-pub use delta::{
-    check_monotone, diff_emissions, fingerprint, relabel, sort_emissions, IdRemap,
-    MonotonicityError, ShardedEdgeStore,
-};
+pub use delta::{check_monotone, fingerprint, relabel, MonotonicityError};
 pub use perm::remap_csr;
 pub use snapshot::{run_lockstep, EpochPublisher, Subscriber};
 pub use unionfind::UnionFind;

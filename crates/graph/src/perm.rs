@@ -1,7 +1,7 @@
 //! Arbitrary-permutation relabelling of a built graph.
 //!
-//! [`crate::delta::IdRemap`] deliberately accepts only *monotone* maps —
-//! the shard-gather case, where relative order is preserved. The ordered
+//! [`crate::delta::relabel`] deliberately accepts only *monotone* maps —
+//! the survivor-compaction case, where relative order is preserved. The ordered
 //! construction pipeline runs its builders in a spatially sorted *rank*
 //! space (`wsn_pointproc::order::PointOrder`) through a permutation that is
 //! anything but monotone; those builders hand the map to the assembler

@@ -23,12 +23,12 @@
 //! independent of network size — the bounded-expected-degree claim the
 //! scenario layer's claim-audit metrics check.
 //!
-//! Three byte-identical builders mirror the established pattern: a
-//! monolithic serial one ([`build_hng`]), a tile-sharded parallel one
+//! Two byte-identical builders mirror the established pattern: a
+//! monolithic serial one ([`build_hng`]) and a tile-sharded parallel one
 //! ([`build_hng_sharded`]) whose per-node certificates follow the same
-//! kth-distance margin rule as the sharded k-NN derivation, and the
-//! shard derivation (`derive_hng`) the incremental engine re-runs under
-//! churn.
+//! kth-distance margin rule as the sharded k-NN derivation. Under churn
+//! the incremental engine re-answers single rungs against per-level
+//! indexes over its fixed universe.
 
 use wsn_geom::hash::{derive_seed2, mix64};
 use wsn_geom::{Aabb, Point};
@@ -145,21 +145,31 @@ pub(crate) fn upward_links(
     lvl_u: u32,
     links: usize,
 ) -> Vec<u32> {
-    let mut out = Vec::new();
     let hi = lvl_u.min(sets.top_level.saturating_sub(1));
-    for i in 1..=hi {
-        let j = i + 1;
-        let (_, ids) = &sets.sets[(j - 2) as usize];
-        let skip = if lvl_u >= j {
-            Some(ids.binary_search(&u).expect("member of its own level set") as u32)
-        } else {
-            None
-        };
-        for (v, _) in indexes[(j - 2) as usize].knn(p, links, skip) {
-            out.push(ids[v as usize]);
-        }
-    }
-    out
+    (2..=hi + 1)
+        .flat_map(|j| upward_rung(sets, indexes, p, u, lvl_u, j, links))
+        .collect()
+}
+
+/// One rung of [`upward_links`]: the `links` nearest members of level
+/// `≥ j` (excluding `u`).
+fn upward_rung(
+    sets: &LevelSets,
+    indexes: &[GridIndex],
+    p: Point,
+    u: u32,
+    lvl_u: u32,
+    j: u32,
+    links: usize,
+) -> Vec<u32> {
+    let (_, ids) = &sets.sets[(j - 2) as usize];
+    let skip =
+        (lvl_u >= j).then(|| ids.binary_search(&u).expect("member of its own level set") as u32);
+    indexes[(j - 2) as usize]
+        .knn(p, links, skip)
+        .into_iter()
+        .map(|(v, _)| ids[v as usize])
+        .collect()
 }
 
 /// Build `HNG(points, levels, links)` on an explicit level assignment —
@@ -201,8 +211,7 @@ pub fn build_hng(points: &PointSet, params: HngParams, seed: u64) -> Csr {
 /// density — computed from the *observed* level assignment so churned
 /// subsets stay self-consistent. Level-1 uplinks almost surely fit;
 /// higher-level queries routinely exceed it and take the certified
-/// fallback path instead, which is why HNG shards behave like k-NN
-/// straggler shards under incremental repair.
+/// fallback path instead.
 pub fn hng_halo(points: &PointSet, levels: &[u32], links: usize) -> f64 {
     let bb = points.bounding_box().expect("caller guards empty sets");
     let area = bb.area().max(1e-9);
@@ -213,51 +222,8 @@ pub fn hng_halo(points: &PointSet, levels: &[u32], links: usize) -> f64 {
         .clamp(1e-3, bb.width().max(bb.height()).max(1e-3))
 }
 
-/// What one shard's cached HNG emissions depend on *beyond* its own
-/// ghost-padded geometry. Margin-certified uplink rungs need no record —
-/// their answer disk provably fits the padded box, so any churn that
-/// could change them also marks the shard geometrically. Every other
-/// rung (answered through `covers_all` or the exact fallback) records a
-/// dependence box: churn of a node of level `≥ j` inside the box may
-/// change the cached answer, so the incremental engine re-derives the
-/// shard. Boxes are unioned per target level, ascending `j`, so a shard
-/// carries at most `T − 1` of them.
-///
-/// Top-clique edges are deliberately *not* recorded here: they depend
-/// only on the alive top level and its member set, which the engine
-/// tracks directly (`IncrementalGraph::hng_top`).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct HngDeps {
-    /// `(target level j, union of answer disks)` per fallback-answered
-    /// rung, ascending `j`.
-    pub(crate) boxes: Vec<(u32, Aabb)>,
-}
-
-impl HngDeps {
-    /// Record one rung's dependence: the disk around `p` reaching the
-    /// worst answered distance (any closer level-`≥ j` churn can displace
-    /// an answer), or the whole plane when the answer ran short of
-    /// `links` — then a level-`≥ j` join *anywhere* adds an edge.
-    fn record(&mut self, j: u32, p: Point, answer: &[(u32, f64)], links: usize) {
-        let bb = if answer.len() < links {
-            Aabb::new(
-                Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
-                Point::new(f64::INFINITY, f64::INFINITY),
-            )
-        } else {
-            let worst = answer.last().map(|&(_, d)| d).unwrap_or(0.0);
-            Aabb::centered_square(p, 2.0 * worst)
-        };
-        match self.boxes.binary_search_by_key(&j, |&(lvl, _)| lvl) {
-            Ok(i) => self.boxes[i].1 = self.boxes[i].1.union(&bb),
-            Err(i) => self.boxes.insert(i, (j, bb)),
-        }
-    }
-}
-
 /// One shard's HNG emissions as canonical `(min, max)` pairs (symmetrised
-/// and deduplicated downstream like Yao/k-NN), plus the straggler flag
-/// and the dependence record.
+/// and deduplicated downstream like Yao/k-NN).
 ///
 /// `levels` is indexed by the ids in `shard.ids`; `top`/`top_level`
 /// describe the top occupied level of the *whole* population. Each uplink
@@ -266,15 +232,9 @@ impl HngDeps {
 /// [`interior_margin`] of the shard's `padded` box — the same per-answer
 /// certificate as k-NN, so a certified list provably cannot depend on
 /// points beyond the box. A failed rung is answered exactly — through the
-/// gather itself when `covers_all`, else through
-/// `fallback(p, gu, j)` (the node's exact `links` nearest level-`≥ j`
-/// nodes as `(universe id, distance)`, in k-NN `(distance, id)` order) —
-/// and records its dependence disk in the returned [`HngDeps`].
-///
-/// The straggler flag keeps the sharded builder's conservative meaning
-/// (clique owners and `covers_all`-certified answers depend on global
-/// structure); the incremental engine ignores it for HNG and trusts the
-/// dependence record plus its own top-level tracking instead.
+/// gather itself when `covers_all`, else through `fallback(p, gu, j)` (the
+/// node's exact `links` nearest level-`≥ j` nodes in global ids, in k-NN
+/// `(distance, id)` order).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn derive_hng<F>(
     shard: &Shard,
@@ -285,15 +245,13 @@ pub(crate) fn derive_hng<F>(
     padded: &Aabb,
     covers_all: bool,
     fallback: F,
-) -> (Vec<(u32, u32)>, bool, HngDeps)
+) -> Vec<(u32, u32)>
 where
-    F: Fn(Point, u32, u32) -> Vec<(u32, f64)>,
+    F: Fn(Point, u32, u32) -> Vec<u32>,
 {
     let mut out = Vec::new();
-    let mut straggled = false;
-    let mut deps = HngDeps::default();
     if shard.pts.is_empty() {
-        return (out, straggled, deps);
+        return out;
     }
     let local_levels: Vec<u32> = shard.ids.iter().map(|&g| levels[g as usize]).collect();
     let local_sets = LevelSets::build(&shard.pts, &local_levels);
@@ -306,7 +264,6 @@ where
         let lu = levels[gu as usize];
         if lu >= top_level {
             // Clique member: exact from the global top list.
-            straggled = true;
             for &gv in top {
                 if gv != gu {
                     out.push((gu.min(gv), gu.max(gv)));
@@ -316,86 +273,67 @@ where
         let hi = lu.min(top_level.saturating_sub(1));
         for i in 1..=hi {
             let j = i + 1;
-            let Some((_, ids_j)) = local_sets.sets.get((j - 2) as usize) else {
-                // No local candidates at this level at all (cannot happen
-                // under `covers_all`: `j ≤ top_level`, so the level is
-                // occupied globally); only the fallback knows.
-                let ans = fallback(p, gu, j);
-                deps.record(j, p, &ans, links);
-                for &(gv, _) in &ans {
-                    out.push((gu.min(gv), gu.max(gv)));
+            // No local candidates at this level at all (cannot happen
+            // under `covers_all`: `j ≤ top_level`, so the level is occupied
+            // globally): only the fallback knows.
+            let answer: Vec<u32> = match local_sets.sets.get((j - 2) as usize) {
+                Some((_, ids_j)) => {
+                    let skip = (local_levels[u as usize] >= j).then(|| {
+                        ids_j
+                            .binary_search(&u)
+                            .expect("member of its own level set") as u32
+                    });
+                    let found = indexes[(j - 2) as usize].knn(p, links, skip);
+                    let margin_ok = found.len() == links
+                        && found
+                            .last()
+                            .is_none_or(|&(_, d)| d <= interior_margin(p, padded));
+                    if margin_ok || covers_all {
+                        found
+                            .iter()
+                            .map(|&(v, _)| shard.ids[ids_j[v as usize] as usize])
+                            .collect()
+                    } else {
+                        fallback(p, gu, j)
+                    }
                 }
-                continue;
+                None => fallback(p, gu, j),
             };
-            let skip = if local_levels[u as usize] >= j {
-                Some(
-                    ids_j
-                        .binary_search(&u)
-                        .expect("member of its own level set") as u32,
-                )
-            } else {
-                None
-            };
-            let found = indexes[(j - 2) as usize].knn(p, links, skip);
-            let margin_ok = found.len() == links
-                && found
-                    .last()
-                    .is_none_or(|&(_, d)| d <= interior_margin(p, padded));
-            if margin_ok {
-                // Certified: the answer disk fits the padded box, no
-                // record needed — churn inside it marks the shard
-                // geometrically.
-                for &(v, _) in &found {
-                    let gv = shard.ids[ids_j[v as usize] as usize];
-                    out.push((gu.min(gv), gu.max(gv)));
-                }
-            } else if covers_all {
-                // Exact (the gather saw everyone) but certified only by
-                // global knowledge — record the dependence disk.
-                straggled = true;
-                deps.record(j, p, &found, links);
-                for &(v, _) in &found {
-                    let gv = shard.ids[ids_j[v as usize] as usize];
-                    out.push((gu.min(gv), gu.max(gv)));
-                }
-            } else {
-                let ans = fallback(p, gu, j);
-                deps.record(j, p, &ans, links);
-                for &(gv, _) in &ans {
-                    out.push((gu.min(gv), gu.max(gv)));
-                }
+            for gv in answer {
+                out.push((gu.min(gv), gu.max(gv)));
             }
         }
     }
-    (out, straggled, deps)
+    out
 }
 
 /// Sharded `HNG` on an explicit level assignment — edge-identical to
 /// [`build_hng_on_levels`]. The plan's halo is [`hng_halo`]; stragglers
-/// (uplinks the margin certificate cannot vouch for, plus the top clique)
-/// fall back to exact queries on shared whole-population level indexes.
+/// (uplinks the margin certificate cannot vouch for) fall back to exact
+/// queries on shared whole-population level indexes.
 pub fn build_hng_sharded_on_levels(
     points: &PointSet,
     levels: &[u32],
     links: usize,
     tiles_per_shard: usize,
 ) -> Csr {
-    hng_sharded_on_levels(points, levels, links, tiles_per_shard, None)
+    let runs = hng_runs(points, levels, links, tiles_per_shard);
+    // An uplink may be selected from both endpoints; the assembler folds
+    // the repeat.
+    Csr::from_runs(points.len(), runs, None, Emitted::Repeated)
 }
 
-/// [`build_hng_sharded_on_levels`] with the assembler mapping every
-/// endpoint through `map` (the ordered pipeline passes `to_orig`).
-pub(crate) fn hng_sharded_on_levels(
+/// The sharded HNG's shard runs, one pair per uplink or clique selection.
+pub(crate) fn hng_runs(
     points: &PointSet,
     levels: &[u32],
     links: usize,
     tiles_per_shard: usize,
-    map: Option<&[u32]>,
-) -> Csr {
+) -> Vec<Vec<(u32, u32)>> {
     assert!(links >= 1, "need at least one uplink per level");
     assert_eq!(levels.len(), points.len(), "level per point");
     if points.is_empty() {
-        return Csr::empty(0);
+        return Vec::new();
     }
     let halo = hng_halo(points, levels, links);
     let gather = GridIndex::build(points, halo / 3.0);
@@ -403,7 +341,7 @@ pub(crate) fn hng_sharded_on_levels(
     let bbox = points.bounding_box().unwrap();
     let sets = LevelSets::build(points, levels);
     let indexes = sets.indexes(links);
-    let runs = fan_out(&grid, |s| {
+    fan_out(&grid, |s| {
         let shard = Shard::gather(points, &gather, &grid, s, halo);
         let padded = grid.padded(s, halo);
         let covers_all = padded.contains_aabb(&bbox);
@@ -415,31 +353,11 @@ pub(crate) fn hng_sharded_on_levels(
             sets.top_level,
             &padded,
             covers_all,
-            |p, gu, j| {
-                // One exact rung from the whole-population level index
-                // (ids are already global here).
-                let (_, ids_j) = &sets.sets[(j - 2) as usize];
-                let skip = if levels[gu as usize] >= j {
-                    Some(
-                        ids_j
-                            .binary_search(&gu)
-                            .expect("member of its own level set") as u32,
-                    )
-                } else {
-                    None
-                };
-                indexes[(j - 2) as usize]
-                    .knn(p, links, skip)
-                    .into_iter()
-                    .map(|(v, d)| (ids_j[v as usize], d))
-                    .collect()
-            },
+            // One exact rung from the whole-population level index (ids
+            // are already global here).
+            |p, gu, j| upward_rung(&sets, &indexes, p, gu, levels[gu as usize], j, links),
         )
-        .0
-    });
-    // An uplink may be selected from both endpoints; the assembler folds
-    // the repeat.
-    Csr::from_runs(points.len(), runs, map, Emitted::Repeated)
+    })
 }
 
 /// Sharded `HNG(points, params, seed)` — edge-identical to [`build_hng`].

@@ -3,93 +3,81 @@
 //! A lifetime simulation kills and admits nodes every epoch; rebuilding a
 //! million-node topology from scratch per epoch would dominate wall-clock.
 //! [`IncrementalGraph`] instead keeps the graph as a chunked CSR
-//! ([`wsn_graph::ChunkedCsr`]) across epochs — plus, for every kind but
-//! the UDG, the tile-sharded construction's *per-shard edge caches*
-//! ([`wsn_graph::ShardedEdgeStore`]) — and repairs only what churn
-//! touched:
+//! ([`wsn_graph::ChunkedCsr`]) across epochs — the only copy of the graph
+//! it keeps — and repairs it per churn *event*, using the local
+//! computability of every plain kind: a node's selection depends only on a
+//! bounded neighbourhood, so an event can change only the owners whose
+//! certificate covers it.
 //!
 //! * Node ids live in a fixed **universe** id space (the initial deployment
 //!   plus any reserve pool); churn toggles an alive mask, never re-indexes.
 //!   This id space stays in *deployment order* even though one-shot
 //!   sharded construction runs Morton-ordered ([`crate::ordered`]): churn
 //!   draws, HNG level promotion and every golden are seeded per universe
-//!   id, so reordering here would change observable bytes. The locality win the
-//!   Morton layout buys at construction time comes from cache-dense
-//!   *per-group* remaps ([`wsn_graph::IdRemap`]) on the repair path
-//!   instead.
-//! * A shard is **dirty** when a dead or joined node lies inside its
-//!   ghost-padded extent — every predicate the builders evaluate (disk
-//!   membership, Gabriel blockers, RNG lune witnesses, Yao cone minima,
-//!   in-halo k-NN) only consults points within the halo, so a clean
-//!   shard's cached emissions are *provably identical* to what a cold
-//!   rebuild would emit. The merged dirty extents are also the serve
-//!   path's route-cache eviction footprint
-//!   ([`IncrementalGraph::dirty_extents`]).
+//!   id, so reordering here would change observable bytes.
 //! * Every repair is **byte-identical to a cold rebuild** — the survivors
 //!   built through the one cold-build dispatch,
 //!   [`IncTopology::build_alive`] — asserted by
 //!   [`IncrementalGraph::verify_cold`] (the monolithic [`Exec::Serial`]
 //!   oracle), the churn engine's debug path, and
-//!   `tests/churn_incremental.rs` / `tests/churn_locality.rs` (which also
-//!   race the production [`Exec::Sharded`] path).
-//! * The UDG repairs **per event**, not per shard: a death withdraws its
-//!   current CSR row, and a join adds the alive nodes inside its disk,
-//!   found by scanning the resident lists of the shards whose padded
-//!   extent holds it with the same `dist² ≤ r²` predicate the shard
-//!   derivation uses. Disk membership depends on the two endpoints alone,
-//!   so no other node is re-examined and the UDG keeps no per-shard
-//!   emission cache at all — the chunked CSR is its only copy of the
-//!   graph.
-//! * Every other kind re-runs the exact shard derivation functions of
-//!   [`crate::sharded`] (shared code, not re-implementations) over the
-//!   alive survivors of each dirty shard and diffs the new emissions
-//!   against the shard's cache.
-//! * Re-derivation cost is **proportional to the churned region**, not to
-//!   network size: the dirty shards' padded extents are merged into
-//!   connected [`wsn_geom::ExtentGroup`]s, alive points are gathered per
-//!   group from precomputed per-shard resident lists, remapped into a
-//!   dense local id space ([`wsn_graph::IdRemap`]), and shard derivation
-//!   runs against a localized [`wsn_spatial::SubIndex`] built over just
-//!   that group. A global index over the whole alive population is
-//!   constructed **only** when a k-NN halo straggler fires a query the
-//!   group extent cannot certify — counted by
-//!   [`IncrementalGraph::escalations`], which the differential suite
-//!   asserts stays cold for every other topology.
-//! * k-NN shards that needed the exact whole-population fallback for any
-//!   owned node (*stragglers*) are re-derived every epoch: their lists
-//!   depend on points beyond the halo, so they can never be trusted clean.
+//!   `tests/churn_incremental.rs` / `tests/churn_locality.rs`.
+//! * The UDG repairs from the events alone: a death withdraws its current
+//!   CSR row, and a join adds the alive nodes inside its disk, found by
+//!   scanning the resident lists of the shards whose padded extent holds
+//!   it with the derivation's `dist² ≤ r²` predicate. Disk membership
+//!   depends on the two endpoints alone, so no other node is re-examined.
+//! * Every other kind repairs per **owner**. An owner's emissions are its
+//!   selections: the Gabriel/RNG edges to larger ids it keeps, its Yao
+//!   cone minima, its k nearest, its HNG uplink rungs and clique. Each
+//!   owner carries a *certificate* — a closed ball and a level floor such
+//!   that only an event of at least that level inside the ball can change
+//!   the selection: the radius for Gabriel, RNG and Yao (a blocker, lune
+//!   witness or cone rival lies within `|uv| ≤ r`), the k-th-neighbour
+//!   distance for k-NN, and each rung's `links`-th distance for HNG (only
+//!   nodes of level `≥ j` compete in rung `j`). A change of the HNG top
+//!   level or its clique re-selects every owner at or above it.
+//! * The owners an event can reach are the residents of the shards whose
+//!   ghost-padded extent holds it, plus the *far* owners whose k-NN or HNG
+//!   certificate ball pokes past their own interior margin of their shard's
+//!   padded extent (kept as a short list between repairs). Each candidate
+//!   reads its current selection off its CSR row — every selection is an
+//!   edge, and every other neighbour ranks after the selections it
+//!   competes with — and only the candidates whose certificate holds an
+//!   event are re-selected against the alive universe, through indexes
+//!   built once over the fixed universe (per level for HNG, whose levels
+//!   never change) and queried with the alive mask. The emission delta of
+//!   each re-selected owner goes to [`ChunkedCsr::splice`], whose per-entry
+//!   multiplicities count the owners backing an edge.
+//! * Repair work is therefore **proportional to the churned region**, with
+//!   no per-shard cache, gather, local index or escalation anywhere.
+//! * The serve path's route-cache eviction footprint,
+//!   [`IncrementalGraph::dirty_extents`], is the merged padded extents of
+//!   the shards whose halo holds an event — for k-NN also the owner shards
+//!   of the far owners, and for HNG the owner shards of the owners whose
+//!   emissions changed. Every edge a repair adds or removes has an endpoint
+//!   inside it.
 
-use std::cell::Cell;
 use std::time::Instant;
 
 use rayon::prelude::*;
-use wsn_geom::{Aabb, ShardGrid};
-use wsn_graph::{diff_emissions, sort_emissions, ChunkedCsr, Csr, IdRemap, ShardedEdgeStore};
+use wsn_geom::{Aabb, Point, ShardGrid};
+use wsn_graph::{ChunkedCsr, Csr};
 use wsn_pointproc::PointSet;
-use wsn_spatial::GridIndex;
+use wsn_spatial::{CellIndex, GridIndex};
 
-use crate::hng::{derive_hng, HngDeps};
 use crate::sharded::{
-    derive_gabriel, derive_knn, derive_rng, derive_udg, derive_yao, knn_cell_size, Shard,
+    emission_runs, gabriel_owner, interior_margin, knn_cell_size, rng_owner, sort_by_distance,
+    yao_offer,
 };
 use crate::{hng_halo, knn_halo, Exec, WHOLE_WINDOW};
 
-/// One dirty shard's re-derived emissions plus its k-NN straggler flag
-/// and (for HNG) its dependence record.
-type ShardEdges = (Vec<(u32, u32)>, bool, HngDeps);
-
-/// Establish the store's sorted-cache invariant on a freshly derived
-/// shard, inside the parallel derive closure that produced it.
-fn sorted((mut edges, strag, deps): ShardEdges) -> ShardEdges {
-    sort_emissions(&mut edges);
-    (edges, strag, deps)
-}
-
 /// The plain topologies the incremental engine can maintain (the SENS
-/// constructions repair by per-epoch rebuild instead — their tile-election
-/// stitch is global). [`IncTopology::Udg`] repairs per churn event; every
-/// other kind re-derives its dirty shards and diffs them against their
-/// caches (see [`IncrementalGraph::apply_churn`]).
+/// constructions repair by per-epoch rebuild instead). Every kind repairs
+/// per churn event (see [`IncrementalGraph::apply_churn`]): the UDG from
+/// the events' own rows and disks, every other kind by re-selecting the
+/// owners whose certificate ball holds an event — the radius for Gabriel,
+/// RNG and Yao, the k-th-neighbour distance for k-NN, each uplink rung's
+/// reach for HNG.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum IncTopology {
     Udg {
@@ -151,8 +139,9 @@ impl IncTopology {
 
 /// What one [`IncrementalGraph::apply_churn`] call actually did.
 ///
-/// Shard counters partition the dirty set: `dirty == event_local +
-/// rederived`.
+/// Every repair is event-local, so `dirty == event_local` and the two
+/// shard re-derivation counters stay 0; they remain so reports keep their
+/// shape.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RepairStats {
     /// Total shards in the plan.
@@ -160,80 +149,96 @@ pub struct RepairStats {
     /// Churn events handed in: `deaths.len() + joins.len()` (an id passed
     /// as both a death and a join counts twice).
     pub events: usize,
-    /// Shards whose padded extent saw churn (or held k-NN stragglers).
+    /// Shards in the repair's footprint ([`IncrementalGraph::dirty_extents`]).
     pub dirty: usize,
-    /// Dirty shards repaired by the per-event rule (every dirty UDG shard;
-    /// 0 for every other kind).
+    /// Footprint shards repaired by the per-event rule (all of them).
     pub event_local: usize,
-    /// Dirty shards repaired by full re-derivation.
+    /// Shards repaired by full re-derivation (always 0).
     pub rederived: usize,
     /// Points the repair scanned: for UDG, the residents the joins' disk
     /// queries scanned (0 for a deaths-only repair); for every other kind,
-    /// the points gathered into re-derivation working sets (≈ the dirty
-    /// extents' population, plus the alive population on a k-NN
-    /// escalation). The locality regression tests pin exactly this
-    /// proportionality.
+    /// the candidate owners whose certificate it checked (the residents of
+    /// the shards whose halo holds an event, plus the far owners). The
+    /// locality regression tests pin exactly this proportionality.
     pub gathered: usize,
-    /// Whole-population index constructions this repair (0 unless a k-NN
-    /// halo straggler fired a query its group extent could not certify).
+    /// Whole-population index constructions (always 0: the repair queries
+    /// indexes built once over the fixed universe).
     pub escalations: usize,
     /// Nodes whose neighbour list the repair changed — the distinct
     /// endpoints of the net edge delta.
     pub affected_owners: usize,
-    /// Wall-clock seconds spent turning the repair into a net edge delta
-    /// (the re-derived shards' per-shard linear diff; the UDG's event
-    /// delta is built before this clock starts) and splicing it into the
+    /// Wall-clock seconds spent splicing the net edge delta into the
     /// chunked CSR.
     pub splice_secs: f64,
     /// Chunks the splice rewrote (owner chunks of the delta's endpoints).
     pub spliced_chunks: usize,
 }
 
+/// One owner's certificate: only an event of level `≥ level` inside the
+/// closed ball of squared radius `r2` around `node` can change the
+/// selection it covers (`r2` is infinite when the selection ran short, so
+/// any such event can). k-NN and the threshold kinds use level 0.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Cert {
+    node: u32,
+    level: u32,
+    r2: f64,
+}
+
+/// An owner's emissions (the targets it selects, as a multiset: an HNG
+/// node may select one target from two rungs) and their certificates.
+type Selection = (Vec<u32>, Vec<Cert>);
+
+/// Per-repair marks, per universe id: the node died or joined (both, for
+/// an id that died and rejoined), was picked as a candidate owner, was
+/// re-selected.
+const DIED: u8 = 1;
+const JOINED: u8 = 2;
+const EVENT: u8 = DIED | JOINED;
+const PICKED: u8 = 4;
+const RESELECTED: u8 = 8;
+
 /// A churn-maintained topology over a fixed universe of points.
 pub struct IncrementalGraph {
     kind: IncTopology,
     grid: ShardGrid,
-    /// Ghost halo of the plan (the topology radius, or the k-NN halo of the
-    /// initial alive population) — fixed for the structure's lifetime.
+    /// Ghost halo of the plan (the topology radius, or the k-NN / HNG halo
+    /// of the initial alive population) — fixed for the structure's
+    /// lifetime.
     halo: f64,
     points: PointSet,
     alive: Vec<bool>,
     n_alive: usize,
-    /// Per-shard emission caches (empty for the UDG after build).
-    store: ShardedEdgeStore,
-    /// Per-shard k-NN straggler flags (always false for other kinds).
-    straggler: Vec<bool>,
     /// The maintained adjacency: one chunk per shard, spliced in place —
-    /// total epoch cost stays proportional to the dirty footprint.
+    /// total epoch cost stays proportional to the churned region.
     csr: ChunkedCsr,
     /// Universe ids grouped by owner shard (CSR layout, ascending within a
-    /// shard) — the persistent shard-granular spatial index the localized
-    /// gather and the UDG's join disks scan instead of compacting the
-    /// whole alive set. The universe is fixed, so this is built exactly
-    /// once.
+    /// shard) — the shard-granular index the UDG's join disks and every
+    /// other kind's candidate owners are read from. The universe is fixed,
+    /// so this is built exactly once.
     resident_start: Vec<u32>,
     resident_ids: Vec<u32>,
     /// HNG level per universe id, rolled once at build from the kind's
     /// seed (empty for every other kind). Levels never change under churn.
     levels: Vec<u32>,
-    /// Per-shard HNG dependence records (see [`HngDeps`]; empty for every
-    /// other kind): which fallback-answered uplink rungs the shard's
-    /// cached emissions rest on, so churn outside both the shard's padded
-    /// geometry and every recorded box provably leaves the cache exact.
-    hng_deps: Vec<HngDeps>,
+    /// Selection queries over the fixed universe, answered under the alive
+    /// mask: none for the UDG; one index for k-NN, Gabriel, RNG and Yao;
+    /// for HNG one per level `j ≥ 2` over the universe nodes of level
+    /// `≥ j` (entry `j − 2`).
+    indexes: Vec<CellIndex>,
+    /// The k-NN / HNG certificates whose ball pokes past their owner's
+    /// interior margin of its shard's padded extent, ascending by node —
+    /// the owners an event outside their own shard's halo can still
+    /// reach. Empty for every other kind.
+    far: Vec<Cert>,
     /// The alive population's top occupied level and its ascending member
-    /// ids, as of the last repair — the HNG clique. Tracked incrementally
-    /// so apply_churn re-derives clique-dependent shards only when the
-    /// top actually changes, instead of escalating every churned epoch.
+    /// ids — the HNG clique (`(1, [])` for every other kind).
     hng_top: (u32, Vec<u32>),
-    /// Cumulative whole-population index constructions (see
-    /// [`RepairStats::escalations`]).
-    escalations: u64,
-    /// Merged ghost-padded extents of the shards the *last*
-    /// [`IncrementalGraph::apply_churn`] dirtied — the serve path's cache
-    /// invalidation footprint (empty after a quiescent epoch or before any
-    /// churn). An edge both of whose endpoints lie outside every extent is
-    /// guaranteed untouched by that repair.
+    /// Merged ghost-padded extents of the *last*
+    /// [`IncrementalGraph::apply_churn`]'s footprint — the serve path's
+    /// cache invalidation footprint (empty after a quiescent epoch or
+    /// before any churn). An edge both of whose endpoints lie outside every
+    /// extent is guaranteed untouched by that repair.
     last_dirty_extents: Vec<Aabb>,
 }
 
@@ -241,8 +246,8 @@ impl IncrementalGraph {
     /// Build the initial structure over `points` restricted to `alive`.
     ///
     /// `tiles_per_shard` sizes the repair granularity in halo units
-    /// (smaller shards localise churn better but pay more stitch overhead);
-    /// [`WHOLE_WINDOW`] degenerates to rebuild-per-epoch.
+    /// (smaller shards localise the candidate owners and the splice better
+    /// but make more chunks); [`WHOLE_WINDOW`] degenerates to one shard.
     pub fn build(
         points: PointSet,
         alive: Vec<bool>,
@@ -255,6 +260,8 @@ impl IncrementalGraph {
         }
         let n_alive = alive.iter().filter(|&&a| a).count();
         let levels = kind.levels(points.len());
+        let (sub, to_universe) = compact_alive(&points, &alive);
+        let levels_sub = survivor_levels(&levels, &alive);
         let halo = match kind {
             IncTopology::Udg { radius }
             | IncTopology::Gabriel { radius }
@@ -263,24 +270,9 @@ impl IncrementalGraph {
                 assert!(radius > 0.0, "radius must be positive");
                 radius
             }
-            IncTopology::Knn { k } => {
-                let (sub, _, _) = compact(&points, &alive);
-                if sub.is_empty() {
-                    1.0
-                } else {
-                    knn_halo(&sub, k.max(1))
-                }
-            }
-            IncTopology::Hng { links, .. } => {
-                let (sub, to_universe, _) = compact(&points, &alive);
-                if sub.is_empty() {
-                    1.0
-                } else {
-                    let levels_sub: Vec<u32> =
-                        to_universe.iter().map(|&g| levels[g as usize]).collect();
-                    hng_halo(&sub, &levels_sub, links.max(1))
-                }
-            }
+            _ if sub.is_empty() => 1.0,
+            IncTopology::Knn { k } => knn_halo(&sub, k.max(1)),
+            IncTopology::Hng { links, .. } => hng_halo(&sub, &levels_sub, links.max(1)),
         };
         let bbox = points
             .bounding_box()
@@ -291,46 +283,50 @@ impl IncrementalGraph {
             ShardGrid::new(&bbox, halo, tiles_per_shard)
         };
         let (resident_start, resident_ids) = resident_lists(&points, &grid);
-        let hng_top = match kind {
-            IncTopology::Hng { .. } => alive_top(&levels, &alive),
-            _ => (1, Vec::new()),
-        };
+        let indexes = query_indexes(kind, &points, &levels);
+
+        // The cold sharded build's emission runs over the survivors, lifted
+        // into universe ids; one chunk per shard, so each node's adjacency
+        // lives in its owner shard's chunk, and repeated emissions (k-NN,
+        // Yao, HNG) fold into per-entry multiplicities.
+        let (mut runs, _) = emission_runs(kind, &sub, &levels_sub, tiles_per_shard);
+        (&mut runs).into_par_iter().for_each(|run| {
+            for e in run.iter_mut() {
+                *e = (to_universe[e.0 as usize], to_universe[e.1 as usize]);
+            }
+        });
+        drop((sub, to_universe));
+        let chunk_of: Vec<u32> = points.iter().map(|p| grid.owner_of(p) as u32).collect();
+        let csr = ChunkedCsr::build(grid.shard_count(), &chunk_of, runs);
+
         let mut g = IncrementalGraph {
             kind,
-            halo,
-            store: ShardedEdgeStore::new(points.len(), grid.shard_count()),
-            straggler: vec![false; grid.shard_count()],
-            hng_deps: vec![HngDeps::default(); grid.shard_count()],
-            hng_top,
             grid,
+            halo,
             points,
             alive,
             n_alive,
-            csr: ChunkedCsr::empty(0),
+            csr,
             resident_start,
             resident_ids,
             levels,
-            escalations: 0,
+            indexes,
+            far: Vec::new(),
+            hng_top: (1, Vec::new()),
             last_dirty_extents: Vec::new(),
         };
-        let all: Vec<usize> = (0..g.grid.shard_count()).collect();
-        g.rederive_shards(&all);
-        // One chunk per shard: each node's adjacency lives in its owner
-        // shard's chunk, so a shard repair splices one chunk. The
-        // build folds cross-shard duplicate emissions (k-NN, Yao) into
-        // per-entry multiplicities — no global dedup sort, here or later.
-        let chunk_of: Vec<u32> = g.points.iter().map(|p| g.grid.owner_of(p) as u32).collect();
-        let shards = g.grid.shard_count();
-        g.csr = if let IncTopology::Udg { .. } = kind {
-            // The UDG repairs from the CSR rows and the resident lists
-            // alone; its shard caches would only duplicate the CSR's upper
-            // triangle, so the build consumes them.
-            let store =
-                std::mem::replace(&mut g.store, ShardedEdgeStore::new(g.points.len(), shards));
-            ChunkedCsr::build(shards, &chunk_of, store.into_runs())
-        } else {
-            ChunkedCsr::build(shards, &chunk_of, g.store.runs())
-        };
+        if let IncTopology::Hng { .. } = kind {
+            g.hng_top = g.alive_top();
+        }
+        if let IncTopology::Knn { .. } | IncTopology::Hng { .. } = kind {
+            let top = &g.hng_top;
+            let certs: Vec<Vec<Cert>> = (0..g.points.len() as u32)
+                .into_par_iter()
+                .filter(|&u| g.alive[u as usize])
+                .map(|u| g.far_certs(u, g.current_selection(u, top).1))
+                .collect();
+            g.far = certs.concat();
+        }
         g
     }
 
@@ -347,26 +343,10 @@ impl IncrementalGraph {
         self.halo
     }
 
-    /// Cumulative count of whole-population index constructions — stays 0
-    /// for every topology except k-NN, and for k-NN rises only when a halo
-    /// straggler fires a query its dirty-extent group cannot certify.
-    #[inline]
-    pub fn escalations(&self) -> u64 {
-        self.escalations
-    }
-
     /// The maintained graph in universe id space (dead nodes isolated).
     #[inline]
     pub fn graph(&self) -> &ChunkedCsr {
         &self.csr
-    }
-
-    /// The per-shard emission caches re-derived shards are diffed against
-    /// (every shard list sorted ascending; every list empty for the UDG,
-    /// which repairs per event and keeps no cache).
-    #[inline]
-    pub fn edge_store(&self) -> &ShardedEdgeStore {
-        &self.store
     }
 
     /// The universe point set (fixed; includes dead and reserve nodes).
@@ -390,11 +370,12 @@ impl IncrementalGraph {
         self.kind
     }
 
-    /// Merged ghost-padded extents of the shards the last
-    /// [`IncrementalGraph::apply_churn`] call dirtied. The serve path's
+    /// Merged ghost-padded extents of the last
+    /// [`IncrementalGraph::apply_churn`] call's footprint. The serve path's
     /// route-cache invalidation rule: a cached path is only trustworthy
     /// across the epoch boundary if none of its nodes fall inside any of
-    /// these extents. Empty before any churn and after quiescent epochs.
+    /// these extents. Empty before any churn and after quiescent epochs
+    /// (k-NN excepted: its far owners' shards stay in the footprint).
     #[inline]
     pub fn dirty_extents(&self) -> &[Aabb] {
         &self.last_dirty_extents
@@ -405,8 +386,8 @@ impl IncrementalGraph {
     ///
     /// The UDG builds its net edge delta from the events themselves: each
     /// death withdraws its current row, each join adds its disk. Every
-    /// other kind re-derives the shards whose padded extent the churn
-    /// touched and diffs them against their caches. Either way the delta
+    /// other kind re-selects the candidate owners whose certificate holds
+    /// an event and diffs their old and new emissions. Either way the delta
     /// is spliced into the chunked CSR.
     ///
     /// An id may appear as both a death and a join (it dies, then rejoins
@@ -423,86 +404,69 @@ impl IncrementalGraph {
             self.alive[j as usize] = true;
         }
         self.n_alive = self.n_alive + joins.len() - deaths.len();
-
-        // Dirty marking stays shard-granular for every kind: it is the
-        // re-derivation set and the serve path's eviction footprint.
-        let mut dirty = vec![false; self.grid.shard_count()];
-        for &c in deaths.iter().chain(joins) {
-            for s in self.grid.shards_near(self.points.get(c), self.halo) {
-                dirty[s] = true;
-            }
-        }
-        match self.kind {
-            // HNG tracks its global dependence precisely: the top clique
-            // through the maintained `hng_top`, every fallback-answered
-            // uplink rung through its recorded dependence box. Straggler
-            // flags stay advisory — forcing them dirty would re-derive
-            // the whole population every churned epoch.
-            IncTopology::Hng { .. } => self.mark_hng_dependents(deaths, joins, &mut dirty),
-            // k-NN straggler shards consulted the whole population; never
-            // clean.
-            _ => {
-                for (s, &strag) in self.straggler.iter().enumerate() {
-                    dirty[s] |= strag;
-                }
-            }
-        }
-        let dirty_list: Vec<usize> = (0..dirty.len()).filter(|&s| dirty[s]).collect();
+        let events: Vec<u32> = deaths.iter().chain(joins).copied().collect();
         let mut stats = RepairStats {
             shard_count: self.grid.shard_count(),
-            events: deaths.len() + joins.len(),
-            dirty: dirty_list.len(),
+            events: events.len(),
             ..RepairStats::default()
         };
-        // Publish hook for the serve path: the merged padded extents of
-        // every dirty shard bound the region this repair may have touched.
-        // Anything wholly outside them is provably identical to last epoch.
+
+        // The shards whose padded extent holds an event: the candidate
+        // owners' home, and the footprint for every kind.
+        let mut near = vec![false; self.grid.shard_count()];
+        for &c in &events {
+            for s in self.grid.shards_near(self.points.get(c), self.halo) {
+                near[s] = true;
+            }
+        }
+        let mut footprint = near.clone();
+        // k-NN's far owners can move without an event in their shard's
+        // halo, so their shards stay in the footprint every repair.
+        if let IncTopology::Knn { .. } = self.kind {
+            for c in &self.far {
+                footprint[self.owner(c.node)] = true;
+            }
+        }
+        let (removed, added) = if events.is_empty() {
+            (Vec::new(), Vec::new())
+        } else if let IncTopology::Udg { radius } = self.kind {
+            let (removed, added, scanned) = self.udg_event_delta(deaths, joins, radius);
+            stats.gathered = scanned;
+            (removed, added)
+        } else {
+            let (removed, added, candidates, changed) =
+                self.owner_delta(deaths, joins, &events, &near);
+            stats.gathered = candidates;
+            // HNG's rungs reach arbitrarily far, so its footprint is the
+            // shards of the owners whose emissions actually changed.
+            if let IncTopology::Hng { .. } = self.kind {
+                for u in changed {
+                    footprint[self.owner(u)] = true;
+                }
+            }
+            (removed, added)
+        };
+
+        // Publish hook for the serve path: every edge the delta touches has
+        // an endpoint inside these extents.
+        let dirty_list: Vec<usize> = (0..footprint.len()).filter(|&s| footprint[s]).collect();
+        stats.dirty = dirty_list.len();
+        stats.event_local = stats.dirty;
         self.last_dirty_extents = self
             .grid
             .merge_padded_extents(&dirty_list, self.halo)
             .into_iter()
             .map(|g| g.extent)
             .collect();
-        // A quiescent epoch (no dirty shards) leaves the CSR untouched.
-        if dirty_list.is_empty() {
+        // A quiescent epoch leaves the CSR untouched.
+        if events.is_empty() {
             return stats;
         }
-
         // The splice consumes the repair as a net edge delta, so the CSR
-        // work tracks what changed — O(delta) — not the graph. Clean
-        // shards contribute nothing, yet their nodes' lists still update
-        // when a cross-shard edge appears or disappears (the delta is
-        // routed by endpoint).
-        let (removed, added, splice_start) = if let IncTopology::Udg { radius } = self.kind {
-            stats.event_local = stats.dirty;
-            let (removed, added, scanned) = self.udg_event_delta(deaths, joins, radius);
-            stats.gathered = scanned;
-            (removed, added, Instant::now())
-        } else {
-            // A re-derived shard's old list moves out here (no copy) and
-            // is diffed against its new one after re-derivation.
-            stats.rederived = stats.dirty;
-            let old_lists: Vec<_> = dirty_list.iter().map(|&s| self.store.take(s)).collect();
-            let (gathered, escalations) = self.rederive_shards(&dirty_list);
-            stats.gathered = gathered;
-            stats.escalations = escalations;
-            let splice_start = Instant::now();
-            // Both lists of every re-derived shard are sorted, so each
-            // shard's net delta is one linear merge, fanned out per shard.
-            let store = &self.store;
-            let diffs: Vec<_> = dirty_list
-                .iter()
-                .zip(old_lists)
-                .into_par_iter()
-                .map(|(&s, old)| diff_emissions(&old, store.shard(s)))
-                .collect();
-            let (mut removed, mut added) = (Vec::new(), Vec::new());
-            for (mut r, mut a) in diffs {
-                removed.append(&mut r);
-                added.append(&mut a);
-            }
-            (removed, added, splice_start)
-        };
+        // work tracks what changed — O(delta) — not the graph. The delta is
+        // routed by endpoint, so a clean shard's node still updates when
+        // one of its edges appears or disappears.
+        let splice_start = Instant::now();
         let splice = self.csr.splice(&removed, &added);
         stats.splice_secs = splice_start.elapsed().as_secs_f64();
         stats.affected_owners = splice.nodes_touched;
@@ -537,8 +501,6 @@ impl IncrementalGraph {
         joins: &[u32],
         radius: f64,
     ) -> (Vec<(u32, u32)>, Vec<(u32, u32)>, usize) {
-        const DIED: u8 = 1;
-        const JOINED: u8 = 2;
         let mut event = vec![0u8; self.points.len()];
         for &d in deaths {
             event[d as usize] |= DIED;
@@ -586,456 +548,338 @@ impl IncrementalGraph {
         (removed, added, scanned)
     }
 
-    /// HNG dirty marking beyond the geometric rule, called *after* the
-    /// alive toggles. Two sources of non-local dependence:
-    ///
-    /// * **The top clique.** If the alive population's top occupied level
-    ///   or its member set changed, every shard owning an alive node of
-    ///   level `≥ min(T_old, T_new)` re-derives — exactly the nodes whose
-    ///   clique membership or rung count (`min(ℓ(u), T − 1)`) can differ.
-    ///   Nodes below that level keep their rung structure, and the member
-    ///   sets of their target levels change only through churn, which the
-    ///   dependence boxes and the geometric rule cover.
-    /// * **Fallback-answered rungs.** A churned node of level `ℓ` dirties
-    ///   every shard with a recorded dependence box `(j, box)` where
-    ///   `j ≤ ℓ` and the node lies inside the box: it may enter or leave
-    ///   that rung's exact answer. Certified rungs need no check — their
-    ///   answer disks fit the shard's padded geometry, which the
-    ///   geometric rule already watches.
-    fn mark_hng_dependents(&mut self, deaths: &[u32], joins: &[u32], dirty: &mut [bool]) {
-        let (t_new, top_new) = alive_top(&self.levels, &self.alive);
-        if (t_new, top_new.as_slice()) != (self.hng_top.0, self.hng_top.1.as_slice()) {
-            let t_min = t_new.min(self.hng_top.0);
-            for (u, &lvl) in self.levels.iter().enumerate() {
-                if lvl >= t_min && self.alive[u] {
-                    let s = self.grid.owner_of(self.points.get(u as u32));
-                    dirty[s] = true;
-                }
-            }
-        }
-        self.hng_top = (t_new, top_new);
-
-        // Churned nodes, highest level first, with cumulative prefix
-        // bounding boxes: for any target level j, the nodes of level ≥ j
-        // are a prefix, and `pref_bbox` bounds it for O(1) rejection of
-        // far shards' boxes.
-        let mut churned: Vec<(wsn_geom::Point, u32)> = deaths
-            .iter()
-            .chain(joins)
-            .map(|&c| (self.points.get(c), self.levels[c as usize]))
-            .collect();
-        churned.sort_by_key(|&(_, lvl)| std::cmp::Reverse(lvl));
-        let mut pref_bbox: Vec<Aabb> = Vec::with_capacity(churned.len());
-        for &(p, _) in &churned {
-            let pb = Aabb::new(p, p);
-            pref_bbox.push(match pref_bbox.last() {
-                None => pb,
-                Some(cur) => cur.union(&pb),
-            });
-        }
-        // churned[..count_at_least(j)] are the nodes of level ≥ j.
-        let count_at_least = |j: u32| churned.partition_point(|&(_, lvl)| lvl >= j);
-        for (s, deps) in self.hng_deps.iter().enumerate() {
-            if dirty[s] {
-                continue;
-            }
-            // Boxes ascend by target level, so once the churned prefix
-            // for a level is empty every later box is unreachable too.
-            for &(j, ref bb) in &deps.boxes {
-                let cnt = count_at_least(j);
-                if cnt == 0 {
-                    break;
-                }
-                if !bb.intersects(&pref_bbox[cnt - 1]) {
-                    continue;
-                }
-                if churned[..cnt].iter().any(|&(p, _)| bb.contains(p)) {
-                    dirty[s] = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Re-derive the listed shards over the current alive population,
-    /// replacing their caches (shared-code path: `crate::sharded`).
-    /// Returns `(points gathered, global-index escalations)`.
-    ///
-    /// Locality-proportional: alive points are gathered and indexed only
-    /// over the union of the dirty shards' ghost-padded extents. The
-    /// working set of every dirty shard — `alive ∩ padded(s, halo)` — is
-    /// contained in its extent group, so the shard derivations see exactly
-    /// the point sets a whole-population gather would hand them, in the
-    /// same (universe-ascending) order, and emit bit-identical edges.
-    fn rederive_shards(&mut self, dirty: &[usize]) -> (usize, usize) {
-        if dirty.is_empty() {
-            return (0, 0);
-        }
-        let kind = self.kind;
-        let (grid, halo) = (&self.grid, self.halo);
-        let groups = grid.merge_padded_extents(dirty, halo);
-
-        // Gather each group's alive population from the resident lists:
-        // cost tracks the group extents' area, never the network size.
-        let mut gathered = 0usize;
-        let mut locals: Vec<(IdRemap, PointSet)> = Vec::with_capacity(groups.len());
-        for g in &groups {
-            let (i0, i1, j0, j1) = grid.owner_range(&g.extent);
-            let mut ids: Vec<u32> = Vec::new();
-            for j in j0..=j1 {
-                for i in i0..=i1 {
-                    let s = j * grid.cols() + i;
-                    let (a, b) = (
-                        self.resident_start[s] as usize,
-                        self.resident_start[s + 1] as usize,
-                    );
-                    for &u in &self.resident_ids[a..b] {
-                        if self.alive[u as usize] && g.extent.contains(self.points.get(u)) {
-                            ids.push(u);
-                        }
-                    }
-                }
-            }
-            // Ascending universe ids make the dense remap monotone — the
-            // property every downstream id tie-break rests on.
-            ids.sort_unstable();
-            gathered += ids.len();
-            let mut pts = PointSet::with_capacity(ids.len());
-            for &u in &ids {
-                pts.push(self.points.get(u));
-            }
-            locals.push((IdRemap::from_sorted(ids), pts));
-        }
-
-        // k-NN and HNG need the exact straggler semantics of the global
-        // path: a node is *certain* iff its worst local candidate fits
-        // inside its own interior margin of the shard's padded extent, or
-        // the padded extent covers the whole alive population's bounding
-        // box. The box is a cheap O(n) fold over the alive mask — no
-        // point-set compaction, no index build.
-        let alive_bbox = match kind {
-            IncTopology::Knn { .. } | IncTopology::Hng { .. } => {
-                alive_bounding_box(&self.points, &self.alive)
-            }
-            _ => None,
-        };
-        // HNG's clique lives at the top *alive* level — maintained by
-        // build/apply_churn, so no scan here.
-        let hng_top = &self.hng_top;
-        let levels = &self.levels;
-
-        // One localized SubIndex per extent group; its extent doubles as
-        // the certificate that shard gathers (and certified k-NN fallback
-        // queries) never silently truncate.
-        let indexes: Vec<Option<wsn_spatial::SubIndex>> = groups
-            .iter()
-            .zip(&locals)
-            .map(|(g, (_, pts))| {
-                if pts.is_empty() {
-                    return None;
-                }
-                let cell = match kind {
-                    IncTopology::Knn { k } => knn_cell_size(pts, k.max(1)),
-                    IncTopology::Hng { links, .. } => knn_cell_size(pts, links.max(1)),
-                    IncTopology::Udg { radius }
-                    | IncTopology::Gabriel { radius }
-                    | IncTopology::Rng { radius }
-                    | IncTopology::Yao { radius, .. } => radius,
-                };
-                // `pts` is already the *restriction* of the alive
-                // population to the group extent — certification must
-                // keep checking query support against the extent (the
-                // rest of the population lives beyond it), so the
-                // full-membership shortcut must not apply.
-                Some(GridIndex::build_over_restricted(pts, &g.extent, cell))
-            })
-            .collect();
-
-        let mut group_of = vec![usize::MAX; grid.shard_count()];
-        for (gi, g) in groups.iter().enumerate() {
-            for &s in &g.shards {
-                group_of[s] = gi;
-            }
-        }
-
-        // Pass 1: derive every dirty shard against its group. A k-NN
-        // straggler first retries against the group index — certified
-        // answers are exact — and only an uncertifiable query marks the
-        // shard for escalation (`Err`). An HNG shard escalates per failed
-        // uplink rung, carrying the target levels it needs exact answers
-        // for, so pass 2 builds indexes over just those level subsets.
-        let results: Vec<Result<ShardEdges, Vec<u32>>> = dirty
-            .to_vec()
-            .into_par_iter()
-            .map(|s| {
-                let gi = group_of[s];
-                let (remap, pts) = &locals[gi];
-                let Some(index) = &indexes[gi] else {
-                    // No alive points anywhere near: the shard is empty.
-                    return Ok((Vec::new(), false, HngDeps::default()));
-                };
-                let shard = Shard::gather_mapped(pts, remap.to_universe(), index, grid, s, halo);
-                match kind {
-                    IncTopology::Udg { radius } => {
-                        Ok((derive_udg(&shard, radius), false, HngDeps::default()))
-                    }
-                    IncTopology::Gabriel { radius } => {
-                        Ok((derive_gabriel(&shard, radius), false, HngDeps::default()))
-                    }
-                    IncTopology::Rng { radius } => {
-                        Ok((derive_rng(&shard, radius), false, HngDeps::default()))
-                    }
-                    IncTopology::Yao { radius, cones } => {
-                        Ok((derive_yao(&shard, radius, cones), false, HngDeps::default()))
-                    }
-                    IncTopology::Knn { k } => {
-                        let padded = grid.padded(s, halo);
-                        let covers_all = alive_bbox
-                            .as_ref()
-                            .is_some_and(|bb| padded.contains_aabb(bb));
-                        let uncertified = Cell::new(false);
-                        let (lists, strag) = derive_knn(&shard, k, &padded, covers_all, |p, gu| {
-                            let skip = remap.local_of(gu);
-                            match index.knn(p, k, skip) {
-                                Ok(r) => r.into_iter().map(|(v, _)| remap.universe_of(v)).collect(),
-                                Err(_) => {
-                                    uncertified.set(true);
-                                    Vec::new()
-                                }
-                            }
-                        });
-                        if uncertified.get() {
-                            return Err(Vec::new());
-                        }
-                        let mut edges = Vec::new();
-                        for (gu, list) in lists {
-                            for v in list {
-                                edges.push((gu.min(v), gu.max(v)));
-                            }
-                        }
-                        Ok((edges, strag, HngDeps::default()))
-                    }
-                    IncTopology::Hng { links, .. } => {
-                        let padded = grid.padded(s, halo);
-                        let covers_all = alive_bbox
-                            .as_ref()
-                            .is_some_and(|bb| padded.contains_aabb(bb));
-                        let (top_level, top) = hng_top;
-                        // The group SubIndex certifies gathers, not
-                        // level-filtered k-NN — a rung the margin cannot
-                        // vouch for records its target level and the
-                        // shard re-derives in pass 2 with exact answers.
-                        let needed = std::cell::RefCell::new(Vec::new());
-                        let (edges, strag, deps) = derive_hng(
-                            &shard,
-                            levels,
-                            links,
-                            top,
-                            *top_level,
-                            &padded,
-                            covers_all,
-                            |_, _, j| {
-                                needed.borrow_mut().push(j);
-                                Vec::new()
-                            },
-                        );
-                        let needed = needed.into_inner();
-                        if !needed.is_empty() {
-                            return Err(needed);
-                        }
-                        Ok((edges, strag, deps))
-                    }
-                }
-                .map(sorted)
-            })
-            .collect();
-
-        let is_hng = matches!(kind, IncTopology::Hng { .. });
-        let mut escalate = Vec::new();
-        let mut needed_levels: Vec<u32> = Vec::new();
-        for (&s, res) in dirty.iter().zip(results) {
-            match res {
-                Ok((edges, strag, deps)) => {
-                    self.store.replace(s, edges);
-                    self.straggler[s] = strag;
-                    if is_hng {
-                        self.hng_deps[s] = deps;
-                    }
-                }
-                Err(mut lv) => {
-                    needed_levels.append(&mut lv);
-                    escalate.push(s);
-                }
-            }
-        }
-        // Pass 2 — the lazy escalation path: only now, with answers the
-        // dirty extents could not certify, pay for a wider gather. k-NN
-        // goes global; HNG builds exact indexes over just the level
-        // subsets its failed rungs target.
-        let mut escalations = 0;
-        if !escalate.is_empty() {
-            escalations = 1;
-            self.escalations += 1;
-            if is_hng {
-                gathered += self.rederive_hng_levels(
-                    &escalate,
-                    needed_levels,
-                    &locals,
-                    &indexes,
-                    &group_of,
-                    &alive_bbox,
-                );
-            } else {
-                gathered += self.rederive_global(&escalate);
-            }
-        }
-        (gathered, escalations)
-    }
-
-    /// HNG escalation: re-derive `dirty` with exact per-rung fallback
-    /// answers from indexes over the alive level-`≥ j` subsets the probe
-    /// pass requested — never the whole population. Gather cost is the
-    /// sum of the needed level subsets' sizes, which the geometric level
-    /// distribution keeps far below `n` whenever the cheapest (largest)
-    /// levels certify locally. Returns the points gathered.
-    #[allow(clippy::too_many_arguments)]
-    fn rederive_hng_levels(
+    /// The non-UDG repair, after the alive toggles: re-select every
+    /// candidate owner whose certificate holds an event and diff its old
+    /// and new emissions. `events` is `deaths` then `joins`, and `near`
+    /// marks the shards whose padded extent holds an event. Returns
+    /// `(removed, added, candidates examined, owners whose emissions
+    /// changed)`.
+    #[allow(clippy::type_complexity)]
+    fn owner_delta(
         &mut self,
-        dirty: &[usize],
-        mut needed: Vec<u32>,
-        locals: &[(IdRemap, PointSet)],
-        indexes: &[Option<wsn_spatial::SubIndex>],
-        group_of: &[usize],
-        alive_bbox: &Option<Aabb>,
-    ) -> usize {
-        let IncTopology::Hng { links, .. } = self.kind else {
-            unreachable!("HNG-only escalation path");
+        deaths: &[u32],
+        joins: &[u32],
+        events: &[u32],
+        near: &[bool],
+    ) -> (Vec<(u32, u32)>, Vec<(u32, u32)>, usize, Vec<u32>) {
+        let mut mark = vec![0u8; self.points.len()];
+        for &d in deaths {
+            mark[d as usize] |= DIED;
+        }
+        for &j in joins {
+            mark[j as usize] |= JOINED;
+        }
+        let top_old = std::mem::take(&mut self.hng_top);
+        let top_new = match self.kind {
+            IncTopology::Hng { .. } => self.alive_top(),
+            _ => top_old.clone(),
         };
-        needed.sort_unstable();
-        needed.dedup();
-        // Ascending universe ids and points of each needed level subset,
-        // in one pass (needed ascends, so a node stops contributing at
-        // its first too-high target level).
-        let mut level_ids: Vec<Vec<u32>> = vec![Vec::new(); needed.len()];
-        let mut level_pts: Vec<PointSet> = (0..needed.len()).map(|_| PointSet::new()).collect();
-        for (u, p) in self.points.iter_enumerated() {
-            if !self.alive[u as usize] {
-                continue;
-            }
-            let lvl = self.levels[u as usize];
-            for (row, &j) in needed.iter().enumerate() {
-                if lvl < j {
-                    break;
-                }
-                level_ids[row].push(u);
-                level_pts[row].push(p);
-            }
-        }
-        let level_indexes: Vec<GridIndex> = level_pts
-            .iter()
-            .map(|pts| GridIndex::build(pts, knn_cell_size(pts, links.max(1))))
-            .collect();
-        let gathered: usize = level_ids.iter().map(|v| v.len()).sum();
-        let (grid, halo) = (&self.grid, self.halo);
-        let (top_level, top) = (&self.hng_top.0, &self.hng_top.1);
-        let levels = &self.levels;
-        let needed = &needed;
-        let (level_ids, level_indexes) = (&level_ids, &level_indexes);
-        let results: Vec<ShardEdges> = dirty
-            .to_vec()
-            .into_par_iter()
-            .map(|s| {
-                let gi = group_of[s];
-                let (remap, pts) = &locals[gi];
-                let index = indexes[gi]
-                    .as_ref()
-                    .expect("escalated shards gathered points in pass 1");
-                let shard = Shard::gather_mapped(pts, remap.to_universe(), index, grid, s, halo);
-                let padded = grid.padded(s, halo);
-                let covers_all = alive_bbox
-                    .as_ref()
-                    .is_some_and(|bb| padded.contains_aabb(bb));
-                sorted(derive_hng(
-                    &shard,
-                    levels,
-                    links,
-                    top,
-                    *top_level,
-                    &padded,
-                    covers_all,
-                    |p, gu, j| {
-                        let row = needed
-                            .binary_search(&j)
-                            .expect("every fallback level was recorded by the probe");
-                        let ids = &level_ids[row];
-                        let skip = if levels[gu as usize] >= j {
-                            Some(
-                                ids.binary_search(&gu)
-                                    .expect("alive member of its own level set")
-                                    as u32,
-                            )
-                        } else {
-                            None
-                        };
-                        level_indexes[row]
-                            .knn(p, links, skip)
-                            .into_iter()
-                            .map(|(v, d)| (ids[v as usize], d))
-                            .collect()
-                    },
-                ))
-            })
-            .collect();
-        for (&s, (edges, strag, deps)) in dirty.iter().zip(results) {
-            self.store.replace(s, edges);
-            self.straggler[s] = strag;
-            self.hng_deps[s] = deps;
-        }
-        gathered
-    }
+        // A new top level or clique re-selects every owner at or above the
+        // lower of the two top levels: exactly the nodes whose clique
+        // membership or rung count (`min(ℓ, T − 1)`) can differ.
+        let top_floor = (top_new != top_old).then(|| top_new.0.min(top_old.0));
 
-    /// The k-NN escalation: compact the alive set, build one global index,
-    /// and re-derive the listed shards against it — exact for every query
-    /// the dirty extents could not certify. Returns the number of points
-    /// gathered (= the alive population).
-    fn rederive_global(&mut self, dirty: &[usize]) -> usize {
-        let IncTopology::Knn { k } = self.kind else {
-            unreachable!("k-NN-only escalation path");
+        let event_pts: PointSet = events.iter().map(|&w| self.points.get(w)).collect();
+        let event_index = GridIndex::build(&event_pts, self.halo);
+        let holds_event = |c: &Cert| {
+            let p = self.points.get(c.node);
+            let reach = (c.r2 * (1.0 + 1e-9)).sqrt();
+            event_index
+                .find_in_disk(p, reach, |i, q| {
+                    self.level(events[i as usize]) >= c.level && q.dist_sq(p) <= c.r2
+                })
+                .is_some()
         };
-        let (sub, to_universe, to_compact) = compact(&self.points, &self.alive);
-        let index = GridIndex::build(&sub, knn_cell_size(&sub, k.max(1)));
-        let bbox = sub
-            .bounding_box()
-            .expect("escalated shards gathered alive points");
-        let (grid, halo) = (&self.grid, self.halo);
-        let results: Vec<ShardEdges> = dirty
-            .to_vec()
+
+        // Candidates: the residents of the event shards alive before or
+        // after, the far owners whose far certificate holds an event (any
+        // other certificate of theirs fits their own shard's halo), and the
+        // owners a top change reaches — in shard order, so consecutive
+        // owners query the same cells.
+        let far_hit: Vec<u32> = (&self.far)
             .into_par_iter()
-            .map(|s| {
-                let shard = Shard::gather_mapped(&sub, &to_universe, &index, grid, s, halo);
-                let padded = grid.padded(s, halo);
-                let covers_all = padded.contains_aabb(&bbox);
-                let (lists, strag) = derive_knn(&shard, k, &padded, covers_all, |p, gu| {
-                    index
-                        .knn(p, k, Some(to_compact[gu as usize]))
-                        .into_iter()
-                        .map(|(v, _)| to_universe[v as usize])
-                        .collect()
-                });
-                let mut edges = Vec::new();
-                for (gu, list) in lists {
-                    for v in list {
-                        edges.push((gu.min(v), gu.max(v)));
+            .filter(|c| holds_event(c))
+            .map(|c| c.node)
+            .collect();
+        let mut candidates = Vec::new();
+        let mut pick = |u: u32| {
+            let m = &mut mark[u as usize];
+            if *m & PICKED == 0 && (*m & EVENT != 0 || self.alive[u as usize]) {
+                *m |= PICKED;
+                candidates.push(u);
+            }
+        };
+        for s in (0..near.len()).filter(|&s| near[s]) {
+            self.residents(s).iter().for_each(|&u| pick(u));
+        }
+        far_hit.into_iter().for_each(&mut pick);
+        if let Some(t) = top_floor {
+            let members = match t {
+                1 => &self.resident_ids[..],
+                _ => self.indexes[t as usize - 2].members(),
+            };
+            members.iter().for_each(|&u| pick(u));
+        }
+
+        /// One worker's share of the repair.
+        #[derive(Default)]
+        struct Part {
+            removed: Vec<(u32, u32)>,
+            added: Vec<(u32, u32)>,
+            reselected: Vec<u32>,
+            changed: Vec<u32>,
+            far: Vec<Cert>,
+        }
+        const OWNERS_PER_TASK: usize = 256;
+        let this = &*self;
+        let (candidates, flags) = (&candidates, &mark);
+        let parts: Vec<Part> = (0..candidates.len().div_ceil(OWNERS_PER_TASK))
+            .into_par_iter()
+            .map(|t| {
+                let mut part = Part::default();
+                let lo = t * OWNERS_PER_TASK;
+                for &u in &candidates[lo..(lo + OWNERS_PER_TASK).min(candidates.len())] {
+                    let event = flags[u as usize] & EVENT;
+                    let alive_new = this.alive[u as usize];
+                    let alive_old = match event {
+                        JOINED => false,
+                        0 => alive_new,
+                        _ => true,
+                    };
+                    let (mut old, certs) = match alive_old {
+                        true => this.current_selection(u, &top_old),
+                        false => Selection::default(),
+                    };
+                    let forced = event != 0 || top_floor.is_some_and(|t| this.level(u) >= t);
+                    if !forced && !certs.iter().any(&holds_event) {
+                        continue;
+                    }
+                    part.reselected.push(u);
+                    let (mut new, certs) = match alive_new {
+                        true => this.reselect(u, &top_new),
+                        false => Selection::default(),
+                    };
+                    part.far.extend(this.far_certs(u, certs));
+                    old.sort_unstable();
+                    new.sort_unstable();
+                    if old != new {
+                        part.changed.push(u);
+                        multiset_diff(u, &old, &new, &mut part.removed, &mut part.added);
                     }
                 }
-                sorted((edges, strag, HngDeps::default()))
+                part
             })
             .collect();
-        for (&s, (edges, strag, _)) in dirty.iter().zip(results) {
-            self.store.replace(s, edges);
-            self.straggler[s] = strag;
+
+        let (mut removed, mut added) = (Vec::new(), Vec::new());
+        let (mut reselected, mut changed, mut far) = (Vec::new(), Vec::new(), Vec::new());
+        for mut p in parts {
+            removed.append(&mut p.removed);
+            added.append(&mut p.added);
+            reselected.append(&mut p.reselected);
+            changed.append(&mut p.changed);
+            far.append(&mut p.far);
         }
-        sub.len()
+        // An owner that was not re-selected kept its selection, and with it
+        // its certificates.
+        for &u in &reselected {
+            mark[u as usize] |= RESELECTED;
+        }
+        far.extend(
+            self.far
+                .iter()
+                .filter(|c| mark[c.node as usize] & RESELECTED == 0),
+        );
+        far.sort_unstable_by_key(|c| (c.node, c.level));
+        self.far = far;
+        self.hng_top = top_new;
+        (removed, added, candidates.len(), changed)
+    }
+
+    /// Owner `u`'s emissions and certificates in the graph as it stands,
+    /// read off its CSR row (the top clique `top` as it stands too). Every
+    /// selection is an edge, so it is in the row, and every other
+    /// neighbour ranks after the selections it competes with: the k
+    /// `(distance, id)`-least neighbours are the k-NN list, the least of
+    /// each cone the Yao selection, and per rung the least neighbours of
+    /// level `≥ j` the HNG uplinks.
+    fn current_selection(&self, u: u32, top: &(u32, Vec<u32>)) -> Selection {
+        let p = self.points.get(u);
+        let row = self.csr.neighbors(u);
+        match self.kind {
+            IncTopology::Udg { .. } => unreachable!("the UDG repairs from its events"),
+            IncTopology::Gabriel { radius } | IncTopology::Rng { radius } => {
+                let targets = row.iter().copied().filter(|&v| v > u).collect();
+                (targets, vec![Cert::ball(u, radius)])
+            }
+            IncTopology::Yao { radius, cones } => {
+                let mut best = vec![None; cones];
+                for &v in row {
+                    yao_offer(p, v, self.points.get(v), &mut best);
+                }
+                let targets = best.iter().flatten().map(|b| b.1).collect();
+                (targets, vec![Cert::ball(u, radius)])
+            }
+            IncTopology::Knn { k } => {
+                let targets = self.least(p, row.iter().copied(), k);
+                self.selection(u, targets, k, 0)
+            }
+            IncTopology::Hng { links, .. } => {
+                let mut sel = Selection::default();
+                for j in self.rungs(u, top.0) {
+                    let cands = row
+                        .iter()
+                        .copied()
+                        .filter(|&v| self.levels[v as usize] >= j);
+                    let (t, c) = self.selection(u, self.least(p, cands, links), links, j);
+                    sel.0.extend(t);
+                    sel.1.extend(c);
+                }
+                self.clique(u, top, &mut sel.0);
+                sel
+            }
+        }
+    }
+
+    /// Owner `u`'s emissions and certificates over the alive universe
+    /// (after the toggles), with the top clique `top`: the same kernels
+    /// the cold builders run, fed by the universe indexes under the alive
+    /// mask.
+    fn reselect(&self, u: u32, top: &(u32, Vec<u32>)) -> Selection {
+        let p = self.points.get(u);
+        let keep = |v: u32| v != u && self.alive[v as usize];
+        match self.kind {
+            IncTopology::Udg { .. } => unreachable!("the UDG repairs from its events"),
+            IncTopology::Gabriel { radius } | IncTopology::Rng { radius } => {
+                let mut nbrs = Vec::new();
+                self.indexes[0].for_each_in_disk(&self.points, p, radius, |v, q| {
+                    if keep(v) {
+                        nbrs.push((v, q, p.dist(q)));
+                    }
+                });
+                sort_by_distance(&mut nbrs);
+                let mut targets = Vec::new();
+                match self.kind {
+                    IncTopology::Gabriel { .. } => gabriel_owner(u, p, &nbrs, &mut targets),
+                    _ => rng_owner(u, p, &nbrs, &mut targets),
+                }
+                (targets, vec![Cert::ball(u, radius)])
+            }
+            IncTopology::Yao { radius, cones } => {
+                let mut best = vec![None; cones];
+                self.indexes[0].for_each_in_disk(&self.points, p, radius, |v, q| {
+                    if keep(v) {
+                        yao_offer(p, v, q, &mut best);
+                    }
+                });
+                let targets = best.iter().flatten().map(|b| b.1).collect();
+                (targets, vec![Cert::ball(u, radius)])
+            }
+            IncTopology::Knn { k } => {
+                let found = self.indexes[0].knn_where(&self.points, p, k, keep);
+                self.selection(u, found.into_iter().map(|(v, _)| v).collect(), k, 0)
+            }
+            IncTopology::Hng { links, .. } => {
+                let mut sel = Selection::default();
+                for j in self.rungs(u, top.0) {
+                    let found =
+                        self.indexes[j as usize - 2].knn_where(&self.points, p, links, keep);
+                    let targets = found.into_iter().map(|(v, _)| v).collect();
+                    let (t, c) = self.selection(u, targets, links, j);
+                    sel.0.extend(t);
+                    sel.1.extend(c);
+                }
+                self.clique(u, top, &mut sel.0);
+                sel
+            }
+        }
+    }
+
+    /// The `k` least of `cands` by the k-NN key `(distance², id)` — the
+    /// order [`CellIndex::knn_where`] selects in.
+    fn least(&self, p: Point, cands: impl Iterator<Item = u32>, k: usize) -> Vec<u32> {
+        let mut keyed: Vec<(f64, u32)> =
+            cands.map(|v| (self.points.get(v).dist_sq(p), v)).collect();
+        keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        keyed.iter().take(k).map(|&(_, v)| v).collect()
+    }
+
+    /// A nearest-`k` selection of owner `u` among nodes of level `≥ level`,
+    /// with its certificate: the ball through its farthest target, or the
+    /// whole plane when it ran short of `k`.
+    fn selection(&self, u: u32, targets: Vec<u32>, k: usize, level: u32) -> Selection {
+        let r2 = match targets.last() {
+            Some(&v) if targets.len() == k => self.points.get(v).dist_sq(self.points.get(u)),
+            _ if k == 0 => return (targets, Vec::new()),
+            _ => f64::INFINITY,
+        };
+        (targets, vec![Cert { node: u, level, r2 }])
+    }
+
+    /// HNG rung levels `j` of owner `u` under top level `top_level`: one
+    /// per `i ∈ 1..=min(ℓ(u), T − 1)`, targeting level `≥ i + 1`.
+    fn rungs(&self, u: u32, top_level: u32) -> std::ops::RangeInclusive<u32> {
+        let hi = self.levels[u as usize].min(top_level.saturating_sub(1));
+        2..=hi + 1
+    }
+
+    /// The clique emissions of `u` when it sits at the top level.
+    fn clique(&self, u: u32, top: &(u32, Vec<u32>), out: &mut Vec<u32>) {
+        if self.levels[u as usize] >= top.0 {
+            out.extend(top.1.iter().copied().filter(|&v| v != u));
+        }
+    }
+
+    /// The k-NN / HNG certificates of `u` whose ball pokes past `u`'s
+    /// interior margin of its owner shard's padded extent (a short
+    /// selection's infinite ball always does, unless the extent is the
+    /// whole plane). Any event inside a ball that fits the extent lies in
+    /// the shard's halo, so only these need tracking between repairs.
+    fn far_certs(&self, u: u32, certs: Vec<Cert>) -> Vec<Cert> {
+        if !matches!(self.kind, IncTopology::Knn { .. } | IncTopology::Hng { .. }) {
+            return Vec::new();
+        }
+        let p = self.points.get(u);
+        let margin = interior_margin(p, &self.grid.padded(self.owner(u), self.halo));
+        certs.into_iter().filter(|c| c.r2.sqrt() > margin).collect()
+    }
+
+    /// The alive population's top occupied level and its ascending member
+    /// ids — `(1, every alive node)` when no alive node is promoted, and
+    /// `(1, [])` when nothing is alive. Scans the level indexes from the
+    /// top down, so the cost is the size of the top levels.
+    fn alive_top(&self) -> (u32, Vec<u32>) {
+        for (i, index) in self.indexes.iter().enumerate().rev() {
+            let mut top: Vec<u32> = index
+                .members()
+                .iter()
+                .copied()
+                .filter(|&u| self.alive[u as usize])
+                .collect();
+            if !top.is_empty() {
+                top.sort_unstable();
+                return (i as u32 + 2, top);
+            }
+        }
+        let all = (0..self.points.len() as u32).filter(|&u| self.alive[u as usize]);
+        (1, all.collect())
+    }
+
+    /// HNG level of `u` (0 for every other kind).
+    #[inline]
+    fn level(&self, u: u32) -> u32 {
+        self.levels.get(u as usize).copied().unwrap_or(0)
+    }
+
+    #[inline]
+    fn owner(&self, u: u32) -> usize {
+        self.grid.owner_of(self.points.get(u))
+    }
+
+    /// The universe ids shard `s` owns, ascending.
+    #[inline]
+    fn residents(&self, s: usize) -> &[u32] {
+        &self.resident_ids[self.resident_start[s] as usize..self.resident_start[s + 1] as usize]
     }
 
     /// Build the same topology cold — the monolithic reference builder on
@@ -1058,8 +902,96 @@ impl IncrementalGraph {
 /// cold-rebuild comparison path must agree on (byte-identity depends on
 /// all of them ordering survivors the same way).
 pub fn compact_alive(points: &PointSet, alive: &[bool]) -> (PointSet, Vec<u32>) {
-    let (sub, to_universe, _) = compact(points, alive);
+    let n_alive = alive.iter().filter(|&&a| a).count();
+    let mut sub = PointSet::with_capacity(n_alive);
+    let mut to_universe = Vec::with_capacity(n_alive);
+    for (g, p) in points.iter_enumerated() {
+        if alive[g as usize] {
+            to_universe.push(g);
+            sub.push(p);
+        }
+    }
     (sub, to_universe)
+}
+
+/// The universe levels of the survivors, in universe-id order — the
+/// levels [`compact_alive`]'s points carry (empty for every kind but HNG,
+/// whose levels are never re-rolled over survivor ids).
+pub(crate) fn survivor_levels(levels: &[u32], alive: &[bool]) -> Vec<u32> {
+    levels
+        .iter()
+        .zip(alive)
+        .filter(|(_, &a)| a)
+        .map(|(&l, _)| l)
+        .collect()
+}
+
+impl Cert {
+    /// The fixed ball of a threshold kind's owner: any event within the
+    /// radius can change its emissions.
+    fn ball(node: u32, radius: f64) -> Cert {
+        Cert {
+            node,
+            level: 0,
+            r2: radius * radius,
+        }
+    }
+}
+
+/// Push owner `u`'s emission delta: the targets of the ascending multiset
+/// `old` that `new` does not match one-for-one go to `removed`, and vice
+/// versa, as canonical pairs — one per emission, so the chunked CSR's
+/// multiplicities keep counting the owners behind each edge.
+fn multiset_diff(
+    u: u32,
+    old: &[u32],
+    new: &[u32],
+    removed: &mut Vec<(u32, u32)>,
+    added: &mut Vec<(u32, u32)>,
+) {
+    let pair = |v: u32| (u.min(v), u.max(v));
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() || j < new.len() {
+        if j == new.len() || (i < old.len() && old[i] < new[j]) {
+            removed.push(pair(old[i]));
+            i += 1;
+        } else if i == old.len() || new[j] < old[i] {
+            added.push(pair(new[j]));
+            j += 1;
+        } else {
+            i += 1;
+            j += 1;
+        }
+    }
+}
+
+/// The selection indexes of `kind` over the whole universe (dead nodes
+/// included; queries filter by the alive mask): see
+/// [`IncrementalGraph::indexes`](IncrementalGraph).
+fn query_indexes(kind: IncTopology, points: &PointSet, levels: &[u32]) -> Vec<CellIndex> {
+    let cell = |pts: &PointSet, k: usize| match pts.is_empty() {
+        true => 1.0,
+        false => knn_cell_size(pts, k.max(1)),
+    };
+    match kind {
+        IncTopology::Udg { .. } => Vec::new(),
+        IncTopology::Gabriel { radius }
+        | IncTopology::Rng { radius }
+        | IncTopology::Yao { radius, .. } => vec![CellIndex::build(points, radius)],
+        IncTopology::Knn { k } => vec![CellIndex::build(points, cell(points, k))],
+        IncTopology::Hng { links, .. } => {
+            let top = levels.iter().copied().max().unwrap_or(1);
+            (2..=top)
+                .map(|j| {
+                    let members: Vec<u32> = (0..points.len() as u32)
+                        .filter(|&u| levels[u as usize] >= j)
+                        .collect();
+                    let pts: PointSet = members.iter().map(|&u| points.get(u)).collect();
+                    CellIndex::build_subset(points, &members, cell(&pts, links))
+                })
+                .collect()
+        }
+    }
 }
 
 /// Universe ids grouped by owner shard (counting sort, so ids stay
@@ -1083,59 +1015,6 @@ fn resident_lists(points: &PointSet, grid: &ShardGrid) -> (Vec<u32>, Vec<u32>) {
         cursor[s] += 1;
     }
     (start, ids)
-}
-
-/// Bounding box of the alive subset — the `covers_all` operand of the k-NN
-/// straggler check, exactly as the global path computes it from the
-/// compacted point set (same min/max fold, no allocation).
-fn alive_bounding_box(points: &PointSet, alive: &[bool]) -> Option<Aabb> {
-    let mut bb: Option<Aabb> = None;
-    for (u, p) in points.iter_enumerated() {
-        if !alive[u as usize] {
-            continue;
-        }
-        let point_box = Aabb::new(p, p);
-        bb = Some(match bb {
-            None => point_box,
-            Some(cur) => cur.union(&point_box),
-        });
-    }
-    bb
-}
-
-/// Top occupied level of the alive population plus the ascending universe
-/// ids holding it — the HNG clique. `(1, [])` when nothing is alive.
-fn alive_top(levels: &[u32], alive: &[bool]) -> (u32, Vec<u32>) {
-    let mut top = 1u32;
-    for (u, &lvl) in levels.iter().enumerate() {
-        if alive[u] && lvl > top {
-            top = lvl;
-        }
-    }
-    let ids: Vec<u32> = levels
-        .iter()
-        .enumerate()
-        .filter(|&(u, &lvl)| alive[u] && lvl == top)
-        .map(|(u, _)| u as u32)
-        .collect();
-    (top, ids)
-}
-
-/// [`compact_alive`] plus the universe→compact inverse (`u32::MAX` marks
-/// dead) for the k-NN fallback's skip ids.
-fn compact(points: &PointSet, alive: &[bool]) -> (PointSet, Vec<u32>, Vec<u32>) {
-    let n_alive = alive.iter().filter(|&&a| a).count();
-    let mut sub = PointSet::with_capacity(n_alive);
-    let mut to_universe = Vec::with_capacity(n_alive);
-    let mut to_compact = vec![u32::MAX; points.len()];
-    for (g, p) in points.iter_enumerated() {
-        if alive[g as usize] {
-            to_compact[g as usize] = sub.len() as u32;
-            to_universe.push(g);
-            sub.push(p);
-        }
-    }
-    (sub, to_universe, to_compact)
 }
 
 #[cfg(test)]
@@ -1206,7 +1085,8 @@ mod tests {
             for e in 0..4u64 {
                 let (deaths, joins) = churn_sets(&g, 99, e);
                 let stats = g.apply_churn(&deaths, &joins);
-                assert_eq!(stats.dirty, stats.event_local + stats.rederived);
+                assert_eq!(stats.dirty, stats.event_local);
+                assert_eq!((stats.rederived, stats.escalations), (0, 0));
                 assert_eq!(stats.events, deaths.len() + joins.len());
                 assert!(
                     g.verify_cold(),
@@ -1221,7 +1101,6 @@ mod tests {
         let p = pts(400, 3, 10.0);
         let mut g =
             IncrementalGraph::build(p, vec![true; 400], IncTopology::Udg { radius: 1.0 }, 2);
-        assert_eq!(g.edge_store().emission_count(), 0, "UDG keeps no cache");
         let deaths: Vec<u32> = (0..400u32).filter(|u| u % 7 == 0).collect();
         let stats = g.apply_churn(&deaths, &[]);
         assert!(stats.dirty > 0);
@@ -1320,9 +1199,8 @@ mod tests {
         let mut g = IncrementalGraph::build(p, vec![true; 600], kind, 2);
         let levels = hng_levels(600, 0.5, 0xC0DE);
         // Kill only level-1 nodes in one corner: they answer no uplink
-        // query and sit in no clique, so the dependence tracking must
-        // keep the repair to the corner instead of escalating the whole
-        // population the way the straggler-forcing path used to.
+        // query and sit in no clique, so the repair's footprint must stay
+        // in the corner.
         let deaths: Vec<u32> = g
             .points()
             .iter_enumerated()
@@ -1342,7 +1220,6 @@ mod tests {
 
     #[test]
     fn hng_top_member_death_repairs_the_clique() {
-        use crate::hng::hng_levels;
         let p = pts(400, 9, 12.0);
         let kind = IncTopology::Hng {
             p: 0.5,
@@ -1350,11 +1227,10 @@ mod tests {
             seed: 7,
         };
         let mut g = IncrementalGraph::build(p, vec![true; 400], kind, 2);
-        let levels = hng_levels(400, 0.5, 7);
-        let (t, tops) = alive_top(&levels, g.alive());
+        let (t, tops) = g.hng_top.clone();
         assert!(t >= 2, "population too small to roll a hierarchy");
         // Killing a clique member changes the maintained top set: every
-        // surviving peer re-derives its clique edges and any rung that
+        // surviving peer re-selects its clique edges and any rung that
         // targeted the dead node re-answers, but the result must still be
         // byte-identical to a cold rebuild on the survivors.
         g.apply_churn(&[tops[0]], &[]);

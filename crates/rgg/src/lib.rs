@@ -31,11 +31,12 @@
 //! (cache-linear gathers), whose shard runs the CSR assembler writes
 //! straight into original-id rows, byte-identically.
 //!
-//! Under node churn the same shard decomposition powers [`incremental`]:
-//! per-shard edge caches survive across epochs and only shards whose
-//! ghost-padded extent saw a death or join are re-derived, keeping the
-//! maintained CSR byte-identical to a cold rebuild at a fraction of the
-//! cost.
+//! Under node churn [`incremental`] repairs per event, on the paper's local
+//! computability: every kind's selection depends only on a bounded
+//! neighbourhood, so a death or join re-selects only the owners whose
+//! certificate ball holds it — against indexes built once over the fixed
+//! universe — and splices their emission delta into a chunked CSR that
+//! stays byte-identical to a cold rebuild at a fraction of the cost.
 
 pub mod gabriel;
 pub mod hng;

@@ -40,12 +40,9 @@
 use wsn_graph::{relabel, Csr};
 use wsn_pointproc::{PointOrder, PointSet};
 
-use crate::hng::{hng_levels, hng_sharded_on_levels, HngParams};
-use crate::incremental::{compact_alive, IncTopology};
-use crate::sharded::{
-    derive_gabriel, derive_rng, derive_udg, knn_sharded, threshold_sharded, yao_sharded,
-    DeriveThreshold,
-};
+use crate::hng::{hng_levels, HngParams};
+use crate::incremental::{compact_alive, survivor_levels, IncTopology};
+use crate::sharded::assemble_sharded;
 use crate::{build_gabriel, build_hng_on_levels, build_knn, build_rng, build_udg, build_yao};
 
 /// How a cold build runs. Both paths produce the same graph byte for byte;
@@ -74,14 +71,7 @@ impl IncTopology {
     /// incremental repair must match.
     pub fn build_alive(&self, points: &PointSet, alive: &[bool], exec: Exec) -> Csr {
         let (sub, to_universe) = compact_alive(points, alive);
-        // Empty for every kind but HNG, so the zip yields nothing.
-        let levels = self.levels(points.len());
-        let levels_sub: Vec<u32> = levels
-            .iter()
-            .zip(alive)
-            .filter(|(_, &a)| a)
-            .map(|(&l, _)| l)
-            .collect();
+        let levels_sub = survivor_levels(&self.levels(points.len()), alive);
         let g = self.build_on_levels(&sub, &levels_sub, exec);
         relabel(&g, &to_universe, points.len())
     }
@@ -109,44 +99,38 @@ impl IncTopology {
                 IncTopology::Hng { links, .. } => build_hng_on_levels(points, levels, links),
             };
         };
-        let order = PointOrder::morton(points);
-        match *self {
-            IncTopology::Udg { radius } => build_udg_on_order(&order, radius, tiles),
-            IncTopology::Knn { k } => build_knn_on_order(&order, k, tiles),
-            IncTopology::Gabriel { radius } => build_gabriel_on_order(&order, radius, tiles),
-            IncTopology::Rng { radius } => build_rng_on_order(&order, radius, tiles),
-            IncTopology::Yao { radius, cones } => build_yao_on_order(&order, radius, cones, tiles),
-            IncTopology::Hng { links, .. } => hng_on_order(&order, levels, links, tiles),
-        }
+        self.build_on_order(&PointOrder::morton(points), levels, tiles)
     }
-}
 
-/// A threshold kind over a prepared order, emitted through `to_orig`.
-fn threshold_on_order(
-    order: &PointOrder,
-    radius: f64,
-    tiles_per_shard: usize,
-    derive: DeriveThreshold,
-) -> Csr {
-    let to_orig = Some(order.to_orig());
-    threshold_sharded(order.points(), radius, tiles_per_shard, to_orig, derive)
+    /// The sharded path over a prepared order: the builder runs over the
+    /// rank-space copy and the assembler renames every endpoint through
+    /// `to_orig`. `levels` is per original id (read by HNG only).
+    fn build_on_order(&self, order: &PointOrder, levels: &[u32], tiles: usize) -> Csr {
+        let rank_levels = if levels.is_empty() {
+            Vec::new()
+        } else {
+            order.gather_values(levels)
+        };
+        let to_orig = Some(order.to_orig());
+        assemble_sharded(*self, order.points(), &rank_levels, tiles, to_orig)
+    }
 }
 
 /// UDG over a prepared order — edge-identical to [`crate::build_udg`].
 pub fn build_udg_on_order(order: &PointOrder, radius: f64, tiles_per_shard: usize) -> Csr {
-    threshold_on_order(order, radius, tiles_per_shard, derive_udg)
+    IncTopology::Udg { radius }.build_on_order(order, &[], tiles_per_shard)
 }
 
 /// Gabriel graph over a prepared order — edge-identical to
 /// [`crate::build_gabriel`].
 pub fn build_gabriel_on_order(order: &PointOrder, radius: f64, tiles_per_shard: usize) -> Csr {
-    threshold_on_order(order, radius, tiles_per_shard, derive_gabriel)
+    IncTopology::Gabriel { radius }.build_on_order(order, &[], tiles_per_shard)
 }
 
 /// Relative neighborhood graph over a prepared order — edge-identical to
 /// [`crate::build_rng`].
 pub fn build_rng_on_order(order: &PointOrder, radius: f64, tiles_per_shard: usize) -> Csr {
-    threshold_on_order(order, radius, tiles_per_shard, derive_rng)
+    IncTopology::Rng { radius }.build_on_order(order, &[], tiles_per_shard)
 }
 
 /// Yao graph over a prepared order — edge-identical to [`crate::build_yao`].
@@ -156,19 +140,13 @@ pub fn build_yao_on_order(
     cones: usize,
     tiles_per_shard: usize,
 ) -> Csr {
-    yao_sharded(
-        order.points(),
-        radius,
-        cones,
-        tiles_per_shard,
-        Some(order.to_orig()),
-    )
+    IncTopology::Yao { radius, cones }.build_on_order(order, &[], tiles_per_shard)
 }
 
 /// Symmetrised k-NN over a prepared order — edge-identical to
 /// [`crate::build_knn`].
 pub fn build_knn_on_order(order: &PointOrder, k: usize, tiles_per_shard: usize) -> Csr {
-    knn_sharded(order.points(), k, tiles_per_shard, Some(order.to_orig()))
+    IncTopology::Knn { k }.build_on_order(order, &[], tiles_per_shard)
 }
 
 /// HNG over a prepared order — edge-identical to [`crate::build_hng`].
@@ -183,21 +161,12 @@ pub fn build_hng_on_order(
     seed: u64,
     tiles_per_shard: usize,
 ) -> Csr {
-    let params = HngParams::new(params.p, params.links); // validate
-    let levels = hng_levels(order.len(), params.p, seed);
-    hng_on_order(order, &levels, params.links, tiles_per_shard)
-}
-
-/// HNG over a prepared order on explicit per-original-id `levels`.
-fn hng_on_order(order: &PointOrder, levels: &[u32], links: usize, tiles_per_shard: usize) -> Csr {
-    let rank_levels = order.gather_values(levels);
-    hng_sharded_on_levels(
-        order.points(),
-        &rank_levels,
-        links,
-        tiles_per_shard,
-        Some(order.to_orig()),
-    )
+    let kind = IncTopology::Hng {
+        p: params.p,
+        links: params.links,
+        seed,
+    };
+    kind.build_on_order(order, &kind.levels(order.len()), tiles_per_shard)
 }
 
 #[cfg(test)]

@@ -41,7 +41,10 @@ use rayon::prelude::*;
 use wsn_geom::{Aabb, Point, ShardGrid};
 use wsn_graph::{Csr, Emitted};
 use wsn_pointproc::PointSet;
-use wsn_spatial::{GridIndex, SubIndex};
+use wsn_spatial::GridIndex;
+
+use crate::hng::hng_runs;
+use crate::IncTopology;
 
 /// Pass as `tiles_per_shard` for an explicit single-shard (whole-window)
 /// plan — useful as the degenerate case of differential tests.
@@ -53,27 +56,6 @@ pub(crate) struct Shard {
     pub(crate) pts: PointSet,
     pub(crate) ids: Vec<u32>,
     pub(crate) owned: Vec<bool>,
-}
-
-/// The ghost-gather primitive [`Shard::gather_mapped`] needs: sorted ids
-/// inside a closed box. Implemented by both the global [`GridIndex`] (the
-/// PR-4 whole-population gather) and the localized [`SubIndex`] (the
-/// dirty-extent gather, whose extent certificate additionally asserts the
-/// padded box is covered).
-pub(crate) trait GhostGather {
-    fn gather_sorted_into(&self, b: &Aabb, out: &mut Vec<u32>);
-}
-
-impl GhostGather for GridIndex<'_> {
-    fn gather_sorted_into(&self, b: &Aabb, out: &mut Vec<u32>) {
-        self.gather_sorted(b, out);
-    }
-}
-
-impl GhostGather for SubIndex<'_> {
-    fn gather_sorted_into(&self, b: &Aabb, out: &mut Vec<u32>) {
-        self.gather_sorted(b, out);
-    }
 }
 
 impl Shard {
@@ -96,40 +78,42 @@ impl Shard {
         Shard { pts, ids, owned }
     }
 
-    /// Gather through an index whose ids are *local* to some compacted
-    /// subset (e.g. the alive survivors of a churned deployment), mapping
-    /// them back to universe ids via the strictly monotone `to_universe`.
-    ///
-    /// Because the map is monotone, the gathered working set is ordered by
-    /// universe id exactly as [`Shard::gather`] orders it by global id —
-    /// every id tie-break downstream resolves identically, which is what
-    /// makes incremental repair byte-identical to a cold rebuild.
-    pub(crate) fn gather_mapped(
-        sub: &PointSet,
-        to_universe: &[u32],
-        index: &impl GhostGather,
-        grid: &ShardGrid,
-        s: usize,
-        halo: f64,
-    ) -> Shard {
-        let mut local = Vec::new();
-        index.gather_sorted_into(&grid.padded(s, halo), &mut local);
-        let mut pts = PointSet::with_capacity(local.len());
-        let mut ids = Vec::with_capacity(local.len());
-        let mut owned = Vec::with_capacity(local.len());
-        for &l in &local {
-            let p = sub.get(l);
-            pts.push(p);
-            ids.push(to_universe[l as usize]);
-            owned.push(grid.owner_of(p) == s);
-        }
-        Shard { pts, ids, owned }
+    /// Owned node `u`'s disk neighbours as `(global id, point, distance)`,
+    /// sorted by `(distance, id)` — the candidate list the Gabriel and RNG
+    /// owner kernels scan.
+    fn disk_neighbours(
+        &self,
+        index: &GridIndex,
+        u: u32,
+        radius: f64,
+        nbrs: &mut Vec<(u32, Point, f64)>,
+    ) {
+        let pu = self.pts.get(u);
+        nbrs.clear();
+        index.for_each_in_disk(pu, radius, |v, q| {
+            if v != u {
+                nbrs.push((self.ids[v as usize], q, pu.dist(q)));
+            }
+        });
+        sort_by_distance(nbrs);
     }
 }
 
+/// An owner's disk neighbours: `(id, point, distance)`.
+pub(crate) type Neighbours = [(u32, Point, f64)];
+
+/// An owner kernel: the targets owner `gu` at `pu` emits given its sorted
+/// disk neighbours.
+type OwnerKernel = fn(u32, Point, &Neighbours, &mut Vec<u32>);
+
+/// Sort disk neighbours by `(distance, id)` — the order both owner
+/// kernels' early exits rely on.
+pub(crate) fn sort_by_distance(nbrs: &mut Neighbours) {
+    nbrs.sort_unstable_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
+}
+
 /// One shard's UDG emissions: every canonical edge whose smaller endpoint
-/// the shard owns. Shared verbatim by the cold pipeline and the
-/// incremental repair path (`crate::incremental`).
+/// the shard owns.
 pub(crate) fn derive_udg(shard: &Shard, radius: f64) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     if shard.pts.is_empty() {
@@ -151,109 +135,107 @@ pub(crate) fn derive_udg(shard: &Shard, radius: f64) -> Vec<(u32, u32)> {
     out
 }
 
-/// One shard's Gabriel emissions (diameter-disk emptiness over the owner's
-/// distance-sorted neighbour list, early exit on the first blocker).
-pub(crate) fn derive_gabriel(shard: &Shard, radius: f64) -> Vec<(u32, u32)> {
+/// The Gabriel edges owner `gu` at `pu` emits: every `gv > gu` among its
+/// disk neighbours `nbrs` (sorted by [`sort_by_distance`]) whose diameter
+/// disk holds no other neighbour strictly inside. Every blocker of an edge
+/// `uv` lies within `|uv| ≤ radius` of `u`, so `u`'s neighbour list is the
+/// whole blocker candidate set — likely blockers first, early exit. Shared
+/// by the shard derivation and the churn repair.
+pub(crate) fn gabriel_owner(gu: u32, pu: Point, nbrs: &Neighbours, out: &mut Vec<u32>) {
+    for &(gv, pv, _) in nbrs {
+        if gv <= gu {
+            continue;
+        }
+        let mid = pu.midpoint(pv);
+        let r = pu.dist(pv) * 0.5;
+        let r2 = r * r - 1e-12;
+        if !nbrs.iter().any(|&(w, q, _)| w != gv && q.dist_sq(mid) < r2) {
+            out.push(gv);
+        }
+    }
+}
+
+/// The RNG edges owner `gu` at `pu` emits: every `gv > gu` among its disk
+/// neighbours `nbrs` (sorted by [`sort_by_distance`]) whose lune holds no
+/// witness. A witness is closer than `|uv|` to `u`, so the scan is a prefix
+/// of the sorted list: entries at `d(w, u) ≥ |uv|` can never block. Shared
+/// by the shard derivation and the churn repair.
+pub(crate) fn rng_owner(gu: u32, _pu: Point, nbrs: &Neighbours, out: &mut Vec<u32>) {
+    for &(gv, pv, d) in nbrs {
+        if gv <= gu {
+            continue;
+        }
+        let strict = d - 1e-12;
+        let blocked = nbrs
+            .iter()
+            .take_while(|&&(_, _, dwu)| dwu < strict)
+            .any(|&(w, q, _)| w != gv && q.dist(pv) < strict);
+        if !blocked {
+            out.push(gv);
+        }
+    }
+}
+
+/// Offer candidate `v` at `q` to the Yao cones of the owner at `p`:
+/// `best[c]` keeps the `(distance, id)`-least candidate of cone `c`, so ties
+/// break by id exactly as in the monolithic builder. Shared by the shard
+/// derivation and the churn repair.
+#[inline]
+pub(crate) fn yao_offer(p: Point, v: u32, q: Point, best: &mut [Option<(f64, u32)>]) {
+    let cones = best.len();
+    let sector = std::f64::consts::TAU / cones as f64;
+    let angle = (q.y - p.y)
+        .atan2(q.x - p.x)
+        .rem_euclid(std::f64::consts::TAU);
+    let cone = ((angle / sector) as usize).min(cones - 1);
+    let cand = (p.dist(q), v);
+    if best[cone].is_none_or(|cur| cand < cur) {
+        best[cone] = Some(cand);
+    }
+}
+
+/// One shard's emissions of an owner kernel (Gabriel or RNG): each
+/// canonical edge once, by the owner of its smaller endpoint.
+fn derive_owner_kernel(shard: &Shard, radius: f64, kernel: OwnerKernel) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     if shard.pts.is_empty() {
         return out;
     }
     let index = GridIndex::build(&shard.pts, radius);
-    // Every blocker of an edge `uv` (inside the diameter disk) is within
-    // `|uv| ≤ radius` of `u`, i.e. already in `u`'s neighbour list — so the
-    // emptiness test scans that list (sorted by distance: likely blockers
-    // first, early exit) instead of probing grid cells per edge.
-    let mut nbrs: Vec<(u32, Point, f64)> = Vec::new();
+    let (mut nbrs, mut targets) = (Vec::new(), Vec::new());
     for (u, pu) in shard.pts.iter_enumerated() {
         if !shard.owned[u as usize] {
             continue;
         }
         let gu = shard.ids[u as usize];
-        nbrs.clear();
-        index.for_each_in_disk(pu, radius, |v, q| {
-            if v != u {
-                nbrs.push((v, q, pu.dist(q)));
-            }
-        });
-        nbrs.sort_unstable_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
-        for &(v, pv, _) in &nbrs {
-            let gv = shard.ids[v as usize];
-            if gv <= gu {
-                continue;
-            }
-            let mid = pu.midpoint(pv);
-            let r = pu.dist(pv) * 0.5;
-            let r2 = r * r - 1e-12;
-            let blocked = nbrs.iter().any(|&(w, q, _)| w != v && q.dist_sq(mid) < r2);
-            if !blocked {
-                out.push((gu, gv));
-            }
-        }
+        shard.disk_neighbours(&index, u, radius, &mut nbrs);
+        targets.clear();
+        kernel(gu, pu, &nbrs, &mut targets);
+        out.extend(targets.iter().map(|&gv| (gu, gv)));
     }
     out
 }
 
-/// One shard's RNG emissions (lune emptiness as a prefix scan of the
-/// distance-sorted neighbour list).
+/// One shard's Gabriel emissions ([`gabriel_owner`] per owned node).
+pub(crate) fn derive_gabriel(shard: &Shard, radius: f64) -> Vec<(u32, u32)> {
+    derive_owner_kernel(shard, radius, gabriel_owner)
+}
+
+/// One shard's RNG emissions ([`rng_owner`] per owned node).
 pub(crate) fn derive_rng(shard: &Shard, radius: f64) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    if shard.pts.is_empty() {
-        return out;
-    }
-    let index = GridIndex::build(&shard.pts, radius);
-    // A lune witness of `uv` is closer than `|uv| ≤ radius` to *both*
-    // endpoints, so it is in `u`'s neighbour list. Sorting that list by
-    // distance-to-`u` makes the witness scan a prefix scan: entries at
-    // `d(w, u) ≥ |uv|` can never block and terminate the loop.
-    let mut nbrs: Vec<(u32, Point, f64)> = Vec::new();
-    for (u, pu) in shard.pts.iter_enumerated() {
-        if !shard.owned[u as usize] {
-            continue;
-        }
-        let gu = shard.ids[u as usize];
-        nbrs.clear();
-        index.for_each_in_disk(pu, radius, |v, q| {
-            if v != u {
-                nbrs.push((v, q, pu.dist(q)));
-            }
-        });
-        nbrs.sort_unstable_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
-        for &(v, pv, d) in &nbrs {
-            let gv = shard.ids[v as usize];
-            if gv <= gu {
-                continue;
-            }
-            let strict = d - 1e-12;
-            let mut blocked = false;
-            for &(w, q, dwu) in &nbrs {
-                if dwu >= strict {
-                    break; // sorted: no later entry can block
-                }
-                if w != v && q.dist(pv) < strict {
-                    blocked = true;
-                    break;
-                }
-            }
-            if !blocked {
-                out.push((gu, gv));
-            }
-        }
-    }
-    out
+    derive_owner_kernel(shard, radius, rng_owner)
 }
 
 /// One shard's Yao emissions: per owned node, the nearest neighbour of each
 /// angular cone, as canonical pairs (an edge may also be emitted by its
-/// other endpoint's shard — splice through the deduplicating path).
+/// other endpoint's shard — the assembler folds the repeat).
 pub(crate) fn derive_yao(shard: &Shard, radius: f64, cones: usize) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     if shard.pts.is_empty() {
         return out;
     }
-    let sector = std::f64::consts::TAU / cones as f64;
     let index = GridIndex::build(&shard.pts, radius);
-    // best[c] = (dist, global id) of the nearest neighbour in cone c —
-    // keyed on global ids so ties break exactly as in the monolithic
+    // Keyed on global ids so ties break exactly as in the monolithic
     // builder.
     let mut best: Vec<Option<(f64, u32)>> = vec![None; cones];
     for (u, p) in shard.pts.iter_enumerated() {
@@ -261,18 +243,10 @@ pub(crate) fn derive_yao(shard: &Shard, radius: f64, cones: usize) -> Vec<(u32, 
             continue;
         }
         let gu = shard.ids[u as usize];
-        best.iter_mut().for_each(|b| *b = None);
+        best.fill(None);
         index.for_each_in_disk(p, radius, |v, q| {
-            if v == u {
-                return;
-            }
-            let angle = (q.y - p.y)
-                .atan2(q.x - p.x)
-                .rem_euclid(std::f64::consts::TAU);
-            let cone = ((angle / sector) as usize).min(cones - 1);
-            let cand = (p.dist(q), shard.ids[v as usize]);
-            if best[cone].is_none_or(|cur| cand < cur) {
-                best[cone] = Some(cand);
+            if v != u {
+                yao_offer(p, shard.ids[v as usize], q, &mut best);
             }
         });
         for b in best.iter().flatten() {
@@ -299,37 +273,30 @@ pub(crate) fn interior_margin(p: Point, b: &Aabb) -> f64 {
         .min(b.max.y - p.y)
 }
 
-/// One shard's directed k-NN lists in global id space, plus whether any
-/// owned node *straggled* (its k-th neighbour fell outside the node's
-/// interior margin of the shard's `padded` extent, forcing the exact
-/// `fallback` query — `fallback(p, gu)` must return `gu`'s k nearest over
-/// the whole point population, in global ids).
+/// One shard's directed k-NN lists in global id space. An owned node
+/// whose k-th neighbour falls outside its interior margin of the shard's
+/// `padded` extent — a *straggler* — takes the exact `fallback` query
+/// instead (`fallback(p, gu)` must return `gu`'s k nearest over the whole
+/// point population, in global ids).
 ///
 /// The certificate is per node, not per shard: a node deep inside the
 /// padded box tolerates a k-th distance up to its own distance from the
 /// box boundary ([`interior_margin`]), which is never smaller than the
-/// halo for owned nodes and unbounded toward window edges — so group-local
-/// repairs certify far more nodes than the old whole-halo test did,
-/// without ever certifying a node whose list could depend on points beyond
-/// the gathered box.
-///
-/// The straggler flag matters to incremental maintenance: a straggler's
-/// list depends on points beyond the shard's padded extent, so its shard
-/// can never be trusted as "clean" under churn.
+/// halo for owned nodes and unbounded toward window edges, and never
+/// certifies a node whose list could depend on points beyond the box.
 pub(crate) fn derive_knn<F>(
     shard: &Shard,
     k: usize,
     padded: &Aabb,
     covers_all: bool,
     fallback: F,
-) -> (Vec<(u32, Vec<u32>)>, bool)
+) -> Vec<(u32, Vec<u32>)>
 where
     F: Fn(Point, u32) -> Vec<u32>,
 {
     let mut out = Vec::new();
-    let mut straggled = false;
     if shard.pts.is_empty() {
-        return (out, straggled);
+        return out;
     }
     let index = GridIndex::build(&shard.pts, knn_cell_size(&shard.pts, k));
     for (u, p) in shard.pts.iter_enumerated() {
@@ -351,12 +318,11 @@ where
         } else {
             // Halo miss: resolve exactly against the full population
             // (k-NN results are index-independent).
-            straggled = true;
             fallback(p, gu)
         };
         out.push((gu, list));
     }
-    (out, straggled)
+    out
 }
 
 /// Shard plan over the deployment's bounding box with shards of
@@ -382,10 +348,73 @@ where
         .collect()
 }
 
+/// The sharded build of `kind` over `points`, as it leaves the shards: one
+/// emission run per shard in the ids of `points` (`levels`, per point, is
+/// read by HNG only), and how often the assembler may see one edge.
+/// Threshold kinds (UDG, Gabriel, RNG) emit each canonical edge once, from
+/// the owner of its smaller endpoint; the selection kinds (Yao, k-NN, HNG)
+/// emit one pair per selection, so an edge both endpoints select arrives
+/// twice.
+pub(crate) fn emission_runs(
+    kind: IncTopology,
+    points: &PointSet,
+    levels: &[u32],
+    tiles_per_shard: usize,
+) -> (Vec<Vec<(u32, u32)>>, Emitted) {
+    let threshold = |radius: f64, derive: DeriveThreshold| {
+        assert!(radius > 0.0, "radius must be positive");
+        if points.is_empty() {
+            return (Vec::new(), Emitted::Once);
+        }
+        let gather = GridIndex::build(points, radius);
+        let grid = plan(points, radius, tiles_per_shard);
+        let runs = fan_out(&grid, |s| {
+            derive(&Shard::gather(points, &gather, &grid, s, radius), radius)
+        });
+        (runs, Emitted::Once)
+    };
+    match kind {
+        IncTopology::Udg { radius } => threshold(radius, derive_udg),
+        IncTopology::Gabriel { radius } => threshold(radius, derive_gabriel),
+        IncTopology::Rng { radius } => threshold(radius, derive_rng),
+        IncTopology::Yao { radius, cones } => {
+            assert!(cones >= 1, "need at least one cone");
+            (
+                yao_runs(points, radius, cones, tiles_per_shard),
+                Emitted::Repeated,
+            )
+        }
+        IncTopology::Knn { k } => (knn_runs(points, k, tiles_per_shard), Emitted::Repeated),
+        IncTopology::Hng { links, .. } => (
+            hng_runs(points, levels, links, tiles_per_shard),
+            Emitted::Repeated,
+        ),
+    }
+}
+
+/// [`emission_runs`] assembled into a CSR on `points.len()` nodes, every
+/// endpoint renamed through `map` (the ordered pipeline passes `to_orig`).
+pub(crate) fn assemble_sharded(
+    kind: IncTopology,
+    points: &PointSet,
+    levels: &[u32],
+    tiles_per_shard: usize,
+    map: Option<&[u32]>,
+) -> Csr {
+    let (runs, emitted) = emission_runs(kind, points, levels, tiles_per_shard);
+    Csr::from_runs(points.len(), runs, map, emitted)
+}
+
 /// Sharded `UDG(points, radius)` — edge-identical to
 /// [`crate::udg::build_udg`].
 pub fn build_udg_sharded(points: &PointSet, radius: f64, tiles_per_shard: usize) -> Csr {
-    threshold_sharded(points, radius, tiles_per_shard, None, derive_udg)
+    assemble_sharded(
+        IncTopology::Udg { radius },
+        points,
+        &[],
+        tiles_per_shard,
+        None,
+    )
 }
 
 /// Sharded Gabriel subgraph of `UDG(points, radius)` — edge-identical to
@@ -395,40 +424,29 @@ pub fn build_udg_sharded(points: &PointSet, radius: f64, tiles_per_shard: usize)
 /// UDG, and the diameter-disk emptiness test short-circuits on the first
 /// blocker instead of scanning the whole disk.
 pub fn build_gabriel_sharded(points: &PointSet, radius: f64, tiles_per_shard: usize) -> Csr {
-    threshold_sharded(points, radius, tiles_per_shard, None, derive_gabriel)
+    assemble_sharded(
+        IncTopology::Gabriel { radius },
+        points,
+        &[],
+        tiles_per_shard,
+        None,
+    )
 }
 
 /// Sharded relative neighbourhood subgraph of `UDG(points, radius)` —
 /// edge-identical to [`crate::rng_graph::build_rng`].
 pub fn build_rng_sharded(points: &PointSet, radius: f64, tiles_per_shard: usize) -> Csr {
-    threshold_sharded(points, radius, tiles_per_shard, None, derive_rng)
+    assemble_sharded(
+        IncTopology::Rng { radius },
+        points,
+        &[],
+        tiles_per_shard,
+        None,
+    )
 }
 
 /// One shard's emissions of a threshold kind (UDG, Gabriel, RNG).
-pub(crate) type DeriveThreshold = fn(&Shard, f64) -> Vec<(u32, u32)>;
-
-/// The sharded build of a threshold kind: `derive` runs on every shard
-/// with halo `radius`, and the assembler maps every endpoint through `map`
-/// (the ordered pipeline passes `to_orig`). Each canonical edge is emitted
-/// exactly once, by the owner of its smaller endpoint.
-pub(crate) fn threshold_sharded(
-    points: &PointSet,
-    radius: f64,
-    tiles_per_shard: usize,
-    map: Option<&[u32]>,
-    derive: DeriveThreshold,
-) -> Csr {
-    assert!(radius > 0.0, "radius must be positive");
-    if points.is_empty() {
-        return Csr::empty(0);
-    }
-    let gather = GridIndex::build(points, radius);
-    let grid = plan(points, radius, tiles_per_shard);
-    let runs = fan_out(&grid, |s| {
-        derive(&Shard::gather(points, &gather, &grid, s, radius), radius)
-    });
-    Csr::from_runs(points.len(), runs, map, Emitted::Once)
-}
+type DeriveThreshold = fn(&Shard, f64) -> Vec<(u32, u32)>;
 
 /// Sharded Yao subgraph of `UDG(points, radius)` with `cones` sectors —
 /// edge-identical to [`crate::yao::build_yao`].
@@ -438,33 +456,30 @@ pub fn build_yao_sharded(
     cones: usize,
     tiles_per_shard: usize,
 ) -> Csr {
-    yao_sharded(points, radius, cones, tiles_per_shard, None)
+    let kind = IncTopology::Yao { radius, cones };
+    assemble_sharded(kind, points, &[], tiles_per_shard, None)
 }
 
-/// [`build_yao_sharded`] through the id map `map`.
-pub(crate) fn yao_sharded(
+/// The Yao shard runs (directed selections can coincide from both
+/// endpoints, possibly in different shards).
+fn yao_runs(
     points: &PointSet,
     radius: f64,
     cones: usize,
     tiles_per_shard: usize,
-    map: Option<&[u32]>,
-) -> Csr {
-    assert!(cones >= 1, "need at least one cone");
+) -> Vec<Vec<(u32, u32)>> {
     if points.is_empty() {
-        return Csr::empty(0);
+        return Vec::new();
     }
     let gather = GridIndex::build(points, radius);
     let grid = plan(points, radius, tiles_per_shard);
-    let runs = fan_out(&grid, |s| {
+    fan_out(&grid, |s| {
         derive_yao(
             &Shard::gather(points, &gather, &grid, s, radius),
             radius,
             cones,
         )
-    });
-    // Directed selections can coincide from both endpoints (possibly in
-    // different shards); the assembler folds the repeat.
-    Csr::from_runs(points.len(), runs, map, Emitted::Repeated)
+    })
 }
 
 /// Grid cell size for k-NN searches (same heuristic as the monolithic
@@ -506,7 +521,6 @@ fn knn_shards(points: &PointSet, k: usize, tiles_per_shard: usize) -> Vec<Vec<(u
                     .map(|(v, _)| v)
                     .collect()
             })
-            .0
         })
         .collect()
 }
@@ -534,21 +548,16 @@ pub fn knn_lists_sharded(points: &PointSet, k: usize, tiles_per_shard: usize) ->
 /// Sharded undirected `NN(points, k)` — edge-identical to
 /// [`crate::knn::build_knn`].
 pub fn build_knn_sharded(points: &PointSet, k: usize, tiles_per_shard: usize) -> Csr {
-    knn_sharded(points, k, tiles_per_shard, None)
+    assemble_sharded(IncTopology::Knn { k }, points, &[], tiles_per_shard, None)
 }
 
-/// [`build_knn_sharded`] through the id map `map`. Each shard's lists are
-/// one run; a mutual pair arrives from both endpoints and folds.
-pub(crate) fn knn_sharded(
-    points: &PointSet,
-    k: usize,
-    tiles_per_shard: usize,
-    map: Option<&[u32]>,
-) -> Csr {
+/// The k-NN shard runs: each shard's lists, one pair per selection (a
+/// mutual pair arrives from both endpoints).
+fn knn_runs(points: &PointSet, k: usize, tiles_per_shard: usize) -> Vec<Vec<(u32, u32)>> {
     if points.is_empty() || k == 0 {
-        return Csr::empty(points.len());
+        return Vec::new();
     }
-    let runs: Vec<Vec<(u32, u32)>> = knn_shards(points, k, tiles_per_shard)
+    knn_shards(points, k, tiles_per_shard)
         .into_par_iter()
         .map(|shard| {
             shard
@@ -556,8 +565,7 @@ pub(crate) fn knn_sharded(
                 .flat_map(|(gu, list)| list.into_iter().map(move |v| (gu, v)))
                 .collect()
         })
-        .collect();
-    Csr::from_runs(points.len(), runs, map, Emitted::Repeated)
+        .collect()
 }
 
 #[cfg(test)]

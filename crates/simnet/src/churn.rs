@@ -20,8 +20,8 @@
 //! 5. admits replacement nodes from a reserve pool at a configurable join
 //!    rate, and
 //! 6. repairs the topology — **incrementally** through
-//!    [`wsn_rgg::IncrementalGraph`] for the plain graphs (only shards
-//!    touched by churn re-derive), or by per-epoch rebuild for the SENS
+//!    [`wsn_rgg::IncrementalGraph`] for the plain graphs (only the owners
+//!    whose certificate holds an event re-select), or by per-epoch rebuild for the SENS
 //!    constructions and for the bench's rebuild baseline.
 //!
 //! The lifetime loops then measure the repaired graph into a per-epoch
@@ -113,7 +113,7 @@ pub enum ChurnModel {
 /// How the topology is maintained across epochs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RepairMode {
-    /// Incremental shard repair ([`IncrementalGraph`]).
+    /// Per-event incremental repair ([`IncrementalGraph`]).
     Incremental,
     /// Cold Morton-ordered sharded rebuild every epoch (the bench
     /// baseline; see [`cold_sharded_rebuild`]).
@@ -351,18 +351,19 @@ pub struct EpochReport {
     pub coverage: f64,
     /// [`wsn_graph::fingerprint`] of the repaired universe-id CSR.
     pub graph_hash: u64,
-    /// Shards the repair touched / repaired per event (UDG) / re-derived
-    /// (zeros in rebuild mode and for SENS).
+    /// Shards in the repair's footprint / repaired per event (all of them)
+    /// / re-derived (always 0: every repair is event-local; zeros in
+    /// rebuild mode and for SENS).
     pub shards_dirty: u64,
     pub shards_event_local: u64,
     pub shards_rederived: u64,
     /// Points the repair scanned ([`RepairStats::gathered`]: the UDG's
-    /// join disks, or the re-derivation working sets of every other kind)
-    /// — this tracks the churned region's population, not the network
-    /// size (zeros in rebuild mode and for SENS).
+    /// join disks, or every other kind's candidate owners) — this tracks
+    /// the churned region's population, not the network size (zeros in
+    /// rebuild mode and for SENS).
     pub repair_gathered: u64,
-    /// Whole-population index constructions the repair needed (k-NN
-    /// straggler escalations; 0 for every other topology).
+    /// Whole-population index constructions the repair needed (always 0:
+    /// the repair queries indexes built once over the universe).
     pub repair_escalations: u64,
     /// Wall-clock seconds of the repair (or rebuild) step.
     pub repair_secs: f64,
@@ -493,7 +494,7 @@ pub fn cold_sharded_rebuild(points: &PointSet, alive: &[bool], kind: IncTopology
 /// only in their repair, their traffic pool and routing, and the
 /// giant-fraction denominator.
 pub(crate) enum Maintained {
-    /// Incremental shard repair of a plain topology.
+    /// Per-event incremental repair of a plain topology.
     Inc(Box<IncrementalGraph>),
     /// Cold sharded rebuild of a plain topology every epoch.
     Rebuild {

@@ -126,7 +126,9 @@ impl ServeConfig {
     }
 
     /// Whether the service can run this configuration: at least one
-    /// reader, one client and one epoch, and a valid churn schedule.
+    /// reader, one client and one epoch, incremental repair (the service
+    /// maintains an [`wsn_rgg::IncrementalGraph`] and publishes its dirty
+    /// extents), and a valid churn schedule.
     pub fn validate(&self) -> Result<(), ServeConfigError> {
         if self.readers == 0 {
             return Err(ServeConfigError::Readers(self.readers));
@@ -136,6 +138,9 @@ impl ServeConfig {
         }
         if self.churn.epochs == 0 {
             return Err(ServeConfigError::Epochs(self.churn.epochs));
+        }
+        if self.churn.repair != RepairMode::Incremental {
+            return Err(ServeConfigError::Repair(self.churn.repair));
         }
         self.churn.validate().map_err(ServeConfigError::Churn)
     }
@@ -147,6 +152,8 @@ pub enum ServeConfigError {
     Readers(usize),
     Clients(usize),
     Epochs(usize),
+    /// A repair mode other than [`RepairMode::Incremental`].
+    Repair(RepairMode),
     Churn(ChurnConfigError),
 }
 
@@ -156,6 +163,9 @@ impl fmt::Display for ServeConfigError {
             ServeConfigError::Readers(n) => write!(f, "readers must be at least 1, got {n}"),
             ServeConfigError::Clients(n) => write!(f, "clients must be at least 1, got {n}"),
             ServeConfigError::Epochs(n) => write!(f, "epochs must be at least 1, got {n}"),
+            ServeConfigError::Repair(m) => {
+                write!(f, "repair must be Incremental (the service maintains an incremental graph), got {m:?}")
+            }
             ServeConfigError::Churn(e) => e.fmt(f),
         }
     }
@@ -795,6 +805,18 @@ mod tests {
         let mut cfg = ServeConfig::new(churn, readers, 6, 12);
         cfg.seed = 0xABCD;
         cfg
+    }
+
+    #[test]
+    fn rebuild_repair_is_a_typed_error() {
+        let mut cfg = small_cfg(2, 1);
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.churn.repair = RepairMode::Rebuild;
+        assert_eq!(
+            cfg.validate(),
+            Err(ServeConfigError::Repair(RepairMode::Rebuild))
+        );
+        assert!(cfg.validate().unwrap_err().to_string().contains("Rebuild"));
     }
 
     #[test]

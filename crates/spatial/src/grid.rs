@@ -3,13 +3,17 @@
 use wsn_geom::{Aabb, OrdF64, Point};
 use wsn_pointproc::PointSet;
 
-/// A uniform-grid spatial index borrowing its point set.
+/// The bucket layout of a uniform grid over (a subset of) a point set,
+/// without the borrow of the points: every query takes the points it was
+/// built over. An owner of the points keeps it beside them — the
+/// incremental repair indexes its fixed universe once this way — and
+/// [`GridIndex`] is the borrowing form the builders use.
 ///
-/// Bucket layout is CSR-style: `ids` holds all point ids sorted by cell, and
-/// `cell_start[c]..cell_start[c + 1]` is the slice of cell `c` — one flat
-/// allocation, cache-dense iteration (perf-book idiom).
-pub struct GridIndex<'p> {
-    points: &'p PointSet,
+/// Bucket layout is CSR-style: `ids` holds the member ids sorted by cell,
+/// and `cell_start[c]..cell_start[c + 1]` is the slice of cell `c` — one
+/// flat allocation, cache-dense iteration (perf-book idiom).
+#[derive(Clone, Debug)]
+pub struct CellIndex {
     bounds: Aabb,
     cell: f64,
     cols: usize,
@@ -18,29 +22,21 @@ pub struct GridIndex<'p> {
     ids: Vec<u32>,
 }
 
-impl<'p> GridIndex<'p> {
-    /// Build an index with the given cell size (typically the query radius).
-    ///
-    /// Empty point sets are allowed and yield an index whose queries return
-    /// nothing.
-    pub fn build(points: &'p PointSet, cell: f64) -> Self {
-        let bounds = points.bounding_box();
-        // Full membership iterates ids directly — no member list to
-        // allocate on the hot per-shard construction path.
-        GridIndex::build_with(
+impl CellIndex {
+    /// Index every point of `points` with the given cell size.
+    pub fn build(points: &PointSet, cell: f64) -> Self {
+        CellIndex::build_with(
             points,
             || 0..points.len() as u32,
             points.len(),
-            bounds,
+            points.bounding_box(),
             cell,
         )
     }
 
-    /// Build an index over the `members` subset only (ascending ids —
-    /// queries return the original ids of `points`). The grid is sized to
-    /// the members' bounding box, so a localized subset gets a localized
-    /// cell array regardless of how far the full set extends.
-    fn build_subset(points: &'p PointSet, members: &[u32], cell: f64) -> Self {
+    /// Index only the `members` of `points` (queries return ids of
+    /// `points`). The grid is sized to the members' bounding box.
+    pub fn build_subset(points: &PointSet, members: &[u32], cell: f64) -> Self {
         let mut bounds: Option<Aabb> = None;
         for &m in members {
             let p = points.get(m);
@@ -50,7 +46,7 @@ impl<'p> GridIndex<'p> {
                 Some(cur) => cur.union(&b),
             });
         }
-        GridIndex::build_with(
+        CellIndex::build_with(
             points,
             || members.iter().copied(),
             members.len(),
@@ -62,7 +58,7 @@ impl<'p> GridIndex<'p> {
     /// The one counting-sort construction both entry points share;
     /// `members` yields the indexed ids (twice — count, then scatter).
     fn build_with<I, F>(
-        points: &'p PointSet,
+        points: &PointSet,
         members: F,
         n_members: usize,
         bounds: Option<Aabb>,
@@ -100,8 +96,7 @@ impl<'p> GridIndex<'p> {
             ids[cursor[c] as usize] = m;
             cursor[c] += 1;
         }
-        GridIndex {
-            points,
+        CellIndex {
             bounds,
             cell,
             cols,
@@ -111,48 +106,10 @@ impl<'p> GridIndex<'p> {
         }
     }
 
-    /// Build a [`SubIndex`] over only the points inside `extent` — the
-    /// localized spatial index of the dirty-extent repair path. Queries
-    /// whose support escapes the extent report [`InsufficientExtent`]
-    /// instead of silently truncating to the member set.
-    pub fn build_over(points: &'p PointSet, extent: &Aabb, cell: f64) -> SubIndex<'p> {
-        let members: Vec<u32> = points
-            .iter_enumerated()
-            .filter(|&(_, p)| extent.contains(p))
-            .map(|(i, _)| i)
-            .collect();
-        let full = members.len() == points.len();
-        SubIndex {
-            n_members: members.len(),
-            grid: GridIndex::build_subset(points, &members, cell),
-            extent: *extent,
-            full,
-        }
-    }
-
-    /// Like [`Self::build_over`], but for a point set that is *already*
-    /// the restriction of some larger population to `extent` (e.g. the
-    /// alive points gathered from a dirty extent group). Every point is a
-    /// member, yet certification must still prove a query's support stays
-    /// inside the extent — the unseen population lives beyond it, so
-    /// full membership of the *handed-in* set must never short-circuit
-    /// the extent checks the way it does for a genuinely complete set.
-    pub fn build_over_restricted(points: &'p PointSet, extent: &Aabb, cell: f64) -> SubIndex<'p> {
-        debug_assert!(
-            points.iter().all(|p| extent.contains(p)),
-            "restricted build requires every point inside the extent"
-        );
-        SubIndex {
-            n_members: points.len(),
-            grid: GridIndex::build(points, cell),
-            extent: *extent,
-            full: false,
-        }
-    }
-
+    /// The indexed ids, in cell order.
     #[inline]
-    pub fn points(&self) -> &PointSet {
-        self.points
+    pub fn members(&self) -> &[u32] {
+        &self.ids
     }
 
     #[inline]
@@ -169,45 +126,17 @@ impl<'p> GridIndex<'p> {
         &self.ids[s..e]
     }
 
-    /// Call `f(id, point)` for every point within `radius` of `center`
-    /// (closed ball). Visits only the O(r²/cell²) overlapping cells.
-    pub fn for_each_in_disk<F: FnMut(u32, Point)>(&self, center: Point, radius: f64, mut f: F) {
-        if self.points.is_empty() {
-            return;
-        }
-        let r2 = radius * radius;
-        let lo = self.cell_coords(Point::new(center.x - radius, center.y - radius));
-        let hi = self.cell_coords(Point::new(center.x + radius, center.y + radius));
-        for j in lo.1..=hi.1 {
-            for i in lo.0..=hi.0 {
-                for &id in self.cell_ids(i, j) {
-                    let p = self.points.get(id);
-                    if p.dist_sq(center) <= r2 {
-                        f(id, p);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Ids of all points within `radius` of `center`, appended to `out`
-    /// (cleared first). Reuse `out` across calls to avoid allocation.
-    pub fn in_disk(&self, center: Point, radius: f64, out: &mut Vec<u32>) {
-        out.clear();
-        self.for_each_in_disk(center, radius, |id, _| out.push(id));
-    }
-
-    /// First point (in cell-scan order) within `radius` of `center` that
-    /// satisfies `pred`, or `None`. Unlike [`Self::for_each_in_disk`] this
-    /// stops at the first hit — the primitive for region-emptiness tests
-    /// that should not scan the whole disk once a witness is found.
-    pub fn find_in_disk<F: FnMut(u32, Point) -> bool>(
+    /// Every member within `radius` of `center` (closed ball) for which
+    /// `f(id, point)` returns `true` stops the scan and is returned;
+    /// `None` once the overlapping cells are exhausted.
+    fn scan_disk<F: FnMut(u32, Point) -> bool>(
         &self,
+        points: &PointSet,
         center: Point,
         radius: f64,
-        mut pred: F,
+        mut f: F,
     ) -> Option<u32> {
-        if self.points.is_empty() {
+        if self.ids.is_empty() {
             return None;
         }
         let r2 = radius * radius;
@@ -216,8 +145,8 @@ impl<'p> GridIndex<'p> {
         for j in lo.1..=hi.1 {
             for i in lo.0..=hi.0 {
                 for &id in self.cell_ids(i, j) {
-                    let p = self.points.get(id);
-                    if p.dist_sq(center) <= r2 && pred(id, p) {
+                    let p = points.get(id);
+                    if p.dist_sq(center) <= r2 && f(id, p) {
                         return Some(id);
                     }
                 }
@@ -226,18 +155,38 @@ impl<'p> GridIndex<'p> {
         None
     }
 
-    /// Ids of all points inside the closed box, sorted ascending — the ghost
-    /// gather of the sharded pipeline (sorted ids keep local→global id maps
-    /// monotone, which preserves every id tie-break downstream).
-    pub fn gather_sorted(&self, b: &Aabb, out: &mut Vec<u32>) {
-        self.in_aabb(b, out);
-        out.sort_unstable();
+    /// Call `f(id, point)` for every member within `radius` of `center`
+    /// (closed ball). Visits only the O(r²/cell²) overlapping cells.
+    pub fn for_each_in_disk<F: FnMut(u32, Point)>(
+        &self,
+        points: &PointSet,
+        center: Point,
+        radius: f64,
+        mut f: F,
+    ) {
+        self.scan_disk(points, center, radius, |id, p| {
+            f(id, p);
+            false
+        });
     }
 
-    /// Ids of all points inside the closed box, appended to `out`.
-    pub fn in_aabb(&self, b: &Aabb, out: &mut Vec<u32>) {
+    /// First member (in cell-scan order) within `radius` of `center` that
+    /// satisfies `pred`, or `None` — the scan stops at the first hit.
+    pub fn find_in_disk<F: FnMut(u32, Point) -> bool>(
+        &self,
+        points: &PointSet,
+        center: Point,
+        radius: f64,
+        pred: F,
+    ) -> Option<u32> {
+        self.scan_disk(points, center, radius, pred)
+    }
+
+    /// Ids of all members inside the closed box, appended to `out`
+    /// (cleared first).
+    pub fn in_aabb(&self, points: &PointSet, b: &Aabb, out: &mut Vec<u32>) {
         out.clear();
-        if self.points.is_empty() {
+        if self.ids.is_empty() {
             return;
         }
         let lo = self.cell_coords(b.min);
@@ -245,7 +194,7 @@ impl<'p> GridIndex<'p> {
         for j in lo.1..=hi.1 {
             for i in lo.0..=hi.0 {
                 for &id in self.cell_ids(i, j) {
-                    if b.contains(self.points.get(id)) {
+                    if b.contains(points.get(id)) {
                         out.push(id);
                     }
                 }
@@ -253,20 +202,19 @@ impl<'p> GridIndex<'p> {
         }
     }
 
-    /// Number of points within `radius` of `center`.
-    pub fn count_in_disk(&self, center: Point, radius: f64) -> usize {
-        let mut n = 0usize;
-        self.for_each_in_disk(center, radius, |_, _| n += 1);
-        n
-    }
-
-    /// The `k` nearest neighbours of `query`, excluding `skip` (pass the
-    /// query point's own id when it belongs to the set). Returns
+    /// The `k` nearest members of `query` that `keep` accepts, as
     /// `(id, distance)` pairs sorted by increasing distance; fewer than `k`
-    /// when the set is small. Ties are broken deterministically by
-    /// `(distance, id)`.
-    pub fn knn(&self, query: Point, k: usize, skip: Option<u32>) -> Vec<(u32, f64)> {
-        if k == 0 || self.points.is_empty() {
+    /// when fewer are accepted. Ties are broken deterministically by
+    /// `(distance, id)`, so the answer is a function of the accepted point
+    /// multiset alone — whatever the cell size or the members left out.
+    pub fn knn_where<F: Fn(u32) -> bool>(
+        &self,
+        points: &PointSet,
+        query: Point,
+        k: usize,
+        keep: F,
+    ) -> Vec<(u32, f64)> {
+        if k == 0 || self.ids.is_empty() {
             return Vec::new();
         }
         // Max-heap of the best k so far, keyed by (dist_sq, id).
@@ -290,10 +238,10 @@ impl<'p> GridIndex<'p> {
                     return;
                 }
                 for &id in self.cell_ids(i as usize, j as usize) {
-                    if Some(id) == skip {
+                    if !keep(id) {
                         continue;
                     }
-                    let d2 = self.points.get(id).dist_sq(query);
+                    let d2 = points.get(id).dist_sq(query);
                     let key = (OrdF64(d2), id);
                     if heap.len() < k {
                         heap.push(key);
@@ -327,160 +275,91 @@ impl<'p> GridIndex<'p> {
         out.iter_mut().for_each(|e| e.1 = e.1.sqrt());
         out
     }
+}
 
-    /// Nearest neighbour (excluding `skip`), if any.
-    pub fn nearest(&self, query: Point, skip: Option<u32>) -> Option<(u32, f64)> {
-        self.knn(query, 1, skip).into_iter().next()
+/// A uniform-grid spatial index borrowing its point set: a [`CellIndex`]
+/// over every point, queried against the points it was built from.
+pub struct GridIndex<'p> {
+    points: &'p PointSet,
+    cells: CellIndex,
+}
+
+impl<'p> GridIndex<'p> {
+    /// Build an index with the given cell size (typically the query radius).
+    ///
+    /// Empty point sets are allowed and yield an index whose queries return
+    /// nothing.
+    pub fn build(points: &'p PointSet, cell: f64) -> Self {
+        GridIndex {
+            points,
+            cells: CellIndex::build(points, cell),
+        }
     }
-}
 
-/// A query's certification region escaped the index's extent: the answer
-/// over the member subset might differ from the answer over the full point
-/// set, so the caller must escalate to a global index instead of trusting
-/// a silently truncated result.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InsufficientExtent;
-
-impl std::fmt::Display for InsufficientExtent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "query support escapes the sub-index extent")
-    }
-}
-
-/// A localized view of a point set: an index over only the points inside a
-/// rectangular *extent* (see [`GridIndex::build_over`]).
-///
-/// The extent is a coverage certificate, not just a filter. Every query
-/// either proves its support lies inside the extent — in which case the
-/// result is exactly what a global index over the full set would return —
-/// or reports [`InsufficientExtent`]. That dichotomy is what lets the
-/// incremental repair path run shard derivations against a small local
-/// index and escalate to a global one *only* when a query genuinely needs
-/// points beyond the dirty region.
-pub struct SubIndex<'p> {
-    grid: GridIndex<'p>,
-    extent: Aabb,
-    /// Members are the entire underlying set, so every query is certified
-    /// regardless of the extent (the degenerate whole-window case).
-    full: bool,
-    n_members: usize,
-}
-
-impl<'p> SubIndex<'p> {
-    /// The underlying (full) point set; returned ids index into it.
     #[inline]
     pub fn points(&self) -> &PointSet {
-        self.grid.points()
+        self.points
     }
 
-    /// Number of member points inside the extent.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n_members
+    /// Call `f(id, point)` for every point within `radius` of `center`
+    /// (closed ball). Visits only the O(r²/cell²) overlapping cells.
+    pub fn for_each_in_disk<F: FnMut(u32, Point)>(&self, center: Point, radius: f64, f: F) {
+        self.cells.for_each_in_disk(self.points, center, radius, f);
     }
 
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n_members == 0
+    /// Ids of all points within `radius` of `center`, appended to `out`
+    /// (cleared first). Reuse `out` across calls to avoid allocation.
+    pub fn in_disk(&self, center: Point, radius: f64, out: &mut Vec<u32>) {
+        out.clear();
+        self.for_each_in_disk(center, radius, |id, _| out.push(id));
     }
 
-    #[inline]
-    pub fn extent(&self) -> &Aabb {
-        &self.extent
-    }
-
-    /// True iff member results are certified complete for any query whose
-    /// support lies inside `b`.
-    #[inline]
-    pub fn covers(&self, b: &Aabb) -> bool {
-        self.full || self.extent.contains_aabb(b)
-    }
-
-    /// True iff the closed ball fits inside the extent.
-    #[inline]
-    pub fn covers_disk(&self, center: Point, radius: f64) -> bool {
-        self.covers(&Aabb::from_coords(
-            center.x - radius,
-            center.y - radius,
-            center.x + radius,
-            center.y + radius,
-        ))
-    }
-
-    /// Sorted member ids inside the closed box — the ghost gather of the
-    /// localized repair path. The box must lie inside the extent (that is
-    /// the caller's grouping invariant; checked in debug builds).
-    pub fn gather_sorted(&self, b: &Aabb, out: &mut Vec<u32>) {
-        debug_assert!(
-            self.covers(b),
-            "gather box {b:?} escapes sub-index extent {:?}",
-            self.extent
-        );
-        self.grid.gather_sorted(b, out);
-    }
-
-    /// First member (in cell-scan order) within `radius` of `center`
-    /// satisfying `pred`, certified against the full set — or
-    /// [`InsufficientExtent`] when the query disk crosses the extent
-    /// boundary (a point outside the members could also match).
+    /// First point (in cell-scan order) within `radius` of `center` that
+    /// satisfies `pred`, or `None`. Unlike [`Self::for_each_in_disk`] this
+    /// stops at the first hit — the primitive for region-emptiness tests
+    /// that should not scan the whole disk once a witness is found.
     pub fn find_in_disk<F: FnMut(u32, Point) -> bool>(
         &self,
         center: Point,
         radius: f64,
         pred: F,
-    ) -> Result<Option<u32>, InsufficientExtent> {
-        if !self.covers_disk(center, radius) {
-            return Err(InsufficientExtent);
-        }
-        Ok(self.grid.find_in_disk(center, radius, pred))
+    ) -> Option<u32> {
+        self.cells.find_in_disk(self.points, center, radius, pred)
     }
 
-    /// Member ids within `radius` of `center` (into `out`, cleared first),
-    /// certified complete against the full set — or
-    /// [`InsufficientExtent`] when the disk escapes the extent.
-    pub fn in_disk(
-        &self,
-        center: Point,
-        radius: f64,
-        out: &mut Vec<u32>,
-    ) -> Result<(), InsufficientExtent> {
-        if !self.covers_disk(center, radius) {
-            return Err(InsufficientExtent);
-        }
-        self.grid.in_disk(center, radius, out);
-        Ok(())
+    /// Ids of all points inside the closed box, sorted ascending — the ghost
+    /// gather of the sharded pipeline (sorted ids keep local→global id maps
+    /// monotone, which preserves every id tie-break downstream).
+    pub fn gather_sorted(&self, b: &Aabb, out: &mut Vec<u32>) {
+        self.in_aabb(b, out);
+        out.sort_unstable();
     }
 
-    /// The `k` nearest members of `query` (same contract as
-    /// [`GridIndex::knn`]), certified equal to the global answer: `Ok` is
-    /// returned only when `k` members were found *and* the k-th distance
-    /// ball fits inside the extent — any closer point of the full set
-    /// would then be a member too. Everything else is
-    /// [`InsufficientExtent`].
-    pub fn knn(
-        &self,
-        query: Point,
-        k: usize,
-        skip: Option<u32>,
-    ) -> Result<Vec<(u32, f64)>, InsufficientExtent> {
-        let res = self.grid.knn(query, k, skip);
-        if self.full || k == 0 {
-            return Ok(res);
-        }
-        if res.len() < k {
-            return Err(InsufficientExtent);
-        }
-        // `res` distances are correctly-rounded sqrts, which can round
-        // *below* the true k-th distance by up to half an ulp — and an
-        // under-sized certification ball is exactly the kind of silent
-        // truncation this type exists to rule out. One `next_up` makes
-        // the rounded value an upper bound on the true distance.
-        let kth = res.last().expect("k > 0 results").1.next_up();
-        if self.covers_disk(query, kth) {
-            Ok(res)
-        } else {
-            Err(InsufficientExtent)
-        }
+    /// Ids of all points inside the closed box, appended to `out`.
+    pub fn in_aabb(&self, b: &Aabb, out: &mut Vec<u32>) {
+        self.cells.in_aabb(self.points, b, out);
+    }
+
+    /// Number of points within `radius` of `center`.
+    pub fn count_in_disk(&self, center: Point, radius: f64) -> usize {
+        let mut n = 0usize;
+        self.for_each_in_disk(center, radius, |_, _| n += 1);
+        n
+    }
+
+    /// The `k` nearest neighbours of `query`, excluding `skip` (pass the
+    /// query point's own id when it belongs to the set). Returns
+    /// `(id, distance)` pairs sorted by increasing distance; fewer than `k`
+    /// when the set is small. Ties are broken deterministically by
+    /// `(distance, id)`.
+    pub fn knn(&self, query: Point, k: usize, skip: Option<u32>) -> Vec<(u32, f64)> {
+        self.cells
+            .knn_where(self.points, query, k, |id| Some(id) != skip)
+    }
+
+    /// Nearest neighbour (excluding `skip`), if any.
+    pub fn nearest(&self, query: Point, skip: Option<u32>) -> Option<(u32, f64)> {
+        self.knn(query, 1, skip).into_iter().next()
     }
 }
 

@@ -15,4 +15,4 @@
 pub mod bruteforce;
 pub mod grid;
 
-pub use grid::{GridIndex, InsufficientExtent, SubIndex};
+pub use grid::{CellIndex, GridIndex};

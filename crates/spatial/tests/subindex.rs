@@ -1,18 +1,16 @@
-//! Differential + property suite for the localized [`SubIndex`] view.
+//! Differential + property suite for subset indexes.
 //!
-//! The extent of a sub-index is a *coverage certificate*: a query either
-//! proves its support lies inside the extent — and must then agree with a
-//! global [`GridIndex`] over the full point set — or it must report
-//! [`InsufficientExtent`]. The failure mode this pins out of existence is
-//! *silent truncation*: a query disk that pokes past the extent boundary
-//! returning only the members it happens to see, which downstream (the
-//! incremental repair path) would turn into a topology that quietly
-//! diverges from a cold rebuild.
+//! A [`CellIndex::build_subset`] over a member subset of a point set must
+//! answer exactly what an index over the whole set answers once restricted
+//! to the members — whatever its grid, which is sized to the members alone.
+//! The incremental repair rests on it: its HNG level indexes are subset
+//! indexes over the universe nodes of level `≥ j`, queried under an alive
+//! mask.
 
 use proptest::prelude::*;
 use wsn_geom::{Aabb, Point};
 use wsn_pointproc::{rng_from_seed, sample_binomial_window, PointSet};
-use wsn_spatial::{bruteforce, GridIndex};
+use wsn_spatial::{bruteforce, CellIndex, GridIndex};
 
 fn sample_points(n: usize, seed: u64) -> PointSet {
     sample_binomial_window(&mut rng_from_seed(seed), n, &Aabb::square(10.0))
@@ -27,67 +25,37 @@ fn members_of(pts: &PointSet, extent: &Aabb) -> Vec<u32> {
 }
 
 #[test]
-fn boundary_crossing_disk_reports_insufficient_not_truncated() {
-    // Two points straddling the extent's right edge: the inside one at
-    // x = 3, the *globally nearer* one just outside at x = 5.5.
-    let pts: PointSet = vec![Point::new(3.0, 2.0), Point::new(5.5, 2.0)]
-        .into_iter()
-        .collect();
-    let extent = Aabb::from_coords(0.0, 0.0, 5.0, 4.0);
-    let sub = GridIndex::build_over(&pts, &extent, 1.0);
-    assert_eq!(sub.len(), 1, "only the inside point is a member");
-
-    // A disk around (4.5, 2) of radius 1.5 reaches x = 6 > extent edge and
-    // actually contains the non-member — truncating to members would
-    // silently drop the true hit. The sub-index must refuse instead.
-    let c = Point::new(4.5, 2.0);
-    assert!(sub.find_in_disk(c, 1.5, |_, _| true).is_err());
-    let mut out = Vec::new();
-    assert!(sub.in_disk(c, 1.5, &mut out).is_err());
-    // 1-NN of c is the outside point (distance 1.0 vs 1.5): the certified
-    // k-th ball escapes the extent, so the query must escalate.
-    assert!(sub.knn(c, 1, None).is_err());
-
-    // The same queries with support inside the extent are certified and
-    // agree with the global index.
-    let c_in = Point::new(3.0, 2.0);
-    assert_eq!(sub.find_in_disk(c_in, 1.0, |_, _| true), Ok(Some(0)));
-    assert_eq!(
-        sub.knn(c_in, 1, Some(0)),
-        Err(wsn_spatial::InsufficientExtent),
-        "the lone member can't certify a 1-NN that excludes itself"
-    );
-}
-
-#[test]
 fn full_membership_degenerates_to_the_global_index() {
     let pts = sample_points(200, 7);
-    // An extent covering everything: every query certifies, even ones far
-    // outside the extent box (the member set *is* the full set).
-    let sub = GridIndex::build_over(&pts, &Aabb::square(10.0), 1.0);
-    assert_eq!(sub.len(), pts.len());
+    let all: Vec<u32> = (0..pts.len() as u32).collect();
+    let sub = CellIndex::build_subset(&pts, &all, 1.0);
     let global = GridIndex::build(&pts, 1.0);
+    // Queries far outside the members' box still answer exactly.
     let q = Point::new(20.0, -3.0);
-    assert_eq!(
-        sub.knn(q, 5, None)
-            .expect("full membership always certifies"),
-        global.knn(q, 5, None)
-    );
+    assert_eq!(sub.knn_where(&pts, q, 5, |_| true), global.knn(q, 5, None));
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    sub.for_each_in_disk(&pts, Point::new(5.0, 5.0), 2.5, |id, _| a.push(id));
+    global.in_disk(Point::new(5.0, 5.0), 2.5, &mut b);
+    a.sort_unstable();
+    b.sort_unstable();
+    assert_eq!(a, b);
 }
 
 #[test]
 fn gather_sorted_matches_the_membership_oracle() {
     let pts = sample_points(300, 8);
     let extent = Aabb::from_coords(2.0, 1.0, 8.0, 7.5);
-    let sub = GridIndex::build_over(&pts, &extent, 0.9);
+    let sub = CellIndex::build_subset(&pts, &members_of(&pts, &extent), 0.9);
     let boxes = [
         Aabb::from_coords(2.5, 1.5, 4.0, 3.0),
         Aabb::from_coords(2.0, 1.0, 8.0, 7.5), // the whole extent
         Aabb::from_coords(5.0, 5.0, 5.1, 5.1), // near-degenerate
+        Aabb::from_coords(-5.0, -5.0, 15.0, 15.0), // beyond every member
     ];
     let mut got = Vec::new();
     for b in &boxes {
-        sub.gather_sorted(b, &mut got);
+        sub.in_aabb(&pts, b, &mut got);
+        got.sort_unstable();
         let expect: Vec<u32> = pts
             .iter_enumerated()
             .filter(|&(_, p)| extent.contains(p) && b.contains(p))
@@ -100,59 +68,10 @@ fn gather_sorted_matches_the_membership_oracle() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `find_in_disk` over a `build_over` index ≡ the global index
-    /// restricted to the extent whenever the disk is covered; disks that
-    /// cross the extent boundary report insufficient-extent.
-    #[test]
-    fn prop_find_in_disk_certified_or_insufficient(
-        seed in 0u64..500,
-        n in 0usize..200,
-        ex0 in 0.0f64..5.0,
-        ey0 in 0.0f64..5.0,
-        ew in 0.5f64..6.0,
-        eh in 0.5f64..6.0,
-        cx in -1.0f64..11.0,
-        cy in -1.0f64..11.0,
-        r in 0.0f64..4.0,
-        cell in 0.2f64..2.0,
-    ) {
-        let pts = sample_points(n, seed);
-        let extent = Aabb::from_coords(ex0, ey0, ex0 + ew, ey0 + eh);
-        let sub = GridIndex::build_over(&pts, &extent, cell);
-        let c = Point::new(cx, cy);
-        let pred = |id: u32, _: Point| id.is_multiple_of(3);
-        match sub.find_in_disk(c, r, pred) {
-            Ok(hit) => {
-                // Certified: existence must agree with an exhaustive scan
-                // of the members (== of the full set, since the disk lies
-                // inside the extent), and the witness must be genuine.
-                let any = members_of(&pts, &extent).iter().any(|&id| {
-                    pred(id, pts.get(id)) && pts.get(id).dist(c) <= r
-                });
-                prop_assert_eq!(hit.is_some(), any);
-                if let Some(id) = hit {
-                    prop_assert!(extent.contains(pts.get(id)));
-                    prop_assert!(pred(id, pts.get(id)) && pts.get(id).dist(c) <= r);
-                }
-                // And certification implies the global scan agrees too.
-                if sub.len() < pts.len() {
-                    let global_any = bruteforce::in_disk(&pts, c, r)
-                        .into_iter()
-                        .any(|id| pred(id, pts.get(id)));
-                    prop_assert_eq!(hit.is_some(), global_any);
-                }
-            }
-            Err(_) => {
-                // Refusal is only legal when the disk genuinely escapes.
-                prop_assert!(!sub.covers_disk(c, r));
-            }
-        }
-    }
-
-    /// `knn` over a `build_over` index: `Ok` results are byte-equal to the
-    /// global k-NN (certification means no non-member can intrude);
-    /// everything else reports insufficient-extent rather than returning a
-    /// truncated list.
+    /// `knn_where` over a subset index is the exact k-NN of the members
+    /// (every answer certified by construction): byte-equal to the
+    /// brute-force oracle over the members and to a global index filtered
+    /// to them, for a query inside or outside the members' box.
     #[test]
     fn prop_knn_certified_equals_global(
         seed in 0u64..500,
@@ -166,43 +85,30 @@ proptest! {
     ) {
         let pts = sample_points(n, seed);
         let extent = Aabb::from_coords(ex0, ey0, ex0 + ew, ey0 + eh);
-        let sub = GridIndex::build_over(&pts, &extent, cell);
+        let members = members_of(&pts, &extent);
+        let sub = CellIndex::build_subset(&pts, &members, cell);
         let mut rng = rng_from_seed(seed ^ 0x51);
         use rand::RngExt;
         let q_id = rng.random_range(0..n) as u32;
         let q = pts.get(q_id);
-        match sub.knn(q, k, Some(q_id)) {
-            Ok(res) => {
-                let global: Vec<u32> = bruteforce::knn(&pts, q, k, Some(q_id))
-                    .iter()
-                    .map(|&(i, _)| i)
-                    .collect();
-                let got: Vec<u32> = res.iter().map(|&(i, _)| i).collect();
-                prop_assert_eq!(&got, &global, "certified k-NN must be the global k-NN");
-                // Which is also the members-restricted answer.
-                let member_pts: Vec<u32> = members_of(&pts, &extent);
-                prop_assert!(got.iter().all(|id| member_pts.contains(id) ));
-            }
-            Err(_) => {
-                // Refusal must be justified: partial membership and either
-                // fewer than k members available or a k-th ball that
-                // escapes the extent.
-                prop_assert!(sub.len() < pts.len());
-                let restricted = {
-                    let member_ids = members_of(&pts, &extent);
-                    let mut d: Vec<(f64, u32)> = member_ids
-                        .into_iter()
-                        .filter(|&id| id != q_id)
-                        .map(|id| (pts.get(id).dist(q), id))
-                        .collect();
-                    d.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                    d.truncate(k);
-                    d
-                };
-                let escapes = restricted.len() < k
-                    || !sub.covers_disk(q, restricted.last().expect("k > 0").0.next_up());
-                prop_assert!(escapes, "insufficient-extent must have a witness");
-            }
-        }
+        let got: Vec<u32> = sub
+            .knn_where(&pts, q, k, |id| id != q_id)
+            .iter()
+            .map(|&(i, _)| i)
+            .collect();
+        let member_pts: PointSet = members.iter().map(|&i| pts.get(i)).collect();
+        let skip = members.iter().position(|&i| i == q_id).map(|l| l as u32);
+        let oracle: Vec<u32> = bruteforce::knn(&member_pts, q, k, skip)
+            .iter()
+            .map(|&(l, _)| members[l as usize])
+            .collect();
+        prop_assert_eq!(&got, &oracle, "subset k-NN must be the members' k-NN");
+        let global = CellIndex::build(&pts, cell);
+        let filtered: Vec<u32> = global
+            .knn_where(&pts, q, k, |id| id != q_id && extent.contains(pts.get(id)))
+            .iter()
+            .map(|&(i, _)| i)
+            .collect();
+        prop_assert_eq!(&got, &filtered);
     }
 }

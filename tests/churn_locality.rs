@@ -1,27 +1,27 @@
 //! Churn-locality differential suite.
 //!
-//! `IncrementalGraph` repairs the UDG per churn event (a death withdraws
-//! its row, a join adds its disk) and re-derives every other kind's dirty
-//! shards through a dirty-extent gather (merge the dirty shards' padded
-//! extents, gather and index only their alive population) instead of a
-//! whole-population gather (compact every alive point, build a global
-//! index — Θ(n) per churned epoch). The contract is double:
+//! `IncrementalGraph` repairs every kind per churn event: the UDG from the
+//! events' rows and disks, every other kind by re-selecting the owners
+//! whose certificate ball holds an event, against indexes over the fixed
+//! universe. The contract is threefold:
 //!
 //! 1. **Byte identity.** The repaired graph and a cold rebuild must be
 //!    identical CSRs after any churn, for every topology kind, deployment
 //!    model, churn footprint and event density — including adversarial
 //!    layouts full of distance ties and coincident points. There is no
-//!    bless step: a divergence is a halo/extent bug, never intentional.
+//!    bless step: a divergence is a certificate bug, never intentional.
 //! 2. **Locality proportionality.** The work counters must scale with the
-//!    churned region: gather size tracks the dirty extents (for the UDG,
-//!    the joins' disks — a deaths-only UDG repair scans nothing at all),
-//!    and the whole-population escalation counter stays at zero for every
-//!    topology except k-NN and HNG (whose halos are probabilistic, so a
-//!    straggler may legitimately fire — and HNG's top-level clique shards
-//!    re-dirty every epoch by design).
+//!    churned region: the candidate owners examined track the event
+//!    shards (for the UDG, the joins' disks — a deaths-only UDG repair
+//!    scans nothing at all), and no repair ever re-derives a shard or
+//!    builds a whole-population index.
+//! 3. **Footprint cover.** Every edge the repair added or removed has an
+//!    endpoint inside `dirty_extents()` — the serve route cache's
+//!    correctness condition.
 
 use wsn::geom::hash::derive_seed2;
 use wsn::geom::{Aabb, Point};
+use wsn::graph::ChunkedCsr;
 use wsn::pointproc::matern::sample_matern_ii;
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
 use wsn::rgg::{IncTopology, IncrementalGraph, RepairStats};
@@ -117,18 +117,34 @@ fn churn_in_regions(g: &IncrementalGraph, regions: &[Aabb], seed: u64) -> (Vec<u
 }
 
 /// The counters every repair must report exactly: its event count, and a
-/// dirty set split between the UDG's event rule and re-derivation.
-fn assert_repair_counters(stats: &RepairStats, kind: IncTopology, events: usize, ctx: &str) {
+/// footprint repaired wholly by the event rule — no kind re-derives a
+/// shard or escalates to a whole-population index.
+fn assert_repair_counters(stats: &RepairStats, events: usize, ctx: &str) {
     assert_eq!(stats.events, events, "{ctx}: event count");
-    assert_eq!(stats.dirty, stats.event_local + stats.rederived, "{ctx}");
-    if let IncTopology::Udg { .. } = kind {
-        assert_eq!(stats.rederived, 0, "{ctx}: UDG re-derived a shard");
-        assert_eq!(stats.escalations, 0, "{ctx}");
-    } else {
-        assert_eq!(
-            stats.event_local, 0,
-            "{ctx}: only the UDG repairs per event"
-        );
+    assert_eq!(stats.dirty, stats.event_local, "{ctx}");
+    assert_eq!(stats.rederived, 0, "{ctx}: a shard was re-derived");
+    assert_eq!(stats.escalations, 0, "{ctx}: the repair escalated");
+}
+
+/// Every edge in `old ⊕ new` has an endpoint inside the repair's
+/// published footprint.
+fn assert_footprint_covers_delta(old: &ChunkedCsr, g: &IncrementalGraph, ctx: &str) {
+    let new = g.graph();
+    let inside = |u: u32| {
+        let p = g.points().get(u);
+        g.dirty_extents().iter().any(|e| e.contains(p))
+    };
+    for (a, b) in [(old, new), (new, old)] {
+        for u in 0..a.n() as u32 {
+            for &v in a.neighbors(u) {
+                if u < v && !b.has_edge(u, v) {
+                    assert!(
+                        inside(u) || inside(v),
+                        "{ctx}: changed edge ({u}, {v}) has no endpoint in the footprint"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -139,8 +155,8 @@ fn build(points: &PointSet, kind: IncTopology) -> IncrementalGraph {
 }
 
 /// The headline matrix: every kind × deployment × dirty-shard footprint
-/// {1, 3, all}, byte-compared between the localized repair and a cold
-/// rebuild after every epoch, with exact dirty-shard and escalation counts.
+/// {1, 3, all}, byte-compared between the repair and a cold rebuild after
+/// every epoch, with exact dirty-shard counts and the footprint cover.
 #[test]
 fn localized_global_and_cold_agree_across_the_matrix() {
     for (dname, points) in deployments(0x10CA1) {
@@ -156,30 +172,26 @@ fn localized_global_and_cold_agree_across_the_matrix() {
                     deaths.len(),
                     joins.len()
                 );
+                let old = local.graph().clone();
                 let ls: RepairStats = local.apply_churn(&deaths, &joins);
                 assert!(local.verify_cold(), "{ctx}: local != cold rebuild");
-                assert_repair_counters(&ls, kind, deaths.len() + joins.len(), &ctx);
-                // Exact dirty counts for the crafted footprints (k-NN and
-                // HNG may exceed them: straggler shards re-derive every
-                // epoch).
+                assert_repair_counters(&ls, deaths.len() + joins.len(), &ctx);
+                assert_footprint_covers_delta(&old, &local, &ctx);
+                // Exact dirty counts for the crafted footprints (k-NN adds
+                // its far owners' shards, HNG the shards of the owners
+                // whose uplinks changed).
                 if let Some(expect) = expect_dirty {
                     if !matches!(kind, IncTopology::Knn { .. } | IncTopology::Hng { .. }) {
                         assert_eq!(ls.dirty, expect, "{ctx}: wrong dirty-shard count");
                     }
-                }
-                // The whole-population escalation stays cold for every
-                // non-k-NN, non-HNG topology, no matter the footprint.
-                if !matches!(kind, IncTopology::Knn { .. } | IncTopology::Hng { .. }) {
-                    assert_eq!(ls.escalations, 0, "{ctx}: unexpected escalation");
-                    assert_eq!(local.escalations(), 0, "{ctx}");
                 }
             }
         }
     }
 }
 
-/// Localized gather work must track the churn footprint: a 1-shard churn
-/// gathers a small fraction of what an all-shards churn gathers.
+/// Repair work must track the churn footprint: a 1-shard churn examines a
+/// small fraction of the candidate owners an all-shards churn does.
 #[test]
 fn gather_work_scales_with_the_churned_region() {
     let points = sample_poisson_window(&mut rng_from_seed(0x5CA1E), 12.0, &Aabb::square(SIDE));
@@ -215,9 +227,8 @@ fn gather_work_scales_with_the_churned_region() {
 }
 
 /// Regression for the deaths-only UDG repair: it must stay pure row
-/// withdrawal — zero points scanned, zero shards re-derived, zero
-/// escalations, work proportional to the churn — and a join must scan
-/// only its disk's shards, not a global compaction.
+/// withdrawal — zero points scanned, work proportional to the churn — and
+/// a join must scan only its disk's shards, not a global compaction.
 #[test]
 fn udg_deaths_only_repair_gathers_nothing_and_scales() {
     let points = sample_poisson_window(&mut rng_from_seed(0xDEAD), 12.0, &Aabb::square(SIDE));
@@ -273,9 +284,9 @@ fn udg_deaths_only_repair_gathers_nothing_and_scales() {
     assert!(g.verify_cold());
 }
 
-/// The escalation counter is cumulative and observable: k-NN and HNG may
-/// escalate (probabilistic halos), everything else never does — even across
-/// many mixed churn epochs.
+/// The re-derivation and escalation counters stay cold for every kind —
+/// k-NN and HNG included, whose certificates reach past their shards —
+/// across many mixed churn epochs.
 #[test]
 fn escalation_counter_stays_cold_for_non_knn_across_epochs() {
     let points = sample_poisson_window(&mut rng_from_seed(7), 12.0, &Aabb::square(SIDE));
@@ -294,25 +305,17 @@ fn escalation_counter_stays_cold_for_non_knn_across_epochs() {
                     joins.push(u);
                 }
             }
-            g.apply_churn(&deaths, &joins);
-            assert!(g.verify_cold(), "{kind:?} epoch {e}");
-        }
-        if !matches!(kind, IncTopology::Knn { .. } | IncTopology::Hng { .. }) {
-            assert_eq!(
-                g.escalations(),
-                0,
-                "{kind:?} must never build a whole-population index"
-            );
+            churn_and_check(&mut g, &deaths, &joins, &format!("{kind:?} epoch {e}"));
         }
     }
 }
 
-/// A k-NN straggler whose true neighbours lie *beyond* its dirty extent
-/// group must escalate to the whole-population index, never certify a
-/// truncated list against the local one. A dense cluster and a far sparse
-/// corner force exactly that: the corner holds 4 points with k = 4, so
-/// every corner node's 4th-nearest neighbour is in the cluster — outside
-/// any extent group around the corner.
+/// A k-NN straggler whose true neighbours lie far *beyond* its shard's
+/// halo must still repair exactly. A dense cluster and a far sparse corner
+/// force exactly that: the corner holds 4 points with k = 4, so every
+/// corner node's 4th-nearest neighbour is in the cluster — its certificate
+/// ball spans the window, and only the far-owner list brings it into the
+/// repair.
 #[test]
 fn knn_straggler_beyond_the_group_extent_escalates_and_stays_exact() {
     let mut points = PointSet::new();
@@ -333,21 +336,18 @@ fn knn_straggler_beyond_the_group_extent_escalates_and_stays_exact() {
     let mut g = IncrementalGraph::build(points, alive, kind, TILES_PER_SHARD);
     assert!(g.verify_cold(), "initial build");
 
-    // Joining the corner reserve node dirties only corner shards; the
-    // corner group holds 4 alive points, so a k = 4 query (excluding
-    // self) cannot certify and must escalate.
-    let stats = g.apply_churn(&[], &[reserve]);
-    assert!(
-        g.verify_cold(),
-        "straggler beyond the group extent must escalate, not truncate"
-    );
-    assert!(
-        stats.escalations >= 1 && g.escalations() >= 1,
-        "the corner straggler must have built the global index \
-         (escalations = {}, dirty = {})",
-        g.escalations(),
-        stats.dirty
-    );
+    // Joining the corner reserve node swaps a cluster neighbour out of
+    // every corner node's list.
+    churn_and_check(&mut g, &[], &[reserve], "corner join");
+    // A death in the cluster can reach the corner nodes' lists too.
+    let cluster_death = g
+        .graph()
+        .neighbors(reserve - 3)
+        .iter()
+        .copied()
+        .find(|&v| g.points().get(v).x < 10.0)
+        .expect("a corner node links into the cluster");
+    churn_and_check(&mut g, &[cluster_death], &[], "cluster death");
     // And the edges prove it: every corner node reaches into the cluster.
     for u in [reserve - 3, reserve - 2, reserve - 1, reserve] {
         let far = g
@@ -413,9 +413,11 @@ fn churn_and_check(
     joins: &[u32],
     ctx: &str,
 ) -> RepairStats {
+    let old = g.graph().clone();
     let stats = g.apply_churn(deaths, joins);
     assert!(g.verify_cold(), "{ctx}: repair != cold rebuild");
-    assert_repair_counters(&stats, g.kind(), deaths.len() + joins.len(), ctx);
+    assert_repair_counters(&stats, deaths.len() + joins.len(), ctx);
+    assert_footprint_covers_delta(&old, g, ctx);
     stats
 }
 
@@ -424,9 +426,10 @@ fn toggle(g: &IncrementalGraph, ids: impl IntoIterator<Item = u32>) -> (Vec<u32>
     ids.into_iter().partition(|&u| g.alive()[u as usize])
 }
 
-/// The event-density axis: one event per shard, then hashed fractions of
-/// the universe, up to every node being an event in one call (every alive
-/// node dies and every dead one joins). Each rung must repair to the cold
+/// The event-density axis: single events at the highest-degree nodes, one
+/// event per shard, then hashed fractions of the universe, up to every
+/// node being an event in one call (every alive node dies and every dead
+/// one joins). Each rung must repair to the cold
 /// rebuild and report exactly its event count.
 #[test]
 fn repair_stays_exact_from_one_event_per_shard_to_every_node() {
@@ -439,8 +442,18 @@ fn repair_stays_exact_from_one_event_per_shard_to_every_node() {
             for (u, p) in points.iter_enumerated() {
                 first[g.grid().owner_of(p)].get_or_insert(u);
             }
-            let mut rungs: Vec<(String, Vec<u32>)> =
-                vec![("1/shard".into(), first.into_iter().flatten().collect())];
+            // Single events at the hubs first: the highest-degree nodes
+            // die alone and rejoin alone. HNG's hubs are its high-level
+            // nodes, whose far uplinkers re-target outside the event's own
+            // shards.
+            let mut hubs: Vec<u32> = (0..n).collect();
+            hubs.sort_by_key(|&u| std::cmp::Reverse(g.graph().degree(u)));
+            let mut rungs: Vec<(String, Vec<u32>)> = Vec::new();
+            for &u in hubs.iter().take(4) {
+                rungs.push((format!("hub {u} dies"), vec![u]));
+                rungs.push((format!("hub {u} rejoins"), vec![u]));
+            }
+            rungs.push(("1/shard".into(), first.into_iter().flatten().collect()));
             for den in [16u64, 4, 2] {
                 let ids = (0..n)
                     .filter(|&u| derive_seed2(0xD0, den, u as u64).is_multiple_of(den))
@@ -477,15 +490,61 @@ fn churn_epochs_stay_exact(points: &PointSet, name: &str) {
     }
 }
 
+/// Single events at tie sites of a lattice: each site dies alone and then
+/// rejoins alone, for every kind, and every repair must match the cold
+/// rebuild.
+fn single_events_stay_exact(points: &PointSet, sites: &[u32], name: &str) {
+    for kind in KINDS {
+        let mut g = IncrementalGraph::build(
+            points.clone(),
+            vec![true; points.len()],
+            kind,
+            TILES_PER_SHARD,
+        );
+        for &u in sites {
+            churn_and_check(&mut g, &[u], &[], &format!("{name}/{kind:?}/death {u}"));
+            churn_and_check(&mut g, &[], &[u], &format!("{name}/{kind:?}/join {u}"));
+        }
+    }
+}
+
+/// A `side × side` square lattice of spacing `step`, ids row-major.
+fn lattice(side: u32, step: f64) -> PointSet {
+    (0..side)
+        .flat_map(|j| (0..side).map(move |i| Point::new(i as f64 * step, j as f64 * step)))
+        .collect()
+}
+
+/// Lattice sites that meet ties: window corner and edges, shard corners
+/// and edges, and interior sites. On a square lattice every site sits on
+/// Gabriel lens circles (right angles), RNG lune boundaries, Yao cone
+/// boundaries (the 0° and 180° neighbours at 6 cones) and k-th-distance
+/// ties (four equidistant nearest neighbours, and more on the edges).
+fn tie_sites(side: u32) -> Vec<u32> {
+    let id = |i: u32, j: u32| j * side + i;
+    let (mid, last) = (side / 2, side - 1);
+    vec![
+        id(0, 0),
+        id(last, mid),
+        id(4, 4),
+        id(4, mid),
+        id(mid, mid),
+        id(mid - 1, mid),
+        id(3, last - 3),
+    ]
+}
+
 /// A unit lattice at r = 1: every lattice neighbour sits exactly on the
 /// disk boundary, and the 4-tile shard boundaries and padded extents run
 /// through lattice points, so every closed-box and `dist² ≤ r²` test
-/// meets its tie.
+/// meets its tie. A lattice of spacing r/√2 puts the diagonal neighbours
+/// on the disk boundary instead, so the Gabriel lens of every diagonal
+/// pair has two lattice sites on its circle and the RNG lune of every
+/// axis pair is bounded by sites. Both take hashed multi-event epochs and
+/// single deaths and joins at tie sites.
 #[test]
 fn unit_lattice_at_the_boundary_radius_stays_exact() {
-    let points: PointSet = (0..16)
-        .flat_map(|j| (0..16).map(move |i| Point::new(i as f64, j as f64)))
-        .collect();
+    let points = lattice(16, 1.0);
     let udg = IncrementalGraph::build(
         points.clone(),
         vec![true; points.len()],
@@ -498,6 +557,11 @@ fn unit_lattice_at_the_boundary_radius_stays_exact() {
         "every lattice step is an edge"
     );
     churn_epochs_stay_exact(&points, "lattice");
+    single_events_stay_exact(&points, &tie_sites(16), "lattice");
+
+    let diagonal = lattice(20, std::f64::consts::FRAC_1_SQRT_2);
+    churn_epochs_stay_exact(&diagonal, "diagonal lattice");
+    single_events_stay_exact(&diagonal, &tie_sites(20), "diagonal lattice");
 }
 
 /// Coincident points: stacks of three at every site of a sparse layout,
