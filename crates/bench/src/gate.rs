@@ -15,7 +15,7 @@
 //!
 //! **Schedule-deterministic fields are gated exactly.** Node and edge
 //! counts, the distributed construction's rounds and per-shard message
-//! accounting, dirty / re-derived / gathered / escalation / churned counts,
+//! accounting, dirty / gathered / churned counts,
 //! deaths, joins and survivors, queries, errors and the cache-hit rate,
 //! snapshot counts, the identity flags and the whole renewal section are a
 //! pure function of the seed. A fresh row must equal the baseline row of
@@ -437,10 +437,10 @@ impl BenchDoc for LifetimeBenchReport {
         }
         exact!(report, rows, baseline, fresh;
             nodes, epochs, edge_identical, verified_cold, mean_dirty_shards,
-            mean_rederived_shards, final_alive, deaths_total, delivered_total);
+            final_alive, deaths_total, delivered_total);
         exact!(report, locality_sweep, baseline, fresh;
-            nodes, shard_count, mean_dirty_shards, mean_rederived_shards, mean_gathered,
-            churned_nodes, repeats, escalations, fingerprint_identical);
+            nodes, shard_count, mean_dirty_shards, mean_gathered,
+            churned_nodes, repeats, fingerprint_identical);
         exact!(report, renewal, baseline, fresh;
             topology, nodes, epochs, lifetime_rounds, partitioned, recharged_total,
             final_alive, deaths_battery, final_battery_variance, delivered_fraction);
@@ -1078,13 +1078,13 @@ mod tests {
     fn lifetime_gate_fails_on_one_rederived_shard_off() {
         let base = lifetime();
         let mut fresh = base.clone();
-        fresh.locality_sweep[0].mean_rederived_shards = 1.0;
+        fresh.locality_sweep[0].mean_dirty_shards += 1.0;
         fails_with(
             &BenchDoc::gate(&base, &fresh),
             &[
                 "locality_sweep udg(r=1) @ n=10000 locality=1",
-                "fresh mean_rederived_shards 1.0",
-                "baseline 0.0",
+                "fresh mean_dirty_shards 2.0",
+                "baseline 1.0",
             ],
         );
         let mut fresh = base.clone();

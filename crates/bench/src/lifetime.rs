@@ -32,10 +32,8 @@
 //! a whole-population repair plateaus at ~2–3× regardless of locality.
 //! Each rung's timings are medians over [`REPEATS`] identical cycles, so
 //! the gate can compare rungs of one run. Every sweep point asserts
-//! fingerprint identity against the rebuild, and the re-derivation and
-//! escalation counters ride along (both 0) so a sweep that quietly fell
-//! back to shard re-derivation or global indexing is visible in the
-//! recorded JSON.
+//! fingerprint identity against the rebuild, and every repair asserts that
+//! it re-derived no shard and built no whole-population index.
 
 use std::time::Instant;
 
@@ -55,8 +53,10 @@ use crate::{median_by, REPEATS};
 /// Schema tag of `BENCH_lifetime.json`; the gate names this version in its
 /// diagnostics. `/4` added the `renewal` section (energy-renewal lifetime
 /// economics alongside the repair economics); `/5` made the sweep timings
-/// medians of [`REPEATS`] cycles and added `host_cpus`.
-pub const LIFETIME_SCHEMA: &str = "wsn-bench-lifetime/5";
+/// medians of [`REPEATS`] cycles and added `host_cpus`; `/6` dropped the
+/// always-zero `mean_rederived_shards` and `escalations` columns and
+/// counts only the event shards as dirty.
+pub const LIFETIME_SCHEMA: &str = "wsn-bench-lifetime/6";
 
 /// Per-epoch expected kill fraction of the bench churn (the acceptance
 /// regime: 10% per-epoch churn).
@@ -104,9 +104,9 @@ pub struct LifetimeBenchRow {
     /// This row also ran the engine's byte-identity verification against a
     /// cold monolithic rebuild each epoch.
     pub verified_cold: bool,
-    /// Mean dirty / re-derived shards per epoch of the incremental run.
+    /// Mean dirty shards per epoch of the incremental run (shards whose
+    /// padded extent holds an event).
     pub mean_dirty_shards: f64,
-    pub mean_rederived_shards: f64,
     /// Survivors and deaths over the run (identical across modes).
     pub final_alive: u64,
     pub deaths_total: u64,
@@ -127,11 +127,9 @@ pub struct LocalitySweepRow {
     /// The ladder rung: how many shards the churn region was sized to
     /// dirty (1 = the most-local point the acceptance gate pins).
     pub target_dirty_shards: u64,
-    /// Shards in the repair's footprint / re-derived (mean over repeats;
-    /// k-NN's far owners and HNG's changed far owners can push the
-    /// footprint past the target; re-derived is always 0).
+    /// Shards whose padded extent holds an event (mean over repeats; the
+    /// block regions make this the target for every kind).
     pub mean_dirty_shards: f64,
-    pub mean_rederived_shards: f64,
     /// Points the repair scanned per repair (mean; the UDG's join disks,
     /// every other kind's candidate owners) — the direct witness that
     /// repair work tracks the region, not n.
@@ -151,9 +149,6 @@ pub struct LocalitySweepRow {
     /// Every repeat's repaired CSR fingerprint equals the cold sharded
     /// rebuild's.
     pub fingerprint_identical: bool,
-    /// Global-index escalations across all repeats (always 0: the repair
-    /// queries indexes built once over the universe).
-    pub escalations: u64,
 }
 
 /// Stable policy names of the renewal section, in recorded order. The
@@ -324,8 +319,6 @@ fn bench_row(kind: IncTopology, n: u64, seed: u64, verify_pass: bool) -> Lifetim
         edge_identical,
         verified_cold: verify_pass,
         mean_dirty_shards: inc.epochs.iter().map(|e| e.shards_dirty).sum::<u64>() as f64 / epochs,
-        mean_rederived_shards: inc.epochs.iter().map(|e| e.shards_rederived).sum::<u64>() as f64
-            / epochs,
         final_alive: inc.final_alive,
         deaths_total: inc.deaths_battery_total + inc.deaths_random_total,
         delivered_total: inc.delivered_total,
@@ -446,7 +439,7 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
         }
 
         let (mut inc_secs, mut reb_secs, mut splice_secs) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut dirty, mut rederived, mut gathered, mut escalations) = (0u64, 0u64, 0u64, 0u64);
+        let (mut dirty, mut gathered) = (0u64, 0u64);
         let mut identical = true;
         // One untimed warmup cycle: the first repair after a build pays
         // allocator growth and cold caches, which at splice-dominated
@@ -462,10 +455,9 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
             let stats = g.apply_churn(&deaths, &joins);
             inc_secs.push(t0.elapsed().as_secs_f64());
             splice_secs.push(stats.splice_secs);
+            assert_eq!((stats.rederived, stats.escalations), (0, 0));
             dirty += stats.dirty as u64;
-            rederived += stats.rederived as u64;
             gathered += stats.gathered as u64;
-            escalations += stats.escalations as u64;
 
             let t1 = Instant::now();
             let rebuilt = cold_sharded_rebuild(g.points(), g.alive(), kind);
@@ -501,7 +493,6 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
             shard_count: shard_count as u64,
             target_dirty_shards: realized as u64,
             mean_dirty_shards: dirty as f64 / reps,
-            mean_rederived_shards: rederived as f64 / reps,
             mean_gathered: gathered as f64 / reps,
             churned_nodes: (deaths.len() + joins.len()) as u64,
             repeats: REPEATS as u64,
@@ -510,7 +501,6 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
             median_rebuild_secs: rebuild,
             speedup: rebuild / repair.max(1e-12),
             fingerprint_identical: identical,
-            escalations,
         });
     }
     rows
@@ -714,8 +704,10 @@ mod tests {
                     row.median_splice_secs,
                     row.median_repair_secs
                 );
-                assert_eq!(row.escalations, 0, "{kind:?} must never escalate");
-                assert_eq!(row.mean_rederived_shards, 0.0, "{kind:?} re-derived");
+                assert_eq!(
+                    row.mean_dirty_shards, row.target_dirty_shards as f64,
+                    "{kind:?}: the block region dirtied other shards"
+                );
             }
             // Repair work must track the region: the single-shard rung
             // examines a fraction of what the all-shards rung does (k-NN's

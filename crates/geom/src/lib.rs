@@ -46,4 +46,4 @@ pub use morton::morton_key;
 pub use ordf64::OrdF64;
 pub use point::Point;
 pub use region::Region;
-pub use tile::{ExtentGroup, ShardGrid, TileIndex, Tiling};
+pub use tile::{ShardGrid, TileIndex, Tiling};

@@ -328,50 +328,6 @@ impl ShardGrid {
         )
     }
 
-    /// Merge the ghost-padded extents of `shards` into connected groups:
-    /// each returned [`ExtentGroup`] covers a maximal chain of dirty shards
-    /// whose padded extents (at `halo`) touch, and the group extents are
-    /// pairwise disjoint — so a point lies in at most one group, and every
-    /// member shard's padded extent is contained in its group's extent.
-    ///
-    /// The incremental repair publishes these group extents as its
-    /// footprint: clustered churn yields a few small boxes instead of one
-    /// covering the window.
-    pub fn merge_padded_extents(&self, shards: &[usize], halo: f64) -> Vec<ExtentGroup> {
-        let mut groups: Vec<ExtentGroup> = Vec::new();
-        for &s in shards {
-            let mut extent = self.padded(s, halo);
-            let mut members = vec![s];
-            // Absorb every group the new extent touches; absorbing grows
-            // the extent, so rescan until a full pass absorbs nothing.
-            loop {
-                let before = groups.len();
-                let mut i = 0;
-                while i < groups.len() {
-                    if groups[i].extent.intersects(&extent) {
-                        let g = groups.swap_remove(i);
-                        extent = extent.union(&g.extent);
-                        members.extend(g.shards);
-                    } else {
-                        i += 1;
-                    }
-                }
-                if groups.len() == before {
-                    break;
-                }
-            }
-            groups.push(ExtentGroup {
-                extent,
-                shards: members,
-            });
-        }
-        for g in &mut groups {
-            g.shards.sort_unstable();
-        }
-        groups.sort_by_key(|g| g.shards[0]);
-        groups
-    }
-
     /// The ghost-padded extent of shard `s`: its core block inflated by
     /// `halo`, with edge shards extended to infinity on their outward sides
     /// (their ownership is already unbounded there, see [`Self::owner_of`]).
@@ -400,16 +356,6 @@ impl ShardGrid {
         };
         Aabb::from_coords(x0, y0, x1, y1)
     }
-}
-
-/// One connected union of dirty shards' ghost-padded extents — see
-/// [`ShardGrid::merge_padded_extents`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExtentGroup {
-    /// Bounding union of the member shards' padded extents.
-    pub extent: Aabb,
-    /// Member shard indices, ascending.
-    pub shards: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -602,58 +548,5 @@ mod tests {
         // Infinite sides clamp to the grid edge instead of overflowing.
         let unbounded = Aabb::from_coords(f64::NEG_INFINITY, 2.0, f64::INFINITY, 2.5);
         assert_eq!(g.owner_range(&unbounded), (0, 3, 1, 1));
-    }
-
-    #[test]
-    fn merge_padded_extents_groups_by_touch() {
-        let w = Aabb::square(24.0);
-        let g = ShardGrid::new(&w, 1.0, 4); // 6 × 6 shards of side 4
-                                            // A lone interior shard stays alone.
-        let lone = g.merge_padded_extents(&[7], 0.5);
-        assert_eq!(lone.len(), 1);
-        assert_eq!(lone[0].shards, vec![7]);
-        assert!(lone[0].extent.contains_aabb(&g.padded(7, 0.5)));
-        // Two adjacent shards' padded extents overlap → one group.
-        let pair = g.merge_padded_extents(&[7, 8], 0.5);
-        assert_eq!(pair.len(), 1);
-        assert_eq!(pair[0].shards, vec![7, 8]);
-        // Two opposite-corner interior shards stay separate groups, each
-        // disjoint from the other and covering its member's padded extent.
-        let far = g.merge_padded_extents(&[7, 28], 0.5);
-        assert_eq!(far.len(), 2);
-        assert!(!far[0].extent.intersects(&far[1].extent));
-        assert_eq!(
-            (far[0].shards.clone(), far[1].shards.clone()),
-            (vec![7], vec![28])
-        );
-        // Transitive chains merge even when the endpoints don't touch:
-        // 7-8-9 share borders pairwise, so one group holds all three.
-        let chain = g.merge_padded_extents(&[7, 9, 8], 0.5);
-        assert_eq!(chain.len(), 1);
-        assert_eq!(chain[0].shards, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn merged_groups_are_pairwise_disjoint_and_cover_members() {
-        let w = Aabb::square(20.0);
-        let g = ShardGrid::new(&w, 1.0, 2); // 10 × 10 shards of side 2
-        let dirty: Vec<usize> = (0..g.shard_count()).filter(|s| s % 7 == 0).collect();
-        let groups = g.merge_padded_extents(&dirty, 0.6);
-        let covered: usize = groups.iter().map(|gr| gr.shards.len()).sum();
-        assert_eq!(covered, dirty.len(), "every dirty shard lands in a group");
-        for (a, ga) in groups.iter().enumerate() {
-            for &s in &ga.shards {
-                assert!(ga.extent.contains_aabb(&g.padded(s, 0.6)), "shard {s}");
-            }
-            for gb in groups.iter().skip(a + 1) {
-                assert!(
-                    !ga.extent.intersects(&gb.extent),
-                    "groups must stay disjoint"
-                );
-            }
-        }
-        // Everything dirty collapses to a single whole-window group.
-        let all: Vec<usize> = (0..g.shard_count()).collect();
-        assert_eq!(g.merge_padded_extents(&all, 0.6).len(), 1);
     }
 }

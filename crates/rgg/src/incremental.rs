@@ -50,12 +50,11 @@
 //!   multiplicities count the owners backing an edge.
 //! * Repair work is therefore **proportional to the churned region**, with
 //!   no per-shard cache, gather, local index or escalation anywhere.
-//! * The serve path's route-cache eviction footprint,
-//!   [`IncrementalGraph::dirty_extents`], is the merged padded extents of
-//!   the shards whose halo holds an event — for k-NN also the owner shards
-//!   of the far owners, and for HNG the owner shards of the owners whose
-//!   emissions changed. Every edge a repair adds or removes has an endpoint
-//!   inside it.
+//! * Each repair publishes the nodes it touched,
+//!   [`IncrementalGraph::changed`]: its deaths and joins and every endpoint
+//!   of the edge delta it spliced. A node outside that set kept its
+//!   liveness and its whole row, which is the serve path's route-cache
+//!   eviction rule.
 
 use std::time::Instant;
 
@@ -139,9 +138,8 @@ impl IncTopology {
 
 /// What one [`IncrementalGraph::apply_churn`] call actually did.
 ///
-/// Every repair is event-local, so `dirty == event_local` and the two
-/// shard re-derivation counters stay 0; they remain so reports keep their
-/// shape.
+/// Every repair is event-local, so the two shard re-derivation counters
+/// stay 0; they remain so reports keep their shape.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RepairStats {
     /// Total shards in the plan.
@@ -149,10 +147,9 @@ pub struct RepairStats {
     /// Churn events handed in: `deaths.len() + joins.len()` (an id passed
     /// as both a death and a join counts twice).
     pub events: usize,
-    /// Shards in the repair's footprint ([`IncrementalGraph::dirty_extents`]).
+    /// Shards whose ghost-padded extent holds an event — the shards whose
+    /// residents are the repair's candidate owners.
     pub dirty: usize,
-    /// Footprint shards repaired by the per-event rule (all of them).
-    pub event_local: usize,
     /// Shards repaired by full re-derivation (always 0).
     pub rederived: usize,
     /// Points the repair scanned: for UDG, the residents the joins' disk
@@ -234,12 +231,10 @@ pub struct IncrementalGraph {
     /// The alive population's top occupied level and its ascending member
     /// ids — the HNG clique (`(1, [])` for every other kind).
     hng_top: (u32, Vec<u32>),
-    /// Merged ghost-padded extents of the *last*
-    /// [`IncrementalGraph::apply_churn`]'s footprint — the serve path's
-    /// cache invalidation footprint (empty after a quiescent epoch or
-    /// before any churn). An edge both of whose endpoints lie outside every
-    /// extent is guaranteed untouched by that repair.
-    last_dirty_extents: Vec<Aabb>,
+    /// Per universe id, whether the *last*
+    /// [`IncrementalGraph::apply_churn`] touched it (see
+    /// [`IncrementalGraph::changed`]); all false before any churn.
+    changed: Vec<bool>,
 }
 
 impl IncrementalGraph {
@@ -298,6 +293,7 @@ impl IncrementalGraph {
         drop((sub, to_universe));
         let chunk_of: Vec<u32> = points.iter().map(|p| grid.owner_of(p) as u32).collect();
         let csr = ChunkedCsr::build(grid.shard_count(), &chunk_of, runs);
+        let changed = vec![false; points.len()];
 
         let mut g = IncrementalGraph {
             kind,
@@ -313,7 +309,7 @@ impl IncrementalGraph {
             indexes,
             far: Vec::new(),
             hng_top: (1, Vec::new()),
-            last_dirty_extents: Vec::new(),
+            changed,
         };
         if let IncTopology::Hng { .. } = kind {
             g.hng_top = g.alive_top();
@@ -370,15 +366,16 @@ impl IncrementalGraph {
         self.kind
     }
 
-    /// Merged ghost-padded extents of the last
-    /// [`IncrementalGraph::apply_churn`] call's footprint. The serve path's
-    /// route-cache invalidation rule: a cached path is only trustworthy
-    /// across the epoch boundary if none of its nodes fall inside any of
-    /// these extents. Empty before any churn and after quiescent epochs
-    /// (k-NN excepted: its far owners' shards stay in the footprint).
+    /// Per universe id, whether the last [`IncrementalGraph::apply_churn`]
+    /// call touched the node: it died or joined, or it is an endpoint of an
+    /// edge the repair removed or added. Every node whose liveness or row
+    /// changed is marked (a cancelled pair may mark a few more), so a path
+    /// of unmarked nodes that was valid before the call is valid after it
+    /// — the serve path's route-cache eviction rule. All false before any
+    /// churn and after a quiescent call.
     #[inline]
-    pub fn dirty_extents(&self) -> &[Aabb] {
-        &self.last_dirty_extents
+    pub fn changed(&self) -> &[bool] {
+        &self.changed
     }
 
     /// Kill `deaths` and admit `joins`, then repair what the churn touched.
@@ -412,55 +409,33 @@ impl IncrementalGraph {
         };
 
         // The shards whose padded extent holds an event: the candidate
-        // owners' home, and the footprint for every kind.
+        // owners' home.
         let mut near = vec![false; self.grid.shard_count()];
         for &c in &events {
             for s in self.grid.shards_near(self.points.get(c), self.halo) {
                 near[s] = true;
             }
         }
-        let mut footprint = near.clone();
-        // k-NN's far owners can move without an event in their shard's
-        // halo, so their shards stay in the footprint every repair.
-        if let IncTopology::Knn { .. } = self.kind {
-            for c in &self.far {
-                footprint[self.owner(c.node)] = true;
-            }
+        stats.dirty = near.iter().filter(|&&d| d).count();
+        self.changed.fill(false);
+        // A quiescent epoch leaves the CSR untouched.
+        if events.is_empty() {
+            return stats;
         }
-        let (removed, added) = if events.is_empty() {
-            (Vec::new(), Vec::new())
-        } else if let IncTopology::Udg { radius } = self.kind {
+        let (removed, added) = if let IncTopology::Udg { radius } = self.kind {
             let (removed, added, scanned) = self.udg_event_delta(deaths, joins, radius);
             stats.gathered = scanned;
             (removed, added)
         } else {
-            let (removed, added, candidates, changed) =
-                self.owner_delta(deaths, joins, &events, &near);
+            let (removed, added, candidates) = self.owner_delta(deaths, joins, &events, &near);
             stats.gathered = candidates;
-            // HNG's rungs reach arbitrarily far, so its footprint is the
-            // shards of the owners whose emissions actually changed.
-            if let IncTopology::Hng { .. } = self.kind {
-                for u in changed {
-                    footprint[self.owner(u)] = true;
-                }
-            }
             (removed, added)
         };
-
-        // Publish hook for the serve path: every edge the delta touches has
-        // an endpoint inside these extents.
-        let dirty_list: Vec<usize> = (0..footprint.len()).filter(|&s| footprint[s]).collect();
-        stats.dirty = dirty_list.len();
-        stats.event_local = stats.dirty;
-        self.last_dirty_extents = self
-            .grid
-            .merge_padded_extents(&dirty_list, self.halo)
-            .into_iter()
-            .map(|g| g.extent)
-            .collect();
-        // A quiescent epoch leaves the CSR untouched.
-        if events.is_empty() {
-            return stats;
+        // Publish hook for the serve path: the events and every endpoint of
+        // the delta, a superset of the nodes whose liveness or row changes.
+        let endpoints = removed.iter().chain(&added).flat_map(|&(u, v)| [u, v]);
+        for u in events.iter().copied().chain(endpoints) {
+            self.changed[u as usize] = true;
         }
         // The splice consumes the repair as a net edge delta, so the CSR
         // work tracks what changed — O(delta) — not the graph. The delta is
@@ -552,8 +527,7 @@ impl IncrementalGraph {
     /// candidate owner whose certificate holds an event and diff its old
     /// and new emissions. `events` is `deaths` then `joins`, and `near`
     /// marks the shards whose padded extent holds an event. Returns
-    /// `(removed, added, candidates examined, owners whose emissions
-    /// changed)`.
+    /// `(removed, added, candidates examined)`.
     #[allow(clippy::type_complexity)]
     fn owner_delta(
         &mut self,
@@ -561,7 +535,7 @@ impl IncrementalGraph {
         joins: &[u32],
         events: &[u32],
         near: &[bool],
-    ) -> (Vec<(u32, u32)>, Vec<(u32, u32)>, usize, Vec<u32>) {
+    ) -> (Vec<(u32, u32)>, Vec<(u32, u32)>, usize) {
         let mut mark = vec![0u8; self.points.len()];
         for &d in deaths {
             mark[d as usize] |= DIED;
@@ -627,7 +601,6 @@ impl IncrementalGraph {
             removed: Vec<(u32, u32)>,
             added: Vec<(u32, u32)>,
             reselected: Vec<u32>,
-            changed: Vec<u32>,
             far: Vec<Cert>,
         }
         const OWNERS_PER_TASK: usize = 256;
@@ -662,22 +635,18 @@ impl IncrementalGraph {
                     part.far.extend(this.far_certs(u, certs));
                     old.sort_unstable();
                     new.sort_unstable();
-                    if old != new {
-                        part.changed.push(u);
-                        multiset_diff(u, &old, &new, &mut part.removed, &mut part.added);
-                    }
+                    multiset_diff(u, &old, &new, &mut part.removed, &mut part.added);
                 }
                 part
             })
             .collect();
 
         let (mut removed, mut added) = (Vec::new(), Vec::new());
-        let (mut reselected, mut changed, mut far) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut reselected, mut far) = (Vec::new(), Vec::new());
         for mut p in parts {
             removed.append(&mut p.removed);
             added.append(&mut p.added);
             reselected.append(&mut p.reselected);
-            changed.append(&mut p.changed);
             far.append(&mut p.far);
         }
         // An owner that was not re-selected kept its selection, and with it
@@ -693,7 +662,7 @@ impl IncrementalGraph {
         far.sort_unstable_by_key(|c| (c.node, c.level));
         self.far = far;
         self.hng_top = top_new;
-        (removed, added, candidates.len(), changed)
+        (removed, added, candidates.len())
     }
 
     /// Owner `u`'s emissions and certificates in the graph as it stands,
@@ -995,8 +964,8 @@ fn query_indexes(kind: IncTopology, points: &PointSet, levels: &[u32]) -> Vec<Ce
 }
 
 /// Universe ids grouped by owner shard (counting sort, so ids stay
-/// ascending within each shard) — built once per structure; the localized
-/// gather scans only the rows overlapping a dirty extent group.
+/// ascending within each shard) — built once per structure; a repair
+/// reads only the lists of the shards whose padded extent holds an event.
 fn resident_lists(points: &PointSet, grid: &ShardGrid) -> (Vec<u32>, Vec<u32>) {
     let n_shards = grid.shard_count();
     let mut counts = vec![0u32; n_shards + 1];
@@ -1085,7 +1054,6 @@ mod tests {
             for e in 0..4u64 {
                 let (deaths, joins) = churn_sets(&g, 99, e);
                 let stats = g.apply_churn(&deaths, &joins);
-                assert_eq!(stats.dirty, stats.event_local);
                 assert_eq!((stats.rederived, stats.escalations), (0, 0));
                 assert_eq!(stats.events, deaths.len() + joins.len());
                 assert!(
@@ -1104,7 +1072,6 @@ mod tests {
         let deaths: Vec<u32> = (0..400u32).filter(|u| u % 7 == 0).collect();
         let stats = g.apply_churn(&deaths, &[]);
         assert!(stats.dirty > 0);
-        assert_eq!(stats.event_local, stats.dirty);
         assert_eq!(
             stats.rederived, 0,
             "deaths-only UDG churn re-derives nothing"
@@ -1157,11 +1124,11 @@ mod tests {
     }
 
     #[test]
-    fn dirty_extents_cover_churn_and_clear_on_quiescence() {
+    fn changed_marks_cover_churn_and_clear_on_quiescence() {
         let p = pts(400, 7, 16.0);
         let mut g =
             IncrementalGraph::build(p, vec![true; 400], IncTopology::Rng { radius: 1.0 }, 2);
-        assert!(g.dirty_extents().is_empty(), "no churn yet");
+        assert!(!g.changed().contains(&true), "no churn yet");
         let deaths: Vec<u32> = g
             .points()
             .iter_enumerated()
@@ -1169,22 +1136,25 @@ mod tests {
             .map(|(u, _)| u)
             .collect();
         assert!(!deaths.is_empty());
+        let old = g.graph().clone();
         g.apply_churn(&deaths, &[]);
-        let extents: Vec<Aabb> = g.dirty_extents().to_vec();
-        assert!(!extents.is_empty());
         for &d in &deaths {
-            let q = g.points().get(d);
-            assert!(
-                extents.iter().any(|e| e.contains(q)),
-                "death {d} outside every dirty extent"
-            );
+            assert!(g.changed()[d as usize], "death {d} unmarked");
         }
-        // Far corner stays outside the invalidation footprint.
-        let window = g.points().bounding_box().unwrap();
-        assert!(extents.iter().all(|e| !e.contains(window.max)));
-        // A quiescent epoch publishes an empty footprint.
+        for u in 0..400u32 {
+            if old.neighbors(u) != g.graph().neighbors(u) {
+                assert!(g.changed()[u as usize], "row of {u} changed unmarked");
+            }
+        }
+        // Nodes more than two radii from the corner stay unmarked.
+        for (u, q) in g.points().iter_enumerated() {
+            if q.x > 5.0 || q.y > 5.0 {
+                assert!(!g.changed()[u as usize], "far node {u} marked");
+            }
+        }
+        // A quiescent epoch marks nothing.
         g.apply_churn(&[], &[]);
-        assert!(g.dirty_extents().is_empty());
+        assert!(!g.changed().contains(&true));
     }
 
     #[test]

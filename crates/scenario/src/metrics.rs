@@ -412,15 +412,6 @@ fn run_lifetime(
         "lifetime.graph_hash32",
         (report.final_graph_hash & 0xFFFF_FFFF) as f64,
     );
-    push(
-        ch,
-        "lifetime.shards_rederived",
-        report
-            .epochs
-            .iter()
-            .map(|e| e.shards_rederived)
-            .sum::<u64>() as f64,
-    );
 
     // Renewal / load-balance comparison family — emitted only when the
     // spec departs from the drain-only hop-count defaults, so every

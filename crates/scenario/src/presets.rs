@@ -446,9 +446,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
         // Tight blackouts on a wide window: each epoch kills only a few
         // small disks, so repair must stay proportional to the churned
         // region. The golden pins the event-local repair's exact topology
-        // walk (graph_hash32) and its per-epoch re-derive counts
-        // (shards_rederived, 0 for every kind) across thread counts
-        // {1, 4, 8}.
+        // walk (graph_hash32) across thread counts {1, 4, 8}.
         "lifetime-blackout-locality" => ScenarioMatrix {
             sides: vec![profile.pick(24.0, 12.0)],
             deployments: poisson(&[20.0]),

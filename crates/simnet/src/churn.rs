@@ -351,20 +351,14 @@ pub struct EpochReport {
     pub coverage: f64,
     /// [`wsn_graph::fingerprint`] of the repaired universe-id CSR.
     pub graph_hash: u64,
-    /// Shards in the repair's footprint / repaired per event (all of them)
-    /// / re-derived (always 0: every repair is event-local; zeros in
-    /// rebuild mode and for SENS).
+    /// Shards whose padded extent holds a churn event
+    /// ([`RepairStats::dirty`]; zero in rebuild mode and for SENS).
     pub shards_dirty: u64,
-    pub shards_event_local: u64,
-    pub shards_rederived: u64,
     /// Points the repair scanned ([`RepairStats::gathered`]: the UDG's
     /// join disks, or every other kind's candidate owners) — this tracks
     /// the churned region's population, not the network size (zeros in
     /// rebuild mode and for SENS).
     pub repair_gathered: u64,
-    /// Whole-population index constructions the repair needed (always 0:
-    /// the repair queries indexes built once over the universe).
-    pub repair_escalations: u64,
     /// Wall-clock seconds of the repair (or rebuild) step.
     pub repair_secs: f64,
     /// Wall-clock seconds of that step spent splicing the repaired
@@ -1016,10 +1010,7 @@ impl<'a> Stepper<'a> {
             energy_recharged,
             battery_added,
             shards_dirty: repair.dirty as u64,
-            shards_event_local: repair.event_local as u64,
-            shards_rederived: repair.rederived as u64,
             repair_gathered: repair.gathered as u64,
-            repair_escalations: repair.escalations as u64,
             repair_secs,
             repair_splice_secs: repair.splice_secs,
             ..EpochReport::default()
@@ -1149,7 +1140,7 @@ mod tests {
             .iter()
             .map(|e| {
                 format!(
-                    "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+                    "{} {} {} {} {} {} {} {} {} {} {} {} {} {}",
                     e.epoch,
                     e.deaths_battery,
                     e.deaths_random,
@@ -1164,7 +1155,6 @@ mod tests {
                     e.coverage,
                     e.graph_hash,
                     e.shards_dirty,
-                    e.shards_rederived,
                 )
             })
             .collect();

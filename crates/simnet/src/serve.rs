@@ -12,7 +12,7 @@
 //! step on it (traffic, idle drain, renewal, deaths, joins and the in-place
 //! repair, for any [`ChurnConfig`]), then captures an immutable
 //! [`Snapshot`] — chunked CSR, alive state, component labels, fingerprint,
-//! and the repair's dirty extents — and broadcasts it to every reader
+//! and the repair's changed-node mask — and broadcasts it to every reader
 //! thread through [`wsn_graph::run_lockstep`]. The loop runs in lockstep:
 //! while the writer splices epoch *e+1* into the live graph, the readers
 //! serve epoch *e* from their `Arc` of its capture, and *e+1* goes out only
@@ -32,13 +32,13 @@
 //! nearby nodes (BFS over the snapshot CSR, guided by the topology's
 //! edge-length bound — see [`wsn_graph::bfs`]), k nearest *alive* sensors,
 //! coverage at a probe point, and component/giant membership. Routes go
-//! through a per-client LRU cache; at each epoch boundary the cache is
-//! swept by the repair's dirty extents — an entry survives promotion to
-//! the new epoch only if no node of its path lies inside any dirty extent
-//! *and* every hop still exists in the new snapshot (k-NN straggler edges
-//! can move without local churn, so the extent test alone is not a proof).
-//! A served route is therefore always *valid* on the snapshot it is
-//! served from, though a promoted one may be stale-optimal.
+//! through a per-client LRU cache; at each epoch boundary the cache drops
+//! every entry whose path holds a node the repair changed
+//! ([`wsn_rgg::IncrementalGraph::changed`]) and promotes the rest. An
+//! unchanged node kept its liveness and its whole row, so every hop of a
+//! path of unchanged nodes still exists: a served route is always *valid*
+//! on the snapshot it is served from, though a promoted one may be
+//! stale-optimal.
 //!
 //! ## Determinism contract
 //!
@@ -126,9 +126,10 @@ impl ServeConfig {
     }
 
     /// Whether the service can run this configuration: at least one
-    /// reader, one client and one epoch, incremental repair (the service
-    /// maintains an [`wsn_rgg::IncrementalGraph`] and publishes its dirty
-    /// extents), and a valid churn schedule.
+    /// reader, one client and one epoch, finite positive route and coverage
+    /// radii (they size the query index's cells), incremental repair (the
+    /// service maintains an [`wsn_rgg::IncrementalGraph`] and publishes its
+    /// changed nodes), and a valid churn schedule.
     pub fn validate(&self) -> Result<(), ServeConfigError> {
         if self.readers == 0 {
             return Err(ServeConfigError::Readers(self.readers));
@@ -138,6 +139,13 @@ impl ServeConfig {
         }
         if self.churn.epochs == 0 {
             return Err(ServeConfigError::Epochs(self.churn.epochs));
+        }
+        let positive = |r: f64| r.is_finite() && r > 0.0;
+        if !positive(self.route_radius) {
+            return Err(ServeConfigError::RouteRadius(self.route_radius));
+        }
+        if !positive(self.coverage_radius) {
+            return Err(ServeConfigError::CoverageRadius(self.coverage_radius));
         }
         if self.churn.repair != RepairMode::Incremental {
             return Err(ServeConfigError::Repair(self.churn.repair));
@@ -152,6 +160,10 @@ pub enum ServeConfigError {
     Readers(usize),
     Clients(usize),
     Epochs(usize),
+    /// A non-finite or non-positive [`ServeConfig::route_radius`].
+    RouteRadius(f64),
+    /// A non-finite or non-positive [`ServeConfig::coverage_radius`].
+    CoverageRadius(f64),
     /// A repair mode other than [`RepairMode::Incremental`].
     Repair(RepairMode),
     Churn(ChurnConfigError),
@@ -163,6 +175,12 @@ impl fmt::Display for ServeConfigError {
             ServeConfigError::Readers(n) => write!(f, "readers must be at least 1, got {n}"),
             ServeConfigError::Clients(n) => write!(f, "clients must be at least 1, got {n}"),
             ServeConfigError::Epochs(n) => write!(f, "epochs must be at least 1, got {n}"),
+            ServeConfigError::RouteRadius(r) => {
+                write!(f, "route_radius must be finite and positive, got {r}")
+            }
+            ServeConfigError::CoverageRadius(r) => {
+                write!(f, "coverage_radius must be finite and positive, got {r}")
+            }
             ServeConfigError::Repair(m) => {
                 write!(f, "repair must be Incremental (the service maintains an incremental graph), got {m:?}")
             }
@@ -193,9 +211,10 @@ pub struct Snapshot {
     /// Semantic fingerprint of `csr`, the live graph's post-splice
     /// fingerprint (the batch `graph_hash` channel).
     pub fingerprint: u64,
-    /// Merged padded extents of the repair that produced this epoch —
-    /// the route-cache invalidation footprint.
-    pub dirty_extents: Vec<Aabb>,
+    /// Per universe node, whether the repair that produced this epoch
+    /// changed it ([`IncrementalGraph::changed`]) — the route-cache
+    /// eviction rule.
+    pub changed: Vec<bool>,
 }
 
 impl Snapshot {
@@ -220,12 +239,13 @@ impl Snapshot {
             comp_label: comps.label,
             giant_label,
             fingerprint: fp,
-            dirty_extents: g.dirty_extents().to_vec(),
+            changed: g.changed().to_vec(),
         }
     }
 
     /// Whether every hop of `path` exists on this snapshot and every node
-    /// is alive — the promotion check for cached routes.
+    /// is alive — the validity every cached route keeps (the route-cache
+    /// tests' oracle).
     pub fn path_valid(&self, path: &[u32]) -> bool {
         if path.iter().any(|&u| !self.alive[u as usize]) {
             return false;
@@ -247,20 +267,15 @@ struct CacheEntry {
 /// A small deterministic LRU of routes, owned by one client.
 ///
 /// Entries are keyed `(src, dst)`; the epoch tag records the snapshot the
-/// path was last validated against. [`RouteCache::advance_epoch`] is the
-/// invalidation rule the proptests pin: an entry is promoted to the new
-/// epoch only if no node of its path lies inside any dirty extent and the
-/// whole path is still valid on the new snapshot.
+/// path was last promoted to. [`RouteCache::advance_epoch`] is the
+/// eviction rule `tests/serve_concurrency.rs` pins: an entry is promoted to
+/// the new epoch only if its path holds no node the repair changed.
 #[derive(Clone, Debug, Default)]
 pub struct RouteCache {
     cap: usize,
     /// MRU-first order; linear scan is deterministic and fine at serve
-    /// cache sizes (≤ a few dozen entries).
+    /// cache sizes (at most a few hundred entries).
     entries: Vec<CacheEntry>,
-    /// Snapshot fingerprint the cache was last advanced against — the
-    /// quiescence witness: an epoch with no dirty extents *and* an
-    /// unchanged fingerprint cannot invalidate any resident path.
-    last_fingerprint: Option<u64>,
 }
 
 impl RouteCache {
@@ -268,7 +283,6 @@ impl RouteCache {
         RouteCache {
             cap,
             entries: Vec::new(),
-            last_fingerprint: None,
         }
     }
 
@@ -309,61 +323,18 @@ impl RouteCache {
         self.entries.truncate(self.cap);
     }
 
-    /// Epoch-boundary sweep: drop every entry whose path touches a dirty
-    /// extent or no longer validates on the new snapshot; promote the
-    /// survivors to `epoch`.
-    ///
-    /// `fingerprint` is the new snapshot's semantic graph fingerprint.
-    /// When the epoch is *quiescent* — no dirty extents and a fingerprint
-    /// equal to the one this cache last advanced against — the graph the
-    /// resident paths were validated on is unchanged, so the whole
-    /// `still_valid` replay (a BFS-backed path walk per entry) is skipped
-    /// and every entry is promoted as-is. The first advance a cache ever
-    /// sees never takes the shortcut: its entries were inserted against an
-    /// unwitnessed snapshot.
-    pub fn advance_epoch(
-        &mut self,
-        epoch: u64,
-        fingerprint: u64,
-        dirty: &[Aabb],
-        points: &PointSet,
-        mut still_valid: impl FnMut(&[u32]) -> bool,
-    ) {
-        let quiescent = dirty.is_empty() && self.last_fingerprint == Some(fingerprint);
-        self.last_fingerprint = Some(fingerprint);
-        if quiescent {
-            for e in &mut self.entries {
-                debug_assert!(e.epoch < epoch, "promotion must move forward");
-                e.epoch = epoch;
-            }
-            return;
-        }
-        self.entries.retain_mut(|e| {
-            debug_assert!(e.epoch < epoch, "promotion must move forward");
-            let crosses = e
-                .path
-                .iter()
-                .any(|&u| dirty.iter().any(|x| x.contains(points.get(u))));
-            if crosses || !still_valid(&e.path) {
-                return false;
-            }
-            e.epoch = epoch;
-            true
-        });
-    }
-
-    /// Entries whose path has a node inside any of `dirty` — must be zero
-    /// after [`RouteCache::advance_epoch`] with those extents (pinned by
-    /// the cache proptest).
-    pub fn paths_crossing(&self, dirty: &[Aabb], points: &PointSet) -> usize {
+    /// Epoch-boundary sweep: drop every entry whose path holds a node
+    /// marked in `changed` (the new snapshot's [`Snapshot::changed`]) and
+    /// promote the rest to `epoch`. An unchanged node kept its liveness and
+    /// its whole row, so a path valid on the previous snapshot that holds
+    /// only unchanged nodes is valid on the new one.
+    pub fn advance_epoch(&mut self, epoch: u64, changed: &[bool]) {
         self.entries
-            .iter()
-            .filter(|e| {
-                e.path
-                    .iter()
-                    .any(|&u| dirty.iter().any(|x| x.contains(points.get(u))))
-            })
-            .count()
+            .retain(|e| !e.path.iter().any(|&u| changed[u as usize]));
+        for e in &mut self.entries {
+            debug_assert!(e.epoch < epoch, "promotion must move forward");
+            e.epoch = epoch;
+        }
     }
 
     /// The epoch tags of the resident entries (test observability).
@@ -509,15 +480,7 @@ impl Engine<'_> {
         } = self;
         // Promote / evict cached routes across the epoch boundary. Epoch 0
         // starts with an empty cache, so `advance_epoch` is vacuous there.
-        // Quiescent epochs (no dirty extents, unchanged fingerprint) skip the
-        // per-entry path replay entirely.
-        state.cache.advance_epoch(
-            snap.epoch,
-            snap.fingerprint,
-            &snap.dirty_extents,
-            points,
-            |p| snap.path_valid(p),
-        );
+        state.cache.advance_epoch(snap.epoch, &snap.changed);
         let cseed = derive_seed2(
             derive_seed(cfg.seed, stream::QUERY),
             snap.epoch,
@@ -677,7 +640,7 @@ fn run_service(
         .unwrap_or_else(|e| panic!("invalid serve configuration: {e}"));
     let epochs = cfg.churn.epochs;
     let window = points.bounding_box().unwrap_or_else(|| Aabb::square(1.0));
-    let cell = cfg.route_radius.max(cfg.coverage_radius).max(1e-9);
+    let cell = cfg.route_radius.max(cfg.coverage_radius);
     let engine = Engine {
         index: GridIndex::build(points, cell),
         points,
@@ -817,6 +780,30 @@ mod tests {
             Err(ServeConfigError::Repair(RepairMode::Rebuild))
         );
         assert!(cfg.validate().unwrap_err().to_string().contains("Rebuild"));
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_radii_are_typed_errors() {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = small_cfg(2, 1);
+            cfg.route_radius = bad;
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                matches!(err, ServeConfigError::RouteRadius(r) if r.to_bits() == bad.to_bits())
+            );
+            assert!(err.to_string().contains("route_radius"), "{err}");
+            let mut cfg = small_cfg(2, 1);
+            cfg.coverage_radius = bad;
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                matches!(err, ServeConfigError::CoverageRadius(r) if r.to_bits() == bad.to_bits())
+            );
+            assert!(err.to_string().contains("coverage_radius"), "{err}");
+        }
+        // Both radii at zero: no query-index cell size exists.
+        let mut cfg = small_cfg(2, 1);
+        (cfg.route_radius, cfg.coverage_radius) = (0.0, 0.0);
+        assert_eq!(cfg.validate(), Err(ServeConfigError::RouteRadius(0.0)));
     }
 
     #[test]

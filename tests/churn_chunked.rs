@@ -191,10 +191,9 @@ fn chunked_equals_monolithic_across_the_matrix() {
 
 /// Every incremental kind (HNG included) stays byte-identical to the cold
 /// rebuild after the initial build and after every repair, across
-/// deployment × footprint {1, 3, all}. (The name predates the event-local
-/// repair, which keeps no shard cache to sort.)
+/// deployment × footprint {1, 3, all}.
 #[test]
-fn shard_caches_stay_sorted_across_the_matrix() {
+fn every_kind_matches_cold_after_build_and_each_repair() {
     let _guard = env_guard();
     let hng = IncTopology::Hng {
         p: 0.5,

@@ -191,17 +191,14 @@ fn epoch_digest(r: &LifetimeReport) -> String {
         .iter()
         .map(|e| {
             format!(
-                "{}:{}/{}/{}/{}/{}/{}/{}/{}/{}",
+                "{}:{}/{}/{}/{}/{}/{}",
                 e.epoch,
                 e.graph_hash,
                 e.alive,
                 e.delivered,
                 e.energy_spent,
                 e.shards_dirty,
-                e.shards_event_local,
-                e.shards_rederived,
                 e.repair_gathered,
-                e.repair_escalations,
             )
         })
         .collect();
@@ -210,11 +207,10 @@ fn epoch_digest(r: &LifetimeReport) -> String {
 
 /// Thread-count invariance of the localized repair path under a clustered
 /// sector-blackout schedule: the whole epoch trajectory — CSR fingerprints,
-/// dirty/event-local/re-derived shard counts, gather sizes, escalations —
-/// must be byte-identical at `RAYON_NUM_THREADS` ∈ {1, 4, 8}. This is the
-/// same contract the golden suite pins for the preset catalogue
-/// (goldens stay byte-identical), applied directly to the dirty-extent
-/// gather's hot path.
+/// dirty-shard counts, gather sizes — must be byte-identical at
+/// `RAYON_NUM_THREADS` ∈ {1, 4, 8}. This is the same contract the golden
+/// suite pins for the preset catalogue (goldens stay byte-identical),
+/// applied directly to the event-local repair's hot path.
 #[test]
 fn clustered_blackout_is_thread_count_invariant() {
     let _guard = env_guard();

@@ -11,13 +11,14 @@
 //!    layouts full of distance ties and coincident points. There is no
 //!    bless step: a divergence is a certificate bug, never intentional.
 //! 2. **Locality proportionality.** The work counters must scale with the
-//!    churned region: the candidate owners examined track the event
-//!    shards (for the UDG, the joins' disks — a deaths-only UDG repair
-//!    scans nothing at all), and no repair ever re-derives a shard or
-//!    builds a whole-population index.
-//! 3. **Footprint cover.** Every edge the repair added or removed has an
-//!    endpoint inside `dirty_extents()` — the serve route cache's
-//!    correctness condition.
+//!    churned region: the dirty shards are exactly the shards whose padded
+//!    extent holds an event, the candidate owners examined track them
+//!    (for the UDG, the joins' disks — a deaths-only UDG repair scans
+//!    nothing at all), and no repair ever re-derives a shard or builds a
+//!    whole-population index.
+//! 3. **Changed-node cover.** Every node whose liveness or row differs
+//!    between the old and the new graph is marked in `changed()` — the
+//!    serve route cache's correctness condition.
 
 use wsn::geom::hash::derive_seed2;
 use wsn::geom::{Aabb, Point};
@@ -116,34 +117,28 @@ fn churn_in_regions(g: &IncrementalGraph, regions: &[Aabb], seed: u64) -> (Vec<u
     (deaths, joins)
 }
 
-/// The counters every repair must report exactly: its event count, and a
-/// footprint repaired wholly by the event rule — no kind re-derives a
-/// shard or escalates to a whole-population index.
+/// The counters every repair must report exactly: its event count, and no
+/// kind re-derives a shard or escalates to a whole-population index.
 fn assert_repair_counters(stats: &RepairStats, events: usize, ctx: &str) {
     assert_eq!(stats.events, events, "{ctx}: event count");
-    assert_eq!(stats.dirty, stats.event_local, "{ctx}");
     assert_eq!(stats.rederived, 0, "{ctx}: a shard was re-derived");
     assert_eq!(stats.escalations, 0, "{ctx}: the repair escalated");
 }
 
-/// Every edge in `old ⊕ new` has an endpoint inside the repair's
-/// published footprint.
-fn assert_footprint_covers_delta(old: &ChunkedCsr, g: &IncrementalGraph, ctx: &str) {
-    let new = g.graph();
-    let inside = |u: u32| {
-        let p = g.points().get(u);
-        g.dirty_extents().iter().any(|e| e.contains(p))
-    };
-    for (a, b) in [(old, new), (new, old)] {
-        for u in 0..a.n() as u32 {
-            for &v in a.neighbors(u) {
-                if u < v && !b.has_edge(u, v) {
-                    assert!(
-                        inside(u) || inside(v),
-                        "{ctx}: changed edge ({u}, {v}) has no endpoint in the footprint"
-                    );
-                }
-            }
+/// Every node whose liveness or row differs between `old` and the
+/// repaired graph is marked in the repair's published `changed()` mask.
+fn assert_changed_covers_delta(
+    old: &ChunkedCsr,
+    old_alive: &[bool],
+    g: &IncrementalGraph,
+    ctx: &str,
+) {
+    let changed = g.changed();
+    assert_eq!(changed.len(), old.n(), "{ctx}: mask length");
+    for u in 0..old.n() as u32 {
+        let i = u as usize;
+        if old_alive[i] != g.alive()[i] || old.neighbors(u) != g.graph().neighbors(u) {
+            assert!(changed[i], "{ctx}: node {u} changed but is unmarked");
         }
     }
 }
@@ -156,7 +151,7 @@ fn build(points: &PointSet, kind: IncTopology) -> IncrementalGraph {
 
 /// The headline matrix: every kind × deployment × dirty-shard footprint
 /// {1, 3, all}, byte-compared between the repair and a cold rebuild after
-/// every epoch, with exact dirty-shard counts and the footprint cover.
+/// every epoch, with exact dirty-shard counts and the changed-node cover.
 #[test]
 fn localized_global_and_cold_agree_across_the_matrix() {
     for (dname, points) in deployments(0x10CA1) {
@@ -172,18 +167,16 @@ fn localized_global_and_cold_agree_across_the_matrix() {
                     deaths.len(),
                     joins.len()
                 );
-                let old = local.graph().clone();
+                let (old, old_alive) = (local.graph().clone(), local.alive().to_vec());
                 let ls: RepairStats = local.apply_churn(&deaths, &joins);
                 assert!(local.verify_cold(), "{ctx}: local != cold rebuild");
                 assert_repair_counters(&ls, deaths.len() + joins.len(), &ctx);
-                assert_footprint_covers_delta(&old, &local, &ctx);
-                // Exact dirty counts for the crafted footprints (k-NN adds
-                // its far owners' shards, HNG the shards of the owners
-                // whose uplinks changed).
+                assert_changed_covers_delta(&old, &old_alive, &local, &ctx);
+                // Exact dirty counts for the crafted footprints, for every
+                // kind: a dirty shard is one whose padded extent holds an
+                // event, however far k-NN or HNG certificates reach.
                 if let Some(expect) = expect_dirty {
-                    if !matches!(kind, IncTopology::Knn { .. } | IncTopology::Hng { .. }) {
-                        assert_eq!(ls.dirty, expect, "{ctx}: wrong dirty-shard count");
-                    }
+                    assert_eq!(ls.dirty, expect, "{ctx}: wrong dirty-shard count");
                 }
             }
         }
@@ -244,10 +237,6 @@ fn udg_deaths_only_repair_gathers_nothing_and_scales() {
     assert_eq!(stats.gathered, 0, "deaths-only UDG must not gather");
     assert_eq!(stats.escalations, 0);
     assert_eq!(stats.dirty, 1);
-    assert_eq!(
-        stats.event_local, stats.dirty,
-        "every dirty shard is event-local"
-    );
     assert_eq!(stats.rederived, 0);
     assert!(g.verify_cold());
 
@@ -263,7 +252,6 @@ fn udg_deaths_only_repair_gathers_nothing_and_scales() {
     let stats_all = g.apply_churn(&deaths_all, &[]);
     assert_eq!(stats_all.gathered, 0);
     assert_eq!(stats_all.rederived, 0);
-    assert_eq!(stats_all.event_local, stats_all.dirty);
     assert!(stats_all.dirty > stats.dirty);
     assert!(stats_all.affected_owners > stats.affected_owners);
     assert!(g.verify_cold());
@@ -288,7 +276,7 @@ fn udg_deaths_only_repair_gathers_nothing_and_scales() {
 /// k-NN and HNG included, whose certificates reach past their shards —
 /// across many mixed churn epochs.
 #[test]
-fn escalation_counter_stays_cold_for_non_knn_across_epochs() {
+fn mixed_churn_epochs_never_rederive_or_escalate() {
     let points = sample_poisson_window(&mut rng_from_seed(7), 12.0, &Aabb::square(SIDE));
     for kind in KINDS {
         let mut g = build(&points, kind);
@@ -310,14 +298,14 @@ fn escalation_counter_stays_cold_for_non_knn_across_epochs() {
     }
 }
 
-/// A k-NN straggler whose true neighbours lie far *beyond* its shard's
-/// halo must still repair exactly. A dense cluster and a far sparse corner
+/// A k-NN owner whose true neighbours lie far *beyond* its shard's halo
+/// must still repair exactly. A dense cluster and a far sparse corner
 /// force exactly that: the corner holds 4 points with k = 4, so every
 /// corner node's 4th-nearest neighbour is in the cluster — its certificate
 /// ball spans the window, and only the far-owner list brings it into the
 /// repair.
 #[test]
-fn knn_straggler_beyond_the_group_extent_escalates_and_stays_exact() {
+fn knn_far_owner_beyond_its_shard_halo_repairs_exactly() {
     let mut points = PointSet::new();
     for q in sample_poisson_window(&mut rng_from_seed(42), 25.0, &Aabb::square(4.0)).iter() {
         points.push(q);
@@ -359,13 +347,12 @@ fn knn_straggler_beyond_the_group_extent_escalates_and_stays_exact() {
     }
 }
 
-/// Degenerate geometry: clustered deployments whose dirty extents merge
-/// across empty space, churn on the window boundary (unbounded edge-shard
-/// extents), and a whole-window single-shard plan.
+/// Degenerate geometry: two far-apart clusters churned in one call, and
+/// churn on the window boundary (unbounded edge-shard extents).
 #[test]
-fn extent_merging_edge_cases_stay_identical() {
-    // Two far-apart clusters: churning both at once exercises disjoint
-    // extent groups in a single repair.
+fn disjoint_clusters_and_window_edge_churn_stay_identical() {
+    // Two far-apart clusters: churning both at once dirties two disjoint
+    // shard sets in a single repair.
     let mut points = PointSet::new();
     for (i, q) in sample_poisson_window(&mut rng_from_seed(11), 25.0, &Aabb::square(4.0))
         .iter()
@@ -413,11 +400,11 @@ fn churn_and_check(
     joins: &[u32],
     ctx: &str,
 ) -> RepairStats {
-    let old = g.graph().clone();
+    let (old, old_alive) = (g.graph().clone(), g.alive().to_vec());
     let stats = g.apply_churn(deaths, joins);
     assert!(g.verify_cold(), "{ctx}: repair != cold rebuild");
     assert_repair_counters(&stats, deaths.len() + joins.len(), ctx);
-    assert_footprint_covers_delta(&old, g, ctx);
+    assert_changed_covers_delta(&old, &old_alive, g, ctx);
     stats
 }
 

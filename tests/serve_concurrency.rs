@@ -17,9 +17,9 @@
 //!    byte-unchanged while the writer splices epoch *e+1*.
 //! 3. **Properties**: for any reader and epoch count, every reader
 //!    receives every epoch exactly once, in order, untorn, and every
-//!    snapshot retires with at most one live at a time; the route cache
-//!    never serves a path that crosses an invalidated dirty extent after
-//!    an epoch advance.
+//!    snapshot retires with at most one live at a time; across an epoch
+//!    advance the route cache keeps only routes valid on the new snapshot
+//!    and evicts only routes through a node the repair changed.
 //! 4. **Channel sharing**: the published fingerprint walk and death count
 //!    equal the batch churn engine's for the same schedule, traffic, idle
 //!    drain and renewal included — serve mode and batch mode cannot drift
@@ -39,7 +39,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use wsn::geom::hash::derive_seed2;
-use wsn::geom::Aabb;
+use wsn::geom::{Aabb, Point};
+use wsn::graph::bfs::BfsScratch;
 use wsn::graph::{fingerprint, run_lockstep, EpochPublisher};
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
 use wsn::rgg::{IncTopology, IncrementalGraph};
@@ -234,128 +235,123 @@ proptest! {
         prop_assert_eq!(publisher.retired(), publisher.published());
         prop_assert_eq!(publisher.max_live(), 1);
     }
-
-    /// The route-cache invalidation rule: after `advance_epoch` with a set
-    /// of dirty extents, no resident entry's path crosses any extent, and
-    /// every survivor is promoted to the new epoch — a cached route can be
-    /// stale-optimal but never invalid.
-    #[test]
-    fn route_cache_never_serves_across_dirty_extents(seed in 0u64..10_000) {
-        let pts: PointSet = sample_poisson_window(
-            &mut rng_from_seed(derive_seed2(seed, 0, 0)),
-            8.0,
-            &Aabb::square(6.0),
-        );
-        if pts.len() < 4 {
-            return Ok(());
-        }
-        let n = pts.len() as u64;
-        let mut cache = RouteCache::new(32);
-        for i in 0..40u64 {
-            let src = (derive_seed2(seed, i, 1) % n) as u32;
-            let dst = (derive_seed2(seed, i, 2) % n) as u32;
-            let len = 2 + (derive_seed2(seed, i, 3) % 6) as usize;
-            let path: Vec<u32> = (0..len as u64)
-                .map(|j| (derive_seed2(seed, i, 4 + j) % n) as u32)
-                .collect();
-            cache.insert(src, dst, path, 0);
-        }
-        // Random dirty extents inside the window (possibly overlapping).
-        let dirty: Vec<Aabb> = (0..1 + derive_seed2(seed, 99, 0) % 3)
-            .map(|b| {
-                let x = 6.0 * u01(derive_seed2(seed, 100 + b, 0));
-                let y = 6.0 * u01(derive_seed2(seed, 100 + b, 1));
-                let w = 0.5 + 2.0 * u01(derive_seed2(seed, 100 + b, 2));
-                Aabb::from_coords(x, y, (x + w).min(6.0), (y + w).min(6.0))
-            })
-            .collect();
-        // Some entries additionally fail snapshot validation.
-        let mut still_valid = |p: &[u32]| {
-            !derive_seed2(seed, 0x7A11D, p.iter().map(|&u| u as u64).sum()).is_multiple_of(4)
-        };
-        cache.advance_epoch(1, 0xF00D, &dirty, &pts, &mut still_valid);
-        prop_assert_eq!(
-            cache.paths_crossing(&dirty, &pts),
-            0,
-            "an entry crossing a dirty extent survived the epoch advance"
-        );
-        let epochs = cache.epochs();
-        prop_assert!(epochs.iter().all(|&e| e == 1), "unpromoted survivor: {:?}", epochs);
-    }
-
-    /// The quiescent-epoch shortcut: an advance with no dirty extents and
-    /// an unchanged snapshot fingerprint must promote every resident entry
-    /// without a single `still_valid` replay — and must agree byte-for-byte
-    /// (same residents, same promotion) with the full sweep it replaces.
-    /// The first advance a cache sees (no witnessed fingerprint yet) and
-    /// any fingerprint change must still pay for the full sweep.
-    #[test]
-    fn route_cache_quiescent_epoch_skips_revalidation(seed in 0u64..10_000) {
-        let pts: PointSet = sample_poisson_window(
-            &mut rng_from_seed(derive_seed2(seed, 1, 0)),
-            8.0,
-            &Aabb::square(6.0),
-        );
-        if pts.len() < 4 {
-            return Ok(());
-        }
-        let n = pts.len() as u64;
-        let fp = derive_seed2(seed, 0xF1, 0);
-        let mut cache = RouteCache::new(32);
-        for i in 0..24u64 {
-            let src = (derive_seed2(seed, i, 1) % n) as u32;
-            let dst = (derive_seed2(seed, i, 2) % n) as u32;
-            let len = 2 + (derive_seed2(seed, i, 3) % 6) as usize;
-            let path: Vec<u32> = (0..len as u64)
-                .map(|j| (derive_seed2(seed, i, 4 + j) % n) as u32)
-                .collect();
-            cache.insert(src, dst, path, 0);
-        }
-        // A quiescent snapshot never invalidates a path, so the faithful
-        // model of `still_valid` on an unchanged graph is deterministic in
-        // the path — identical answers on every sweep.
-        let still_valid =
-            |p: &[u32]| !derive_seed2(seed, 0x5741B, p.iter().map(|&u| u as u64).sum()).is_multiple_of(4);
-        // Advance 1: same fingerprint, no dirty extents — but the cache has
-        // not witnessed `fp` yet, so the sweep must run over every entry.
-        let resident = cache.len();
-        let mut calls = 0usize;
-        cache.advance_epoch(1, fp, &[], &pts, |p| {
-            calls += 1;
-            still_valid(p)
-        });
-        prop_assert_eq!(calls, resident, "first advance must replay every entry");
-        // Shadow: what the full sweep would do from here.
-        let mut shadow = cache.clone();
-        // Advance 2: dirty empty + fingerprint unchanged → zero replays,
-        // every survivor promoted.
-        let survivors = cache.len();
-        let mut calls = 0usize;
-        cache.advance_epoch(2, fp, &[], &pts, |p| {
-            calls += 1;
-            still_valid(p)
-        });
-        prop_assert_eq!(calls, 0, "quiescent advance ran still_valid");
-        prop_assert_eq!(cache.len(), survivors, "quiescent advance changed residency");
-        prop_assert!(cache.epochs().iter().all(|&e| e == 2), "unpromoted survivor");
-        // Differential: a forced full sweep (fingerprint changed) over the
-        // same unchanged graph keeps exactly the same residents in the same
-        // order — the shortcut is an optimisation, not a behaviour change.
-        let mut shadow_calls = 0usize;
-        shadow.advance_epoch(2, fp ^ 1, &[], &pts, |p| {
-            shadow_calls += 1;
-            still_valid(p)
-        });
-        prop_assert_eq!(shadow_calls, survivors, "changed fingerprint must replay");
-        prop_assert_eq!(shadow.len(), cache.len(), "sweep and shortcut diverged");
-        prop_assert_eq!(shadow.epochs(), cache.epochs(), "promotion diverged");
-    }
 }
+
+// ---------------------------------------------------------------------
+// 3b. The route-cache eviction rule.
+// ---------------------------------------------------------------------
+
+/// Every plain kind the incremental graph maintains.
+const ALL_KINDS: [IncTopology; 6] = [
+    IncTopology::Udg { radius: 1.0 },
+    IncTopology::Knn { k: 4 },
+    IncTopology::Gabriel { radius: 1.0 },
+    IncTopology::Rng { radius: 1.0 },
+    IncTopology::Yao {
+        radius: 1.0,
+        cones: 6,
+    },
+    IncTopology::Hng {
+        p: 0.5,
+        links: 1,
+        seed: 0x48_4E_47,
+    },
+];
 
 /// Uniform in [0, 1) from one hash word (mirrors the simnet helper, which
 /// is crate-private).
 fn u01(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The eviction rule, for every kind over several churn epochs: a cache
+/// seeded with BFS routes on snapshot *e* and advanced with snapshot
+/// *e+1*'s changed mask keeps only routes that are valid on *e+1*
+/// ([`Snapshot::path_valid`], the oracle), and evicts only routes with a
+/// changed node. The cache carries its survivors across epochs, so an
+/// entry promoted several times is held to the same rule.
+#[test]
+fn route_cache_keeps_valid_routes_and_evicts_only_changed_paths() {
+    const ROUTES_PER_EPOCH: u64 = 48;
+    for (ki, kind) in ALL_KINDS.into_iter().enumerate() {
+        let seed = derive_seed2(0xCAC4E, ki as u64, 0);
+        let (pts, alive) = universe(seed, 10.0, 14.0, 0.2);
+        let mut g = IncrementalGraph::build(pts.clone(), alive, kind, 4);
+        let mut snap = Snapshot::capture(0, &g);
+        let mut cache = RouteCache::new(usize::MAX);
+        let mut resident: Vec<(u32, u32, Vec<u32>)> = Vec::new();
+        let mut scratch = BfsScratch::default();
+        let (mut kept, mut evicted) = (0usize, 0usize);
+        for e in 1..=5u64 {
+            // Seed: routes between nearby alive pairs on snapshot e − 1.
+            for i in 0..ROUTES_PER_EPOCH {
+                let ids = &snap.alive_ids;
+                let src = ids[(derive_seed2(seed, e, 2 * i) % ids.len() as u64) as usize];
+                let near: Vec<u32> = ids
+                    .iter()
+                    .copied()
+                    .filter(|&v| v != src && pts.get(v).dist(pts.get(src)) <= 3.0)
+                    .collect();
+                if near.is_empty() || resident.iter().any(|r| r.0 == src) {
+                    continue;
+                }
+                let dst = near[(derive_seed2(seed, e, 2 * i + 1) % near.len() as u64) as usize];
+                let path =
+                    scratch.guided_path(&snap.csr, src, dst, kind.max_edge_len(), |u| pts.get(u));
+                if let Some(path) = path {
+                    cache.insert(src, dst, path.clone(), e - 1);
+                    resident.push((src, dst, path));
+                }
+            }
+            // Churn: one clustered blackout, and reserve joins in another
+            // disk.
+            let centre = |salt: u64| {
+                let h = |k: u64| 10.0 * u01(derive_seed2(seed, e, salt + k));
+                Point::new(h(0), h(1))
+            };
+            let (blast, arrivals) = (centre(1000), centre(2000));
+            let within = |u: u32, c: Point| pts.get(u).dist(c) <= 1.5;
+            let deaths: Vec<u32> = (0..pts.len() as u32)
+                .filter(|&u| g.alive()[u as usize] && within(u, blast))
+                .collect();
+            let joins: Vec<u32> = (0..pts.len() as u32)
+                .filter(|&u| !g.alive()[u as usize] && within(u, arrivals))
+                .collect();
+            g.apply_churn(&deaths, &joins);
+            snap = Snapshot::capture(e, &g);
+            cache.advance_epoch(e, &snap.changed);
+            resident.retain(|(src, dst, path)| {
+                let ctx = format!("{} epoch {e} route {src}→{dst}", kind.label());
+                match cache.get(*src, *dst) {
+                    Some(p) => {
+                        assert_eq!(p, &path[..], "{ctx}: the cache rewrote a path");
+                        assert!(snap.path_valid(p), "{ctx}: a kept route is invalid");
+                        kept += 1;
+                        true
+                    }
+                    None => {
+                        assert!(
+                            path.iter().any(|&u| snap.changed[u as usize]),
+                            "{ctx}: evicted a route with no changed node"
+                        );
+                        evicted += 1;
+                        false
+                    }
+                }
+            });
+            assert_eq!(cache.len(), resident.len(), "{}: residency", kind.label());
+            assert!(
+                cache.epochs().iter().all(|&t| t == e),
+                "{}: unpromoted survivor",
+                kind.label()
+            );
+        }
+        assert!(
+            kept > 0 && evicted > 0,
+            "{}: kept {kept}, evicted {evicted} — both halves must be exercised",
+            kind.label()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
