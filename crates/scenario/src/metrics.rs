@@ -533,6 +533,11 @@ pub fn build_topology(
     Built::Sens(net.expect("SENS params are valid"))
 }
 
+/// Route sources of the serve workload are drawn from the first
+/// `HOT_ROUTES` alive ids (as in the serve bench), so `(src, dst)` pairs
+/// repeat and the route cache serves hits the golden digests cover.
+const HOT_ROUTES: usize = 4;
+
 /// Run the always-on serve workload of a cell and emit its channel family
 /// (`serve.*`). Only *schedule-deterministic* values become channels —
 /// wall-clock quantities (qps, latency percentiles) belong to the bench,
@@ -560,6 +565,7 @@ fn run_serve_workload(
     cfg.route_radius = serve.route_radius;
     cfg.coverage_radius = serve.coverage_radius;
     cfg.cache_capacity = serve.cache_capacity;
+    cfg.hot_routes = HOT_ROUTES;
     cfg.seed = derive_seed(rep_seed, stream::CHURN);
 
     let report = wsn_simnet::run_serve(points, &alive, kind, &cfg);

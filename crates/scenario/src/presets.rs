@@ -548,7 +548,9 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
         // with joins runs under concurrent reader threads; the golden pins
         // the per-client answer digests (routes incl. cache promotions,
         // k-NN, coverage, membership) and the final topology fingerprint,
-        // at every RAYON_NUM_THREADS the workflow sweeps.
+        // at every RAYON_NUM_THREADS the workflow sweeps. Route sources come
+        // from a small hot set of alive ids, so `(src, dst)` pairs repeat
+        // and the digests include paths served from the cache.
         "serve-snapshot" => ScenarioMatrix {
             sides: vec![profile.pick(16.0, 8.0)],
             deployments: poisson(&[20.0]),
@@ -575,7 +577,7 @@ fn matrix_for(preset: &Preset, profile: Profile) -> Option<ScenarioMatrix> {
                     route: RouteSpec::HopCount,
                 },
                 clients: profile.pick(8, 4),
-                queries_per_client: profile.pick(24, 10),
+                queries_per_client: profile.pick(96, 80),
                 route_radius: 3.0,
                 coverage_radius: 1.0,
                 cache_capacity: 32,
