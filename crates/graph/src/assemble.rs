@@ -28,8 +28,10 @@
 //!    of the dense arena, or the chunk's own buffer), then sort each row
 //!    and fold equal neighbours into one entry with a multiplicity.
 //!
-//! Rows come out strictly ascending whatever order the runs arrive in, so
-//! the result is the same at any thread count.
+//! Dense rows come out strictly ascending, and chunk rows strictly
+//! ascending by the chunked CSR's key (each neighbour's deployment id),
+//! whatever order the runs arrive in, so the result is the same at any
+//! thread count.
 //!
 //! [`ChunkedCsr::splice`]: crate::ChunkedCsr::splice
 
@@ -64,11 +66,15 @@ pub(crate) enum Blocks<'a> {
     Dense { n: usize, shift: u32 },
     /// Rows grouped by chunk. `rows[u]` names `u`'s chunk and `slot[u]`
     /// its index there, and `nodes[c]` are chunk `c`'s rows ascending.
-    /// Each chunk keeps its own buffers.
+    /// Each chunk keeps its own buffers, and its rows are sorted by
+    /// `to_orig[v]` (the chunked CSR's rank → deployment-id map, inverted
+    /// by `to_rank`), not by `v`.
     Chunks {
         rows: &'a [Row],
         slot: &'a [u32],
         nodes: &'a [Vec<u32>],
+        to_orig: &'a [u32],
+        to_rank: &'a [u32],
     },
 }
 
@@ -263,7 +269,9 @@ fn for_each_half_edge<R: AsRef<[(u32, u32)]>>(
 }
 
 /// Count, prefix-sum and scatter block `b`'s half-edges `lists` into
-/// `targets`, then sort each row and fold repeats in place. Writes each
+/// `targets`, then sort each row (by id for dense blocks, by deployment id
+/// for chunks: each entry is mapped through `to_orig`, sorted, and mapped
+/// back) and fold repeats in place. Writes each
 /// row's distinct neighbour count to `deg` (and multiplicities to `mult`
 /// unless it is empty); returns the block's folded length.
 ///
@@ -279,7 +287,12 @@ pub(crate) fn scatter_block<'l>(
     deg: &mut [u32],
     emitted: Emitted,
 ) -> usize {
-    let head = usize::from(matches!(blocks, Blocks::Chunks { .. }));
+    let (head, maps) = match *blocks {
+        Blocks::Dense { .. } => (0, None),
+        Blocks::Chunks {
+            to_orig, to_rank, ..
+        } => (1, Some((to_orig, to_rank))),
+    };
     let rows = deg.len();
     let mut off = vec![0u32; rows + 1];
     for &(s, _) in lists.clone().flatten() {
@@ -301,6 +314,11 @@ pub(crate) fn scatter_block<'l>(
     let mut w = 0usize;
     for s in 0..rows {
         let (lo, hi) = (off[s] as usize + head, off[s + 1] as usize);
+        if let Some((to_orig, _)) = maps {
+            targets[lo..hi]
+                .iter_mut()
+                .for_each(|v| *v = to_orig[*v as usize]);
+        }
         targets[lo..hi].sort_unstable();
         let row_start = w;
         w += head;
@@ -323,6 +341,11 @@ pub(crate) fn scatter_block<'l>(
             }
             w += 1;
             i = j;
+        }
+        if let Some((_, to_rank)) = maps {
+            targets[row_start + head..w]
+                .iter_mut()
+                .for_each(|v| *v = to_rank[*v as usize]);
         }
         deg[s] = (w - row_start - head) as u32;
         if head == 1 {

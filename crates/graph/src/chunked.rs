@@ -7,24 +7,43 @@
 //! [`ChunkedCsr`] removes that floor. Nodes are grouped by **chunk** (the
 //! caller's repair shard), and each chunk owns a buffer no other chunk
 //! shares: its nodes' rows back to back in node order, each a length
-//! header followed by the sorted neighbour ids, plus one emission
-//! multiplicity per entry. A per-node record names the node's chunk and
-//! where its row starts, so [`ChunkedCsr::neighbors`] reads one record,
-//! one chunk header and the row, whose length sits on the row's first
-//! cache line.
+//! header followed by the neighbours, plus one emission multiplicity per
+//! entry. A per-node record names the node's chunk and where its row
+//! starts, so [`ChunkedCsr::neighbors`] reads one record, one chunk header
+//! and the row, whose length sits on the row's first cache line.
+//!
+//! ## Nodes are ranks, rows are in deployment-id order
+//!
+//! A chunked CSR's nodes `0..n` are *ranks*: positions in a spatially
+//! local layout of the deployment (the incremental engine uses the Morton
+//! order of `wsn_pointproc::PointOrder`), so that a traversal's per-node
+//! arrays — the row records, a BFS parent array, positions, liveness — are
+//! read in spatial order. Each node carries its deployment id,
+//! [`ChunkedCsr::to_orig`], and **every row holds ranks sorted by their
+//! deployment ids**. A traversal over ascending adjacency therefore visits
+//! neighbours in exactly the order it would on the deployment-id graph, so
+//! BFS parents, paths and every other order-dependent result are the same
+//! up to the renaming. [`ChunkedCsr::build`] is the identity layout
+//! (rank = id); [`ChunkedCsr::build_ranked`] takes any permutation.
+//!
+//! Equality and [`crate::fingerprint`] read through the map (via
+//! [`GraphView::id`]), so they speak deployment ids: a chunked CSR equals
+//! the dense deployment-id [`Csr`] of the same graph, whatever its layout.
+//!
+//! ## The splice
 //!
 //! [`ChunkedCsr::splice`] takes a churn epoch's net edge delta — emissions
-//! withdrawn and emissions added — and rewrites only the chunks whose
-//! adjacency changed, all on the worker pool:
+//! withdrawn and emissions added, between ranks — and rewrites only the
+//! chunks whose adjacency changed, all on the worker pool:
 //!
 //! 1. The assembler's bucket pass ([`crate::assemble`]) sorts the delta's
 //!    half-edges by the chunk owning their row — no global sort.
 //! 2. Each touched chunk counting-sorts its half-edges by node slot, sorts
-//!    and coalesces each node's few entries (an emission withdrawn and
-//!    re-added cancels), and merges them into its rows in one sequential
-//!    walk of the old buffer. The merge writes into a buffer the worker
-//!    reuses from chunk to chunk: runs of unchanged rows are copied whole,
-//!    changed rows are two-pointer merged.
+//!    each node's few entries by deployment id and coalesces them (an
+//!    emission withdrawn and re-added cancels), and merges them into its
+//!    rows in one sequential walk of the old buffer. The merge writes into
+//!    a buffer the worker reuses from chunk to chunk: runs of unchanged
+//!    rows are copied whole, changed rows are two-pointer merged.
 //! 3. The chunk then swaps that buffer with its own, and the worker keeps
 //!    the old one for its next chunk, so a steady-state splice allocates
 //!    no row storage and nothing ever relocates. A buffer holding more than
@@ -32,7 +51,8 @@
 //!    neighbour's capacity.
 //!
 //! [`ChunkedCsr::build`] is the same assembler with the chunks as its
-//! blocks: each chunk's rows scatter straight into the chunk's own buffer.
+//! blocks: each chunk's rows scatter straight into the chunk's own buffer,
+//! sorted by deployment id.
 //!
 //! Two representation details make the splice exact for every topology:
 //!
@@ -48,11 +68,13 @@
 //!   the affected chunks rewrite — whether or not churn marked them dirty.
 
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::Arc;
 
 use rayon::prelude::*;
 
 use crate::assemble::{bucket, scatter_block, split_runs, Blocks, Emitted};
 use crate::csr::Csr;
+use crate::view::GraphView;
 
 /// What one [`ChunkedCsr::splice`] call did (all costs O(dirty)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -117,13 +139,23 @@ struct Scratch {
     mult: Vec<u8>,
 }
 
-/// An undirected graph in chunked CSR form: per-node sorted neighbour
-/// slices, grouped into per-chunk buffers so [`Self::splice`] can rewrite
-/// one chunk without touching the rest.
+/// A chunked CSR's rank ↔ deployment-id maps, shared by its clones (a
+/// snapshot copies the rows, never the maps).
+#[derive(Debug)]
+struct Ids {
+    /// `to_orig[u]`: node `u`'s deployment id, the key its rows sort by.
+    to_orig: Vec<u32>,
+    /// `to_rank[id]`: the node carrying deployment id `id`.
+    to_rank: Vec<u32>,
+}
+
+/// An undirected graph in chunked CSR form: per-node neighbour slices
+/// sorted by deployment id, grouped into per-chunk buffers so
+/// [`Self::splice`] can rewrite one chunk without touching the rest.
 ///
 /// Equality (against itself or a dense [`Csr`]) and
-/// [`crate::fingerprint`] are *semantic*: two graphs with different
-/// chunkings or splice histories compare equal.
+/// [`crate::fingerprint`] are *semantic* and in deployment ids: two graphs
+/// with different layouts, chunkings or splice histories compare equal.
 #[derive(Clone, Debug)]
 pub struct ChunkedCsr {
     /// Node → chunk and row start, and node → slot in its chunk.
@@ -132,26 +164,56 @@ pub struct ChunkedCsr {
     /// Chunk → its nodes, ascending: slot order.
     chunk_nodes: Vec<Vec<u32>>,
     /// Per chunk, its rows in slot order, each a length header and the
-    /// neighbour ids, and per-entry emission multiplicities (unused at
+    /// neighbours, and per-entry emission multiplicities (unused at
     /// headers).
     targets: Vec<Vec<u32>>,
     mult: Vec<Vec<u8>>,
+    ids: Arc<Ids>,
 }
 
 impl ChunkedCsr {
-    /// Build from per-shard edge emission runs; `chunk_of[u]` is node
-    /// `u`'s owning chunk. An edge emitted from both endpoints (k-NN, Yao)
-    /// may appear twice — multiplicities absorb the duplicate.
+    /// Build from per-shard edge emission runs over the identity layout
+    /// (node `u` has deployment id `u`); `chunk_of[u]` is node `u`'s
+    /// owning chunk. See [`ChunkedCsr::build_ranked`].
+    pub fn build<R>(n_chunks: usize, chunk_of: &[u32], runs: impl IntoIterator<Item = R>) -> Self
+    where
+        R: AsRef<[(u32, u32)]> + Send,
+    {
+        let identity = (0..chunk_of.len() as u32).collect();
+        Self::build_ranked(n_chunks, chunk_of, identity, runs)
+    }
+
+    /// Build from per-shard edge emission runs between ranks, where
+    /// `to_orig[u]` is node `u`'s deployment id (a permutation of `0..n`)
+    /// and `chunk_of[u]` its owning chunk. An edge emitted from both
+    /// endpoints (k-NN, Yao) may appear twice — multiplicities absorb the
+    /// duplicate.
     ///
     /// The chunks are the assembler's blocks: each chunk's rows scatter
     /// straight into its own buffer, sized from the half-edges emitted into
-    /// it. Owned runs are freed as they are bucketed.
-    pub fn build<R>(n_chunks: usize, chunk_of: &[u32], runs: impl IntoIterator<Item = R>) -> Self
+    /// it, and sort by deployment id. Owned runs are freed as they are
+    /// bucketed. Panics unless `to_orig` is a permutation.
+    pub fn build_ranked<R>(
+        n_chunks: usize,
+        chunk_of: &[u32],
+        to_orig: Vec<u32>,
+        runs: impl IntoIterator<Item = R>,
+    ) -> Self
     where
         R: AsRef<[(u32, u32)]> + Send,
     {
         let n = chunk_of.len();
         assert!(n_chunks >= 1, "need at least one chunk");
+        assert_eq!(to_orig.len(), n, "to_orig must cover every node");
+        let mut to_rank = vec![u32::MAX; n];
+        for (u, &id) in to_orig.iter().enumerate() {
+            assert!(
+                (id as usize) < n && to_rank[id as usize] == u32::MAX,
+                "to_orig is not a permutation: id {id} at node {u}"
+            );
+            to_rank[id as usize] = u as u32;
+        }
+        let ids = Arc::new(Ids { to_orig, to_rank });
         let mut chunk_nodes: Vec<Vec<u32>> = vec![Vec::new(); n_chunks];
         let (mut rows, mut slot) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for (u, &chunk) in chunk_of.iter().enumerate() {
@@ -169,6 +231,8 @@ impl ChunkedCsr {
             rows: &rows,
             slot: &slot,
             nodes: &chunk_nodes,
+            to_orig: &ids.to_orig,
+            to_rank: &ids.to_rank,
         };
         let buckets = bucket(runs.into_iter().collect(), None, &blocks);
         let chunks: Vec<(Vec<u32>, Vec<u8>)> = (0..n_chunks)
@@ -207,6 +271,7 @@ impl ChunkedCsr {
             chunk_nodes,
             targets,
             mult,
+            ids,
         }
     }
 
@@ -241,7 +306,19 @@ impl ChunkedCsr {
         (t.len(), t.capacity().max(m.capacity()))
     }
 
-    /// Neighbours of `u`, sorted ascending.
+    /// Node → deployment id: the key every row is sorted by.
+    #[inline]
+    pub fn to_orig(&self) -> &[u32] {
+        &self.ids.to_orig
+    }
+
+    /// Deployment id → node.
+    #[inline]
+    pub fn to_rank(&self) -> &[u32] {
+        &self.ids.to_rank
+    }
+
+    /// Neighbours of node `u`, ascending by deployment id.
     #[inline]
     pub fn neighbors(&self, u: u32) -> &[u32] {
         let r = &self.rows[u as usize];
@@ -249,15 +326,28 @@ impl ChunkedCsr {
         &row[start + 1..start + 1 + row[start] as usize]
     }
 
+    /// Neighbours of the node with deployment id `id`, as deployment ids,
+    /// ascending — the row as a deployment-id graph would hold it.
+    pub fn id_neighbors(&self, id: u32) -> impl ExactSizeIterator<Item = u32> + '_ {
+        let to_orig = &self.ids.to_orig;
+        let row = self.neighbors(self.ids.to_rank[id as usize]);
+        row.iter().map(move |&v| to_orig[v as usize])
+    }
+
     #[inline]
     pub fn degree(&self, u: u32) -> usize {
         self.neighbors(u).len()
     }
 
-    /// Membership test via binary search (neighbour lists are sorted).
+    /// Membership test between nodes, by binary search on the neighbours'
+    /// deployment ids (the order rows are sorted in).
     #[inline]
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        let to_orig = &self.ids.to_orig;
+        let key = to_orig[v as usize];
+        self.neighbors(u)
+            .binary_search_by_key(&key, |&w| to_orig[w as usize])
+            .is_ok()
     }
 
     /// Apply a churn delta: `removed` are edge emissions withdrawn since the
@@ -276,11 +366,15 @@ impl ChunkedCsr {
             chunk_nodes,
             targets,
             mult,
+            ids,
         } = self;
+        let key = &ids.to_orig[..];
         let blocks = Blocks::Chunks {
             rows,
             slot,
             nodes: chunk_nodes,
+            to_orig: key,
+            to_rank: &ids.to_rank,
         };
         let gone = bucket(split_runs(&[removed]), None, &blocks);
         let new = bucket(split_runs(&[added]), None, &blocks);
@@ -294,7 +388,7 @@ impl ChunkedCsr {
             .into_par_iter()
             .map_init(Scratch::default, |scratch, (c, (t, m))| {
                 let deltas = [(gone.block(c), -1), (new.block(c), 1)];
-                merge_chunk(rows, &chunk_nodes[c], deltas, t, m, scratch)
+                merge_chunk(rows, &chunk_nodes[c], key, deltas, t, m, scratch)
             })
             .collect();
 
@@ -307,30 +401,33 @@ impl ChunkedCsr {
         stats
     }
 
-    /// Copy out as a dense [`Csr`] (layout-normalising; used by the
-    /// differential suites to byte-compare against cold builds).
+    /// Copy out as a dense [`Csr`] in deployment ids (layout-normalising;
+    /// used by the differential suites to byte-compare against cold
+    /// builds).
     pub fn to_dense(&self) -> Csr {
         let n = self.n();
         let mut offsets = vec![0u32; n + 1];
         let mut targets = Vec::with_capacity(2 * self.m());
-        for u in 0..n as u32 {
-            targets.extend_from_slice(self.neighbors(u));
-            offsets[u as usize + 1] = targets.len() as u32;
+        for id in 0..n as u32 {
+            targets.extend(self.id_neighbors(id));
+            offsets[id as usize + 1] = targets.len() as u32;
         }
         Csr::from_sorted_parts(offsets, targets)
     }
 }
 
 /// Splice one chunk. Counting-sort its bucketed half-edges by node slot,
-/// then walk the slots once: sort and coalesce each node's few entries into
-/// net counts (an emission withdrawn and re-added cancels; so do the
-/// half-edges of distinct emissions `(u, v)` and `(v, u)`) and merge the
-/// survivors into the node's row, writing through the worker's buffers,
-/// which are then swapped in. `None` when the chunk's delta cancelled
-/// entirely (its rows are left as they were).
+/// then walk the slots once: sort each node's few entries by `key` (the
+/// deployment ids rows are ordered by) and coalesce them into net counts
+/// (an emission withdrawn and re-added cancels; so do the half-edges of
+/// distinct emissions `(u, v)` and `(v, u)`), and merge the survivors into
+/// the node's row, writing through the worker's buffers, which are then
+/// swapped in. `None` when the chunk's delta cancelled entirely (its rows
+/// are left as they were).
 fn merge_chunk<'b>(
     rows: &[Row],
     nodes: &[u32],
+    key: &[u32],
     deltas: [(impl Iterator<Item = &'b [(u32, u32)]> + Clone, i32); 2],
     targets: &mut Vec<u32>,
     mult: &mut Vec<u8>,
@@ -377,7 +474,7 @@ fn merge_chunk<'b>(
     let (mut delta_halfedges, mut nodes_touched) = (0usize, 0usize);
     for (s, &u) in nodes.iter().enumerate() {
         let old_end = old_start + 1 + targets[old_start] as usize;
-        let d = coalesce(&mut delta[off[s] as usize..off[s + 1] as usize]);
+        let d = coalesce(&mut delta[off[s] as usize..off[s + 1] as usize], key);
         if d.is_empty() {
             let start = out_t.len() + old_start - copy_from;
             if start != old_start {
@@ -393,7 +490,7 @@ fn merge_chunk<'b>(
                 &targets[old_start + 1..old_end],
                 &mult[old_start + 1..old_end],
             );
-            merge_row(u, old_t, old_m, d, out_t, out_m);
+            merge_row(u, key, old_t, old_m, d, out_t, out_m);
             out_t[start] = (out_t.len() - start - 1) as u32;
             rows[u as usize].set(start);
             copy_from = old_end;
@@ -421,11 +518,12 @@ fn merge_chunk<'b>(
     })
 }
 
-/// Sort one node's delta entries by neighbour and sum the entries of each
-/// neighbour, dropping zero sums; returns the coalesced prefix.
-fn coalesce(d: &mut [(u32, i32)]) -> &[(u32, i32)] {
+/// Sort one node's delta entries by the neighbours' `key` and sum the
+/// entries of each neighbour, dropping zero sums; returns the coalesced
+/// prefix.
+fn coalesce<'d>(d: &'d mut [(u32, i32)], key: &[u32]) -> &'d [(u32, i32)] {
     if d.len() > 1 {
-        d.sort_unstable_by_key(|&(v, _)| v);
+        d.sort_unstable_by_key(|&(v, _)| key[v as usize]);
     }
     let (mut w, mut i) = (0usize, 0usize);
     while i < d.len() {
@@ -443,11 +541,12 @@ fn coalesce(d: &mut [(u32, i32)]) -> &[(u32, i32)] {
     &d[..w]
 }
 
-/// Two-pointer merge of node `u`'s sorted row (`targets`, `mult`) with its
-/// sorted, coalesced delta `d`, appended to `out_t` / `out_m`. Old entries
-/// between delta entries are copied as runs.
+/// Two-pointer merge of node `u`'s row (`targets`, `mult`) with its
+/// coalesced delta `d`, both sorted by `key`, appended to `out_t` /
+/// `out_m`. Old entries between delta entries are copied as runs.
 fn merge_row(
     u: u32,
+    key: &[u32],
     targets: &[u32],
     mult: &[u8],
     d: &[(u32, i32)],
@@ -457,7 +556,8 @@ fn merge_row(
     let mut a = 0usize;
     for &(v, dv) in d {
         let from = a;
-        while a < targets.len() && targets[a] < v {
+        let kv = key[v as usize];
+        while a < targets.len() && key[targets[a] as usize] < kv {
             a += 1;
         }
         out_t.extend_from_slice(&targets[from..a]);
@@ -480,13 +580,14 @@ fn merge_row(
     out_m.extend_from_slice(&mult[a..]);
 }
 
-/// Semantic equality: same node count, same per-node neighbour lists —
-/// chunking, buffer capacities and multiplicities are invisible.
+/// Semantic equality: same node count, same per-node neighbour lists in
+/// deployment ids — layout, chunking, buffer capacities and multiplicities
+/// are invisible.
 impl PartialEq for ChunkedCsr {
     fn eq(&self, other: &Self) -> bool {
         self.n() == other.n()
             && self.m() == other.m()
-            && (0..self.n() as u32).all(|u| self.neighbors(u) == other.neighbors(u))
+            && (0..self.n() as u32).all(|id| self.id_neighbors(id).eq(other.id_neighbors(id)))
     }
 }
 
@@ -494,7 +595,10 @@ impl PartialEq<Csr> for ChunkedCsr {
     fn eq(&self, other: &Csr) -> bool {
         self.n() == other.n()
             && self.m() == other.m()
-            && (0..self.n() as u32).all(|u| self.neighbors(u) == other.neighbors(u))
+            && (0..self.n() as u32).all(|u| {
+                let (row, want) = (self.neighbors(u), other.neighbors(self.id(u)));
+                row.len() == want.len() && row.iter().zip(want).all(|(&v, &w)| self.id(v) == w)
+            })
     }
 }
 
@@ -518,12 +622,16 @@ mod tests {
         Csr::from_edge_list(el)
     }
 
-    /// Structural invariants every mutation must preserve.
+    /// Structural invariants every mutation must preserve: rows strictly
+    /// ascending by deployment id, edges symmetric, storage bounded.
     fn check_invariants(g: &ChunkedCsr) {
         let mut live = 0usize;
         for u in 0..g.n() as u32 {
             let ns = g.neighbors(u);
-            assert!(ns.windows(2).all(|w| w[0] < w[1]), "node {u} list unsorted");
+            assert!(
+                ns.windows(2).all(|w| g.id(w[0]) < g.id(w[1])),
+                "node {u} row not sorted by id"
+            );
             for &v in ns {
                 assert!(g.has_edge(v, u), "asymmetric edge ({u}, {v})");
             }
@@ -657,10 +765,57 @@ mod tests {
         g.splice(&[(1, 2)], &[]);
     }
 
+    /// A layout of `n` nodes: the identity when `seed` is 0, otherwise a
+    /// hash-shuffled `to_orig` permutation.
+    fn layout(n: usize, seed: u64) -> Vec<u32> {
+        let mut to_orig: Vec<u32> = (0..n as u32).collect();
+        if seed != 0 {
+            to_orig.sort_by_key(|&id| wsn_geom::hash::mix64(seed ^ u64::from(id)));
+        }
+        to_orig
+    }
+
+    /// Build `edges` (deployment ids) into a chunked CSR over the layout
+    /// `to_orig`, chunked by rank.
+    fn ranked(chunks: usize, to_orig: &[u32], edges: &[(u32, u32)]) -> ChunkedCsr {
+        let n = to_orig.len();
+        let mut to_rank = vec![0u32; n];
+        for (r, &id) in to_orig.iter().enumerate() {
+            to_rank[id as usize] = r as u32;
+        }
+        let chunk_of: Vec<u32> = (0..n as u32).map(|r| r % chunks as u32).collect();
+        let runs: Vec<(u32, u32)> = edges
+            .iter()
+            .map(|&(a, b)| (to_rank[a as usize], to_rank[b as usize]))
+            .collect();
+        ChunkedCsr::build_ranked(chunks, &chunk_of, to_orig.to_vec(), [runs])
+    }
+
+    /// `g` in any layout is the dense deployment-id graph `d`: semantic
+    /// equality both ways, its densification, its fingerprint, and a
+    /// `has_edge` that answers for every node pair as `d` does for their
+    /// ids.
+    fn check_matches_dense(g: &ChunkedCsr, d: &Csr, ctx: &str) {
+        assert_eq!(g, d, "{ctx}");
+        assert_eq!(d, g, "{ctx}");
+        assert_eq!(&g.to_dense(), d, "{ctx}");
+        assert_eq!(crate::fingerprint(g), crate::fingerprint(d), "{ctx}");
+        for u in 0..g.n() as u32 {
+            for v in 0..g.n() as u32 {
+                let want = d.has_edge(g.id(u), g.id(v));
+                assert_eq!(g.has_edge(u, v), want, "{ctx}: has_edge({u}, {v})");
+            }
+            assert!(g
+                .id_neighbors(g.id(u))
+                .eq(d.neighbors(g.id(u)).iter().copied()));
+        }
+        check_invariants(g);
+    }
+
     /// Build over `raw` projected onto `n` nodes (self loops dropped,
-    /// pairs canonicalised) and compare against the dense reference.
-    fn check_build_matches_dense(n: usize, chunks: usize, raw: &[(u32, u32)]) {
-        let chunk_of: Vec<u32> = (0..n as u32).map(|u| u % chunks as u32).collect();
+    /// pairs canonicalised) in the identity layout and in a shuffled one,
+    /// and compare against the dense reference.
+    fn check_build_matches_dense(n: usize, chunks: usize, raw: &[(u32, u32)], seed: u64) {
         let emissions: Vec<(u32, u32)> = raw
             .iter()
             .filter(|_| n >= 2)
@@ -668,11 +823,15 @@ mod tests {
             .filter(|&(a, b)| a != b)
             .map(|(a, b)| (a.min(b), a.max(b)))
             .collect();
-        let g = ChunkedCsr::build(chunks, &chunk_of, [&emissions]);
         let d = dense(n, &emissions);
-        assert_eq!(g, d, "n = {n}, chunks = {chunks}");
-        assert_eq!(g.to_dense(), d);
-        check_invariants(&g);
+        for seed in [0, seed] {
+            let g = ranked(chunks, &layout(n, seed), &emissions);
+            check_matches_dense(
+                &g,
+                &d,
+                &format!("n = {n}, chunks = {chunks}, layout {seed}"),
+            );
+        }
     }
 
     proptest! {
@@ -680,17 +839,19 @@ mod tests {
 
         /// The counting-scatter build equals the dense reference on random
         /// emissions with duplicate keys and isolated nodes, and on the
-        /// degenerate n ∈ {0, 1, 2} projections of the same draw.
+        /// degenerate n ∈ {0, 1, 2} projections of the same draw, in the
+        /// identity layout and under a random rank → id permutation.
         #[test]
         fn prop_build_matches_dense(
             n in 3usize..40,
             chunks in 1usize..5,
             raw in proptest::collection::vec((0u32..40, 0u32..40), 0..60),
+            seed in 1u64..u64::MAX,
         ) {
             let mut raw = raw;
             raw.extend_from_within(..raw.len() / 2);
             for n in [0, 1, 2, n] {
-                check_build_matches_dense(n, chunks, &raw);
+                check_build_matches_dense(n, chunks, &raw, seed);
             }
         }
     }
@@ -701,7 +862,9 @@ mod tests {
         /// The scatter-by-chunk splice equals the dense reference on random
         /// deltas: withdraw a random subset of the current edges, add fresh
         /// ones, and re-add some withdrawn ones in the same call (those
-        /// must cancel), with both orientations of a pair in the lists.
+        /// must cancel), with both orientations of a pair in the lists —
+        /// in the identity layout and under a random rank → id permutation,
+        /// whose rows must stay sorted by id through the merge.
         #[test]
         fn prop_splice_matches_dense(
             n in 2usize..40,
@@ -709,6 +872,7 @@ mod tests {
             initial in proptest::collection::vec((0u32..40, 0u32..40), 0..80),
             fresh in proptest::collection::vec((0u32..40, 0u32..40), 0..40),
             drop_mask in proptest::collection::vec(0u8..4, 80..81),
+            seed in 1u64..u64::MAX,
         ) {
             let canon = |raw: &[(u32, u32)]| -> Vec<(u32, u32)> {
                 let mut out: Vec<(u32, u32)> = raw
@@ -722,8 +886,6 @@ mod tests {
                 out
             };
             let edges = canon(&initial);
-            let chunk_of: Vec<u32> = (0..n as u32).map(|u| u % chunks as u32).collect();
-            let mut g = ChunkedCsr::build(chunks, &chunk_of, [&edges]);
             // Mask 0 withdraws, 1 withdraws and re-adds, else keeps.
             let (mut removed, mut added, mut kept) = (Vec::new(), Vec::new(), Vec::new());
             for (i, &(a, b)) in edges.iter().enumerate() {
@@ -743,27 +905,42 @@ mod tests {
                     kept.push(e);
                 }
             }
-            // The splice is the same at one worker and at four. (No other
-            // test in this binary sets the variable.)
-            let (saved, mut wide) = (std::env::var("RAYON_NUM_THREADS"), g.clone());
-            std::env::set_var("RAYON_NUM_THREADS", "1");
-            let stats = g.splice(&removed, &added);
-            std::env::set_var("RAYON_NUM_THREADS", "4");
-            prop_assert_eq!(wide.splice(&removed, &added), stats);
-            match saved {
-                Ok(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-                Err(_) => std::env::remove_var("RAYON_NUM_THREADS"),
+            for seed in [0, seed] {
+                let to_orig = layout(n, seed);
+                let mut to_rank = vec![0u32; n];
+                for (r, &id) in to_orig.iter().enumerate() {
+                    to_rank[id as usize] = r as u32;
+                }
+                let rank = |list: &[(u32, u32)]| -> Vec<(u32, u32)> {
+                    list.iter()
+                        .map(|&(a, b)| (to_rank[a as usize], to_rank[b as usize]))
+                        .collect()
+                };
+                let (removed, added) = (rank(&removed), rank(&added));
+                let mut g = ranked(chunks, &to_orig, &edges);
+                // The splice is the same at one worker and at four. (No
+                // other test in this binary sets the variable.)
+                let (saved, mut wide) = (std::env::var("RAYON_NUM_THREADS"), g.clone());
+                std::env::set_var("RAYON_NUM_THREADS", "1");
+                let stats = g.splice(&removed, &added);
+                std::env::set_var("RAYON_NUM_THREADS", "4");
+                prop_assert_eq!(wide.splice(&removed, &added), stats);
+                match saved {
+                    Ok(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+                    Err(_) => std::env::remove_var("RAYON_NUM_THREADS"),
+                }
+                for u in 0..n as u32 {
+                    prop_assert_eq!(g.neighbors(u), wide.neighbors(u));
+                }
+                check_invariants(&wide);
+                let want = dense(n, &kept);
+                check_matches_dense(&g, &want, &format!("splice, layout {seed}"));
+                let before = dense(n, &edges);
+                let changed = (0..n as u32)
+                    .filter(|&id| !g.id_neighbors(id).eq(before.neighbors(id).iter().copied()))
+                    .count();
+                prop_assert_eq!(stats.nodes_touched, changed);
             }
-            for u in 0..n as u32 {
-                prop_assert_eq!(g.neighbors(u), wide.neighbors(u));
-            }
-            check_invariants(&g);
-            check_invariants(&wide);
-            prop_assert_eq!(&g, &dense(n, &kept));
-            let changed = (0..n as u32)
-                .filter(|&u| dense(n, &edges).neighbors(u) != g.neighbors(u))
-                .count();
-            prop_assert_eq!(stats.nodes_touched, changed);
         }
     }
 

@@ -16,9 +16,10 @@
 //! only grow, so an endpoint seen in the giant stays in it.
 //!
 //! Sets are linked larger root under smaller root, so `parent[u] <= u`
-//! always holds and every root is its set's smallest id. Labels are
-//! therefore **canonical**: the smallest node id of the component, however
-//! the unions were ordered.
+//! always holds and every root is its set's smallest node. Labels are
+//! therefore **canonical**: the smallest node of the component, however
+//! the unions were ordered. On a graph whose nodes are ranks of a
+//! reordered layout, [`Components::by_id`] re-keys them by deployment id.
 
 use crate::view::GraphView;
 
@@ -67,6 +68,28 @@ impl Components {
     #[inline]
     pub fn same(&self, u: u32, v: u32) -> bool {
         self.label[u as usize] == self.label[v as usize]
+    }
+
+    /// These components of `g`, indexed and labelled by [`GraphView::id`]:
+    /// `label[id]` is the smallest id in the component of the node with
+    /// that id. The identity for a graph whose nodes are their own ids; a
+    /// chunked CSR in a reordered layout gets the labels its deployment-id
+    /// graph would.
+    pub fn by_id<G: GraphView + ?Sized>(&self, g: &G) -> Components {
+        let n = self.label.len();
+        let mut least = vec![u32::MAX; n];
+        for (u, &root) in self.label.iter().enumerate() {
+            let l = &mut least[root as usize];
+            *l = (*l).min(g.id(u as u32));
+        }
+        let mut label = vec![0u32; n];
+        for (u, &root) in self.label.iter().enumerate() {
+            label[g.id(u as u32) as usize] = least[root as usize];
+        }
+        Components {
+            label,
+            count: self.count,
+        }
     }
 }
 
@@ -183,6 +206,29 @@ mod tests {
                 assert_eq!(c.same(u, v), d[v as usize] != crate::UNREACHABLE);
             }
         }
+    }
+
+    #[test]
+    fn by_id_labels_match_the_deployment_id_graph() {
+        // {0,1,2} triangle, {3,4} edge, 5 isolated, stored with node r
+        // carrying id to_orig[r].
+        let to_orig = vec![4u32, 2, 5, 0, 3, 1];
+        let mut to_rank = [0u32; 6];
+        for (r, &id) in to_orig.iter().enumerate() {
+            to_rank[id as usize] = r as u32;
+        }
+        let g = two_cliques();
+        let runs: Vec<(u32, u32)> = g
+            .edges()
+            .map(|(u, v)| (to_rank[u as usize], to_rank[v as usize]))
+            .collect();
+        let ranked = crate::ChunkedCsr::build_ranked(2, &[0, 1, 0, 1, 0, 1], to_orig, [runs]);
+        let want = connected_components(&g);
+        let got = connected_components(&ranked).by_id(&ranked);
+        assert_eq!(got.label, want.label);
+        assert_eq!(got.count, want.count);
+        assert_eq!(got.giant(), want.giant());
+        assert_eq!(want.by_id(&g).label, want.label, "identity layout");
     }
 
     #[test]

@@ -112,15 +112,17 @@ const FINGERPRINT_BLOCK: usize = 1 << 12;
 /// multiply-rotate step per neighbour, then one full [`mix64`]. The
 /// fingerprint is the wrapping sum of the node hashes, mixed with `n`.
 /// Addition commutes, so node blocks hash on the worker pool and the value
-/// is the same at any thread count. Generic over [`GraphView`], so a
-/// chunked CSR and the dense CSR of the same graph hash equal.
+/// is the same at any thread count. Generic over [`GraphView`] and hashing
+/// every node by its [`GraphView::id`] (rows are ascending by id), so a
+/// chunked CSR in any layout and the dense CSR of the same graph hash
+/// equal.
 pub fn fingerprint<G: GraphView + Sync + ?Sized>(g: &G) -> u64 {
     let n = g.n();
     let node = |u: u32| {
         let ns = g.neighbors(u);
-        let mut h = ((u64::from(u) << 32) | ns.len() as u64) ^ 0xE703_7ED1_A0B4_28DB;
+        let mut h = ((u64::from(g.id(u)) << 32) | ns.len() as u64) ^ 0xE703_7ED1_A0B4_28DB;
         for &v in ns {
-            h = (h ^ u64::from(v))
+            h = (h ^ u64::from(g.id(v)))
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .rotate_left(27);
         }

@@ -66,7 +66,9 @@ where
     None
 }
 
-/// Weighted shortest path `src → dst` inclusive, or `None`.
+/// Weighted shortest path `src → dst` inclusive, or `None`. Equal
+/// distances pop in [`GraphView::id`] order, so the path does not depend
+/// on the graph's layout.
 pub fn path<G, W>(g: &G, src: u32, dst: u32, weight: W) -> Option<Vec<u32>>
 where
     G: GraphView + ?Sized,
@@ -74,11 +76,11 @@ where
 {
     let mut dist = vec![f64::INFINITY; g.n()];
     let mut parent = vec![u32::MAX; g.n()];
-    let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<(OrdF64, u32, u32)>> = BinaryHeap::new();
     dist[src as usize] = 0.0;
     parent[src as usize] = src;
-    heap.push(Reverse((OrdF64(0.0), src)));
-    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
+    heap.push(Reverse((OrdF64(0.0), g.id(src), src)));
+    while let Some(Reverse((OrdF64(d), _, u))) = heap.pop() {
         if u == dst {
             break;
         }
@@ -90,7 +92,7 @@ where
             if nd < dist[v as usize] {
                 dist[v as usize] = nd;
                 parent[v as usize] = u;
-                heap.push(Reverse((OrdF64(nd), v)));
+                heap.push(Reverse((OrdF64(nd), g.id(v), v)));
             }
         }
     }
@@ -112,8 +114,10 @@ where
 /// included). The battery-aware lifetime routing uses node residual charge
 /// as the width, so traffic steers around nearly-depleted relays.
 ///
-/// Deterministic: the max-heap order and the strict-improvement rule make
-/// the chosen path a pure function of the graph and the width values.
+/// Deterministic: the max-heap order (equal widths pop in
+/// [`GraphView::id`] order) and the strict-improvement rule make the
+/// chosen path a pure function of the graph and the width values, whatever
+/// its layout.
 pub fn widest_path<G, W>(g: &G, src: u32, dst: u32, node_width: W) -> Option<Vec<u32>>
 where
     G: GraphView + ?Sized,
@@ -121,11 +125,11 @@ where
 {
     let mut best = vec![f64::NEG_INFINITY; g.n()];
     let mut parent = vec![u32::MAX; g.n()];
-    let mut heap: BinaryHeap<(OrdF64, Reverse<u32>)> = BinaryHeap::new();
+    let mut heap: BinaryHeap<(OrdF64, Reverse<(u32, u32)>)> = BinaryHeap::new();
     best[src as usize] = node_width(src);
     parent[src as usize] = src;
-    heap.push((OrdF64(best[src as usize]), Reverse(src)));
-    while let Some((OrdF64(b), Reverse(u))) = heap.pop() {
+    heap.push((OrdF64(best[src as usize]), Reverse((g.id(src), src))));
+    while let Some((OrdF64(b), Reverse((_, u)))) = heap.pop() {
         if u == dst {
             break;
         }
@@ -137,7 +141,7 @@ where
             if nb > best[v as usize] {
                 best[v as usize] = nb;
                 parent[v as usize] = u;
-                heap.push((OrdF64(nb), Reverse(v)));
+                heap.push((OrdF64(nb), Reverse((g.id(v), v))));
             }
         }
     }

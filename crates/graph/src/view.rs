@@ -4,25 +4,39 @@
 //! chunks, each owning its rows' buffer, spliced on the worker pool),
 //! while cold builders and the rebuild baseline produce a dense [`Csr`].
 //! Every read-side consumer — BFS routing, connected components,
-//! fingerprints, the metric suites — only needs `n`, `degree` and sorted
-//! `neighbors`, so they are written against [`GraphView`] and accept
-//! either representation unchanged.
+//! fingerprints, the metric suites — only needs `n`, `degree`, sorted
+//! `neighbors` and each node's `id`, so they are written against
+//! [`GraphView`] and accept either representation unchanged. A dense CSR's
+//! nodes are their own ids; a chunked CSR's nodes are ranks of a spatially
+//! local layout whose rows are sorted by deployment id (see
+//! [`crate::chunked`]).
 
 use crate::chunked::ChunkedCsr;
 use crate::csr::Csr;
 
-/// Read access to an undirected graph with `u32` node ids and sorted
+/// Read access to an undirected graph with `u32` nodes and sorted
 /// adjacency slices.
 ///
 /// The two invariants every implementation upholds (and every generic
-/// consumer may rely on): `neighbors(u)` is strictly ascending, and edges
-/// are symmetric (`v ∈ neighbors(u)` iff `u ∈ neighbors(v)`).
+/// consumer may rely on): `neighbors(u)` is strictly ascending by
+/// [`GraphView::id`], and edges are symmetric (`v ∈ neighbors(u)` iff
+/// `u ∈ neighbors(v)`). A traversal over ascending adjacency therefore
+/// visits nodes in the same order whatever the layout, and anything that
+/// names nodes outside the traversal (a hash, a tie-break) names them by
+/// `id`.
 pub trait GraphView {
     /// Number of nodes.
     fn n(&self) -> usize;
 
-    /// Neighbours of `u`, sorted ascending.
+    /// Neighbours of `u`, ascending by [`GraphView::id`].
     fn neighbors(&self, u: u32) -> &[u32];
+
+    /// The deployment id of node `u` — the identity unless the nodes are
+    /// ranks of a reordered layout.
+    #[inline]
+    fn id(&self, u: u32) -> u32 {
+        u
+    }
 
     /// Degree of `u`.
     #[inline]
@@ -35,10 +49,13 @@ pub trait GraphView {
         (0..self.n() as u32).map(|u| self.degree(u)).sum::<usize>() / 2
     }
 
-    /// Membership test via binary search (neighbour lists are sorted).
+    /// Membership test via binary search on the neighbours' ids.
     #[inline]
     fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        let key = self.id(v);
+        self.neighbors(u)
+            .binary_search_by_key(&key, |&w| self.id(w))
+            .is_ok()
     }
 }
 
@@ -57,6 +74,11 @@ impl GraphView for Csr {
     fn m(&self) -> usize {
         Csr::m(self)
     }
+
+    #[inline]
+    fn has_edge(&self, u: u32, v: u32) -> bool {
+        Csr::has_edge(self, u, v)
+    }
 }
 
 impl GraphView for ChunkedCsr {
@@ -71,8 +93,18 @@ impl GraphView for ChunkedCsr {
     }
 
     #[inline]
+    fn id(&self, u: u32) -> u32 {
+        self.to_orig()[u as usize]
+    }
+
+    #[inline]
     fn m(&self) -> usize {
         ChunkedCsr::m(self)
+    }
+
+    #[inline]
+    fn has_edge(&self, u: u32, v: u32) -> bool {
+        ChunkedCsr::has_edge(self, u, v)
     }
 }
 
@@ -103,10 +135,26 @@ impl GraphView for CsrView<'_> {
     }
 
     #[inline]
+    fn id(&self, u: u32) -> u32 {
+        match self {
+            CsrView::Dense(_) => u,
+            CsrView::Chunked(g) => g.id(u),
+        }
+    }
+
+    #[inline]
     fn m(&self) -> usize {
         match self {
             CsrView::Dense(g) => g.m(),
             CsrView::Chunked(g) => g.m(),
+        }
+    }
+
+    #[inline]
+    fn has_edge(&self, u: u32, v: u32) -> bool {
+        match self {
+            CsrView::Dense(g) => g.has_edge(u, v),
+            CsrView::Chunked(g) => g.has_edge(u, v),
         }
     }
 }

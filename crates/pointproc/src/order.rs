@@ -107,6 +107,11 @@ impl PointOrder {
         &self.to_rank
     }
 
+    /// Take the order apart: the reordered copy, `to_orig` and `to_rank`.
+    pub fn into_parts(self) -> (PointSet, Vec<u32>, Vec<u32>) {
+        (self.points, self.to_orig, self.to_rank)
+    }
+
     /// Map a per-original-id attribute vector (levels, priorities, alive
     /// masks …) into rank space, so rank-space builders can consume values
     /// seeded in the stable original id space.

@@ -11,10 +11,23 @@
 //!
 //! * Node ids live in a fixed **universe** id space (the initial deployment
 //!   plus any reserve pool); churn toggles an alive mask, never re-indexes.
-//!   This id space stays in *deployment order* even though one-shot
-//!   sharded construction runs Morton-ordered ([`crate::ordered`]): churn
-//!   draws, HNG level promotion and every golden are seeded per universe
-//!   id, so reordering here would change observable bytes.
+//!   Churn draws, HNG level promotion and every golden are seeded per
+//!   universe id, so the API speaks **deployment ids**: deaths, joins,
+//!   [`IncrementalGraph::alive`], [`IncrementalGraph::changed`],
+//!   [`IncrementalGraph::points`] and [`IncrementalGraph::cold_rebuild`].
+//! * Inside, everything lives in **Morton-rank space**: the universe is
+//!   laid out once in Z-order ([`PointOrder::morton`]), and the maintained
+//!   CSR's rows, the repair's points, alive mask, resident lists, selection
+//!   indexes and HNG levels are all rank-indexed, so a traversal or a
+//!   repair reads memory in spatial order. [`IncrementalGraph::graph`] is
+//!   that rank-space graph. Its rows hold ranks **sorted by the
+//!   neighbours' deployment ids** ([`ChunkedCsr`]), so every traversal
+//!   visits nodes in the order it would on the deployment-id graph, and
+//!   its equality and fingerprint read through the rank → deployment-id
+//!   map. Selection ties at exactly equal distances (k-NN, Yao, HNG) still
+//!   break by deployment id, as in the cold builders; the Gabriel and RNG
+//!   edge sets are symmetric, so those kinds assign each edge to its
+//!   smaller-*rank* endpoint.
 //! * Every repair is **byte-identical to a cold rebuild** — the survivors
 //!   built through the one cold-build dispatch,
 //!   [`IncTopology::build_alive`] — asserted by
@@ -56,12 +69,13 @@
 //!   liveness and its whole row, which is the serve path's route-cache
 //!   eviction rule.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use rayon::prelude::*;
 use wsn_geom::{Aabb, Point, ShardGrid};
 use wsn_graph::{ChunkedCsr, Csr};
-use wsn_pointproc::PointSet;
+use wsn_pointproc::{PointOrder, PointSet};
 use wsn_spatial::{CellIndex, GridIndex};
 
 use crate::sharded::{
@@ -186,8 +200,8 @@ struct Cert {
 /// node may select one target from two rungs) and their certificates.
 type Selection = (Vec<u32>, Vec<Cert>);
 
-/// Per-repair marks, per universe id: the node died or joined (both, for
-/// an id that died and rejoined), was picked as a candidate owner, was
+/// Per-repair marks, per rank: the node died or joined (both, for an id
+/// that died and rejoined), was picked as a candidate owner, was
 /// re-selected.
 const DIED: u8 = 1;
 const JOINED: u8 = 2;
@@ -196,6 +210,9 @@ const PICKED: u8 = 4;
 const RESELECTED: u8 = 8;
 
 /// A churn-maintained topology over a fixed universe of points.
+///
+/// Every field but the deployment-id views (`points`, `alive`, `changed`)
+/// is indexed by Morton rank.
 pub struct IncrementalGraph {
     kind: IncTopology,
     grid: ShardGrid,
@@ -203,20 +220,29 @@ pub struct IncrementalGraph {
     /// of the initial alive population) — fixed for the structure's
     /// lifetime.
     halo: f64,
+    /// The universe in deployment order, and its alive mask by deployment
+    /// id: the API's views.
     points: PointSet,
     alive: Vec<bool>,
+    /// The same in Morton-rank order (`rank_points.get(r)` is deployment
+    /// point `to_orig[r]`, bit for bit), the points shared with the serve
+    /// readers.
+    rank_points: Arc<PointSet>,
+    rank_alive: Vec<bool>,
     n_alive: usize,
     /// The maintained adjacency: one chunk per shard, spliced in place —
-    /// total epoch cost stays proportional to the churned region.
+    /// total epoch cost stays proportional to the churned region. It also
+    /// carries the rank ↔ deployment-id maps.
     csr: ChunkedCsr,
-    /// Universe ids grouped by owner shard (CSR layout, ascending within a
-    /// shard) — the shard-granular index the UDG's join disks and every
-    /// other kind's candidate owners are read from. The universe is fixed,
-    /// so this is built exactly once.
+    /// Ranks grouped by owner shard (CSR layout, ascending within a shard)
+    /// — the shard-granular index the UDG's join disks and every other
+    /// kind's candidate owners are read from. The universe is fixed, so
+    /// this is built exactly once.
     resident_start: Vec<u32>,
     resident_ids: Vec<u32>,
-    /// HNG level per universe id, rolled once at build from the kind's
-    /// seed (empty for every other kind). Levels never change under churn.
+    /// HNG level per rank, rolled once at build from the kind's seed per
+    /// deployment id (empty for every other kind). Levels never change
+    /// under churn.
     levels: Vec<u32>,
     /// Selection queries over the fixed universe, answered under the alive
     /// mask: none for the UDG; one index for k-NN, Gabriel, RNG and Yao;
@@ -229,9 +255,9 @@ pub struct IncrementalGraph {
     /// reach. Empty for every other kind.
     far: Vec<Cert>,
     /// The alive population's top occupied level and its ascending member
-    /// ids — the HNG clique (`(1, [])` for every other kind).
+    /// ranks — the HNG clique (`(1, [])` for every other kind).
     hng_top: (u32, Vec<u32>),
-    /// Per universe id, whether the *last*
+    /// Per deployment id, whether the *last*
     /// [`IncrementalGraph::apply_churn`] touched it (see
     /// [`IncrementalGraph::changed`]); all false before any churn.
     changed: Vec<bool>,
@@ -255,7 +281,25 @@ impl IncrementalGraph {
         }
         let n_alive = alive.iter().filter(|&&a| a).count();
         let levels = kind.levels(points.len());
-        let (sub, to_universe) = compact_alive(&points, &alive);
+        let (ranked, to_orig, to_rank) = PointOrder::morton(&points).into_parts();
+        let rank_alive: Vec<bool> = to_orig.iter().map(|&u| alive[u as usize]).collect();
+        // The survivors the initial emission derives over, and their
+        // compact id → rank map. The UDG, Gabriel and RNG edge sets name no
+        // ids, so they derive over the survivors in rank order, walking
+        // memory in spatial order; the selection kinds break exact-distance
+        // ties by id, so they derive over the survivors in deployment order,
+        // as the cold builders do.
+        let (sub, sub_rank) = match kind {
+            IncTopology::Udg { .. } | IncTopology::Gabriel { .. } | IncTopology::Rng { .. } => {
+                compact_alive(&ranked, &rank_alive)
+            }
+            _ => {
+                let (sub, to_universe) = compact_alive(&points, &alive);
+                let ranks = to_universe.iter().map(|&u| to_rank[u as usize]).collect();
+                (sub, ranks)
+            }
+        };
+        drop(to_rank);
         let levels_sub = survivor_levels(&levels, &alive);
         let halo = match kind {
             IncTopology::Udg { radius }
@@ -277,22 +321,28 @@ impl IncrementalGraph {
         } else {
             ShardGrid::new(&bbox, halo, tiles_per_shard)
         };
-        let (resident_start, resident_ids) = resident_lists(&points, &grid);
-        let indexes = query_indexes(kind, &points, &levels);
+        let ranked = Arc::new(ranked);
+        let (resident_start, resident_ids) = resident_lists(&ranked, &grid);
+        let levels: Vec<u32> = match levels.is_empty() {
+            true => levels,
+            false => to_orig.iter().map(|&u| levels[u as usize]).collect(),
+        };
+        let indexes = query_indexes(kind, &ranked, &levels);
 
         // The cold sharded build's emission runs over the survivors, lifted
-        // into universe ids; one chunk per shard, so each node's adjacency
-        // lives in its owner shard's chunk, and repeated emissions (k-NN,
-        // Yao, HNG) fold into per-entry multiplicities.
+        // into ranks; one chunk per shard, so each node's adjacency lives
+        // in its owner shard's chunk, rows sorted by deployment id, and
+        // repeated emissions (k-NN, Yao, HNG) fold into per-entry
+        // multiplicities.
         let (mut runs, _) = emission_runs(kind, &sub, &levels_sub, tiles_per_shard);
         (&mut runs).into_par_iter().for_each(|run| {
             for e in run.iter_mut() {
-                *e = (to_universe[e.0 as usize], to_universe[e.1 as usize]);
+                *e = (sub_rank[e.0 as usize], sub_rank[e.1 as usize]);
             }
         });
-        drop((sub, to_universe));
-        let chunk_of: Vec<u32> = points.iter().map(|p| grid.owner_of(p) as u32).collect();
-        let csr = ChunkedCsr::build(grid.shard_count(), &chunk_of, runs);
+        drop((sub, sub_rank));
+        let chunk_of: Vec<u32> = ranked.iter().map(|p| grid.owner_of(p) as u32).collect();
+        let csr = ChunkedCsr::build_ranked(grid.shard_count(), &chunk_of, to_orig, runs);
         let changed = vec![false; points.len()];
 
         let mut g = IncrementalGraph {
@@ -301,6 +351,8 @@ impl IncrementalGraph {
             halo,
             points,
             alive,
+            rank_points: ranked,
+            rank_alive,
             n_alive,
             csr,
             resident_start,
@@ -316,9 +368,9 @@ impl IncrementalGraph {
         }
         if let IncTopology::Knn { .. } | IncTopology::Hng { .. } = kind {
             let top = &g.hng_top;
-            let certs: Vec<Vec<Cert>> = (0..g.points.len() as u32)
+            let certs: Vec<Vec<Cert>> = (0..g.rank_points.len() as u32)
                 .into_par_iter()
-                .filter(|&u| g.alive[u as usize])
+                .filter(|&u| g.rank_alive[u as usize])
                 .map(|u| g.far_certs(u, g.current_selection(u, top).1))
                 .collect();
             g.far = certs.concat();
@@ -339,18 +391,32 @@ impl IncrementalGraph {
         self.halo
     }
 
-    /// The maintained graph in universe id space (dead nodes isolated).
+    /// The maintained graph in Morton-rank space (dead nodes isolated):
+    /// node `r` is deployment id `graph().to_orig()[r]`, and each row holds
+    /// ranks sorted by deployment id. Its equality and fingerprint are in
+    /// deployment ids; positions of its nodes are
+    /// [`IncrementalGraph::rank_points`].
     #[inline]
     pub fn graph(&self) -> &ChunkedCsr {
         &self.csr
     }
 
-    /// The universe point set (fixed; includes dead and reserve nodes).
+    /// The universe point set in deployment order (fixed; includes dead
+    /// and reserve nodes).
     #[inline]
     pub fn points(&self) -> &PointSet {
         &self.points
     }
 
+    /// The universe point set in rank order — the positions of
+    /// [`IncrementalGraph::graph`]'s nodes — shared so a reader can hold it
+    /// beside a snapshot of the graph.
+    #[inline]
+    pub fn rank_points(&self) -> &Arc<PointSet> {
+        &self.rank_points
+    }
+
+    /// Liveness per deployment id.
     #[inline]
     pub fn alive(&self) -> &[bool] {
         &self.alive
@@ -366,8 +432,8 @@ impl IncrementalGraph {
         self.kind
     }
 
-    /// Per universe id, whether the last [`IncrementalGraph::apply_churn`]
-    /// call touched the node: it died or joined, or it is an endpoint of an
+    /// Per deployment id, whether the last
+    /// [`IncrementalGraph::apply_churn`] call touched the node: it died or joined, or it is an endpoint of an
     /// edge the repair removed or added. Every node whose liveness or row
     /// changed is marked (a cancelled pair may mark a few more), so a path
     /// of unmarked nodes that was valid before the call is valid after it
@@ -378,8 +444,8 @@ impl IncrementalGraph {
         &self.changed
     }
 
-    /// Kill `deaths` and admit `joins`, then repair what the churn touched.
-    /// Returns what the repair did.
+    /// Kill `deaths` and admit `joins` (deployment ids), then repair what
+    /// the churn touched. Returns what the repair did.
     ///
     /// The UDG builds its net edge delta from the events themselves: each
     /// death withdraws its current row, each join adds its disk. Every
@@ -400,8 +466,17 @@ impl IncrementalGraph {
             assert!(!self.alive[j as usize], "join of already-alive node {j}");
             self.alive[j as usize] = true;
         }
+        let to_rank = self.csr.to_rank();
+        let deaths: Vec<u32> = deaths.iter().map(|&d| to_rank[d as usize]).collect();
+        let joins: Vec<u32> = joins.iter().map(|&j| to_rank[j as usize]).collect();
+        for &d in &deaths {
+            self.rank_alive[d as usize] = false;
+        }
+        for &j in &joins {
+            self.rank_alive[j as usize] = true;
+        }
         self.n_alive = self.n_alive + joins.len() - deaths.len();
-        let events: Vec<u32> = deaths.iter().chain(joins).copied().collect();
+        let events: Vec<u32> = deaths.iter().chain(&joins).copied().collect();
         let mut stats = RepairStats {
             shard_count: self.grid.shard_count(),
             events: events.len(),
@@ -412,7 +487,7 @@ impl IncrementalGraph {
         // owners' home.
         let mut near = vec![false; self.grid.shard_count()];
         for &c in &events {
-            for s in self.grid.shards_near(self.points.get(c), self.halo) {
+            for s in self.grid.shards_near(self.rank_points.get(c), self.halo) {
                 near[s] = true;
             }
         }
@@ -423,19 +498,20 @@ impl IncrementalGraph {
             return stats;
         }
         let (removed, added) = if let IncTopology::Udg { radius } = self.kind {
-            let (removed, added, scanned) = self.udg_event_delta(deaths, joins, radius);
+            let (removed, added, scanned) = self.udg_event_delta(&deaths, &joins, radius);
             stats.gathered = scanned;
             (removed, added)
         } else {
-            let (removed, added, candidates) = self.owner_delta(deaths, joins, &events, &near);
+            let (removed, added, candidates) = self.owner_delta(&deaths, &joins, &events, &near);
             stats.gathered = candidates;
             (removed, added)
         };
         // Publish hook for the serve path: the events and every endpoint of
         // the delta, a superset of the nodes whose liveness or row changes.
         let endpoints = removed.iter().chain(&added).flat_map(|&(u, v)| [u, v]);
+        let to_orig = self.csr.to_orig();
         for u in events.iter().copied().chain(endpoints) {
-            self.changed[u as usize] = true;
+            self.changed[to_orig[u as usize] as usize] = true;
         }
         // The splice consumes the repair as a net edge delta, so the CSR
         // work tracks what changed — O(delta) — not the graph. The delta is
@@ -449,13 +525,14 @@ impl IncrementalGraph {
         stats
     }
 
-    /// The UDG's net edge delta straight from the churn events, after the
-    /// alive toggles. Returns `(removed, added, residents scanned)`.
+    /// The UDG's net edge delta straight from the churn events (ranks),
+    /// after the alive toggles. Returns `(removed, added, residents
+    /// scanned)`.
     ///
     /// * A death withdraws its current CSR row; an edge between two deaths
-    ///   is withdrawn once, by its smaller endpoint.
+    ///   is withdrawn once, by its smaller-rank endpoint.
     /// * A join adds every alive node inside its disk; a pair of joins is
-    ///   added once, by its smaller endpoint.
+    ///   added once, by its smaller-rank endpoint.
     ///
     /// Every edge of the old graph that touches no death survives into
     /// the new one (disk membership depends on the two endpoints alone),
@@ -476,7 +553,7 @@ impl IncrementalGraph {
         joins: &[u32],
         radius: f64,
     ) -> (Vec<(u32, u32)>, Vec<(u32, u32)>, usize) {
-        let mut event = vec![0u8; self.points.len()];
+        let mut event = vec![0u8; self.rank_points.len()];
         for &d in deaths {
             event[d as usize] |= DIED;
         }
@@ -494,7 +571,7 @@ impl IncrementalGraph {
             })
             .collect();
         let r2 = radius * radius;
-        let (grid, points, alive) = (&self.grid, &self.points, &self.alive);
+        let (grid, points, alive) = (&self.grid, &self.rank_points, &self.rank_alive);
         let (start, ids) = (&self.resident_start, &self.resident_ids);
         let disks: Vec<(Vec<(u32, u32)>, usize)> = joins
             .into_par_iter()
@@ -525,7 +602,7 @@ impl IncrementalGraph {
 
     /// The non-UDG repair, after the alive toggles: re-select every
     /// candidate owner whose certificate holds an event and diff its old
-    /// and new emissions. `events` is `deaths` then `joins`, and `near`
+    /// and new emissions. `events` is `deaths` then `joins` (ranks), and `near`
     /// marks the shards whose padded extent holds an event. Returns
     /// `(removed, added, candidates examined)`.
     #[allow(clippy::type_complexity)]
@@ -536,7 +613,7 @@ impl IncrementalGraph {
         events: &[u32],
         near: &[bool],
     ) -> (Vec<(u32, u32)>, Vec<(u32, u32)>, usize) {
-        let mut mark = vec![0u8; self.points.len()];
+        let mut mark = vec![0u8; self.rank_points.len()];
         for &d in deaths {
             mark[d as usize] |= DIED;
         }
@@ -553,10 +630,10 @@ impl IncrementalGraph {
         // membership or rung count (`min(ℓ, T − 1)`) can differ.
         let top_floor = (top_new != top_old).then(|| top_new.0.min(top_old.0));
 
-        let event_pts: PointSet = events.iter().map(|&w| self.points.get(w)).collect();
+        let event_pts: PointSet = events.iter().map(|&w| self.rank_points.get(w)).collect();
         let event_index = GridIndex::build(&event_pts, self.halo);
         let holds_event = |c: &Cert| {
-            let p = self.points.get(c.node);
+            let p = self.rank_points.get(c.node);
             let reach = (c.r2 * (1.0 + 1e-9)).sqrt();
             event_index
                 .find_in_disk(p, reach, |i, q| {
@@ -578,7 +655,7 @@ impl IncrementalGraph {
         let mut candidates = Vec::new();
         let mut pick = |u: u32| {
             let m = &mut mark[u as usize];
-            if *m & PICKED == 0 && (*m & EVENT != 0 || self.alive[u as usize]) {
+            if *m & PICKED == 0 && (*m & EVENT != 0 || self.rank_alive[u as usize]) {
                 *m |= PICKED;
                 candidates.push(u);
             }
@@ -613,7 +690,7 @@ impl IncrementalGraph {
                 let lo = t * OWNERS_PER_TASK;
                 for &u in &candidates[lo..(lo + OWNERS_PER_TASK).min(candidates.len())] {
                     let event = flags[u as usize] & EVENT;
-                    let alive_new = this.alive[u as usize];
+                    let alive_new = this.rank_alive[u as usize];
                     let alive_old = match event {
                         JOINED => false,
                         0 => alive_new,
@@ -669,11 +746,11 @@ impl IncrementalGraph {
     /// read off its CSR row (the top clique `top` as it stands too). Every
     /// selection is an edge, so it is in the row, and every other
     /// neighbour ranks after the selections it competes with: the k
-    /// `(distance, id)`-least neighbours are the k-NN list, the least of
-    /// each cone the Yao selection, and per rung the least neighbours of
-    /// level `≥ j` the HNG uplinks.
+    /// `(distance, deployment id)`-least neighbours are the k-NN list, the
+    /// least of each cone the Yao selection, and per rung the least
+    /// neighbours of level `≥ j` the HNG uplinks.
     fn current_selection(&self, u: u32, top: &(u32, Vec<u32>)) -> Selection {
-        let p = self.points.get(u);
+        let p = self.rank_points.get(u);
         let row = self.csr.neighbors(u);
         match self.kind {
             IncTopology::Udg { .. } => unreachable!("the UDG repairs from its events"),
@@ -684,10 +761,9 @@ impl IncrementalGraph {
             IncTopology::Yao { radius, cones } => {
                 let mut best = vec![None; cones];
                 for &v in row {
-                    yao_offer(p, v, self.points.get(v), &mut best);
+                    yao_offer(p, self.orig(v), self.rank_points.get(v), &mut best);
                 }
-                let targets = best.iter().flatten().map(|b| b.1).collect();
-                (targets, vec![Cert::ball(u, radius)])
+                (self.cone_targets(&best), vec![Cert::ball(u, radius)])
             }
             IncTopology::Knn { k } => {
                 let targets = self.least(p, row.iter().copied(), k);
@@ -715,13 +791,13 @@ impl IncrementalGraph {
     /// the cold builders run, fed by the universe indexes under the alive
     /// mask.
     fn reselect(&self, u: u32, top: &(u32, Vec<u32>)) -> Selection {
-        let p = self.points.get(u);
-        let keep = |v: u32| v != u && self.alive[v as usize];
+        let p = self.rank_points.get(u);
+        let keep = |v: u32| v != u && self.rank_alive[v as usize];
         match self.kind {
             IncTopology::Udg { .. } => unreachable!("the UDG repairs from its events"),
             IncTopology::Gabriel { radius } | IncTopology::Rng { radius } => {
                 let mut nbrs = Vec::new();
-                self.indexes[0].for_each_in_disk(&self.points, p, radius, |v, q| {
+                self.indexes[0].for_each_in_disk(&self.rank_points, p, radius, |v, q| {
                     if keep(v) {
                         nbrs.push((v, q, p.dist(q)));
                     }
@@ -736,23 +812,22 @@ impl IncrementalGraph {
             }
             IncTopology::Yao { radius, cones } => {
                 let mut best = vec![None; cones];
-                self.indexes[0].for_each_in_disk(&self.points, p, radius, |v, q| {
+                self.indexes[0].for_each_in_disk(&self.rank_points, p, radius, |v, q| {
                     if keep(v) {
-                        yao_offer(p, v, q, &mut best);
+                        yao_offer(p, self.orig(v), q, &mut best);
                     }
                 });
-                let targets = best.iter().flatten().map(|b| b.1).collect();
-                (targets, vec![Cert::ball(u, radius)])
+                (self.cone_targets(&best), vec![Cert::ball(u, radius)])
             }
             IncTopology::Knn { k } => {
-                let found = self.indexes[0].knn_where(&self.points, p, k, keep);
+                let found = self.indexes[0].knn_by(&self.rank_points, p, k, keep, |v| self.orig(v));
                 self.selection(u, found.into_iter().map(|(v, _)| v).collect(), k, 0)
             }
             IncTopology::Hng { links, .. } => {
                 let mut sel = Selection::default();
                 for j in self.rungs(u, top.0) {
-                    let found =
-                        self.indexes[j as usize - 2].knn_where(&self.points, p, links, keep);
+                    let index = &self.indexes[j as usize - 2];
+                    let found = index.knn_by(&self.rank_points, p, links, keep, |v| self.orig(v));
                     let targets = found.into_iter().map(|(v, _)| v).collect();
                     let (t, c) = self.selection(u, targets, links, j);
                     sel.0.extend(t);
@@ -764,13 +839,30 @@ impl IncrementalGraph {
         }
     }
 
-    /// The `k` least of `cands` by the k-NN key `(distance², id)` — the
-    /// order [`CellIndex::knn_where`] selects in.
+    /// The `k` least of `cands` by the k-NN key `(distance², deployment
+    /// id)` — the order [`CellIndex::knn_by`] selects in.
     fn least(&self, p: Point, cands: impl Iterator<Item = u32>, k: usize) -> Vec<u32> {
-        let mut keyed: Vec<(f64, u32)> =
-            cands.map(|v| (self.points.get(v).dist_sq(p), v)).collect();
+        let mut keyed: Vec<(f64, u32, u32)> = cands
+            .map(|v| (self.rank_points.get(v).dist_sq(p), self.orig(v), v))
+            .collect();
         keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        keyed.iter().take(k).map(|&(_, v)| v).collect()
+        keyed.iter().take(k).map(|&(_, _, v)| v).collect()
+    }
+
+    /// The ranks of the Yao cone winners `best`, offered by deployment id
+    /// so that exact-distance ties break as in the cold builders.
+    fn cone_targets(&self, best: &[Option<(f64, u32)>]) -> Vec<u32> {
+        let to_rank = self.csr.to_rank();
+        best.iter()
+            .flatten()
+            .map(|b| to_rank[b.1 as usize])
+            .collect()
+    }
+
+    /// The deployment id of rank `u`.
+    #[inline]
+    fn orig(&self, u: u32) -> u32 {
+        self.csr.to_orig()[u as usize]
     }
 
     /// A nearest-`k` selection of owner `u` among nodes of level `≥ level`,
@@ -778,7 +870,9 @@ impl IncrementalGraph {
     /// whole plane when it ran short of `k`.
     fn selection(&self, u: u32, targets: Vec<u32>, k: usize, level: u32) -> Selection {
         let r2 = match targets.last() {
-            Some(&v) if targets.len() == k => self.points.get(v).dist_sq(self.points.get(u)),
+            Some(&v) if targets.len() == k => {
+                self.rank_points.get(v).dist_sq(self.rank_points.get(u))
+            }
             _ if k == 0 => return (targets, Vec::new()),
             _ => f64::INFINITY,
         };
@@ -808,13 +902,13 @@ impl IncrementalGraph {
         if !matches!(self.kind, IncTopology::Knn { .. } | IncTopology::Hng { .. }) {
             return Vec::new();
         }
-        let p = self.points.get(u);
+        let p = self.rank_points.get(u);
         let margin = interior_margin(p, &self.grid.padded(self.owner(u), self.halo));
         certs.into_iter().filter(|c| c.r2.sqrt() > margin).collect()
     }
 
     /// The alive population's top occupied level and its ascending member
-    /// ids — `(1, every alive node)` when no alive node is promoted, and
+    /// ranks — `(1, every alive node)` when no alive node is promoted, and
     /// `(1, [])` when nothing is alive. Scans the level indexes from the
     /// top down, so the cost is the size of the top levels.
     fn alive_top(&self) -> (u32, Vec<u32>) {
@@ -823,14 +917,14 @@ impl IncrementalGraph {
                 .members()
                 .iter()
                 .copied()
-                .filter(|&u| self.alive[u as usize])
+                .filter(|&u| self.rank_alive[u as usize])
                 .collect();
             if !top.is_empty() {
                 top.sort_unstable();
                 return (i as u32 + 2, top);
             }
         }
-        let all = (0..self.points.len() as u32).filter(|&u| self.alive[u as usize]);
+        let all = (0..self.rank_points.len() as u32).filter(|&u| self.rank_alive[u as usize]);
         (1, all.collect())
     }
 
@@ -842,24 +936,25 @@ impl IncrementalGraph {
 
     #[inline]
     fn owner(&self, u: u32) -> usize {
-        self.grid.owner_of(self.points.get(u))
+        self.grid.owner_of(self.rank_points.get(u))
     }
 
-    /// The universe ids shard `s` owns, ascending.
+    /// The ranks shard `s` owns, ascending.
     #[inline]
     fn residents(&self, s: usize) -> &[u32] {
         &self.resident_ids[self.resident_start[s] as usize..self.resident_start[s + 1] as usize]
     }
 
     /// Build the same topology cold — the monolithic reference builder on
-    /// the alive survivors, in universe ids.
+    /// the alive survivors, in deployment ids.
     pub fn cold_rebuild(&self) -> Csr {
         self.kind
             .build_alive(&self.points, &self.alive, Exec::Serial)
     }
 
-    /// Edge-identity witness: the incrementally maintained CSR equals a
-    /// cold rebuild on the survivors, byte for byte.
+    /// Edge-identity witness: the incrementally maintained CSR, read in
+    /// deployment ids, equals a cold rebuild on the survivors, byte for
+    /// byte.
     #[must_use]
     pub fn verify_cold(&self) -> bool {
         self.csr == self.cold_rebuild()
@@ -963,9 +1058,9 @@ fn query_indexes(kind: IncTopology, points: &PointSet, levels: &[u32]) -> Vec<Ce
     }
 }
 
-/// Universe ids grouped by owner shard (counting sort, so ids stay
-/// ascending within each shard) — built once per structure; a repair
-/// reads only the lists of the shards whose padded extent holds an event.
+/// Point ids grouped by owner shard (counting sort, so ids stay ascending
+/// within each shard) — built once per structure; a repair reads only the
+/// lists of the shards whose padded extent holds an event.
 fn resident_lists(points: &PointSet, grid: &ShardGrid) -> (Vec<u32>, Vec<u32>) {
     let n_shards = grid.shard_count();
     let mut counts = vec![0u32; n_shards + 1];
@@ -1142,7 +1237,7 @@ mod tests {
             assert!(g.changed()[d as usize], "death {d} unmarked");
         }
         for u in 0..400u32 {
-            if old.neighbors(u) != g.graph().neighbors(u) {
+            if !old.id_neighbors(u).eq(g.graph().id_neighbors(u)) {
                 assert!(g.changed()[u as usize], "row of {u} changed unmarked");
             }
         }
@@ -1203,10 +1298,11 @@ mod tests {
         // surviving peer re-selects its clique edges and any rung that
         // targeted the dead node re-answers, but the result must still be
         // byte-identical to a cold rebuild on the survivors.
-        g.apply_churn(&[tops[0]], &[]);
+        let member = g.orig(tops[0]);
+        g.apply_churn(&[member], &[]);
         assert!(g.verify_cold());
         // Reviving it restores the original top set just as exactly.
-        g.apply_churn(&[], &[tops[0]]);
+        g.apply_churn(&[], &[member]);
         assert!(g.verify_cold());
     }
 

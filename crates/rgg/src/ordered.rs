@@ -11,8 +11,10 @@
 //!   gathers and per-shard resident lists then walk the point SoA
 //!   near-sequentially). Its shard runs go to the CSR assembler
 //!   ([`Csr::from_runs`]) together with the order's `to_orig` map, so every
-//!   half-edge is written straight into its deployment-id row: no CSR is
-//!   ever built in rank space, and there is no remap pass.
+//!   half-edge is written straight into its deployment-id row of the dense
+//!   result, and there is no remap pass. (The churn-maintained graph,
+//!   [`crate::IncrementalGraph`], is the one CSR kept in rank space: its
+//!   rows hold ranks sorted by deployment id.)
 //!
 //! The `build_*_on_order` functions are the sharded path over a prepared
 //! [`PointOrder`]; they stay public so callers can drive them with any

@@ -428,12 +428,16 @@ pub(crate) fn pick(x: u64, len: usize) -> usize {
 }
 
 /// The fixed coverage probe grid: occupancy of `cell`-sided cells relative
-/// to the initial deployment's occupancy.
+/// to the initial deployment's occupancy, kept as per-cell alive counts
+/// that each epoch's deaths and joins update.
 struct CoverageProbe {
     origin: Point,
     cell: f64,
     cols: usize,
     rows: usize,
+    /// Alive nodes per cell, and the cells holding at least one.
+    alive_in: Vec<u32>,
+    occupied: usize,
     baseline: usize,
 }
 
@@ -447,26 +451,35 @@ impl CoverageProbe {
             cell,
             cols,
             rows,
+            alive_in: vec![0; cols * rows],
+            occupied: 0,
             baseline: 1,
         };
-        probe.baseline = probe.occupied(points, alive).max(1);
+        for (u, p) in points.iter_enumerated() {
+            if alive[u as usize] {
+                probe.toggle(p, true);
+            }
+        }
+        probe.baseline = probe.occupied.max(1);
         probe
     }
 
-    fn occupied(&self, points: &PointSet, alive: &[bool]) -> usize {
-        let mut seen = vec![false; self.cols * self.rows];
-        for (u, p) in points.iter_enumerated() {
-            if alive[u as usize] {
-                let i = (((p.x - self.origin.x) / self.cell) as usize).min(self.cols - 1);
-                let j = (((p.y - self.origin.y) / self.cell) as usize).min(self.rows - 1);
-                seen[j * self.cols + i] = true;
-            }
+    /// Count a node at `p` into its cell (`alive`) or out of it.
+    fn toggle(&mut self, p: Point, alive: bool) {
+        let i = (((p.x - self.origin.x) / self.cell) as usize).min(self.cols - 1);
+        let j = (((p.y - self.origin.y) / self.cell) as usize).min(self.rows - 1);
+        let count = &mut self.alive_in[j * self.cols + i];
+        if alive {
+            *count += 1;
+            self.occupied += usize::from(*count == 1);
+        } else {
+            *count -= 1;
+            self.occupied -= usize::from(*count == 0);
         }
-        seen.iter().filter(|&&s| s).count()
     }
 
-    fn fraction(&self, points: &PointSet, alive: &[bool]) -> f64 {
-        self.occupied(points, alive) as f64 / self.baseline as f64
+    fn fraction(&self) -> f64 {
+        self.occupied as f64 / self.baseline as f64
     }
 }
 
@@ -851,6 +864,8 @@ fn draw_pairs<T: Copy + PartialEq>(
 pub(crate) struct Stepper<'a> {
     pop: Population<'a>,
     probe: CoverageProbe,
+    /// Alive population, kept from each step's deaths and joins.
+    n_alive: usize,
     maint: Maintained,
 }
 
@@ -876,6 +891,7 @@ impl<'a> Stepper<'a> {
         };
         Stepper {
             probe: CoverageProbe::new(points, initial_alive, &window, cfg.coverage_cell),
+            n_alive: initial_alive.iter().filter(|&&a| a).count(),
             pop: Population::new(points, initial_alive, window, cfg, seed),
             maint,
         }
@@ -927,7 +943,20 @@ impl<'a> Stepper<'a> {
                     .filter(|&u| alive[u as usize])
                     .collect();
                 let pairs = draw_pairs(&alive_ids, cfg, seed, epoch);
+                // Pairs are drawn in deployment ids and searched between
+                // the graph's nodes: Morton ranks with rank-ordered
+                // positions for the incremental arm, the ids themselves
+                // for the dense rebuild. Paths go back through `id`.
                 let graph = plain.graph();
+                let (pos, to_rank) = match plain {
+                    Maintained::Inc(g) => (&**g.rank_points(), Some(g.graph().to_rank())),
+                    _ => (points, None),
+                };
+                let node = |u: u32| to_rank.map_or(u, |m| m[u as usize]);
+                let ids = |mut path: Vec<u32>| {
+                    path.iter_mut().for_each(|u| *u = graph.id(*u));
+                    path
+                };
                 if cfg.route == RoutePolicy::MaxMinResidual {
                     // Widest path over live residual charge: packets are
                     // routed one at a time against the batteries as the
@@ -935,10 +964,11 @@ impl<'a> Stepper<'a> {
                     // the whole epoch stays replayable.
                     let (mut delivered, mut spent) = (0u64, 0.0);
                     for &(src, dst) in &pairs {
-                        let path = wsn_graph::dijkstra::widest_path(&graph, src, dst, |u| {
-                            pop.battery[u as usize]
-                        });
-                        if let Some(path) = path {
+                        let path =
+                            wsn_graph::dijkstra::widest_path(&graph, node(src), node(dst), |u| {
+                                pop.battery[graph.id(u) as usize]
+                            });
+                        if let Some(path) = path.map(ids) {
                             delivered += 1;
                             spent += pop.debit_path(&path);
                         }
@@ -957,13 +987,15 @@ impl<'a> Stepper<'a> {
                 let paths = pairs
                     .into_par_iter()
                     .map_init(BfsScratch::default, |scratch, (src, dst)| {
-                        if cfg.route == RoutePolicy::HopCount {
-                            scratch.guided_path(&graph, src, dst, max_edge, |u| points.get(u))
+                        let (src, dst) = (node(src), node(dst));
+                        let path = if cfg.route == RoutePolicy::HopCount {
+                            scratch.guided_path(&graph, src, dst, max_edge, |u| pos.get(u))
                         } else {
                             wsn_graph::dijkstra::path(&graph, src, dst, |u, v| {
-                                cfg.energy.hop(points.get(u).dist(points.get(v)))
+                                cfg.energy.hop(pos.get(u).dist(pos.get(v)))
                             })
-                        }
+                        };
+                        path.map(ids)
                     })
                     .collect();
                 (offered, paths)
@@ -987,6 +1019,12 @@ impl<'a> Stepper<'a> {
         let energy_recharged = pop.apply_renewal(maint.alive());
         let (deaths, deaths_battery, deaths_random) = pop.select_deaths(maint.alive(), epoch);
         let (joins, battery_added) = pop.admit_joins(deaths.len());
+        for (ids, now) in [(&deaths, false), (&joins, true)] {
+            for &u in ids {
+                self.probe.toggle(pop.points.get(u), now);
+            }
+        }
+        self.n_alive = self.n_alive + joins.len() - deaths.len();
 
         let t = Instant::now();
         let repair = maint.apply_churn(pop.points, &deaths, &joins);
@@ -1019,8 +1057,7 @@ impl<'a> Stepper<'a> {
 
     /// Fill in the measured fields of `stepped` from the repaired graph.
     fn report(&self, stepped: EpochReport) -> EpochReport {
-        let alive = self.maint.alive();
-        let n_alive = alive.iter().filter(|&&a| a).count();
+        let n_alive = self.n_alive;
         let graph = self.maint.graph();
         // SENS elects only some alive sensors into the topology, so its
         // giant fraction is over the nodes of degree ≥ 1 (over all alive
@@ -1042,14 +1079,15 @@ impl<'a> Stepper<'a> {
             },
             || fingerprint(&graph),
         );
-        let (battery_residual, battery_variance, battery_universe) = self.pop.battery_stats(alive);
+        let (battery_residual, battery_variance, battery_universe) =
+            self.pop.battery_stats(self.maint.alive());
         EpochReport {
             alive: n_alive as u64,
             battery_residual,
             battery_variance,
             battery_universe,
             giant_fraction,
-            coverage: self.probe.fraction(self.pop.points, alive),
+            coverage: self.probe.fraction(),
             graph_hash,
             ..stepped
         }

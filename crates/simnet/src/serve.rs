@@ -30,7 +30,9 @@
 //!
 //! Four query kinds run against an epoch's snapshot: route between two
 //! nearby nodes (BFS over the snapshot CSR, guided by the topology's
-//! edge-length bound — see [`wsn_graph::bfs`]), k nearest *alive* sensors,
+//! edge-length bound — see [`wsn_graph::bfs`] — between the Morton ranks
+//! the CSR's nodes are, with the graph's rank-ordered positions; the path
+//! is mapped back to deployment ids), k nearest *alive* sensors,
 //! coverage at a probe point, and component/giant membership. Routes go
 //! through a per-client LRU cache; at each epoch boundary the cache drops
 //! every entry whose path holds a node the repair changed
@@ -51,6 +53,7 @@
 //! `tests/serve_concurrency.rs` pins exactly this.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -196,14 +199,18 @@ impl std::error::Error for ServeConfigError {}
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub epoch: u64,
-    /// The repaired adjacency in universe id space (dead nodes isolated).
+    /// The repaired adjacency in Morton-rank space, as
+    /// [`IncrementalGraph::graph`] keeps it (dead nodes isolated): map
+    /// deployment ids in through `csr.to_rank()` and nodes out through
+    /// `csr.to_orig()`. Every other field is in deployment ids.
     pub csr: ChunkedCsr,
+    /// Liveness per deployment id.
     pub alive: Vec<bool>,
-    /// Alive universe ids, ascending.
+    /// Alive deployment ids, ascending.
     pub alive_ids: Vec<u32>,
-    /// Component label per universe node on `csr`: the smallest universe
-    /// id in the node's component, so labels do not depend on how the
-    /// components pass ordered its unions.
+    /// Component label per deployment id: the smallest deployment id in
+    /// the node's component, so labels depend neither on how the
+    /// components pass ordered its unions nor on the layout.
     pub comp_label: Vec<u32>,
     /// Label of the giant (largest) component, ties going to the smaller
     /// label; `u32::MAX` when empty.
@@ -211,7 +218,7 @@ pub struct Snapshot {
     /// Semantic fingerprint of `csr`, the live graph's post-splice
     /// fingerprint (the batch `graph_hash` channel).
     pub fingerprint: u64,
-    /// Per universe node, whether the repair that produced this epoch
+    /// Per deployment id, whether the repair that produced this epoch
     /// changed it ([`IncrementalGraph::changed`]) — the route-cache
     /// eviction rule.
     pub changed: Vec<bool>,
@@ -222,10 +229,12 @@ impl Snapshot {
     /// capture is a clone of the live post-splice graph, so one
     /// fingerprint serves both; that it equals the batch engine's
     /// `graph_hash` channel is pinned by `tests/serve_concurrency.rs`. The
-    /// components pass runs beside the fingerprint.
+    /// components pass runs beside the fingerprint, on the rank-space
+    /// graph; its labels are then re-keyed by deployment id.
     pub fn capture(epoch: u64, g: &IncrementalGraph) -> Snapshot {
         let csr = g.graph().clone();
         let (comps, fp) = rayon::join(|| connected_components(&csr), || fingerprint(&csr));
+        let comps = comps.by_id(&csr);
         let giant_label = comps.giant().map_or(u32::MAX, |(label, _)| label);
         let alive = g.alive().to_vec();
         let alive_ids: Vec<u32> = (0..alive.len() as u32)
@@ -243,14 +252,18 @@ impl Snapshot {
         }
     }
 
-    /// Whether every hop of `path` exists on this snapshot and every node
-    /// is alive — the validity every cached route keeps (the route-cache
-    /// tests' oracle).
+    /// Whether every hop of `path` (deployment ids) exists on this
+    /// snapshot and every node is alive — the validity every cached route
+    /// keeps (the route-cache tests' oracle).
     pub fn path_valid(&self, path: &[u32]) -> bool {
         if path.iter().any(|&u| !self.alive[u as usize]) {
             return false;
         }
-        path.windows(2).all(|w| self.csr.has_edge(w[0], w[1]))
+        let to_rank = self.csr.to_rank();
+        path.windows(2).all(|w| {
+            self.csr
+                .has_edge(to_rank[w[0] as usize], to_rank[w[1] as usize])
+        })
     }
 }
 
@@ -425,6 +438,8 @@ pub struct ServeReport {
 struct Engine<'a> {
     index: GridIndex<'a>,
     points: &'a PointSet,
+    /// The positions of the snapshot CSR's nodes (Morton ranks).
+    rank_points: Arc<PointSet>,
     window: Aabb,
     cfg: &'a ServeConfig,
     max_edge: Option<f64>,
@@ -474,6 +489,7 @@ impl Engine<'_> {
         let Engine {
             index,
             points,
+            rank_points,
             window,
             cfg,
             max_edge,
@@ -520,8 +536,14 @@ impl Engine<'_> {
                         state.cache_hits += 1;
                         path_word(Some(path))
                     } else {
-                        let path =
-                            scratch.guided_path(&snap.csr, src, dst, *max_edge, |u| points.get(u));
+                        let (to_rank, to_orig) = (snap.csr.to_rank(), snap.csr.to_orig());
+                        let (s, t) = (to_rank[src as usize], to_rank[dst as usize]);
+                        let path = scratch
+                            .guided_path(&snap.csr, s, t, *max_edge, |u| rank_points.get(u))
+                            .map(|mut p| {
+                                p.iter_mut().for_each(|u| *u = to_orig[*u as usize]);
+                                p
+                            });
                         let w = path_word(path.as_deref());
                         if let Some(p) = path {
                             state.cache.insert(src, dst, p, snap.epoch);
@@ -639,20 +661,20 @@ fn run_service(
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid serve configuration: {e}"));
     let epochs = cfg.churn.epochs;
+    let tiles = cfg.churn.repair_tiles;
+    let mut stepper = Stepper::new(points, initial_alive, &cfg.churn, cfg.seed, || {
+        Maintained::plain(points, initial_alive, kind, RepairMode::Incremental, tiles)
+    });
     let window = points.bounding_box().unwrap_or_else(|| Aabb::square(1.0));
     let cell = cfg.route_radius.max(cfg.coverage_radius);
     let engine = Engine {
         index: GridIndex::build(points, cell),
         points,
+        rank_points: Arc::clone(stepper.incremental().rank_points()),
         window,
         cfg,
         max_edge: kind.max_edge_len(),
     };
-
-    let tiles = cfg.churn.repair_tiles;
-    let mut stepper = Stepper::new(points, initial_alive, &cfg.churn, cfg.seed, || {
-        Maintained::plain(points, initial_alive, kind, RepairMode::Incremental, tiles)
-    });
     let mut epoch_fingerprints = Vec::with_capacity(epochs);
     let (mut deaths_total, mut joins_total) = (0u64, 0u64);
     // The writer's epoch: the batch engine's step, then the capture (in the

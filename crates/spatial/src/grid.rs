@@ -214,11 +214,27 @@ impl CellIndex {
         k: usize,
         keep: F,
     ) -> Vec<(u32, f64)> {
+        self.knn_by(points, query, k, keep, |id| id)
+    }
+
+    /// [`CellIndex::knn_where`] with exact-distance ties broken by
+    /// `(distance, tie(id))` instead: an index over a reordered copy of a
+    /// deployment passes the rank → deployment-id map, so it selects the
+    /// same members as an index over the deployment order. `tie` must be
+    /// injective on the members.
+    pub fn knn_by<F: Fn(u32) -> bool, T: Fn(u32) -> u32>(
+        &self,
+        points: &PointSet,
+        query: Point,
+        k: usize,
+        keep: F,
+        tie: T,
+    ) -> Vec<(u32, f64)> {
         if k == 0 || self.ids.is_empty() {
             return Vec::new();
         }
-        // Max-heap of the best k so far, keyed by (dist_sq, id).
-        let mut heap: std::collections::BinaryHeap<(OrdF64, u32)> =
+        // Max-heap of the best k so far, keyed by (dist_sq, tie(id)).
+        let mut heap: std::collections::BinaryHeap<(OrdF64, u32, u32)> =
             std::collections::BinaryHeap::with_capacity(k + 1);
         let (qi, qj) = self.cell_coords(query);
         let max_ring = self.cols.max(self.rows);
@@ -242,7 +258,7 @@ impl CellIndex {
                         continue;
                     }
                     let d2 = points.get(id).dist_sq(query);
-                    let key = (OrdF64(d2), id);
+                    let key = (OrdF64(d2), tie(id), id);
                     if heap.len() < k {
                         heap.push(key);
                     } else if key < *heap.peek().unwrap() {
@@ -266,14 +282,15 @@ impl CellIndex {
                 }
             }
         }
-        // Order on (d², id) — the same key as the heap — *before* taking
-        // square roots: distinct squared distances can collapse to the same
-        // sqrt, and ordering on the rounded value would tie-break by id
-        // where the true distances differ.
-        let mut out: Vec<(u32, f64)> = heap.into_iter().map(|(d2, id)| (id, d2.0)).collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        out.iter_mut().for_each(|e| e.1 = e.1.sqrt());
-        out
+        // Order on (d², tie) — the heap's key — *before* taking square
+        // roots: distinct squared distances can collapse to the same sqrt,
+        // and ordering on the rounded value would tie-break by id where the
+        // true distances differ.
+        let mut out: Vec<(OrdF64, u32, u32)> = heap.into_vec();
+        out.sort_unstable();
+        out.into_iter()
+            .map(|(d2, _, id)| (id, d2.0.sqrt()))
+            .collect()
     }
 }
 

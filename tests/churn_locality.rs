@@ -137,7 +137,7 @@ fn assert_changed_covers_delta(
     assert_eq!(changed.len(), old.n(), "{ctx}: mask length");
     for u in 0..old.n() as u32 {
         let i = u as usize;
-        if old_alive[i] != g.alive()[i] || old.neighbors(u) != g.graph().neighbors(u) {
+        if old_alive[i] != g.alive()[i] || !old.id_neighbors(u).eq(g.graph().id_neighbors(u)) {
             assert!(changed[i], "{ctx}: node {u} changed but is unmarked");
         }
     }
@@ -330,9 +330,7 @@ fn knn_far_owner_beyond_its_shard_halo_repairs_exactly() {
     // A death in the cluster can reach the corner nodes' lists too.
     let cluster_death = g
         .graph()
-        .neighbors(reserve - 3)
-        .iter()
-        .copied()
+        .id_neighbors(reserve - 3)
         .find(|&v| g.points().get(v).x < 10.0)
         .expect("a corner node links into the cluster");
     churn_and_check(&mut g, &[cluster_death], &[], "cluster death");
@@ -340,9 +338,8 @@ fn knn_far_owner_beyond_its_shard_halo_repairs_exactly() {
     for u in [reserve - 3, reserve - 2, reserve - 1, reserve] {
         let far = g
             .graph()
-            .neighbors(u)
-            .iter()
-            .any(|&v| g.points().get(v).x < 10.0);
+            .id_neighbors(u)
+            .any(|v| g.points().get(v).x < 10.0);
         assert!(far, "corner node {u} must link into the cluster");
     }
 }
@@ -434,7 +431,7 @@ fn repair_stays_exact_from_one_event_per_shard_to_every_node() {
             // nodes, whose far uplinkers re-target outside the event's own
             // shards.
             let mut hubs: Vec<u32> = (0..n).collect();
-            hubs.sort_by_key(|&u| std::cmp::Reverse(g.graph().degree(u)));
+            hubs.sort_by_key(|&u| std::cmp::Reverse(g.graph().id_neighbors(u).len()));
             let mut rungs: Vec<(String, Vec<u32>)> = Vec::new();
             for &u in hubs.iter().take(4) {
                 rungs.push((format!("hub {u} dies"), vec![u]));
@@ -581,7 +578,7 @@ fn paired_and_repeated_events_in_one_call_stay_exact() {
             if used[u as usize] || pair_ids.len() >= 40 {
                 continue;
             }
-            if let Some(&v) = g.graph().neighbors(u).iter().find(|&&v| !used[v as usize]) {
+            if let Some(v) = g.graph().id_neighbors(u).find(|&v| !used[v as usize]) {
                 used[u as usize] = true;
                 used[v as usize] = true;
                 pair_ids.extend([u, v]);

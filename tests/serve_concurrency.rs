@@ -296,8 +296,14 @@ fn route_cache_keeps_valid_routes_and_evicts_only_changed_paths() {
                     continue;
                 }
                 let dst = near[(derive_seed2(seed, e, 2 * i + 1) % near.len() as u64) as usize];
-                let path =
-                    scratch.guided_path(&snap.csr, src, dst, kind.max_edge_len(), |u| pts.get(u));
+                // The snapshot CSR's nodes are Morton ranks: search between
+                // ranks, with rank-ordered positions, and map the path back.
+                let (to_rank, to_orig) = (snap.csr.to_rank(), snap.csr.to_orig());
+                let (s, t) = (to_rank[src as usize], to_rank[dst as usize]);
+                let rank_pts = g.rank_points();
+                let path = scratch
+                    .guided_path(&snap.csr, s, t, kind.max_edge_len(), |u| rank_pts.get(u))
+                    .map(|p| p.iter().map(|&u| to_orig[u as usize]).collect::<Vec<u32>>());
                 if let Some(path) = path {
                     cache.insert(src, dst, path.clone(), e - 1);
                     resident.push((src, dst, path));
