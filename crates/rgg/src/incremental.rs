@@ -433,12 +433,13 @@ impl IncrementalGraph {
     }
 
     /// Per deployment id, whether the last
-    /// [`IncrementalGraph::apply_churn`] call touched the node: it died or joined, or it is an endpoint of an
-    /// edge the repair removed or added. Every node whose liveness or row
-    /// changed is marked (a cancelled pair may mark a few more), so a path
-    /// of unmarked nodes that was valid before the call is valid after it
-    /// — the serve path's route-cache eviction rule. All false before any
-    /// churn and after a quiescent call.
+    /// [`IncrementalGraph::apply_churn`] call touched the node: it died or
+    /// joined, or it is an endpoint of an edge the repair removed or added.
+    /// Every node whose liveness or row changed is marked (a cancelled pair
+    /// may mark a few more), so a path of unmarked nodes that was valid
+    /// before the call is valid after it — the serve path's route-cache
+    /// eviction rule. All false before any churn and after a quiescent
+    /// call.
     #[inline]
     pub fn changed(&self) -> &[bool] {
         &self.changed
@@ -602,8 +603,8 @@ impl IncrementalGraph {
 
     /// The non-UDG repair, after the alive toggles: re-select every
     /// candidate owner whose certificate holds an event and diff its old
-    /// and new emissions. `events` is `deaths` then `joins` (ranks), and `near`
-    /// marks the shards whose padded extent holds an event. Returns
+    /// and new emissions. `events` is `deaths` then `joins` (ranks), and
+    /// `near` marks the shards whose padded extent holds an event. Returns
     /// `(removed, added, candidates examined)`.
     #[allow(clippy::type_complexity)]
     fn owner_delta(

@@ -214,7 +214,7 @@ impl CellIndex {
         k: usize,
         keep: F,
     ) -> Vec<(u32, f64)> {
-        self.knn_by(points, query, k, keep, |id| id)
+        self.knn_keyed(points, query, k, keep, |id| id, |id| id)
     }
 
     /// [`CellIndex::knn_where`] with exact-distance ties broken by
@@ -230,11 +230,32 @@ impl CellIndex {
         keep: F,
         tie: T,
     ) -> Vec<(u32, f64)> {
+        self.knn_keyed(points, query, k, keep, |id| (tie(id), id), |(_, id)| id)
+    }
+
+    /// The search behind [`CellIndex::knn_where`] and [`CellIndex::knn_by`]:
+    /// members rank by `(distance², key_of(id))`, and `id_of` recovers the
+    /// id from its key.
+    fn knn_keyed<K, F, T, I>(
+        &self,
+        points: &PointSet,
+        query: Point,
+        k: usize,
+        keep: F,
+        key_of: T,
+        id_of: I,
+    ) -> Vec<(u32, f64)>
+    where
+        K: Ord + Copy,
+        F: Fn(u32) -> bool,
+        T: Fn(u32) -> K,
+        I: Fn(K) -> u32,
+    {
         if k == 0 || self.ids.is_empty() {
             return Vec::new();
         }
-        // Max-heap of the best k so far, keyed by (dist_sq, tie(id)).
-        let mut heap: std::collections::BinaryHeap<(OrdF64, u32, u32)> =
+        // Max-heap of the best k so far, keyed by (dist_sq, key).
+        let mut heap: std::collections::BinaryHeap<(OrdF64, K)> =
             std::collections::BinaryHeap::with_capacity(k + 1);
         let (qi, qj) = self.cell_coords(query);
         let max_ring = self.cols.max(self.rows);
@@ -258,7 +279,7 @@ impl CellIndex {
                         continue;
                     }
                     let d2 = points.get(id).dist_sq(query);
-                    let key = (OrdF64(d2), tie(id), id);
+                    let key = (OrdF64(d2), key_of(id));
                     if heap.len() < k {
                         heap.push(key);
                     } else if key < *heap.peek().unwrap() {
@@ -282,14 +303,14 @@ impl CellIndex {
                 }
             }
         }
-        // Order on (d², tie) — the heap's key — *before* taking square
-        // roots: distinct squared distances can collapse to the same sqrt,
-        // and ordering on the rounded value would tie-break by id where the
-        // true distances differ.
-        let mut out: Vec<(OrdF64, u32, u32)> = heap.into_vec();
+        // Order on the heap's key *before* taking square roots: distinct
+        // squared distances can collapse to the same sqrt, and ordering on
+        // the rounded value would tie-break by id where the true distances
+        // differ.
+        let mut out = heap.into_vec();
         out.sort_unstable();
         out.into_iter()
-            .map(|(d2, _, id)| (id, d2.0.sqrt()))
+            .map(|(d2, key)| (id_of(key), d2.0.sqrt()))
             .collect()
     }
 }
