@@ -424,6 +424,25 @@ mod tests {
         assert!(idx.nearest(Point::new(0.0, 0.0), None).is_none());
     }
 
+    /// Four members at exactly the same distance: `knn_where` keeps the
+    /// smallest ids, `knn_by` the smallest tie keys, and both order their
+    /// answer by the key they rank with.
+    #[test]
+    fn knn_by_breaks_exact_ties_by_its_key() {
+        let pts: PointSet = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (3.0, 3.0)]
+            .iter()
+            .map(|&(x, y)| Point::new(x, y))
+            .collect();
+        let index = CellIndex::build(&pts, 1.0);
+        let origin = Point::new(0.0, 0.0);
+        let ids = |found: Vec<(u32, f64)>| found.iter().map(|e| e.0).collect::<Vec<_>>();
+        assert_eq!(ids(index.knn_where(&pts, origin, 2, |_| true)), [0, 1]);
+        let reversed = |id: u32| 10 - id;
+        let by = index.knn_by(&pts, origin, 3, |_| true, reversed);
+        assert_eq!(ids(by.clone()), [3, 2, 1]);
+        assert!(by.iter().all(|e| e.1 == 1.0));
+    }
+
     #[test]
     fn single_point() {
         let pts: PointSet = vec![Point::new(5.0, 5.0)].into_iter().collect();
