@@ -381,7 +381,7 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
         .map(|u| !derive_seed2(seed, 0xE5, u).is_multiple_of(SWEEP_RESERVE_MOD))
         .collect();
     let nodes = points.len() as u64;
-    let mut g = IncrementalGraph::build(points, alive, kind, REPAIR_TILES);
+    let mut g = IncrementalGraph::build(points.clone(), alive, kind, REPAIR_TILES);
     let base_fp = fingerprint(g.graph());
     let shard_count = g.grid().shard_count();
 
@@ -393,7 +393,7 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
     {
         let mut deaths = Vec::new();
         let mut joins = Vec::new();
-        for (u, _) in g.points().iter_enumerated() {
+        for u in 0..points.len() as u32 {
             if g.alive()[u as usize] {
                 if derive_seed2(seed, 0xD1, u as u64) % 100 < SWEEP_KILL_PCT {
                     deaths.push(u);
@@ -403,7 +403,7 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
             }
         }
         g.apply_churn(&deaths, &joins);
-        let _ = cold_sharded_rebuild(g.points(), g.alive(), kind);
+        let _ = cold_sharded_rebuild(&points, g.alive(), kind);
         g.apply_churn(&joins, &deaths);
         assert_eq!(fingerprint(g.graph()), base_fp, "pre-warm restore diverged");
     }
@@ -422,7 +422,7 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
         // the structure to its baseline state between cycles).
         let mut deaths = Vec::new();
         let mut joins = Vec::new();
-        for (u, p) in g.points().iter_enumerated() {
+        for (u, p) in points.iter_enumerated() {
             if !region.contains(p) {
                 continue;
             }
@@ -446,8 +446,8 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
         // rungs is the same order as the rung-to-rung differences the
         // sweep exists to show.
         g.apply_churn(&deaths, &joins);
-        identical &= fingerprint(g.graph())
-            == fingerprint(&cold_sharded_rebuild(g.points(), g.alive(), kind));
+        identical &=
+            fingerprint(g.graph()) == fingerprint(&cold_sharded_rebuild(&points, g.alive(), kind));
         g.apply_churn(&joins, &deaths);
         identical &= fingerprint(g.graph()) == base_fp;
         for _ in 0..REPEATS {
@@ -460,7 +460,7 @@ fn locality_sweep_rows(kind: IncTopology, n: u64, seed: u64) -> Vec<LocalitySwee
             gathered += stats.gathered as u64;
 
             let t1 = Instant::now();
-            let rebuilt = cold_sharded_rebuild(g.points(), g.alive(), kind);
+            let rebuilt = cold_sharded_rebuild(&points, g.alive(), kind);
             reb_secs.push(t1.elapsed().as_secs_f64());
             identical &= fingerprint(g.graph()) == fingerprint(&rebuilt);
 

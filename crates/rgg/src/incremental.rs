@@ -211,8 +211,8 @@ const RESELECTED: u8 = 8;
 
 /// A churn-maintained topology over a fixed universe of points.
 ///
-/// Every field but the deployment-id views (`points`, `alive`, `changed`)
-/// is indexed by Morton rank.
+/// Every field but the deployment-id views (`alive`, `changed`) is
+/// indexed by Morton rank.
 pub struct IncrementalGraph {
     kind: IncTopology,
     grid: ShardGrid,
@@ -220,13 +220,11 @@ pub struct IncrementalGraph {
     /// of the initial alive population) — fixed for the structure's
     /// lifetime.
     halo: f64,
-    /// The universe in deployment order, and its alive mask by deployment
-    /// id: the API's views.
-    points: PointSet,
+    /// The alive mask by deployment id: the API's view.
     alive: Vec<bool>,
-    /// The same in Morton-rank order (`rank_points.get(r)` is deployment
-    /// point `to_orig[r]`, bit for bit), the points shared with the serve
-    /// readers.
+    /// The universe in Morton-rank order (`rank_points.get(r)` is
+    /// deployment point `to_orig[r]`, bit for bit), shared with the serve
+    /// readers, and the same alive mask by rank.
     rank_points: Arc<PointSet>,
     rank_alive: Vec<bool>,
     n_alive: usize,
@@ -283,23 +281,12 @@ impl IncrementalGraph {
         let levels = kind.levels(points.len());
         let (ranked, to_orig, to_rank) = PointOrder::morton(&points).into_parts();
         let rank_alive: Vec<bool> = to_orig.iter().map(|&u| alive[u as usize]).collect();
-        // The survivors the initial emission derives over, and their
-        // compact id → rank map. The UDG, Gabriel and RNG edge sets name no
-        // ids, so they derive over the survivors in rank order, walking
-        // memory in spatial order; the selection kinds break exact-distance
-        // ties by id, so they derive over the survivors in deployment order,
-        // as the cold builders do.
-        let (sub, sub_rank) = match kind {
-            IncTopology::Udg { .. } | IncTopology::Gabriel { .. } | IncTopology::Rng { .. } => {
-                compact_alive(&ranked, &rank_alive)
-            }
-            _ => {
-                let (sub, to_universe) = compact_alive(&points, &alive);
-                let ranks = to_universe.iter().map(|&u| to_rank[u as usize]).collect();
-                (sub, ranks)
-            }
-        };
-        drop(to_rank);
+        // The initial emission derives over the survivors in deployment
+        // order, as the cold builders do (selection ties break by id), and
+        // is lifted into ranks through this compact id → rank map.
+        let (sub, to_universe) = compact_alive(&points, &alive);
+        let sub_rank: Vec<u32> = to_universe.iter().map(|&u| to_rank[u as usize]).collect();
+        drop((to_universe, to_rank));
         let levels_sub = survivor_levels(&levels, &alive);
         let halo = match kind {
             IncTopology::Udg { radius }
@@ -349,7 +336,6 @@ impl IncrementalGraph {
             kind,
             grid,
             halo,
-            points,
             alive,
             rank_points: ranked,
             rank_alive,
@@ -402,10 +388,11 @@ impl IncrementalGraph {
     }
 
     /// The universe point set in deployment order (fixed; includes dead
-    /// and reserve nodes).
-    #[inline]
-    pub fn points(&self) -> &PointSet {
-        &self.points
+    /// and reserve nodes), gathered from
+    /// [`IncrementalGraph::rank_points`] on each call.
+    pub fn points(&self) -> PointSet {
+        let ranked = &self.rank_points;
+        PointSet::from_points(self.csr.to_rank().iter().map(|&r| ranked.get(r)))
     }
 
     /// The universe point set in rank order — the positions of
@@ -950,7 +937,7 @@ impl IncrementalGraph {
     /// the alive survivors, in deployment ids.
     pub fn cold_rebuild(&self) -> Csr {
         self.kind
-            .build_alive(&self.points, &self.alive, Exec::Serial)
+            .build_alive(&self.points(), &self.alive, Exec::Serial)
     }
 
     /// Edge-identity witness: the incrementally maintained CSR, read in

@@ -105,7 +105,7 @@ fn incremental_equals_cold_rebuild_across_the_matrix() {
                         assert_eq!(
                             *g.graph(),
                             g.kind()
-                                .build_alive(g.points(), g.alive(), Exec::Sharded { tiles }),
+                                .build_alive(&g.points(), g.alive(), Exec::Sharded { tiles }),
                             "{ctx}: diverged from sharded rebuild (tiles={tiles})"
                         );
                     }

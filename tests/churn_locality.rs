@@ -328,18 +328,16 @@ fn knn_far_owner_beyond_its_shard_halo_repairs_exactly() {
     // every corner node's list.
     churn_and_check(&mut g, &[], &[reserve], "corner join");
     // A death in the cluster can reach the corner nodes' lists too.
+    let points = g.points();
     let cluster_death = g
         .graph()
         .id_neighbors(reserve - 3)
-        .find(|&v| g.points().get(v).x < 10.0)
+        .find(|&v| points.get(v).x < 10.0)
         .expect("a corner node links into the cluster");
     churn_and_check(&mut g, &[cluster_death], &[], "cluster death");
     // And the edges prove it: every corner node reaches into the cluster.
     for u in [reserve - 3, reserve - 2, reserve - 1, reserve] {
-        let far = g
-            .graph()
-            .id_neighbors(u)
-            .any(|v| g.points().get(v).x < 10.0);
+        let far = g.graph().id_neighbors(u).any(|v| points.get(v).x < 10.0);
         assert!(far, "corner node {u} must link into the cluster");
     }
 }
