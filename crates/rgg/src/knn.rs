@@ -10,16 +10,7 @@ use wsn_graph::{Csr, EdgeList};
 use wsn_pointproc::PointSet;
 use wsn_spatial::GridIndex;
 
-/// Choose a grid cell size that makes k-NN searches cheap: roughly the
-/// radius expected to contain k points at the set's average density.
-fn knn_cell_size(points: &PointSet, k: usize) -> f64 {
-    let bb = points.bounding_box().unwrap();
-    let area = bb.area().max(1e-9);
-    let density = points.len() as f64 / area;
-    ((k as f64 + 1.0) / (std::f64::consts::PI * density.max(1e-9)))
-        .sqrt()
-        .clamp(1e-3, bb.width().max(bb.height()).max(1e-3))
-}
+use crate::sharded::knn_cell_size;
 
 /// The directed k-NN lists: `lists[u]` = ids of the (up to) k nearest
 /// neighbours of `u`, ordered by increasing distance.

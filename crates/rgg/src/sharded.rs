@@ -482,15 +482,19 @@ fn yao_runs(
     })
 }
 
-/// Grid cell size for k-NN searches (same heuristic as the monolithic
-/// builder: roughly the radius expected to contain k points).
+/// Grid cell size for k-NN searches: roughly the radius expected to
+/// contain k points at the set's mean density. A set whose bounding box is
+/// far thinner than its mean spacing (an axis-aligned line has zero area)
+/// is sized as a strip one mean spacing wide, so its cells still hold
+/// about k points instead of shrinking to the clamp.
 pub(crate) fn knn_cell_size(points: &PointSet, k: usize) -> f64 {
     let bb = points.bounding_box().unwrap();
-    let area = bb.area().max(1e-9);
+    let side = bb.width().max(bb.height());
+    let area = bb.area().max(side * side / points.len() as f64).max(1e-9);
     let density = points.len() as f64 / area;
     ((k as f64 + 1.0) / (std::f64::consts::PI * density.max(1e-9)))
         .sqrt()
-        .clamp(1e-3, bb.width().max(bb.height()).max(1e-3))
+        .clamp(1e-3, side.max(1e-3))
 }
 
 /// The halo radius the sharded k-NN builder pads shards with (3× the

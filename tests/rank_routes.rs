@@ -7,7 +7,7 @@
 //! the same parents, the same paths, hence the same battery debits in the
 //! lifetime engine and the same served routes. This suite pins that on
 //! layouts full of equal-length routes — the unit lattice at r = 1 and at
-//! r = √2, a collinear strip and coincident stacks — for every plain kind
+//! r = √2, collinear strips and coincident stacks — for every plain kind
 //! over several churn epochs: the guided path on `g.graph()` between the
 //! ranks of an alive pair, mapped back through `to_orig`, must equal
 //! `bfs::path` on `cold_rebuild()`. Deployment ids are hash-shuffled
@@ -62,13 +62,14 @@ fn lattice(side: u32) -> impl Iterator<Item = Point> {
     (0..side).flat_map(move |j| (0..side).map(move |i| Point::new(i as f64, j as f64)))
 }
 
-/// The layouts: name, points, threshold radius. The strip runs along the
-/// slope 4/3 with integer coordinates, so every gap is exactly 5 and every
-/// second neighbour sits exactly on the radius 10; a tilted strip keeps a
-/// bounding box of positive area, which the k-NN cell heuristics size
-/// their grids from.
+/// The layouts: name, points, threshold radius. Both strips have integer
+/// coordinates with every gap exactly 5, so every second neighbour sits
+/// exactly on the radius 10: one runs along the x axis (a bounding box of
+/// zero area, which the k-NN grids must still size sensibly), the other
+/// along the slope 4/3.
 fn layouts() -> Vec<(&'static str, PointSet, f64)> {
-    let strip = (0..120).map(|i| Point::new(3.0 * i as f64, 4.0 * i as f64));
+    let strip = (0..120).map(|i| Point::new(5.0 * i as f64, 0.0));
+    let tilted = (0..120).map(|i| Point::new(3.0 * i as f64, 4.0 * i as f64));
     let stacks = lattice(6).flat_map(|p| [p; 3]);
     vec![
         ("lattice r=1", shuffled(lattice(14), 1), 1.0),
@@ -78,6 +79,7 @@ fn layouts() -> Vec<(&'static str, PointSet, f64)> {
             std::f64::consts::SQRT_2,
         ),
         ("collinear strip", shuffled(strip, 3), 10.0),
+        ("tilted strip", shuffled(tilted, 5), 10.0),
         ("coincident stacks", shuffled(stacks, 4), 1.0),
     ]
 }
@@ -86,7 +88,7 @@ fn layouts() -> Vec<(&'static str, PointSet, f64)> {
 /// the dead ones join.
 fn churn(g: &IncrementalGraph, seed: u64, epoch: u64) -> (Vec<u32>, Vec<u32>) {
     let (mut deaths, mut joins) = (Vec::new(), Vec::new());
-    for u in 0..g.points().len() as u32 {
+    for u in 0..g.alive().len() as u32 {
         let h = derive_seed2(seed, epoch, u as u64);
         match g.alive()[u as usize] {
             true if h.is_multiple_of(10) => deaths.push(u),
@@ -104,7 +106,7 @@ fn assert_routes_match(g: &IncrementalGraph, seed: u64, ctx: &str) {
     let csr = g.graph();
     let (to_rank, to_orig) = (csr.to_rank(), csr.to_orig());
     let pos = g.rank_points();
-    let alive: Vec<u32> = (0..g.points().len() as u32)
+    let alive: Vec<u32> = (0..g.alive().len() as u32)
         .filter(|&u| g.alive()[u as usize])
         .collect();
     if alive.is_empty() {
