@@ -277,8 +277,9 @@ impl IncrementalGraph {
         if let IncTopology::Yao { cones, .. } = kind {
             assert!(cones >= 1, "need at least one cone");
         }
+        let n = points.len();
         let n_alive = alive.iter().filter(|&&a| a).count();
-        let levels = kind.levels(points.len());
+        let levels = kind.levels(n);
         let (ranked, to_orig, to_rank) = PointOrder::morton(&points).into_parts();
         let rank_alive: Vec<bool> = to_orig.iter().map(|&u| alive[u as usize]).collect();
         // The initial emission derives over the survivors in deployment
@@ -286,7 +287,9 @@ impl IncrementalGraph {
         // is lifted into ranks through this compact id → rank map.
         let (sub, to_universe) = compact_alive(&points, &alive);
         let sub_rank: Vec<u32> = to_universe.iter().map(|&u| to_rank[u as usize]).collect();
-        drop((to_universe, to_rank));
+        let bbox = points.bounding_box();
+        // From here on the graph reads only the rank-ordered copy.
+        drop((points, to_universe, to_rank));
         let levels_sub = survivor_levels(&levels, &alive);
         let halo = match kind {
             IncTopology::Udg { radius }
@@ -300,9 +303,7 @@ impl IncrementalGraph {
             IncTopology::Knn { k } => knn_halo(&sub, k.max(1)),
             IncTopology::Hng { links, .. } => hng_halo(&sub, &levels_sub, links.max(1)),
         };
-        let bbox = points
-            .bounding_box()
-            .unwrap_or_else(|| Aabb::square(halo.max(1.0)));
+        let bbox = bbox.unwrap_or_else(|| Aabb::square(halo.max(1.0)));
         let grid = if tiles_per_shard == WHOLE_WINDOW {
             ShardGrid::whole(&bbox)
         } else {
@@ -330,7 +331,7 @@ impl IncrementalGraph {
         drop((sub, sub_rank));
         let chunk_of: Vec<u32> = ranked.iter().map(|p| grid.owner_of(p) as u32).collect();
         let csr = ChunkedCsr::build_ranked(grid.shard_count(), &chunk_of, to_orig, runs);
-        let changed = vec![false; points.len()];
+        let changed = vec![false; n];
 
         let mut g = IncrementalGraph {
             kind,
