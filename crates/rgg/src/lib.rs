@@ -59,7 +59,7 @@ pub use ordered::Exec;
 pub use rng_graph::build_rng;
 pub use sharded::{
     build_gabriel_sharded, build_knn_sharded, build_rng_sharded, build_udg_sharded,
-    build_yao_sharded, knn_halo, knn_lists_sharded, WHOLE_WINDOW,
+    build_yao_sharded, knn_halo, knn_lists_sharded, mean_spacing, WHOLE_WINDOW,
 };
 pub use udg::{build_udg, build_udg_torus};
 pub use yao::{build_yao, yao_out_lists};

@@ -488,13 +488,31 @@ fn yao_runs(
 /// is sized as a strip one mean spacing wide, so its cells still hold
 /// about k points instead of shrinking to the clamp.
 pub(crate) fn knn_cell_size(points: &PointSet, k: usize) -> f64 {
-    let bb = points.bounding_box().unwrap();
-    let side = bb.width().max(bb.height());
-    let area = bb.area().max(side * side / points.len() as f64).max(1e-9);
-    let density = points.len() as f64 / area;
+    let (side, area) = spread(points);
+    let density = points.len() as f64 / area.max(1e-9);
     ((k as f64 + 1.0) / (std::f64::consts::PI * density.max(1e-9)))
         .sqrt()
         .clamp(1e-3, side.max(1e-3))
+}
+
+/// Mean spacing of a point set: the side of the square each point has to
+/// itself at the mean density the k-NN cell size uses (so a zero-area layout
+/// counts as a strip one spacing wide); 0 for an empty set. A grid whose
+/// cells are no smaller has at most about three cells per point.
+pub fn mean_spacing(points: &PointSet) -> f64 {
+    if points.is_empty() {
+        return 0.0;
+    }
+    (spread(points).1 / points.len() as f64).sqrt()
+}
+
+/// The side of a non-empty set's bounding box, and the area its mean
+/// density is taken over: the box's, or for a box far thinner than the
+/// mean spacing, a strip one spacing wide.
+fn spread(points: &PointSet) -> (f64, f64) {
+    let bb = points.bounding_box().unwrap();
+    let side = bb.width().max(bb.height());
+    (side, bb.area().max(side * side / points.len() as f64))
 }
 
 /// The halo radius the sharded k-NN builder pads shards with (3× the

@@ -33,14 +33,19 @@
 //! edge-length bound — see [`wsn_graph::bfs`] — between the Morton ranks
 //! the CSR's nodes are, with the graph's rank-ordered positions; the path
 //! is mapped back to deployment ids), k nearest *alive* sensors,
-//! coverage at a probe point, and component/giant membership. Routes go
-//! through a per-client LRU cache; at each epoch boundary the cache drops
-//! every entry whose path holds a node the repair changed
-//! ([`wsn_rgg::IncrementalGraph::changed`]) and promotes the rest. An
-//! unchanged node kept its liveness and its whole row, so every hop of a
-//! path of unchanged nodes still exists: a served route is always *valid*
-//! on the snapshot it is served from, though a promoted one may be
-//! stale-optimal.
+//! coverage at a probe point, and component/giant membership. The spatial
+//! kinds read one grid index over the universe, built once per run with
+//! cells the smaller query radius wide (floored at the mean spacing): a
+//! route's destination candidates and a coverage count are one disk scan,
+//! and k-NN is the index's exact ring search with the snapshot's alive
+//! mask as its filter, so a query reads the cells around its probe and
+//! never the whole universe. Routes go through a per-client LRU cache; at
+//! each epoch boundary the cache drops every entry whose path holds a node
+//! the repair changed ([`wsn_rgg::IncrementalGraph::changed`]) and
+//! promotes the rest. An unchanged node kept its liveness and its whole
+//! row, so every hop of a path of unchanged nodes still exists: a served
+//! route is always *valid* on the snapshot it is served from, though a
+//! promoted one may be stale-optimal.
 //!
 //! ## Determinism contract
 //!
@@ -65,7 +70,7 @@ use wsn_graph::bfs::BfsScratch;
 use wsn_graph::components::connected_components;
 use wsn_graph::{fingerprint, run_lockstep, ChunkedCsr};
 use wsn_pointproc::PointSet;
-use wsn_rgg::{IncTopology, IncrementalGraph};
+use wsn_rgg::{mean_spacing, IncTopology, IncrementalGraph};
 use wsn_spatial::GridIndex;
 
 /// Seed stream of the query workload (distinct from the churn engine's
@@ -130,7 +135,9 @@ impl ServeConfig {
 
     /// Whether the service can run this configuration: at least one
     /// reader, one client and one epoch, finite positive route and coverage
-    /// radii (they size the query index's cells), incremental repair (the
+    /// radii (the smaller one sizes the query grid's cells, floored at the
+    /// universe's mean spacing, so even a tiny radius gets a grid of a few
+    /// cells per point at most), incremental repair (the
     /// service maintains an [`wsn_rgg::IncrementalGraph`] and publishes its
     /// changed nodes), and a valid churn schedule.
     pub fn validate(&self) -> Result<(), ServeConfigError> {
@@ -436,8 +443,8 @@ pub struct ServeReport {
 
 /// The read-only query context every reader shares.
 struct Engine<'a> {
+    /// The universe's positions, indexed at [`query_cell`].
     index: GridIndex<'a>,
-    points: &'a PointSet,
     /// The positions of the snapshot CSR's nodes (Morton ranks).
     rank_points: Arc<PointSet>,
     window: Aabb,
@@ -488,7 +495,6 @@ impl Engine<'_> {
     ) {
         let Engine {
             index,
-            points,
             rank_points,
             window,
             cfg,
@@ -523,8 +529,11 @@ impl Engine<'_> {
                     };
                     let src = snap.alive_ids[pick(derive_seed2(cseed, qi, 1), pool)];
                     in_disk.clear();
-                    index.in_disk(points.get(src), cfg.route_radius, &mut in_disk);
-                    in_disk.retain(|&u| snap.alive[u as usize] && u != src);
+                    index.for_each_in_disk(index.points().get(src), cfg.route_radius, |u, _| {
+                        if snap.alive[u as usize] && u != src {
+                            in_disk.push(u);
+                        }
+                    });
                     in_disk.sort_unstable();
                     let dst = if in_disk.is_empty() {
                         src
@@ -556,8 +565,7 @@ impl Engine<'_> {
                     // k nearest alive sensors to a probe point.
                     let q = sample_point(window, derive_seed2(cseed, qi, 3));
                     let k = 1 + (derive_seed2(cseed, qi, 4) % cfg.knn_max.max(1) as u64) as usize;
-                    let ids =
-                        k_nearest_alive(index, points, &snap.alive, q, k, cfg.coverage_radius);
+                    let ids = k_nearest_alive(index, &snap.alive, q, k);
                     state.absorb(path_word(Some(&ids)));
                 }
                 4 => {
@@ -594,38 +602,27 @@ fn sample_point(window: &Aabb, h: u64) -> Point {
     )
 }
 
-/// k nearest *alive* sensors by expanding-ring search over the universe
-/// index (ties broken by id; fully deterministic).
-fn k_nearest_alive(
-    index: &GridIndex,
-    points: &PointSet,
-    alive: &[bool],
-    q: Point,
-    k: usize,
-    r0: f64,
-) -> Vec<u32> {
-    let mut r = r0.max(1e-9);
-    let diag = {
-        let bb = index.points().bounding_box();
-        bb.map_or(1.0, |b| b.width().hypot(b.height()))
-    };
-    let mut ids: Vec<u32> = Vec::new();
-    loop {
-        ids.clear();
-        index.for_each_in_disk(q, r, |u, _| {
-            if alive[u as usize] {
-                ids.push(u);
-            }
-        });
-        if ids.len() >= k || r > diag {
-            break;
-        }
-        r *= 2.0;
-    }
-    let mut with_d: Vec<(f64, u32)> = ids.iter().map(|&u| (q.dist_sq(points.get(u)), u)).collect();
-    with_d.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    with_d.truncate(k);
-    with_d.into_iter().map(|(_, u)| u).collect()
+/// The `k` nearest *alive* sensors to `q` (fewer when fewer are alive),
+/// by the index's exact ring search, ordered by `(distance², id)`.
+fn k_nearest_alive(index: &GridIndex, alive: &[bool], q: Point, k: usize) -> Vec<u32> {
+    index
+        .knn_where(q, k, |u| alive[u as usize])
+        .into_iter()
+        .map(|(u, _)| u)
+        .collect()
+}
+
+/// The query grid's cell side: the smaller query radius, floored at the
+/// universe's mean spacing. No answer depends on it — route destinations
+/// are sorted before the draw, coverage is a count and k-NN is ordered by
+/// `(distance², id)` — so it is chosen for speed alone: cells about one
+/// coverage disk wide keep the coverage probe to a few cells and a k-NN
+/// search to the few rings around its probe, and the floor keeps a tiny
+/// radius from asking for far more cells than points.
+fn query_cell(points: &PointSet, cfg: &ServeConfig) -> f64 {
+    cfg.route_radius
+        .min(cfg.coverage_radius)
+        .max(mean_spacing(points))
 }
 
 /// Run the service: writer repairs and publishes, `cfg.readers` threads
@@ -666,10 +663,8 @@ fn run_service(
         Maintained::plain(points, initial_alive, kind, RepairMode::Incremental, tiles)
     });
     let window = points.bounding_box().unwrap_or_else(|| Aabb::square(1.0));
-    let cell = cfg.route_radius.max(cfg.coverage_radius);
     let engine = Engine {
-        index: GridIndex::build(points, cell),
-        points,
+        index: GridIndex::build(points, query_cell(points, cfg)),
         rank_points: Arc::clone(stepper.incremental().rank_points()),
         window,
         cfg,
@@ -828,6 +823,21 @@ mod tests {
         assert_eq!(cfg.validate(), Err(ServeConfigError::RouteRadius(0.0)));
     }
 
+    /// Tiny radii size the query grid by the mean spacing, not by the
+    /// radius: a 1e-6 cell over this window would be ~4·10¹³ cells.
+    #[test]
+    fn tiny_radii_serve_on_a_grid_of_a_few_cells_per_point() {
+        let (pts, alive) = universe(16, 6.0, 20.0, 0.2);
+        let mut cfg = small_cfg(2, 2);
+        (cfg.route_radius, cfg.coverage_radius) = (1e-6, 1e-6);
+        let kind = IncTopology::Udg { radius: 1.0 };
+        let serve = run_serve(&pts, &alive, kind, &cfg);
+        let replay = run_replay(&pts, &alive, kind, &cfg);
+        assert_eq!(serve.client_digests, replay.client_digests);
+        assert_eq!(serve.epoch_fingerprints, replay.epoch_fingerprints);
+        assert_eq!(serve.errors, 0);
+    }
+
     #[test]
     fn serve_matches_replay_on_a_small_network() {
         let (pts, alive) = universe(11, 8.0, 18.0, 0.2);
@@ -905,10 +915,61 @@ mod tests {
         pts.push(Point::new(5.0, 5.0));
         let index = GridIndex::build(&pts, 1.0);
         let alive = vec![true, true, true, true];
-        let got = k_nearest_alive(&index, &pts, &alive, Point::new(0.0, 0.0), 3, 0.5);
+        let got = k_nearest_alive(&index, &alive, Point::new(0.0, 0.0), 3);
         assert_eq!(got, vec![0, 1, 2]);
         let dead = vec![false, true, true, true];
-        let got = k_nearest_alive(&index, &pts, &dead, Point::new(0.0, 0.0), 2, 0.5);
+        let got = k_nearest_alive(&index, &dead, Point::new(0.0, 0.0), 2);
         assert_eq!(got, vec![1, 2]);
+    }
+
+    /// The served k-NN equals a brute-force `(distance², id)` sort over the
+    /// alive ids, at every index cell size: on a Poisson layout and a unit
+    /// grid (distance ties at every radius), for alive masks from all down
+    /// to one, k past the alive count, and probes on cell boundaries and
+    /// at the window's corners.
+    #[test]
+    fn k_nearest_alive_matches_brute_force_at_every_cell_size() {
+        let (poisson, _) = universe(17, 6.0, 6.0, 0.0);
+        let grid: PointSet = (0..144)
+            .map(|i| Point::new((i % 12) as f64, (i / 12) as f64))
+            .collect();
+        for pts in [&poisson, &grid] {
+            let n = pts.len();
+            let bb = pts.bounding_box().unwrap();
+            let served = query_cell(pts, &small_cfg(1, 1));
+            let cells = [served, 0.37, 1.0, 2.5];
+            let mut probes = vec![bb.min, bb.max, Point::new(bb.min.x, bb.max.y)];
+            probes.push(Point::new(bb.max.x, bb.min.y));
+            for &c in &cells {
+                for t in [1.0, 2.0, 3.0] {
+                    probes.push(Point::new(bb.min.x + t * c, bb.min.y + 2.0 * c));
+                    probes.push(Point::new(bb.min.x + 0.5 * c, bb.min.y + t * c));
+                }
+            }
+            for i in 0..6 {
+                probes.push(sample_point(&bb, mix64(0x9e37 ^ i)));
+            }
+            let indexes: Vec<GridIndex> = cells.iter().map(|&c| GridIndex::build(pts, c)).collect();
+            for keep in [1.0, 0.5, 0.1, 0.0] {
+                let mut alive: Vec<bool> = (0..n as u64)
+                    .map(|u| u01(mix64(0xa11e ^ u)) < keep)
+                    .collect();
+                alive[n / 2] = true;
+                let ids: Vec<u32> = (0..n as u32).filter(|&u| alive[u as usize]).collect();
+                for &q in &probes {
+                    let mut by_d: Vec<(f64, u32)> =
+                        ids.iter().map(|&u| (q.dist_sq(pts.get(u)), u)).collect();
+                    by_d.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                    let ks = [1, 2, 3, 5, 8, ids.len(), ids.len() + 1, ids.len() + 7];
+                    for k in ks {
+                        let want: Vec<u32> = by_d.iter().take(k).map(|e| e.1).collect();
+                        for (index, c) in indexes.iter().zip(cells) {
+                            let got = k_nearest_alive(index, &alive, q, k);
+                            assert_eq!(got, want, "n {n} keep {keep} q {q:?} k {k} cell {c}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

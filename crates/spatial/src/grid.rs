@@ -254,9 +254,10 @@ impl CellIndex {
         if k == 0 || self.ids.is_empty() {
             return Vec::new();
         }
-        // Max-heap of the best k so far, keyed by (dist_sq, key).
+        // Max-heap of the best k so far, keyed by (dist_sq, key); it never
+        // holds more than the members, whatever `k` the caller asks for.
         let mut heap: std::collections::BinaryHeap<(OrdF64, K)> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
+            std::collections::BinaryHeap::with_capacity(k.min(self.ids.len()) + 1);
         let (qi, qj) = self.cell_coords(query);
         let max_ring = self.cols.max(self.rows);
 
@@ -391,8 +392,18 @@ impl<'p> GridIndex<'p> {
     /// when the set is small. Ties are broken deterministically by
     /// `(distance, id)`.
     pub fn knn(&self, query: Point, k: usize, skip: Option<u32>) -> Vec<(u32, f64)> {
-        self.cells
-            .knn_where(self.points, query, k, |id| Some(id) != skip)
+        self.knn_where(query, k, |id| Some(id) != skip)
+    }
+
+    /// The `k` nearest points of `query` that `keep` accepts: see
+    /// [`CellIndex::knn_where`].
+    pub fn knn_where<F: Fn(u32) -> bool>(
+        &self,
+        query: Point,
+        k: usize,
+        keep: F,
+    ) -> Vec<(u32, f64)> {
+        self.cells.knn_where(self.points, query, k, keep)
     }
 
     /// Nearest neighbour (excluding `skip`), if any.
@@ -441,6 +452,21 @@ mod tests {
         let by = index.knn_by(&pts, origin, 3, |_| true, reversed);
         assert_eq!(ids(by.clone()), [3, 2, 1]);
         assert!(by.iter().all(|e| e.1 == 1.0));
+    }
+
+    /// `k = usize::MAX` returns every accepted member in `(d², id)` order
+    /// (the heap is sized by the members, so nothing overflows).
+    #[test]
+    fn knn_where_with_unbounded_k_returns_every_member() {
+        let pts: PointSet = [(2.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 2.0)]
+            .iter()
+            .map(|&(x, y)| Point::new(x, y))
+            .collect();
+        let idx = GridIndex::build(&pts, 1.0);
+        let got = idx.knn_where(Point::new(0.0, 0.0), usize::MAX, |_| true);
+        assert_eq!(got, [(1, 1.0), (2, 1.0), (0, 2.0), (3, 2.0)]);
+        let odd = idx.knn_where(Point::new(0.0, 0.0), usize::MAX, |id| id % 2 == 1);
+        assert_eq!(odd, [(1, 1.0), (3, 2.0)]);
     }
 
     #[test]
