@@ -18,12 +18,12 @@
 //! that is the configuration the golden files pin. Byte-identical output at
 //! any `RAYON_NUM_THREADS` is part of the contract `check` verifies.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use wsn_bench::gate::{self, BenchDoc};
 use wsn_bench::lifetime::LifetimeBenchReport;
-use wsn_bench::paths::default_output_path;
+use wsn_bench::paths::{bench_output_path, default_output_path};
 use wsn_bench::pipeline::BenchReport;
 use wsn_bench::serve::ServeBenchReport;
 use wsn_bench::table::{f, Table};
@@ -115,7 +115,7 @@ fn usage() -> ! {
          \x20 --quick         run the quick (smoke) profile      [run, bench*]\n\
          \x20 --seed N        base seed, default 0xC0FFEE        [run, bench*, serve]\n\
          \x20 --out PATH      JSON output: report dir for `run`,\n\
-         \x20                 output file for `bench*`           [run, bench*]\n\
+         \x20                 output file or dir for `bench*`    [run, bench*]\n\
          \x20 --golden-dir D  golden directory, default tests/golden\n\
          \x20 --baseline P    committed bench JSON               [gate*]\n\
          \x20 --fresh P       freshly measured bench JSON        [gate*]\n\
@@ -313,54 +313,63 @@ fn cmd_goldens(args: &Args, bless: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Shared tail of the bench emitters: pretty-print to the (runtime-
-/// resolved) default path or the `--out` override.
-fn write_bench_json<T: serde::Serialize>(args: &Args, default_name: &str, report: &T) {
-    let path = args
-        .out_dir
-        .clone()
-        .unwrap_or_else(|| default_output_path(default_name));
+/// Shared head of the bench emitters: no presets, and an output path
+/// resolved before any work (see [`bench_output_path`]). `Err` is the
+/// exit code of a refused run, its reason already printed.
+fn bench_setup(args: &Args, cmd: &str, default_name: &str) -> Result<PathBuf, ExitCode> {
+    if !args.presets.is_empty() || args.all {
+        eprintln!("`{cmd}` takes no presets (it has its own topology × size grid)");
+        return Err(ExitCode::from(2));
+    }
+    bench_output_path(args.out_dir.as_deref(), default_name).map_err(|e| {
+        eprintln!("{cmd}: {e}");
+        ExitCode::from(2)
+    })
+}
+
+/// Shared tail of the bench emitters: pretty-print to `path`.
+fn write_bench_json<T: serde::Serialize>(path: &Path, report: &T) {
     let mut json = serde_json::to_string_pretty(report).expect("bench serialisation is total");
     json.push('\n');
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("wrote {}", path.display());
 }
 
 /// `bench`: measure the sharded pipeline against the monolithic builders
 /// and write the machine-readable baseline.
 fn cmd_bench(args: &Args) -> ExitCode {
-    if !args.presets.is_empty() || args.all {
-        eprintln!("`bench` takes no presets (it has its own topology × size grid)");
-        return ExitCode::from(2);
-    }
+    let path = match bench_setup(args, "bench", "BENCH_pipeline.json") {
+        Ok(path) => path,
+        Err(code) => return code,
+    };
     let seed = args.seed.unwrap_or(DEFAULT_SEED);
     let report = wsn_bench::pipeline::run_pipeline_bench(args.quick, seed);
-    write_bench_json(args, "BENCH_pipeline.json", &report);
+    write_bench_json(&path, &report);
     ExitCode::SUCCESS
 }
 
 /// `bench-lifetime`: incremental-vs-rebuild churn repair economics.
 fn cmd_bench_lifetime(args: &Args) -> ExitCode {
-    if !args.presets.is_empty() || args.all {
-        eprintln!("`bench-lifetime` takes no presets (it has its own topology × size grid)");
-        return ExitCode::from(2);
-    }
+    let path = match bench_setup(args, "bench-lifetime", "BENCH_lifetime.json") {
+        Ok(path) => path,
+        Err(code) => return code,
+    };
     let seed = args.seed.unwrap_or(DEFAULT_SEED);
     let report = wsn_bench::lifetime::run_lifetime_bench(args.quick, seed);
-    write_bench_json(args, "BENCH_lifetime.json", &report);
+    write_bench_json(&path, &report);
     ExitCode::SUCCESS
 }
 
 /// `bench-serve`: topology-service throughput per reader count, every row
 /// digest-checked against the single-threaded replay oracle.
 fn cmd_bench_serve(args: &Args) -> ExitCode {
-    if !args.presets.is_empty() || args.all {
-        eprintln!("`bench-serve` takes no presets (it has its own topology × size grid)");
-        return ExitCode::from(2);
-    }
+    let path = match bench_setup(args, "bench-serve", "BENCH_serve.json") {
+        Ok(path) => path,
+        Err(code) => return code,
+    };
     let seed = args.seed.unwrap_or(DEFAULT_SEED);
     let report = wsn_bench::serve::run_serve_bench(args.quick, seed);
-    write_bench_json(args, "BENCH_serve.json", &report);
+    write_bench_json(&path, &report);
     ExitCode::SUCCESS
 }
 

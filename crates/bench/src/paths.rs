@@ -44,9 +44,54 @@ pub fn default_output_path(file_name: &str) -> PathBuf {
     }
 }
 
+/// Where a bench writes its document, resolved before the run so that a
+/// bad `--out` fails in milliseconds, not after the whole measurement: no
+/// override means [`default_output_path`]; an existing directory gets
+/// `default_name` inside it; a file path needs an existing parent
+/// directory, else the error names it.
+pub fn bench_output_path(out: Option<&Path>, default_name: &str) -> Result<PathBuf, String> {
+    let Some(out) = out else {
+        return Ok(default_output_path(default_name));
+    };
+    if out.is_dir() {
+        return Ok(out.join(default_name));
+    }
+    match out.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() && !dir.is_dir() => Err(format!(
+            "--out {}: directory {} does not exist",
+            out.display(),
+            dir.display()
+        )),
+        _ => Ok(out.to_path_buf()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_output_path_resolves_before_the_run() {
+        let dir = std::env::temp_dir().join(format!("wsn-bench-out-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let name = "BENCH_x.json";
+        assert_eq!(bench_output_path(None, name), Ok(default_output_path(name)));
+        // A directory gets the default name inside it.
+        assert_eq!(bench_output_path(Some(&dir), name), Ok(dir.join(name)));
+        // A file path in an existing directory, or a bare file name, as is.
+        let file = dir.join("mine.json");
+        assert_eq!(bench_output_path(Some(&file), name), Ok(file));
+        let bare = Path::new("mine.json");
+        assert_eq!(bench_output_path(Some(bare), name), Ok(bare.to_path_buf()));
+        // A missing parent directory is an error that names it.
+        let missing = dir.join("absent").join("mine.json");
+        let err = bench_output_path(Some(&missing), name).unwrap_err();
+        assert!(
+            err.contains(&dir.join("absent").display().to_string()),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn resolves_the_enclosing_workspace_at_runtime() {

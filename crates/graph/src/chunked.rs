@@ -4,11 +4,11 @@
 //! The monolithic [`Csr`] packs every neighbour list into one flat arena,
 //! so replacing *one* shard's edges means rebuilding the whole structure —
 //! O(n + m) per churned epoch no matter how local the churn was.
-//! [`ChunkedCsr`] removes that floor. Nodes are grouped by **chunk** (the
-//! caller's repair shard), and each chunk owns a buffer no other chunk
-//! shares: its nodes' rows back to back in node order, each a length
-//! header followed by the neighbours, plus one emission multiplicity per
-//! entry. A per-node record names the node's chunk and where its row
+//! [`ChunkedCsr`] removes that floor. Nodes are grouped by **chunk** (a
+//! shard of the caller's plan, which sizes only the chunks), and each
+//! chunk owns a buffer no other chunk shares: its nodes' rows back to back
+//! in node order, each a length header followed by the neighbours, plus
+//! one emission multiplicity per entry. A per-node record names the node's chunk and where its row
 //! starts, so [`ChunkedCsr::neighbors`] reads one record, one chunk header
 //! and the row, whose length sits on the row's first cache line.
 //!
@@ -57,15 +57,15 @@
 //! Two representation details make the splice exact for every topology:
 //!
 //! * **Emission multiplicities.** The k-NN and Yao builders emit one
-//!   canonical edge from *both* endpoints, possibly from different shards.
-//!   Each entry therefore carries the count of emissions backing it: a
-//!   dirty shard withdrawing its emission of `(u, v)` decrements the count,
-//!   and the edge survives while another emission still backs it.
-//! * **Delta addressing by endpoint, not by emitter.** A dirty shard's
-//!   re-derivation can change lists of nodes owned by *clean* shards (the
-//!   far endpoint of a cross-shard edge). The delta is expanded into
-//!   directed half-edges and routed to each endpoint's chunk, so exactly
-//!   the affected chunks rewrite — whether or not churn marked them dirty.
+//!   canonical edge from *both* endpoints, possibly from different chunks.
+//!   Each entry therefore carries the count of emissions backing it: an
+//!   owner withdrawing its emission of `(u, v)` decrements the count, and
+//!   the edge survives while another emission still backs it.
+//! * **Delta addressing by endpoint, not by emitter.** An owner's new
+//!   selection changes the row of each far endpoint too, which may live in
+//!   another chunk. The delta is expanded into directed half-edges and
+//!   routed to each endpoint's chunk, so exactly the affected chunks
+//!   rewrite.
 
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::Arc;

@@ -20,7 +20,6 @@
 //! * [`order`] — Morton (Z-order) and explicit point reorderings with
 //!   rank ↔ original-id maps, the cache-layout substrate of the ordered
 //!   builders.
-//! * [`window`] — simulation windows with optional torus wrap-around.
 
 pub mod matern;
 pub mod order;
@@ -28,11 +27,9 @@ pub mod points;
 pub mod poisson;
 pub mod ppp;
 pub mod rng;
-pub mod window;
 
 pub use order::PointOrder;
 pub use points::PointSet;
 pub use poisson::sample_poisson;
 pub use ppp::{sample_binomial_window, sample_poisson_window};
 pub use rng::{rng_from_seed, SimRng};
-pub use window::Window;

@@ -17,17 +17,16 @@
 //!   [`IncrementalGraph::points`] and [`IncrementalGraph::cold_rebuild`].
 //! * Inside, everything lives in **Morton-rank space**: the universe is
 //!   laid out once in Z-order ([`PointOrder::morton`]), and the maintained
-//!   CSR's rows, the repair's points, alive mask, resident lists, selection
-//!   indexes and HNG levels are all rank-indexed, so a traversal or a
-//!   repair reads memory in spatial order. [`IncrementalGraph::graph`] is
-//!   that rank-space graph. Its rows hold ranks **sorted by the
-//!   neighbours' deployment ids** ([`ChunkedCsr`]), so every traversal
-//!   visits nodes in the order it would on the deployment-id graph, and
-//!   its equality and fingerprint read through the rank → deployment-id
-//!   map. Selection ties at exactly equal distances (k-NN, Yao, HNG) still
-//!   break by deployment id, as in the cold builders; the Gabriel and RNG
-//!   edge sets are symmetric, so those kinds assign each edge to its
-//!   smaller-*rank* endpoint.
+//!   CSR's rows, the repair's points, alive mask, universe indexes and HNG
+//!   levels are all rank-indexed, so a traversal or a repair reads memory
+//!   in spatial order. [`IncrementalGraph::graph`] is that rank-space
+//!   graph. Its rows hold ranks **sorted by the neighbours' deployment
+//!   ids** ([`ChunkedCsr`]), so every traversal visits nodes in the order
+//!   it would on the deployment-id graph, and its equality and fingerprint
+//!   read through the rank → deployment-id map. Selection ties at exactly
+//!   equal distances (k-NN, Yao, HNG) still break by deployment id, as in
+//!   the cold builders; the Gabriel and RNG edge sets are symmetric, so
+//!   those kinds assign each edge to its smaller-*rank* endpoint.
 //! * Every repair is **byte-identical to a cold rebuild** — the survivors
 //!   built through the one cold-build dispatch,
 //!   [`IncTopology::build_alive`] — asserted by
@@ -35,10 +34,10 @@
 //!   oracle), the churn engine's debug path, and
 //!   `tests/churn_incremental.rs` / `tests/churn_locality.rs`.
 //! * The UDG repairs from the events alone: a death withdraws its current
-//!   CSR row, and a join adds the alive nodes inside its disk, found by
-//!   scanning the resident lists of the shards whose padded extent holds
-//!   it with the derivation's `dist² ≤ r²` predicate. Disk membership
-//!   depends on the two endpoints alone, so no other node is re-examined.
+//!   CSR row, and a join adds the alive nodes inside its disk, found by a
+//!   disk query on the universe index with the derivation's `dist² ≤ r²`
+//!   predicate. Disk membership depends on the two endpoints alone, so no
+//!   other node is re-examined.
 //! * Every other kind repairs per **owner**. An owner's emissions are its
 //!   selections: the Gabriel/RNG edges to larger ids it keeps, its Yao
 //!   cone minima, its k nearest, its HNG uplink rungs and clique. Each
@@ -49,20 +48,22 @@
 //!   distance for k-NN, and each rung's `links`-th distance for HNG (only
 //!   nodes of level `≥ j` compete in rung `j`). A change of the HNG top
 //!   level or its clique re-selects every owner at or above it.
-//! * The owners an event can reach are the residents of the shards whose
-//!   ghost-padded extent holds it, plus the *far* owners whose k-NN or HNG
-//!   certificate ball pokes past their own interior margin of their shard's
-//!   padded extent (kept as a short list between repairs). Each candidate
-//!   reads its current selection off its CSR row — every selection is an
-//!   edge, and every other neighbour ranks after the selections it
-//!   competes with — and only the candidates whose certificate holds an
-//!   event are re-selected against the alive universe, through indexes
-//!   built once over the fixed universe (per level for HNG, whose levels
-//!   never change) and queried with the alive mask. The emission delta of
-//!   each re-selected owner goes to [`ChunkedCsr::splice`], whose per-entry
+//! * The owners an event can reach are the universe nodes within the
+//!   `halo` of it — one disk query each on the universe index — plus the
+//!   *far* owners, whose k-NN or HNG certificate ball is wider than the
+//!   halo (kept as a short list between repairs). Each candidate reads its
+//!   current selection off its CSR row — every selection is an edge, and
+//!   every other neighbour ranks after the selections it competes with —
+//!   and only the candidates whose certificate holds an event are
+//!   re-selected against the alive universe, through indexes built once
+//!   over the fixed universe (per level for HNG, whose levels never change)
+//!   and queried with the alive mask. The emission delta of each
+//!   re-selected owner goes to [`ChunkedCsr::splice`], whose per-entry
 //!   multiplicities count the owners backing an edge.
-//! * Repair work is therefore **proportional to the churned region**, with
-//!   no per-shard cache, gather, local index or escalation anywhere.
+//! * Repair work is therefore **proportional to the events' own
+//!   neighbourhoods**, with no per-shard cache, gather, local index or
+//!   escalation anywhere. The shard plan only lays out the CSR's chunks and
+//!   counts [`RepairStats::dirty`].
 //! * Each repair publishes the nodes it touched,
 //!   [`IncrementalGraph::changed`]: its deaths and joins and every endpoint
 //!   of the edge delta it spliced. A node outside that set kept its
@@ -79,8 +80,7 @@ use wsn_pointproc::{PointOrder, PointSet};
 use wsn_spatial::{CellIndex, GridIndex};
 
 use crate::sharded::{
-    emission_runs, gabriel_owner, interior_margin, knn_cell_size, rng_owner, sort_by_distance,
-    yao_offer,
+    emission_runs, gabriel_owner, knn_cell_size, rng_owner, sort_by_distance, yao_offer,
 };
 use crate::{hng_halo, knn_halo, Exec, WHOLE_WINDOW};
 
@@ -153,7 +153,8 @@ impl IncTopology {
 /// What one [`IncrementalGraph::apply_churn`] call actually did.
 ///
 /// Every repair is event-local, so the two shard re-derivation counters
-/// stay 0; they remain so reports keep their shape.
+/// stay 0; they remain so reports keep their shape, and `dirty` is a
+/// locality count the repair itself does not read.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RepairStats {
     /// Total shards in the plan.
@@ -161,16 +162,18 @@ pub struct RepairStats {
     /// Churn events handed in: `deaths.len() + joins.len()` (an id passed
     /// as both a death and a join counts twice).
     pub events: usize,
-    /// Shards whose ghost-padded extent holds an event — the shards whose
-    /// residents are the repair's candidate owners.
+    /// Shards whose ghost-padded extent holds an event: how far the churn
+    /// spread over the shard plan. The repair finds its candidates from
+    /// the events' own disks, not from these shards.
     pub dirty: usize,
     /// Shards repaired by full re-derivation (always 0).
     pub rederived: usize,
-    /// Points the repair scanned: for UDG, the residents the joins' disk
-    /// queries scanned (0 for a deaths-only repair); for every other kind,
-    /// the candidate owners whose certificate it checked (the residents of
-    /// the shards whose halo holds an event, plus the far owners). The
-    /// locality regression tests pin exactly this proportionality.
+    /// Points the repair examined: for UDG, the universe nodes inside the
+    /// joins' disks (0 for a deaths-only repair); for every other kind, the
+    /// candidate owners whose certificate it checked (the universe nodes
+    /// within the halo of an event, alive before or after the repair, plus
+    /// the far owners and the owners a top change reaches). The locality
+    /// regression tests pin exactly this proportionality.
     pub gathered: usize,
     /// Whole-population index constructions (always 0: the repair queries
     /// indexes built once over the fixed universe).
@@ -215,10 +218,12 @@ const RESELECTED: u8 = 8;
 /// indexed by Morton rank.
 pub struct IncrementalGraph {
     kind: IncTopology,
+    /// The shard plan: it lays out the CSR's chunks and counts
+    /// [`RepairStats::dirty`]; the repair reads no shard.
     grid: ShardGrid,
-    /// Ghost halo of the plan (the topology radius, or the k-NN / HNG halo
-    /// of the initial alive population) — fixed for the structure's
-    /// lifetime.
+    /// The repair's candidate radius (the topology radius, or the k-NN /
+    /// HNG halo of the initial alive population), which also pads the shard
+    /// plan — fixed for the structure's lifetime.
     halo: f64,
     /// The alive mask by deployment id: the API's view.
     alive: Vec<bool>,
@@ -232,25 +237,20 @@ pub struct IncrementalGraph {
     /// total epoch cost stays proportional to the churned region. It also
     /// carries the rank ↔ deployment-id maps.
     csr: ChunkedCsr,
-    /// Ranks grouped by owner shard (CSR layout, ascending within a shard)
-    /// — the shard-granular index the UDG's join disks and every other
-    /// kind's candidate owners are read from. The universe is fixed, so
-    /// this is built exactly once.
-    resident_start: Vec<u32>,
-    resident_ids: Vec<u32>,
     /// HNG level per rank, rolled once at build from the kind's seed per
     /// deployment id (empty for every other kind). Levels never change
     /// under churn.
     levels: Vec<u32>,
-    /// Selection queries over the fixed universe, answered under the alive
-    /// mask: none for the UDG; one index for k-NN, Gabriel, RNG and Yao;
-    /// for HNG one per level `j ≥ 2` over the universe nodes of level
-    /// `≥ j` (entry `j − 2`).
+    /// Queries over the fixed universe, answered under the alive mask.
+    /// `indexes[0]` holds every universe node — the index of the UDG's
+    /// join disks and of every kind's candidate owners — at cell = radius
+    /// for the threshold kinds and at the k-NN cell otherwise. For HNG,
+    /// `indexes[j − 1]` holds the universe nodes of level `≥ j`, the
+    /// candidates of uplink rung `j`.
     indexes: Vec<CellIndex>,
-    /// The k-NN / HNG certificates whose ball pokes past their owner's
-    /// interior margin of its shard's padded extent, ascending by node —
-    /// the owners an event outside their own shard's halo can still
-    /// reach. Empty for every other kind.
+    /// The certificates whose ball is wider than the halo, ascending by
+    /// node — the owners an event outside their own halo disk can still
+    /// reach. Only k-NN and HNG have any.
     far: Vec<Cert>,
     /// The alive population's top occupied level and its ascending member
     /// ranks — the HNG clique (`(1, [])` for every other kind).
@@ -310,7 +310,6 @@ impl IncrementalGraph {
             ShardGrid::new(&bbox, halo, tiles_per_shard)
         };
         let ranked = Arc::new(ranked);
-        let (resident_start, resident_ids) = resident_lists(&ranked, &grid);
         let levels: Vec<u32> = match levels.is_empty() {
             true => levels,
             false => to_orig.iter().map(|&u| levels[u as usize]).collect(),
@@ -342,8 +341,6 @@ impl IncrementalGraph {
             rank_alive,
             n_alive,
             csr,
-            resident_start,
-            resident_ids,
             levels,
             indexes,
             far: Vec::new(),
@@ -353,12 +350,14 @@ impl IncrementalGraph {
         if let IncTopology::Hng { .. } = kind {
             g.hng_top = g.alive_top();
         }
+        // A threshold kind's ball is the halo itself, so only k-NN and HNG
+        // certificates can be far.
         if let IncTopology::Knn { .. } | IncTopology::Hng { .. } = kind {
             let top = &g.hng_top;
             let certs: Vec<Vec<Cert>> = (0..g.rank_points.len() as u32)
                 .into_par_iter()
                 .filter(|&u| g.rank_alive[u as usize])
-                .map(|u| g.far_certs(u, g.current_selection(u, top).1))
+                .map(|u| g.far_certs(g.current_selection(u, top).1))
                 .collect();
             g.far = certs.concat();
         }
@@ -465,15 +464,17 @@ impl IncrementalGraph {
             self.rank_alive[j as usize] = true;
         }
         self.n_alive = self.n_alive + joins.len() - deaths.len();
-        let events: Vec<u32> = deaths.iter().chain(&joins).copied().collect();
+        let mut events: Vec<u32> = deaths.iter().chain(&joins).copied().collect();
+        // Ranks are Morton order: consecutive events query the same cells.
+        events.sort_unstable();
         let mut stats = RepairStats {
             shard_count: self.grid.shard_count(),
             events: events.len(),
             ..RepairStats::default()
         };
 
-        // The shards whose padded extent holds an event: the candidate
-        // owners' home.
+        // The shards whose padded extent holds an event: a locality count
+        // only, the repair reads no shard.
         let mut near = vec![false; self.grid.shard_count()];
         for &c in &events {
             for s in self.grid.shards_near(self.rank_points.get(c), self.halo) {
@@ -491,7 +492,7 @@ impl IncrementalGraph {
             stats.gathered = scanned;
             (removed, added)
         } else {
-            let (removed, added, candidates) = self.owner_delta(&deaths, &joins, &events, &near);
+            let (removed, added, candidates) = self.owner_delta(&deaths, &joins, &events);
             stats.gathered = candidates;
             (removed, added)
         };
@@ -515,8 +516,8 @@ impl IncrementalGraph {
     }
 
     /// The UDG's net edge delta straight from the churn events (ranks),
-    /// after the alive toggles. Returns `(removed, added, residents
-    /// scanned)`.
+    /// after the alive toggles. Returns `(removed, added, universe nodes
+    /// inside the join disks)`.
     ///
     /// * A death withdraws its current CSR row; an edge between two deaths
     ///   is withdrawn once, by its smaller-rank endpoint.
@@ -530,11 +531,9 @@ impl IncrementalGraph {
     /// id that both died and rejoined withdraws its old row and adds its
     /// new disk; the splice cancels what the two share.
     ///
-    /// The disk query scans the resident lists of the shards whose padded
-    /// extent holds the join — the same closed-box rule under which the
-    /// shard derivation of each neighbour's owner would gather the join —
-    /// with the derivation's `dist² ≤ r²` predicate, so the emitted pairs
-    /// are exactly the cold build's.
+    /// The disk query on the universe index applies the derivation's
+    /// `dist² ≤ r²` predicate, so the emitted pairs are exactly the cold
+    /// build's.
     #[allow(clippy::type_complexity)]
     fn udg_event_delta(
         &self,
@@ -559,29 +558,19 @@ impl IncrementalGraph {
                     .map(move |&v| (d.min(v), d.max(v)))
             })
             .collect();
-        let r2 = radius * radius;
-        let (grid, points, alive) = (&self.grid, &self.rank_points, &self.rank_alive);
-        let (start, ids) = (&self.resident_start, &self.resident_ids);
+        let (index, points, alive) = (&self.indexes[0], &self.rank_points, &self.rank_alive);
         let disks: Vec<(Vec<(u32, u32)>, usize)> = joins
             .into_par_iter()
             .map(|&j| {
-                let p = points.get(j);
                 let mut out = Vec::new();
-                let mut scanned = 0usize;
-                for s in grid.shards_near(p, radius) {
-                    let residents = &ids[start[s] as usize..start[s + 1] as usize];
-                    scanned += residents.len();
-                    for &v in residents {
-                        if v != j
-                            && alive[v as usize]
-                            && !(event[v as usize] & JOINED != 0 && v < j)
-                            && points.get(v).dist_sq(p) <= r2
-                        {
-                            out.push((j.min(v), j.max(v)));
-                        }
+                let mut inside = 0usize;
+                index.for_each_in_disk(points, points.get(j), radius, |v, _| {
+                    inside += 1;
+                    if v != j && alive[v as usize] && !(event[v as usize] & JOINED != 0 && v < j) {
+                        out.push((j.min(v), j.max(v)));
                     }
-                }
-                (out, scanned)
+                });
+                (out, inside)
             })
             .collect();
         let scanned = disks.iter().map(|(_, s)| s).sum();
@@ -591,16 +580,14 @@ impl IncrementalGraph {
 
     /// The non-UDG repair, after the alive toggles: re-select every
     /// candidate owner whose certificate holds an event and diff its old
-    /// and new emissions. `events` is `deaths` then `joins` (ranks), and
-    /// `near` marks the shards whose padded extent holds an event. Returns
-    /// `(removed, added, candidates examined)`.
+    /// and new emissions. `events` is `deaths` and `joins` (ranks) in rank
+    /// order. Returns `(removed, added, candidates examined)`.
     #[allow(clippy::type_complexity)]
     fn owner_delta(
         &mut self,
         deaths: &[u32],
         joins: &[u32],
         events: &[u32],
-        near: &[bool],
     ) -> (Vec<(u32, u32)>, Vec<(u32, u32)>, usize) {
         let mut mark = vec![0u8; self.rank_points.len()];
         for &d in deaths {
@@ -631,11 +618,11 @@ impl IncrementalGraph {
                 .is_some()
         };
 
-        // Candidates: the residents of the event shards alive before or
-        // after, the far owners whose far certificate holds an event (any
-        // other certificate of theirs fits their own shard's halo), and the
-        // owners a top change reaches — in shard order, so consecutive
-        // owners query the same cells.
+        // Candidates, alive before or after: the universe nodes within the
+        // halo of an event, the far owners whose far certificate holds an
+        // event (any other certificate of theirs fits the halo, so an event
+        // it holds finds its owner in its disk), and the owners a top
+        // change reaches.
         let far_hit: Vec<u32> = (&self.far)
             .into_par_iter()
             .filter(|c| holds_event(c))
@@ -649,17 +636,19 @@ impl IncrementalGraph {
                 candidates.push(u);
             }
         };
-        for s in (0..near.len()).filter(|&s| near[s]) {
-            self.residents(s).iter().for_each(|&u| pick(u));
+        for &e in events {
+            let p = self.rank_points.get(e);
+            self.indexes[0].for_each_in_disk(&self.rank_points, p, self.halo, |u, _| pick(u));
         }
         far_hit.into_iter().for_each(&mut pick);
         if let Some(t) = top_floor {
-            let members = match t {
-                1 => &self.resident_ids[..],
-                _ => self.indexes[t as usize - 2].members(),
-            };
-            members.iter().for_each(|&u| pick(u));
+            self.indexes[t as usize - 1]
+                .members()
+                .iter()
+                .for_each(|&u| pick(u));
         }
+        // Ranks are Morton order: consecutive owners query the same cells.
+        candidates.sort_unstable();
 
         /// One worker's share of the repair.
         #[derive(Default)]
@@ -698,7 +687,7 @@ impl IncrementalGraph {
                         true => this.reselect(u, &top_new),
                         false => Selection::default(),
                     };
-                    part.far.extend(this.far_certs(u, certs));
+                    part.far.extend(this.far_certs(certs));
                     old.sort_unstable();
                     new.sort_unstable();
                     multiset_diff(u, &old, &new, &mut part.removed, &mut part.added);
@@ -815,7 +804,7 @@ impl IncrementalGraph {
             IncTopology::Hng { links, .. } => {
                 let mut sel = Selection::default();
                 for j in self.rungs(u, top.0) {
-                    let index = &self.indexes[j as usize - 2];
+                    let index = &self.indexes[j as usize - 1];
                     let found = index.knn_by(&self.rank_points, p, links, keep, |v| self.orig(v));
                     let targets = found.into_iter().map(|(v, _)| v).collect();
                     let (t, c) = self.selection(u, targets, links, j);
@@ -882,18 +871,14 @@ impl IncrementalGraph {
         }
     }
 
-    /// The k-NN / HNG certificates of `u` whose ball pokes past `u`'s
-    /// interior margin of its owner shard's padded extent (a short
-    /// selection's infinite ball always does, unless the extent is the
-    /// whole plane). Any event inside a ball that fits the extent lies in
-    /// the shard's halo, so only these need tracking between repairs.
-    fn far_certs(&self, u: u32, certs: Vec<Cert>) -> Vec<Cert> {
-        if !matches!(self.kind, IncTopology::Knn { .. } | IncTopology::Hng { .. }) {
-            return Vec::new();
-        }
-        let p = self.rank_points.get(u);
-        let margin = interior_margin(p, &self.grid.padded(self.owner(u), self.halo));
-        certs.into_iter().filter(|c| c.r2.sqrt() > margin).collect()
+    /// The certificates among an owner's `certs` whose ball is wider than
+    /// the halo (a short selection's infinite ball always is). An event
+    /// inside any other ball lies within the halo of the owner — the same
+    /// squared radius the candidates' disk query tests — so only these need
+    /// tracking between repairs.
+    fn far_certs(&self, certs: Vec<Cert>) -> Vec<Cert> {
+        let halo2 = self.halo * self.halo;
+        certs.into_iter().filter(|c| c.r2 > halo2).collect()
     }
 
     /// The alive population's top occupied level and its ascending member
@@ -910,28 +895,16 @@ impl IncrementalGraph {
                 .collect();
             if !top.is_empty() {
                 top.sort_unstable();
-                return (i as u32 + 2, top);
+                return (i as u32 + 1, top);
             }
         }
-        let all = (0..self.rank_points.len() as u32).filter(|&u| self.rank_alive[u as usize]);
-        (1, all.collect())
+        (1, Vec::new())
     }
 
     /// HNG level of `u` (0 for every other kind).
     #[inline]
     fn level(&self, u: u32) -> u32 {
         self.levels.get(u as usize).copied().unwrap_or(0)
-    }
-
-    #[inline]
-    fn owner(&self, u: u32) -> usize {
-        self.grid.owner_of(self.rank_points.get(u))
-    }
-
-    /// The ranks shard `s` owns, ascending.
-    #[inline]
-    fn residents(&self, s: usize) -> &[u32] {
-        &self.resident_ids[self.resident_start[s] as usize..self.resident_start[s + 1] as usize]
     }
 
     /// Build the same topology cold — the monolithic reference builder on
@@ -1018,8 +991,8 @@ fn multiset_diff(
     }
 }
 
-/// The selection indexes of `kind` over the whole universe (dead nodes
-/// included; queries filter by the alive mask): see
+/// The indexes of `kind` over the whole universe (dead nodes included;
+/// queries filter by the alive mask): see
 /// [`IncrementalGraph::indexes`](IncrementalGraph).
 fn query_indexes(kind: IncTopology, points: &PointSet, levels: &[u32]) -> Vec<CellIndex> {
     let cell = |pts: &PointSet, k: usize| match pts.is_empty() {
@@ -1027,14 +1000,14 @@ fn query_indexes(kind: IncTopology, points: &PointSet, levels: &[u32]) -> Vec<Ce
         false => knn_cell_size(pts, k.max(1)),
     };
     match kind {
-        IncTopology::Udg { .. } => Vec::new(),
-        IncTopology::Gabriel { radius }
+        IncTopology::Udg { radius }
+        | IncTopology::Gabriel { radius }
         | IncTopology::Rng { radius }
         | IncTopology::Yao { radius, .. } => vec![CellIndex::build(points, radius)],
         IncTopology::Knn { k } => vec![CellIndex::build(points, cell(points, k))],
         IncTopology::Hng { links, .. } => {
             let top = levels.iter().copied().max().unwrap_or(1);
-            (2..=top)
+            (1..=top)
                 .map(|j| {
                     let members: Vec<u32> = (0..points.len() as u32)
                         .filter(|&u| levels[u as usize] >= j)
@@ -1045,29 +1018,6 @@ fn query_indexes(kind: IncTopology, points: &PointSet, levels: &[u32]) -> Vec<Ce
                 .collect()
         }
     }
-}
-
-/// Point ids grouped by owner shard (counting sort, so ids stay ascending
-/// within each shard) — built once per structure; a repair reads only the
-/// lists of the shards whose padded extent holds an event.
-fn resident_lists(points: &PointSet, grid: &ShardGrid) -> (Vec<u32>, Vec<u32>) {
-    let n_shards = grid.shard_count();
-    let mut counts = vec![0u32; n_shards + 1];
-    for p in points.iter() {
-        counts[grid.owner_of(p) + 1] += 1;
-    }
-    for s in 0..n_shards {
-        counts[s + 1] += counts[s];
-    }
-    let start = counts.clone();
-    let mut cursor = counts;
-    let mut ids = vec![0u32; points.len()];
-    for (u, p) in points.iter_enumerated() {
-        let s = grid.owner_of(p);
-        ids[cursor[s] as usize] = u;
-        cursor[s] += 1;
-    }
-    (start, ids)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! Geometric random graphs on point sets:
 //!
 //! * [`udg`] — the unit-disk graph `UDG(2, λ)` (edge iff `d(x, y) ≤ r`,
-//!   r = 1 in the paper), with an optional torus boundary.
+//!   r = 1 in the paper).
 //! * [`knn`] — the k-nearest-neighbour graph `NN(2, k)` of Häggström &
 //!   Meester: each point connects (undirectedly) to its k nearest.
 //! * [`hng`] — hierarchical neighbor graphs (Bagchi–Madan–Premi): seeded
@@ -61,5 +61,5 @@ pub use sharded::{
     build_gabriel_sharded, build_knn_sharded, build_rng_sharded, build_udg_sharded,
     build_yao_sharded, knn_halo, knn_lists_sharded, mean_spacing, WHOLE_WINDOW,
 };
-pub use udg::{build_udg, build_udg_torus};
+pub use udg::build_udg;
 pub use yao::{build_yao, yao_out_lists};

@@ -1,6 +1,5 @@
 //! Unit-disk graphs.
 
-use wsn_geom::Point;
 use wsn_graph::{Csr, EdgeList};
 use wsn_pointproc::PointSet;
 use wsn_spatial::GridIndex;
@@ -24,43 +23,11 @@ pub fn build_udg(points: &PointSet, radius: f64) -> Csr {
     Csr::from_edge_list(el)
 }
 
-/// Build the UDG under torus (periodic) boundary conditions on the square
-/// `[0, side)²` — used by threshold experiments to remove edge bias.
-///
-/// Implementation: a point near the boundary also queries the 8 shifted
-/// copies of the window; the torus distance condition is checked explicitly.
-pub fn build_udg_torus(points: &PointSet, radius: f64, side: f64) -> Csr {
-    assert!(
-        radius > 0.0 && side > 2.0 * radius,
-        "window too small for torus UDG"
-    );
-    if points.is_empty() {
-        return Csr::empty(0);
-    }
-    let index = GridIndex::build(points, radius);
-    let window = wsn_pointproc::Window::torus(side);
-    let r2 = radius * radius;
-    let mut el = EdgeList::with_capacity(points.len(), points.len() * 4);
-    for (u, p) in points.iter_enumerated() {
-        for dx in [-side, 0.0, side] {
-            for dy in [-side, 0.0, side] {
-                let q = Point::new(p.x + dx, p.y + dy);
-                index.for_each_in_disk(q, radius, |v, _| {
-                    if v > u && window.dist_sq(p, points.get(v)) <= r2 {
-                        el.add(u, v);
-                    }
-                });
-            }
-        }
-    }
-    Csr::from_edge_list(el)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use wsn_geom::Aabb;
+    use wsn_geom::{Aabb, Point};
     use wsn_pointproc::{rng_from_seed, sample_binomial_window};
 
     #[test]
@@ -95,18 +62,6 @@ mod tests {
         assert_eq!(build_udg(&PointSet::new(), 1.0).n(), 0);
     }
 
-    #[test]
-    fn torus_adds_wrap_edges() {
-        let side = 10.0;
-        let pts: PointSet = vec![Point::new(0.2, 5.0), Point::new(9.9, 5.0)]
-            .into_iter()
-            .collect();
-        let plane = build_udg(&pts, 1.0);
-        assert_eq!(plane.m(), 0);
-        let torus = build_udg_torus(&pts, 1.0, side);
-        assert!(torus.has_edge(0, 1), "wrap distance 0.3 must connect");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -119,23 +74,6 @@ mod tests {
             for u in 0..n as u32 {
                 for v in (u + 1)..n as u32 {
                     let expected = pts.get(u).dist(pts.get(v)) <= r;
-                    prop_assert_eq!(g.has_edge(u, v), expected, "pair ({}, {})", u, v);
-                }
-            }
-        }
-
-        /// Torus UDG edges match the torus-distance predicate.
-        #[test]
-        fn prop_torus_matches_bruteforce(seed in 0u64..300, n in 0usize..80) {
-            let side = 8.0;
-            let r = 1.0;
-            let pts = sample_binomial_window(&mut rng_from_seed(seed), n, &Aabb::square(side));
-            let g = build_udg_torus(&pts, r, side);
-            let w = wsn_pointproc::Window::torus(side);
-            prop_assume!(n > 0);
-            for u in 0..n as u32 {
-                for v in (u + 1)..n as u32 {
-                    let expected = w.dist(pts.get(u), pts.get(v)) <= r;
                     prop_assert_eq!(g.has_edge(u, v), expected, "pair ({}, {})", u, v);
                 }
             }

@@ -206,8 +206,10 @@ pub struct ChurnConfig {
     pub coverage_threshold: f64,
     /// Probe-cell side of the coverage grid.
     pub coverage_cell: f64,
-    /// Repair granularity of the incremental path, in halo tiles per shard
-    /// side (smaller = finer dirty-tracking, more stitch overhead).
+    /// Shard side of the incremental path's plan, in halo tiles: it sizes
+    /// the maintained CSR's chunks (smaller = more, smaller chunks for the
+    /// splice) and the `dirty` locality count; the repair finds its
+    /// candidates from the events' own disks whatever it is.
     pub repair_tiles: usize,
     pub repair: RepairMode,
     /// Assert edge-identity of the incremental CSR against a cold rebuild

@@ -12,10 +12,11 @@
 //!    bless step: a divergence is a certificate bug, never intentional.
 //! 2. **Locality proportionality.** The work counters must scale with the
 //!    churned region: the dirty shards are exactly the shards whose padded
-//!    extent holds an event, the candidate owners examined track them
-//!    (for the UDG, the joins' disks — a deaths-only UDG repair scans
-//!    nothing at all), and no repair ever re-derives a shard or builds a
-//!    whole-population index.
+//!    extent holds an event, and the points examined track the events' own
+//!    disks, whatever the shard plan — the candidate owners within the halo
+//!    of an event, or for the UDG the joins' disks (a deaths-only UDG
+//!    repair scans nothing at all). No repair ever re-derives a shard or
+//!    builds a whole-population index.
 //! 3. **Changed-node cover.** Every node whose liveness or row differs
 //!    between the old and the new graph is marked in `changed()` — the
 //!    serve route cache's correctness condition.
@@ -25,7 +26,7 @@ use wsn::geom::{Aabb, Point};
 use wsn::graph::ChunkedCsr;
 use wsn::pointproc::matern::sample_matern_ii;
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
-use wsn::rgg::{IncTopology, IncrementalGraph, RepairStats};
+use wsn::rgg::{hng_levels, IncTopology, IncrementalGraph, RepairStats, WHOLE_WINDOW};
 
 const KINDS: [IncTopology; 6] = [
     IncTopology::Udg { radius: 1.0 },
@@ -221,7 +222,7 @@ fn gather_work_scales_with_the_churned_region() {
 
 /// Regression for the deaths-only UDG repair: it must stay pure row
 /// withdrawal — zero points scanned, work proportional to the churn — and
-/// a join must scan only its disk's shards, not a global compaction.
+/// a join must scan only its disk, not a global compaction.
 #[test]
 fn udg_deaths_only_repair_gathers_nothing_and_scales() {
     let points = sample_poisson_window(&mut rng_from_seed(0xDEAD), 12.0, &Aabb::square(SIDE));
@@ -256,8 +257,8 @@ fn udg_deaths_only_repair_gathers_nothing_and_scales() {
     assert!(stats_all.affected_owners > stats.affected_owners);
     assert!(g.verify_cold());
 
-    // A join scans its disk's shards — localized, far smaller than the
-    // alive population a global compaction would touch.
+    // A join scans its disk — localized, far smaller than the alive
+    // population a global compaction would touch.
     let join_id = deaths[0];
     let stats_join = g.apply_churn(&[], &[join_id]);
     assert!(stats_join.gathered > 0, "a join must scan its disk");
@@ -270,6 +271,42 @@ fn udg_deaths_only_repair_gathers_nothing_and_scales() {
     assert_eq!(stats_join.rederived, 0);
     assert_eq!(stats_join.escalations, 0);
     assert!(g.verify_cold());
+}
+
+/// The candidates come from the events' own disks, not from the shard
+/// plan: on a single-shard plan of ~10⁴ nodes, one interior event — a join
+/// for the UDG, a death of a level-1 node for the others (so no HNG rung or
+/// top clique can hold it) — examines under a tenth of the universe.
+#[test]
+fn one_interior_event_on_a_whole_window_plan_stays_local() {
+    let side = 29.0;
+    let points = sample_poisson_window(&mut rng_from_seed(0x10C), 12.0, &Aabb::square(side));
+    let n = points.len();
+    let alive: Vec<bool> = (0..n).map(|i| i % 5 != 4).collect();
+    let centre = Point::new(side / 2.0, side / 2.0);
+    for kind in KINDS {
+        let mut g = IncrementalGraph::build(points.clone(), alive.clone(), kind, WHOLE_WINDOW);
+        assert_eq!(g.grid().shard_count(), 1);
+        let levels = match kind {
+            IncTopology::Hng { p, seed, .. } => hng_levels(n, p, seed),
+            _ => vec![1; n],
+        };
+        let join = matches!(kind, IncTopology::Udg { .. });
+        let event = (0..n as u32)
+            .filter(|&u| g.alive()[u as usize] != join && levels[u as usize] == 1)
+            .min_by(|&a, &b| {
+                let d = |u: u32| points.get(u).dist_sq(centre);
+                d(a).total_cmp(&d(b))
+            })
+            .expect("an event site");
+        let (deaths, joins) = toggle(&g, [event]);
+        let stats = churn_and_check(&mut g, &deaths, &joins, &format!("{kind:?} centre event"));
+        assert!(
+            stats.gathered > 0 && stats.gathered < n / 10,
+            "{kind:?}: one event examined {} of {n} nodes",
+            stats.gathered
+        );
+    }
 }
 
 /// The re-derivation and escalation counters stay cold for every kind —
