@@ -505,8 +505,8 @@ impl IncrementalGraph {
         }
         // The splice consumes the repair as a net edge delta, so the CSR
         // work tracks what changed — O(delta) — not the graph. The delta is
-        // routed by endpoint, so a clean shard's node still updates when
-        // one of its edges appears or disappears.
+        // routed by endpoint, so a node in any chunk updates when one of its
+        // edges appears or disappears.
         let splice_start = Instant::now();
         let splice = self.csr.splice(&removed, &added);
         stats.splice_secs = splice_start.elapsed().as_secs_f64();
