@@ -312,22 +312,6 @@ impl ShardGrid {
             .filter(move |&s| self.padded(s, halo).contains(p))
     }
 
-    /// Row-major index range `(i0..=i1, j0..=j1)` of the shards that can
-    /// *own* a point inside `b` — the resident-list scan window of a box
-    /// query. Exact, not padded: `owner_of` floors and clamps
-    /// with the same arithmetic, and `floor` is monotone, so the owner of
-    /// any `p ∈ b` falls inside the range. Infinite box sides clamp to the
-    /// grid edge (edge shards own the unbounded outside anyway).
-    pub fn owner_range(&self, b: &Aabb) -> (usize, usize, usize, usize) {
-        let clamp_i = |v: f64, hi: usize| (v.floor() as i64).clamp(0, hi as i64 - 1) as usize;
-        (
-            clamp_i((b.min.x - self.origin.x) / self.shard_side, self.cols),
-            clamp_i((b.max.x - self.origin.x) / self.shard_side, self.cols),
-            clamp_i((b.min.y - self.origin.y) / self.shard_side, self.rows),
-            clamp_i((b.max.y - self.origin.y) / self.shard_side, self.rows),
-        )
-    }
-
     /// The ghost-padded extent of shard `s`: its core block inflated by
     /// `halo`, with edge shards extended to infinity on their outward sides
     /// (their ownership is already unbounded there, see [`Self::owner_of`]).
@@ -527,26 +511,5 @@ mod tests {
         let g = ShardGrid::new(&w, 1.0, 3); // 3 × 3 shards of side 3
         let padded = g.padded(4, 0.5); // centre shard
         assert_eq!(padded, Aabb::from_coords(2.5, 2.5, 6.5, 6.5));
-    }
-
-    #[test]
-    fn owner_range_contains_every_inside_owner() {
-        let w = Aabb::square(8.0);
-        let g = ShardGrid::new(&w, 1.0, 2); // 4 × 4 shards of side 2
-        let b = Aabb::from_coords(1.5, 3.0, 4.0, 5.9);
-        let (i0, i1, j0, j1) = g.owner_range(&b);
-        // Every sampled point of the box must have its owner in the range.
-        for k in 0..100 {
-            let p = Point::new(
-                b.min.x + b.width() * (k % 10) as f64 / 9.0,
-                b.min.y + b.height() * (k / 10) as f64 / 9.0,
-            );
-            let s = g.owner_of(p);
-            let (i, j) = (s % g.cols(), s / g.cols());
-            assert!((i0..=i1).contains(&i) && (j0..=j1).contains(&j), "{p:?}");
-        }
-        // Infinite sides clamp to the grid edge instead of overflowing.
-        let unbounded = Aabb::from_coords(f64::NEG_INFINITY, 2.0, f64::INFINITY, 2.5);
-        assert_eq!(g.owner_range(&unbounded), (0, 3, 1, 1));
     }
 }

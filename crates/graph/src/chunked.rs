@@ -8,9 +8,11 @@
 //! shard of the caller's plan, which sizes only the chunks), and each
 //! chunk owns a buffer no other chunk shares: its nodes' rows back to back
 //! in node order, each a length header followed by the neighbours, plus
-//! one emission multiplicity per entry. A per-node record names the node's chunk and where its row
-//! starts, so [`ChunkedCsr::neighbors`] reads one record, one chunk header
-//! and the row, whose length sits on the row's first cache line.
+//! one emission multiplicity per entry; a clone of the graph shares these
+//! buffers until a splice replaces them. A per-node record names the
+//! node's chunk and where its row starts, so [`ChunkedCsr::neighbors`]
+//! reads one record, one chunk header and the row, whose length sits on
+//! the row's first cache line.
 //!
 //! ## Nodes are ranks, rows are in deployment-id order
 //!
@@ -42,13 +44,14 @@
 //!    each node's few entries by deployment id and coalesces them (an
 //!    emission withdrawn and re-added cancels), and merges them into its
 //!    rows in one sequential walk of the old buffer. The merge writes into
-//!    a buffer the worker reuses from chunk to chunk: runs of unchanged
-//!    rows are copied whole, changed rows are two-pointer merged.
-//! 3. The chunk then swaps that buffer with its own, and the worker keeps
-//!    the old one for its next chunk, so a steady-state splice allocates
-//!    no row storage and nothing ever relocates. A buffer holding more than
-//!    twice its entries plus 64 is shrunk, so no chunk keeps a big
-//!    neighbour's capacity.
+//!    a spare buffer of the worker's: runs of unchanged rows are copied
+//!    whole, changed rows are two-pointer merged.
+//! 3. The chunk then swaps that buffer in. Its old buffer becomes a spare
+//!    for a later chunk unless a clone still holds it — so a splice of a
+//!    graph nobody cloned allocates no row storage once the spares have
+//!    room, and a clone ([`Clone`], which the serve path's snapshots take
+//!    every epoch) copies the row records and one pointer per chunk, never
+//!    the adjacency, and keeps reading the buffers it shares.
 //!
 //! [`ChunkedCsr::build`] is the same assembler with the chunks as its
 //! blocks: each chunk's rows scatter straight into the chunk's own buffer,
@@ -60,13 +63,24 @@
 //!   canonical edge from *both* endpoints, possibly from different chunks.
 //!   Each entry therefore carries the count of emissions backing it: an
 //!   owner withdrawing its emission of `(u, v)` decrements the count, and
-//!   the edge survives while another emission still backs it.
+//!   the edge survives while another emission still backs it. An edge
+//!   whose count crosses zero, either way, is reported in the splice's
+//!   [`SpliceStats::edges_removed`] / [`SpliceStats::edges_added`].
 //! * **Delta addressing by endpoint, not by emitter.** An owner's new
 //!   selection changes the row of each far endpoint too, which may live in
 //!   another chunk. The delta is expanded into directed half-edges and
 //!   routed to each endpoint's chunk, so exactly the affected chunks
 //!   rewrite.
+//!
+//! ## The fingerprint is kept with the rows
+//!
+//! Each chunk keeps one hash per row — the node's term of
+//! [`crate::fingerprint`], over deployment ids — and their wrapping sum.
+//! The build seeds them, and the splice rehashes exactly the rows it
+//! rewrites while they are hot, so [`ChunkedCsr::fingerprint`] sums one
+//! value per chunk and equals the full pass bit for bit.
 
+use std::num::Wrapping;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -74,10 +88,11 @@ use rayon::prelude::*;
 
 use crate::assemble::{bucket, scatter_block, split_runs, Blocks, Emitted};
 use crate::csr::Csr;
+use crate::delta::{finish, node_hash};
 use crate::view::GraphView;
 
 /// What one [`ChunkedCsr::splice`] call did (all costs O(dirty)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpliceStats {
     /// Chunks whose rows were rewritten (0 when the delta cancelled).
     pub chunks_touched: usize,
@@ -86,6 +101,12 @@ pub struct SpliceStats {
     /// Nodes whose neighbour list the delta changed (distinct endpoints of
     /// the net delta).
     pub nodes_touched: usize,
+    /// Edges the splice deleted (their emission count fell to zero), as
+    /// node pairs with the larger deployment id first, in chunk order.
+    pub edges_removed: Vec<(u32, u32)>,
+    /// Edges the splice created (their emission count rose from zero), in
+    /// the same form.
+    pub edges_added: Vec<(u32, u32)>,
 }
 
 /// Where a node's row lives: its chunk (fixed at build) and the position
@@ -120,33 +141,115 @@ impl Clone for Row {
     }
 }
 
-/// Shrink a buffer holding more than twice its length plus 64 entries, so
-/// buffers swapped between chunks of different sizes stay bounded.
-fn fit<T>(buf: &mut Vec<T>) {
-    if buf.capacity() > 2 * buf.len() + 64 {
-        buf.shrink_to_fit();
-    }
-}
-
 /// A splice worker's reusable scratch: the slot offsets and coalesced
-/// delta of the chunk in hand, and the merge buffers it swaps with the
-/// chunk.
+/// delta of the chunk in hand, the slots and starts of the rows it
+/// rewrote, the edges whose count crossed zero, and the spare buffers it
+/// merges into.
 #[derive(Default)]
 struct Scratch {
     off: Vec<u32>,
     delta: Vec<(u32, i32)>,
-    targets: Vec<u32>,
-    mult: Vec<u8>,
+    rehashed: Vec<(u32, u32)>,
+    flips: SpliceStats,
+    targets: Spare<u32>,
+    mult: Spare<u8>,
 }
 
-/// A chunked CSR's rank ↔ deployment-id maps, shared by its clones (a
-/// snapshot copies the rows, never the maps).
+/// A worker's spare chunk buffers: the last few buffers the chunks it
+/// spliced gave up while no clone shared them. A chunk merges straight
+/// into a spare with room, so a splice of a graph nobody cloned writes
+/// warm memory and allocates nothing, as a swap of plain vectors would.
+struct Spare<T>(Vec<Arc<[T]>>);
+
+impl<T> Default for Spare<T> {
+    fn default() -> Self {
+        Spare(Vec::new())
+    }
+}
+
+/// Spare buffers a worker keeps.
+const SPARES: usize = 4;
+
+impl<T: Copy + Default> Spare<T> {
+    /// A buffer with room for `need` entries: a spare with room and not
+    /// more than the storage bound allows, else a new one with headroom.
+    fn take(&mut self, need: usize) -> Arc<[T]> {
+        let fits = |buf: &Arc<[T]>| (need..=2 * need + 64).contains(&buf.len());
+        match self.0.iter().rposition(fits) {
+            Some(i) => self.0.swap_remove(i),
+            None => std::iter::repeat_n(T::default(), need + need / 2 + 16).collect(),
+        }
+    }
+
+    /// Keep `old`, the buffer a chunk just gave up, if no clone holds it.
+    fn keep(&mut self, mut old: Arc<[T]>) {
+        if Arc::get_mut(&mut old).is_some() {
+            if self.0.len() == SPARES {
+                self.0.remove(0);
+            }
+            self.0.push(old);
+        }
+    }
+}
+
+/// Appends to a buffer the merge owns.
+struct Writer<'a, T> {
+    buf: &'a mut [T],
+    len: usize,
+}
+
+impl<'a, T: Copy> Writer<'a, T> {
+    fn new(buf: &'a mut Arc<[T]>) -> Self {
+        let buf = Arc::get_mut(buf).expect("a merge buffer is not shared");
+        Writer { buf, len: 0 }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn push(&mut self, x: T) {
+        self.buf[self.len] = x;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn extend_from_slice(&mut self, xs: &[T]) {
+        self.buf[self.len..self.len + xs.len()].copy_from_slice(xs);
+        self.len += xs.len();
+    }
+
+    /// Overwrite the already written entry `i`.
+    #[inline]
+    fn set(&mut self, i: usize, x: T) {
+        assert!(i < self.len, "entry {i} is not written yet");
+        self.buf[i] = x;
+    }
+}
+
+/// A chunked CSR's fixed layout, shared by its clones (a clone copies the
+/// row records and the chunk pointers, never the layout).
 #[derive(Debug)]
-struct Ids {
+struct Layout {
     /// `to_orig[u]`: node `u`'s deployment id, the key its rows sort by.
     to_orig: Vec<u32>,
     /// `to_rank[id]`: the node carrying deployment id `id`.
     to_rank: Vec<u32>,
+    /// Node → slot in its chunk.
+    slot: Vec<u32>,
+    /// Chunk → its nodes, ascending: slot order.
+    chunk_nodes: Vec<Vec<u32>>,
+}
+
+/// One chunk's buffers as a splice worker rewrites them.
+struct ChunkMut<'a> {
+    targets: &'a mut Arc<[u32]>,
+    mult: &'a mut Arc<[u8]>,
+    len: &'a mut u32,
+    hashes: &'a mut Arc<[u64]>,
+    sum: &'a mut Wrapping<u64>,
 }
 
 /// An undirected graph in chunked CSR form: per-node neighbour slices
@@ -156,19 +259,24 @@ struct Ids {
 /// Equality (against itself or a dense [`Csr`]) and
 /// [`crate::fingerprint`] are *semantic* and in deployment ids: two graphs
 /// with different layouts, chunkings or splice histories compare equal.
+/// A clone shares every chunk buffer with its original until a splice
+/// replaces it.
 #[derive(Clone, Debug)]
 pub struct ChunkedCsr {
-    /// Node → chunk and row start, and node → slot in its chunk.
+    /// Node → chunk and row start.
     rows: Vec<Row>,
-    slot: Vec<u32>,
-    /// Chunk → its nodes, ascending: slot order.
-    chunk_nodes: Vec<Vec<u32>>,
     /// Per chunk, its rows in slot order, each a length header and the
     /// neighbours, and per-entry emission multiplicities (unused at
-    /// headers).
-    targets: Vec<Vec<u32>>,
-    mult: Vec<Vec<u8>>,
-    ids: Arc<Ids>,
+    /// headers); `lens[c]` entries of each are in use, and a buffer the
+    /// splice wrote may hold room past them.
+    targets: Vec<Arc<[u32]>>,
+    mult: Vec<Arc<[u8]>>,
+    lens: Vec<u32>,
+    /// Per chunk, each row's fingerprint term in slot order, and their
+    /// wrapping sum.
+    hashes: Vec<Arc<[u64]>>,
+    sums: Vec<Wrapping<u64>>,
+    layout: Arc<Layout>,
 }
 
 impl ChunkedCsr {
@@ -191,8 +299,9 @@ impl ChunkedCsr {
     ///
     /// The chunks are the assembler's blocks: each chunk's rows scatter
     /// straight into its own buffer, sized from the half-edges emitted into
-    /// it, and sort by deployment id. Owned runs are freed as they are
-    /// bucketed. Panics unless `to_orig` is a permutation.
+    /// it, sort by deployment id and are hashed for the fingerprint. Owned
+    /// runs are freed as they are bucketed. Panics unless `to_orig` is a
+    /// permutation.
     pub fn build_ranked<R>(
         n_chunks: usize,
         chunk_of: &[u32],
@@ -213,7 +322,6 @@ impl ChunkedCsr {
             );
             to_rank[id as usize] = u as u32;
         }
-        let ids = Arc::new(Ids { to_orig, to_rank });
         let mut chunk_nodes: Vec<Vec<u32>> = vec![Vec::new(); n_chunks];
         let (mut rows, mut slot) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for (u, &chunk) in chunk_of.iter().enumerate() {
@@ -226,53 +334,76 @@ impl ChunkedCsr {
             slot.push(nodes.len() as u32);
             nodes.push(u as u32);
         }
+        let layout = Arc::new(Layout {
+            to_orig,
+            to_rank,
+            slot,
+            chunk_nodes,
+        });
 
         let blocks = Blocks::Chunks {
             rows: &rows,
-            slot: &slot,
-            nodes: &chunk_nodes,
-            to_orig: &ids.to_orig,
-            to_rank: &ids.to_rank,
+            slot: &layout.slot,
+            nodes: &layout.chunk_nodes,
+            to_orig: &layout.to_orig,
+            to_rank: &layout.to_rank,
         };
         let buckets = bucket(runs.into_iter().collect(), None, &blocks);
-        let chunks: Vec<(Vec<u32>, Vec<u8>)> = (0..n_chunks)
+        let key = &layout.to_orig[..];
+        type Built = (Arc<[u32]>, Arc<[u8]>, u32, Arc<[u64]>, Wrapping<u64>);
+        let chunks: Vec<Built> = (0..n_chunks)
             .into_par_iter()
             .map(|c| {
-                let nodes = &chunk_nodes[c];
+                let nodes = &layout.chunk_nodes[c];
                 let len = buckets.len(c) + nodes.len();
-                let (mut t, mut m) = (vec![0u32; len], vec![0u8; len]);
+                let mut t: Arc<[u32]> = std::iter::repeat_n(0, len).collect();
+                let mut m: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
                 let mut deg = vec![0u32; nodes.len()];
                 let w = scatter_block(
                     &blocks,
                     c,
                     buckets.block(c),
-                    &mut t,
-                    &mut m,
+                    Arc::get_mut(&mut t).expect("a new buffer is not shared"),
+                    Arc::get_mut(&mut m).expect("a new buffer is not shared"),
                     &mut deg,
                     Emitted::Repeated,
                 );
-                t.truncate(w);
-                m.truncate(w);
-                fit(&mut t);
-                fit(&mut m);
-                let mut start = 0usize;
+                let (mut start, mut sum) = (0usize, Wrapping(0u64));
+                let mut hashes = Vec::with_capacity(nodes.len());
                 for (&u, &d) in nodes.iter().zip(&deg) {
                     rows[u as usize].set(start);
+                    let row = &t[start + 1..start + 1 + d as usize];
+                    let h = node_hash(key[u as usize], row, |v| key[v as usize]);
+                    hashes.push(h);
+                    sum += h;
                     start += 1 + d as usize;
                 }
-                (t, m)
+                // Folded repeats leave room; more than the storage bound
+                // allows is cut.
+                if len > 2 * w + 64 {
+                    (t, m) = (t[..w].into(), m[..w].into());
+                }
+                (t, m, w as u32, hashes.into(), sum)
             })
             .collect();
         drop(buckets);
-        let (targets, mult) = chunks.into_iter().unzip();
-        ChunkedCsr {
+        let mut csr = ChunkedCsr {
             rows,
-            slot,
-            chunk_nodes,
-            targets,
-            mult,
-            ids,
+            targets: Vec::with_capacity(n_chunks),
+            mult: Vec::with_capacity(n_chunks),
+            lens: Vec::with_capacity(n_chunks),
+            hashes: Vec::with_capacity(n_chunks),
+            sums: Vec::with_capacity(n_chunks),
+            layout,
+        };
+        for (t, m, w, h, sum) in chunks {
+            csr.lens.push(w);
+            csr.targets.push(t);
+            csr.mult.push(m);
+            csr.hashes.push(h);
+            csr.sums.push(sum);
         }
+        csr
     }
 
     /// An edgeless graph on `n` nodes in a single chunk.
@@ -289,7 +420,7 @@ impl ChunkedCsr {
     /// Number of undirected edges.
     #[inline]
     pub fn m(&self) -> usize {
-        (self.targets.iter().map(Vec::len).sum::<usize>() - self.n()) / 2
+        (self.lens.iter().map(|&l| l as usize).sum::<usize>() - self.n()) / 2
     }
 
     /// Number of chunks.
@@ -299,23 +430,30 @@ impl ChunkedCsr {
     }
 
     /// Chunk `c`'s live entries (row headers included) and the entries its
-    /// buffer has room for (observable so tests can bound per-chunk
+    /// buffers have room for (observable so tests can bound per-chunk
     /// storage).
     pub fn chunk_storage(&self, c: usize) -> (usize, usize) {
         let (t, m) = (&self.targets[c], &self.mult[c]);
-        (t.len(), t.capacity().max(m.capacity()))
+        (self.lens[c] as usize, t.len().max(m.len()))
+    }
+
+    /// The [`crate::fingerprint`] of this graph, from the per-chunk sums of
+    /// the row hashes the build seeded and every splice kept: O(chunks),
+    /// and bit-identical to the full pass.
+    pub fn fingerprint(&self) -> u64 {
+        finish(self.sums.iter().sum(), self.n())
     }
 
     /// Node → deployment id: the key every row is sorted by.
     #[inline]
     pub fn to_orig(&self) -> &[u32] {
-        &self.ids.to_orig
+        &self.layout.to_orig
     }
 
     /// Deployment id → node.
     #[inline]
     pub fn to_rank(&self) -> &[u32] {
-        &self.ids.to_rank
+        &self.layout.to_rank
     }
 
     /// Neighbours of node `u`, ascending by deployment id.
@@ -329,8 +467,8 @@ impl ChunkedCsr {
     /// Neighbours of the node with deployment id `id`, as deployment ids,
     /// ascending — the row as a deployment-id graph would hold it.
     pub fn id_neighbors(&self, id: u32) -> impl ExactSizeIterator<Item = u32> + '_ {
-        let to_orig = &self.ids.to_orig;
-        let row = self.neighbors(self.ids.to_rank[id as usize]);
+        let to_orig = &self.layout.to_orig;
+        let row = self.neighbors(self.layout.to_rank[id as usize]);
         row.iter().map(move |&v| to_orig[v as usize])
     }
 
@@ -343,7 +481,7 @@ impl ChunkedCsr {
     /// deployment ids (the order rows are sorted in).
     #[inline]
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        let to_orig = &self.ids.to_orig;
+        let to_orig = &self.layout.to_orig;
         let key = to_orig[v as usize];
         self.neighbors(u)
             .binary_search_by_key(&key, |&w| to_orig[w as usize])
@@ -353,8 +491,10 @@ impl ChunkedCsr {
     /// Apply a churn delta: `removed` are edge emissions withdrawn since the
     /// last splice, `added` the new ones (the repair path passes its net
     /// edge delta). An emission present in both lists cancels; only chunks
-    /// with a surviving net change rewrite. Cost is O(delta) plus the
-    /// touched chunks' rows, spread over the worker pool.
+    /// with a surviving net change rewrite, and only their changed rows are
+    /// rehashed. Cost is O(delta) plus the touched chunks' rows, spread
+    /// over the worker pool. The returned stats name the edges whose
+    /// emission count crossed zero.
     ///
     /// Panics if the delta is inconsistent with the current structure
     /// (removing an emission that was never spliced in) — that means the
@@ -362,41 +502,62 @@ impl ChunkedCsr {
     pub fn splice(&mut self, removed: &[(u32, u32)], added: &[(u32, u32)]) -> SpliceStats {
         let ChunkedCsr {
             rows,
-            slot,
-            chunk_nodes,
             targets,
             mult,
-            ids,
+            lens,
+            hashes,
+            sums,
+            layout,
         } = self;
-        let key = &ids.to_orig[..];
+        let key = &layout.to_orig[..];
         let blocks = Blocks::Chunks {
             rows,
-            slot,
-            nodes: chunk_nodes,
+            slot: &layout.slot,
+            nodes: &layout.chunk_nodes,
             to_orig: key,
-            to_rank: &ids.to_rank,
+            to_rank: &layout.to_rank,
         };
         let gone = bucket(split_runs(&[removed]), None, &blocks);
         let new = bucket(split_runs(&[added]), None, &blocks);
-        let work: Vec<_> = targets
-            .iter_mut()
-            .zip(mult.iter_mut())
+        let work: Vec<_> = (targets.iter_mut().zip(mult.iter_mut()).zip(lens.iter_mut()))
+            .zip(hashes.iter_mut().zip(sums.iter_mut()))
             .enumerate()
             .filter(|&(c, _)| gone.len(c) + new.len(c) > 0)
+            .map(|(c, (((targets, mult), len), (hashes, sum)))| {
+                let chunk = ChunkMut {
+                    targets,
+                    mult,
+                    len,
+                    hashes,
+                    sum,
+                };
+                (c, chunk)
+            })
             .collect();
         let merged: Vec<Option<SpliceStats>> = work
             .into_par_iter()
-            .map_init(Scratch::default, |scratch, (c, (t, m))| {
+            .map_init(Scratch::default, |scratch, (c, chunk)| {
                 let deltas = [(gone.block(c), -1), (new.block(c), 1)];
-                merge_chunk(rows, &chunk_nodes[c], key, deltas, t, m, scratch)
+                let nodes = &layout.chunk_nodes[c];
+                merge_chunk(rows, nodes, key, deltas, chunk, scratch)
             })
             .collect();
 
-        let mut stats = SpliceStats::default();
-        for m in merged.into_iter().flatten() {
+        let merged: Vec<SpliceStats> = merged.into_iter().flatten().collect();
+        let total = |flips: fn(&SpliceStats) -> &Vec<(u32, u32)>| {
+            Vec::with_capacity(merged.iter().map(|m| flips(m).len()).sum())
+        };
+        let mut stats = SpliceStats {
+            edges_removed: total(|m| &m.edges_removed),
+            edges_added: total(|m| &m.edges_added),
+            ..SpliceStats::default()
+        };
+        for m in &merged {
             stats.chunks_touched += m.chunks_touched;
             stats.delta_halfedges += m.delta_halfedges;
             stats.nodes_touched += m.nodes_touched;
+            stats.edges_removed.extend_from_slice(&m.edges_removed);
+            stats.edges_added.extend_from_slice(&m.edges_added);
         }
         stats
     }
@@ -420,24 +581,26 @@ impl ChunkedCsr {
 /// then walk the slots once: sort each node's few entries by `key` (the
 /// deployment ids rows are ordered by) and coalesce them into net counts
 /// (an emission withdrawn and re-added cancels; so do the half-edges of
-/// distinct emissions `(u, v)` and `(v, u)`), and merge the survivors into
-/// the node's row, writing through the worker's buffers, which are then
-/// swapped in. `None` when the chunk's delta cancelled entirely (its rows
-/// are left as they were).
+/// distinct emissions `(u, v)` and `(v, u)`), merge the survivors into
+/// the node's row through the worker's buffers, and rehash the row. The
+/// chunk then takes fresh buffers copied from the worker's, and its hash
+/// sum moves by the rehashed rows. `None` when the chunk's delta cancelled
+/// entirely (its rows are left as they were).
 fn merge_chunk<'b>(
     rows: &[Row],
     nodes: &[u32],
     key: &[u32],
     deltas: [(impl Iterator<Item = &'b [(u32, u32)]> + Clone, i32); 2],
-    targets: &mut Vec<u32>,
-    mult: &mut Vec<u8>,
+    chunk: ChunkMut,
     scratch: &mut Scratch,
 ) -> Option<SpliceStats> {
     let Scratch {
         off,
         delta,
-        targets: out_t,
-        mult: out_m,
+        rehashed,
+        flips,
+        targets: spare_t,
+        mult: spare_m,
     } = scratch;
     let k = nodes.len();
     off.clear();
@@ -462,16 +625,24 @@ fn merge_chunk<'b>(
     off.copy_within(0..k, 1);
     off[0] = 0;
 
-    out_t.clear();
-    out_m.clear();
-    out_t.reserve(targets.len() + delta.len());
-    out_m.reserve(targets.len() + delta.len());
+    let used = *chunk.len as usize;
+    let (targets, mult) = (&chunk.targets[..used], &chunk.mult[..used]);
+    // Each delta entry adds at most one entry.
+    let need = used + delta.len();
+    let (mut fresh_t, mut fresh_m) = (spare_t.take(need), spare_m.take(need));
+    let (mut out_t, mut out_m) = (Writer::new(&mut fresh_t), Writer::new(&mut fresh_m));
+    rehashed.clear();
+    flips.edges_removed.clear();
+    flips.edges_added.clear();
+    let mut stats = SpliceStats {
+        chunks_touched: 1,
+        ..SpliceStats::default()
+    };
     // One sequential walk of the old rows. A run of unchanged rows is
     // copied whole once the next changed row or the end is reached; its
     // rows' new starts are known before the copy, since nothing is
     // appended in between.
     let (mut copy_from, mut old_start) = (0usize, 0usize);
-    let (mut delta_halfedges, mut nodes_touched) = (0usize, 0usize);
     for (s, &u) in nodes.iter().enumerate() {
         let old_end = old_start + 1 + targets[old_start] as usize;
         let d = coalesce(&mut delta[off[s] as usize..off[s + 1] as usize], key);
@@ -490,32 +661,46 @@ fn merge_chunk<'b>(
                 &targets[old_start + 1..old_end],
                 &mult[old_start + 1..old_end],
             );
-            merge_row(u, key, old_t, old_m, d, out_t, out_m);
-            out_t[start] = (out_t.len() - start - 1) as u32;
+            merge_row(u, key, old_t, old_m, d, &mut out_t, &mut out_m, flips);
+            out_t.set(start, (out_t.len() - start - 1) as u32);
+            rehashed.push((s as u32, start as u32));
             rows[u as usize].set(start);
             copy_from = old_end;
-            delta_halfedges += d.len();
-            nodes_touched += 1;
+            stats.delta_halfedges += d.len();
+            stats.nodes_touched += 1;
         }
         old_start = old_end;
     }
-    if nodes_touched == 0 {
+    if stats.nodes_touched == 0 {
         // Nothing moved, so no row record was rewritten.
+        spare_t.keep(fresh_t);
+        spare_m.keep(fresh_m);
         return None;
     }
     out_t.extend_from_slice(&targets[copy_from..]);
     out_m.extend_from_slice(&mult[copy_from..]);
-    assert!(u32::try_from(out_t.len()).is_ok(), "chunk entries fit u32");
+    let len = out_t.len();
+    *chunk.len = u32::try_from(len).expect("chunk entries fit u32");
+    // A buffer with more room than the storage bound allows is cut to
+    // its entries.
+    if fresh_t.len() > 2 * len + 64 {
+        (fresh_t, fresh_m) = (fresh_t[..len].into(), fresh_m[..len].into());
+    }
+    spare_t.keep(std::mem::replace(chunk.targets, fresh_t));
+    spare_m.keep(std::mem::replace(chunk.mult, fresh_m));
 
-    std::mem::swap(targets, out_t);
-    std::mem::swap(mult, out_m);
-    fit(targets);
-    fit(mult);
-    Some(SpliceStats {
-        chunks_touched: 1,
-        delta_halfedges,
-        nodes_touched,
-    })
+    // Rehash the rewritten rows while they are hot.
+    let (out_t, hashes) = (&**chunk.targets, Arc::make_mut(chunk.hashes));
+    for &(s, start) in rehashed.iter() {
+        let start = start as usize;
+        let row = &out_t[start + 1..start + 1 + out_t[start] as usize];
+        let h = node_hash(key[nodes[s as usize] as usize], row, |v| key[v as usize]);
+        let old = std::mem::replace(&mut hashes[s as usize], h);
+        *chunk.sum += h.wrapping_sub(old);
+    }
+    stats.edges_removed = flips.edges_removed.clone();
+    stats.edges_added = flips.edges_added.clone();
+    Some(stats)
 }
 
 /// Sort one node's delta entries by the neighbours' `key` and sum the
@@ -543,16 +728,22 @@ fn coalesce<'d>(d: &'d mut [(u32, i32)], key: &[u32]) -> &'d [(u32, i32)] {
 
 /// Two-pointer merge of node `u`'s row (`targets`, `mult`) with its
 /// coalesced delta `d`, both sorted by `key`, appended to `out_t` /
-/// `out_m`. Old entries between delta entries are copied as runs.
+/// `out_m`. Old entries between delta entries are copied as runs. An entry
+/// whose count crosses zero is recorded in `flips` from the endpoint with
+/// the larger key, so each such edge is recorded once, and a joining node
+/// (whose id is usually the larger) lists its new edges together.
+#[allow(clippy::too_many_arguments)]
 fn merge_row(
     u: u32,
     key: &[u32],
     targets: &[u32],
     mult: &[u8],
     d: &[(u32, i32)],
-    out_t: &mut Vec<u32>,
-    out_m: &mut Vec<u8>,
+    out_t: &mut Writer<u32>,
+    out_m: &mut Writer<u8>,
+    flips: &mut SpliceStats,
 ) {
+    let ku = key[u as usize];
     let mut a = 0usize;
     for &(v, dv) in d {
         let from = a;
@@ -566,9 +757,15 @@ fn merge_row(
             a += 1;
             let m = i32::from(mult[a - 1]) + dv;
             assert!(m >= 0, "splice multiplicity of ({u}, {v}) went negative");
+            if m == 0 && ku > kv {
+                flips.edges_removed.push((u, v));
+            }
             m
         } else {
             assert!(dv > 0, "splice removes emission ({u}, {v}) not present");
+            if ku > kv {
+                flips.edges_added.push((u, v));
+            }
             dv
         };
         if m > 0 {
@@ -800,6 +997,11 @@ mod tests {
         assert_eq!(d, g, "{ctx}");
         assert_eq!(&g.to_dense(), d, "{ctx}");
         assert_eq!(crate::fingerprint(g), crate::fingerprint(d), "{ctx}");
+        assert_eq!(
+            g.fingerprint(),
+            crate::fingerprint(d),
+            "{ctx}: kept fingerprint"
+        );
         for u in 0..g.n() as u32 {
             for v in 0..g.n() as u32 {
                 let want = d.has_edge(g.id(u), g.id(v));
@@ -905,6 +1107,8 @@ mod tests {
                     kept.push(e);
                 }
             }
+            let mut kept_sorted = kept.clone();
+            kept_sorted.sort_unstable();
             for seed in [0, seed] {
                 let to_orig = layout(n, seed);
                 let mut to_rank = vec![0u32; n];
@@ -924,7 +1128,7 @@ mod tests {
                 std::env::set_var("RAYON_NUM_THREADS", "1");
                 let stats = g.splice(&removed, &added);
                 std::env::set_var("RAYON_NUM_THREADS", "4");
-                prop_assert_eq!(wide.splice(&removed, &added), stats);
+                prop_assert_eq!(&wide.splice(&removed, &added), &stats);
                 match saved {
                     Ok(v) => std::env::set_var("RAYON_NUM_THREADS", v),
                     Err(_) => std::env::remove_var("RAYON_NUM_THREADS"),
@@ -940,6 +1144,27 @@ mod tests {
                     .filter(|&id| !g.id_neighbors(id).eq(before.neighbors(id).iter().copied()))
                     .count();
                 prop_assert_eq!(stats.nodes_touched, changed);
+                // The flipped edges are exactly the difference of the two
+                // edge sets, each once, larger deployment id first.
+                let ids = |list: &[(u32, u32)]| -> Vec<(u32, u32)> {
+                    let mut out: Vec<(u32, u32)> =
+                        list.iter().map(|&(a, b)| (g.id(b), g.id(a))).collect();
+                    out.sort_unstable();
+                    out
+                };
+                let (mut gone, mut new) = (Vec::new(), Vec::new());
+                for &e in &edges {
+                    if kept_sorted.binary_search(&e).is_err() {
+                        gone.push(e);
+                    }
+                }
+                for &e in &kept_sorted {
+                    if edges.binary_search(&e).is_err() {
+                        new.push(e);
+                    }
+                }
+                prop_assert_eq!(ids(&stats.edges_removed), gone);
+                prop_assert_eq!(ids(&stats.edges_added), new);
             }
         }
     }

@@ -100,6 +100,28 @@ pub fn relabel(g: &Csr, map: &[u32], n_universe: usize) -> Csr {
 /// Nodes per block of [`fingerprint`]'s fan-out.
 const FINGERPRINT_BLOCK: usize = 1 << 12;
 
+/// One node's term of [`fingerprint`], given its id, its row (ascending)
+/// and the neighbours' ids by `key`: the id, the degree and the neighbour
+/// ids, one multiply-rotate step per neighbour, then one full [`mix64`].
+/// The chunked CSR keeps these terms per row across splices.
+#[inline]
+pub(crate) fn node_hash(id: u32, row: &[u32], key: impl Fn(u32) -> u32) -> u64 {
+    let mut h = ((u64::from(id) << 32) | row.len() as u64) ^ 0xE703_7ED1_A0B4_28DB;
+    for &v in row {
+        h = (h ^ u64::from(key(v)))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(27);
+    }
+    mix64(h)
+}
+
+/// The fingerprint of an `n`-node graph whose [`node_hash`] terms sum
+/// (wrapping) to `sum`.
+#[inline]
+pub(crate) fn finish(sum: Wrapping<u64>, n: usize) -> u64 {
+    mix64(sum.0 ^ mix64(n as u64 ^ 0xA076_1D64_78BD_642F))
+}
+
 /// Layout-blind 64-bit fingerprint of the adjacency structure.
 ///
 /// Two graphs have equal fingerprints iff (up to hash collision) they have
@@ -108,35 +130,28 @@ const FINGERPRINT_BLOCK: usize = 1 << 12;
 /// lifetime bench uses it to prove the incremental and rebuild-per-epoch
 /// runs traversed identical topologies).
 ///
-/// Each node hashes its id, degree and sorted neighbour list: one
-/// multiply-rotate step per neighbour, then one full [`mix64`]. The
-/// fingerprint is the wrapping sum of the node hashes, mixed with `n`.
-/// Addition commutes, so node blocks hash on the worker pool and the value
-/// is the same at any thread count. Generic over [`GraphView`] and hashing
-/// every node by its [`GraphView::id`] (rows are ascending by id), so a
-/// chunked CSR in any layout and the dense CSR of the same graph hash
-/// equal.
+/// Each node hashes its id, degree and sorted neighbour list
+/// (`node_hash`). The fingerprint is the wrapping sum of the node hashes,
+/// mixed with `n`. Addition commutes, so node blocks hash on the worker
+/// pool and the value is the same at any thread count. Generic over
+/// [`GraphView`] and hashing every node by its [`GraphView::id`] (rows are
+/// ascending by id), so a chunked CSR in any layout and the dense CSR of
+/// the same graph hash equal. This is the full pass; a
+/// [`ChunkedCsr`](crate::ChunkedCsr) keeps the same value across splices
+/// ([`ChunkedCsr::fingerprint`](crate::ChunkedCsr::fingerprint)).
 pub fn fingerprint<G: GraphView + Sync + ?Sized>(g: &G) -> u64 {
     let n = g.n();
-    let node = |u: u32| {
-        let ns = g.neighbors(u);
-        let mut h = ((u64::from(g.id(u)) << 32) | ns.len() as u64) ^ 0xE703_7ED1_A0B4_28DB;
-        for &v in ns {
-            h = (h ^ u64::from(g.id(v)))
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .rotate_left(27);
-        }
-        Wrapping(mix64(h))
-    };
     let sum: Wrapping<u64> = (0..n)
         .step_by(FINGERPRINT_BLOCK)
         .into_par_iter()
         .map(|lo| {
             let block = lo as u32..(lo + FINGERPRINT_BLOCK).min(n) as u32;
-            block.map(&node).sum::<Wrapping<u64>>()
+            block
+                .map(|u| Wrapping(node_hash(g.id(u), g.neighbors(u), |v| g.id(v))))
+                .sum::<Wrapping<u64>>()
         })
         .sum();
-    mix64(sum.0 ^ mix64(n as u64 ^ 0xA076_1D64_78BD_642F))
+    finish(sum, n)
 }
 
 #[cfg(test)]

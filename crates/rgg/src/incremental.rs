@@ -75,7 +75,8 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use wsn_geom::{Aabb, Point, ShardGrid};
-use wsn_graph::{ChunkedCsr, Csr};
+use wsn_graph::components::{connected_components, LabelRepair, LiveComponents};
+use wsn_graph::{fingerprint, ChunkedCsr, Csr};
 use wsn_pointproc::{PointOrder, PointSet};
 use wsn_spatial::{CellIndex, GridIndex};
 
@@ -186,6 +187,9 @@ pub struct RepairStats {
     pub splice_secs: f64,
     /// Chunks the splice rewrote (owner chunks of the delta's endpoints).
     pub spliced_chunks: usize,
+    /// The component-label repair after the splice: the nodes its local
+    /// search visited and whether it fell back to the full pass.
+    pub labels: LabelRepair,
 }
 
 /// One owner's certificate: only an event of level `≥ level` inside the
@@ -204,13 +208,11 @@ struct Cert {
 type Selection = (Vec<u32>, Vec<Cert>);
 
 /// Per-repair marks, per rank: the node died or joined (both, for an id
-/// that died and rejoined), was picked as a candidate owner, was
-/// re-selected.
+/// that died and rejoined), was re-selected.
 const DIED: u8 = 1;
 const JOINED: u8 = 2;
 const EVENT: u8 = DIED | JOINED;
-const PICKED: u8 = 4;
-const RESELECTED: u8 = 8;
+const RESELECTED: u8 = 4;
 
 /// A churn-maintained topology over a fixed universe of points.
 ///
@@ -259,6 +261,10 @@ pub struct IncrementalGraph {
     /// [`IncrementalGraph::apply_churn`] touched it (see
     /// [`IncrementalGraph::changed`]); all false before any churn.
     changed: Vec<bool>,
+    /// The graph's components (per rank, the smallest deployment id in its
+    /// component), seeded at build and repaired from each splice's deleted
+    /// and created edges.
+    components: LiveComponents,
 }
 
 impl IncrementalGraph {
@@ -314,7 +320,6 @@ impl IncrementalGraph {
             true => levels,
             false => to_orig.iter().map(|&u| levels[u as usize]).collect(),
         };
-        let indexes = query_indexes(kind, &ranked, &levels);
 
         // The cold sharded build's emission runs over the survivors, lifted
         // into ranks; one chunk per shard, so each node's adjacency lives
@@ -331,6 +336,12 @@ impl IncrementalGraph {
         let chunk_of: Vec<u32> = ranked.iter().map(|p| grid.owner_of(p) as u32).collect();
         let csr = ChunkedCsr::build_ranked(grid.shard_count(), &chunk_of, to_orig, runs);
         let changed = vec![false; n];
+        // The components pass that seeds the labels is serial; the query
+        // indexes build beside it.
+        let (components, indexes) = rayon::join(
+            || LiveComponents::new(&csr),
+            || query_indexes(kind, &ranked, &levels),
+        );
 
         let mut g = IncrementalGraph {
             kind,
@@ -346,6 +357,7 @@ impl IncrementalGraph {
             far: Vec::new(),
             hng_top: (1, Vec::new()),
             changed,
+            components,
         };
         if let IncTopology::Hng { .. } = kind {
             g.hng_top = g.alive_top();
@@ -379,9 +391,9 @@ impl IncrementalGraph {
 
     /// The maintained graph in Morton-rank space (dead nodes isolated):
     /// node `r` is deployment id `graph().to_orig()[r]`, and each row holds
-    /// ranks sorted by deployment id. Its equality and fingerprint are in
-    /// deployment ids; positions of its nodes are
-    /// [`IncrementalGraph::rank_points`].
+    /// ranks sorted by deployment id. Its equality and fingerprint (kept
+    /// with its rows: [`ChunkedCsr::fingerprint`]) are in deployment ids;
+    /// positions of its nodes are [`IncrementalGraph::rank_points`].
     #[inline]
     pub fn graph(&self) -> &ChunkedCsr {
         &self.csr
@@ -401,6 +413,15 @@ impl IncrementalGraph {
     #[inline]
     pub fn rank_points(&self) -> &Arc<PointSet> {
         &self.rank_points
+    }
+
+    /// The graph's connected components, kept across repairs (see
+    /// [`IncrementalGraph::apply_churn`]): per rank, the smallest
+    /// deployment id in its component (`components().by_id(graph())`
+    /// re-keys them by deployment id), the count and the giant.
+    #[inline]
+    pub fn components(&self) -> &LiveComponents {
+        &self.components
     }
 
     /// Liveness per deployment id.
@@ -439,7 +460,9 @@ impl IncrementalGraph {
     /// death withdraws its current row, each join adds its disk. Every
     /// other kind re-selects the candidate owners whose certificate holds
     /// an event and diffs their old and new emissions. Either way the delta
-    /// is spliced into the chunked CSR.
+    /// is spliced into the chunked CSR, which rehashes the rows it
+    /// rewrites, and the component labels are repaired from the edges the
+    /// splice deleted and created.
     ///
     /// An id may appear as both a death and a join (it dies, then rejoins
     /// in the same call). Panics if a death is already dead or a join
@@ -496,13 +519,6 @@ impl IncrementalGraph {
             stats.gathered = candidates;
             (removed, added)
         };
-        // Publish hook for the serve path: the events and every endpoint of
-        // the delta, a superset of the nodes whose liveness or row changes.
-        let endpoints = removed.iter().chain(&added).flat_map(|&(u, v)| [u, v]);
-        let to_orig = self.csr.to_orig();
-        for u in events.iter().copied().chain(endpoints) {
-            self.changed[to_orig[u as usize] as usize] = true;
-        }
         // The splice consumes the repair as a net edge delta, so the CSR
         // work tracks what changed — O(delta) — not the graph. The delta is
         // routed by endpoint, so a node in any chunk updates when one of its
@@ -512,6 +528,20 @@ impl IncrementalGraph {
         stats.splice_secs = splice_start.elapsed().as_secs_f64();
         stats.affected_owners = splice.nodes_touched;
         stats.spliced_chunks = splice.chunks_touched;
+        let (csr, components, changed) = (&self.csr, &mut self.components, &mut self.changed);
+        let (labels, ()) = rayon::join(
+            || components.update(csr, &splice.edges_removed, &splice.edges_added),
+            || {
+                // Publish hook for the serve path: the events and every
+                // endpoint of the delta, a superset of the nodes whose
+                // liveness or row changes.
+                let endpoints = removed.iter().chain(&added).flat_map(|&(u, v)| [u, v]);
+                for u in events.iter().copied().chain(endpoints) {
+                    changed[csr.to_orig()[u as usize] as usize] = true;
+                }
+            },
+        );
+        stats.labels = labels;
         stats
     }
 
@@ -628,27 +658,47 @@ impl IncrementalGraph {
             .filter(|c| holds_event(c))
             .map(|c| c.node)
             .collect();
-        let mut candidates = Vec::new();
-        let mut pick = |u: u32| {
-            let m = &mut mark[u as usize];
-            if *m & PICKED == 0 && (*m & EVENT != 0 || self.rank_alive[u as usize]) {
-                *m |= PICKED;
-                candidates.push(u);
-            }
-        };
-        for &e in events {
-            let p = self.rank_points.get(e);
-            self.indexes[0].for_each_in_disk(&self.rank_points, p, self.halo, |u, _| pick(u));
-        }
-        far_hit.into_iter().for_each(&mut pick);
+        let pickable = |u: u32| mark[u as usize] & EVENT != 0 || self.rank_alive[u as usize];
+        // The disks of consecutive (Morton-ordered) events overlap, so each
+        // block of events dedups its own picks; the blocks' picks merge by
+        // sort and dedup.
+        const EVENTS_PER_TASK: usize = 256;
+        let n = self.rank_points.len();
+        let blocks: Vec<Vec<u32>> = (0..events.len().div_ceil(EVENTS_PER_TASK))
+            .into_par_iter()
+            .map_init(
+                || vec![false; n],
+                |seen, t| {
+                    let lo = t * EVENTS_PER_TASK;
+                    let mut picked = Vec::new();
+                    for &e in &events[lo..(lo + EVENTS_PER_TASK).min(events.len())] {
+                        let p = self.rank_points.get(e);
+                        self.indexes[0].for_each_in_disk(
+                            &self.rank_points,
+                            p,
+                            self.halo,
+                            |u, _| {
+                                if !seen[u as usize] && pickable(u) {
+                                    seen[u as usize] = true;
+                                    picked.push(u);
+                                }
+                            },
+                        );
+                    }
+                    picked.iter().for_each(|&u| seen[u as usize] = false);
+                    picked
+                },
+            )
+            .collect();
+        let mut candidates = blocks.concat();
+        candidates.extend(far_hit.into_iter().filter(|&u| pickable(u)));
         if let Some(t) = top_floor {
-            self.indexes[t as usize - 1]
-                .members()
-                .iter()
-                .for_each(|&u| pick(u));
+            let top = self.indexes[t as usize - 1].members().iter().copied();
+            candidates.extend(top.filter(|&u| pickable(u)));
         }
         // Ranks are Morton order: consecutive owners query the same cells.
         candidates.sort_unstable();
+        candidates.dedup();
 
         /// One worker's share of the repair.
         #[derive(Default)]
@@ -914,12 +964,21 @@ impl IncrementalGraph {
             .build_alive(&self.points(), &self.alive, Exec::Serial)
     }
 
-    /// Edge-identity witness: the incrementally maintained CSR, read in
-    /// deployment ids, equals a cold rebuild on the survivors, byte for
-    /// byte.
+    /// Identity witness against a cold rebuild on the survivors: the
+    /// incrementally maintained CSR, read in deployment ids, equals it byte
+    /// for byte, and the kept fingerprint, component labels, count and
+    /// giant equal the full passes ([`fingerprint`],
+    /// [`connected_components`]) over it.
     #[must_use]
     pub fn verify_cold(&self) -> bool {
-        self.csr == self.cold_rebuild()
+        let cold = self.cold_rebuild();
+        let want = connected_components(&cold).by_id(&cold);
+        let live = &self.components;
+        self.csr == cold
+            && self.csr.fingerprint() == fingerprint(&cold)
+            && live.by_id(&self.csr) == want.label
+            && live.count() == want.count
+            && live.giant() == want.giant()
     }
 }
 

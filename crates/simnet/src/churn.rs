@@ -1061,26 +1061,29 @@ impl<'a> Stepper<'a> {
     fn report(&self, stepped: EpochReport) -> EpochReport {
         let n_alive = self.n_alive;
         let graph = self.maint.graph();
-        // SENS elects only some alive sensors into the topology, so its
-        // giant fraction is over the nodes of degree ≥ 1 (over all alive
-        // nodes a healthy core would read "partitioned"). The components
-        // pass runs beside the fingerprint (a sum over node blocks).
-        let (giant_fraction, graph_hash) = rayon::join(
-            || {
-                let of = match self.maint {
-                    Maintained::Sens { .. } => (0..graph.n() as u32)
-                        .filter(|&u| graph.degree(u) > 0)
-                        .count(),
-                    _ => n_alive,
-                };
-                if of == 0 {
-                    return 0.0;
-                }
-                let giant = connected_components(&graph).giant();
-                giant.map_or(0.0, |(_, size)| size as f64 / of as f64)
-            },
-            || fingerprint(&graph),
-        );
+        // The incremental graph keeps its giant and fingerprint with the
+        // repair. The rebuilds run the full passes, the components pass
+        // beside the fingerprint (a sum over node blocks). SENS elects only
+        // some alive sensors into the topology, so its giant fraction is
+        // over the nodes of degree ≥ 1 (over all alive nodes a healthy core
+        // would read "partitioned").
+        let (giant, graph_hash) = match &self.maint {
+            Maintained::Inc(g) => (g.components().giant(), g.graph().fingerprint()),
+            _ => rayon::join(
+                || connected_components(&graph).giant(),
+                || fingerprint(&graph),
+            ),
+        };
+        let of = match self.maint {
+            Maintained::Sens { .. } => (0..graph.n() as u32)
+                .filter(|&u| graph.degree(u) > 0)
+                .count(),
+            _ => n_alive,
+        };
+        let giant_fraction = match of {
+            0 => 0.0,
+            _ => giant.map_or(0.0, |(_, size)| size as f64 / of as f64),
+        };
         let (battery_residual, battery_variance, battery_universe) =
             self.pop.battery_stats(self.maint.alive());
         EpochReport {

@@ -13,13 +13,18 @@
 //! repair, for any [`ChurnConfig`]), then captures an immutable
 //! [`Snapshot`] — chunked CSR, alive state, component labels, fingerprint,
 //! and the repair's changed-node mask — and broadcasts it to every reader
-//! thread through [`wsn_graph::run_lockstep`]. The loop runs in lockstep:
-//! while the writer splices epoch *e+1* into the live graph, the readers
-//! serve epoch *e* from their `Arc` of its capture, and *e+1* goes out only
-//! once every reader has released *e*. Each reader therefore sees every
-//! epoch once, in order, and the released snapshot is freed at the next
-//! publish, so one snapshot is resident between publishes (the soak test
-//! pins this).
+//! thread through [`wsn_graph::run_lockstep`]. The capture copies no
+//! adjacency and recomputes nothing: the CSR clone shares the live graph's
+//! chunk buffers (a splice gives each chunk it rewrites a fresh buffer and
+//! leaves the old one to the snapshots holding it), and the fingerprint,
+//! labels and giant are the ones the graph keeps with its repair.
+//!
+//! The loop runs in lockstep: while the writer splices epoch *e+1* into the
+//! live graph, the readers serve epoch *e* from their `Arc` of its
+//! capture, and *e+1* goes out only once every reader has released *e*.
+//! Each reader therefore sees every epoch once, in order, and the released
+//! snapshot is freed at the next publish, so one snapshot is resident
+//! between publishes (the soak test pins this).
 //!
 //! The loop fails fast: a reader that panics hangs up its link, so the
 //! writer's next wait panics naming it; a writer that panics hangs up all
@@ -67,8 +72,7 @@ use crate::churn::{pick, u01, ChurnConfig, ChurnConfigError, Maintained, RepairM
 use wsn_geom::hash::{derive_seed, derive_seed2, mix64};
 use wsn_geom::{Aabb, Point};
 use wsn_graph::bfs::BfsScratch;
-use wsn_graph::components::connected_components;
-use wsn_graph::{fingerprint, run_lockstep, ChunkedCsr};
+use wsn_graph::{run_lockstep, ChunkedCsr};
 use wsn_pointproc::PointSet;
 use wsn_rgg::{mean_spacing, IncTopology, IncrementalGraph};
 use wsn_spatial::GridIndex;
@@ -232,29 +236,28 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Capture the published view of `g` after its epoch repair. The
-    /// capture is a clone of the live post-splice graph, so one
-    /// fingerprint serves both; that it equals the batch engine's
-    /// `graph_hash` channel is pinned by `tests/serve_concurrency.rs`. The
-    /// components pass runs beside the fingerprint, on the rank-space
-    /// graph; its labels are then re-keyed by deployment id.
+    /// Capture the published view of `g` after its epoch repair. The CSR
+    /// is a clone of the live post-splice graph, which shares its chunk
+    /// buffers (the splice gives every chunk it rewrites a fresh one), so
+    /// no adjacency is copied. The fingerprint, component labels and giant
+    /// are the ones `g` keeps with its repair; that the fingerprint equals
+    /// the batch engine's `graph_hash` channel is pinned by
+    /// `tests/serve_concurrency.rs`.
     pub fn capture(epoch: u64, g: &IncrementalGraph) -> Snapshot {
         let csr = g.graph().clone();
-        let (comps, fp) = rayon::join(|| connected_components(&csr), || fingerprint(&csr));
-        let comps = comps.by_id(&csr);
-        let giant_label = comps.giant().map_or(u32::MAX, |(label, _)| label);
+        let comps = g.components();
         let alive = g.alive().to_vec();
         let alive_ids: Vec<u32> = (0..alive.len() as u32)
             .filter(|&u| alive[u as usize])
             .collect();
         Snapshot {
             epoch,
+            fingerprint: csr.fingerprint(),
+            comp_label: comps.by_id(&csr),
             csr,
             alive,
             alive_ids,
-            comp_label: comps.label,
-            giant_label,
-            fingerprint: fp,
+            giant_label: comps.giant().map_or(u32::MAX, |(label, _)| label),
             changed: g.changed().to_vec(),
         }
     }
