@@ -430,6 +430,14 @@ impl IncrementalGraph {
         &self.alive
     }
 
+    /// Liveness per Morton rank: the mask of
+    /// [`IncrementalGraph::graph`]'s nodes, beside
+    /// [`IncrementalGraph::rank_points`].
+    #[inline]
+    pub fn rank_alive(&self) -> &[bool] {
+        &self.rank_alive
+    }
+
     #[inline]
     pub fn n_alive(&self) -> usize {
         self.n_alive

@@ -17,7 +17,10 @@
 //! adjacency and recomputes nothing: the CSR clone shares the live graph's
 //! chunk buffers (a splice gives each chunk it rewrites a fresh buffer and
 //! leaves the old one to the snapshots holding it), and the fingerprint,
-//! labels and giant are the ones the graph keeps with its repair.
+//! labels and giant are the ones the graph keeps with its repair. The
+//! per-node state is copied as the graph keeps it: the alive masks by
+//! rank and by id, the labels by rank and the changed mask, plus one alive
+//! count per block of ids that draws the k-th alive id.
 //!
 //! The loop runs in lockstep: while the writer splices epoch *e+1* into the
 //! live graph, the readers serve epoch *e* from their `Arc` of its
@@ -39,12 +42,19 @@
 //! the CSR's nodes are, with the graph's rank-ordered positions; the path
 //! is mapped back to deployment ids), k nearest *alive* sensors,
 //! coverage at a probe point, and component/giant membership. The spatial
-//! kinds read one grid index over the universe, built once per run with
-//! cells the smaller query radius wide (floored at the mean spacing): a
-//! route's destination candidates and a coverage count are one disk scan,
-//! and k-NN is the index's exact ring search with the snapshot's alive
-//! mask as its filter, so a query reads the cells around its probe and
-//! never the whole universe. Routes go through a per-client LRU cache; at
+//! kinds read one grid over the universe in Morton-rank order (the graph's
+//! [`IncrementalGraph::rank_points`]), built once per run with cells the
+//! smaller query radius wide (floored at the mean spacing). Its members
+//! are ranks, so a query reads positions, the snapshot's alive mask by
+//! rank and the rank → id map from a few nearby stretches of memory
+//! instead of scattered deployment ids. A route's destination is the
+//! drawn position among the sorted ids of the alive nodes in the source's
+//! disk, found by selection; a coverage count is one disk scan; k-NN is
+//! the grid's exact ring search with ties broken by deployment id. Every
+//! answer equals its deployment-order counterpart (the unit tests'
+//! brute-force oracles on tie-heavy layouts pin it). Routes go through a
+//! per-client LRU cache whose hits, inserts and evictions cost O(1) (a
+//! key map into slots on a recency list); at
 //! each epoch boundary the cache drops every entry whose path holds a node
 //! the repair changed ([`wsn_rgg::IncrementalGraph::changed`]) and
 //! promotes the rest. An unchanged node kept its liveness and its whole
@@ -62,6 +72,7 @@
 //! drives the same engine code serially — the differential suite in
 //! `tests/serve_concurrency.rs` pins exactly this.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -75,7 +86,7 @@ use wsn_graph::bfs::BfsScratch;
 use wsn_graph::{run_lockstep, ChunkedCsr};
 use wsn_pointproc::PointSet;
 use wsn_rgg::{mean_spacing, IncTopology, IncrementalGraph};
-use wsn_spatial::GridIndex;
+use wsn_spatial::CellIndex;
 
 /// Seed stream of the query workload (distinct from the churn engine's
 /// TRAFFIC/FAIL/BLAST streams so serving never perturbs the schedule).
@@ -213,15 +224,20 @@ pub struct Snapshot {
     /// The repaired adjacency in Morton-rank space, as
     /// [`IncrementalGraph::graph`] keeps it (dead nodes isolated): map
     /// deployment ids in through `csr.to_rank()` and nodes out through
-    /// `csr.to_orig()`. Every other field is in deployment ids.
+    /// `csr.to_orig()`.
     pub csr: ChunkedCsr,
+    /// Liveness per rank — the mask of `csr`'s nodes, which the rank-space
+    /// query grid reads beside the ranked positions.
+    pub rank_alive: Vec<bool>,
     /// Liveness per deployment id.
     pub alive: Vec<bool>,
-    /// Alive deployment ids, ascending.
-    pub alive_ids: Vec<u32>,
-    /// Component label per deployment id: the smallest deployment id in
-    /// the node's component, so labels depend neither on how the
-    /// components pass ordered its unions nor on the layout.
+    /// Per block of [`ALIVE_BLOCK`] deployment ids, the alive ids below
+    /// it, then the alive count: the select table of
+    /// [`Snapshot::alive_id`].
+    alive_before: Vec<u32>,
+    /// Component label per rank: the smallest deployment id in the node's
+    /// component, so labels depend neither on how the components pass
+    /// ordered its unions nor on the layout.
     pub comp_label: Vec<u32>,
     /// Label of the giant (largest) component, ties going to the smaller
     /// label; `u32::MAX` when empty.
@@ -235,6 +251,9 @@ pub struct Snapshot {
     pub changed: Vec<bool>,
 }
 
+/// Deployment ids per block of [`Snapshot::alive_id`]'s select table.
+const ALIVE_BLOCK: usize = 64;
+
 impl Snapshot {
     /// Capture the published view of `g` after its epoch repair. The CSR
     /// is a clone of the live post-splice graph, which shares its chunk
@@ -242,24 +261,56 @@ impl Snapshot {
     /// no adjacency is copied. The fingerprint, component labels and giant
     /// are the ones `g` keeps with its repair; that the fingerprint equals
     /// the batch engine's `graph_hash` channel is pinned by
-    /// `tests/serve_concurrency.rs`.
+    /// `tests/serve_concurrency.rs`. Every per-node field is a copy of a
+    /// mask or label array `g` keeps, plus one count per id block.
     pub fn capture(epoch: u64, g: &IncrementalGraph) -> Snapshot {
-        let csr = g.graph().clone();
         let comps = g.components();
         let alive = g.alive().to_vec();
-        let alive_ids: Vec<u32> = (0..alive.len() as u32)
-            .filter(|&u| alive[u as usize])
-            .collect();
+        let mut alive_before = Vec::with_capacity(alive.len() / ALIVE_BLOCK + 2);
+        alive_before.push(0);
+        let mut below = 0u32;
+        for block in alive.chunks(ALIVE_BLOCK) {
+            below += block.iter().map(|&a| a as u32).sum::<u32>();
+            alive_before.push(below);
+        }
         Snapshot {
             epoch,
-            fingerprint: csr.fingerprint(),
-            comp_label: comps.by_id(&csr),
-            csr,
+            csr: g.graph().clone(),
+            rank_alive: g.rank_alive().to_vec(),
             alive,
-            alive_ids,
+            alive_before,
+            comp_label: comps.label().to_vec(),
             giant_label: comps.giant().map_or(u32::MAX, |(label, _)| label),
+            fingerprint: g.graph().fingerprint(),
             changed: g.changed().to_vec(),
         }
+    }
+
+    /// Number of alive nodes.
+    pub fn n_alive(&self) -> usize {
+        self.alive_before[self.alive_before.len() - 1] as usize
+    }
+
+    /// The `k`-th smallest alive deployment id (from 0). Panics unless
+    /// `k < n_alive()`.
+    pub fn alive_id(&self, k: usize) -> u32 {
+        let b = self.alive_before.partition_point(|&c| c as usize <= k) - 1;
+        let base = b * ALIVE_BLOCK;
+        let mut left = k - self.alive_before[b] as usize;
+        for (u, &a) in (base..).zip(&self.alive[base..]) {
+            if a {
+                if left == 0 {
+                    return u as u32;
+                }
+                left -= 1;
+            }
+        }
+        panic!("alive index {k} out of range ({} alive)", self.n_alive())
+    }
+
+    /// Component label of deployment id `u`.
+    pub fn label_of(&self, u: u32) -> u32 {
+        self.comp_label[self.csr.to_rank()[u as usize] as usize]
     }
 
     /// Whether every hop of `path` (deployment ids) exists on this
@@ -277,7 +328,10 @@ impl Snapshot {
     }
 }
 
-/// One cached route.
+/// No slot: the end of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One cached route, in a slot of the cache's recency list.
 #[derive(Clone, Debug)]
 struct CacheEntry {
     src: u32,
@@ -285,6 +339,14 @@ struct CacheEntry {
     path: Vec<u32>,
     /// Epoch the entry is valid for (bumped by promotion).
     epoch: u64,
+    /// Neighbours toward the MRU and LRU ends.
+    prev: usize,
+    next: usize,
+}
+
+/// The `(src, dst)` key of a route, packed into one word.
+fn route_key(src: u32, dst: u32) -> u64 {
+    (src as u64) << 32 | dst as u64
 }
 
 /// A small deterministic LRU of routes, owned by one client.
@@ -293,39 +355,75 @@ struct CacheEntry {
 /// path was last promoted to. [`RouteCache::advance_epoch`] is the
 /// eviction rule `tests/serve_concurrency.rs` pins: an entry is promoted to
 /// the new epoch only if its path holds no node the repair changed.
-#[derive(Clone, Debug, Default)]
+///
+/// The entries live in slots linked MRU to LRU, found through a key map,
+/// so a hit, an insert and an eviction each cost O(1) whatever the
+/// capacity; slots are allocated as entries arrive and reused once freed.
+#[derive(Clone, Debug)]
 pub struct RouteCache {
     cap: usize,
-    /// MRU-first order; linear scan is deterministic and fine at serve
-    /// cache sizes (at most a few hundred entries).
-    entries: Vec<CacheEntry>,
+    slots: Vec<CacheEntry>,
+    /// Slots freed by [`RouteCache::advance_epoch`], reused first.
+    free: Vec<usize>,
+    /// The MRU and LRU ends of the recency list.
+    head: usize,
+    tail: usize,
+    /// Probed, never iterated: no result depends on its order.
+    slot_of: HashMap<u64, usize>,
 }
 
 impl RouteCache {
     pub fn new(cap: usize) -> Self {
         RouteCache {
             cap,
-            entries: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            slot_of: HashMap::new(),
         }
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slot_of.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slot_of.is_empty()
+    }
+
+    /// Take slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    /// Link slot `i` in at the MRU end.
+    fn push_front(&mut self, i: usize) {
+        self.slots[i].prev = NIL;
+        self.slots[i].next = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].prev = i,
+        }
+        self.head = i;
     }
 
     /// Look up a route for `(src, dst)`, refreshing its LRU position.
     pub fn get(&mut self, src: u32, dst: u32) -> Option<&[u32]> {
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| e.src == src && e.dst == dst)?;
-        let entry = self.entries.remove(pos);
-        self.entries.insert(0, entry);
-        Some(&self.entries[0].path)
+        let &i = self.slot_of.get(&route_key(src, dst))?;
+        if i != self.head {
+            self.unlink(i);
+            self.push_front(i);
+        }
+        Some(&self.slots[i].path)
     }
 
     /// Insert a freshly computed route, evicting the LRU tail at capacity.
@@ -333,17 +431,39 @@ impl RouteCache {
         if self.cap == 0 {
             return;
         }
-        self.entries.retain(|e| !(e.src == src && e.dst == dst));
-        self.entries.insert(
-            0,
-            CacheEntry {
-                src,
-                dst,
-                path,
-                epoch,
-            },
-        );
-        self.entries.truncate(self.cap);
+        let key = route_key(src, dst);
+        let entry = CacheEntry {
+            src,
+            dst,
+            path,
+            epoch,
+            prev: NIL,
+            next: NIL,
+        };
+        let reuse = if let Some(&i) = self.slot_of.get(&key) {
+            self.unlink(i);
+            Some(i)
+        } else if self.len() == self.cap {
+            let i = self.tail;
+            self.unlink(i);
+            let lru = &self.slots[i];
+            self.slot_of.remove(&route_key(lru.src, lru.dst));
+            Some(i)
+        } else {
+            self.free.pop()
+        };
+        let i = match reuse {
+            Some(i) => {
+                self.slots[i] = entry;
+                i
+            }
+            None => {
+                self.slots.push(entry);
+                self.slots.len() - 1
+            }
+        };
+        self.slot_of.insert(key, i);
+        self.push_front(i);
     }
 
     /// Epoch-boundary sweep: drop every entry whose path holds a node
@@ -352,17 +472,34 @@ impl RouteCache {
     /// its whole row, so a path valid on the previous snapshot that holds
     /// only unchanged nodes is valid on the new one.
     pub fn advance_epoch(&mut self, epoch: u64, changed: &[bool]) {
-        self.entries
-            .retain(|e| !e.path.iter().any(|&u| changed[u as usize]));
-        for e in &mut self.entries {
-            debug_assert!(e.epoch < epoch, "promotion must move forward");
-            e.epoch = epoch;
+        let mut i = self.head;
+        while i != NIL {
+            let next = self.slots[i].next;
+            let e = &mut self.slots[i];
+            if e.path.iter().any(|&u| changed[u as usize]) {
+                let key = route_key(e.src, e.dst);
+                e.path = Vec::new();
+                self.unlink(i);
+                self.slot_of.remove(&key);
+                self.free.push(i);
+            } else {
+                debug_assert!(e.epoch < epoch, "promotion must move forward");
+                e.epoch = epoch;
+            }
+            i = next;
         }
     }
 
-    /// The epoch tags of the resident entries (test observability).
+    /// The epoch tags of the resident entries, MRU first (test
+    /// observability).
     pub fn epochs(&self) -> Vec<u64> {
-        self.entries.iter().map(|e| e.epoch).collect()
+        let mut out = Vec::with_capacity(self.len());
+        let mut i = self.head;
+        while i != NIL {
+            out.push(self.slots[i].epoch);
+            i = self.slots[i].next;
+        }
+        out
     }
 }
 
@@ -446,10 +583,10 @@ pub struct ServeReport {
 
 /// The read-only query context every reader shares.
 struct Engine<'a> {
-    /// The universe's positions, indexed at [`query_cell`].
-    index: GridIndex<'a>,
-    /// The positions of the snapshot CSR's nodes (Morton ranks).
+    /// The universe in Morton-rank order — the positions of the snapshot
+    /// CSR's nodes — and its grid at [`query_cell`].
     rank_points: Arc<PointSet>,
+    index: CellIndex,
     window: Aabb,
     cfg: &'a ServeConfig,
     max_edge: Option<f64>,
@@ -484,6 +621,67 @@ impl Reader {
     }
 }
 
+/// The spatial queries of one snapshot on the rank-space grid: the grid's
+/// members are ranks, read with their positions, liveness and deployment
+/// ids, all indexed by rank, so a query's reads stay as local as its
+/// cells. Every answer is in deployment ids and equals the deployment-order
+/// answer (the unit tests' brute-force oracles).
+struct RankView<'a> {
+    index: &'a CellIndex,
+    points: &'a PointSet,
+    alive: &'a [bool],
+    to_orig: &'a [u32],
+}
+
+impl RankView<'_> {
+    /// A route's destination from rank `src`: among the deployment ids of
+    /// the alive nodes within `radius` of it, other than itself, the
+    /// `pick(h, len)`-th smallest; `None` when there is none. The ids are
+    /// distinct, so a selection finds the element a sort would put there.
+    fn route_dst(&self, src: u32, radius: f64, h: u64, ids: &mut Vec<u32>) -> Option<u32> {
+        ids.clear();
+        let at = self.points.get(src);
+        self.index
+            .for_each_in_disk(self.points, at, radius, |r, _| {
+                if self.alive[r as usize] && r != src {
+                    ids.push(self.to_orig[r as usize]);
+                }
+            });
+        if ids.is_empty() {
+            return None;
+        }
+        let nth = pick(h, ids.len());
+        Some(*ids.select_nth_unstable(nth).1)
+    }
+
+    /// Alive nodes within `radius` of `q`.
+    fn covered(&self, q: Point, radius: f64) -> u64 {
+        let mut covered = 0u64;
+        self.index.for_each_in_disk(self.points, q, radius, |r, _| {
+            covered += self.alive[r as usize] as u64;
+        });
+        covered
+    }
+
+    /// The `k` nearest alive nodes to `q` (fewer when fewer are alive), by
+    /// the grid's exact ring search, as deployment ids ordered by
+    /// `(distance², id)`.
+    fn k_nearest_alive(&self, q: Point, k: usize) -> Vec<u32> {
+        let to_orig = self.to_orig;
+        self.index
+            .knn_by(
+                self.points,
+                q,
+                k,
+                |r| self.alive[r as usize],
+                |r| to_orig[r as usize],
+            )
+            .into_iter()
+            .map(|(r, _)| to_orig[r as usize])
+            .collect()
+    }
+}
+
 impl Engine<'_> {
     /// Run one client's queries for one epoch against a snapshot. Shared
     /// verbatim by the concurrent serve loop and the replay oracle —
@@ -497,12 +695,19 @@ impl Engine<'_> {
         latency_ns: &mut Vec<u64>,
     ) {
         let Engine {
-            index,
             rank_points,
+            index,
             window,
             cfg,
             max_edge,
         } = self;
+        let (to_rank, to_orig) = (snap.csr.to_rank(), snap.csr.to_orig());
+        let view = RankView {
+            index,
+            points: rank_points,
+            alive: &snap.rank_alive,
+            to_orig,
+        };
         // Promote / evict cached routes across the epoch boundary. Epoch 0
         // starts with an empty cache, so `advance_epoch` is vacuous there.
         state.cache.advance_epoch(snap.epoch, &snap.changed);
@@ -511,11 +716,12 @@ impl Engine<'_> {
             snap.epoch,
             client as u64,
         );
+        let n_alive = snap.n_alive();
         let mut in_disk = Vec::new();
         for qi in 0..cfg.queries_per_client as u64 {
             let h = derive_seed2(cseed, qi, 0);
             let t0 = Instant::now();
-            if snap.alive_ids.is_empty() {
+            if n_alive == 0 {
                 state.errors += 1;
                 state.absorb(0xdead);
                 latency_ns.push(t0.elapsed().as_nanos() as u64);
@@ -526,30 +732,26 @@ impl Engine<'_> {
                 0..=2 => {
                     // Route between a node and a nearby alive node.
                     let pool = if cfg.hot_routes > 0 {
-                        cfg.hot_routes.min(snap.alive_ids.len())
+                        cfg.hot_routes.min(n_alive)
                     } else {
-                        snap.alive_ids.len()
+                        n_alive
                     };
-                    let src = snap.alive_ids[pick(derive_seed2(cseed, qi, 1), pool)];
-                    in_disk.clear();
-                    index.for_each_in_disk(index.points().get(src), cfg.route_radius, |u, _| {
-                        if snap.alive[u as usize] && u != src {
-                            in_disk.push(u);
-                        }
-                    });
-                    in_disk.sort_unstable();
-                    let dst = if in_disk.is_empty() {
-                        src
-                    } else {
-                        in_disk[pick(derive_seed2(cseed, qi, 2), in_disk.len())]
-                    };
+                    let src = snap.alive_id(pick(derive_seed2(cseed, qi, 1), pool));
+                    let s = to_rank[src as usize];
+                    let dst = view
+                        .route_dst(
+                            s,
+                            cfg.route_radius,
+                            derive_seed2(cseed, qi, 2),
+                            &mut in_disk,
+                        )
+                        .unwrap_or(src);
                     state.cache_lookups += 1;
                     let word = if let Some(path) = state.cache.get(src, dst) {
                         state.cache_hits += 1;
                         path_word(Some(path))
                     } else {
-                        let (to_rank, to_orig) = (snap.csr.to_rank(), snap.csr.to_orig());
-                        let (s, t) = (to_rank[src as usize], to_rank[dst as usize]);
+                        let t = to_rank[dst as usize];
                         let path = scratch
                             .guided_path(&snap.csr, s, t, *max_edge, |u| rank_points.get(u))
                             .map(|mut p| {
@@ -568,27 +770,23 @@ impl Engine<'_> {
                     // k nearest alive sensors to a probe point.
                     let q = sample_point(window, derive_seed2(cseed, qi, 3));
                     let k = 1 + (derive_seed2(cseed, qi, 4) % cfg.knn_max.max(1) as u64) as usize;
-                    let ids = k_nearest_alive(index, &snap.alive, q, k);
+                    let ids = view.k_nearest_alive(q, k);
                     state.absorb(path_word(Some(&ids)));
                 }
                 4 => {
                     // Coverage: alive sensors within the sensing radius of a
                     // probe point.
                     let q = sample_point(window, derive_seed2(cseed, qi, 5));
-                    let mut covered = 0u64;
-                    index.for_each_in_disk(q, cfg.coverage_radius, |u, _| {
-                        if snap.alive[u as usize] {
-                            covered += 1;
-                        }
-                    });
+                    let covered = view.covered(q, cfg.coverage_radius);
                     state.absorb(mix64(0xc0_0e1a ^ covered));
                 }
                 _ => {
                     // Component / giant membership of a random alive pair.
-                    let u = snap.alive_ids[pick(derive_seed2(cseed, qi, 6), snap.alive_ids.len())];
-                    let v = snap.alive_ids[pick(derive_seed2(cseed, qi, 7), snap.alive_ids.len())];
-                    let same = (snap.comp_label[u as usize] == snap.comp_label[v as usize]) as u64;
-                    let giant = (snap.comp_label[u as usize] == snap.giant_label) as u64;
+                    let u = snap.alive_id(pick(derive_seed2(cseed, qi, 6), n_alive));
+                    let v = snap.alive_id(pick(derive_seed2(cseed, qi, 7), n_alive));
+                    let (lu, lv) = (snap.label_of(u), snap.label_of(v));
+                    let same = (lu == lv) as u64;
+                    let giant = (lu == snap.giant_label) as u64;
                     state.absorb(mix64(0x91a27 ^ (same << 1) ^ giant));
                 }
             }
@@ -605,19 +803,9 @@ fn sample_point(window: &Aabb, h: u64) -> Point {
     )
 }
 
-/// The `k` nearest *alive* sensors to `q` (fewer when fewer are alive),
-/// by the index's exact ring search, ordered by `(distance², id)`.
-fn k_nearest_alive(index: &GridIndex, alive: &[bool], q: Point, k: usize) -> Vec<u32> {
-    index
-        .knn_where(q, k, |u| alive[u as usize])
-        .into_iter()
-        .map(|(u, _)| u)
-        .collect()
-}
-
 /// The query grid's cell side: the smaller query radius, floored at the
 /// universe's mean spacing. No answer depends on it — route destinations
-/// are sorted before the draw, coverage is a count and k-NN is ordered by
+/// are selected by id, coverage is a count and k-NN is ordered by
 /// `(distance², id)` — so it is chosen for speed alone: cells about one
 /// coverage disk wide keep the coverage probe to a few cells and a k-NN
 /// search to the few rings around its probe, and the floor keeps a tiny
@@ -666,9 +854,10 @@ fn run_service(
         Maintained::plain(points, initial_alive, kind, RepairMode::Incremental, tiles)
     });
     let window = points.bounding_box().unwrap_or_else(|| Aabb::square(1.0));
+    let rank_points = Arc::clone(stepper.incremental().rank_points());
     let engine = Engine {
-        index: GridIndex::build(points, query_cell(points, cfg)),
-        rank_points: Arc::clone(stepper.incremental().rank_points()),
+        index: CellIndex::build(&rank_points, query_cell(points, cfg)),
+        rank_points,
         window,
         cfg,
         max_edge: kind.max_edge_len(),
@@ -909,6 +1098,55 @@ mod tests {
         assert_eq!(serve.cache_hits, 0);
     }
 
+    /// A deployment's rank-space query grid, as the engine builds it.
+    struct Ranked {
+        points: PointSet,
+        to_orig: Vec<u32>,
+        index: CellIndex,
+    }
+
+    impl Ranked {
+        fn new(pts: &PointSet, cell: f64) -> Ranked {
+            let (points, to_orig, _) = wsn_pointproc::PointOrder::morton(pts).into_parts();
+            let index = CellIndex::build(&points, cell);
+            Ranked {
+                points,
+                to_orig,
+                index,
+            }
+        }
+
+        /// The mask by rank of `alive`, a mask by deployment id.
+        fn rank_alive(&self, alive: &[bool]) -> Vec<bool> {
+            self.to_orig.iter().map(|&u| alive[u as usize]).collect()
+        }
+
+        fn view<'a>(&'a self, rank_alive: &'a [bool]) -> RankView<'a> {
+            RankView {
+                index: &self.index,
+                points: &self.points,
+                alive: rank_alive,
+                to_orig: &self.to_orig,
+            }
+        }
+
+        /// The rank of deployment id `u`.
+        fn rank_of(&self, u: u32) -> u32 {
+            self.to_orig.iter().position(|&v| v == u).unwrap() as u32
+        }
+    }
+
+    /// An alive mask keeping about `keep` of `n` ids, and id `n / 2`.
+    fn alive_mask(n: usize, keep: f64) -> Vec<bool> {
+        let mut alive: Vec<bool> = (0..n as u64)
+            .map(|u| u01(mix64(0xa11e ^ u)) < keep)
+            .collect();
+        if n > 0 {
+            alive[n / 2] = true;
+        }
+        alive
+    }
+
     #[test]
     fn k_nearest_alive_orders_by_distance_then_id() {
         let mut pts = PointSet::with_capacity(4);
@@ -916,12 +1154,12 @@ mod tests {
         pts.push(Point::new(1.0, 0.0));
         pts.push(Point::new(0.0, 1.0)); // same distance as id 1
         pts.push(Point::new(5.0, 5.0));
-        let index = GridIndex::build(&pts, 1.0);
-        let alive = vec![true, true, true, true];
-        let got = k_nearest_alive(&index, &alive, Point::new(0.0, 0.0), 3);
+        let grid = Ranked::new(&pts, 1.0);
+        let alive = grid.rank_alive(&[true, true, true, true]);
+        let got = grid.view(&alive).k_nearest_alive(Point::new(0.0, 0.0), 3);
         assert_eq!(got, vec![0, 1, 2]);
-        let dead = vec![false, true, true, true];
-        let got = k_nearest_alive(&index, &dead, Point::new(0.0, 0.0), 2);
+        let dead = grid.rank_alive(&[false, true, true, true]);
+        let got = grid.view(&dead).k_nearest_alive(Point::new(0.0, 0.0), 2);
         assert_eq!(got, vec![1, 2]);
     }
 
@@ -952,13 +1190,11 @@ mod tests {
             for i in 0..6 {
                 probes.push(sample_point(&bb, mix64(0x9e37 ^ i)));
             }
-            let indexes: Vec<GridIndex> = cells.iter().map(|&c| GridIndex::build(pts, c)).collect();
+            let grids: Vec<Ranked> = cells.iter().map(|&c| Ranked::new(pts, c)).collect();
             for keep in [1.0, 0.5, 0.1, 0.0] {
-                let mut alive: Vec<bool> = (0..n as u64)
-                    .map(|u| u01(mix64(0xa11e ^ u)) < keep)
-                    .collect();
-                alive[n / 2] = true;
+                let alive = alive_mask(n, keep);
                 let ids: Vec<u32> = (0..n as u32).filter(|&u| alive[u as usize]).collect();
+                let masks: Vec<Vec<bool>> = grids.iter().map(|g| g.rank_alive(&alive)).collect();
                 for &q in &probes {
                     let mut by_d: Vec<(f64, u32)> =
                         ids.iter().map(|&u| (q.dist_sq(pts.get(u)), u)).collect();
@@ -966,11 +1202,205 @@ mod tests {
                     let ks = [1, 2, 3, 5, 8, ids.len(), ids.len() + 1, ids.len() + 7];
                     for k in ks {
                         let want: Vec<u32> = by_d.iter().take(k).map(|e| e.1).collect();
-                        for (index, c) in indexes.iter().zip(cells) {
-                            let got = k_nearest_alive(index, &alive, q, k);
+                        for ((g, mask), c) in grids.iter().zip(&masks).zip(cells) {
+                            let got = g.view(mask).k_nearest_alive(q, k);
                             assert_eq!(got, want, "n {n} keep {keep} q {q:?} k {k} cell {c}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Layouts full of distance ties whose Morton order is not their id
+    /// order: a unit lattice, clusters of coincident points and an
+    /// axis-aligned collinear strip, each with ids shuffled over space.
+    fn tie_heavy_layouts() -> Vec<(&'static str, PointSet)> {
+        let shuffled = |pts: Vec<Point>| -> PointSet {
+            let mut keyed: Vec<(u64, Point)> = (0..pts.len() as u64)
+                .map(|i| mix64(0x5eed ^ i))
+                .zip(pts)
+                .collect();
+            keyed.sort_by_key(|e| e.0);
+            keyed.into_iter().map(|e| e.1).collect()
+        };
+        let lattice = (0..100).map(|i| Point::new((i % 10) as f64, (i / 10) as f64));
+        let coincident = (0..90).map(|i| Point::new((i % 5) as f64 * 0.5, (i / 5 % 3) as f64));
+        let strip = (0..120).map(|i| Point::new(i as f64 * 0.5, 2.0));
+        vec![
+            ("unit lattice", shuffled(lattice.collect())),
+            ("coincident points", shuffled(coincident.collect())),
+            ("collinear strip", shuffled(strip.collect())),
+        ]
+    }
+
+    /// The route destination and the coverage count on the rank-space grid
+    /// equal brute-force oracles in deployment ids — the sorted alive ids
+    /// within the radius and their count — on tie-heavy layouts, at every
+    /// cell size, radius and alive mask, with sources and probes on the
+    /// lattice points, between them and at random.
+    #[test]
+    fn route_dst_and_coverage_match_brute_force_on_tie_heavy_layouts() {
+        for (name, pts) in tie_heavy_layouts() {
+            let n = pts.len();
+            let bb = pts.bounding_box().unwrap();
+            let served = query_cell(&pts, &small_cfg(1, 1));
+            let grids: Vec<Ranked> = [served, 0.5, 1.0, 2.5]
+                .iter()
+                .map(|&c| Ranked::new(&pts, c))
+                .collect();
+            assert!(
+                grids[0].to_orig.windows(2).any(|w| w[0] > w[1]),
+                "{name}: Morton order must differ from id order"
+            );
+            let mut probes: Vec<Point> = (0..n as u32).map(|u| pts.get(u)).collect();
+            probes.extend((0..n as u32).map(|u| pts.get(u).midpoint(bb.center())));
+            probes.extend((0..8).map(|i| sample_point(&bb, mix64(0xc0e ^ i))));
+            let mut buf = Vec::new();
+            for keep in [1.0, 0.5, 0.1] {
+                let alive = alive_mask(n, keep);
+                let masks: Vec<Vec<bool>> = grids.iter().map(|g| g.rank_alive(&alive)).collect();
+                for radius in [0.5, 1.0, std::f64::consts::SQRT_2, 3.0] {
+                    let within = |q: Point| -> Vec<u32> {
+                        let r2 = radius * radius;
+                        (0..n as u32)
+                            .filter(|&u| alive[u as usize] && pts.get(u).dist_sq(q) <= r2)
+                            .collect()
+                    };
+                    for src in (0..n as u32).filter(|&u| alive[u as usize]) {
+                        let near: Vec<u32> = within(pts.get(src))
+                            .into_iter()
+                            .filter(|&u| u != src)
+                            .collect();
+                        for h in 0..3u64 {
+                            let h = mix64(0xd57 ^ (src as u64) << 8 ^ h);
+                            let want = (!near.is_empty()).then(|| near[pick(h, near.len())]);
+                            for (g, mask) in grids.iter().zip(&masks) {
+                                let got =
+                                    g.view(mask).route_dst(g.rank_of(src), radius, h, &mut buf);
+                                assert_eq!(got, want, "{name} keep {keep} r {radius} src {src}");
+                            }
+                        }
+                    }
+                    for &q in &probes {
+                        let want = within(q).len() as u64;
+                        for (g, mask) in grids.iter().zip(&masks) {
+                            let got = g.view(mask).covered(q, radius);
+                            assert_eq!(got, want, "{name} keep {keep} r {radius} q {q:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The selection table answers every alive id in order, on masks from
+    /// empty to full across block boundaries.
+    #[test]
+    fn alive_id_selects_the_kth_alive_id() {
+        for (n, keep) in [
+            (0, 1.0),
+            (1, 1.0),
+            (63, 0.5),
+            (64, 1.0),
+            (65, 0.3),
+            (700, 0.05),
+        ] {
+            let mut alive = alive_mask(n, keep);
+            alive
+                .iter_mut()
+                .skip(130)
+                .take(200)
+                .for_each(|a| *a = false);
+            let pts: PointSet = (0..n).map(|i| Point::new(i as f64, 0.0)).collect();
+            let kind = IncTopology::Udg { radius: 1.0 };
+            let snap = Snapshot::capture(0, &IncrementalGraph::build(pts, alive.clone(), kind, 4));
+            let ids: Vec<u32> = (0..n as u32).filter(|&u| alive[u as usize]).collect();
+            assert_eq!(snap.n_alive(), ids.len(), "n {n}");
+            for (k, &u) in ids.iter().enumerate() {
+                assert_eq!(snap.alive_id(k), u, "n {n} k {k}");
+            }
+        }
+    }
+
+    /// The linear-scan LRU the slab cache replaced: MRU-first `Vec`, found
+    /// by scan, moved by `remove` / `insert(0)`.
+    struct VecLru {
+        cap: usize,
+        entries: Vec<(u32, u32, Vec<u32>, u64)>,
+    }
+
+    impl VecLru {
+        fn get(&mut self, src: u32, dst: u32) -> Option<Vec<u32>> {
+            let pos = self.entries.iter().position(|e| e.0 == src && e.1 == dst)?;
+            let entry = self.entries.remove(pos);
+            self.entries.insert(0, entry);
+            Some(self.entries[0].2.clone())
+        }
+
+        fn insert(&mut self, src: u32, dst: u32, path: Vec<u32>, epoch: u64) {
+            if self.cap == 0 {
+                return;
+            }
+            self.entries.retain(|e| !(e.0 == src && e.1 == dst));
+            self.entries.insert(0, (src, dst, path, epoch));
+            self.entries.truncate(self.cap);
+        }
+
+        fn advance_epoch(&mut self, epoch: u64, changed: &[bool]) {
+            self.entries
+                .retain(|e| !e.2.iter().any(|&u| changed[u as usize]));
+            self.entries.iter_mut().for_each(|e| e.3 = epoch);
+        }
+
+        fn epochs(&self) -> Vec<u64> {
+            self.entries.iter().map(|e| e.3).collect()
+        }
+    }
+
+    /// The slab LRU against the linear-scan reference: seeded sequences of
+    /// lookups, inserts (fresh and repeated keys) and epoch sweeps at
+    /// capacities 0, 1, 3 and unbounded, comparing every lookup, the
+    /// length and the MRU-first epoch tags after each step.
+    #[test]
+    fn route_cache_matches_the_linear_scan_lru() {
+        const NODES: u64 = 24;
+        for cap in [0, 1, 3, usize::MAX] {
+            for seed in 0..6u64 {
+                let mut cache = RouteCache::new(cap);
+                let mut model = VecLru {
+                    cap,
+                    entries: Vec::new(),
+                };
+                let mut epoch = 0u64;
+                for step in 0..1500u64 {
+                    let h = derive_seed2(seed, step, cap as u64);
+                    let (src, dst) = (pick(h ^ 1, 6) as u32, pick(h ^ 2, 6) as u32);
+                    let ctx = format!("cap {cap} seed {seed} step {step}");
+                    match pick(h, 10) {
+                        0..=4 => {
+                            let got = cache.get(src, dst).map(|p| p.to_vec());
+                            assert_eq!(got, model.get(src, dst), "{ctx}: get");
+                        }
+                        5..=8 => {
+                            let len = 1 + pick(h ^ 3, 4);
+                            let path: Vec<u32> = (0..len as u64)
+                                .map(|i| pick(h ^ (i << 8), NODES as usize) as u32)
+                                .collect();
+                            cache.insert(src, dst, path.clone(), epoch);
+                            model.insert(src, dst, path, epoch);
+                        }
+                        _ => {
+                            epoch += 1;
+                            let changed: Vec<bool> = (0..NODES)
+                                .map(|u| u01(derive_seed2(h, u, 4)) < 0.08)
+                                .collect();
+                            cache.advance_epoch(epoch, &changed);
+                            model.advance_epoch(epoch, &changed);
+                        }
+                    }
+                    assert_eq!(cache.len(), model.entries.len(), "{ctx}: len");
+                    assert_eq!(cache.epochs(), model.epochs(), "{ctx}: epochs");
                 }
             }
         }

@@ -285,11 +285,10 @@ fn route_cache_keeps_valid_routes_and_evicts_only_changed_paths() {
         for e in 1..=5u64 {
             // Seed: routes between nearby alive pairs on snapshot e − 1.
             for i in 0..ROUTES_PER_EPOCH {
-                let ids = &snap.alive_ids;
-                let src = ids[(derive_seed2(seed, e, 2 * i) % ids.len() as u64) as usize];
-                let near: Vec<u32> = ids
-                    .iter()
-                    .copied()
+                let k = derive_seed2(seed, e, 2 * i) % snap.n_alive() as u64;
+                let src = snap.alive_id(k as usize);
+                let near: Vec<u32> = (0..pts.len() as u32)
+                    .filter(|&v| snap.alive[v as usize])
                     .filter(|&v| v != src && pts.get(v).dist(pts.get(src)) <= 3.0)
                     .collect();
                 if near.is_empty() || resident.iter().any(|r| r.0 == src) {
@@ -469,7 +468,7 @@ fn lockstep_with_failing_reader(epochs: u64, who: usize, at: u64) -> String {
             churning_writer(None),
             |r| (r, 0usize),
             |(r, served): &mut (usize, usize), snap: &Snapshot| {
-                *served += snap.alive_ids.len();
+                *served += snap.n_alive();
                 assert!(
                     !(*r == who && snap.epoch == at),
                     "reader {who} dies mid-epoch {at}"
