@@ -54,10 +54,9 @@
 //! answer equals its deployment-order counterpart (the unit tests'
 //! brute-force oracles on tie-heavy layouts pin it). Routes go through a
 //! per-client LRU cache whose hits, inserts and evictions cost O(1) (a
-//! key map into slots on a recency list); at
-//! each epoch boundary the cache drops every entry whose path holds a node
-//! the repair changed ([`wsn_rgg::IncrementalGraph::changed`]) and
-//! promotes the rest. An unchanged node kept its liveness and its whole
+//! key map into slots on a recency list); at each epoch boundary the
+//! cache drops every entry whose path holds a node the repair changed
+//! ([`wsn_rgg::IncrementalGraph::changed`]) and promotes the rest. An unchanged node kept its liveness and its whole
 //! row, so every hop of a path of unchanged nodes still exists: a served
 //! route is always *valid* on the snapshot it is served from, though a
 //! promoted one may be stale-optimal.
@@ -237,8 +236,9 @@ pub struct Snapshot {
     alive_before: Vec<u32>,
     /// Component label per rank: the smallest deployment id in the node's
     /// component, so labels depend neither on how the components pass
-    /// ordered its unions nor on the layout.
-    pub comp_label: Vec<u32>,
+    /// ordered its unions nor on the layout ([`Snapshot::label_of`] reads
+    /// it by deployment id).
+    pub rank_label: Vec<u32>,
     /// Label of the giant (largest) component, ties going to the smaller
     /// label; `u32::MAX` when empty.
     pub giant_label: u32,
@@ -279,7 +279,7 @@ impl Snapshot {
             rank_alive: g.rank_alive().to_vec(),
             alive,
             alive_before,
-            comp_label: comps.label().to_vec(),
+            rank_label: comps.label().to_vec(),
             giant_label: comps.giant().map_or(u32::MAX, |(label, _)| label),
             fingerprint: g.graph().fingerprint(),
             changed: g.changed().to_vec(),
@@ -310,7 +310,7 @@ impl Snapshot {
 
     /// Component label of deployment id `u`.
     pub fn label_of(&self, u: u32) -> u32 {
-        self.comp_label[self.csr.to_rank()[u as usize] as usize]
+        self.rank_label[self.csr.to_rank()[u as usize] as usize]
     }
 
     /// Whether every hop of `path` (deployment ids) exists on this

@@ -392,18 +392,8 @@ impl<'p> GridIndex<'p> {
     /// when the set is small. Ties are broken deterministically by
     /// `(distance, id)`.
     pub fn knn(&self, query: Point, k: usize, skip: Option<u32>) -> Vec<(u32, f64)> {
-        self.knn_where(query, k, |id| Some(id) != skip)
-    }
-
-    /// The `k` nearest points of `query` that `keep` accepts: see
-    /// [`CellIndex::knn_where`].
-    pub fn knn_where<F: Fn(u32) -> bool>(
-        &self,
-        query: Point,
-        k: usize,
-        keep: F,
-    ) -> Vec<(u32, f64)> {
-        self.cells.knn_where(self.points, query, k, keep)
+        self.cells
+            .knn_where(self.points, query, k, |id| Some(id) != skip)
     }
 
     /// Nearest neighbour (excluding `skip`), if any.
@@ -462,10 +452,10 @@ mod tests {
             .iter()
             .map(|&(x, y)| Point::new(x, y))
             .collect();
-        let idx = GridIndex::build(&pts, 1.0);
-        let got = idx.knn_where(Point::new(0.0, 0.0), usize::MAX, |_| true);
+        let idx = CellIndex::build(&pts, 1.0);
+        let got = idx.knn_where(&pts, Point::new(0.0, 0.0), usize::MAX, |_| true);
         assert_eq!(got, [(1, 1.0), (2, 1.0), (0, 2.0), (3, 2.0)]);
-        let odd = idx.knn_where(Point::new(0.0, 0.0), usize::MAX, |id| id % 2 == 1);
+        let odd = idx.knn_where(&pts, Point::new(0.0, 0.0), usize::MAX, |id| id % 2 == 1);
         assert_eq!(odd, [(1, 1.0), (3, 2.0)]);
     }
 
